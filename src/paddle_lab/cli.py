@@ -25,8 +25,8 @@ from .electrostatics import (Electrode, capacitance_value, force_per_v2_value)
 from .errors import NoStableEquilibrium, PaddleLabError
 from .extraction import fit_film_parameters, load_cv_csv
 from .instrument import NoiseModel, calibrate, calibration_table, measure_capacitance
-from .mechanics import (compliance, film_force, pull_in_voltage, solve_equilibrium,
-                        stress_profile, sweep_voltage)
+from .mechanics import (compliance, drive_voltages, film_force, pull_in_voltage,
+                        solve_equilibrium, stress_profile, sweep_voltage)
 from .model import (ValidatedModel, build_model, load_model_json, model_from_dict,
                     model_to_dict, yb_from_yp)
 
@@ -98,10 +98,6 @@ def _load_model(args) -> ValidatedModel:
 
 def _electrode(args) -> Electrode:
     return Electrode.TOP if args.electrode == "top" else Electrode.BOTTOM
-
-
-def _drive(electrode: Electrode, V: float) -> tuple[float, float]:
-    return (V, 0.0) if electrode is Electrode.TOP else (0.0, V)
 
 
 def _float_list(text: str, flag: str) -> list[float]:
@@ -198,14 +194,8 @@ def cmd_equilibrium(args) -> int:
         print("error: --electrode is required when --v > 0", file=sys.stderr)
         return 2
     electrode = _electrode(args) if args.electrode else Electrode.BOTTOM
-    drive = _drive(electrode, args.v)
-    try:
-        sol = solve_equilibrium(model, *drive)
-    except NoStableEquilibrium:
-        pi = pull_in_voltage(model, electrode)
-        print(f"error: no stable equilibrium at V = {args.v} on the {electrode.value} "
-              f"electrode; pull-in voltage is {pi.V_pull_in:.4f} V", file=sys.stderr)
-        return 3
+    # NoStableEquilibrium says why (past pull-in, or pinned by film stress) and exits 3
+    sol = solve_equilibrium(model, *drive_voltages(electrode, args.v))
     result = {
         "V_V": args.v,
         "electrode": args.electrode,

@@ -18,7 +18,7 @@ from .electrostatics import (Electrode, capacitance_value, force_per_v2_value,
 from .errors import (DegenerateData, InsufficientData, InvalidParameter,
                      NoStableEquilibrium, OutOfRange, TouchViolation)
 from .instrument import MeasurementSample, NoiseModel
-from .mechanics import compliance, film_stiffness, solve_equilibrium, strain_coupling
+from .mechanics import StableBranch, compliance, film_stiffness, strain_coupling
 from .model import ValidatedModel, model_from_dict, model_to_dict
 
 MAX_ITERATIONS = 100
@@ -87,16 +87,16 @@ def simulate_cv(model: ValidatedModel, electrode: Electrode, V_list,
     yield no row. Optional per-row Gaussian noise is seeded through the
     NoiseModel, keeping datasets reproducible.
     """
-    electrode = Electrode(electrode)
+    branch = StableBranch(model, electrode)
+    electrode = branch.electrode
     voltages = sorted(float(v) for v in V_list)
     rows = []
     for v in voltages:
         try:
-            sol = solve_equilibrium(model, *((v, 0.0) if electrode is Electrode.TOP
-                                             else (0.0, v)))
+            y = branch.solve(v)
         except NoStableEquilibrium:
             break
-        rows.append([v, capacitance_value(sol.y_p, model, electrode)])
+        rows.append([v, capacitance_value(y, model, electrode)])
     if noise is not None and noise.sigma_C > 0.0:
         rng = np.random.default_rng(noise.seed)
         for row in rows:
@@ -161,12 +161,12 @@ def _residuals(theta, data: CVDataset, template: ValidatedModel):
         m = _with_film(template, float(theta[0]), float(theta[1]))
     except InvalidParameter:
         return None
+    branches = {e: StableBranch(m, e) for e in {row.electrode for row in data.rows}}
     res = np.empty(len(data.rows))
     for i, row in enumerate(data.rows):
-        drive = (row.V, 0.0) if row.electrode is Electrode.TOP else (0.0, row.V)
         try:
-            sol = solve_equilibrium(m, *drive)
-            res[i] = capacitance_value(sol.y_p, m, row.electrode) - row.C
+            y = branches[row.electrode].solve(row.V)
+            res[i] = capacitance_value(y, m, row.electrode) - row.C
         except (NoStableEquilibrium, TouchViolation, InvalidParameter):
             return None
     return res

@@ -11,9 +11,16 @@ electrode):
 Tensile residual stress (sigma0 > 0) lifts the paddle; the two DC
 electrodes only attract. Equilibria are zeros of the total force; a zero
 is stable when the force gradient there is restoring (dF/dy_p < 0).
+
+With one electrode driven, equilibria and pull-in are found along the
+deflection (StableBranch): one golden-section search for pull-in, one
+bisection per voltage. A scan-and-bisect solver handles drives on both
+electrodes and is the independent reference for the branch.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +28,7 @@ import numpy as np
 from .electrostatics import Electrode, capacitance_value, force_per_v2_value
 from .errors import InvalidParameter, NoStableEquilibrium
 from .model import PaddleGeometry, ValidatedModel
-from .roots import bisect_root
+from .roots import bisect_root, golden_max
 
 # Relative margin keeping the equilibrium scan strictly inside the touch
 # interval, and the fixed scan resolution used to bracket force zeros.
@@ -79,7 +86,7 @@ class SweepResult:
 @dataclass(frozen=True)
 class PullInResult:
     V_pull_in: float
-    y_p_last_stable: float  # equilibrium deflection just below pull-in
+    y_p_last_stable: float  # pull-in displacement y_PI, the last stable deflection
     electrode: Electrode
 
 
@@ -206,32 +213,54 @@ def zero_voltage_equilibrium(model: ValidatedModel) -> float:
     return model.film.E_F * model.V_F * a * model.eps_F0 / (k_film + 1.0 / compliance(model))
 
 
+def drive_voltages(electrode: Electrode, V: float) -> tuple[float, float]:
+    """(V_top, V_bottom) with V on `electrode` and the other one grounded."""
+    return (V, 0.0) if Electrode(electrode) is Electrode.TOP else (0.0, V)
+
+
+def _scan_bounds(model: ValidatedModel) -> tuple[float, float]:
+    """The open touch interval, shrunk by SCAN_MARGIN at each end."""
+    return model.y_p_min * (1.0 - SCAN_MARGIN), model.y_p_max * (1.0 - SCAN_MARGIN)
+
+
 def _scan_grid(model: ValidatedModel) -> np.ndarray:
-    lo = model.y_p_min * (1.0 - SCAN_MARGIN)
-    hi = model.y_p_max * (1.0 - SCAN_MARGIN)
-    return np.linspace(lo, hi, SCAN_POINTS)
+    return np.linspace(*_scan_bounds(model), SCAN_POINTS)
 
 
 def _force_slope(force, y: float, model: ValidatedModel) -> float:
     """Central-difference dF/dy_p, with the step shrunk near the scan ends."""
-    h = STABILITY_FD_STEP
-    h = min(h, 0.5 * (model.y_p_max * (1.0 - SCAN_MARGIN) - y),
-            0.5 * (y - model.y_p_min * (1.0 - SCAN_MARGIN)))
+    lo, hi = _scan_bounds(model)
+    h = min(STABILITY_FD_STEP, 0.5 * (hi - y), 0.5 * (y - lo))
     return (force(y + h) - force(y - h)) / (2.0 * h)
 
 
-def solve_equilibrium(model: ValidatedModel, V_top: float = 0.0,
-                      V_bottom: float = 0.0) -> EquilibriumSolution:
+def _check_drive(V_top: float, V_bottom: float) -> None:
+    if V_top < 0.0 or V_bottom < 0.0:
+        raise InvalidParameter("V", "drive voltages must be >= 0 (force is even in V)")
+
+
+def _solution(model: ValidatedModel, y: float, V_top: float, V_bottom: float,
+              force) -> EquilibriumSolution:
+    return EquilibriumSolution(
+        y_p=y,
+        C_top=capacitance_value(y, model, Electrode.TOP),
+        breakdown=total_force(y, V_top, V_bottom, model),
+        stable=True,
+        residual=force(y),
+    )
+
+
+def _scan_equilibrium(model: ValidatedModel, V_top: float,
+                      V_bottom: float) -> EquilibriumSolution:
     """Stable force balance, found by a fixed scan plus bisection.
 
     The open touch interval is scanned on a 2048-point grid (relative
     margin 1e-6 at each end), every sign change is bisected to machine
-    precision, and the root with restoring force gradient is returned.
-    Raises NoStableEquilibrium when every zero is unstable or none exists
-    (actuation beyond pull-in).
+    precision, and the lowest root with restoring force gradient is
+    returned. This is the only solver for drives on both electrodes at
+    once, and the reference that StableBranch is checked against.
+    Raises NoStableEquilibrium when every zero is unstable or none exists.
     """
-    if V_top < 0.0 or V_bottom < 0.0:
-        raise InvalidParameter("V", "drive voltages must be >= 0 (force is even in V)")
     grid = _scan_grid(model)
     F = total_force_curve(grid, V_top, V_bottom, model)
     force = _force_closure(model, V_top, V_bottom)
@@ -246,59 +275,168 @@ def solve_equilibrium(model: ValidatedModel, V_top: float = 0.0,
 
     for y in sorted(roots):
         if _force_slope(force, y, model) < 0.0:
-            return EquilibriumSolution(
-                y_p=y,
-                C_top=capacitance_value(y, model, Electrode.TOP),
-                breakdown=total_force(y, V_top, V_bottom, model),
-                stable=True,
-                residual=force(y),
-            )
+            return _solution(model, y, V_top, V_bottom, force)
     raise NoStableEquilibrium(
         f"no restoring force balance for V_top={V_top!r}, V_bottom={V_bottom!r} "
         f"({len(roots)} unstable zero(s) found)")
 
 
-def _actuation(electrode: Electrode, V: float) -> tuple[float, float]:
-    return (V, 0.0) if Electrode(electrode) is Electrode.TOP else (0.0, V)
+def _balancing_v2(model: ValidatedModel, electrode: Electrode):
+    """V^2(y_p) = -F_mech/f_e: the squared drive on `electrode` that balances y_p.
+
+    f_e = +-half/(g0*g1) with the same gap terms as _force_closure, so V^2
+    is the mechanical force times both edge gaps, in plain arithmetic.
+    """
+    g = model.geom
+    cr = g.center_ratio
+    tilt = 2.0 * g.l_p / g.l_b
+    half = 0.5 * model.constants.eps0 * g.w_p * g.l_p
+    mech = _force_closure(model, 0.0, 0.0)
+    if Electrode(electrode) is Electrode.TOP:
+        d_c = g.d_c
+
+        def v2(y_p: float) -> float:
+            y_b = y_p / cr
+            g0 = d_c - y_b
+            return -mech(y_p) * g0 * (g0 - tilt * y_b) / half
+    else:
+        d_e = g.d_e
+
+        def v2(y_p: float) -> float:
+            y_b = y_p / cr
+            g0 = d_e + y_b
+            return mech(y_p) * g0 * (g0 + tilt * y_b) / half
+    return v2
+
+
+class StableBranch:
+    """Stable equilibria of one driven electrode, parametrized by deflection.
+
+    With V on one electrode the force balance F_mech(y_p) + f_e(y_p)*V^2 = 0
+    gives the drive explicitly: V^2(y_p) = -F_mech(y_p)/f_e(y_p). From the
+    rest deflection toward the driven electrode V^2 rises to one maximum,
+    the pull-in point (y_PI, V_PI^2): V^2 is the mechanical force times the
+    two edge gaps, all linear in y_p and positive there, so it is
+    log-concave. This is the displacement-iteration pull-in extraction of
+    Bochobza-Degani, Elata & Nemirovsky (J. MEMS 11(5), 2002).
+
+    Below V_PI the total force changes sign exactly once between the rest
+    side of the scan interval and y_PI, at the stable root, so a voltage
+    costs one bisection. The bracket starts at the rest-side end of the
+    scan interval, not at the rest deflection, because the force at rest is
+    zero up to rounding and its sign is unreliable at small V. At V = 0
+    the bracket is the whole scan interval for either electrode. Film
+    stress that puts the rest deflection past a touch limit pins the
+    paddle, and that is the error reported.
+
+    One branch serves any number of voltages on the same model: sweeps and
+    fits build it once and pay for the pull-in search once.
+    """
+
+    def __init__(self, model: ValidatedModel, electrode: Electrode):
+        self.model = model
+        self.electrode = Electrode(electrode)
+        self.lo, self.hi = _scan_bounds(model)
+        self.rest = zero_voltage_equilibrium(model)
+        self.start = min(max(self.rest, self.lo), self.hi)  # clamped rest deflection
+        self.pinned = self.start != self.rest
+        toward_top = self.electrode is Electrode.TOP
+        # rest-side end of the scan interval, the end at the driven electrode,
+        # and the sign of a restoring force at the rest-side end
+        self.far, self.end = (self.lo, self.hi) if toward_top else (self.hi, self.lo)
+        self.far_sign = 1.0 if toward_top else -1.0
+
+    @functools.cached_property
+    def pull_in(self) -> tuple[float, float]:
+        """(y_PI, V_PI^2): the maximum of V^2(y_p) from rest to the driven electrode."""
+        if self.start == self.end:
+            raise self._pinned_error(0.0)
+        return golden_max(_balancing_v2(self.model, self.electrode), self.start, self.end)
+
+    def _pinned_error(self, V: float) -> NoStableEquilibrium:
+        side, limit = (("top", self.model.y_p_max) if self.rest > self.hi
+                       else ("bottom", self.model.y_p_min))
+        msg = (f"film stress pins the paddle against the {side} electrode: rest "
+               f"y_p = {self.rest:.6e} m lies past the touch limit {limit:.6e} m")
+        if V > 0.0:
+            msg += f"; {V!r} V on the {self.electrode.value} electrode does not pull it free"
+        return NoStableEquilibrium(msg)
+
+    def _root(self, V: float, force) -> float:
+        _check_drive(V, 0.0)
+        if V * V == 0.0:  # unforced: the whole scan interval, for either electrode
+            if self.pinned:
+                raise self._pinned_error(V)
+            return bisect_root(force, self.lo, self.hi)
+        if self.pinned and force(self.far) * self.far_sign <= 0.0:
+            raise self._pinned_error(V)
+        y_pi, v2_pi = self.pull_in
+        if V * V < v2_pi:
+            try:
+                return bisect_root(force, self.far, y_pi)
+            except ValueError:
+                pass  # V within rounding of V_PI, where F(y_PI) loses its sign
+        raise NoStableEquilibrium(
+            f"no stable equilibrium at V = {V!r} V on the {self.electrode.value} "
+            f"electrode; pull-in voltage is {math.sqrt(v2_pi):.4f} V")
+
+    def solve(self, V: float) -> float:
+        """Stable y_p at drive V on this electrode."""
+        return self._root(V, _force_closure(self.model, *drive_voltages(self.electrode, V)))
+
+    def equilibrium(self, V: float) -> EquilibriumSolution:
+        """Stable equilibrium at drive V on this electrode, with its force breakdown."""
+        V_top, V_bottom = drive_voltages(self.electrode, V)
+        force = _force_closure(self.model, V_top, V_bottom)
+        return _solution(self.model, self._root(V, force), V_top, V_bottom, force)
+
+
+def solve_equilibrium(model: ValidatedModel, V_top: float = 0.0,
+                      V_bottom: float = 0.0) -> EquilibriumSolution:
+    """Stable force balance at the given drive voltages.
+
+    With one electrode driven, or neither, this is one bisection on the
+    stable branch (StableBranch); with both driven, the scan solver runs.
+    Raises NoStableEquilibrium at or past pull-in, and when film stress
+    pins the paddle against an electrode.
+    """
+    _check_drive(V_top, V_bottom)
+    if V_top != 0.0 and V_bottom != 0.0:
+        return _scan_equilibrium(model, V_top, V_bottom)
+    if V_top != 0.0:
+        return StableBranch(model, Electrode.TOP).equilibrium(V_top)
+    return StableBranch(model, Electrode.BOTTOM).equilibrium(V_bottom)
 
 
 def has_stable_equilibrium(model: ValidatedModel, electrode: Electrode, V: float) -> bool:
+    """Whether the scan solver finds a stable equilibrium at V on `electrode`.
+
+    Deliberately independent of StableBranch: it is the oracle that
+    pull-in results are checked against.
+    """
     try:
-        solve_equilibrium(model, *_actuation(electrode, V))
+        _scan_equilibrium(model, *drive_voltages(electrode, V))
         return True
     except NoStableEquilibrium:
         return False
 
 
-def pull_in_voltage(model: ValidatedModel, electrode: Electrode,
-                    v_rel_tol: float = 1e-4, v_abs_tol: float = 5e-3) -> PullInResult:
-    """Smallest drive voltage with no stable equilibrium, by bisection on V.
+def pull_in_voltage(model: ValidatedModel, electrode: Electrode) -> PullInResult:
+    """Pull-in of one driven electrode: the maximum of V(y_p) on its stable branch.
 
-    The bracket is grown by doubling from 1 V, then narrowed until it is
-    smaller than both tolerances; the absolute one keeps the answer finer
-    than typical scan-oracle steps even when V is large. The y_p reported
-    is the equilibrium at the last stable bracket end.
+    V(y_p) = sqrt(-F_mech(y_p)/f_e(y_p)) is the drive that balances
+    deflection y_p. Its maximum along the branch from rest toward the
+    electrode is V_PI, found by one golden-section search; no stable
+    equilibrium exists at V >= V_PI. y_p_last_stable is the pull-in
+    displacement y_PI where the maximum is reached. Raises
+    NoStableEquilibrium when film stress pins the paddle at rest.
     """
-    electrode = Electrode(electrode)
-    solve_equilibrium(model, *_actuation(electrode, 0.0))  # propagates if unstable at rest
-
-    lo, hi = 0.0, 1.0
-    while has_stable_equilibrium(model, electrode, hi):
-        lo = hi
-        hi *= 2.0
-        if hi > 1e9:
-            raise InvalidParameter("V", "no pull-in found below 1e9 V")
-    tol = min(v_abs_tol, v_rel_tol * hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if has_stable_equilibrium(model, electrode, mid):
-            lo = mid
-        else:
-            hi = mid
-        tol = min(v_abs_tol, v_rel_tol * hi)
-    last_stable = solve_equilibrium(model, *_actuation(electrode, lo))
-    return PullInResult(V_pull_in=hi, y_p_last_stable=last_stable.y_p,
-                        electrode=electrode)
+    branch = StableBranch(model, electrode)
+    if branch.pinned:
+        raise branch._pinned_error(0.0)
+    y_pi, v2_pi = branch.pull_in
+    return PullInResult(V_pull_in=math.sqrt(v2_pi), y_p_last_stable=y_pi,
+                        electrode=branch.electrode)
 
 
 def sweep_voltage(model: ValidatedModel, electrode: Electrode,
@@ -306,18 +444,20 @@ def sweep_voltage(model: ValidatedModel, electrode: Electrode,
     """Equilibrium records for each voltage below pull-in, ascending.
 
     Voltages past pull-in do not produce records; the first such voltage
-    is reported in truncated_at (truncation is data, not an error).
+    is reported in truncated_at (truncation is data, not an error). The
+    stable branch is built once, so each voltage costs one bisection.
     """
     voltages = sorted(float(v) for v in V_list)
     if not voltages:
         raise InvalidParameter("V_list", "must be nonempty")
     if voltages[0] < 0.0:
         raise InvalidParameter("V_list", f"voltages must be >= 0, got {voltages[0]!r}")
+    branch = StableBranch(model, electrode)
     records: list[SweepRecord] = []
     truncated_at = None
     for v in voltages:
         try:
-            sol = solve_equilibrium(model, *_actuation(electrode, v))
+            sol = branch.equilibrium(v)
         except NoStableEquilibrium:
             truncated_at = v
             break

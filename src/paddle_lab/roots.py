@@ -1,12 +1,19 @@
-"""Bracketed bisection, the one root finder used everywhere.
+"""Derivative-free 1-D solvers: bracketed bisection and golden-section search.
 
-Derivative-free bisection is deliberately preferred over faster methods:
-the equilibrium problem approaches a double root at pull-in where
-Newton-type iterations stall, and bisection cost is bounded.
+Bisection finds every equilibrium; golden-section search finds the pull-in
+maximum of the drive voltage along the stable branch. Derivative-free
+methods are deliberately preferred over faster ones: the equilibrium
+problem approaches a double root at pull-in where Newton-type iterations
+stall, and the cost of both methods is bounded.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable
+
+# 1/phi: the fraction of the bracket kept by each golden-section step.
+INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
+GOLDEN_MAX_ITER = 200
 
 
 def bisect_root(func: Callable[[float], float], lo: float, hi: float,
@@ -42,3 +49,40 @@ def bisect_root(func: Callable[[float], float], lo: float, hi: float,
         if hi - lo <= xtol:
             break
     return 0.5 * (lo + hi)
+
+
+def golden_max(func: Callable[[float], float], lo: float,
+               hi: float) -> tuple[float, float]:
+    """(x, func(x)) at the maximum of a unimodal func on [lo, hi].
+
+    Golden-section search: each step keeps 1/phi of the bracket and costs
+    one evaluation. Runs until the probes stop moving (machine
+    convergence), or for at most GOLDEN_MAX_ITER steps, which bounds the
+    descent into subnormals when the maximum sits at 0. The ends are
+    evaluated too, so a maximum on either end is returned exactly. A
+    smooth maximum is flat, so its value converges to machine precision
+    while its location only converges to about sqrt(machine epsilon) of
+    the bracket.
+    """
+    if lo > hi:
+        lo, hi = hi, lo
+    best = max((func(lo), lo), (func(hi), hi))
+    a, b = lo, hi
+    c = b - INV_PHI * (b - a)
+    d = a + INV_PHI * (b - a)
+    f_c, f_d = func(c), func(d)
+    for _ in range(GOLDEN_MAX_ITER):
+        if f_c >= f_d:  # the maximum lies in [a, d]
+            probe = d - INV_PHI * (d - a)
+            if not (a < probe < c):
+                break  # bracket no longer representable
+            b, d, f_d = d, c, f_c
+            c, f_c = probe, func(probe)
+        else:  # the maximum lies in [c, b]
+            probe = c + INV_PHI * (b - c)
+            if not (d < probe < b):
+                break
+            a, c, f_c = c, d, f_d
+            d, f_d = probe, func(probe)
+    f_best, x_best = max(best, (f_c, c), (f_d, d))
+    return x_best, f_best

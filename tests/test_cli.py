@@ -120,6 +120,25 @@ def test_equilibrium_above_pull_in(tmp_path, capsys):
     assert "173.2" in err
 
 
+def test_equilibrium_pinned_by_film_stress(tmp_path, capsys):
+    # at 8e8 Pa the rest deflection lies past the top touch limit
+    rc = run(["equilibrium", "--sigma0", "8e8", "--v", "10", "--electrode", "bottom",
+              "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "pins the paddle against the top electrode" in err
+    assert "rest y_p = 8.233276e-05 m" in err
+    assert "touch limit 6.153846e-05 m" in err
+    assert "V_top" not in err
+    assert not (tmp_path / "equilibrium.json").exists()
+
+
+def test_pullin_pinned_by_film_stress(tmp_path, capsys):
+    rc = run(["pullin", "--sigma0=-8e8", "--electrode", "bottom", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "pins the paddle against the bottom electrode" in capsys.readouterr().err
+
+
 def test_equilibrium_needs_electrode(tmp_path):
     assert run(["equilibrium", "--v", "10", "--out", str(tmp_path)]) == 2
 

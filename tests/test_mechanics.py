@@ -8,7 +8,7 @@ from paddle_lab import (Electrode, InvalidParameter, NoStableEquilibrium,
                         pull_in_voltage, solve_equilibrium, strain_coupling,
                         stress_profile, sweep_voltage, total_force,
                         total_force_curve, zero_voltage_equilibrium)
-from paddle_lab.mechanics import has_stable_equilibrium
+from paddle_lab.mechanics import _scan_equilibrium, drive_voltages, has_stable_equilibrium
 
 COMPLIANCE = 6.0 * 3e-3 * 8e-3 / (180e9 * 0.3 * (40e-6) ** 3)  # 4.1667e-2 m/N
 
@@ -264,3 +264,83 @@ def test_sweep_orders_voltages(with_sigma0):
     m = with_sigma0(100e6)
     result = sweep_voltage(m, Electrode.BOTTOM, [50.0, 0.0, 100.0])
     assert [r.V for r in result.records] == [0.0, 50.0, 100.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sigma0=st.floats(min_value=-300e6, max_value=300e6),
+       d_e=st.floats(min_value=100e-6, max_value=200e-6),
+       electrode=st.sampled_from(list(Electrode)),
+       fraction=st.floats(min_value=0.0, max_value=0.999))
+def test_branch_agrees_with_scan_oracle(with_sigma0, sigma0, d_e, electrode, fraction):
+    m = with_sigma0(sigma0, d_e=d_e)
+    v_pi = pull_in_voltage(m, electrode).V_pull_in
+    assert has_stable_equilibrium(m, electrode, v_pi * (1.0 - 2e-5))
+    assert not has_stable_equilibrium(m, electrode, v_pi * (1.0 + 2e-5))
+    drive = drive_voltages(electrode, fraction * v_pi)
+    # abs covers a root at y_p = 0, which the two solvers bisect down to
+    # different values far below 1e-24 m
+    assert solve_equilibrium(m, *drive).y_p == pytest.approx(
+        _scan_equilibrium(m, *drive).y_p, rel=1e-12, abs=1e-24)
+
+
+@pytest.mark.parametrize("sigma0, side", [(8e8, "top"), (-8e8, "bottom")])
+def test_pinned_at_rest_is_named(with_sigma0, sigma0, side):
+    m = with_sigma0(sigma0)
+    calls = [lambda: solve_equilibrium(m),
+             lambda: pull_in_voltage(m, Electrode.TOP),
+             lambda: pull_in_voltage(m, Electrode.BOTTOM)]
+    for call in calls:
+        with pytest.raises(NoStableEquilibrium,
+                           match=f"pins the paddle against the {side} electrode"):
+            call()
+
+
+@pytest.mark.parametrize("sigma0", [8e8, -8e8, 5e8])
+def test_branch_agrees_with_scan_when_stress_pins(with_sigma0, sigma0):
+    # at 8e8 Pa the rest deflection lies past the top touch limit; the
+    # bottom drive frees the paddle between about 335 and 442 V
+    m = with_sigma0(sigma0)
+    stable = 0
+    for electrode in Electrode:
+        for V in np.linspace(0.0, 600.0, 61):
+            drive = drive_voltages(electrode, float(V))
+            try:
+                expected = _scan_equilibrium(m, *drive).y_p
+            except NoStableEquilibrium:
+                expected = None
+            try:
+                got = solve_equilibrium(m, *drive).y_p
+            except NoStableEquilibrium:
+                got = None
+            if expected is None:
+                assert got is None, (electrode, V)
+            else:
+                assert got == pytest.approx(expected, rel=1e-12), (electrode, V)
+                stable += 1
+    assert stable > 0
+
+
+def test_pull_in_is_maximum_of_balancing_voltage(with_sigma0):
+    m = with_sigma0(100e6)
+    pi = pull_in_voltage(m, Electrode.BOTTOM)
+    # the balancing drive V^2 = -F_mech/f_e, on a grid along the branch
+    y = np.linspace(0.999 * m.y_p_min, zero_voltage_equilibrium(m), 20001)
+    v2 = -total_force_curve(y, 0.0, 0.0, m) / force_per_v2_value(y, m, Electrode.BOTTOM)
+    assert pi.V_pull_in**2 >= v2.max() * (1.0 - 1e-14)
+    assert pi.V_pull_in**2 == pytest.approx(v2.max(), rel=1e-8)
+    assert pi.y_p_last_stable == pytest.approx(y[np.argmax(v2)], abs=2.0 * (y[1] - y[0]))
+
+
+def test_equilibrium_at_pull_in_voltage_refused(with_sigma0):
+    m = with_sigma0(100e6)
+    pi = pull_in_voltage(m, Electrode.BOTTOM)
+    with pytest.raises(NoStableEquilibrium, match="pull-in voltage is 204.5299 V"):
+        solve_equilibrium(m, 0.0, pi.V_pull_in)
+    sol = solve_equilibrium(m, 0.0, pi.V_pull_in * (1.0 - 1e-12))
+    assert sol.y_p == pytest.approx(pi.y_p_last_stable, rel=1e-4)
+
+
+def test_drive_voltages():
+    assert drive_voltages(Electrode.TOP, 5.0) == (5.0, 0.0)
+    assert drive_voltages(Electrode.BOTTOM, 5.0) == (0.0, 5.0)
+    assert drive_voltages("top", 5.0) == (5.0, 0.0)

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from paddle_lab.roots import bisect_root
+from paddle_lab.roots import bisect_root, golden_max
 
 
 def test_simple_root():
@@ -48,3 +48,28 @@ def test_machine_precision_default():
 def test_linear_root_recovered(c, span):
     r = bisect_root(lambda x: x - c, c - span, c + span)
     assert r == pytest.approx(c, abs=span * 1e-12 + 1e-15)
+
+
+def test_golden_max_interior_to_machine_precision():
+    # a kink is not flat, so its location converges to machine precision too
+    x, f = golden_max(lambda x: 2.0 - abs(x - 0.3), 0.0, 1.0)
+    assert abs(x - 0.3) <= 4.0 * math.ulp(0.3)
+    assert abs(f - 2.0) <= 4.0 * math.ulp(2.0)
+    # a smooth maximum is flat: its value converges to machine precision,
+    # its location to about sqrt(machine epsilon)
+    x, f = golden_max(lambda x: math.sin(x), 0.0, 3.0)
+    assert f == pytest.approx(1.0, abs=2.0 * math.ulp(1.0))
+    assert x == pytest.approx(math.pi / 2.0, abs=1e-7)
+
+
+def test_golden_max_at_endpoint():
+    assert golden_max(lambda x: x, -1.0, 2.0) == (2.0, 2.0)
+    assert golden_max(lambda x: -x, -1.0, 2.0) == (-1.0, 1.0)
+
+
+def test_golden_max_reversed_bracket():
+    assert golden_max(lambda x: -(x - 1.0) ** 2, 3.0, -2.0) == \
+        golden_max(lambda x: -(x - 1.0) ** 2, -2.0, 3.0)
+    x, _ = golden_max(lambda x: -abs(x - 1.0), 3.0, -2.0)
+    assert x == pytest.approx(1.0, abs=1e-15)
+
