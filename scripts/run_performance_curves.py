@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from paddle_lab import (Electrode, NoiseModel, build_model, capacitance_curve,
+from paddle_lab import (Electrode, NoiseModel, build_model, capacitance_value,
                         force_per_v2_value, model_from_dict, model_to_dict,
                         pull_in_voltage, resolvable_displacement,
                         solve_equilibrium, sweep_voltage, touch_limits)
@@ -49,8 +49,8 @@ def main():
 
     # transfer curves over 90% of the travel range
     y = np.linspace(0.9 * lo, 0.9 * hi, args.points)
-    c_top = capacitance_curve(y, m, Electrode.TOP)
-    c_bot = capacitance_curve(y, m, Electrode.BOTTOM)
+    c_top = capacitance_value(y, m, Electrode.TOP)
+    c_bot = capacitance_value(y, m, Electrode.BOTTOM)
     f_top = force_per_v2_value(y, m, Electrode.TOP)
     f_bot = force_per_v2_value(y, m, Electrode.BOTTOM)
     write_csv(os.path.join(args.out, "transfer_curves.csv"),

@@ -10,10 +10,8 @@ voltage-capacitance sweeps.
 
 __version__ = "0.1.0"
 
-from .electrostatics import (CapacitanceReading, Electrode, ForcePerV2,
-                             capacitance_curve, capacitance_value,
-                             electrostatic_force_per_v2, force_per_v2_value,
-                             paddle_capacitance, paddle_capacitance_quadrature,
+from .electrostatics import (Electrode, capacitance_curve, capacitance_value,
+                             force_per_v2_value, paddle_capacitance_quadrature,
                              parallel_plate_capacitance, yp_from_capacitance)
 from .errors import (DegenerateData, InsufficientData, InvalidParameter,
                      NoStableEquilibrium, OutOfRange, PaddleLabError,
@@ -31,11 +29,10 @@ from .mechanics import (EquilibriumSolution, ForceBreakdown, PullInResult,
                         solve_equilibrium, strain_coupling, stress_profile,
                         sweep_voltage, total_force, total_force_curve,
                         zero_voltage_equilibrium)
-from .model import (DeflectionState, FilmSpec, PaddleGeometry, PaddleModel,
-                    PhysicalConstants, SubstrateMaterial, ValidatedModel,
-                    build_model, deflection_state, load_model_json,
-                    model_from_dict, model_to_dict, touch_limits, validate_model,
-                    yb_from_yp, yp_from_yb)
+from .model import (FilmSpec, PaddleGeometry, PaddleModel, PhysicalConstants,
+                    SubstrateMaterial, ValidatedModel, build_model,
+                    load_model_json, model_from_dict, model_to_dict,
+                    touch_limits, validate_model, yb_from_yp, yp_from_yb)
 
 __all__ = [
     "__version__",
@@ -44,14 +41,13 @@ __all__ = [
     "NoStableEquilibrium", "InsufficientData", "DegenerateData",
     # model
     "PhysicalConstants", "PaddleGeometry", "SubstrateMaterial", "FilmSpec",
-    "PaddleModel", "ValidatedModel", "DeflectionState", "build_model",
-    "validate_model", "model_to_dict", "model_from_dict", "load_model_json",
-    "touch_limits", "deflection_state", "yb_from_yp", "yp_from_yb",
+    "PaddleModel", "ValidatedModel", "build_model", "validate_model",
+    "model_to_dict", "model_from_dict", "load_model_json", "touch_limits",
+    "yb_from_yp", "yp_from_yb",
     # electrostatics
-    "Electrode", "CapacitanceReading", "ForcePerV2", "parallel_plate_capacitance",
-    "paddle_capacitance", "capacitance_value", "capacitance_curve",
-    "electrostatic_force_per_v2", "force_per_v2_value",
-    "paddle_capacitance_quadrature", "yp_from_capacitance",
+    "Electrode", "parallel_plate_capacitance", "capacitance_value",
+    "capacitance_curve", "force_per_v2_value", "paddle_capacitance_quadrature",
+    "yp_from_capacitance",
     # mechanics
     "StressProfile", "ForceBreakdown", "EquilibriumSolution", "SweepRecord",
     "SweepResult", "PullInResult", "bending_stress", "stress_profile",

@@ -97,7 +97,7 @@ def _load_model(args) -> ValidatedModel:
 
 
 def _electrode(args) -> Electrode:
-    return Electrode.TOP if args.electrode == "top" else Electrode.BOTTOM
+    return Electrode(args.electrode)
 
 
 def _float_list(text: str, flag: str) -> list[float]:
@@ -151,24 +151,19 @@ def _curve_grid(args, model: ValidatedModel) -> np.ndarray:
     return np.linspace(lo, hi, args.points)
 
 
+CURVE_KERNELS = {"capacitance": (capacitance_value, ["C_top_F", "C_bottom_F"]),
+                 "force": (force_per_v2_value, ["f_top_N_per_V2", "f_bottom_N_per_V2"])}
+
+
 def cmd_curves(args) -> int:
     model = _load_model(args)
     out = _out_dir(args)
     grid = _curve_grid(args, model)
-    if args.which == "capacitance":
-        name = "curves_capacitance.csv"
-        rows = [(float(y),
-                 capacitance_value(float(y), model, Electrode.TOP),
-                 capacitance_value(float(y), model, Electrode.BOTTOM)) for y in grid]
-        _write_csv(os.path.join(out, name), ["y_p_m", "C_top_F", "C_bottom_F"], rows)
-    elif args.which == "force":
-        name = "curves_force.csv"
-        rows = [(float(y),
-                 float(force_per_v2_value(float(y), model, Electrode.TOP)),
-                 float(force_per_v2_value(float(y), model, Electrode.BOTTOM)))
-                for y in grid]
-        _write_csv(os.path.join(out, name),
-                   ["y_p_m", "f_top_N_per_V2", "f_bottom_N_per_V2"], rows)
+    if args.which in CURVE_KERNELS:
+        name = f"curves_{args.which}.csv"
+        kernel, header = CURVE_KERNELS[args.which]
+        rows = zip(grid, kernel(grid, model, Electrode.TOP), kernel(grid, model, Electrode.BOTTOM))
+        _write_csv(os.path.join(out, name), ["y_p_m"] + header, rows)
     else:
         name = "curves_film_beam.csv"
         sigma_list = _float_list(args.sigma0_list, "--sigma0-list")
@@ -178,9 +173,8 @@ def cmd_curves(args) -> int:
             d = dict(base)
             d["sigma0"] = s0
             m = model_from_dict(d)
-            comp = compliance(m)
-            for y in grid:
-                rows.append((s0, float(y), float(film_force(float(y), m)) - float(y) / comp))
+            F = film_force(grid, m) - grid / compliance(m)
+            rows += [(s0, y, f) for y, f in zip(grid, F)]
         _write_csv(os.path.join(out, name), ["sigma0_Pa", "y_p_m", "F_N"], rows)
     _write_manifest(args, out, [name])
     print(f"wrote {name} ({args.which}, {args.points} grid points)")

@@ -1,26 +1,26 @@
 """Capacitance and electrostatic force of the tilted paddle.
 
 The paddle is a rigid plate over two parallel electrodes. Against either
-electrode the local gap varies linearly along the plate, so both the
-capacitance integral and the electrostatic pressure integral have closed
-forms in terms of the gap at the paddle root (g0) and at the far edge (g1):
+electrode the local gap runs linearly along the plate (gap_line), so both
+the capacitance integral and the electrostatic pressure integral have
+closed forms in terms of the gap at the paddle root (g0) and at the far
+edge (g1):
 
     C        = eps0 * w_p * l_p * ln(g1/g0) / (g1 - g0)
     |F| / V^2 = eps0 * w_p * l_p / (2 * g0 * g1)
 
 The log form degenerates to 0/0 for a flat plate; below a small tilt the
-integral factor is evaluated by series instead (see _inv_gap_mean). The
+integral factor is evaluated by series instead (see capacitance_value). The
 composite-trapezoid quadrature versions of both integrals are kept as
 independent oracles for testing.
 
-All functions are pure; the *_curve variants accept numpy arrays for fast
-grid evaluation and the scalar paths stay allocation-free for use inside
-root-finding loops.
+All functions are pure. capacitance_value and force_per_v2_value take a
+float, kept on math.log1p and allocation-free for the root-finding loops,
+or a numpy array, evaluated elementwise in one pass.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -44,16 +44,8 @@ class Electrode(str, Enum):
     BOTTOM = "bottom"
 
 
-@dataclass(frozen=True)
-class CapacitanceReading:
-    C: float  # F
-    electrode: Electrode
-
-
-@dataclass(frozen=True)
-class ForcePerV2:
-    f: float  # N/V^2, signed (+ toward top electrode)
-    electrode: Electrode
+# s of each electrode's gap line (gap_coefficients)
+GAP_SIGN = {Electrode.TOP: -1.0, Electrode.BOTTOM: 1.0}
 
 
 def parallel_plate_capacitance(area: float, gap: float,
@@ -66,84 +58,71 @@ def parallel_plate_capacitance(area: float, gap: float,
     return eps0 * area / gap
 
 
+def gap_coefficients(model: ValidatedModel,
+                     electrode: Electrode) -> tuple[float, float, float, float]:
+    """(rest, s, center_ratio, tilt) of the gap line to `electrode`.
+
+    With the beam tip at y_b = y_p/center_ratio the gap runs from
+    g0 = rest + s*y_b at the paddle root to g0 + tilt*s*y_b at the far edge.
+    (rest, s) is (d_c, -1) for the top electrode and (d_e, +1) for the
+    bottom one, whose force on the paddle has sign -s.
+    """
+    g = model.geom
+    s = GAP_SIGN[electrode]
+    return (g.d_c if s < 0.0 else g.d_e), s, g.center_ratio, 2.0 * g.l_p / g.l_b
+
+
 def gap_line(y_p, model: ValidatedModel, electrode: Electrode):
     """(g0, delta): gap at the paddle root and signed change to the far edge.
 
-    Works elementwise on numpy arrays as well as floats.
+    y_p is a float or an array. Raises TouchViolation unless every pose
+    lies strictly inside the touch interval (y_p_min, y_p_max) with a
+    positive far-edge gap g0 + delta, which rounding can close first within
+    an ulp or two of a limit.
     """
-    geom = model.geom
-    y_b = y_p / geom.center_ratio
-    delta = 2.0 * y_b * geom.l_p / geom.l_b
-    if Electrode(electrode) is Electrode.TOP:
-        return geom.d_c - y_b, -delta
-    return geom.d_e + y_b, delta
+    rest, s, center_ratio, tilt = gap_coefficients(model, electrode)
+    scalar = isinstance(y_p, float)
+    if not scalar:
+        y_p = np.asarray(y_p, dtype=float)
+    y_s = s * (y_p / center_ratio)
+    g0, delta = rest + y_s, tilt * y_s
+    inside = (model.y_p_min < y_p) & (y_p < model.y_p_max) & (g0 + delta > 0.0)
+    if not (inside if scalar else inside.all()):
+        raise TouchViolation(f"paddle at or past the {Electrode(electrode).value} electrode: "
+                             f"y_p must lie in ({model.y_p_min!r}, {model.y_p_max!r})")
+    return g0, delta
 
 
-def _inv_gap_mean(g0: float, delta: float) -> float:
-    """(1/l_p) * integral dx/gap for gap running linearly g0 -> g0+delta."""
+def capacitance_value(y_p, model: ValidatedModel, electrode: Electrode):
+    """Closed-form paddle capacitance, F, at a float or array of deflections."""
+    g0, delta = gap_line(y_p, model, electrode)
+    g = model.geom
+    c = model.constants.eps0 * g.w_p * g.l_p
     u = delta / g0
-    if abs(u) < SERIES_U_THRESHOLD:
-        return (1.0 - u * (0.5 - u * (1.0 / 3.0 - 0.25 * u))) / g0
-    return math.log1p(u) / delta
-
-
-def _inv_gap_mean_array(g0, delta):
-    u = delta / g0
-    small = np.abs(u) < SERIES_U_THRESHOLD
+    if isinstance(u, float) and abs(u) >= SERIES_U_THRESHOLD:
+        return c * (math.log1p(u) / delta)
     series = (1.0 - u * (0.5 - u * (1.0 / 3.0 - 0.25 * u))) / g0
-    exact = np.log1p(u) / np.where(small, 1.0, delta)
-    return np.where(small, series, exact)
+    if isinstance(u, float):
+        return c * series
+    small = np.abs(u) < SERIES_U_THRESHOLD
+    return c * np.where(small, series, np.log1p(u) / np.where(small, 1.0, delta))
 
 
-def _check_gaps(g0, g1) -> None:
-    if np.any(np.asarray(g0) <= 0.0) or np.any(np.asarray(g1) <= 0.0):
-        raise TouchViolation("paddle touches or crosses an electrode plane")
-
-
-def capacitance_value(y_p: float, model: ValidatedModel, electrode: Electrode) -> float:
-    """Closed-form paddle capacitance, F (scalar fast path)."""
-    g0, delta = gap_line(y_p, model, electrode)
-    if g0 <= 0.0 or g0 + delta <= 0.0:
-        raise TouchViolation(f"gap closed at y_p={y_p!r} ({electrode})")
-    c = model.constants.eps0 * model.geom.w_p * model.geom.l_p
-    return c * _inv_gap_mean(g0, delta)
-
-
-def capacitance_curve(y_p, model: ValidatedModel, electrode: Electrode) -> np.ndarray:
-    """Closed-form paddle capacitance on an array of deflections."""
-    y_p = np.asarray(y_p, dtype=float)
-    g0, delta = gap_line(y_p, model, electrode)
-    _check_gaps(g0, g0 + delta)
-    c = model.constants.eps0 * model.geom.w_p * model.geom.l_p
-    return c * _inv_gap_mean_array(g0, delta)
-
-
-def paddle_capacitance(y_p: float, model: ValidatedModel,
-                       electrode: Electrode) -> CapacitanceReading:
-    electrode = Electrode(electrode)
-    return CapacitanceReading(C=capacitance_value(y_p, model, electrode),
-                              electrode=electrode)
+# The same kernel under the name perfbench/tracing.py times array calls by.
+capacitance_curve = capacitance_value
 
 
 def force_per_v2_value(y_p, model: ValidatedModel, electrode: Electrode):
     """Signed electrostatic force per squared volt, N/V^2.
 
     Positive means pull toward the top electrode. Closed form of the
-    distributed pressure (eps0*w_p/2) * integral dx/gap^2; elementwise on
-    arrays.
+    distributed pressure (eps0*w_p/2) * integral dx/gap^2, at a float or
+    array of deflections.
     """
     g0, delta = gap_line(y_p, model, electrode)
-    g1 = g0 + delta
-    _check_gaps(g0, g1)
-    mag = 0.5 * model.constants.eps0 * model.geom.w_p * model.geom.l_p / (g0 * g1)
-    return mag if Electrode(electrode) is Electrode.TOP else -mag
-
-
-def electrostatic_force_per_v2(y_p: float, model: ValidatedModel,
-                               electrode: Electrode) -> ForcePerV2:
-    electrode = Electrode(electrode)
-    return ForcePerV2(f=float(force_per_v2_value(y_p, model, electrode)),
-                      electrode=electrode)
+    g = model.geom
+    return -GAP_SIGN[electrode] * 0.5 * model.constants.eps0 * g.w_p * g.l_p / (
+        g0 * (g0 + delta))
 
 
 def _quadrature_grid(y_p: float, model: ValidatedModel, electrode: Electrode,
@@ -151,7 +130,6 @@ def _quadrature_grid(y_p: float, model: ValidatedModel, electrode: Electrode,
     if not isinstance(panels, (int, np.integer)) or panels < 2:
         raise InvalidParameter("panels", f"must be an integer >= 2, got {panels!r}")
     g0, delta = gap_line(y_p, model, electrode)
-    _check_gaps(g0, g0 + delta)
     x = np.linspace(0.0, model.geom.l_p, panels + 1)
     gap = g0 + (delta / model.geom.l_p) * x
     return gap, model.geom.l_p / panels
@@ -168,8 +146,8 @@ def electrostatic_force_per_v2_quadrature(y_p: float, model: ValidatedModel,
                                           electrode: Electrode, panels: int) -> float:
     """Composite-trapezoid oracle for the signed pressure integral."""
     gap, dx = _quadrature_grid(y_p, model, electrode, panels)
-    mag = 0.5 * model.constants.eps0 * model.geom.w_p * np.trapezoid(1.0 / gap**2, dx=dx)
-    return mag if Electrode(electrode) is Electrode.TOP else -mag
+    return -GAP_SIGN[electrode] * 0.5 * model.constants.eps0 * model.geom.w_p * np.trapezoid(
+        1.0 / gap**2, dx=dx)
 
 
 def inversion_bracket(model: ValidatedModel,
@@ -185,7 +163,6 @@ def yp_from_capacitance(C: float, model: ValidatedModel, electrode: Electrode,
     Raises OutOfRange when C is not attained inside the (margin-shrunk)
     touch window; converges to |dC/C| <= 1e-12.
     """
-    electrode = Electrode(electrode)
     if C <= 0.0:
         raise OutOfRange(f"capacitance must be > 0, got {C!r}")
     lo, hi = inversion_bracket(model, margin)
@@ -194,6 +171,7 @@ def yp_from_capacitance(C: float, model: ValidatedModel, electrode: Electrode,
     c_min, c_max = min(c_lo, c_hi), max(c_lo, c_hi)
     if not (c_min < C < c_max):
         raise OutOfRange(
-            f"C={C!r} outside attainable range ({c_min!r}, {c_max!r}) for {electrode.value}")
+            f"C={C!r} outside attainable range ({c_min!r}, {c_max!r}) "
+            f"for {Electrode(electrode).value}")
     return bisect_root(lambda y: capacitance_value(y, model, electrode) - C,
                        lo, hi, ftol=1e-12 * C)

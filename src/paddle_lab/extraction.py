@@ -191,7 +191,7 @@ def _initial_guess(data: CVDataset, template: ValidatedModel) -> np.ndarray:
             y = yp_from_capacitance(row.C, template, row.electrode)
         except OutOfRange:
             continue
-        f = float(force_per_v2_value(y, template, row.electrode))
+        f = force_per_v2_value(y, template, row.electrode)
         ys.append(y)
         bs.append(y * inv_c - f * row.V * row.V)
     if not ys:

@@ -5,9 +5,9 @@ electrode):
 
     film   F = E_F * V_F * a * (eps_F0 - a*y_p),  a = t_b / (l_b*(l_b+l_p))
     beam   F = -y_p / compliance,  compliance = 6*l_b*(l_b+l_p) / (E*K*t_b^3)
-    top    F = +|f_top| * V_top^2
-    bottom F = -|f_bottom| * V_bottom^2
+    elec   F = -s * eps0*w_p*l_p * V^2 / (2*g0*g1)  per electrode
 
+on each electrode's gap line (g0, g1, s: electrostatics.gap_coefficients).
 Tensile residual stress (sigma0 > 0) lifts the paddle; the two DC
 electrodes only attract. Equilibria are zeros of the total force; a zero
 is stable when the force gradient there is restoring (dF/dy_p < 0).
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrostatics import Electrode, capacitance_value, force_per_v2_value
+from .electrostatics import (Electrode, capacitance_value, force_per_v2_value,
+                             gap_coefficients)
 from .errors import InvalidParameter, NoStableEquilibrium
 from .model import PaddleGeometry, ValidatedModel
 from .roots import bisect_root, golden_max
@@ -158,37 +159,41 @@ def film_stiffness(model: ValidatedModel) -> float:
 def total_force(y_p: float, V_top: float, V_bottom: float,
                 model: ValidatedModel) -> ForceBreakdown:
     """All force components and their sum at one paddle pose."""
-    F_f = float(film_force(y_p, model))
+    F_f = film_force(y_p, model)
     F_b = -y_p / compliance(model)
-    F_t = float(force_per_v2_value(y_p, model, Electrode.TOP)) * V_top * V_top
-    F_e = float(force_per_v2_value(y_p, model, Electrode.BOTTOM)) * V_bottom * V_bottom
+    F_t = force_per_v2_value(y_p, model, Electrode.TOP) * V_top * V_top
+    F_e = force_per_v2_value(y_p, model, Electrode.BOTTOM) * V_bottom * V_bottom
     return ForceBreakdown(F_film=F_f, F_beam=F_b, F_elec_top=F_t,
                           F_elec_bottom=F_e, F_total=F_f + F_b + F_t + F_e)
 
 
 def _force_closure(model: ValidatedModel, V_top: float, V_bottom: float):
-    """Scalar total-force function in plain arithmetic, for tight root loops."""
-    g = model.geom
-    cr = g.center_ratio
-    tilt = 2.0 * g.l_p / g.l_b
-    half = 0.5 * model.constants.eps0 * g.w_p * g.l_p
-    a = strain_coupling(model)
-    prestress = model.film.E_F * model.V_F * a * model.eps_F0
-    k_lin = film_stiffness(model) + 1.0 / compliance(model)
-    vt2 = V_top * V_top
-    vb2 = V_bottom * V_bottom
-    d_c, d_e = g.d_c, g.d_e
+    """Total force F(y_p) in plain arithmetic, on a float or an array.
 
-    def force(y_p: float) -> float:
+    The one sum of the force terms, for the root loops and the scan grid.
+    Poses are not checked against the touch limits: callers stay inside
+    the scan interval.
+    """
+    g = model.geom
+    half = 0.5 * model.constants.eps0 * g.w_p * g.l_p
+    prestress = film_force(0.0, model)
+    k_lin = film_stiffness(model) + 1.0 / compliance(model)
+    rest_t, s_t, cr, tilt = gap_coefficients(model, Electrode.TOP)
+    rest_b, s_b, _, _ = gap_coefficients(model, Electrode.BOTTOM)
+    c_t = s_t * (half * (V_top * V_top))
+    c_b = s_b * (half * (V_bottom * V_bottom))
+
+    def force(y_p):
         y_b = y_p / cr
-        delta = tilt * y_b
         out = prestress - k_lin * y_p
-        if vt2 != 0.0:
-            g0 = d_c - y_b
-            out += half * vt2 / (g0 * (g0 - delta))
-        if vb2 != 0.0:
-            g0 = d_e + y_b
-            out -= half * vb2 / (g0 * (g0 + delta))
+        if c_t != 0.0:
+            y_s = s_t * y_b
+            g0 = rest_t + y_s
+            out -= c_t / (g0 * (g0 + tilt * y_s))
+        if c_b != 0.0:
+            y_s = s_b * y_b
+            g0 = rest_b + y_s
+            out -= c_b / (g0 * (g0 + tilt * y_s))
         return out
 
     return force
@@ -196,35 +201,23 @@ def _force_closure(model: ValidatedModel, V_top: float, V_bottom: float):
 
 def total_force_curve(y_p, V_top: float, V_bottom: float,
                       model: ValidatedModel) -> np.ndarray:
-    """Total force on an array of deflections (used by the scan and tests)."""
-    y_p = np.asarray(y_p, dtype=float)
-    F = film_force(y_p, model) - y_p / compliance(model)
-    if V_top != 0.0:
-        F = F + force_per_v2_value(y_p, model, Electrode.TOP) * V_top**2
-    if V_bottom != 0.0:
-        F = F + force_per_v2_value(y_p, model, Electrode.BOTTOM) * V_bottom**2
-    return F
+    """Total force on an array of deflections inside the touch interval."""
+    return _force_closure(model, V_top, V_bottom)(np.asarray(y_p, dtype=float))
 
 
 def zero_voltage_equilibrium(model: ValidatedModel) -> float:
     """Closed-form rest deflection: prestress force over total stiffness."""
-    a = strain_coupling(model)
-    k_film = film_stiffness(model)
-    return model.film.E_F * model.V_F * a * model.eps_F0 / (k_film + 1.0 / compliance(model))
+    return film_force(0.0, model) / (film_stiffness(model) + 1.0 / compliance(model))
 
 
 def drive_voltages(electrode: Electrode, V: float) -> tuple[float, float]:
     """(V_top, V_bottom) with V on `electrode` and the other one grounded."""
-    return (V, 0.0) if Electrode(electrode) is Electrode.TOP else (0.0, V)
+    return (V, 0.0) if electrode == Electrode.TOP else (0.0, V)
 
 
 def _scan_bounds(model: ValidatedModel) -> tuple[float, float]:
     """The open touch interval, shrunk by SCAN_MARGIN at each end."""
     return model.y_p_min * (1.0 - SCAN_MARGIN), model.y_p_max * (1.0 - SCAN_MARGIN)
-
-
-def _scan_grid(model: ValidatedModel) -> np.ndarray:
-    return np.linspace(*_scan_bounds(model), SCAN_POINTS)
 
 
 def _force_slope(force, y: float, model: ValidatedModel) -> float:
@@ -261,9 +254,9 @@ def _scan_equilibrium(model: ValidatedModel, V_top: float,
     once, and the reference that StableBranch is checked against.
     Raises NoStableEquilibrium when every zero is unstable or none exists.
     """
-    grid = _scan_grid(model)
-    F = total_force_curve(grid, V_top, V_bottom, model)
+    grid = np.linspace(*_scan_bounds(model), SCAN_POINTS)
     force = _force_closure(model, V_top, V_bottom)
+    F = force(grid)
 
     sign = F > 0.0
     crossing = sign[:-1] != sign[1:]
@@ -284,28 +277,18 @@ def _scan_equilibrium(model: ValidatedModel, V_top: float,
 def _balancing_v2(model: ValidatedModel, electrode: Electrode):
     """V^2(y_p) = -F_mech/f_e: the squared drive on `electrode` that balances y_p.
 
-    f_e = +-half/(g0*g1) with the same gap terms as _force_closure, so V^2
+    f_e = -s*half/(g0*g1) on the same gap line as _force_closure, so V^2
     is the mechanical force times both edge gaps, in plain arithmetic.
     """
-    g = model.geom
-    cr = g.center_ratio
-    tilt = 2.0 * g.l_p / g.l_b
-    half = 0.5 * model.constants.eps0 * g.w_p * g.l_p
+    half = 0.5 * model.constants.eps0 * model.geom.w_p * model.geom.l_p
+    rest, s, cr, tilt = gap_coefficients(model, electrode)
     mech = _force_closure(model, 0.0, 0.0)
-    if Electrode(electrode) is Electrode.TOP:
-        d_c = g.d_c
 
-        def v2(y_p: float) -> float:
-            y_b = y_p / cr
-            g0 = d_c - y_b
-            return -mech(y_p) * g0 * (g0 - tilt * y_b) / half
-    else:
-        d_e = g.d_e
+    def v2(y_p: float) -> float:
+        y_s = s * (y_p / cr)
+        g0 = rest + y_s
+        return s * mech(y_p) * g0 * (g0 + tilt * y_s) / half
 
-        def v2(y_p: float) -> float:
-            y_b = y_p / cr
-            g0 = d_e + y_b
-            return mech(y_p) * g0 * (g0 + tilt * y_b) / half
     return v2
 
 

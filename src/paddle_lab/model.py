@@ -16,7 +16,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-from .errors import InvalidParameter, TouchViolation
+from .errors import InvalidParameter
 
 # Keys accepted in a JSON model file; omitted keys take the defaults below.
 MODEL_JSON_KEYS = (
@@ -236,42 +236,8 @@ def yp_from_yb(y_b: float, geom: PaddleGeometry) -> float:
     return y_b * geom.center_ratio
 
 
-def slope_from_yb(y_b: float, geom: PaddleGeometry) -> float:
-    """Small-angle tilt of the paddle plane, rad."""
-    return 2.0 * y_b / geom.l_b
-
-
 def touch_limits(geom: PaddleGeometry) -> tuple[float, float]:
     """(y_p_min, y_p_max) at which the paddle's far edge meets an electrode."""
     lever = geom.center_ratio / geom.edge_ratio
     return -geom.d_e * lever, geom.d_c * lever
 
-
-@dataclass(frozen=True)
-class DeflectionState:
-    """One paddle pose: center deflection plus the derived tilt quantities."""
-
-    y_p: float      # paddle-center deflection, m (+ toward top electrode)
-    y_b: float      # beam-tip deflection, m
-    slope: float    # paddle tilt, rad
-    y_edge: float   # far-edge deflection, m
-    geom: PaddleGeometry
-
-    def gap_top(self, x: float) -> float:
-        """Local gap to the top electrode at distance x from the paddle root."""
-        return self.geom.d_c - self.y_b - self.slope * x
-
-    def gap_bottom(self, x: float) -> float:
-        """Local gap to the bottom electrode at distance x from the paddle root."""
-        return self.geom.d_e + self.y_b + self.slope * x
-
-
-def deflection_state(y_p: float, geom: PaddleGeometry) -> DeflectionState:
-    """Build the tilt state for y_p, rejecting poses at or past electrode touch."""
-    y_b = yb_from_yp(y_p, geom)
-    y_edge = y_b * geom.edge_ratio
-    if not (-geom.d_e < y_edge < geom.d_c):
-        raise TouchViolation(
-            f"y_p={y_p!r} puts the paddle edge at {y_edge!r}, outside (-{geom.d_e!r}, {geom.d_c!r})")
-    return DeflectionState(y_p=y_p, y_b=y_b, slope=slope_from_yb(y_b, geom),
-                           y_edge=y_edge, geom=geom)

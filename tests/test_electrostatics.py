@@ -1,11 +1,12 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from paddle_lab import (Electrode, InvalidParameter, OutOfRange, TouchViolation,
                         build_model, capacitance_curve, capacitance_value,
-                        electrostatic_force_per_v2, force_per_v2_value,
-                        paddle_capacitance, paddle_capacitance_quadrature,
+                        force_per_v2_value, paddle_capacitance_quadrature,
                         parallel_plate_capacitance, yp_from_capacitance)
 from paddle_lab.electrostatics import (SERIES_U_THRESHOLD,
                                        electrostatic_force_per_v2_quadrature,
@@ -42,6 +43,31 @@ def test_gap_line_geometry(default_model):
     assert g0_b == pytest.approx(g.d_e + y_b, rel=1e-14)
     assert d_t == pytest.approx(-2.0 * y_b * g.l_p / g.l_b, rel=1e-14)
     assert d_b == -d_t
+
+
+def test_gap_line_far_edge(default_model):
+    # the root gap moves with the beam tip y_b, the far edge with y_edge
+    g = default_model.geom
+    y_p = 3e-5
+    y_b = y_p / g.center_ratio
+    y_edge = y_b * g.edge_ratio
+    g0_t, d_t = gap_line(y_p, default_model, Electrode.TOP)
+    g0_b, d_b = gap_line(y_p, default_model, Electrode.BOTTOM)
+    assert g0_t == pytest.approx(g.d_c - y_b, rel=1e-14)
+    assert g0_t + d_t == pytest.approx(g.d_c - y_edge, rel=1e-14)
+    assert g0_b + d_b == pytest.approx(g.d_e + y_edge, rel=1e-14)
+    # the tilt slope 2*y_b/l_b carries the gap across the paddle length
+    assert d_b == pytest.approx(2.0 * y_b / g.l_b * g.l_p, rel=1e-14)
+
+
+@given(st.floats(min_value=-0.99, max_value=0.99))
+def test_edge_always_beyond_center(frac):
+    # the gap at the far edge moves at least as far as the gap under the
+    # paddle center, at x = l_p/2
+    m = build_model()
+    g0, delta = gap_line(frac * m.y_p_max, m, Electrode.BOTTOM)
+    d_e = m.geom.d_e
+    assert abs(g0 + delta - d_e) >= abs(g0 + 0.5 * delta - d_e)
 
 
 def test_capacitance_against_quadrature_oracle(default_model):
@@ -125,6 +151,34 @@ def test_series_fallback_continuity(default_model):
     assert c_below == pytest.approx(FLAT_C, rel=1e-6)
 
 
+@given(d_c=st.floats(min_value=41e-6, max_value=300e-6),
+       l_b=st.floats(min_value=1e-3, max_value=8e-3),
+       l_p=st.floats(min_value=1e-3, max_value=8e-3),
+       electrode=st.sampled_from([Electrode.TOP, Electrode.BOTTOM]))
+@example(d_c=100e-6, l_b=3e-3, l_p=5e-3, electrode=Electrode.TOP)
+@example(d_c=80e-6, l_b=4.1e-3, l_p=5e-3, electrode=Electrode.TOP)
+def test_touch_limits_exclusive(d_c, l_b, l_p, electrode):
+    # exactly at the limit the far edge touches: rejected for every geometry,
+    # as a float and inside an array; one ulp inside, rounding may close the
+    # computed gap, which is rejected too, but a value returned is never wrong
+    m = build_model(d_c=d_c, l_b=l_b, l_p=l_p)
+    limit = m.y_p_max if electrode is Electrode.TOP else m.y_p_min
+    f_sign = 1.0 if electrode is Electrode.TOP else -1.0
+    for kernel, sign in ((capacitance_value, 1.0), (force_per_v2_value, f_sign)):
+        for y in (limit, 1.0001 * limit):
+            with pytest.raises(TouchViolation):
+                kernel(y, m, electrode)
+            with pytest.raises(TouchViolation):
+                kernel(np.array([0.0, y]), m, electrode)
+        inside = kernel(np.array([0.999 * limit, -0.999 * limit]), m, electrode)
+        assert np.all(np.isfinite(inside) & (inside * sign > 0.0))
+        try:
+            edge = kernel(math.nextafter(limit, 0.0), m, electrode)
+        except TouchViolation:
+            continue
+        assert math.isfinite(edge) and edge * sign > 0.0
+
+
 def test_touch_violation(default_model):
     past = default_model.y_p_max * 1.01
     with pytest.raises(TouchViolation):
@@ -135,13 +189,12 @@ def test_touch_violation(default_model):
         capacitance_curve(np.array([0.0, past]), default_model, Electrode.TOP)
 
 
-def test_reading_wrappers(default_model):
-    r = paddle_capacitance(1e-5, default_model, Electrode.TOP)
-    assert r.electrode is Electrode.TOP
-    assert r.C == capacitance_value(1e-5, default_model, Electrode.TOP)
-    f = electrostatic_force_per_v2(1e-5, default_model, "bottom")
-    assert f.electrode is Electrode.BOTTOM
-    assert f.f < 0.0
+def test_string_electrode(default_model):
+    assert capacitance_value(1e-5, default_model, "top") == \
+        capacitance_value(1e-5, default_model, Electrode.TOP)
+    f = force_per_v2_value(1e-5, default_model, "bottom")
+    assert f == force_per_v2_value(1e-5, default_model, Electrode.BOTTOM)
+    assert f < 0.0
 
 
 def test_quadrature_panel_validation(default_model):

@@ -2,11 +2,9 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
-
-from paddle_lab import (InvalidParameter, TouchViolation, build_model,
-                        deflection_state, load_model_json, model_from_dict,
-                        model_to_dict, touch_limits, yb_from_yp, yp_from_yb)
+from paddle_lab import (InvalidParameter, build_model, load_model_json,
+                        model_from_dict, model_to_dict, touch_limits,
+                        yb_from_yp, yp_from_yb)
 from paddle_lab.model import MODEL_JSON_KEYS
 
 
@@ -38,38 +36,6 @@ def test_kinematic_round_trip(default_model):
     g = default_model.geom
     for y_p in (-5e-5, -1e-6, 0.0, 2e-5, 6e-5):
         assert yp_from_yb(yb_from_yp(y_p, g), g) == pytest.approx(y_p, abs=1e-20)
-
-
-def test_deflection_state_fields(default_model):
-    g = default_model.geom
-    st_ = deflection_state(3e-5, g)
-    assert st_.y_b == pytest.approx(3e-5 / g.center_ratio, rel=1e-14)
-    assert st_.slope == pytest.approx(2.0 * st_.y_b / g.l_b, rel=1e-14)
-    assert st_.y_edge == pytest.approx(st_.y_b * g.edge_ratio, rel=1e-14)
-    # gap at paddle near edge / far edge
-    assert st_.gap_top(0.0) == pytest.approx(g.d_c - st_.y_b, rel=1e-14)
-    assert st_.gap_top(g.l_p) == pytest.approx(g.d_c - st_.y_edge, rel=1e-14)
-    assert st_.gap_bottom(g.l_p) == pytest.approx(g.d_e + st_.y_edge, rel=1e-14)
-
-
-def test_deflection_state_touch_violation(default_model):
-    g = default_model.geom
-    lo, hi = touch_limits(g)
-    with pytest.raises(TouchViolation):
-        deflection_state(hi * 1.0001, g)
-    with pytest.raises(TouchViolation):
-        deflection_state(lo * 1.0001, g)
-    # exactly at the limit the far edge touches: rejected as well
-    with pytest.raises(TouchViolation):
-        deflection_state(hi, g)
-
-
-@given(st.floats(min_value=-0.99, max_value=0.99))
-def test_edge_always_beyond_center(frac):
-    m = build_model()
-    y_p = frac * m.y_p_max
-    s = deflection_state(y_p, m.geom)
-    assert abs(s.y_edge) >= abs(y_p) or y_p == 0.0
 
 
 def test_build_model_rejects_unknown_key():
