@@ -17,6 +17,14 @@ independent oracles for testing.
 All functions are pure. capacitance_value and force_per_v2_value take a
 float, kept on math.log1p and allocation-free for the root-finding loops,
 or a numpy array, evaluated elementwise in one pass.
+
+yp_from_capacitance inverts C(y_p) on the same terms: a float by scalar
+bisection, an array (a whole reading stream) by one elementwise bisection
+that calls the array kernel once per step. An array takes about 1.5 ms
+whether it holds one value or a few hundred, a float about 40 us, so arrays
+only win from about 20 to 30 values on and floats keep their own path. On
+an array, OutOfRange names the first value outside the attainable range and
+carries its flat index as `row`.
 """
 from __future__ import annotations
 
@@ -27,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidParameter, OutOfRange, TouchViolation
 from .model import PhysicalConstants, ValidatedModel
-from .roots import bisect_root
+from .roots import bisect_root, bisect_roots
 
 # Below this relative gap change across the plate, ln(1+u)/u switches to its
 # 4-term series; truncation error ~ u^4/5 < 1e-25 at the threshold.
@@ -156,22 +164,42 @@ def inversion_bracket(model: ValidatedModel,
     return model.y_p_min * (1.0 - margin), model.y_p_max * (1.0 - margin)
 
 
-def yp_from_capacitance(C: float, model: ValidatedModel, electrode: Electrode,
-                        margin: float = INVERSION_MARGIN) -> float:
+def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode,
+                        margin: float = INVERSION_MARGIN):
     """Deflection whose paddle capacitance equals C, by bracketed bisection.
 
-    Raises OutOfRange when C is not attained inside the (margin-shrunk)
-    touch window; converges to |dC/C| <= 1e-12.
+    C is a float or an array; an array is inverted elementwise into an array
+    of its shape. The bracket is the touch window shrunk by `margin`
+    (inversion_bracket), and every value must lie strictly inside the
+    capacitance range it spans: otherwise OutOfRange is raised, which
+    covers NaN, inf, 0 and negative values. For an array, the error names
+    the first such element and carries its flat index as `row`. Converges
+    to |dC/C| <= 1e-12.
+
+    A float is solved by bisect_root on the float kernel; an array by one
+    bisect_roots over all its elements, one array kernel call per step (see
+    the module docstring for why both paths stay).
     """
-    if C <= 0.0:
-        raise OutOfRange(f"capacitance must be > 0, got {C!r}")
     lo, hi = inversion_bracket(model, margin)
     c_lo = capacitance_value(lo, model, electrode)
     c_hi = capacitance_value(hi, model, electrode)
     c_min, c_max = min(c_lo, c_hi), max(c_lo, c_hi)
-    if not (c_min < C < c_max):
-        raise OutOfRange(
-            f"C={C!r} outside attainable range ({c_min!r}, {c_max!r}) "
-            f"for {Electrode(electrode).value}")
-    return bisect_root(lambda y: capacitance_value(y, model, electrode) - C,
-                       lo, hi, ftol=1e-12 * C)
+
+    def out_of_range(c: float) -> str:
+        if c <= 0.0:
+            return f"capacitance must be > 0, got {c!r}"
+        return (f"C={c!r} outside attainable range ({c_min!r}, {c_max!r}) "
+                f"for {Electrode(electrode).value}")
+
+    if isinstance(C, float):
+        if not (c_min < C < c_max):
+            raise OutOfRange(out_of_range(C))
+        return bisect_root(lambda y: capacitance_value(y, model, electrode) - C,
+                           lo, hi, ftol=1e-12 * C)
+    C = np.asarray(C, dtype=float)
+    bad = np.flatnonzero(~((c_min < C) & (C < c_max)))
+    if bad.size:
+        row = int(bad[0])
+        raise OutOfRange(out_of_range(float(C.flat[row])), row=row)
+    return bisect_roots(lambda y: capacitance_value(y, model, electrode) - C,
+                        lo, hi, c_lo - C, c_hi - C, ftol=1e-12 * C)

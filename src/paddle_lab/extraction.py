@@ -107,15 +107,18 @@ def simulate_cv(model: ValidatedModel, electrode: Electrode, V_list,
 
 def deflection_series(samples: list[MeasurementSample], model: ValidatedModel,
                       electrode: Electrode) -> list[tuple[float, float]]:
-    """Convert timed capacitance readings to (t, y_p) by inverting C(y_p)."""
-    out = []
-    for i, sample in enumerate(samples):
-        try:
-            y = yp_from_capacitance(sample.C_meas, model, electrode)
-        except OutOfRange as exc:
-            raise OutOfRange(f"sample {i} (t={sample.t!r}): {exc}", row=i) from exc
-        out.append((sample.t, y))
-    return out
+    """Convert timed capacitance readings to (t, y_p) by inverting C(y_p).
+
+    The whole stream is inverted in one yp_from_capacitance call on an array.
+    """
+    t = [sample.t for sample in samples]
+    C = np.array([sample.C_meas for sample in samples], dtype=float)
+    try:
+        y = yp_from_capacitance(C, model, electrode)
+    except OutOfRange as exc:
+        i = exc.row
+        raise OutOfRange(f"sample {i} (t={t[i]!r}): {exc}", row=i) from exc
+    return list(zip(t, y.tolist()))
 
 
 def load_cv_csv(path, electrode: Electrode) -> CVDataset:

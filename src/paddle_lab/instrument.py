@@ -87,8 +87,8 @@ def measure_capacitance(C_true: float, noise: NoiseModel, n: int) -> list[Measur
     rng = np.random.default_rng(noise.seed)
     values = C_true + noise.sigma_C * rng.standard_normal(n)
     times = noise.dt * np.arange(1, n + 1)
-    return [MeasurementSample(t=float(t), C_meas=float(c))
-            for t, c in zip(times, values)]
+    return [MeasurementSample(t=t, C_meas=c)
+            for t, c in zip(times.tolist(), values.tolist())]
 
 
 def resolvable_displacement(model: ValidatedModel, at_y_p: float,

@@ -5,20 +5,32 @@ maximum of the drive voltage along the stable branch. Derivative-free
 methods are deliberately preferred over faster ones: the equilibrium
 problem approaches a double root at pull-in where Newton-type iterations
 stall, and the cost of both methods is bounded.
+
+Bisection comes in two forms with the same stopping rules. bisect_root
+solves one equation on floats and allocates nothing per step, which the
+mechanics root loops rely on. bisect_roots solves many equations that share
+one bracket elementwise, with one call of an array function per step for
+all of them; capacitance inversion of a whole reading stream uses it. Each
+element of bisect_roots stops on the rule that would stop bisect_root (with
+xtol = 0) on that element alone and then keeps its value while the others
+go on.
 """
 from __future__ import annotations
 
 import math
 from typing import Callable
 
+import numpy as np
+
 # 1/phi: the fraction of the bracket kept by each golden-section step.
 INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 GOLDEN_MAX_ITER = 200
+BISECT_MAX_ITER = 200
 
 
 def bisect_root(func: Callable[[float], float], lo: float, hi: float,
                 xtol: float = 0.0, ftol: float = 0.0,
-                max_iter: int = 200) -> float:
+                max_iter: int = BISECT_MAX_ITER) -> float:
     """Root of func on [lo, hi]; func(lo) and func(hi) must differ in sign.
 
     Runs until the bracket width is <= xtol, |f(mid)| <= ftol, or the
@@ -49,6 +61,42 @@ def bisect_root(func: Callable[[float], float], lo: float, hi: float,
         if hi - lo <= xtol:
             break
     return 0.5 * (lo + hi)
+
+
+def bisect_roots(func: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                 f_lo: np.ndarray, f_hi: np.ndarray, ftol=0.0) -> np.ndarray:
+    """Elementwise bisect_root: the root of every element on the bracket [lo, hi].
+
+    Element k of func(x) is f_k(x[k]); f_lo and f_hi hold f_k(lo) and
+    f_k(hi), passed in so a caller that knows them does not pay for them
+    again. ftol is a float or an array of per-element tolerances. Element k
+    stops at the midpoint where |f_k| <= ftol[k] (which f_k == 0 meets) or
+    where the midpoint is no longer strictly inside its bracket, at an end
+    where f_k is 0, or after BISECT_MAX_ITER steps. Each step makes one call of
+    func on an array of the shape of f_lo, stopped elements included.
+    Raises ValueError when some f_k does not change sign on the bracket.
+    """
+    if lo > hi:
+        lo, hi, f_lo, f_hi = hi, lo, f_hi, f_lo
+    f_lo, f_hi = np.asarray(f_lo, dtype=float), np.asarray(f_hi, dtype=float)
+    at_lo = f_lo == 0.0
+    at_hi = (f_hi == 0.0) & ~at_lo
+    active = ~(at_lo | at_hi)
+    lo_positive = f_lo > 0.0
+    if np.any(active & (lo_positive == (f_hi > 0.0))):
+        raise ValueError(f"no sign change on [{lo!r}, {hi!r}] for some element")
+    a, b = np.where(at_hi, hi, lo), np.where(at_lo, lo, hi)
+    for _ in range(BISECT_MAX_ITER):
+        if not active.any():
+            break
+        mid = 0.5 * (a + b)
+        active &= (a < mid) & (mid < b)  # interval no longer representable
+        f_mid = func(mid)
+        active &= ~(np.abs(f_mid) <= ftol)
+        up = active & ((f_mid > 0.0) == lo_positive)
+        a = np.where(up, mid, a)
+        b = np.where(active & ~up, mid, b)
+    return 0.5 * (a + b)
 
 
 def golden_max(func: Callable[[float], float], lo: float,

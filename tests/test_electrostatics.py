@@ -230,6 +230,19 @@ def test_inversion_out_of_range(default_model):
             yp_from_capacitance(0.0, default_model, el)
         with pytest.raises(OutOfRange):
             yp_from_capacitance(-1e-12, default_model, el)
+        # in an array: the first bad element is named, with the float path's message
+        readings = capacitance_value(np.linspace(-2e-5, 2e-5, 7), default_model, el)
+        for k, bad in enumerate((math.nan, math.inf, 0.0, -1e-12, 10e-12, 1e-12)):
+            C = readings.copy()
+            C[k], C[-1] = bad, 10e-12
+            with pytest.raises(OutOfRange) as exc:
+                yp_from_capacitance(C, default_model, el)
+            assert exc.value.row == k
+            with pytest.raises(OutOfRange) as scalar:
+                yp_from_capacitance(bad, default_model, el)
+            assert str(exc.value) == str(scalar.value)
+        empty = yp_from_capacitance(np.array([]), default_model, el)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 def test_extreme_round_trip(default_model):
@@ -237,3 +250,31 @@ def test_extreme_round_trip(default_model):
         C = capacitance_value(y, default_model, Electrode.TOP)
         assert yp_from_capacitance(C, default_model, Electrode.TOP) == \
             pytest.approx(y, abs=1e-12)
+    C = capacitance_value(np.array([55e-6, -55e-6]), default_model, Electrode.TOP)
+    assert yp_from_capacitance(C, default_model, Electrode.TOP) == \
+        pytest.approx([55e-6, -55e-6], abs=1e-12)
+
+
+@given(d_c=st.floats(min_value=41e-6, max_value=300e-6),
+       d_e=st.floats(min_value=41e-6, max_value=300e-6),
+       l_b=st.floats(min_value=1e-3, max_value=8e-3),
+       electrode=st.sampled_from([Electrode.TOP, Electrode.BOTTOM]),
+       fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12))
+@example(d_c=100e-6, d_e=100e-6, l_b=3e-3, electrode=Electrode.TOP, fracs=[0.0, 0.5, 1.0])
+@example(d_c=41e-6, d_e=300e-6, l_b=8e-3, electrode=Electrode.BOTTOM, fracs=[1.0, 0.0])
+def test_array_inversion_matches_float_path(d_c, d_e, l_b, electrode, fracs):
+    # poses from end to end of the margin-shrunk bracket; a reading that
+    # rounds onto a bracket end is moved one ulp inside the attainable range
+    m = build_model(d_c=d_c, d_e=d_e, l_b=l_b)
+    lo, hi = inversion_bracket(m)
+    c_ends = sorted(capacitance_value(y, m, electrode) for y in (lo, hi))
+    y_pose = np.minimum(lo + np.array(fracs) * (hi - lo), hi)
+    C = np.clip(capacitance_value(y_pose, m, electrode),
+                math.nextafter(c_ends[0], math.inf), math.nextafter(c_ends[1], 0.0))
+    y = yp_from_capacitance(C, m, electrode)
+    assert y.shape == C.shape
+    assert np.all(np.abs(capacitance_value(y, m, electrode) - C) <= 1e-12 * C)
+    y_float = np.array([yp_from_capacitance(float(c), m, electrode) for c in C])
+    assert np.all(np.abs(y - y_float) <= 4.0 * np.spacing(np.abs(y_float)))
+    column = yp_from_capacitance(C.reshape(-1, 1), m, electrode)
+    assert column.shape == (C.size, 1) and np.array_equal(column[:, 0], y)

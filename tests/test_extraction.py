@@ -77,6 +77,12 @@ def test_deflection_series_out_of_range_row(default_model):
     with pytest.raises(OutOfRange) as exc:
         deflection_series(samples, default_model, Electrode.TOP)
     assert exc.value.row == 2
+    # the first bad sample is named, ahead of a later one
+    samples[1] = MeasurementSample(t=0.02, C_meas=float("nan"))
+    with pytest.raises(OutOfRange, match=r"^sample 1 \(t=0\.02\): C=nan") as exc:
+        deflection_series(samples, default_model, Electrode.TOP)
+    assert exc.value.row == 1
+    assert deflection_series([], default_model, Electrode.TOP) == []
 
 
 def test_load_cv_csv(tmp_path):

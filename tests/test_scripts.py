@@ -11,10 +11,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def run_script(name, args, cwd):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args,
-                           "--out", "out"],
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def read_csv(path):
@@ -38,10 +38,19 @@ def read_csv(path):
     }),
 ])
 def test_study_script_outputs(tmp_path, script, args, expected):
-    run_script(script, args, tmp_path)
+    run_script(script, [*args, "--out", "out"], tmp_path)
     assert sorted(os.listdir(tmp_path / "out")) == sorted(expected)
     for name, (header, n_rows) in expected.items():
         got_header, rows = read_csv(tmp_path / "out" / name)
         assert got_header == header
         assert len(rows) == n_rows
         assert all(len(row) == len(header) for row in rows)
+
+
+def test_diff_cli_outputs_self_compare(tmp_path):
+    # a written tree compared with itself has no changed rows: only the header is printed
+    run_script("diff_cli_outputs.py", ["--write", "out"], tmp_path)
+    assert os.path.isfile(tmp_path / "out" / "sweep-top-0" / "sweep.csv")
+    lines = run_script("diff_cli_outputs.py", ["--compare", "out", "out"], tmp_path).splitlines()
+    assert [line.split() for line in lines] == [
+        ["file", "column", "changed", "max", "ulp", "max", "|diff|"]]
