@@ -13,9 +13,9 @@ electrodes only attract. Equilibria are zeros of the total force; a zero
 is stable when the force gradient there is restoring (dF/dy_p < 0).
 
 With one electrode driven, equilibria and pull-in are found along the
-deflection (StableBranch): one golden-section search for pull-in, one
-bisection per voltage. A scan-and-bisect solver handles drives on both
-electrodes and is the independent reference for the branch.
+deflection (StableBranch): pull-in in closed form, one bisection per
+voltage. A scan-and-bisect solver handles drives on both electrodes and is
+the independent reference for the branch.
 """
 from __future__ import annotations
 
@@ -29,14 +29,12 @@ from .electrostatics import (Electrode, capacitance_value, force_per_v2_value,
                              gap_coefficients)
 from .errors import InvalidParameter, NoStableEquilibrium
 from .model import PaddleGeometry, ValidatedModel
-from .roots import bisect_root, golden_max
+from .roots import bisect_root
 
 # Relative margin keeping the equilibrium scan strictly inside the touch
 # interval, and the fixed scan resolution used to bracket force zeros.
 SCAN_MARGIN = 1e-6
 SCAN_POINTS = 2048
-
-STABILITY_FD_STEP = 1e-9  # m, central difference for dF/dy_p
 
 
 @dataclass(frozen=True)
@@ -220,13 +218,6 @@ def _scan_bounds(model: ValidatedModel) -> tuple[float, float]:
     return model.y_p_min * (1.0 - SCAN_MARGIN), model.y_p_max * (1.0 - SCAN_MARGIN)
 
 
-def _force_slope(force, y: float, model: ValidatedModel) -> float:
-    """Central-difference dF/dy_p, with the step shrunk near the scan ends."""
-    lo, hi = _scan_bounds(model)
-    h = min(STABILITY_FD_STEP, 0.5 * (hi - y), 0.5 * (y - lo))
-    return (force(y + h) - force(y - h)) / (2.0 * h)
-
-
 def _check_drive(V_top: float, V_bottom: float) -> None:
     if V_top < 0.0 or V_bottom < 0.0:
         raise InvalidParameter("V", "drive voltages must be >= 0 (force is even in V)")
@@ -248,48 +239,24 @@ def _scan_equilibrium(model: ValidatedModel, V_top: float,
     """Stable force balance, found by a fixed scan plus bisection.
 
     The open touch interval is scanned on a 2048-point grid (relative
-    margin 1e-6 at each end), every sign change is bisected to machine
-    precision, and the lowest root with restoring force gradient is
-    returned. This is the only solver for drives on both electrodes at
-    once, and the reference that StableBranch is checked against.
-    Raises NoStableEquilibrium when every zero is unstable or none exists.
+    margin 1e-6 at each end). A zero where the grid force falls from > 0
+    to <= 0 is restoring, so the lowest such falling crossing is bisected
+    to machine precision and returned. This is the only solver for drives
+    on both electrodes at once, and the reference that StableBranch is
+    checked against. Raises NoStableEquilibrium when every zero is
+    unstable or none exists.
     """
     grid = np.linspace(*_scan_bounds(model), SCAN_POINTS)
     force = _force_closure(model, V_top, V_bottom)
-    F = force(grid)
-
-    sign = F > 0.0
-    crossing = sign[:-1] != sign[1:]
-    roots: list[float] = []
-    for i in np.nonzero(crossing)[0]:
-        roots.append(bisect_root(force, float(grid[i]), float(grid[i + 1])))
-    for i in np.nonzero(F == 0.0)[0]:
-        roots.append(float(grid[i]))
-
-    for y in sorted(roots):
-        if _force_slope(force, y, model) < 0.0:
-            return _solution(model, y, V_top, V_bottom, force)
+    sign = force(grid) > 0.0
+    falling = np.nonzero(sign[:-1] & ~sign[1:])[0]
+    if falling.size:
+        i = falling[0]
+        y = bisect_root(force, float(grid[i]), float(grid[i + 1]))
+        return _solution(model, y, V_top, V_bottom, force)
     raise NoStableEquilibrium(
         f"no restoring force balance for V_top={V_top!r}, V_bottom={V_bottom!r} "
-        f"({len(roots)} unstable zero(s) found)")
-
-
-def _balancing_v2(model: ValidatedModel, electrode: Electrode):
-    """V^2(y_p) = -F_mech/f_e: the squared drive on `electrode` that balances y_p.
-
-    f_e = -s*half/(g0*g1) on the same gap line as _force_closure, so V^2
-    is the mechanical force times both edge gaps, in plain arithmetic.
-    """
-    half = 0.5 * model.constants.eps0 * model.geom.w_p * model.geom.l_p
-    rest, s, cr, tilt = gap_coefficients(model, electrode)
-    mech = _force_closure(model, 0.0, 0.0)
-
-    def v2(y_p: float) -> float:
-        y_s = s * (y_p / cr)
-        g0 = rest + y_s
-        return s * mech(y_p) * g0 * (g0 + tilt * y_s) / half
-
-    return v2
+        f"({np.count_nonzero(sign[:-1] != sign[1:])} unstable zero(s) found)")
 
 
 class StableBranch:
@@ -313,7 +280,7 @@ class StableBranch:
     paddle, and that is the error reported.
 
     One branch serves any number of voltages on the same model: sweeps and
-    fits build it once and pay for the pull-in search once.
+    fits build it once and compute pull-in once.
     """
 
     def __init__(self, model: ValidatedModel, electrode: Electrode):
@@ -331,10 +298,29 @@ class StableBranch:
 
     @functools.cached_property
     def pull_in(self) -> tuple[float, float]:
-        """(y_PI, V_PI^2): the maximum of V^2(y_p) from rest to the driven electrode."""
+        """(y_PI, V_PI^2): the maximum of V^2(y_p) from rest to the driven electrode.
+
+        With z = y_p - rest, V^2 is proportional to z*(G0 + b0*z)*(G1 + b1*z),
+        the two edge gaps being linear in z, so y_PI - rest is the root of
+        3*b0*b1*z^2 + 2*(b0*G1 + b1*G0)*z + G0*G1 nearest 0, taken in the
+        form that does not cancel (the discriminant is positive). It is
+        clamped into [start, end]: when film stress pins the paddle on the
+        far side, the maximum over the interval can lie on the start end.
+        """
         if self.start == self.end:
             raise self._pinned_error(0.0)
-        return golden_max(_balancing_v2(self.model, self.electrode), self.start, self.end)
+        gap, s, cr, tilt = gap_coefficients(self.model, self.electrode)
+        b0 = s / cr
+        b1 = (1.0 + tilt) * b0
+        G0, G1 = gap + b0 * self.rest, gap + b1 * self.rest
+        a, b, c = 3.0 * b0 * b1, 2.0 * (b0 * G1 + b1 * G0), G0 * G1
+        z = -2.0 * c / (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+        y = min(max(self.rest + z, min(self.start, self.end)), max(self.start, self.end))
+        # V^2 = -F_mech/f_e with f_e = -s*half/(g0*g1), as in _force_closure
+        half = 0.5 * self.model.constants.eps0 * self.model.geom.w_p * self.model.geom.l_p
+        y_s = s * (y / cr)
+        g0 = gap + y_s
+        return y, s * _force_closure(self.model, 0.0, 0.0)(y) * g0 * (g0 + tilt * y_s) / half
 
     def _pinned_error(self, V: float) -> NoStableEquilibrium:
         side, limit = (("top", self.model.y_p_max) if self.rest > self.hi
@@ -409,7 +395,7 @@ def pull_in_voltage(model: ValidatedModel, electrode: Electrode) -> PullInResult
 
     V(y_p) = sqrt(-F_mech(y_p)/f_e(y_p)) is the drive that balances
     deflection y_p. Its maximum along the branch from rest toward the
-    electrode is V_PI, found by one golden-section search; no stable
+    electrode is V_PI, in closed form (StableBranch.pull_in); no stable
     equilibrium exists at V >= V_PI. y_p_last_stable is the pull-in
     displacement y_PI where the maximum is reached. Raises
     NoStableEquilibrium when film stress pins the paddle at rest.

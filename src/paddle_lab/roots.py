@@ -1,41 +1,34 @@
-"""Derivative-free 1-D solvers: bracketed bisection and golden-section search.
+"""Derivative-free 1-D root finding: bracketed bisection.
 
-Bisection finds every equilibrium; golden-section search finds the pull-in
-maximum of the drive voltage along the stable branch. Derivative-free
-methods are deliberately preferred over faster ones: the equilibrium
-problem approaches a double root at pull-in where Newton-type iterations
-stall, and the cost of both methods is bounded.
+Bisection finds every equilibrium and inverts the capacitance. It is
+deliberately preferred over faster methods: the equilibrium problem
+approaches a double root at pull-in where Newton-type iterations stall,
+and the cost of bisection is bounded. (Pull-in itself has a closed form,
+see mechanics.StableBranch.pull_in.)
 
 Bisection comes in two forms with the same stopping rules. bisect_root
 solves one equation on floats and allocates nothing per step, which the
 mechanics root loops rely on. bisect_roots solves many equations that share
 one bracket elementwise, with one call of an array function per step for
 all of them; capacitance inversion of a whole reading stream uses it. Each
-element of bisect_roots stops on the rule that would stop bisect_root (with
-xtol = 0) on that element alone and then keeps its value while the others
-go on.
+element of bisect_roots stops on the rule that would stop bisect_root on
+that element alone and then keeps its value while the others go on.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
-# 1/phi: the fraction of the bracket kept by each golden-section step.
-INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
-GOLDEN_MAX_ITER = 200
 BISECT_MAX_ITER = 200
 
 
 def bisect_root(func: Callable[[float], float], lo: float, hi: float,
-                xtol: float = 0.0, ftol: float = 0.0,
-                max_iter: int = BISECT_MAX_ITER) -> float:
+                ftol: float = 0.0) -> float:
     """Root of func on [lo, hi]; func(lo) and func(hi) must differ in sign.
 
-    Runs until the bracket width is <= xtol, |f(mid)| <= ftol, or the
-    midpoint stops moving (machine convergence). xtol=0 bisects to machine
-    precision.
+    Runs until |f(mid)| <= ftol or the midpoint stops moving (machine
+    precision), or for at most BISECT_MAX_ITER steps.
     """
     if lo > hi:
         lo, hi = hi, lo
@@ -47,7 +40,7 @@ def bisect_root(func: Callable[[float], float], lo: float, hi: float,
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ValueError(f"no sign change on [{lo!r}, {hi!r}]")
-    for _ in range(max_iter):
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             break  # interval no longer representable
@@ -58,8 +51,6 @@ def bisect_root(func: Callable[[float], float], lo: float, hi: float,
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid
-        if hi - lo <= xtol:
-            break
     return 0.5 * (lo + hi)
 
 
@@ -97,40 +88,3 @@ def bisect_roots(func: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
         a = np.where(up, mid, a)
         b = np.where(active & ~up, mid, b)
     return 0.5 * (a + b)
-
-
-def golden_max(func: Callable[[float], float], lo: float,
-               hi: float) -> tuple[float, float]:
-    """(x, func(x)) at the maximum of a unimodal func on [lo, hi].
-
-    Golden-section search: each step keeps 1/phi of the bracket and costs
-    one evaluation. Runs until the probes stop moving (machine
-    convergence), or for at most GOLDEN_MAX_ITER steps, which bounds the
-    descent into subnormals when the maximum sits at 0. The ends are
-    evaluated too, so a maximum on either end is returned exactly. A
-    smooth maximum is flat, so its value converges to machine precision
-    while its location only converges to about sqrt(machine epsilon) of
-    the bracket.
-    """
-    if lo > hi:
-        lo, hi = hi, lo
-    best = max((func(lo), lo), (func(hi), hi))
-    a, b = lo, hi
-    c = b - INV_PHI * (b - a)
-    d = a + INV_PHI * (b - a)
-    f_c, f_d = func(c), func(d)
-    for _ in range(GOLDEN_MAX_ITER):
-        if f_c >= f_d:  # the maximum lies in [a, d]
-            probe = d - INV_PHI * (d - a)
-            if not (a < probe < c):
-                break  # bracket no longer representable
-            b, d, f_d = d, c, f_c
-            c, f_c = probe, func(probe)
-        else:  # the maximum lies in [c, b]
-            probe = c + INV_PHI * (b - c)
-            if not (d < probe < b):
-                break
-            a, c, f_c = c, d, f_d
-            d, f_d = probe, func(probe)
-    f_best, x_best = max(best, (f_c, c), (f_d, d))
-    return x_best, f_best

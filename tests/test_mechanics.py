@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from paddle_lab import (Electrode, InvalidParameter, NoStableEquilibrium,
                         pull_in_voltage, solve_equilibrium, strain_coupling,
                         stress_profile, sweep_voltage, total_force,
                         total_force_curve, zero_voltage_equilibrium)
+from paddle_lab.electrostatics import gap_coefficients
 from paddle_lab.mechanics import _scan_equilibrium, drive_voltages, has_stable_equilibrium
 
 COMPLIANCE = 6.0 * 3e-3 * 8e-3 / (180e9 * 0.3 * (40e-6) ** 3)  # 4.1667e-2 m/N
@@ -177,6 +180,28 @@ def test_equilibrium_residual_and_stability(with_sigma0):
     assert slope < 0.0
 
 
+def test_equilibrium_both_electrodes_driven(with_sigma0):
+    m = with_sigma0(100e6)
+    sol = solve_equilibrium(m, 60.0, 80.0)
+    scale = max(abs(float(film_force(0.0, m))), m.y_p_max / compliance(m))
+    assert abs(sol.residual) <= 1e-15 * scale
+    h = 1e-9
+    slope = (total_force(sol.y_p + h, 60.0, 80.0, m).F_total
+             - total_force(sol.y_p - h, 60.0, 80.0, m).F_total) / (2.0 * h)
+    assert slope < 0.0
+    # the lowest restoring zero on a grid five times finer than the scan's
+    y = np.linspace(m.y_p_min * (1.0 - 1e-6), m.y_p_max * (1.0 - 1e-6), 20001)
+    positive = total_force_curve(y, 60.0, 80.0, m) > 0.0
+    i = np.nonzero(positive[:-1] & ~positive[1:])[0][0]
+    assert abs(sol.y_p - 0.5 * (y[i] + y[i + 1])) <= y[1] - y[0]
+
+
+def test_equilibrium_both_electrodes_no_restoring_zero(with_sigma0):
+    # equal gaps and drives well past pull-in: the one zero, at y_p = 0, is unstable
+    with pytest.raises(NoStableEquilibrium, match=r"\(1 unstable zero\(s\) found\)"):
+        solve_equilibrium(with_sigma0(0.0), 300.0, 300.0)
+
+
 def test_equilibrium_rejects_negative_voltage(default_model):
     with pytest.raises(InvalidParameter):
         solve_equilibrium(default_model, -1.0, 0.0)
@@ -329,6 +354,29 @@ def test_pull_in_is_maximum_of_balancing_voltage(with_sigma0):
     assert pi.V_pull_in**2 >= v2.max() * (1.0 - 1e-14)
     assert pi.V_pull_in**2 == pytest.approx(v2.max(), rel=1e-8)
     assert pi.y_p_last_stable == pytest.approx(y[np.argmax(v2)], abs=2.0 * (y[1] - y[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sigma0=st.floats(min_value=-300e6, max_value=300e6),
+       d_e=st.floats(min_value=100e-6, max_value=200e-6),
+       electrode=st.sampled_from(list(Electrode)))
+def test_pull_in_is_exact_maximum(with_sigma0, sigma0, d_e, electrode):
+    # dV^2/dy_p of V^2 ~ F_mech(y_p)*g0(y_p)*g1(y_p), in exact arithmetic on
+    # the model's float coefficients, changes sign within 1e-12 of y_PI
+    m = with_sigma0(sigma0, d_e=d_e)
+    y_pi = pull_in_voltage(m, electrode).y_p_last_stable
+    gap, s, cr, tilt = (Fraction(v) for v in gap_coefficients(m, electrode))
+    prestress = Fraction(float(film_force(0.0, m)))
+    k_lin = Fraction(film_stiffness(m)) + Fraction(1.0 / compliance(m))
+    b0 = s / cr
+    b1 = (1 + tilt) * b0
+
+    def dv2(y: float) -> Fraction:
+        y = Fraction(y)
+        g0, g1 = gap + b0 * y, gap + b1 * y
+        return -k_lin * g0 * g1 + (prestress - k_lin * y) * (b0 * g1 + b1 * g0)
+
+    assert (dv2(y_pi * (1.0 - 1e-12)) > 0) != (dv2(y_pi * (1.0 + 1e-12)) > 0)
 
 
 def test_equilibrium_at_pull_in_voltage_refused(with_sigma0):

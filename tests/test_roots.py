@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from paddle_lab.roots import bisect_root, bisect_roots, golden_max
+from paddle_lab.roots import bisect_root, bisect_roots
 
 
 def test_simple_root():
@@ -40,7 +40,7 @@ def test_ftol_early_stop():
 
 def test_machine_precision_default():
     r = bisect_root(lambda x: math.cos(x), 0.0, 3.0)
-    # xtol = 0 bisects until the midpoint stops moving
+    # with ftol = 0, bisection runs until the midpoint stops moving
     assert abs(r - math.pi / 2.0) <= 2.0 * math.ulp(math.pi / 2.0)
 
 
@@ -72,28 +72,3 @@ def test_bisect_roots_no_sign_change_raises():
     c = np.array([-0.5, 1.0])  # x^2 + 1 has no root on [-1, 1]
     with pytest.raises(ValueError):
         bisect_roots(lambda x: x * x + c, -1.0, 1.0, 1.0 + c, 1.0 + c)
-
-
-def test_golden_max_interior_to_machine_precision():
-    # a kink is not flat, so its location converges to machine precision too
-    x, f = golden_max(lambda x: 2.0 - abs(x - 0.3), 0.0, 1.0)
-    assert abs(x - 0.3) <= 4.0 * math.ulp(0.3)
-    assert abs(f - 2.0) <= 4.0 * math.ulp(2.0)
-    # a smooth maximum is flat: its value converges to machine precision,
-    # its location to about sqrt(machine epsilon)
-    x, f = golden_max(lambda x: math.sin(x), 0.0, 3.0)
-    assert f == pytest.approx(1.0, abs=2.0 * math.ulp(1.0))
-    assert x == pytest.approx(math.pi / 2.0, abs=1e-7)
-
-
-def test_golden_max_at_endpoint():
-    assert golden_max(lambda x: x, -1.0, 2.0) == (2.0, 2.0)
-    assert golden_max(lambda x: -x, -1.0, 2.0) == (-1.0, 1.0)
-
-
-def test_golden_max_reversed_bracket():
-    assert golden_max(lambda x: -(x - 1.0) ** 2, 3.0, -2.0) == \
-        golden_max(lambda x: -(x - 1.0) ** 2, -2.0, 3.0)
-    x, _ = golden_max(lambda x: -abs(x - 1.0), 3.0, -2.0)
-    assert x == pytest.approx(1.0, abs=1e-15)
-
