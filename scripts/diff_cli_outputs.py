@@ -2,7 +2,9 @@
 
 Usage: PYTHONPATH=src python3 scripts/diff_cli_outputs.py --write DIR | --compare DIR_A DIR_B
 Extract fits C-V files rounded to 12 digits, so trees differing in the last bits of C fit the
-same data. --compare prints changed rows and max ulp and absolute differences per column.
+same data. --compare prints changed rows and max ulp and absolute differences per column, and
+the max absolute difference over the column's max |value| in either tree (rel |diff|), which
+stays meaningful for columns that cross zero, where ulp counts across a sign change are not.
 """
 import argparse
 import csv
@@ -47,7 +49,8 @@ def columns(path):
 
 
 def compare(a, b):
-    print(f"{'file':<48} {'column':<16} {'changed':>11} {'max ulp':>8} {'max |diff|':>10}")
+    print(f"{'file':<48} {'column':<16} {'changed':>11} {'max ulp':>8} {'max |diff|':>10} "
+          f"{'rel |diff|':>10}")
     for name in sorted(os.path.relpath(p, a) for p in glob.glob(os.path.join(a, "*", "*"))):
         other = columns(os.path.join(b, name))
         for col, fields in columns(os.path.join(a, name)).items():
@@ -58,9 +61,11 @@ def compare(a, b):
                 x, y = np.array(changed, dtype=float).T
                 i, j = (np.where(v < 0, -(v & 0x7FFFFFFFFFFFFFFF), v)
                         for v in (x.view(np.int64), y.view(np.int64)))
-                num = f"{np.abs(i - j).max():>8d} {np.abs(x - y).max():>10.2e}"
+                diff = np.abs(x - y).max()
+                scale = np.abs(np.array([fields, other[col]], dtype=float)).max()
+                num = f"{np.abs(i - j).max():>8d} {diff:>10.2e} {diff / scale:>10.2e}"
             except ValueError:  # text fields
-                num = f"{'-':>8} {'-':>10}"
+                num = f"{'-':>8} {'-':>10} {'-':>10}"
             print(f"{name:<48} {col:<16} {len(changed):>5}/{len(fields):<5} {num}")
 
 

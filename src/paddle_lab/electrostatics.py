@@ -195,7 +195,7 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode,
         if not (c_min < C < c_max):
             raise OutOfRange(out_of_range(C))
         return bisect_root(lambda y: capacitance_value(y, model, electrode) - C,
-                           lo, hi, ftol=1e-12 * C)
+                           lo, hi, c_lo - C, c_hi - C, ftol=1e-12 * C)
     C = np.asarray(C, dtype=float)
     bad = np.flatnonzero(~((c_min < C) & (C < c_max)))
     if bad.size:

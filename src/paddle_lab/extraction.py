@@ -90,18 +90,12 @@ def simulate_cv(model: ValidatedModel, electrode: Electrode, V_list,
     branch = StableBranch(model, electrode)
     electrode = branch.electrode
     voltages = sorted(float(v) for v in V_list)
-    rows = []
-    for v in voltages:
-        try:
-            y = branch.solve(v)
-        except NoStableEquilibrium:
-            break
-        rows.append([v, capacitance_value(y, model, electrode)])
+    y = branch.solve_leading(np.array(voltages))
+    C = capacitance_value(y, model, electrode)
     if noise is not None and noise.sigma_C > 0.0:
-        rng = np.random.default_rng(noise.seed)
-        for row in rows:
-            row[1] += noise.sigma_C * rng.standard_normal()
-    return CVDataset(rows=tuple(CVRow(V=v, C=c, electrode=electrode) for v, c in rows),
+        C = C + noise.sigma_C * np.random.default_rng(noise.seed).standard_normal(len(C))
+    return CVDataset(rows=tuple(CVRow(V=v, C=c, electrode=electrode)
+                                for v, c in zip(voltages, C.tolist())),
                      provenance=Simulated(seed=noise.seed if noise is not None else None))
 
 
@@ -164,12 +158,14 @@ def _residuals(theta, data: CVDataset, template: ValidatedModel):
         m = _with_film(template, float(theta[0]), float(theta[1]))
     except InvalidParameter:
         return None
-    branches = {e: StableBranch(m, e) for e in {row.electrode for row in data.rows}}
+    electrodes = [row.electrode for row in data.rows]
+    V, C = data.voltages, data.capacitances
     res = np.empty(len(data.rows))
-    for i, row in enumerate(data.rows):
+    for e in set(electrodes):
+        rows = np.array([el is e for el in electrodes])
         try:
-            y = branches[row.electrode].solve(row.V)
-            res[i] = capacitance_value(y, m, row.electrode) - row.C
+            y = StableBranch(m, e).solve(V[rows])
+            res[rows] = capacitance_value(y, m, e) - C[rows]
         except (NoStableEquilibrium, TouchViolation, InvalidParameter):
             return None
     return res

@@ -13,9 +13,11 @@ electrodes only attract. Equilibria are zeros of the total force; a zero
 is stable when the force gradient there is restoring (dF/dy_p < 0).
 
 With one electrode driven, equilibria and pull-in are found along the
-deflection (StableBranch): pull-in in closed form, one bisection per
-voltage. A scan-and-bisect solver handles drives on both electrodes and is
-the independent reference for the branch.
+deflection (StableBranch), both in closed form: pull-in as the root of a
+quadratic, the equilibria of a whole voltage array as the stable roots of
+one cubic, each polished by one Newton step. A scan-and-bisect solver
+handles drives on both electrodes and is the independent reference for the
+branch.
 """
 from __future__ import annotations
 
@@ -168,7 +170,9 @@ def total_force(y_p: float, V_top: float, V_bottom: float,
 def _force_closure(model: ValidatedModel, V_top: float, V_bottom: float):
     """Total force F(y_p) in plain arithmetic, on a float or an array.
 
-    The one sum of the force terms, for the root loops and the scan grid.
+    The one sum of the force terms, for the scan grid and its bisection
+    and for the branch's Newton step. A drive voltage may be an array too, which
+    broadcasts against y_p.
     Poses are not checked against the touch limits: callers stay inside
     the scan interval.
     """
@@ -180,15 +184,16 @@ def _force_closure(model: ValidatedModel, V_top: float, V_bottom: float):
     rest_b, s_b, _, _ = gap_coefficients(model, Electrode.BOTTOM)
     c_t = s_t * (half * (V_top * V_top))
     c_b = s_b * (half * (V_bottom * V_bottom))
+    top, bottom = np.count_nonzero(c_t) > 0, np.count_nonzero(c_b) > 0
 
     def force(y_p):
         y_b = y_p / cr
         out = prestress - k_lin * y_p
-        if c_t != 0.0:
+        if top:
             y_s = s_t * y_b
             g0 = rest_t + y_s
             out -= c_t / (g0 * (g0 + tilt * y_s))
-        if c_b != 0.0:
+        if bottom:
             y_s = s_b * y_b
             g0 = rest_b + y_s
             out -= c_b / (g0 * (g0 + tilt * y_s))
@@ -248,11 +253,13 @@ def _scan_equilibrium(model: ValidatedModel, V_top: float,
     """
     grid = np.linspace(*_scan_bounds(model), SCAN_POINTS)
     force = _force_closure(model, V_top, V_bottom)
-    sign = force(grid) > 0.0
+    f = force(grid)
+    sign = f > 0.0
     falling = np.nonzero(sign[:-1] & ~sign[1:])[0]
     if falling.size:
         i = falling[0]
-        y = bisect_root(force, float(grid[i]), float(grid[i + 1]))
+        y = bisect_root(force, float(grid[i]), float(grid[i + 1]),
+                        float(f[i]), float(f[i + 1]))
         return _solution(model, y, V_top, V_bottom, force)
     raise NoStableEquilibrium(
         f"no restoring force balance for V_top={V_top!r}, V_bottom={V_bottom!r} "
@@ -270,17 +277,17 @@ class StableBranch:
     log-concave. This is the displacement-iteration pull-in extraction of
     Bochobza-Degani, Elata & Nemirovsky (J. MEMS 11(5), 2002).
 
-    Below V_PI the total force changes sign exactly once between the rest
-    side of the scan interval and y_PI, at the stable root, so a voltage
-    costs one bisection. The bracket starts at the rest-side end of the
-    scan interval, not at the rest deflection, because the force at rest is
-    zero up to rounding and its sign is unreliable at small V. At V = 0
-    the bracket is the whole scan interval for either electrode. Film
-    stress that puts the rest deflection past a touch limit pins the
-    paddle, and that is the error reported.
+    Below V_PI the total force changes sign exactly once between the
+    rest-side end of the scan interval and y_PI, at the stable root. The
+    force balance is a cubic in the deflection, so the stable roots of a
+    whole voltage array come from one closed-form solve (see solve). At
+    V = 0 the equilibrium is the rest deflection. Film stress that puts the
+    rest deflection past a touch limit pins the paddle, and that is the
+    error reported unless the drive pulls the paddle free.
 
     One branch serves any number of voltages on the same model: sweeps and
-    fits build it once and compute pull-in once.
+    fits build it once, compute pull-in once and solve all their voltages
+    in one call.
     """
 
     def __init__(self, model: ValidatedModel, electrode: Electrode):
@@ -331,41 +338,117 @@ class StableBranch:
             msg += f"; {V!r} V on the {self.electrode.value} electrode does not pull it free"
         return NoStableEquilibrium(msg)
 
-    def _root(self, V: float, force) -> float:
-        _check_drive(V, 0.0)
-        if V * V == 0.0:  # unforced: the whole scan interval, for either electrode
-            if self.pinned:
-                raise self._pinned_error(V)
-            return bisect_root(force, self.lo, self.hi)
-        if self.pinned and force(self.far) * self.far_sign <= 0.0:
-            raise self._pinned_error(V)
-        y_pi, v2_pi = self.pull_in
-        if V * V < v2_pi:
-            try:
-                return bisect_root(force, self.far, y_pi)
-            except ValueError:
-                pass  # V within rounding of V_PI, where F(y_PI) loses its sign
-        raise NoStableEquilibrium(
-            f"no stable equilibrium at V = {V!r} V on the {self.electrode.value} "
-            f"electrode; pull-in voltage is {math.sqrt(v2_pi):.4f} V")
+    def _stable_root(self, v2, force, y_pi):
+        """Stable root of the branch cubic at squared drives v2, in [far, y_PI].
 
-    def solve(self, V: float) -> float:
-        """Stable y_p at drive V on this electrode."""
-        return self._root(V, _force_closure(self.model, *drive_voltages(self.electrode, V)))
+        With z = y_p - rest and w = s*z the balance k*z*(G0 + b0*z)*(G1 +
+        b1*z) + s*half*V^2 = 0 reads w*(w + r0)*(w + r1) + e = 0, where
+        r0 > r1 > 0 are the distances from rest to the root-edge and
+        far-edge touch points and e >= 0 grows with V^2. Below V_PI it has three real roots: the stable one in
+        (w_PI, 0], the unstable one past w_PI and one below -r0. That far
+        root is simple at every V, so it comes from the trigonometric form
+        without cancelling; deflating it leaves a quadratic whose smaller
+        root, taken in the form that does not cancel, is the stable one (W.
+        Kahan, To Solve a Real Cubic Equation, 1986). One Newton step on the
+        total force then polishes it and is discarded if it leaves [far,
+        y_PI], which it can near the double root at V_PI.
+        """
+        gap, s, cr, tilt = gap_coefficients(self.model, self.electrode)
+        b0 = s / cr
+        b1 = (1.0 + tilt) * b0
+        k = film_stiffness(self.model) + 1.0 / compliance(self.model)
+        half = 0.5 * self.model.constants.eps0 * self.model.geom.w_p * self.model.geom.l_p
+        r0 = (gap + b0 * self.rest) * cr
+        r1 = (gap + b1 * self.rest) * cr / (1.0 + tilt)
+        e = (half * v2) * (cr * cr / (k * (1.0 + tilt)))
+        # depressed cubic t^3 - 3*m^2*t + q0 + e, t = w + (r0 + r1)/3
+        m = math.sqrt((r0 - r1) ** 2 + r0 * r1) / 3.0
+        q0 = (r0 + r1) * (2.0 * r0 - r1) * (r0 - 2.0 * r1) / 27.0
+        x = np.clip(-(q0 + e) / (2.0 * m**3), -1.0, 1.0)
+        w_far = -2.0 * m * np.cos(math.pi / 3.0 - np.arccos(x) / 3.0) - (r0 + r1) / 3.0
+        beta = r0 + r1 + w_far  # w^2 + beta*w + gamma holds the other two roots
+        gamma = -e / w_far
+        w = -2.0 * gamma / (beta + np.sqrt(np.maximum(beta * beta - 4.0 * gamma, 0.0)))
+        lo, hi = min(self.far, y_pi), max(self.far, y_pi)
+        y = np.clip(self.rest + s * w, lo, hi)
+        c = s * (half * v2)
+        g0, g1 = gap + b0 * y, gap + b1 * y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            polished = y - force(y) / (c * (b0 * g1 + b1 * g0) / (g0 * g1) ** 2 - k)
+        return np.where((lo <= polished) & (polished <= hi), polished, y)
+
+    def _roots(self, V):
+        """(y_p, error): solve's y_p at each V, NaN where no stable
+        equilibrium exists, and the error for the first such V (None when
+        there is none)."""
+        V = np.asarray(V, dtype=float)
+        _check_drive(float(np.min(V, initial=0.0)), 0.0)
+        v2 = V * V
+        force = _force_closure(self.model, *drive_voltages(self.electrode, V))
+        unforced = v2 == 0.0
+        pinned = np.zeros(V.shape, dtype=bool)
+        if self.pinned:  # unforced, or the rest-side end not yet pulled free
+            pinned |= unforced | (force(self.far) * self.far_sign <= 0.0)
+        solved = unforced & ~pinned
+        y = np.where(solved, self.start, np.nan)
+        driven = ~(unforced | pinned)
+        error = None
+        if driven.any():
+            try:
+                y_pi, v2_pi = self.pull_in
+            except NoStableEquilibrium as exc:
+                error = exc
+            else:
+                # within rounding of V_PI, F(y_PI) can keep the rest-side sign
+                stable = driven & (v2 < v2_pi) & (force(y_pi) * self.far_sign <= 0.0)
+                if stable.any():
+                    y = np.where(stable, self._stable_root(v2, force, y_pi), y)
+                    solved |= stable
+        if solved.all():
+            return y, None
+        i = int(np.argmin(solved))
+        v = float(V.flat[i])
+        if pinned.flat[i]:
+            error = self._pinned_error(v)
+        elif error is None:
+            error = NoStableEquilibrium(
+                f"no stable equilibrium at V = {v!r} V on the {self.electrode.value} "
+                f"electrode; pull-in voltage is {math.sqrt(v2_pi):.4f} V")
+        return y, error
+
+    def solve(self, V):
+        """Stable y_p at drive V on this electrode, for a float or an array of V.
+
+        All voltages are solved at once in closed form (_stable_root); a
+        float gives the same bits as the matching element of an array.
+        Raises NoStableEquilibrium for the first V, in array order, at or
+        past pull-in or at which film stress pins the paddle.
+        """
+        y, error = self._roots(V)
+        if error is not None:
+            raise error
+        return y if np.ndim(V) else float(y)
+
+    def solve_leading(self, V) -> np.ndarray:
+        """Stable y_p at each V of a 1-D array, up to the first V without one."""
+        y, _ = self._roots(V)
+        failed = np.flatnonzero(np.isnan(y))
+        return y[:failed[0]] if failed.size else y
 
     def equilibrium(self, V: float) -> EquilibriumSolution:
         """Stable equilibrium at drive V on this electrode, with its force breakdown."""
+        y = self.solve(V)
         V_top, V_bottom = drive_voltages(self.electrode, V)
-        force = _force_closure(self.model, V_top, V_bottom)
-        return _solution(self.model, self._root(V, force), V_top, V_bottom, force)
+        return _solution(self.model, y, V_top, V_bottom,
+                         _force_closure(self.model, V_top, V_bottom))
 
 
 def solve_equilibrium(model: ValidatedModel, V_top: float = 0.0,
                       V_bottom: float = 0.0) -> EquilibriumSolution:
     """Stable force balance at the given drive voltages.
 
-    With one electrode driven, or neither, this is one bisection on the
-    stable branch (StableBranch); with both driven, the scan solver runs.
+    With one electrode driven, or neither, this is one closed-form solve on
+    the stable branch (StableBranch); with both driven, the scan solver runs.
     Raises NoStableEquilibrium at or past pull-in, and when film stress
     pins the paddle against an electrode.
     """
@@ -414,7 +497,8 @@ def sweep_voltage(model: ValidatedModel, electrode: Electrode,
 
     Voltages past pull-in do not produce records; the first such voltage
     is reported in truncated_at (truncation is data, not an error). The
-    stable branch is built once, so each voltage costs one bisection.
+    stable branch is built once and solves every voltage in one closed-form
+    call; capacitances and force terms are then one array call each.
     """
     voltages = sorted(float(v) for v in V_list)
     if not voltages:
@@ -422,14 +506,12 @@ def sweep_voltage(model: ValidatedModel, electrode: Electrode,
     if voltages[0] < 0.0:
         raise InvalidParameter("V_list", f"voltages must be >= 0, got {voltages[0]!r}")
     branch = StableBranch(model, electrode)
-    records: list[SweepRecord] = []
-    truncated_at = None
-    for v in voltages:
-        try:
-            sol = branch.equilibrium(v)
-        except NoStableEquilibrium:
-            truncated_at = v
-            break
-        records.append(SweepRecord(V=v, y_p=sol.y_p, C_top=sol.C_top,
-                                   breakdown=sol.breakdown))
-    return SweepResult(records=records, truncated_at=truncated_at)
+    y = branch.solve_leading(np.array(voltages))
+    n = len(y)
+    b = total_force(y, *drive_voltages(branch.electrode, np.array(voltages[:n])), model)
+    C_top = capacitance_value(y, model, Electrode.TOP)
+    terms = zip(*(term.tolist() for term in vars(b).values()))
+    records = [SweepRecord(V=v, y_p=y_p, C_top=c, breakdown=ForceBreakdown(*t))
+               for v, y_p, c, t in zip(voltages, y.tolist(), C_top.tolist(), terms)]
+    return SweepResult(records=records,
+                       truncated_at=voltages[n] if n < len(voltages) else None)

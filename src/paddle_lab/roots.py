@@ -1,14 +1,16 @@
 """Derivative-free 1-D root finding: bracketed bisection.
 
-Bisection finds every equilibrium and inverts the capacitance. It is
-deliberately preferred over faster methods: the equilibrium problem
-approaches a double root at pull-in where Newton-type iterations stall,
-and the cost of bisection is bounded. (Pull-in itself has a closed form,
-see mechanics.StableBranch.pull_in.)
+Bisection runs the scan solver (mechanics._scan_equilibrium, for drives on
+both electrodes and as the reference for the stable branch) and inverts
+the capacitance. For the scan it is preferred over faster methods: its
+equation approaches a double root at pull-in, where Newton-type
+iterations stall, it has no closed form, and the cost of bisection is
+bounded. One-electrode equilibria and pull-in need none of it: they have
+closed forms (mechanics.StableBranch).
 
 Bisection comes in two forms with the same stopping rules. bisect_root
 solves one equation on floats and allocates nothing per step, which the
-mechanics root loops rely on. bisect_roots solves many equations that share
+scan and the inversion of one capacitance rely on. bisect_roots solves many equations that share
 one bracket elementwise, with one call of an array function per step for
 all of them; capacitance inversion of a whole reading stream uses it. Each
 element of bisect_roots stops on the rule that would stop bisect_root on
@@ -24,16 +26,16 @@ BISECT_MAX_ITER = 200
 
 
 def bisect_root(func: Callable[[float], float], lo: float, hi: float,
-                ftol: float = 0.0) -> float:
-    """Root of func on [lo, hi]; func(lo) and func(hi) must differ in sign.
+                f_lo: float, f_hi: float, ftol: float = 0.0) -> float:
+    """Root of func on [lo, hi]; f_lo = func(lo) and f_hi = func(hi) must differ in sign.
 
-    Runs until |f(mid)| <= ftol or the midpoint stops moving (machine
-    precision), or for at most BISECT_MAX_ITER steps.
+    The end values are passed in, as for bisect_roots, so a caller that
+    knows them does not pay for them again. Runs until |f(mid)| <= ftol or
+    the midpoint stops moving (machine precision), or for at most
+    BISECT_MAX_ITER steps.
     """
     if lo > hi:
-        lo, hi = hi, lo
-    f_lo = func(lo)
-    f_hi = func(hi)
+        lo, hi, f_lo, f_hi = hi, lo, f_hi, f_lo
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from paddle_lab import (Electrode, InvalidParameter, NoStableEquilibrium,
                         TouchViolation, bending_stress, build_model, compliance,
@@ -10,8 +11,10 @@ from paddle_lab import (Electrode, InvalidParameter, NoStableEquilibrium,
                         pull_in_voltage, solve_equilibrium, strain_coupling,
                         stress_profile, sweep_voltage, total_force,
                         total_force_curve, zero_voltage_equilibrium)
+from paddle_lab import capacitance_value
 from paddle_lab.electrostatics import gap_coefficients
-from paddle_lab.mechanics import _scan_equilibrium, drive_voltages, has_stable_equilibrium
+from paddle_lab.mechanics import (StableBranch, _scan_equilibrium, drive_voltages,
+                                  has_stable_equilibrium)
 
 COMPLIANCE = 6.0 * 3e-3 * 8e-3 / (180e9 * 0.3 * (40e-6) ** 3)  # 4.1667e-2 m/N
 
@@ -392,3 +395,98 @@ def test_drive_voltages():
     assert drive_voltages(Electrode.TOP, 5.0) == (5.0, 0.0)
     assert drive_voltages(Electrode.BOTTOM, 5.0) == (0.0, 5.0)
     assert drive_voltages("top", 5.0) == (5.0, 0.0)
+
+
+@pytest.mark.parametrize("sigma0", [0.0, 1e6, -75e6, 150e6, -300e6, 300e6])
+@pytest.mark.parametrize("electrode", list(Electrode))
+def test_zero_voltage_returns_rest(with_sigma0, sigma0, electrode):
+    m = with_sigma0(sigma0)
+    branch = StableBranch(m, electrode)
+    rest = zero_voltage_equilibrium(m)
+    assert branch.solve(0.0) == rest
+    y = branch.solve(np.array([0.0, 10.0, 0.0]))
+    assert y[[0, 2]].tolist() == [rest, rest]
+
+
+@pytest.mark.parametrize("sigma0", [8e8, -8e8])
+@pytest.mark.parametrize("electrode", list(Electrode))
+def test_zero_voltage_pinned_is_named(with_sigma0, sigma0, electrode):
+    branch = StableBranch(with_sigma0(sigma0), electrode)
+    for V in (0.0, np.zeros(2)):
+        with pytest.raises(NoStableEquilibrium, match="pins the paddle"):
+            branch.solve(V)
+
+
+@pytest.mark.parametrize("electrode", list(Electrode))
+def test_near_pull_in_stays_on_stable_side(with_sigma0, electrode):
+    # near V_PI the cubic's two upper roots merge and a Newton step can
+    # overshoot y_PI: the answer is a y_p in [far, y_PI], or a refusal when V
+    # is within rounding of V_PI
+    for sigma0 in np.linspace(-300e6, 300e6, 13):
+        m = with_sigma0(float(sigma0))
+        branch = StableBranch(m, electrode)
+        pi = pull_in_voltage(m, electrode)
+        lo, hi = sorted((branch.far, pi.y_p_last_stable))
+        V = pi.V_pull_in * (1.0 - np.array([1e-4, 1e-8, 1e-12]))
+        y = branch.solve(V)
+        assert np.all((lo <= y) & (y <= hi))
+        try:
+            y = branch.solve(math.nextafter(pi.V_pull_in, 0.0))
+        except NoStableEquilibrium as exc:
+            assert "pull-in voltage is" in str(exc)
+        else:
+            assert lo <= y <= hi
+
+
+def test_refused_where_force_keeps_its_sign_at_pull_in(with_sigma0):
+    # V^2 rounds below V_PI^2, yet the computed force at y_PI still pulls
+    # toward the electrode, as at the rest-side end: no sign change, no root
+    m = with_sigma0(-86619379.35592344, d_c=0.000188528190878437,
+                    d_e=0.00014981508604812926, l_b=0.005074927257528863)
+    V = 198.19144870442844
+    branch = StableBranch(m, Electrode.BOTTOM)
+    assert V * V < branch.pull_in[1]
+    with pytest.raises(NoStableEquilibrium, match="pull-in voltage is"):
+        branch.solve(V)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sigma0=st.floats(min_value=-300e6, max_value=300e6),
+       scales=st.tuples(*[st.floats(min_value=0.5, max_value=2.0)] * 3),
+       electrode=st.sampled_from(list(Electrode)),
+       fractions=st.lists(st.floats(min_value=0.0, max_value=0.999), min_size=1, max_size=6))
+def test_branch_array_agrees_with_scan(with_sigma0, default_model, sigma0, scales,
+                                       electrode, fractions):
+    g = default_model.geom
+    m = with_sigma0(sigma0, d_c=g.d_c * scales[0], d_e=g.d_e * scales[1], l_b=g.l_b * scales[2])
+    branch = StableBranch(m, electrode)
+    assume(not branch.pinned)
+    pi = pull_in_voltage(m, electrode)
+    V = pi.V_pull_in * np.array(fractions)
+    y = branch.solve(V)
+    assert [branch.solve(float(v)) for v in V] == y.tolist()  # same bits as floats
+    # abs covers y_p near 0, where both answers carry the rounding of the
+    # force sum (about ulp(prestress)/stiffness), not of y_p
+    scale = abs(pi.y_p_last_stable - zero_voltage_equilibrium(m))
+    for v, y_p in zip(V, y):
+        assert y_p == pytest.approx(_scan_equilibrium(m, *drive_voltages(electrode, float(v))).y_p,
+                                    rel=1e-12, abs=1e-14 * scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sigma0=st.floats(min_value=-300e6, max_value=300e6),
+       electrode=st.sampled_from(list(Electrode)))
+def test_sweep_records_match_scalar_kernels(with_sigma0, sigma0, electrode):
+    m = with_sigma0(sigma0)
+    v_pi = pull_in_voltage(m, electrode).V_pull_in
+    result = sweep_voltage(m, electrode, np.linspace(0.0, 0.99 * v_pi, 9))
+    assert len(result.records) == 9
+
+    def close(a, b):
+        return abs(a - b) <= 4.0 * math.ulp(b)
+
+    for r in result.records:
+        expected = total_force(r.y_p, *drive_voltages(electrode, r.V), m)
+        assert all(close(getattr(r.breakdown, f), getattr(expected, f))
+                   for f in ("F_film", "F_beam", "F_elec_top", "F_elec_bottom", "F_total"))
+        assert close(r.C_top, capacitance_value(r.y_p, m, Electrode.TOP))

@@ -53,4 +53,4 @@ def test_diff_cli_outputs_self_compare(tmp_path):
     assert os.path.isfile(tmp_path / "out" / "sweep-top-0" / "sweep.csv")
     lines = run_script("diff_cli_outputs.py", ["--compare", "out", "out"], tmp_path).splitlines()
     assert [line.split() for line in lines] == [
-        ["file", "column", "changed", "max", "ulp", "max", "|diff|"]]
+        ["file", "column", "changed", "max", "ulp", "max", "|diff|", "rel", "|diff|"]]
