@@ -16,15 +16,14 @@ independent oracles for testing.
 
 All functions are pure. capacitance_value and force_per_v2_value take a
 float, kept on math.log1p and allocation-free for the root-finding loops,
-or a numpy array, evaluated elementwise in one pass.
+or a numpy array, evaluated elementwise in one pass; capacitance_slope is
+the exact dC/dy_p of the same closed form.
 
-yp_from_capacitance inverts C(y_p) on the same terms: a float by scalar
-bisection, an array (a whole reading stream) by one elementwise bisection
-that calls the array kernel once per step. An array takes about 1.5 ms
-whether it holds one value or a few hundred, a float about 40 us, so arrays
-only win from about 20 to 30 values on and floats keep their own path. On
-an array, OutOfRange names the first value outside the attainable range and
-carries its flat index as `row`.
+yp_from_capacitance inverts C(y_p) by safeguarded Newton, a float running
+through the same loop as a one-element array. C(y_p) is smooth and monotone
+on the inversion bracket, so unlike the force balance at pull-in it has no
+double root to stall Newton. On an array, OutOfRange names the first value
+outside the attainable range and carries its flat index as `row`.
 """
 from __future__ import annotations
 
@@ -35,11 +34,16 @@ import numpy as np
 
 from .errors import InvalidParameter, OutOfRange, TouchViolation
 from .model import PhysicalConstants, ValidatedModel
-from .roots import bisect_root, bisect_roots
+from .roots import BISECT_MAX_ITER
 
 # Below this relative gap change across the plate, ln(1+u)/u switches to its
 # 4-term series; truncation error ~ u^4/5 < 1e-25 at the threshold.
 SERIES_U_THRESHOLD = 1e-6
+
+# Below this |u|, capacitance_slope's N(u) switches to its 6-term series. The
+# closed form loses about 3e-16/|u| to cancellation, the series about u^6:
+# against 50-digit arithmetic both stay below 1e-13 relative at the switch.
+SLOPE_SERIES_U_THRESHOLD = 3e-3
 
 # Relative shrink of each touch limit bounding the capacitance inversion
 # bracket. C diverges logarithmically at the limits, so values measured
@@ -116,6 +120,30 @@ def capacitance_value(y_p, model: ValidatedModel, electrode: Electrode):
     return c * np.where(small, series, np.log1p(u) / np.where(small, 1.0, delta))
 
 
+def capacitance_slope(y_p, model: ValidatedModel, electrode: Electrode):
+    """Exact dC/dy_p, F/m, of capacitance_value at a float or array of deflections.
+
+    On gap_line's terms, with u = delta/g0 and c = eps0*w_p*l_p,
+        dC/dy_p = -s * c * (1/(1+u) + tilt*N(u)) / (center_ratio * g0^2),
+        N(u) = (ln(1+u)/u - 1/(1+u)) / u, 0/0 at the flat pose where N = 1/2,
+    so N is evaluated by series below SLOPE_SERIES_U_THRESHOLD. A float is
+    evaluated as a one-element array and gets the bits of the array element.
+    """
+    scalar = isinstance(y_p, float)
+    g0, delta = gap_line(np.array([y_p]) if scalar else y_p, model, electrode)
+    _, s, center_ratio, tilt = gap_coefficients(model, electrode)
+    g = model.geom
+    u = delta / g0
+    small = np.abs(u) < SLOPE_SERIES_U_THRESHOLD
+    w = np.where(small, 1.0, u)
+    n = np.where(small,
+                 0.5 - u * (2.0 / 3.0 - u * (0.75 - u * (0.8 - u * (5.0 / 6.0 - u * (6.0 / 7.0))))),
+                 (np.log1p(w) / w - 1.0 / (1.0 + w)) / w)
+    c = model.constants.eps0 * g.w_p * g.l_p
+    slope = -s * (c * (1.0 / (1.0 + u) + tilt * n)) / (center_ratio * (g0 * g0))
+    return float(slope[0]) if scalar else slope
+
+
 # The same kernel under the name perfbench/tracing.py times array calls by.
 capacitance_curve = capacitance_value
 
@@ -158,48 +186,67 @@ def electrostatic_force_per_v2_quadrature(y_p: float, model: ValidatedModel,
         1.0 / gap**2, dx=dx)
 
 
-def inversion_bracket(model: ValidatedModel,
-                      margin: float = INVERSION_MARGIN) -> tuple[float, float]:
+def inversion_bracket(model: ValidatedModel) -> tuple[float, float]:
     """Deflection interval on which capacitance inversion is performed."""
-    return model.y_p_min * (1.0 - margin), model.y_p_max * (1.0 - margin)
+    return model.y_p_min * (1.0 - INVERSION_MARGIN), model.y_p_max * (1.0 - INVERSION_MARGIN)
 
 
-def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode,
-                        margin: float = INVERSION_MARGIN):
-    """Deflection whose paddle capacitance equals C, by bracketed bisection.
+def capacitance_range(model: ValidatedModel, electrode: Electrode) -> tuple[float, float]:
+    """(c_min, c_max): the capacitance span of inversion_bracket, ends excluded."""
+    c_lo, c_hi = (capacitance_value(y, model, electrode) for y in inversion_bracket(model))
+    return min(c_lo, c_hi), max(c_lo, c_hi)
+
+
+def invertible(C, model: ValidatedModel, electrode: Electrode):
+    """Which readings yp_from_capacitance accepts: c_min < C < c_max (NaN never)."""
+    c_min, c_max = capacitance_range(model, electrode)
+    return (c_min < C) & (C < c_max)
+
+
+def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
+    """Deflection whose paddle capacitance equals C, by safeguarded Newton.
 
     C is a float or an array; an array is inverted elementwise into an array
-    of its shape. The bracket is the touch window shrunk by `margin`
-    (inversion_bracket), and every value must lie strictly inside the
-    capacitance range it spans: otherwise OutOfRange is raised, which
-    covers NaN, inf, 0 and negative values. For an array, the error names
-    the first such element and carries its flat index as `row`. Converges
-    to |dC/C| <= 1e-12.
+    of its shape, a float as a one-element array into a float. Every value
+    must be invertible, inside the range spanned by inversion_bracket:
+    otherwise OutOfRange is raised, which covers NaN, inf, 0 and negative
+    values. For an array, the error names the first such element and
+    carries its flat index as `row`.
 
-    A float is solved by bisect_root on the float kernel; an array by one
-    bisect_roots over all its elements, one array kernel call per step (see
-    the module docstring for why both paths stay).
+    Each element starts from the mean-gap guess c/C clipped to the bracket
+    and keeps its own bracket around the root. It takes the Newton step on
+    1/C, close to linear in the mean gap, where that stays strictly inside
+    its bracket and bisects where it does not (rtsafe, Numerical Recipes
+    9.4), until |C(y) - C| <= 1e-12*C or for BISECT_MAX_ITER steps.
     """
-    lo, hi = inversion_bracket(model, margin)
-    c_lo = capacitance_value(lo, model, electrode)
-    c_hi = capacitance_value(hi, model, electrode)
-    c_min, c_max = min(c_lo, c_hi), max(c_lo, c_hi)
-
-    def out_of_range(c: float) -> str:
-        if c <= 0.0:
-            return f"capacitance must be > 0, got {c!r}"
-        return (f"C={c!r} outside attainable range ({c_min!r}, {c_max!r}) "
-                f"for {Electrode(electrode).value}")
-
-    if isinstance(C, float):
-        if not (c_min < C < c_max):
-            raise OutOfRange(out_of_range(C))
-        return bisect_root(lambda y: capacitance_value(y, model, electrode) - C,
-                           lo, hi, c_lo - C, c_hi - C, ftol=1e-12 * C)
     C = np.asarray(C, dtype=float)
-    bad = np.flatnonzero(~((c_min < C) & (C < c_max)))
+    bad = np.flatnonzero(~invertible(C, model, electrode))
     if bad.size:
         row = int(bad[0])
-        raise OutOfRange(out_of_range(float(C.flat[row])), row=row)
-    return bisect_roots(lambda y: capacitance_value(y, model, electrode) - C,
-                        lo, hi, c_lo - C, c_hi - C, ftol=1e-12 * C)
+        c = float(C.flat[row])
+        if c <= 0.0:
+            reason = f"capacitance must be > 0, got {c!r}"
+        else:
+            c_min, c_max = capacitance_range(model, electrode)
+            reason = (f"C={c!r} outside attainable range ({c_min!r}, {c_max!r}) "
+                      f"for {Electrode(electrode).value}")
+        raise OutOfRange(reason, row=row if C.ndim else None)
+    lo, hi = inversion_bracket(model)
+    rest, s, center_ratio, tilt = gap_coefficients(model, electrode)
+    g = model.geom
+    target = C.reshape(-1)
+    mean_gap = model.constants.eps0 * g.w_p * g.l_p / target
+    y = np.clip(s * center_ratio * (mean_gap - rest) / (1.0 + 0.5 * tilt), lo, hi)
+    a, b = np.full(y.shape, lo), np.full(y.shape, hi)
+    active = np.ones(y.shape, dtype=bool)
+    for _ in range(BISECT_MAX_ITER):
+        c_y = capacitance_value(y, model, electrode)
+        active &= np.abs(c_y - target) > 1e-12 * target
+        if not active.any():
+            break
+        above = (c_y < target) == (s < 0.0)  # the root lies above y
+        a, b = np.where(above, y, a), np.where(above, b, y)
+        newton = y + c_y * (target - c_y) / (target * capacitance_slope(y, model, electrode))
+        step = np.where((a < newton) & (newton < b), newton, 0.5 * (a + b))
+        y = np.where(active, step, y)
+    return y.reshape(C.shape) if C.ndim else float(y[0])

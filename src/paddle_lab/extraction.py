@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .electrostatics import (Electrode, capacitance_value, force_per_v2_value,
-                             yp_from_capacitance)
+                             invertible, yp_from_capacitance)
 from .errors import (DegenerateData, InsufficientData, InvalidParameter,
                      NoStableEquilibrium, OutOfRange, TouchViolation)
 from .instrument import MeasurementSample, NoiseModel
@@ -177,26 +177,26 @@ def _initial_guess(data: CVDataset, template: ValidatedModel) -> np.ndarray:
     At equilibrium p - k_f*y = y/compliance - f(y)*V^2 with p the prestress
     force a*sigma0*V_F and k_f the film stiffness EFVF*a^2; the right side
     uses only shared geometry, so (p, k_f) come from linear least squares.
-    Rows whose capacitance cannot be inverted are skipped; if the stiffness
-    estimate is unusable (fewer than two rows, no deflection spread, or
-    k_f <= 0) the template's EFVF is kept and only p is re-estimated.
+    Each electrode's invertible rows are inverted in one array call; the
+    other rows are skipped. If the stiffness estimate is unusable (fewer
+    than two rows, no deflection spread, or k_f <= 0) the template's EFVF
+    is kept and only p is re-estimated.
     """
     EFVF0 = template.film.E_F * template.V_F
     a = strain_coupling(template)
     inv_c = 1.0 / compliance(template)
-    ys, bs = [], []
-    for row in data.rows:
-        try:
-            y = yp_from_capacitance(row.C, template, row.electrode)
-        except OutOfRange:
-            continue
-        f = force_per_v2_value(y, template, row.electrode)
-        ys.append(y)
-        bs.append(y * inv_c - f * row.V * row.V)
-    if not ys:
+    electrodes = [row.electrode for row in data.rows]
+    V, C = data.voltages, data.capacitances
+    y, f = np.full(len(C), np.nan), np.empty(len(C))
+    for e in set(electrodes):
+        rows = np.array([el is e for el in electrodes]) & invertible(C, template, e)
+        y[rows] = yp_from_capacitance(C[rows], template, e)
+        f[rows] = force_per_v2_value(y[rows], template, e)
+    kept = ~np.isnan(y)
+    if not kept.any():
         return np.array([template.film.sigma0, EFVF0])
-    ys = np.asarray(ys)
-    bs = np.asarray(bs)
+    ys, V = y[kept], V[kept]
+    bs = ys * inv_c - f[kept] * V * V
     y_scale = float(np.max(np.abs(ys)))
     p = k_f = float("nan")
     if len(ys) >= 2 and y_scale > 0.0 and np.ptp(ys) > 1e-6 * y_scale:

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrostatics import Electrode, capacitance_value, parallel_plate_capacitance
+from .electrostatics import Electrode, capacitance_slope, parallel_plate_capacitance
 from .errors import InsufficientData, InvalidParameter
 from .model import ValidatedModel
-
-RESOLVABILITY_FD_STEP = 1e-9  # m, slope step for dC/dy_p
 
 
 @dataclass(frozen=True)
@@ -95,14 +93,10 @@ def resolvable_displacement(model: ValidatedModel, at_y_p: float,
                             noise: NoiseModel) -> float:
     """Smallest deflection change distinguishable from one sample's noise.
 
-    Computed as sigma_C over the local top-electrode capacitance slope,
-    taken by central finite difference with a 1 nm step.
+    Computed as sigma_C over the exact local top-electrode capacitance
+    slope (capacitance_slope).
     """
-    h = RESOLVABILITY_FD_STEP
-    c_hi = capacitance_value(at_y_p + h, model, Electrode.TOP)
-    c_lo = capacitance_value(at_y_p - h, model, Electrode.TOP)
-    slope = (c_hi - c_lo) / (2.0 * h)
-    return noise.sigma_C / abs(slope)
+    return noise.sigma_C / abs(capacitance_slope(at_y_p, model, Electrode.TOP))
 
 
 def calibration_table(model: ValidatedModel, spacers,

@@ -8,9 +8,12 @@ from paddle_lab import (Electrode, InvalidParameter, OutOfRange, TouchViolation,
                         build_model, capacitance_curve, capacitance_value,
                         force_per_v2_value, paddle_capacitance_quadrature,
                         parallel_plate_capacitance, yp_from_capacitance)
-from paddle_lab.electrostatics import (SERIES_U_THRESHOLD,
+from paddle_lab import electrostatics
+from paddle_lab.electrostatics import (SERIES_U_THRESHOLD, SLOPE_SERIES_U_THRESHOLD,
+                                       capacitance_slope,
                                        electrostatic_force_per_v2_quadrature,
                                        gap_line, inversion_bracket)
+from paddle_lab.roots import bisect_root
 
 FLAT_C = 2.2125e-12          # eps0 * (5 mm)^2 / 100 um
 FLAT_F_BOTTOM = -1.10625e-8  # -eps0 * (5 mm)^2 / (2 * (100 um)^2)
@@ -152,6 +155,49 @@ def test_series_fallback_continuity(default_model):
 
 
 @given(d_c=st.floats(min_value=41e-6, max_value=300e-6),
+       d_e=st.floats(min_value=41e-6, max_value=300e-6),
+       l_b=st.floats(min_value=1e-3, max_value=8e-3),
+       electrode=st.sampled_from([Electrode.TOP, Electrode.BOTTOM]),
+       fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12))
+@example(d_c=100e-6, d_e=100e-6, l_b=3e-3, electrode=Electrode.TOP, fracs=[0.0, 0.5, 1.0])
+@example(d_c=41e-6, d_e=300e-6, l_b=8e-3, electrode=Electrode.BOTTOM, fracs=[1.0, 0.0])
+def test_capacitance_slope(d_c, d_e, l_b, electrode, fracs):
+    m = build_model(d_c=d_c, d_e=d_e, l_b=l_b)
+    g = m.geom
+    top = electrode is Electrode.TOP
+    gap, tilt = (g.d_c if top else g.d_e), 2.0 * g.l_p / g.l_b
+    # flat pose, where the closed form is 0/0: exactly the parallel-plate slope
+    flat = m.constants.eps0 * g.w_p * g.l_p * (1 + tilt / 2) / (g.center_ratio * (gap * gap))
+    assert capacitance_slope(0.0, m, electrode) == (flat if top else -flat)
+
+    # poses across the inversion bracket against a Richardson-extrapolated
+    # central difference, with steps well inside the smallest gap
+    lo, hi = inversion_bracket(m)
+    y = np.append(np.minimum(lo + np.array(fracs) * (hi - lo), hi), 0.0)
+    slope = capacitance_slope(y, m, electrode)
+    g0, delta = gap_line(y, m, electrode)
+    h = 1e-3 * np.minimum(g0, g0 + delta)
+
+    def central(step):
+        return (capacitance_value(y + step, m, electrode)
+                - capacitance_value(y - step, m, electrode)) / (2.0 * step)
+
+    assert np.allclose(slope, (4.0 * central(h / 2) - central(h)) / 3.0, rtol=1e-7, atol=0.0)
+    assert [capacitance_slope(float(v), m, electrode) for v in y] == slope.tolist()
+
+    # the series switch, |u| = SLOPE_SERIES_U_THRESHOLD on either side of the
+    # flat pose: poses 2e-13 apart agree within the 1e-12 bound of each branch
+    s = -1.0 if top else 1.0
+    for u in (SLOPE_SERIES_U_THRESHOLD, -SLOPE_SERIES_U_THRESHOLD):
+        y_star = s * g.center_ratio * u * gap / (tilt - u)
+        pair = y_star * np.array([1.0 - 1e-13, 1.0 + 1e-13])
+        g0, delta = gap_line(pair, m, electrode)
+        assert np.sum(np.abs(delta / g0) < SLOPE_SERIES_U_THRESHOLD) == 1
+        below, above = capacitance_slope(pair, m, electrode)
+        assert below == pytest.approx(above, rel=1e-12)
+
+
+@given(d_c=st.floats(min_value=41e-6, max_value=300e-6),
        l_b=st.floats(min_value=1e-3, max_value=8e-3),
        l_p=st.floats(min_value=1e-3, max_value=8e-3),
        electrode=st.sampled_from([Electrode.TOP, Electrode.BOTTOM]))
@@ -262,12 +308,16 @@ def test_extreme_round_trip(default_model):
        fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12))
 @example(d_c=100e-6, d_e=100e-6, l_b=3e-3, electrode=Electrode.TOP, fracs=[0.0, 0.5, 1.0])
 @example(d_c=41e-6, d_e=300e-6, l_b=8e-3, electrode=Electrode.BOTTOM, fracs=[1.0, 0.0])
+# one ulp above c_min, the third Newton step overshoots the bracket end and
+# the loop bisects from there
+@example(d_c=52.53e-6, d_e=293.37e-6, l_b=1.07e-3, electrode=Electrode.TOP, fracs=[0.0])
 def test_array_inversion_matches_float_path(d_c, d_e, l_b, electrode, fracs):
     # poses from end to end of the margin-shrunk bracket; a reading that
     # rounds onto a bracket end is moved one ulp inside the attainable range
     m = build_model(d_c=d_c, d_e=d_e, l_b=l_b)
     lo, hi = inversion_bracket(m)
-    c_ends = sorted(capacitance_value(y, m, electrode) for y in (lo, hi))
+    c_lo, c_hi = (capacitance_value(y, m, electrode) for y in (lo, hi))
+    c_ends = sorted((c_lo, c_hi))
     y_pose = np.minimum(lo + np.array(fracs) * (hi - lo), hi)
     C = np.clip(capacitance_value(y_pose, m, electrode),
                 math.nextafter(c_ends[0], math.inf), math.nextafter(c_ends[1], 0.0))
@@ -275,6 +325,31 @@ def test_array_inversion_matches_float_path(d_c, d_e, l_b, electrode, fracs):
     assert y.shape == C.shape
     assert np.all(np.abs(capacitance_value(y, m, electrode) - C) <= 1e-12 * C)
     y_float = np.array([yp_from_capacitance(float(c), m, electrode) for c in C])
-    assert np.all(np.abs(y - y_float) <= 4.0 * np.spacing(np.abs(y_float)))
+    assert np.array_equal(y, y_float)
     column = yp_from_capacitance(C.reshape(-1, 1), m, electrode)
     assert column.shape == (C.size, 1) and np.array_equal(column[:, 0], y)
+    # bisection to the same tolerance as the oracle: both roots lie within
+    # 1e-12*C/|dC/dy| of the true one
+    for c, y_c in zip(C.tolist(), y.tolist()):
+        oracle = bisect_root(lambda v: capacitance_value(v, m, electrode) - c,
+                             lo, hi, c_lo - c, c_hi - c, ftol=1e-12 * c)
+        assert y_c == pytest.approx(oracle, rel=0.0,
+                                    abs=2e-12 * c / abs(capacitance_slope(y_c, m, electrode)))
+
+
+def test_inversion_bisects_where_newton_leaves_bracket(default_model, monkeypatch):
+    # a slope 1000 times too shallow sends the first Newton step out of the
+    # bracket; the loop bisects instead and still meets its tolerance
+    iterates = []
+
+    def shallow(y, model, electrode):
+        iterates.append(float(y[0]))
+        return 1e-3 * capacitance_slope(y, model, electrode)
+
+    monkeypatch.setattr(electrostatics, "capacitance_slope", shallow)
+    C = capacitance_value(2e-5, default_model, Electrode.TOP)
+    y = yp_from_capacitance(C, default_model, Electrode.TOP)
+    assert abs(capacitance_value(y, default_model, Electrode.TOP) - C) <= 1e-12 * C
+    lo, hi = inversion_bracket(default_model)
+    y0, y1 = iterates[:2]
+    assert y1 in (0.5 * (lo + y0), 0.5 * (y0 + hi))  # the midpoint of the bracket

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from paddle_lab import (BridgeConfig, Electrode, InsufficientData,
-                        InvalidParameter, NoiseModel, TouchViolation,
-                        balance_bridge, bridge_output, build_model, calibrate,
-                        calibration_table, capacitance_value,
-                        measure_capacitance, resolvable_displacement)
+from paddle_lab import (BridgeConfig, InsufficientData, InvalidParameter,
+                        NoiseModel, TouchViolation, balance_bridge,
+                        bridge_output, build_model, calibrate,
+                        calibration_table, measure_capacitance,
+                        resolvable_displacement)
 
 DEFAULT_SPACERS = [25e-6, 50e-6, 75e-6, 100e-6, 125e-6]
 QUIET = NoiseModel(sigma_C=0.0)
@@ -140,13 +140,13 @@ def test_resolvable_displacement_touch(default_model):
 
 
 def test_resolvable_matches_slope_estimate(default_model):
-    # sigma_C / (dC/dy_p) with the flat-plate slope as a sanity anchor
-    h = 1e-9
-    slope = (capacitance_value(h, default_model, Electrode.TOP)
-             - capacitance_value(-h, default_model, Electrode.TOP)) / (2.0 * h)
-    expected = 1e-16 / abs(slope)
+    # sigma_C over the exact flat-pose slope eps0*A*(1 + tilt/2)/(center_ratio*d_c^2)
+    g = default_model.geom
+    tilt = 2.0 * g.l_p / g.l_b
+    slope = default_model.constants.eps0 * g.w_p * g.l_p * (1 + tilt / 2) / (
+        g.center_ratio * g.d_c**2)
     assert resolvable_displacement(default_model, 0.0, NoiseModel()) == \
-        pytest.approx(expected, rel=1e-12)
+        pytest.approx(1e-16 / slope, rel=1e-12)
 
 
 def test_calibration_table_rows(default_model):
