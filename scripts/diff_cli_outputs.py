@@ -2,16 +2,21 @@
 
 Usage: PYTHONPATH=src python3 scripts/diff_cli_outputs.py --write DIR | --compare DIR_A DIR_B
 Extract fits C-V files rounded to 12 digits, so trees differing in the last bits of C fit the
-same data. --compare prints changed rows and max ulp and absolute differences per column, and
-the max absolute difference over the column's max |value| in either tree (rel |diff|), which
-stays meaningful for columns that cross zero, where ulp counts across a sign change are not.
+same data. --compare prints one row per file that differs in its bytes: (bytes) with the lines
+that differ, then (header) if the column names differ and (rows A/B) if the row counts do; a
+file in one tree only gets one (only in A) or (only in B) row. Then, per column and over the
+rows both files have, it prints changed rows and max ulp and absolute differences, and the max
+absolute difference over the column's max |value| in either tree (rel |diff|), which stays
+meaningful for columns that cross zero, where ulp counts across a sign change are not.
 """
 import argparse
 import csv
 import glob
 import itertools
 import json
+import operator
 import os
+import pathlib
 
 import numpy as np
 
@@ -39,22 +44,48 @@ def commands():
         yield f"extract-{name}", f"extract --electrode {e} --data cv-{name}.csv"
 
 
-def columns(path):
-    """{column: fields} of a CSV file, {key: [value]} of a JSON object."""
+def table(path):
+    """(header, rows of fields) of a CSV file, (keys, [values]) of a JSON object."""
     with open(path, newline="") as fh:
         if path.endswith(".json"):
-            return {k: [str(v)] for k, v in json.load(fh).items()}
+            obj = json.load(fh)
+            return list(obj), [[str(v) for v in obj.values()]]
         header, *rows = csv.reader(fh)
-    return dict(zip(header, zip(*rows)))
+    return header, rows
+
+
+def count(k, n):
+    return f"{k:>5}/{n:<5}"
 
 
 def compare(a, b):
     print(f"{'file':<48} {'column':<16} {'changed':>11} {'max ulp':>8} {'max |diff|':>10} "
           f"{'rel |diff|':>10}")
-    for name in sorted(os.path.relpath(p, a) for p in glob.glob(os.path.join(a, "*", "*"))):
-        other = columns(os.path.join(b, name))
-        for col, fields in columns(os.path.join(a, name)).items():
-            changed = [(x, y) for x, y in zip(fields, other[col]) if x != y]
+
+    def row(name, col, changed="", num=f"{'-':>8} {'-':>10} {'-':>10}"):
+        print(f"{name:<48} {col:<16} {changed:>11} {num}")
+
+    in_a, in_b = ({os.path.relpath(p, d) for p in glob.glob(os.path.join(d, "*", "*"))}
+                  for d in (a, b))
+    for name in sorted(in_a | in_b):
+        if not (name in in_a and name in in_b):
+            row(name, "(only in A)" if name in in_a else "(only in B)")
+            continue
+        path_a, path_b = (os.path.join(d, name) for d in (a, b))
+        lines_a, lines_b = (pathlib.Path(p).read_bytes().splitlines(keepends=True)
+                            for p in (path_a, path_b))
+        if lines_a == lines_b:
+            continue
+        differ = sum(map(operator.ne, lines_a, lines_b)) + abs(len(lines_a) - len(lines_b))
+        row(name, "(bytes)", count(differ, max(len(lines_a), len(lines_b))))
+        (head_a, rows_a), (head_b, rows_b) = table(path_a), table(path_b)
+        if head_a != head_b:
+            row(name, "(header)")
+        if len(rows_a) != len(rows_b):
+            row(name, "(rows A/B)", count(len(rows_a), len(rows_b)))
+        # columns by position, over the rows both files have
+        for col, fields, other in zip(head_a, zip(*rows_a), zip(*rows_b)):
+            changed = [(x, y) for x, y in zip(fields, other) if x != y]
             if not changed:
                 continue
             try:
@@ -62,11 +93,11 @@ def compare(a, b):
                 i, j = (np.where(v < 0, -(v & 0x7FFFFFFFFFFFFFFF), v)
                         for v in (x.view(np.int64), y.view(np.int64)))
                 diff = np.abs(x - y).max()
-                scale = np.abs(np.array([fields, other[col]], dtype=float)).max()
-                num = f"{np.abs(i - j).max():>8d} {diff:>10.2e} {diff / scale:>10.2e}"
+                scale = np.abs(np.array(fields + other, dtype=float)).max()
+                row(name, col, count(len(changed), min(len(fields), len(other))),
+                    f"{np.abs(i - j).max():>8d} {diff:>10.2e} {diff / scale:>10.2e}")
             except ValueError:  # text fields
-                num = f"{'-':>8} {'-':>10} {'-':>10}"
-            print(f"{name:<48} {col:<16} {len(changed):>5}/{len(fields):<5} {num}")
+                row(name, col, count(len(changed), min(len(fields), len(other))))
 
 
 if __name__ == "__main__":

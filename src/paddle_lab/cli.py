@@ -2,9 +2,12 @@
 
 Every command writes its data files plus a `<command>_manifest.json` into
 the output directory (flag --out, overridden by the PADDLE_LAB_OUT
-environment variable). Floats are serialized in full-precision scientific
-notation so reruns with identical flags and seed are byte-identical; the
-manifest timestamp is the one deliberately non-reproducible field.
+environment variable). Floats are serialized as FLOAT_FORMAT (`%.17e`, 18
+significant digits, enough to round-trip every float64), so reruns with
+identical flags and seed are byte-identical; the manifest timestamp is the
+one deliberately non-reproducible field. A CSV file has one header line,
+then comma-separated, unquoted fields and "\n" line endings; `plan` in
+design_profile.csv is the only text column.
 
 Exit codes: 0 success, 2 input/config error, 3 no stable equilibrium,
 4 fit non-convergence (the result file is still written).
@@ -12,8 +15,8 @@ Exit codes: 0 success, 2 input/config error, 3 no stable equilibrium,
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
+import functools
 import json
 import os
 import sys
@@ -36,10 +39,11 @@ CURVE_GRID_FRACTION = 0.9
 CURVE_GRID_POINTS = 201
 DESIGN_REFERENCE_LOAD = 1e-3  # N
 DESIGN_PROFILE_POINTS = 201
+FLOAT_FORMAT = "%.17e"  # 18 significant digits: every float64 round-trips
 
 
 def fmt(x: float) -> str:
-    return f"{float(x):.17e}"
+    return FLOAT_FORMAT % x
 
 
 def _jsonify(obj):
@@ -61,12 +65,21 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], *columns) -> None:
+    """Write equal-length columns (arrays or lists) under a one-line header.
+
+    A column whose first entry is a str is written as is, unquoted, so its
+    fields must hold no comma, quote or newline; every other column as
+    FLOAT_FORMAT. One %-format line serves every row. Columns of unequal
+    length raise ValueError before the file is opened.
+    """
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    line = ",".join("%s" if len(c) and isinstance(c[0], str) else FLOAT_FORMAT
+                    for c in columns) + "\n"
+    body = "".join(map(line.__mod__, zip(*columns, strict=True)))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) if isinstance(v, float) else v for v in row])
+        fh.write(",".join(header) + "\n")
+        fh.write(body)
 
 
 def _out_dir(args) -> str:
@@ -102,9 +115,12 @@ def _electrode(args) -> Electrode:
 
 def _float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise PaddleLabError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
+    if not values:
+        raise PaddleLabError(f"{flag}: expected at least one number, got {text!r}")
+    return values
 
 
 def _breakdown_dict(b) -> dict:
@@ -120,10 +136,9 @@ def cmd_design(args) -> int:
                          DESIGN_PROFILE_POINTS)
     rect = stress_profile(DESIGN_REFERENCE_LOAD, model.geom, "rectangular",
                           DESIGN_PROFILE_POINTS)
-    rows = [("triangular", float(x), float(s)) for x, s in tri.samples]
-    rows += [("rectangular", float(x), float(s)) for x, s in rect.samples]
-    _write_csv(os.path.join(out, "design_profile.csv"),
-               ["plan", "x_m", "sigma_Pa"], rows)
+    _write_csv(os.path.join(out, "design_profile.csv"), ["plan", "x_m", "sigma_Pa"],
+               ["triangular"] * tri.x.size + ["rectangular"] * rect.x.size,
+               np.concatenate([tri.x, rect.x]), np.concatenate([tri.sigma, rect.sigma]))
     report = {
         "y_p_min_m": model.y_p_min,
         "y_p_max_m": model.y_p_max,
@@ -162,20 +177,21 @@ def cmd_curves(args) -> int:
     if args.which in CURVE_KERNELS:
         name = f"curves_{args.which}.csv"
         kernel, header = CURVE_KERNELS[args.which]
-        rows = zip(grid, kernel(grid, model, Electrode.TOP), kernel(grid, model, Electrode.BOTTOM))
-        _write_csv(os.path.join(out, name), ["y_p_m"] + header, rows)
+        _write_csv(os.path.join(out, name), ["y_p_m"] + header, grid,
+                   kernel(grid, model, Electrode.TOP), kernel(grid, model, Electrode.BOTTOM))
     else:
         name = "curves_film_beam.csv"
         sigma_list = _float_list(args.sigma0_list, "--sigma0-list")
         base = model_to_dict(model.model)
-        rows = []
+        forces = []
         for s0 in sigma_list:
             d = dict(base)
             d["sigma0"] = s0
             m = model_from_dict(d)
-            F = film_force(grid, m) - grid / compliance(m)
-            rows += [(s0, y, f) for y, f in zip(grid, F)]
-        _write_csv(os.path.join(out, name), ["sigma0_Pa", "y_p_m", "F_N"], rows)
+            forces.append(film_force(grid, m) - grid / compliance(m))
+        _write_csv(os.path.join(out, name), ["sigma0_Pa", "y_p_m", "F_N"],
+                   np.repeat(sigma_list, grid.size), np.tile(grid, len(sigma_list)),
+                   np.concatenate(forces))
     _write_manifest(args, out, [name])
     print(f"wrote {name} ({args.which}, {args.points} grid points)")
     return 0
@@ -233,10 +249,12 @@ def cmd_sweep(args) -> int:
     else:
         raise PaddleLabError("sweep needs --v-max or --v-list")
     result = sweep_voltage(model, _electrode(args), voltages)
-    rows = [(r.V, r.y_p, r.C_top, r.breakdown.F_film, r.breakdown.F_beam,
-             r.breakdown.F_elec_top, r.breakdown.F_elec_bottom,
-             r.breakdown.F_total) for r in result.records]
-    _write_csv(os.path.join(out, "sweep.csv"), SWEEP_HEADER, rows)
+    records = result.records
+    forces = [r.breakdown for r in records]
+    _write_csv(os.path.join(out, "sweep.csv"), SWEEP_HEADER,
+               [r.V for r in records], [r.y_p for r in records], [r.C_top for r in records],
+               *([getattr(b, f) for b in forces]
+                 for f in ("F_film", "F_beam", "F_elec_top", "F_elec_bottom", "F_total")))
     summary = {"rows": len(result.records),
                "requested": len(voltages),
                "truncated_at_V": result.truncated_at,
@@ -257,7 +275,7 @@ def cmd_calibrate(args) -> int:
     rows = calibration_table(model, spacers, noise)
     fit = calibrate(model, spacers, noise)
     _write_csv(os.path.join(out, "calibration.csv"),
-               ["spacer_m", "inv_spacer_per_m", "C_F"], rows)
+               ["spacer_m", "inv_spacer_per_m", "C_F"], *zip(*rows))
     _write_json(os.path.join(out, "calibration_fit.json"),
                 {"slope_F_m": fit.slope, "intercept_F": fit.intercept,
                  "r2": fit.r2, "implied_area_m2": fit.implied_area})
@@ -274,7 +292,7 @@ def cmd_measure(args) -> int:
     noise = NoiseModel(sigma_C=args.sigma_c, dt=args.dt, seed=args.seed)
     samples = measure_capacitance(C_true, noise, args.n)
     _write_csv(os.path.join(out, "measurement.csv"), ["t_s", "C_meas_F"],
-               [(s.t, s.C_meas) for s in samples])
+               [s.t for s in samples], [s.C_meas for s in samples])
     _write_manifest(args, out, ["measurement.csv"])
     print(f"{args.n} samples of C = {C_true:.6e} F ({electrode.value} electrode)")
     return 0
@@ -300,7 +318,14 @@ def cmd_extract(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on first use and shared.
+
+    It holds no command functions: main looks `cmd_<command>` up in this
+    module at call time, so a command rebound after the parser was built
+    (a tracing wrapper, a test's monkeypatch) is the one that runs.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="model JSON path (defaults built in)")
     common.add_argument("--out", default=".", help="output directory (PADDLE_LAB_OUT overrides)")
@@ -317,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", parents=[common],
                        help="stress-profile comparison and geometry report")
-    p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("curves", parents=[common], help="model curves over a y_p grid")
     p.add_argument("--which", choices=["capacitance", "force", "film-beam"],
@@ -327,40 +351,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=CURVE_GRID_POINTS)
     p.add_argument("--sigma0-list", default=DEFAULT_SIGMA0_LIST,
                    help="comma list of film stresses, Pa (film-beam mode)")
-    p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("equilibrium", parents=[common], help="stable force balance")
     p.add_argument("--v", type=float, default=0.0, help="drive voltage, V")
     p.add_argument("--sigma0", type=float, default=None, help="override film stress, Pa")
-    p.set_defaults(func=cmd_equilibrium)
 
     p = sub.add_parser("pullin", parents=[common], help="pull-in voltage (requires --electrode)")
     p.add_argument("--sigma0", type=float, default=None, help="override film stress, Pa")
-    p.set_defaults(func=cmd_pullin, needs_electrode=True)
+    p.set_defaults(needs_electrode=True)
 
     p = sub.add_parser("sweep", parents=[common], help="equilibrium sweep over voltage")
     p.add_argument("--v-max", type=float, default=None, help="sweep end, V")
     p.add_argument("--points", type=int, default=51)
     p.add_argument("--v-list", default=None, help="explicit comma list of voltages, V")
     p.add_argument("--sigma0", type=float, default=None, help="override film stress, Pa")
-    p.set_defaults(func=cmd_sweep, needs_electrode=True)
+    p.set_defaults(needs_electrode=True)
 
     p = sub.add_parser("calibrate", parents=[common], help="spacer-sweep calibration")
     p.add_argument("--spacers", default=DEFAULT_SPACERS, help="comma list of spacer gaps, m")
     p.add_argument("--sigma-c", type=float, default=0.0, help="capacitance noise std, F")
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("measure", parents=[common], help="noisy capacitance stream")
     p.add_argument("--yp", type=float, default=0.0, help="paddle-center deflection, m")
     p.add_argument("--n", type=int, default=100, help="sample count")
     p.add_argument("--dt", type=float, default=1e-2, help="sample interval, s")
     p.add_argument("--sigma-c", type=float, default=1e-16, help="capacitance noise std, F")
-    p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("extract", parents=[common],
                        help="fit film stress to a V_volt,C_F CSV (requires --electrode)")
     p.add_argument("--data", required=True, help="input CSV path")
-    p.set_defaults(func=cmd_extract, needs_electrode=True)
+    p.set_defaults(needs_electrode=True)
 
     return parser
 
@@ -372,7 +392,7 @@ def main(argv=None) -> int:
         print(f"error: {args.command} requires --electrode top|bottom", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except NoStableEquilibrium as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -44,7 +44,7 @@ class NoiseModel:
             raise InvalidParameter("dt", f"must be > 0, got {self.dt!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementSample:
     t: float       # s
     C_meas: float  # F
@@ -85,8 +85,7 @@ def measure_capacitance(C_true: float, noise: NoiseModel, n: int) -> list[Measur
     rng = np.random.default_rng(noise.seed)
     values = C_true + noise.sigma_C * rng.standard_normal(n)
     times = noise.dt * np.arange(1, n + 1)
-    return [MeasurementSample(t=t, C_meas=c)
-            for t, c in zip(times.tolist(), values.tolist())]
+    return list(map(MeasurementSample, times.tolist(), values.tolist()))
 
 
 def resolvable_displacement(model: ValidatedModel, at_y_p: float,

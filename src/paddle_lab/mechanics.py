@@ -47,10 +47,6 @@ class StressProfile:
     sigma: np.ndarray    # bending stress, Pa
     uniformity: float    # max/min stress magnitude over the span (1 for zero load)
 
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self.x.tolist(), self.sigma.tolist()))
-
 
 @dataclass(frozen=True)
 class ForceBreakdown:

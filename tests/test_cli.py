@@ -1,11 +1,14 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from paddle_lab import Electrode, build_model, model_from_dict, model_to_dict, simulate_cv
-from paddle_lab.cli import main
+from paddle_lab import cli
+from paddle_lab.cli import _write_csv, main
 
 
 def run(argv):
@@ -96,6 +99,13 @@ def test_curves_film_beam_crossings(tmp_path):
     assert vals[2] / vals[0] == pytest.approx(3.0, rel=1e-3)
 
 
+def test_curves_film_beam_empty_sigma0_list(tmp_path, capsys):
+    rc = run(["curves", "--which", "film-beam", "--sigma0-list", ",", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--sigma0-list" in capsys.readouterr().err
+    assert not (tmp_path / "curves_film_beam.csv").exists()
+
+
 def test_curves_grid_validation(tmp_path):
     rc = run(["curves", "--y-min", "-1e-3", "--out", str(tmp_path)])
     assert rc == 2
@@ -166,6 +176,16 @@ def test_sweep(tmp_path):
     assert float(summary["truncated_at_V"]) == 300.0
     ys = [float(r[1]) for r in rows]
     assert all(a > b for a, b in zip(ys, ys[1:]))
+
+
+def test_sweep_past_pull_in_writes_header_only(tmp_path):
+    # every requested voltage lies past pull-in (173.2 V): zero rows is a result, not an error
+    rc = run(["sweep", "--electrode", "top", "--v-list", "500,600", "--out", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "sweep.csv").read_text() == ",".join(cli.SWEEP_HEADER) + "\n"
+    summary = read_json(tmp_path / "sweep_summary.json")
+    assert summary["rows"] == 0 and summary["requested"] == 2
+    assert float(summary["truncated_at_V"]) == 500.0
 
 
 def test_sweep_needs_grid(tmp_path):
@@ -285,3 +305,71 @@ def test_extract_nonconvergence_exit_code(tmp_path, capsys):
     result = read_json(tmp_path / "extract_result.json")
     assert result["converged"] is False
     assert "converge" in capsys.readouterr().err
+
+
+# floats the old writer had to get right: signed zeros, infinities, nan, subnormals, extremes
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+
+
+@st.composite
+def csv_columns(draw):
+    """(header, columns): 1-4 float columns, as float64 arrays or lists, maybe a text column."""
+    n = draw(st.integers(0, 12))
+    number = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        values = draw(st.lists(number, min_size=n, max_size=n))
+        columns.append(np.array(values, dtype=np.float64) if draw(st.booleans()) else values)
+    if draw(st.booleans()):
+        text = st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                     exclude_characters=',"'), min_size=1, max_size=12)
+        columns.insert(draw(st.integers(0, len(columns))),
+                       draw(st.lists(text, min_size=n, max_size=n)))
+    return [f"c{k}" for k in range(len(columns))], columns
+
+
+@given(csv_columns())
+def test_write_csv_matches_csv_module(tmp_path_factory, table):
+    # the reference is the row writer the column writer replaced: csv.writer over
+    # "%.17e"-formatted floats, text fields as they are
+    header, columns = table
+    path = tmp_path_factory.mktemp("csv")
+    _write_csv(path / "got.csv", header, *columns)
+    with open(path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([f"{float(v):.17e}" if isinstance(v, float) else v for v in row])
+    assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("columns", [
+    ([1.0, 2.0], np.array([1.0])),
+    (np.array([]), [0.5]),
+    (["a", "b"], [1.0, 2.0], np.zeros(3)),
+])
+def test_write_csv_rejects_unequal_columns(tmp_path, columns):
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "x.csv", ["a"] * len(columns), *columns)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_parser_reuse(tmp_path, monkeypatch):
+    # one process, one parser: each call sees only its own flags and defaults
+    a, b, c = (str(tmp_path / d) for d in "abc")
+    assert run(["design", "--out", a]) == 0
+    assert run(["curves", "--which", "force", "--points", "11", "--out", b]) == 0
+    assert run(["curves", "--out", c]) == 0
+    assert run(["extract", "--electrode", "top", "--out", c]) == 2  # --data is required
+    assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+        "curves_force.csv", "curves_manifest.json"]
+    assert sorted(p.name for p in (tmp_path / "c").iterdir()) == [
+        "curves_capacitance.csv", "curves_manifest.json"]
+    assert len(read_csv(tmp_path / "c" / "curves_capacitance.csv")[1]) == cli.CURVE_GRID_POINTS
+    assert read_json(tmp_path / "c" / "curves_manifest.json")["seed"] == 0
+    # a command rebound after the parser was built is the one that runs
+    seen = []
+    monkeypatch.setattr(cli, "cmd_design", lambda args: seen.append(args.out) or 0)
+    assert run(["design", "--out", a]) == 0
+    assert seen == [a]

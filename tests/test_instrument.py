@@ -1,8 +1,11 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from paddle_lab import (BridgeConfig, InsufficientData, InvalidParameter,
+from paddle_lab import (BridgeConfig, InsufficientData, InvalidParameter, MeasurementSample,
                         NoiseModel, TouchViolation, balance_bridge,
                         bridge_output, build_model, calibrate,
                         calibration_table, measure_capacitance,
@@ -89,6 +92,18 @@ def test_measure_deterministic_per_seed():
     c = measure_capacitance(2e-12, NoiseModel(seed=12), 50)
     assert a == b
     assert a != c
+
+
+def test_measurement_sample_value_semantics():
+    s = measure_capacitance(2e-12, NoiseModel(seed=5), 3)[1]
+    assert s == MeasurementSample(t=s.t, C_meas=s.C_meas)
+    assert s != MeasurementSample(t=s.t, C_meas=-s.C_meas)
+    assert repr(MeasurementSample(0.5, 2e-12)) == "MeasurementSample(t=0.5, C_meas=2e-12)"
+    assert pickle.loads(pickle.dumps(s)) == s
+    moved = dataclasses.replace(s, t=9.0)
+    assert (moved.t, moved.C_meas) == (9.0, s.C_meas)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.t = 1.0
 
 
 def test_measure_requires_samples():

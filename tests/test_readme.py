@@ -3,7 +3,7 @@ import os
 import re
 
 from paddle_lab import build_model, model_to_dict
-from paddle_lab.cli import build_parser
+from paddle_lab.cli import build_parser, main
 from paddle_lab.model import MODEL_JSON_KEYS
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -26,3 +26,17 @@ def test_readme_out_default_matches_parser():
     match = re.search(r"\(`--out`, default `([^`]+)`", _readme())
     assert match, "README must state the --out default"
     assert build_parser().parse_args(["design"]).out == match.group(1)
+
+
+def test_readme_csv_schemas_match_cli(tmp_path):
+    # run each command that writes a CSV once, then compare every header with its README line
+    schemas = dict(re.findall(r"^- `(\w+\.csv)`: `([^`]+)`$", _readme(), re.MULTILINE))
+    for argv in ("design", "curves --which capacitance --points 3",
+                 "curves --which force --points 3", "curves --which film-beam --points 3",
+                 "sweep --electrode bottom --v-max 50 --points 3", "calibrate", "measure --n 3"):
+        assert main(argv.split() + ["--out", str(tmp_path)]) == 0
+    written = sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert written == sorted(schemas)
+    for name in written:
+        with open(tmp_path / name, newline="") as fh:
+            assert fh.readline() == schemas[name] + "\n", name

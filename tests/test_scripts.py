@@ -1,6 +1,7 @@
-"""The two study scripts run end to end and write the CSV files they document."""
+"""The study scripts and the CLI diff script run end to end and write what they document."""
 import csv
 import os
+import shutil
 import subprocess
 import sys
 
@@ -47,10 +48,42 @@ def test_study_script_outputs(tmp_path, script, args, expected):
         assert all(len(row) == len(header) for row in rows)
 
 
-def test_diff_cli_outputs_self_compare(tmp_path):
+@pytest.fixture(scope="module")
+def cli_tree(tmp_path_factory):
+    """A directory holding one tree written by diff_cli_outputs.py --write, as `out`."""
+    cwd = tmp_path_factory.mktemp("cli")
+    run_script("diff_cli_outputs.py", ["--write", "out"], cwd)
+    return cwd
+
+
+HEADER = ["file", "column", "changed", "max", "ulp", "max", "|diff|", "rel", "|diff|"]
+
+
+def test_diff_cli_outputs_self_compare(cli_tree):
     # a written tree compared with itself has no changed rows: only the header is printed
-    run_script("diff_cli_outputs.py", ["--write", "out"], tmp_path)
-    assert os.path.isfile(tmp_path / "out" / "sweep-top-0" / "sweep.csv")
-    lines = run_script("diff_cli_outputs.py", ["--compare", "out", "out"], tmp_path).splitlines()
+    assert os.path.isfile(cli_tree / "out" / "sweep-top-0" / "sweep.csv")
+    lines = run_script("diff_cli_outputs.py", ["--compare", "out", "out"], cli_tree).splitlines()
+    assert [line.split() for line in lines] == [HEADER]
+
+
+def test_diff_cli_outputs_reports_bytes_rows_and_files(cli_tree, tmp_path):
+    # differences that equal fields hide: line endings, a dropped row, a file in one tree
+    # only; and a renamed column
+    shutil.copytree(cli_tree / "out", tmp_path / "mod")
+    sweep = tmp_path / "mod" / "sweep-top-0" / "sweep.csv"
+    sweep.write_bytes(sweep.read_bytes().replace(b"\n", b"\r\n"))
+    measurement = tmp_path / "mod" / "measure-top-0" / "measurement.csv"
+    measurement.write_bytes(b"".join(measurement.read_bytes().splitlines(keepends=True)[:-1]))
+    (tmp_path / "mod" / "design" / "extra.csv").write_text("x\n1\n")
+    calibration = tmp_path / "mod" / "calibrate" / "calibration.csv"
+    calibration.write_bytes(calibration.read_bytes().replace(b",C_F\n", b",C_farad\n", 1))
+    lines = run_script("diff_cli_outputs.py", ["--compare", str(cli_tree / "out"), "mod"],
+                       tmp_path).splitlines()
     assert [line.split() for line in lines] == [
-        ["file", "column", "changed", "max", "ulp", "max", "|diff|", "rel", "|diff|"]]
+        HEADER,
+        ["calibrate/calibration.csv", "(bytes)", "1/6", "-", "-", "-"],
+        ["calibrate/calibration.csv", "(header)", "-", "-", "-"],
+        ["design/extra.csv", "(only", "in", "B)", "-", "-", "-"],
+        ["measure-top-0/measurement.csv", "(bytes)", "1/101", "-", "-", "-"],
+        ["measure-top-0/measurement.csv", "(rows", "A/B)", "100/99", "-", "-", "-"],
+        ["sweep-top-0/sweep.csv", "(bytes)", "45/45", "-", "-", "-"]]
