@@ -21,8 +21,8 @@ from .extraction import (CVDataset, CVRow, External, FilmFitResult, Simulated,
                          simulate_cv)
 from .instrument import (BridgeConfig, CalibrationFit, MeasurementSample,
                          NoiseModel, balance_bridge, bridge_output, calibrate,
-                         calibration_table, measure_capacitance,
-                         resolvable_displacement)
+                         calibration_fit, calibration_table, measure_capacitance,
+                         measure_stream, resolvable_displacement)
 from .mechanics import (EquilibriumSolution, ForceBreakdown, PullInResult,
                         StressProfile, SweepRecord, SweepResult, bending_stress,
                         compliance, film_force, film_stiffness, pull_in_voltage,
@@ -56,8 +56,8 @@ __all__ = [
     "solve_equilibrium", "pull_in_voltage", "sweep_voltage",
     # instrument
     "BridgeConfig", "NoiseModel", "MeasurementSample", "CalibrationFit",
-    "bridge_output", "balance_bridge", "measure_capacitance",
-    "resolvable_displacement", "calibration_table", "calibrate",
+    "bridge_output", "balance_bridge", "measure_stream", "measure_capacitance",
+    "resolvable_displacement", "calibration_table", "calibration_fit", "calibrate",
     # extraction
     "CVRow", "CVDataset", "Simulated", "External", "FilmFitResult",
     "simulate_cv", "deflection_series", "load_cv_csv", "fit_film_parameters",

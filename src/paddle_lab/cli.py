@@ -7,7 +7,12 @@ significant digits, enough to round-trip every float64), so reruns with
 identical flags and seed are byte-identical; the manifest timestamp is the
 one deliberately non-reproducible field. A CSV file has one header line,
 then comma-separated, unquoted fields and "\n" line endings; `plan` in
-design_profile.csv is the only text column.
+design_profile.csv is the only text column. Every CSV goes through
+_write_csv, whose float fields are byte for byte `"%.17e" % x`: an array
+kernel (floatfmt.format_e17) formats them and hands to `%` only nan, the
+infinities, three-digit exponents (|x| < 1e-99 or >= 1e100) and values
+within 2^-30 of a rounding tie. Text fields may not contain NUL. JSON
+floats go through fmt, the same format.
 
 Exit codes: 0 success, 2 input/config error, 3 no stable equilibrium,
 4 fit non-convergence (the result file is still written).
@@ -18,6 +23,7 @@ import argparse
 import datetime
 import functools
 import json
+import math
 import os
 import sys
 
@@ -27,7 +33,8 @@ from . import __version__
 from .electrostatics import (Electrode, capacitance_value, force_per_v2_value)
 from .errors import NoStableEquilibrium, PaddleLabError
 from .extraction import fit_film_parameters, load_cv_csv
-from .instrument import NoiseModel, calibrate, calibration_table, measure_capacitance
+from .floatfmt import FLOAT_FORMAT, format_e17
+from .instrument import NoiseModel, calibration_fit, calibration_table, measure_stream
 from .mechanics import (compliance, drive_voltages, film_force, pull_in_voltage,
                         solve_equilibrium, stress_profile, sweep_voltage)
 from .model import (ValidatedModel, build_model, load_model_json, model_from_dict,
@@ -39,7 +46,10 @@ CURVE_GRID_FRACTION = 0.9
 CURVE_GRID_POINTS = 201
 DESIGN_REFERENCE_LOAD = 1e-3  # N
 DESIGN_PROFILE_POINTS = 201
-FLOAT_FORMAT = "%.17e"  # 18 significant digits: every float64 round-trips
+# float fields per format_e17 call: bounds the kernel's temporaries to a few
+# hundred kB (8192 raised the cli benchmark's peak RSS by 0.5 MB); 1024 ran
+# slower on 2e4-field files, 4096 no faster
+CSV_BLOCK_VALUES = 2048
 
 
 def fmt(x: float) -> str:
@@ -68,18 +78,44 @@ def _write_json(path: str, obj) -> None:
 def _write_csv(path: str, header: list[str], *columns) -> None:
     """Write equal-length columns (arrays or lists) under a one-line header.
 
-    A column whose first entry is a str is written as is, unquoted, so its
-    fields must hold no comma, quote or newline; every other column as
-    FLOAT_FORMAT. One %-format line serves every row. Columns of unequal
-    length raise ValueError before the file is opened.
+    A column whose first entry is a str is written as is (UTF-8), unquoted,
+    so its fields must hold no comma, quote, newline or NUL; every other
+    column as FLOAT_FORMAT, byte for byte, by format_e17. Rows go out in
+    blocks of about CSV_BLOCK_VALUES float fields: each block is one
+    NUL-padded byte matrix (fields, separators, line ends) whose NULs are
+    dropped in one pass before it is written. Columns of unequal length and
+    text holding NUL raise ValueError before the file is opened.
     """
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    line = ",".join("%s" if len(c) and isinstance(c[0], str) else FLOAT_FORMAT
-                    for c in columns) + "\n"
-    body = "".join(map(line.__mod__, zip(*columns, strict=True)))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(body)
+    n = len(columns[0]) if columns else 0
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"columns of unequal length: {[len(c) for c in columns]}")
+    # per column: its encoded text as an (n, width) NUL-padded matrix, or None for floats
+    texts = []
+    for c in columns:
+        if n and isinstance(c[0], str):
+            if any("\0" in field for field in c):
+                raise ValueError("text fields may not contain NUL")
+            texts.append(np.array([field.encode() for field in c]).view(np.uint8).reshape(n, -1))
+        else:
+            texts.append(None)
+    float_columns = [c for c, text in zip(columns, texts) if text is None]
+    floats = np.empty((n, len(float_columns)))
+    for j, c in enumerate(float_columns):
+        floats[:, j] = c
+    rows = max(1, CSV_BLOCK_VALUES // max(1, floats.shape[1]))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, n, rows):
+            block = floats[start:start + rows]
+            m = block.shape[0]
+            formatted = iter(format_e17(block).reshape(m, block.shape[1], -1).transpose(1, 0, 2))
+            comma = np.full((m, 1), ord(","), dtype=np.uint8)
+            parts = []
+            for text in texts:
+                parts += [next(formatted) if text is None else text[start:start + m], comma]
+            parts[-1] = np.full((m, 1), ord("\n"), dtype=np.uint8)
+            matrix = np.concatenate(parts, axis=1).ravel()
+            fh.write(matrix[matrix != 0])
 
 
 def _out_dir(args) -> str:
@@ -113,6 +149,17 @@ def _electrode(args) -> Electrode:
     return Electrode(args.electrode)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: argparse names the flag and exits 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _float_list(text: str, flag: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -120,6 +167,8 @@ def _float_list(text: str, flag: str) -> list[float]:
         raise PaddleLabError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
     if not values:
         raise PaddleLabError(f"{flag}: expected at least one number, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise PaddleLabError(f"{flag}: expected finite numbers, got {text!r}")
     return values
 
 
@@ -157,6 +206,8 @@ def cmd_design(args) -> int:
 
 
 def _curve_grid(args, model: ValidatedModel) -> np.ndarray:
+    if args.points < 2:
+        raise PaddleLabError(f"--points: a grid needs at least 2 points, got {args.points}")
     lo = args.y_min if args.y_min is not None else CURVE_GRID_FRACTION * model.y_p_min
     hi = args.y_max if args.y_max is not None else CURVE_GRID_FRACTION * model.y_p_max
     if not model.y_p_min < lo < hi < model.y_p_max:
@@ -273,7 +324,7 @@ def cmd_calibrate(args) -> int:
     spacers = _float_list(args.spacers, "--spacers")
     noise = NoiseModel(sigma_C=args.sigma_c, seed=args.seed)
     rows = calibration_table(model, spacers, noise)
-    fit = calibrate(model, spacers, noise)
+    fit = calibration_fit(model, rows)
     _write_csv(os.path.join(out, "calibration.csv"),
                ["spacer_m", "inv_spacer_per_m", "C_F"], *zip(*rows))
     _write_json(os.path.join(out, "calibration_fit.json"),
@@ -290,9 +341,8 @@ def cmd_measure(args) -> int:
     electrode = _electrode(args) if args.electrode else Electrode.TOP
     C_true = capacitance_value(args.yp, model, electrode)
     noise = NoiseModel(sigma_C=args.sigma_c, dt=args.dt, seed=args.seed)
-    samples = measure_capacitance(C_true, noise, args.n)
     _write_csv(os.path.join(out, "measurement.csv"), ["t_s", "C_meas_F"],
-               [s.t for s in samples], [s.C_meas for s in samples])
+               *measure_stream(C_true, noise, args.n))
     _write_manifest(args, out, ["measurement.csv"])
     print(f"{args.n} samples of C = {C_true:.6e} F ({electrode.value} electrode)")
     return 0
@@ -346,36 +396,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curves", parents=[common], help="model curves over a y_p grid")
     p.add_argument("--which", choices=["capacitance", "force", "film-beam"],
                    default="capacitance")
-    p.add_argument("--y-min", type=float, default=None, help="grid start, m")
-    p.add_argument("--y-max", type=float, default=None, help="grid end, m")
+    p.add_argument("--y-min", type=_finite_float, default=None, help="grid start, m")
+    p.add_argument("--y-max", type=_finite_float, default=None, help="grid end, m")
     p.add_argument("--points", type=int, default=CURVE_GRID_POINTS)
     p.add_argument("--sigma0-list", default=DEFAULT_SIGMA0_LIST,
                    help="comma list of film stresses, Pa (film-beam mode)")
 
     p = sub.add_parser("equilibrium", parents=[common], help="stable force balance")
-    p.add_argument("--v", type=float, default=0.0, help="drive voltage, V")
-    p.add_argument("--sigma0", type=float, default=None, help="override film stress, Pa")
+    p.add_argument("--v", type=_finite_float, default=0.0, help="drive voltage, V")
+    p.add_argument("--sigma0", type=_finite_float, default=None, help="override film stress, Pa")
 
     p = sub.add_parser("pullin", parents=[common], help="pull-in voltage (requires --electrode)")
-    p.add_argument("--sigma0", type=float, default=None, help="override film stress, Pa")
+    p.add_argument("--sigma0", type=_finite_float, default=None, help="override film stress, Pa")
     p.set_defaults(needs_electrode=True)
 
     p = sub.add_parser("sweep", parents=[common], help="equilibrium sweep over voltage")
-    p.add_argument("--v-max", type=float, default=None, help="sweep end, V")
+    p.add_argument("--v-max", type=_finite_float, default=None, help="sweep end, V")
     p.add_argument("--points", type=int, default=51)
     p.add_argument("--v-list", default=None, help="explicit comma list of voltages, V")
-    p.add_argument("--sigma0", type=float, default=None, help="override film stress, Pa")
+    p.add_argument("--sigma0", type=_finite_float, default=None, help="override film stress, Pa")
     p.set_defaults(needs_electrode=True)
 
     p = sub.add_parser("calibrate", parents=[common], help="spacer-sweep calibration")
     p.add_argument("--spacers", default=DEFAULT_SPACERS, help="comma list of spacer gaps, m")
-    p.add_argument("--sigma-c", type=float, default=0.0, help="capacitance noise std, F")
+    p.add_argument("--sigma-c", type=_finite_float, default=0.0, help="capacitance noise std, F")
 
     p = sub.add_parser("measure", parents=[common], help="noisy capacitance stream")
-    p.add_argument("--yp", type=float, default=0.0, help="paddle-center deflection, m")
+    p.add_argument("--yp", type=_finite_float, default=0.0, help="paddle-center deflection, m")
     p.add_argument("--n", type=int, default=100, help="sample count")
-    p.add_argument("--dt", type=float, default=1e-2, help="sample interval, s")
-    p.add_argument("--sigma-c", type=float, default=1e-16, help="capacitance noise std, F")
+    p.add_argument("--dt", type=_finite_float, default=1e-2, help="sample interval, s")
+    p.add_argument("--sigma-c", type=_finite_float, default=1e-16, help="capacitance noise std, F")
 
     p = sub.add_parser("extract", parents=[common],
                        help="fit film stress to a V_volt,C_F CSV (requires --electrode)")

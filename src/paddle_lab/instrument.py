@@ -74,8 +74,8 @@ def balance_bridge(C_paddle: float, cfg: BridgeConfig) -> float:
     return cfg.V1 * C_paddle / cfg.C_ref
 
 
-def measure_capacitance(C_true: float, noise: NoiseModel, n: int) -> list[MeasurementSample]:
-    """n noisy readings of a fixed capacitance at t = dt, 2*dt, ...
+def measure_stream(C_true: float, noise: NoiseModel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample times t = dt, 2*dt, ... and n noisy readings of a fixed capacitance.
 
     The RNG is created here from noise.seed, so a given (noise, n) always
     yields the same stream and concurrent calls never share state.
@@ -84,7 +84,12 @@ def measure_capacitance(C_true: float, noise: NoiseModel, n: int) -> list[Measur
         raise InvalidParameter("n", f"need at least 1 sample, got {n!r}")
     rng = np.random.default_rng(noise.seed)
     values = C_true + noise.sigma_C * rng.standard_normal(n)
-    times = noise.dt * np.arange(1, n + 1)
+    return noise.dt * np.arange(1, n + 1), values
+
+
+def measure_capacitance(C_true: float, noise: NoiseModel, n: int) -> list[MeasurementSample]:
+    """measure_stream's readings as MeasurementSample objects, the same bits."""
+    times, values = measure_stream(C_true, noise, n)
     return list(map(MeasurementSample, times.tolist(), values.tolist()))
 
 
@@ -119,18 +124,17 @@ def calibration_table(model: ValidatedModel, spacers,
     return rows
 
 
-def calibrate(model: ValidatedModel, spacers, noise: NoiseModel) -> CalibrationFit:
-    """Least-squares line of C versus 1/spacer over a spacer sweep.
+def calibration_fit(model: ValidatedModel, rows) -> CalibrationFit:
+    """Least-squares line of C versus 1/spacer through calibration_table rows.
 
     The intercept is fitted rather than forced through the origin so a
     stray-capacitance offset would show up; for an ideal plate the slope
     is eps0*area, the intercept vanishes and r2 = 1.
     """
-    distinct = {float(s) for s in spacers}
+    distinct = {row[0] for row in rows}
     if len(distinct) < 3:
         raise InsufficientData(
             f"calibration needs >= 3 distinct spacers, got {len(distinct)}")
-    rows = calibration_table(model, spacers, noise)
     inv_d = np.array([row[1] for row in rows])
     C = np.array([row[2] for row in rows])
     slope, intercept = np.polyfit(inv_d, C, 1)
@@ -141,3 +145,8 @@ def calibrate(model: ValidatedModel, spacers, noise: NoiseModel) -> CalibrationF
     return CalibrationFit(slope=float(slope), intercept=float(intercept),
                           r2=max(0.0, min(1.0, r2)),
                           implied_area=float(slope) / model.constants.eps0)
+
+
+def calibrate(model: ValidatedModel, spacers, noise: NoiseModel) -> CalibrationFit:
+    """The calibration_fit of a spacer sweep: calibration_table, then the line."""
+    return calibration_fit(model, calibration_table(model, spacers, noise))

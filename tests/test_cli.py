@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paddle_lab import Electrode, build_model, model_from_dict, model_to_dict, simulate_cv
-from paddle_lab import cli
+from paddle_lab import cli, instrument
 from paddle_lab.cli import _write_csv, main
 
 
@@ -111,6 +111,40 @@ def test_curves_grid_validation(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("points", ["0", "1", "-3"])
+def test_curves_needs_two_points(tmp_path, capsys, points):
+    rc = run(["curves", "--points", points, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--points" in capsys.readouterr().err
+    assert not (tmp_path / "curves_capacitance.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "equilibrium --electrode top --v={}", "equilibrium --sigma0={}",
+    "pullin --electrode top --sigma0={}", "sweep --electrode top --v-max={}",
+    "sweep --electrode top --v-max 50 --sigma0={}", "measure --yp={}", "measure --dt={}",
+    "measure --sigma-c={}", "calibrate --sigma-c={}", "curves --y-min={}", "curves --y-max={}"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_number_flags_exit_2(tmp_path, capsys, argv, value):
+    argv = argv.format(value).split()
+    flag = argv[-1].partition("=")[0]
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    "sweep --electrode top --v-list=10,{}", "curves --which film-beam --sigma0-list={},1e8",
+    "calibrate --spacers=1e-5,2e-5,{}"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_list_entries_exit_2(tmp_path, capsys, argv, value):
+    argv = argv.format(value).split()
+    flag = argv[-1].partition("=")[0]
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert f"{flag}: expected finite numbers" in capsys.readouterr().err
+    assert not [p for p in tmp_path.iterdir() if p.suffix == ".csv"]
+
+
 def test_equilibrium_closed_form_value(tmp_path):
     out = str(tmp_path)
     assert run(["equilibrium", "--sigma0", "100e6", "--v", "0", "--out", out]) == 0
@@ -204,6 +238,19 @@ def test_calibrate_noise_free_defaults(tmp_path):
     assert header == ["spacer_m", "inv_spacer_per_m", "C_F"]
     assert len(rows) == 5
     assert float(rows[0][0]) == 25e-6 and float(rows[-1][0]) == 125e-6
+
+
+def test_calibrate_builds_one_table(tmp_path, monkeypatch):
+    # the fit in calibration_fit.json is the line through the rows of calibration.csv
+    calls = []
+
+    def counted(table):
+        return lambda *args: calls.append(args) or table(*args)
+
+    monkeypatch.setattr(cli, "calibration_table", counted(cli.calibration_table))
+    monkeypatch.setattr(instrument, "calibration_table", counted(instrument.calibration_table))
+    assert run(["calibrate", "--sigma-c", "1e-15", "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_measure_deterministic(tmp_path):

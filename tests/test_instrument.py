@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from paddle_lab import (BridgeConfig, InsufficientData, InvalidParameter, MeasurementSample,
                         NoiseModel, TouchViolation, balance_bridge,
                         bridge_output, build_model, calibrate,
-                        calibration_table, measure_capacitance,
-                        resolvable_displacement)
+                        calibration_fit, calibration_table, measure_capacitance,
+                        measure_stream, resolvable_displacement)
 
 DEFAULT_SPACERS = [25e-6, 50e-6, 75e-6, 100e-6, 125e-6]
 QUIET = NoiseModel(sigma_C=0.0)
@@ -84,6 +84,18 @@ def test_measure_timestamps():
     assert t[0] == pytest.approx(1e-2, rel=1e-15)
     assert np.allclose(np.diff(t), 1e-2, rtol=1e-12)
     assert all(a < b for a, b in zip(t, t[1:]))
+
+
+def test_measure_stream_is_measure_capacitance():
+    # the arrays the cli writes hold the bits of the sample objects
+    noise = NoiseModel(sigma_C=3e-16, dt=2.5e-3, seed=17)
+    t, C = measure_stream(2e-12, noise, 1000)
+    assert t.dtype == C.dtype == np.float64 and t.shape == C.shape == (1000,)
+    samples = measure_capacitance(2e-12, noise, 1000)
+    assert t.tolist() == [s.t for s in samples]
+    assert C.tolist() == [s.C_meas for s in samples]
+    with pytest.raises(InvalidParameter):
+        measure_stream(2e-12, noise, 0)
 
 
 def test_measure_deterministic_per_seed():
@@ -183,6 +195,14 @@ def test_calibrate_noise_free(default_model):
     assert abs(fit.intercept) < 1e-18
     assert fit.r2 == pytest.approx(1.0, abs=1e-12)
     assert fit.implied_area == pytest.approx(25e-6, rel=1e-10)
+
+
+def test_calibration_fit_of_table_rows(default_model):
+    noise = NoiseModel(sigma_C=1e-15, seed=4)
+    rows = calibration_table(default_model, DEFAULT_SPACERS, noise)
+    assert calibration_fit(default_model, rows) == calibrate(default_model, DEFAULT_SPACERS, noise)
+    with pytest.raises(InsufficientData):
+        calibration_fit(default_model, rows[:1] * 3 + rows[1:2])
 
 
 def test_calibrate_insufficient_spacers(default_model):
