@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameter
@@ -140,6 +141,9 @@ def _require_positive(name: str, value: float) -> None:
 
 def validate_model(model: PaddleModel) -> ValidatedModel:
     """Check all parameter invariants and cache the derived quantities."""
+    for name, value in model_to_dict(model).items():
+        if not math.isfinite(value):
+            raise InvalidParameter(name, f"must be finite, got {value!r}")
     g = model.geom
     _require_positive("eps0", model.constants.eps0)
     for name in ("l_b", "l_p", "w_p", "t_b", "b_root", "d_c", "d_e"):

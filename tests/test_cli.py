@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -227,6 +228,15 @@ def test_sweep_needs_grid(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("points", ["0", "1"])
+def test_sweep_needs_two_points(tmp_path, capsys, points):
+    rc = run(["sweep", "--electrode", "top", "--v-max", "50", "--points", points,
+              "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--points" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_calibrate_noise_free_defaults(tmp_path):
     out = str(tmp_path)
     assert run(["calibrate", "--out", out]) == 0
@@ -302,6 +312,19 @@ def test_malformed_config(tmp_path, capsys):
     rc = run(["design", "--config", str(config), "--out", str(tmp_path)])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["design", "equilibrium"])
+@pytest.mark.parametrize("text", ['{"sigma0": NaN}', '{"l_b": Infinity}', '{"t_F": -Infinity}'])
+def test_non_finite_config_exit_2(tmp_path, capsys, command, text):
+    # Python's json reads NaN and Infinity; the model rejects them by key
+    config = tmp_path / "model.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert run([command, "--config", str(config), "--out", str(out)]) == 2
+    key = next(iter(json.loads(text)))
+    assert f"error: {key}: must be finite" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_missing_config(tmp_path):
@@ -420,3 +443,91 @@ def test_parser_reuse(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "cmd_design", lambda args: seen.append(args.out) or 0)
     assert run(["design", "--out", a]) == 0
     assert seen == [a]
+
+
+def output_files(out):
+    """{name: bytes} of the files in out; manifest lines naming the timestamp dropped."""
+    files = {}
+    for p in out.iterdir():
+        lines = p.read_bytes().splitlines(keepends=True)
+        if p.name.endswith("_manifest.json"):
+            lines = [line for line in lines if not line.lstrip().startswith(b'"timestamp"')]
+        files[p.name] = b"".join(lines)
+    return files
+
+
+@pytest.mark.parametrize("first,second", [
+    ("design", "design"),
+    ("curves --which force", "curves --which force --points 11"),
+    ("equilibrium --v 90 --electrode bottom --sigma0 100e6", "equilibrium"),
+    ("pullin --electrode bottom", "pullin --electrode top"),
+    ("sweep --electrode bottom --v-max 150 --points 51", "sweep --electrode bottom --v-list 0,50"),
+    ("calibrate", "calibrate --spacers 5e-5,1e-4,1.5e-4"),
+    ("measure --n 50 --seed 7", "measure --n 10 --seed 7"),
+    ("extract --electrode bottom --data {fits}", "extract --electrode bottom --data {stalled}"),
+], ids=lambda argv: argv.split()[0])
+def test_rerun_into_populated_out_matches_fresh_run(tmp_path, first, second):
+    # outputs are rewritten in place: a rerun, shorter files included, leaves the
+    # bytes a run into an empty directory writes, and nothing of the old files
+    stalled, fits = tmp_path / "stalled.csv", tmp_path / "fits.csv"
+    stalled.write_text("V_volt,C_F\n0.0,2.2125e-12\n400.0,2.1e-12\n800.0,2.0e-12\n")
+    write_cv_csv(fits, sigma0=200e6)
+    first, second = (argv.format(stalled=stalled, fits=fits).split() for argv in (first, second))
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    assert run(first + ["--out", str(rerun)]) in (0, 4)
+    old_sizes = {p.name: p.stat().st_size for p in rerun.iterdir()}
+    rc = run(second + ["--out", str(rerun)])
+    assert rc in (0, 4)
+    assert run(second + ["--out", str(fresh)]) == rc
+    assert output_files(rerun) == output_files(fresh)
+    if first != second:
+        assert any(p.stat().st_size < old_sizes[p.name] for p in rerun.iterdir()
+                   if not p.name.endswith("_manifest.json"))
+
+
+def test_outputs_written_through_links(tmp_path):
+    # a symlinked output is written through the link, a hard-linked one stays shared
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    out.mkdir()
+    target = tmp_path / "target.json"
+    target.write_text("x" * 4096)
+    (out / "pullin.json").symlink_to(target)
+    manifest = out / "pullin_manifest.json"
+    manifest.write_text("y" * 4096)
+    os.link(manifest, tmp_path / "manifest_link.json")
+    for d in (out, fresh):
+        assert run(["pullin", "--electrode", "top", "--out", str(d)]) == 0
+    assert (out / "pullin.json").is_symlink()
+    assert target.read_bytes() == (fresh / "pullin.json").read_bytes()
+    assert os.path.samefile(manifest, tmp_path / "manifest_link.json")
+    assert read_json(manifest)["output_paths"] == ["pullin.json"]
+
+
+def test_output_symlinked_to_devnull(tmp_path):
+    # ftruncate fails on a character device, so only regular files are cut to length
+    (tmp_path / "measurement.csv").symlink_to(os.devnull)
+    assert run(["measure", "--n", "10", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "measurement.csv").is_symlink()
+    assert read_json(tmp_path / "measure_manifest.json")["output_paths"] == ["measurement.csv"]
+
+
+def test_write_csv_failure_leaves_no_stale_tail(tmp_path, monkeypatch):
+    # a write that fails after its first block leaves the header and that block
+    # and nothing of the longer file it was writing over, as open(path, "wb") did
+    column = np.linspace(0.0, 1.0, 3 * cli.CSV_BLOCK_VALUES)
+    _write_csv(tmp_path / "fresh.csv", ["x"], column)
+    lines = (tmp_path / "fresh.csv").read_bytes().splitlines(keepends=True)
+    path = tmp_path / "x.csv"
+    path.write_bytes(b"stale\n" * 10 * column.size)
+    format_e17, calls = cli.format_e17, []
+
+    def fail_on_second_block(block):
+        calls.append(block)
+        if len(calls) == 2:
+            raise RuntimeError("second block")
+        return format_e17(block)
+
+    monkeypatch.setattr(cli, "format_e17", fail_on_second_block)
+    with pytest.raises(RuntimeError, match="second block"):
+        _write_csv(path, ["x"], column)
+    assert path.read_bytes() == b"".join(lines[:1 + cli.CSV_BLOCK_VALUES])

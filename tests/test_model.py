@@ -52,6 +52,17 @@ def test_build_model_rejects_nonpositive(key, value):
         build_model(**{key: value})
 
 
+@pytest.mark.parametrize("key", MODEL_JSON_KEYS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(key, value):
+    for make in (lambda: build_model(**{key: value}),
+                 lambda: model_from_dict({key: value})):
+        with pytest.raises(InvalidParameter) as info:
+            make()
+        assert info.value.name == key
+        assert "finite" in info.value.reason
+
+
 def test_thickness_must_fit_in_gap():
     with pytest.raises(InvalidParameter):
         build_model(t_b=2e-4)  # thicker than the 100 um gap
