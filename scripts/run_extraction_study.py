@@ -24,10 +24,8 @@ N_VOLTAGES = 21
 
 
 def make_truth():
-    d = model_to_dict(build_model().model)
-    d["sigma0"] = TRUE_SIGMA0
-    d["t_F"] = TRUE_T_F
-    return model_from_dict(d)
+    return model_from_dict({**model_to_dict(build_model()), "sigma0": TRUE_SIGMA0,
+                            "t_F": TRUE_T_F})
 
 
 def main():

@@ -23,9 +23,7 @@ STRESSES = [0.0, 100e6, 200e6, 300e6]  # Pa
 
 
 def with_sigma0(sigma0):
-    d = model_to_dict(build_model().model)
-    d["sigma0"] = sigma0
-    return model_from_dict(d)
+    return model_from_dict({**model_to_dict(build_model()), "sigma0": sigma0})
 
 
 def write_csv(path, header, rows):

@@ -16,9 +16,8 @@ from .electrostatics import (Electrode, capacitance_curve, capacitance_value,
 from .errors import (DegenerateData, InsufficientData, InvalidParameter,
                      NoStableEquilibrium, OutOfRange, PaddleLabError,
                      TouchViolation)
-from .extraction import (CVDataset, CVRow, External, FilmFitResult, Simulated,
-                         deflection_series, fit_film_parameters, load_cv_csv,
-                         simulate_cv)
+from .extraction import (CVDataset, CVRow, FilmFitResult, deflection_series,
+                         fit_film_parameters, load_cv_csv, simulate_cv)
 from .instrument import (BridgeConfig, CalibrationFit, MeasurementSample,
                          NoiseModel, balance_bridge, bridge_output, calibrate,
                          calibration_fit, calibration_table, measure_capacitance,
@@ -29,10 +28,10 @@ from .mechanics import (EquilibriumSolution, ForceBreakdown, PullInResult,
                         solve_equilibrium, strain_coupling, stress_profile,
                         sweep_voltage, total_force, total_force_curve,
                         zero_voltage_equilibrium)
-from .model import (FilmSpec, PaddleGeometry, PaddleModel, PhysicalConstants,
+from .model import (FilmSpec, PaddleGeometry, PhysicalConstants,
                     SubstrateMaterial, ValidatedModel, build_model,
                     load_model_json, model_from_dict, model_to_dict,
-                    touch_limits, validate_model, yb_from_yp, yp_from_yb)
+                    touch_limits, yb_from_yp, yp_from_yb)
 
 __all__ = [
     "__version__",
@@ -41,9 +40,8 @@ __all__ = [
     "NoStableEquilibrium", "InsufficientData", "DegenerateData",
     # model
     "PhysicalConstants", "PaddleGeometry", "SubstrateMaterial", "FilmSpec",
-    "PaddleModel", "ValidatedModel", "build_model", "validate_model",
-    "model_to_dict", "model_from_dict", "load_model_json", "touch_limits",
-    "yb_from_yp", "yp_from_yb",
+    "ValidatedModel", "build_model", "model_to_dict", "model_from_dict",
+    "load_model_json", "touch_limits", "yb_from_yp", "yp_from_yb",
     # electrostatics
     "Electrode", "parallel_plate_capacitance", "capacitance_value",
     "capacitance_curve", "force_per_v2_value", "paddle_capacitance_quadrature",
@@ -59,6 +57,6 @@ __all__ = [
     "bridge_output", "balance_bridge", "measure_stream", "measure_capacitance",
     "resolvable_displacement", "calibration_table", "calibration_fit", "calibrate",
     # extraction
-    "CVRow", "CVDataset", "Simulated", "External", "FilmFitResult",
+    "CVRow", "CVDataset", "FilmFitResult",
     "simulate_cv", "deflection_series", "load_cv_csv", "fit_film_parameters",
 ]

@@ -172,9 +172,7 @@ def _write_manifest(args, out: str, output_names: list[str]) -> None:
 def _load_model(args) -> ValidatedModel:
     model = load_model_json(args.config) if args.config else build_model()
     if getattr(args, "sigma0", None) is not None:
-        d = model_to_dict(model.model)
-        d["sigma0"] = args.sigma0
-        model = model_from_dict(d)
+        model = model_from_dict({**model_to_dict(model), "sigma0": args.sigma0})
     return model
 
 
@@ -271,12 +269,10 @@ def cmd_curves(args) -> int:
     else:
         name = "curves_film_beam.csv"
         sigma_list = _float_list(args.sigma0_list, "--sigma0-list")
-        base = model_to_dict(model.model)
+        base = model_to_dict(model)
         forces = []
         for s0 in sigma_list:
-            d = dict(base)
-            d["sigma0"] = s0
-            m = model_from_dict(d)
+            m = model_from_dict({**base, "sigma0": s0})
             forces.append(film_force(grid, m) - grid / compliance(m))
         _write_csv(os.path.join(out, name), ["sigma0_Pa", "y_p_m", "F_N"],
                    np.repeat(sigma_list, grid.size), np.tile(grid, len(sigma_list)),

@@ -9,6 +9,7 @@ residuals with a central-difference Jacobian.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,16 +32,6 @@ SIGMA0_SCALE_FLOOR = 1e6  # Pa
 
 
 @dataclass(frozen=True)
-class Simulated:
-    seed: int | None = None
-
-
-@dataclass(frozen=True)
-class External:
-    path: str = ""
-
-
-@dataclass(frozen=True)
 class CVRow:
     V: float
     C: float
@@ -50,16 +41,15 @@ class CVRow:
 @dataclass(frozen=True)
 class CVDataset:
     rows: tuple[CVRow, ...]
-    provenance: Simulated | External
 
     def __post_init__(self):
         if len(self.rows) < 3:
             raise InsufficientData(f"need >= 3 rows, got {len(self.rows)}")
         for i, row in enumerate(self.rows):
-            if row.V < 0.0:
-                raise InvalidParameter("V", f"row {i}: voltage must be >= 0, got {row.V!r}")
-            if row.C <= 0.0:
-                raise InvalidParameter("C", f"row {i}: capacitance must be > 0, got {row.C!r}")
+            if not 0.0 <= row.V < math.inf:
+                raise InvalidParameter("V", f"row {i}: voltage must be finite and >= 0, got {row.V!r}")
+            if not 0.0 < row.C < math.inf:
+                raise InvalidParameter("C", f"row {i}: capacitance must be finite and > 0, got {row.C!r}")
 
     @property
     def voltages(self) -> np.ndarray:
@@ -95,8 +85,7 @@ def simulate_cv(model: ValidatedModel, electrode: Electrode, V_list,
     if noise is not None and noise.sigma_C > 0.0:
         C = C + noise.sigma_C * np.random.default_rng(noise.seed).standard_normal(len(C))
     return CVDataset(rows=tuple(CVRow(V=v, C=c, electrode=electrode)
-                                for v, c in zip(voltages, C.tolist())),
-                     provenance=Simulated(seed=noise.seed if noise is not None else None))
+                                for v, c in zip(voltages, C.tolist())))
 
 
 def deflection_series(samples: list[MeasurementSample], model: ValidatedModel,
@@ -116,7 +105,7 @@ def deflection_series(samples: list[MeasurementSample], model: ValidatedModel,
 
 
 def load_cv_csv(path, electrode: Electrode) -> CVDataset:
-    """Read a `V_volt,C_F` CSV into a dataset tagged with its source file."""
+    """Read a `V_volt,C_F` CSV into a dataset."""
     electrode = Electrode(electrode)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -137,7 +126,7 @@ def load_cv_csv(path, electrode: Electrode) -> CVDataset:
             except ValueError:
                 raise InvalidParameter("data", f"{path}: row {i}: non-numeric field in {rec!r}") from None
             rows.append(CVRow(V=v, C=c, electrode=electrode))
-    return CVDataset(rows=tuple(rows), provenance=External(path=str(path)))
+    return CVDataset(rows=tuple(rows))
 
 
 def _with_film(template: ValidatedModel, sigma0: float, EFVF: float) -> ValidatedModel:
@@ -146,10 +135,9 @@ def _with_film(template: ValidatedModel, sigma0: float, EFVF: float) -> Validate
     E_F and A_F are kept from the template; the product is realized by
     adjusting t_F, which the forward model only sees through V_F.
     """
-    d = model_to_dict(template.model)
-    d["sigma0"] = sigma0
-    d["t_F"] = EFVF / (d["E_F"] * d["A_F"])
-    return model_from_dict(d)
+    film = template.film
+    return model_from_dict({**model_to_dict(template), "sigma0": sigma0,
+                            "t_F": EFVF / (film.E_F * film.A_F)})
 
 
 def _residuals(theta, data: CVDataset, template: ValidatedModel):

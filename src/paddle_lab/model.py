@@ -9,6 +9,11 @@ The paddle is a rigid plate of length l_p (along the beam axis) and width
 w_p hinged to the tip of a triangular beam of length l_b. Under a tip
 deflection y_b the plate tilts with slope 2*y_b/l_b, so the plate center
 moves by y_p = y_b*(1 + l_p/l_b) and the far edge by y_b*(1 + 2*l_p/l_b).
+
+ValidatedModel is the one model type. build_model (keyword overrides of
+the defaults) and model_from_dict (a flat dict, as read from a JSON model
+file) resolve the derived defaults, check every parameter and build it;
+model_to_dict is the inverse, and the one way to vary a parameter.
 """
 from __future__ import annotations
 
@@ -77,8 +82,8 @@ class FilmSpec:
     """Deposited film: modulus, thickness, strained area, residual stress.
 
     A_F defaults to half the beam's root width times its length (the full
-    triangular beam face); the default is resolved when the film is
-    attached to a PaddleModel, since it needs the geometry.
+    triangular beam face); build_model resolves the default, since it
+    needs the geometry.
     """
 
     E_F: float = 70e9        # film modulus, Pa
@@ -86,37 +91,14 @@ class FilmSpec:
     A_F: float | None = None  # strained film area, m^2
     sigma0: float = 0.0      # residual (initial) film stress, Pa
 
-    @property
-    def eps_F0(self) -> float:
-        """Initial film strain sigma0 / E_F."""
-        return self.sigma0 / self.E_F
-
-    @property
-    def V_F(self) -> float:
-        """Film volume t_F * A_F, m^3."""
-        if self.A_F is None:
-            raise InvalidParameter("A_F", "unresolved; attach the film to a model first")
-        return self.t_F * self.A_F
-
-
-@dataclass(frozen=True)
-class PaddleModel:
-    constants: PhysicalConstants = PhysicalConstants()
-    geom: PaddleGeometry = PaddleGeometry()
-    substrate: SubstrateMaterial = SubstrateMaterial()
-    film: FilmSpec = FilmSpec()
-
-    def __post_init__(self):
-        if self.film.A_F is None:
-            film = dataclasses.replace(
-                self.film, A_F=0.5 * self.geom.b_root * self.geom.l_b)
-            object.__setattr__(self, "film", film)
-
 
 @dataclass(frozen=True)
 class ValidatedModel:
-    """A PaddleModel that passed validation, with derived quantities cached.
+    """The package's one model type: every parameter resolved and checked.
 
+    Build it with build_model or model_from_dict, which run the checks; to
+    vary a parameter, go through the flat dict:
+    model_from_dict({**model_to_dict(m), key: value}).
     Immutable after construction; safe to share across workers.
     """
 
@@ -124,14 +106,18 @@ class ValidatedModel:
     geom: PaddleGeometry
     substrate: SubstrateMaterial
     film: FilmSpec
-    eps_F0: float
-    V_F: float
     y_p_min: float
     y_p_max: float
 
     @property
-    def model(self) -> PaddleModel:
-        return PaddleModel(self.constants, self.geom, self.substrate, self.film)
+    def eps_F0(self) -> float:
+        """Initial film strain sigma0 / E_F."""
+        return self.film.sigma0 / self.film.E_F
+
+    @property
+    def V_F(self) -> float:
+        """Film volume t_F * A_F, m^3."""
+        return self.film.t_F * self.film.A_F
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -139,41 +125,12 @@ def _require_positive(name: str, value: float) -> None:
         raise InvalidParameter(name, f"must be > 0, got {value!r}")
 
 
-def validate_model(model: PaddleModel) -> ValidatedModel:
-    """Check all parameter invariants and cache the derived quantities."""
-    for name, value in model_to_dict(model).items():
-        if not math.isfinite(value):
-            raise InvalidParameter(name, f"must be finite, got {value!r}")
-    g = model.geom
-    _require_positive("eps0", model.constants.eps0)
-    for name in ("l_b", "l_p", "w_p", "t_b", "b_root", "d_c", "d_e"):
-        _require_positive(name, getattr(g, name))
-    if not g.t_b < g.d_c:
-        raise InvalidParameter("t_b", f"plate must be thin relative to the gap (t_b={g.t_b} >= d_c={g.d_c})")
-    _require_positive("E_biaxial", model.substrate.E_biaxial)
-    _require_positive("K", model.substrate.K)
-    _require_positive("E_F", model.film.E_F)
-    if model.film.t_F < 0.0:
-        raise InvalidParameter("t_F", f"must be >= 0, got {model.film.t_F!r}")
-    _require_positive("A_F", model.film.A_F)
-
-    y_p_min, y_p_max = touch_limits(g)
-    return ValidatedModel(
-        constants=model.constants,
-        geom=g,
-        substrate=model.substrate,
-        film=model.film,
-        eps_F0=model.film.eps_F0,
-        V_F=model.film.V_F,
-        y_p_min=y_p_min,
-        y_p_max=y_p_max,
-    )
-
-
 def build_model(**overrides) -> ValidatedModel:
     """Build and validate a model from flat keyword overrides of the defaults.
 
-    Accepts exactly the JSON-file keys (eps0, l_b, ..., sigma0).
+    Accepts exactly the JSON-file keys (eps0, l_b, ..., sigma0). Every
+    resolved field, the derived defaults included, must be finite, then
+    each must lie in its range.
     """
     unknown = set(overrides) - set(MODEL_JSON_KEYS)
     if unknown:
@@ -182,30 +139,33 @@ def build_model(**overrides) -> ValidatedModel:
     sub_keys = ("E_biaxial", "K")
     film_keys = ("E_F", "t_F", "A_F", "sigma0")
     constants = PhysicalConstants(**{k: v for k, v in overrides.items() if k == "eps0"})
-    geom = PaddleGeometry(**{k: v for k, v in overrides.items() if k in geom_keys})
+    g = PaddleGeometry(**{k: v for k, v in overrides.items() if k in geom_keys})
     substrate = SubstrateMaterial(**{k: v for k, v in overrides.items() if k in sub_keys})
     film = FilmSpec(**{k: v for k, v in overrides.items() if k in film_keys})
-    return validate_model(PaddleModel(constants, geom, substrate, film))
+    if film.A_F is None:
+        film = dataclasses.replace(film, A_F=0.5 * g.b_root * g.l_b)
+
+    for name, value in {**vars(constants), **vars(g), **vars(substrate), **vars(film)}.items():
+        if not math.isfinite(value):
+            raise InvalidParameter(name, f"must be finite, got {value!r}")
+    _require_positive("eps0", constants.eps0)
+    for name in geom_keys:
+        _require_positive(name, getattr(g, name))
+    if not g.t_b < g.d_c:
+        raise InvalidParameter("t_b", f"plate must be thin relative to the gap (t_b={g.t_b} >= d_c={g.d_c})")
+    _require_positive("E_biaxial", substrate.E_biaxial)
+    _require_positive("K", substrate.K)
+    _require_positive("E_F", film.E_F)
+    if film.t_F < 0.0:
+        raise InvalidParameter("t_F", f"must be >= 0, got {film.t_F!r}")
+    _require_positive("A_F", film.A_F)
+    return ValidatedModel(constants, g, substrate, film, *touch_limits(g))
 
 
-def model_to_dict(model: PaddleModel | ValidatedModel) -> dict:
-    """Flat JSON-ready dict with exactly the documented keys."""
-    return {
-        "eps0": model.constants.eps0,
-        "l_b": model.geom.l_b,
-        "l_p": model.geom.l_p,
-        "w_p": model.geom.w_p,
-        "t_b": model.geom.t_b,
-        "b_root": model.geom.b_root,
-        "d_c": model.geom.d_c,
-        "d_e": model.geom.d_e,
-        "E_biaxial": model.substrate.E_biaxial,
-        "K": model.substrate.K,
-        "E_F": model.film.E_F,
-        "t_F": model.film.t_F,
-        "A_F": model.film.A_F,
-        "sigma0": model.film.sigma0,
-    }
+def model_to_dict(model: ValidatedModel) -> dict:
+    """Flat JSON-ready dict: the parts' fields, which are MODEL_JSON_KEYS in order."""
+    return {**vars(model.constants), **vars(model.geom), **vars(model.substrate),
+            **vars(model.film)}
 
 
 def model_from_dict(data: dict) -> ValidatedModel:

@@ -11,12 +11,9 @@ def default_model():
 @pytest.fixture(scope="session")
 def with_sigma0():
     """Factory: default model with one field overridden (usually sigma0)."""
-    base = model_to_dict(build_model().model)
+    base = model_to_dict(build_model())
 
     def make(sigma0, **extra):
-        d = dict(base)
-        d["sigma0"] = sigma0
-        d.update(extra)
-        return model_from_dict(d)
+        return model_from_dict({**base, "sigma0": sigma0, **extra})
 
     return make

@@ -31,9 +31,7 @@ def read_csv(path):
 
 
 def write_cv_csv(path, sigma0=200e6, v_max=160.0, n=9):
-    base = model_to_dict(build_model().model)
-    base["sigma0"] = sigma0
-    truth = model_from_dict(base)
+    truth = model_from_dict({**model_to_dict(build_model()), "sigma0": sigma0})
     ds = simulate_cv(truth, Electrode.BOTTOM, np.linspace(0.0, v_max, n))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -375,6 +373,18 @@ def test_extract_nonconvergence_exit_code(tmp_path, capsys):
     result = read_json(tmp_path / "extract_result.json")
     assert result["converged"] is False
     assert "converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("column", ["V", "C"])
+def test_extract_non_finite_row_exit_2(tmp_path, capsys, column, value):
+    row = f"{value},2.0e-12" if column == "V" else f"800.0,{value}"
+    data = tmp_path / "cv.csv"
+    data.write_text(f"V_volt,C_F\n0.0,2.2125e-12\n400.0,2.1e-12\n{row}\n")
+    rc = run(["extract", "--data", str(data), "--electrode", "bottom", "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"error: {column}: row 2:" in capsys.readouterr().err
+    assert not (tmp_path / "extract_result.json").exists()
 
 
 # floats the old writer had to get right: signed zeros, infinities, nan, subnormals, extremes

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from paddle_lab import (CVDataset, CVRow, DegenerateData, Electrode, External,
+from paddle_lab import (CVDataset, CVRow, DegenerateData, Electrode,
                         InsufficientData, InvalidParameter, MeasurementSample,
-                        NoiseModel, OutOfRange, Simulated, build_model,
-                        capacitance_value, deflection_series,
-                        fit_film_parameters, load_cv_csv, measure_capacitance,
-                        simulate_cv)
+                        NoiseModel, OutOfRange, build_model, capacitance_value,
+                        deflection_series, fit_film_parameters, load_cv_csv,
+                        measure_capacitance, simulate_cv)
 
 
 def test_simulate_cv_basic(with_sigma0):
@@ -14,7 +13,6 @@ def test_simulate_cv_basic(with_sigma0):
     ds = simulate_cv(m, Electrode.BOTTOM, [50.0, 0.0, 100.0])
     assert [r.V for r in ds.rows] == [0.0, 50.0, 100.0]
     assert all(r.electrode is Electrode.BOTTOM for r in ds.rows)
-    assert ds.provenance == Simulated(seed=None)
     assert all(r.C > 0.0 for r in ds.rows)
 
 
@@ -31,7 +29,6 @@ def test_simulate_cv_noise_seeded(with_sigma0):
     b = simulate_cv(m, Electrode.BOTTOM, [0.0, 50.0, 100.0], noise)
     clean = simulate_cv(m, Electrode.BOTTOM, [0.0, 50.0, 100.0])
     assert a == b
-    assert a.provenance == Simulated(seed=5)
     deltas = [abs(x.C - y.C) for x, y in zip(a.rows, clean.rows)]
     assert all(0.0 < d < 1e-15 for d in deltas)
 
@@ -39,13 +36,11 @@ def test_simulate_cv_noise_seeded(with_sigma0):
 def test_dataset_validation():
     rows = (CVRow(0.0, 2e-12, Electrode.BOTTOM), CVRow(10.0, 2e-12, Electrode.BOTTOM))
     with pytest.raises(InsufficientData):
-        CVDataset(rows=rows, provenance=Simulated())
+        CVDataset(rows=rows)
     with pytest.raises(InvalidParameter):
-        CVDataset(rows=rows + (CVRow(-1.0, 2e-12, Electrode.BOTTOM),),
-                  provenance=Simulated())
+        CVDataset(rows=rows + (CVRow(-1.0, 2e-12, Electrode.BOTTOM),))
     with pytest.raises(InvalidParameter):
-        CVDataset(rows=rows + (CVRow(5.0, 0.0, Electrode.BOTTOM),),
-                  provenance=Simulated())
+        CVDataset(rows=rows + (CVRow(5.0, 0.0, Electrode.BOTTOM),))
 
 
 def test_deflection_series_round_trip(default_model):
@@ -92,7 +87,6 @@ def test_load_cv_csv(tmp_path):
     assert len(ds.rows) == 3
     assert ds.rows[1].V == 10.0 and ds.rows[1].C == 2.3e-12
     assert ds.rows[0].electrode is Electrode.TOP
-    assert ds.provenance == External(path=str(path))
 
 
 @pytest.mark.parametrize("text", [
@@ -106,6 +100,17 @@ def test_load_cv_csv_malformed(tmp_path, text):
     path.write_text(text)
     with pytest.raises(InvalidParameter):
         load_cv_csv(path, Electrode.TOP)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("column", ["V", "C"])
+def test_load_cv_csv_rejects_non_finite(tmp_path, column, value):
+    row = f"{value},2.4e-12" if column == "V" else f"20.0,{value}"
+    path = tmp_path / "cv.csv"
+    path.write_text(f"V_volt,C_F\n0.0,2.2e-12\n10.0,2.3e-12\n{row}\n")
+    with pytest.raises(InvalidParameter, match="row 2") as info:
+        load_cv_csv(path, Electrode.TOP)
+    assert info.value.name == column
 
 
 def test_fit_noise_free_round_trip(default_model, with_sigma0):
@@ -168,4 +173,4 @@ def test_fit_degenerate_single_voltage(default_model):
     C = capacitance_value(0.0, default_model, Electrode.BOTTOM)
     rows = tuple(CVRow(25.0, C * (1.0 + 1e-4 * i), Electrode.BOTTOM) for i in range(4))
     with pytest.raises(DegenerateData):
-        fit_film_parameters(CVDataset(rows=rows, provenance=Simulated()), default_model)
+        fit_film_parameters(CVDataset(rows=rows), default_model)

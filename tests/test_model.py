@@ -63,31 +63,39 @@ def test_non_finite_parameters_rejected(key, value):
         assert "finite" in info.value.reason
 
 
+def test_derived_film_area_must_be_finite():
+    # every override is finite, but the A_F default 0.5*b_root*l_b overflows
+    with pytest.raises(InvalidParameter) as info:
+        build_model(b_root=1e200, l_b=1e200, l_p=1e200, d_c=1e200, t_b=1e-6)
+    assert info.value.name == "A_F"
+    assert "finite" in info.value.reason
+
+
 def test_thickness_must_fit_in_gap():
     with pytest.raises(InvalidParameter):
         build_model(t_b=2e-4)  # thicker than the 100 um gap
 
 
 def test_dict_round_trip(default_model):
-    d = model_to_dict(default_model.model)
-    assert set(d) == set(MODEL_JSON_KEYS)
+    d = model_to_dict(default_model)
+    assert list(d) == list(MODEL_JSON_KEYS)
     again = model_from_dict(d)
-    assert model_to_dict(again.model) == d
+    assert model_to_dict(again) == d
 
 
 def test_dict_rejects_bool_and_string():
-    d = model_to_dict(build_model().model)
+    d = model_to_dict(build_model())
     d["l_b"] = True
     with pytest.raises(InvalidParameter):
         model_from_dict(d)
-    d2 = model_to_dict(build_model().model)
+    d2 = model_to_dict(build_model())
     d2["l_b"] = "3e-3"
     with pytest.raises(InvalidParameter):
         model_from_dict(d2)
 
 
 def test_load_model_json(tmp_path):
-    d = model_to_dict(build_model().model)
+    d = model_to_dict(build_model())
     d["sigma0"] = 1.5e8
     path = tmp_path / "model.json"
     path.write_text(json.dumps(d))

@@ -1,4 +1,4 @@
-"""The README's documented defaults must match the code."""
+"""The README's documented defaults, schemas and quick start must match the code."""
 import os
 import re
 
@@ -18,8 +18,18 @@ def test_readme_model_defaults_match_code():
     # rows of the "Model configuration JSON" table: | `key` | `default` | meaning |
     table = dict(re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", _readme(), re.MULTILINE))
     assert set(table) == set(MODEL_JSON_KEYS)
-    defaults = model_to_dict(build_model().model)
+    defaults = model_to_dict(build_model())
     assert {k: float(v) for k, v in table.items()} == defaults
+
+
+def test_readme_quick_start_runs(capsys):
+    match = re.search(r"^## Quick start \(library\)\n\n```python\n(.*?)^```$", _readme(),
+                      re.MULTILINE | re.DOTALL)
+    assert match, "README must have a 'Quick start (library)' python block"
+    exec(compile(match.group(1), "README.md", "exec"), {})
+    # three print lines: equilibrium, pull-in, fit (whose last field is the converged flag)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[-1].endswith("True")
 
 
 def test_readme_out_default_matches_parser():
