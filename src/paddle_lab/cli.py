@@ -1,8 +1,13 @@
 """Command-line surface: config loading, simulation commands, CSV/JSON emission.
 
-Every command writes its data files plus a `<command>_manifest.json` into
-the output directory (flag --out, overridden by the PADDLE_LAB_OUT
-environment variable). Floats are serialized as FLOAT_FORMAT (`%.17e`, 18
+A command `cmd_<name>(args, model)` only computes. It returns its files in
+write order, as {name: dict} for a JSON file and {name: (header, columns)}
+for a CSV, its one-line message and its exit code. main alone does the I/O:
+it loads the model and runs the command; only then does it create the
+output directory (flag --out, overridden by the PADDLE_LAB_OUT environment
+variable) and write the files, then a `<command>_manifest.json` whose
+output_paths are their names. So a command that fails leaves no output
+directory behind. Floats are serialized as FLOAT_FORMAT (`%.17e`, 18
 significant digits, enough to round-trip every float64), so reruns with
 identical flags and seed are byte-identical; the manifest timestamp is the
 one deliberately non-reproducible field. A CSV file has one header line,
@@ -151,35 +156,6 @@ def _write_csv(path: str, header: list[str], *columns) -> None:
     _write_output(path, blocks())
 
 
-def _out_dir(args) -> str:
-    out = os.environ.get("PADDLE_LAB_OUT") or args.out
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _write_manifest(args, out: str, output_names: list[str]) -> None:
-    manifest = {
-        "command": args.command,
-        "config_path": args.config,
-        "output_paths": output_names,
-        "seed": args.seed,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "tool_version": __version__,
-    }
-    _write_json(os.path.join(out, f"{args.command}_manifest.json"), manifest)
-
-
-def _load_model(args) -> ValidatedModel:
-    model = load_model_json(args.config) if args.config else build_model()
-    if getattr(args, "sigma0", None) is not None:
-        model = model_from_dict({**model_to_dict(model), "sigma0": args.sigma0})
-    return model
-
-
-def _electrode(args) -> Electrode:
-    return Electrode(args.electrode)
-
-
 def _finite_float(text: str) -> float:
     """argparse type of every float flag: argparse names the flag and exits 2."""
     try:
@@ -203,37 +179,28 @@ def _float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def _breakdown_dict(b) -> dict:
-    return {"F_film_N": b.F_film, "F_beam_N": b.F_beam,
-            "F_elec_top_N": b.F_elec_top, "F_elec_bottom_N": b.F_elec_bottom,
-            "F_total_N": b.F_total}
-
-
-def cmd_design(args) -> int:
-    model = _load_model(args)
-    out = _out_dir(args)
+def cmd_design(args, model: ValidatedModel):
     tri = stress_profile(DESIGN_REFERENCE_LOAD, model.geom, "triangular",
                          DESIGN_PROFILE_POINTS)
     rect = stress_profile(DESIGN_REFERENCE_LOAD, model.geom, "rectangular",
                           DESIGN_PROFILE_POINTS)
-    _write_csv(os.path.join(out, "design_profile.csv"), ["plan", "x_m", "sigma_Pa"],
-               ["triangular"] * tri.x.size + ["rectangular"] * rect.x.size,
-               np.concatenate([tri.x, rect.x]), np.concatenate([tri.sigma, rect.sigma]))
-    report = {
-        "y_p_min_m": model.y_p_min,
-        "y_p_max_m": model.y_p_max,
-        "compliance_m_per_N": compliance(model),
-        "stiffness_N_per_m": 1.0 / compliance(model),
-        "C_top_flat_F": capacitance_value(0.0, model, Electrode.TOP),
-        "reference_load_N": DESIGN_REFERENCE_LOAD,
-        "uniformity_triangular": tri.uniformity,
-        "uniformity_rectangular": rect.uniformity,
+    files = {
+        "design_profile.csv": (["plan", "x_m", "sigma_Pa"], [
+            ["triangular"] * tri.x.size + ["rectangular"] * rect.x.size,
+            np.concatenate([tri.x, rect.x]), np.concatenate([tri.sigma, rect.sigma])]),
+        "design_report.json": {
+            "y_p_min_m": model.y_p_min,
+            "y_p_max_m": model.y_p_max,
+            "compliance_m_per_N": compliance(model),
+            "stiffness_N_per_m": 1.0 / compliance(model),
+            "C_top_flat_F": capacitance_value(0.0, model, Electrode.TOP),
+            "reference_load_N": DESIGN_REFERENCE_LOAD,
+            "uniformity_triangular": tri.uniformity,
+            "uniformity_rectangular": rect.uniformity,
+        },
     }
-    _write_json(os.path.join(out, "design_report.json"), report)
-    _write_manifest(args, out, ["design_profile.csv", "design_report.json"])
-    print(f"touch limits y_p in [{model.y_p_min:.4e}, {model.y_p_max:.4e}] m; "
-          f"triangular uniformity {tri.uniformity}")
-    return 0
+    return files, (f"touch limits y_p in [{model.y_p_min:.4e}, {model.y_p_max:.4e}] m; "
+                   f"triangular uniformity {tri.uniformity}"), 0
 
 
 def _grid_points(args) -> int:
@@ -257,40 +224,32 @@ CURVE_KERNELS = {"capacitance": (capacitance_value, ["C_top_F", "C_bottom_F"]),
                  "force": (force_per_v2_value, ["f_top_N_per_V2", "f_bottom_N_per_V2"])}
 
 
-def cmd_curves(args) -> int:
-    model = _load_model(args)
-    out = _out_dir(args)
+def cmd_curves(args, model: ValidatedModel):
     grid = _curve_grid(args, model)
+    name = f"curves_{args.which.replace('-', '_')}.csv"
     if args.which in CURVE_KERNELS:
-        name = f"curves_{args.which}.csv"
         kernel, header = CURVE_KERNELS[args.which]
-        _write_csv(os.path.join(out, name), ["y_p_m"] + header, grid,
-                   kernel(grid, model, Electrode.TOP), kernel(grid, model, Electrode.BOTTOM))
+        table = (["y_p_m"] + header, [grid, kernel(grid, model, Electrode.TOP),
+                                      kernel(grid, model, Electrode.BOTTOM)])
     else:
-        name = "curves_film_beam.csv"
         sigma_list = _float_list(args.sigma0_list, "--sigma0-list")
         base = model_to_dict(model)
         forces = []
         for s0 in sigma_list:
             m = model_from_dict({**base, "sigma0": s0})
             forces.append(film_force(grid, m) - grid / compliance(m))
-        _write_csv(os.path.join(out, name), ["sigma0_Pa", "y_p_m", "F_N"],
-                   np.repeat(sigma_list, grid.size), np.tile(grid, len(sigma_list)),
-                   np.concatenate(forces))
-    _write_manifest(args, out, [name])
-    print(f"wrote {name} ({args.which}, {args.points} grid points)")
-    return 0
+        table = (["sigma0_Pa", "y_p_m", "F_N"], [np.repeat(sigma_list, grid.size),
+                                                 np.tile(grid, len(sigma_list)),
+                                                 np.concatenate(forces)])
+    return {name: table}, f"wrote {name} ({args.which}, {args.points} grid points)", 0
 
 
-def cmd_equilibrium(args) -> int:
-    model = _load_model(args)
-    out = _out_dir(args)
+def cmd_equilibrium(args, model: ValidatedModel):
     if args.v > 0.0 and args.electrode is None:
-        print("error: --electrode is required when --v > 0", file=sys.stderr)
-        return 2
-    electrode = _electrode(args) if args.electrode else Electrode.BOTTOM
+        raise PaddleLabError("--electrode is required when --v > 0")
     # NoStableEquilibrium says why (past pull-in, or pinned by film stress) and exits 3
-    sol = solve_equilibrium(model, *drive_voltages(electrode, args.v))
+    sol = solve_equilibrium(model, *drive_voltages(Electrode(args.electrode or "bottom"), args.v))
+    b = sol.breakdown
     result = {
         "V_V": args.v,
         "electrode": args.electrode,
@@ -299,107 +258,79 @@ def cmd_equilibrium(args) -> int:
         "C_top_F": sol.C_top,
         "stable": sol.stable,
         "residual_N": sol.residual,
-        **_breakdown_dict(sol.breakdown),
+        "F_film_N": b.F_film, "F_beam_N": b.F_beam,
+        "F_elec_top_N": b.F_elec_top, "F_elec_bottom_N": b.F_elec_bottom,
+        "F_total_N": b.F_total,
     }
-    _write_json(os.path.join(out, "equilibrium.json"), result)
-    _write_manifest(args, out, ["equilibrium.json"])
-    print(f"y_p = {sol.y_p:.6e} m, C_top = {sol.C_top:.6e} F")
-    return 0
+    return {"equilibrium.json": result}, f"y_p = {sol.y_p:.6e} m, C_top = {sol.C_top:.6e} F", 0
 
 
-def cmd_pullin(args) -> int:
-    model = _load_model(args)
-    out = _out_dir(args)
-    pi = pull_in_voltage(model, _electrode(args))
+def cmd_pullin(args, model: ValidatedModel):
+    pi = pull_in_voltage(model, Electrode(args.electrode))
     result = {"V_pull_in_V": pi.V_pull_in,
               "y_p_last_stable_m": pi.y_p_last_stable,
               "electrode": pi.electrode.value}
-    _write_json(os.path.join(out, "pullin.json"), result)
-    _write_manifest(args, out, ["pullin.json"])
-    print(f"pull-in at {pi.V_pull_in:.4f} V ({pi.electrode.value} electrode)")
-    return 0
+    return ({"pullin.json": result},
+            f"pull-in at {pi.V_pull_in:.4f} V ({pi.electrode.value} electrode)", 0)
 
 
 SWEEP_HEADER = ["V_volt", "y_p_m", "C_top_F", "F_film_N", "F_beam_N",
                 "F_elec_top_N", "F_elec_bottom_N", "F_total_N"]
 
 
-def cmd_sweep(args) -> int:
-    model = _load_model(args)
-    out = _out_dir(args)
+def cmd_sweep(args, model: ValidatedModel):
     if args.v_list:
         voltages = _float_list(args.v_list, "--v-list")
     elif args.v_max is not None:
         voltages = np.linspace(0.0, args.v_max, _grid_points(args)).tolist()
     else:
         raise PaddleLabError("sweep needs --v-max or --v-list")
-    result = sweep_voltage(model, _electrode(args), voltages)
+    result = sweep_voltage(model, Electrode(args.electrode), voltages)
     records = result.records
     forces = [r.breakdown for r in records]
-    _write_csv(os.path.join(out, "sweep.csv"), SWEEP_HEADER,
-               [r.V for r in records], [r.y_p for r in records], [r.C_top for r in records],
+    columns = [[r.V for r in records], [r.y_p for r in records], [r.C_top for r in records],
                *([getattr(b, f) for b in forces]
-                 for f in ("F_film", "F_beam", "F_elec_top", "F_elec_bottom", "F_total")))
-    summary = {"rows": len(result.records),
+                 for f in ("F_film", "F_beam", "F_elec_top", "F_elec_bottom", "F_total"))]
+    summary = {"rows": len(records),
                "requested": len(voltages),
                "truncated_at_V": result.truncated_at,
                "electrode": args.electrode}
-    _write_json(os.path.join(out, "sweep_summary.json"), summary)
-    _write_manifest(args, out, ["sweep.csv", "sweep_summary.json"])
     trunc = (f"truncated at {result.truncated_at} V"
              if result.truncated_at is not None else "no truncation")
-    print(f"{len(result.records)} rows; {trunc}")
-    return 0
+    return ({"sweep.csv": (SWEEP_HEADER, columns), "sweep_summary.json": summary},
+            f"{len(records)} rows; {trunc}", 0)
 
 
-def cmd_calibrate(args) -> int:
-    model = _load_model(args)
-    out = _out_dir(args)
+def cmd_calibrate(args, model: ValidatedModel):
     spacers = _float_list(args.spacers, "--spacers")
     noise = NoiseModel(sigma_C=args.sigma_c, seed=args.seed)
     rows = calibration_table(model, spacers, noise)
     fit = calibration_fit(model, rows)
-    _write_csv(os.path.join(out, "calibration.csv"),
-               ["spacer_m", "inv_spacer_per_m", "C_F"], *zip(*rows))
-    _write_json(os.path.join(out, "calibration_fit.json"),
-                {"slope_F_m": fit.slope, "intercept_F": fit.intercept,
-                 "r2": fit.r2, "implied_area_m2": fit.implied_area})
-    _write_manifest(args, out, ["calibration.csv", "calibration_fit.json"])
-    print(f"slope = {fit.slope:.6e} F*m, r2 = {fit.r2:.6f}")
-    return 0
+    files = {"calibration.csv": (["spacer_m", "inv_spacer_per_m", "C_F"], list(zip(*rows))),
+             "calibration_fit.json": {"slope_F_m": fit.slope, "intercept_F": fit.intercept,
+                                      "r2": fit.r2, "implied_area_m2": fit.implied_area}}
+    return files, f"slope = {fit.slope:.6e} F*m, r2 = {fit.r2:.6f}", 0
 
 
-def cmd_measure(args) -> int:
-    model = _load_model(args)
-    out = _out_dir(args)
-    electrode = _electrode(args) if args.electrode else Electrode.TOP
+def cmd_measure(args, model: ValidatedModel):
+    electrode = Electrode(args.electrode or "top")
     C_true = capacitance_value(args.yp, model, electrode)
     noise = NoiseModel(sigma_C=args.sigma_c, dt=args.dt, seed=args.seed)
-    _write_csv(os.path.join(out, "measurement.csv"), ["t_s", "C_meas_F"],
-               *measure_stream(C_true, noise, args.n))
-    _write_manifest(args, out, ["measurement.csv"])
-    print(f"{args.n} samples of C = {C_true:.6e} F ({electrode.value} electrode)")
-    return 0
+    return ({"measurement.csv": (["t_s", "C_meas_F"], measure_stream(C_true, noise, args.n))},
+            f"{args.n} samples of C = {C_true:.6e} F ({electrode.value} electrode)", 0)
 
 
-def cmd_extract(args) -> int:
-    model = _load_model(args)
-    out = _out_dir(args)
-    data = load_cv_csv(args.data, _electrode(args))
-    fit = fit_film_parameters(data, model)
-    _write_json(os.path.join(out, "extract_result.json"),
-                {"sigma0_hat_Pa": fit.sigma0_hat,
-                 "EFVF_hat_Pa_m3": fit.EFVF_hat,
-                 "rms_residual_F": fit.rms_residual,
-                 "iterations": fit.iterations,
-                 "converged": fit.converged})
-    _write_manifest(args, out, ["extract_result.json"])
+def cmd_extract(args, model: ValidatedModel):
+    fit = fit_film_parameters(load_cv_csv(args.data, Electrode(args.electrode)), model)
+    files = {"extract_result.json": {"sigma0_hat_Pa": fit.sigma0_hat,
+                                     "EFVF_hat_Pa_m3": fit.EFVF_hat,
+                                     "rms_residual_F": fit.rms_residual,
+                                     "iterations": fit.iterations,
+                                     "converged": fit.converged}}
     if not fit.converged:
-        print(f"warning: fit did not converge after {fit.iterations} iterations "
-              f"(result written)", file=sys.stderr)
-        return 4
-    print(f"sigma0 = {fit.sigma0_hat:.6e} Pa in {fit.iterations} iterations")
-    return 0
+        return files, (f"warning: fit did not converge after {fit.iterations} iterations "
+                       f"(result written)"), 4
+    return files, f"sigma0 = {fit.sigma0_hat:.6e} Pa in {fit.iterations} iterations", 0
 
 
 @functools.cache
@@ -470,22 +401,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "needs_electrode", False) and args.electrode is None:
         print(f"error: {args.command} requires --electrode top|bottom", file=sys.stderr)
         return 2
     try:
-        return globals()[f"cmd_{args.command}"](args)
-    except NoStableEquilibrium as exc:
+        model = load_model_json(args.config) if args.config else build_model()
+        if getattr(args, "sigma0", None) is not None:
+            model = model_from_dict({**model_to_dict(model), "sigma0": args.sigma0})
+        files, message, code = globals()[f"cmd_{args.command}"](args, model)
+        out = os.environ.get("PADDLE_LAB_OUT") or args.out
+        os.makedirs(out, exist_ok=True)
+        files[f"{args.command}_manifest.json"] = {
+            "command": args.command,
+            "config_path": args.config,
+            "output_paths": list(files),
+            "seed": args.seed,
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "tool_version": __version__,
+        }
+        for name, content in files.items():
+            path = os.path.join(out, name)
+            if isinstance(content, dict):
+                _write_json(path, content)
+            else:
+                header, columns = content
+                _write_csv(path, header, *columns)
+    except (PaddleLabError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except PaddleLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NoStableEquilibrium) else 2
+    print(message, file=sys.stderr if code else sys.stdout)
+    return code
 
 
 if __name__ == "__main__":

@@ -38,6 +38,14 @@ class CVRow:
     electrode: Electrode
 
 
+def _check_row(V: float, C: float, prefix: str, i: int) -> None:
+    """Raise InvalidParameter, named V or C, unless 0 <= V < inf and 0 < C < inf."""
+    if not 0.0 <= V < math.inf:
+        raise InvalidParameter("V", f"{prefix}row {i}: voltage must be finite and >= 0, got {V!r}")
+    if not 0.0 < C < math.inf:
+        raise InvalidParameter("C", f"{prefix}row {i}: capacitance must be finite and > 0, got {C!r}")
+
+
 @dataclass(frozen=True)
 class CVDataset:
     rows: tuple[CVRow, ...]
@@ -46,10 +54,7 @@ class CVDataset:
         if len(self.rows) < 3:
             raise InsufficientData(f"need >= 3 rows, got {len(self.rows)}")
         for i, row in enumerate(self.rows):
-            if not 0.0 <= row.V < math.inf:
-                raise InvalidParameter("V", f"row {i}: voltage must be finite and >= 0, got {row.V!r}")
-            if not 0.0 < row.C < math.inf:
-                raise InvalidParameter("C", f"row {i}: capacitance must be finite and > 0, got {row.C!r}")
+            _check_row(row.V, row.C, "", i)
 
     @property
     def voltages(self) -> np.ndarray:
@@ -83,7 +88,7 @@ def simulate_cv(model: ValidatedModel, electrode: Electrode, V_list,
     y = branch.solve_leading(np.array(voltages))
     C = capacitance_value(y, model, electrode)
     if noise is not None and noise.sigma_C > 0.0:
-        C = C + noise.sigma_C * np.random.default_rng(noise.seed).standard_normal(len(C))
+        C = C + noise.draw(len(C))
     return CVDataset(rows=tuple(CVRow(V=v, C=c, electrode=electrode)
                                 for v, c in zip(voltages, C.tolist())))
 
@@ -105,7 +110,11 @@ def deflection_series(samples: list[MeasurementSample], model: ValidatedModel,
 
 
 def load_cv_csv(path, electrode: Electrode) -> CVDataset:
-    """Read a `V_volt,C_F` CSV into a dataset."""
+    """Read a `V_volt,C_F` CSV into a dataset.
+
+    Blank lines are skipped. A row error names the file and the row, counted
+    from 0 over the lines after the header, blank lines included.
+    """
     electrode = Electrode(electrode)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -115,6 +124,7 @@ def load_cv_csv(path, electrode: Electrode) -> CVDataset:
             raise InvalidParameter("data", f"{path}: empty file") from None
         if header != ["V_volt", "C_F"]:
             raise InvalidParameter("data", f"{path}: expected header 'V_volt,C_F', got {','.join(header)!r}")
+        prefix = f"{path}: "
         rows = []
         for i, rec in enumerate(reader):
             if not rec:
@@ -125,6 +135,7 @@ def load_cv_csv(path, electrode: Electrode) -> CVDataset:
                 v, c = float(rec[0]), float(rec[1])
             except ValueError:
                 raise InvalidParameter("data", f"{path}: row {i}: non-numeric field in {rec!r}") from None
+            _check_row(v, c, prefix, i)
             rows.append(CVRow(V=v, C=c, electrode=electrode))
     return CVDataset(rows=tuple(rows))
 

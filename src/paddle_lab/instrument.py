@@ -43,6 +43,14 @@ class NoiseModel:
         if self.dt <= 0.0:
             raise InvalidParameter("dt", f"must be > 0, got {self.dt!r}")
 
+    def draw(self, n: int) -> np.ndarray:
+        """n noise values, sigma_C times standard normals from a fresh RNG seeded with seed.
+
+        The one place seeded noise is drawn: a given (noise, n) always yields
+        the same values and concurrent calls never share state.
+        """
+        return self.sigma_C * np.random.default_rng(self.seed).standard_normal(n)
+
 
 @dataclass(frozen=True, slots=True)
 class MeasurementSample:
@@ -77,14 +85,12 @@ def balance_bridge(C_paddle: float, cfg: BridgeConfig) -> float:
 def measure_stream(C_true: float, noise: NoiseModel, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample times t = dt, 2*dt, ... and n noisy readings of a fixed capacitance.
 
-    The RNG is created here from noise.seed, so a given (noise, n) always
-    yields the same stream and concurrent calls never share state.
+    The readings are C_true plus noise.draw(n), so a given (noise, n)
+    always yields the same stream.
     """
     if n < 1:
         raise InvalidParameter("n", f"need at least 1 sample, got {n!r}")
-    rng = np.random.default_rng(noise.seed)
-    values = C_true + noise.sigma_C * rng.standard_normal(n)
-    return noise.dt * np.arange(1, n + 1), values
+    return noise.dt * np.arange(1, n + 1), C_true + noise.draw(n)
 
 
 def measure_capacitance(C_true: float, noise: NoiseModel, n: int) -> list[MeasurementSample]:
@@ -115,10 +121,8 @@ def calibration_table(model: ValidatedModel, spacers,
         if s <= 0.0:
             raise InvalidParameter("spacers", f"spacer thickness must be > 0, got {s!r}")
     area = model.geom.w_p * model.geom.l_p
-    rng = np.random.default_rng(noise.seed)
-    draws = noise.sigma_C * rng.standard_normal(len(spacers))
     rows = []
-    for s, dC in zip(spacers, draws):
+    for s, dC in zip(spacers, noise.draw(len(spacers))):
         C = parallel_plate_capacitance(area, s, model.constants.eps0) + dC
         rows.append((s, 1.0 / s, float(C)))
     return rows

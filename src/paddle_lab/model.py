@@ -10,17 +10,18 @@ w_p hinged to the tip of a triangular beam of length l_b. Under a tip
 deflection y_b the plate tilts with slope 2*y_b/l_b, so the plate center
 moves by y_p = y_b*(1 + l_p/l_b) and the far edge by y_b*(1 + 2*l_p/l_b).
 
-ValidatedModel is the one model type. build_model (keyword overrides of
-the defaults) and model_from_dict (a flat dict, as read from a JSON model
-file) resolve the derived defaults, check every parameter and build it;
-model_to_dict is the inverse, and the one way to vary a parameter.
+ValidatedModel is the one model type; its constructor resolves the derived
+defaults and checks every parameter. build_model (keyword overrides of the
+defaults) and model_from_dict (a flat dict, as read from a JSON model file)
+build it; model_to_dict is the inverse, and the one way to vary a
+parameter.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidParameter
 
@@ -82,7 +83,7 @@ class FilmSpec:
     """Deposited film: modulus, thickness, strained area, residual stress.
 
     A_F defaults to half the beam's root width times its length (the full
-    triangular beam face); build_model resolves the default, since it
+    triangular beam face); ValidatedModel resolves the default, since it
     needs the geometry.
     """
 
@@ -96,9 +97,11 @@ class FilmSpec:
 class ValidatedModel:
     """The package's one model type: every parameter resolved and checked.
 
-    Build it with build_model or model_from_dict, which run the checks; to
-    vary a parameter, go through the flat dict:
-    model_from_dict({**model_to_dict(m), key: value}).
+    The constructor resolves the A_F default, checks every field (each must
+    be finite, then lie in its range; InvalidParameter names the first that
+    does not) and computes the touch limits. build_model and model_from_dict
+    build one from flat keywords or a dict; to vary a parameter, go through
+    the flat dict: model_from_dict({**model_to_dict(m), key: value}).
     Immutable after construction; safe to share across workers.
     """
 
@@ -106,8 +109,32 @@ class ValidatedModel:
     geom: PaddleGeometry
     substrate: SubstrateMaterial
     film: FilmSpec
-    y_p_min: float
-    y_p_max: float
+    y_p_min: float = field(init=False)
+    y_p_max: float = field(init=False)
+
+    def __post_init__(self):
+        g, substrate, film = self.geom, self.substrate, self.film
+        if film.A_F is None:
+            film = dataclasses.replace(film, A_F=0.5 * g.b_root * g.l_b)
+            object.__setattr__(self, "film", film)
+        for name, value in {**vars(self.constants), **vars(g), **vars(substrate),
+                            **vars(film)}.items():
+            if not math.isfinite(value):
+                raise InvalidParameter(name, f"must be finite, got {value!r}")
+        _require_positive("eps0", self.constants.eps0)
+        for name, value in vars(g).items():
+            _require_positive(name, value)
+        if not g.t_b < g.d_c:
+            raise InvalidParameter("t_b", f"plate must be thin relative to the gap (t_b={g.t_b} >= d_c={g.d_c})")
+        _require_positive("E_biaxial", substrate.E_biaxial)
+        _require_positive("K", substrate.K)
+        _require_positive("E_F", film.E_F)
+        if film.t_F < 0.0:
+            raise InvalidParameter("t_F", f"must be >= 0, got {film.t_F!r}")
+        _require_positive("A_F", film.A_F)
+        y_p_min, y_p_max = touch_limits(g)
+        object.__setattr__(self, "y_p_min", y_p_min)
+        object.__setattr__(self, "y_p_max", y_p_max)
 
     @property
     def eps_F0(self) -> float:
@@ -126,40 +153,20 @@ def _require_positive(name: str, value: float) -> None:
 
 
 def build_model(**overrides) -> ValidatedModel:
-    """Build and validate a model from flat keyword overrides of the defaults.
+    """Build a model from flat keyword overrides of the defaults.
 
-    Accepts exactly the JSON-file keys (eps0, l_b, ..., sigma0). Every
-    resolved field, the derived defaults included, must be finite, then
-    each must lie in its range.
+    Accepts exactly the JSON-file keys (eps0, l_b, ..., sigma0) and hands
+    each part its own; ValidatedModel resolves and checks the result.
     """
     unknown = set(overrides) - set(MODEL_JSON_KEYS)
     if unknown:
         raise InvalidParameter(sorted(unknown)[0], "unknown model parameter")
-    geom_keys = ("l_b", "l_p", "w_p", "t_b", "b_root", "d_c", "d_e")
-    sub_keys = ("E_biaxial", "K")
-    film_keys = ("E_F", "t_F", "A_F", "sigma0")
-    constants = PhysicalConstants(**{k: v for k, v in overrides.items() if k == "eps0"})
-    g = PaddleGeometry(**{k: v for k, v in overrides.items() if k in geom_keys})
-    substrate = SubstrateMaterial(**{k: v for k, v in overrides.items() if k in sub_keys})
-    film = FilmSpec(**{k: v for k, v in overrides.items() if k in film_keys})
-    if film.A_F is None:
-        film = dataclasses.replace(film, A_F=0.5 * g.b_root * g.l_b)
 
-    for name, value in {**vars(constants), **vars(g), **vars(substrate), **vars(film)}.items():
-        if not math.isfinite(value):
-            raise InvalidParameter(name, f"must be finite, got {value!r}")
-    _require_positive("eps0", constants.eps0)
-    for name in geom_keys:
-        _require_positive(name, getattr(g, name))
-    if not g.t_b < g.d_c:
-        raise InvalidParameter("t_b", f"plate must be thin relative to the gap (t_b={g.t_b} >= d_c={g.d_c})")
-    _require_positive("E_biaxial", substrate.E_biaxial)
-    _require_positive("K", substrate.K)
-    _require_positive("E_F", film.E_F)
-    if film.t_F < 0.0:
-        raise InvalidParameter("t_F", f"must be >= 0, got {film.t_F!r}")
-    _require_positive("A_F", film.A_F)
-    return ValidatedModel(constants, g, substrate, film, *touch_limits(g))
+    def part(cls):
+        return cls(**{k: v for k, v in overrides.items() if k in cls.__dataclass_fields__})
+
+    return ValidatedModel(part(PhysicalConstants), part(PaddleGeometry),
+                          part(SubstrateMaterial), part(FilmSpec))
 
 
 def model_to_dict(model: ValidatedModel) -> dict:

@@ -2,12 +2,15 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from paddle_lab import Electrode, build_model, model_from_dict, model_to_dict, simulate_cv
+from paddle_lab import (Electrode, __version__, build_model, model_from_dict, model_to_dict,
+                        simulate_cv)
 from paddle_lab import cli, instrument
 from paddle_lab.cli import _write_csv, main
 
@@ -184,6 +187,41 @@ def test_pullin_pinned_by_film_stress(tmp_path, capsys):
 
 def test_equilibrium_needs_electrode(tmp_path):
     assert run(["equilibrium", "--v", "10", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv,code", [
+    ("pullin --sigma0=-8e8 --electrode bottom", 3),
+    ("equilibrium --v 10", 2),
+    ("extract --electrode bottom --data {missing}", 2),
+], ids=lambda v: str(v).split()[0])
+def test_failed_command_leaves_no_out_dir(tmp_path, argv, code):
+    # main creates the output directory only after the command has computed its files
+    out = tmp_path / "out"
+    argv = argv.format(missing=tmp_path / "nope.csv").split() + ["--out", str(out)]
+    assert run(argv) == code
+    assert not out.exists()
+
+
+def test_module_entry_point(tmp_path):
+    # `python3 -m paddle_lab` runs main and hands its exit code to the shell
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "paddle_lab", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    proc = module("--version")
+    assert (proc.returncode, proc.stdout) == (0, f"paddle-lab {__version__}\n")
+    proc = module("pullin", "--electrode", "bottom", "--out", "good")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("pull-in at 173.2")
+    assert float(read_json(tmp_path / "good" / "pullin.json")["V_pull_in_V"]) == \
+        pytest.approx(173.2354, abs=0.01)
+    proc = module("pullin", "--sigma0=-8e8", "--electrode", "bottom", "--out", "pinned")
+    assert proc.returncode == 3
+    assert "pins the paddle against the bottom electrode" in proc.stderr
+    assert not (tmp_path / "pinned").exists()
 
 
 def test_pullin(tmp_path):
@@ -378,13 +416,19 @@ def test_extract_nonconvergence_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("column", ["V", "C"])
 def test_extract_non_finite_row_exit_2(tmp_path, capsys, column, value):
-    row = f"{value},2.0e-12" if column == "V" else f"800.0,{value}"
+    # the bad row's error names the file and the row number a short line there gets,
+    # with and without a blank line after the header
     data = tmp_path / "cv.csv"
-    data.write_text(f"V_volt,C_F\n0.0,2.2125e-12\n400.0,2.1e-12\n{row}\n")
-    rc = run(["extract", "--data", str(data), "--electrode", "bottom", "--out", str(tmp_path)])
-    assert rc == 2
-    assert f"error: {column}: row 2:" in capsys.readouterr().err
-    assert not (tmp_path / "extract_result.json").exists()
+    out = tmp_path / "out"
+    argv = ["extract", "--data", str(data), "--electrode", "bottom", "--out", str(out)]
+    bad = f"{value},2.0e-12" if column == "V" else f"800.0,{value}"
+    for blank, row in (("", 2), ("\n", 3)):
+        for line, error in (("800.0", f"data: {data}: row {row}: expected 2 fields"),
+                            (bad, f"{column}: {data}: row {row}: ")):
+            data.write_text(f"V_volt,C_F\n{blank}0.0,2.2125e-12\n400.0,2.1e-12\n{line}\n")
+            assert run(argv) == 2
+            assert f"error: {error}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # floats the old writer had to get right: signed zeros, infinities, nan, subnormals, extremes
@@ -450,7 +494,8 @@ def test_parser_reuse(tmp_path, monkeypatch):
     assert read_json(tmp_path / "c" / "curves_manifest.json")["seed"] == 0
     # a command rebound after the parser was built is the one that runs
     seen = []
-    monkeypatch.setattr(cli, "cmd_design", lambda args: seen.append(args.out) or 0)
+    monkeypatch.setattr(cli, "cmd_design",
+                        lambda args, model: seen.append(args.out) or ({}, "stub", 0))
     assert run(["design", "--out", a]) == 0
     assert seen == [a]
 
@@ -490,6 +535,11 @@ def test_rerun_into_populated_out_matches_fresh_run(tmp_path, first, second):
     assert rc in (0, 4)
     assert run(second + ["--out", str(fresh)]) == rc
     assert output_files(rerun) == output_files(fresh)
+    # the manifest names every other file in the directory
+    manifest = f"{second[0]}_manifest.json"
+    for out in (rerun, fresh):
+        assert sorted(read_json(out / manifest)["output_paths"]) == sorted(
+            p.name for p in out.iterdir() if p.name != manifest)
     if first != second:
         assert any(p.stat().st_size < old_sizes[p.name] for p in rerun.iterdir()
                    if not p.name.endswith("_manifest.json"))

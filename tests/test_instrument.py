@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from paddle_lab import (BridgeConfig, InsufficientData, InvalidParameter, MeasurementSample,
-                        NoiseModel, TouchViolation, balance_bridge,
+from paddle_lab import (BridgeConfig, Electrode, InsufficientData, InvalidParameter,
+                        MeasurementSample, NoiseModel, TouchViolation, balance_bridge,
                         bridge_output, build_model, calibrate,
                         calibration_fit, calibration_table, measure_capacitance,
-                        measure_stream, resolvable_displacement)
+                        measure_stream, parallel_plate_capacitance,
+                        resolvable_displacement, simulate_cv)
 
 DEFAULT_SPACERS = [25e-6, 50e-6, 75e-6, 100e-6, 125e-6]
 QUIET = NoiseModel(sigma_C=0.0)
@@ -182,6 +183,23 @@ def test_calibration_table_rows(default_model):
     for s, inv, C in rows:
         assert inv == pytest.approx(1.0 / s, rel=1e-15)
         assert C == pytest.approx(8.85e-12 * 25e-6 / s, rel=1e-12)
+
+
+def test_noise_is_drawn_by_the_noise_model(default_model):
+    # the stream, the calibration rows and a simulated C-V set all add NoiseModel.draw
+    noise = NoiseModel(sigma_C=3e-16, seed=21)
+    assert np.array_equal(noise.draw(4),
+                          3e-16 * np.random.default_rng(21).standard_normal(4))
+    assert np.array_equal(measure_stream(2e-12, noise, 7)[1], 2e-12 + noise.draw(7))
+    area = default_model.geom.w_p * default_model.geom.l_p
+    assert [C for _, _, C in calibration_table(default_model, DEFAULT_SPACERS, noise)] == \
+        [parallel_plate_capacitance(area, s, 8.85e-12) + dC
+         for s, dC in zip(DEFAULT_SPACERS, noise.draw(5))]
+    V = [0.0, 40.0, 80.0]
+    clean = simulate_cv(default_model, Electrode.TOP, V)
+    noisy = simulate_cv(default_model, Electrode.TOP, V, noise)
+    assert [r.C for r in noisy.rows] == \
+        (np.array([r.C for r in clean.rows]) + noise.draw(3)).tolist()
 
 
 def test_calibration_table_rejects_bad_spacer(default_model):

@@ -2,9 +2,10 @@ import json
 import math
 
 import pytest
-from paddle_lab import (InvalidParameter, build_model, load_model_json,
-                        model_from_dict, model_to_dict, touch_limits,
-                        yb_from_yp, yp_from_yb)
+from paddle_lab import (FilmSpec, InvalidParameter, PaddleGeometry,
+                        PhysicalConstants, SubstrateMaterial, ValidatedModel,
+                        build_model, load_model_json, model_from_dict,
+                        model_to_dict, touch_limits, yb_from_yp, yp_from_yb)
 from paddle_lab.model import MODEL_JSON_KEYS
 
 
@@ -69,6 +70,18 @@ def test_derived_film_area_must_be_finite():
         build_model(b_root=1e200, l_b=1e200, l_p=1e200, d_c=1e200, t_b=1e-6)
     assert info.value.name == "A_F"
     assert "finite" in info.value.reason
+
+
+def test_constructor_checks_itself():
+    # built directly, without build_model: the same checks and defaults apply
+    with pytest.raises(InvalidParameter) as info:
+        ValidatedModel(PhysicalConstants(), PaddleGeometry(l_b=-1.0), SubstrateMaterial(),
+                       FilmSpec())
+    assert info.value.name == "l_b"
+    assert info.value.reason == "must be > 0, got -1.0"
+    direct = ValidatedModel(PhysicalConstants(), PaddleGeometry(), SubstrateMaterial(), FilmSpec())
+    assert direct == build_model()
+    assert direct.V_F == build_model().V_F
 
 
 def test_thickness_must_fit_in_gap():
