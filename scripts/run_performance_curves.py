@@ -64,9 +64,8 @@ def main():
         pi = pull_in_voltage(ms, Electrode.BOTTOM)
         volts = np.linspace(0.0, 0.999 * pi.V_pull_in, 40)
         sweep = sweep_voltage(ms, Electrode.BOTTOM, volts)
-        for rec in sweep.records:
-            rows.append([f"{sigma0:.17e}", f"{rec.V:.17e}", f"{rec.y_p:.17e}",
-                         f"{rec.C_top:.17e}"])
+        for v, y_p, c in zip(sweep.V.tolist(), sweep.y_p.tolist(), sweep.C_top.tolist()):
+            rows.append([f"{sigma0:.17e}", f"{v:.17e}", f"{y_p:.17e}", f"{c:.17e}"])
         print(f"  sigma0 = {sigma0 / 1e6:5.0f} MPa: rest y_p = {rest * 1e6:+7.3f} um, "
               f"V_PI = {pi.V_pull_in:8.4f} V, last stable y_p = "
               f"{pi.y_p_last_stable * 1e6:+7.3f} um")

@@ -29,8 +29,9 @@ for a new file, symlinks followed, hard links shared), except after a hard
 crash mid-write, which can leave a stale tail of the old file after the
 new bytes.
 
-Exit codes: 0 success, 2 input/config error, 3 no stable equilibrium,
-4 fit non-convergence (the result file is still written).
+Exit codes: 0 success, 2 input/config error (also a missing input file or
+a path of the wrong kind, such as --out naming a regular file), 3 no stable
+equilibrium, 4 fit non-convergence (the result file is still written).
 """
 from __future__ import annotations
 
@@ -286,19 +287,16 @@ def cmd_sweep(args, model: ValidatedModel):
     else:
         raise PaddleLabError("sweep needs --v-max or --v-list")
     result = sweep_voltage(model, Electrode(args.electrode), voltages)
-    records = result.records
-    forces = [r.breakdown for r in records]
-    columns = [[r.V for r in records], [r.y_p for r in records], [r.C_top for r in records],
-               *([getattr(b, f) for b in forces]
-                 for f in ("F_film", "F_beam", "F_elec_top", "F_elec_bottom", "F_total"))]
-    summary = {"rows": len(records),
+    columns = [result.V, result.y_p, result.C_top, result.F_film, result.F_beam,
+               result.F_elec_top, result.F_elec_bottom, result.F_total]
+    summary = {"rows": result.V.size,
                "requested": len(voltages),
                "truncated_at_V": result.truncated_at,
                "electrode": args.electrode}
     trunc = (f"truncated at {result.truncated_at} V"
              if result.truncated_at is not None else "no truncation")
     return ({"sweep.csv": (SWEEP_HEADER, columns), "sweep_summary.json": summary},
-            f"{len(records)} rows; {trunc}", 0)
+            f"{result.V.size} rows; {trunc}", 0)
 
 
 def cmd_calibrate(args, model: ValidatedModel):
@@ -427,7 +425,8 @@ def main(argv=None) -> int:
             else:
                 header, columns = content
                 _write_csv(path, header, *columns)
-    except (PaddleLabError, FileNotFoundError) as exc:
+    except (PaddleLabError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, NoStableEquilibrium) else 2
     print(message, file=sys.stderr if code else sys.stdout)

@@ -19,7 +19,8 @@ from .electrostatics import (Electrode, capacitance_value, force_per_v2_value,
 from .errors import (DegenerateData, InsufficientData, InvalidParameter,
                      NoStableEquilibrium, OutOfRange, TouchViolation)
 from .instrument import MeasurementSample, NoiseModel
-from .mechanics import StableBranch, compliance, film_stiffness, strain_coupling
+from .mechanics import (StableBranch, compliance, film_stiffness, sorted_voltages,
+                        strain_coupling)
 from .model import ValidatedModel, model_from_dict, model_to_dict
 
 MAX_ITERATIONS = 100
@@ -82,15 +83,15 @@ def simulate_cv(model: ValidatedModel, electrode: Electrode, V_list,
     yield no row. Optional per-row Gaussian noise is seeded through the
     NoiseModel, keeping datasets reproducible.
     """
+    voltages = sorted_voltages(V_list, nonempty=False)
     branch = StableBranch(model, electrode)
     electrode = branch.electrode
-    voltages = sorted(float(v) for v in V_list)
-    y = branch.solve_leading(np.array(voltages))
+    y = branch.solve_leading(voltages)
     C = capacitance_value(y, model, electrode)
     if noise is not None and noise.sigma_C > 0.0:
         C = C + noise.draw(len(C))
     return CVDataset(rows=tuple(CVRow(V=v, C=c, electrode=electrode)
-                                for v, c in zip(voltages, C.tolist())))
+                                for v, c in zip(voltages.tolist(), C.tolist())))
 
 
 def deflection_series(samples: list[MeasurementSample], model: ValidatedModel,

@@ -74,10 +74,35 @@ class SweepRecord:
     breakdown: ForceBreakdown
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on array fields would raise
 class SweepResult:
-    records: list[SweepRecord]
-    truncated_at: float | None  # first requested voltage past pull-in, if any
+    """Equilibria of a voltage sweep as columns: element i of every array
+    belongs to the i-th solved voltage, ascending in V."""
+
+    V: np.ndarray
+    y_p: np.ndarray
+    C_top: np.ndarray
+    F_film: np.ndarray
+    F_beam: np.ndarray
+    F_elec_top: np.ndarray
+    F_elec_bottom: np.ndarray
+    F_total: np.ndarray
+    truncated_at: float | None  # first requested voltage without an equilibrium, if any
+
+    @functools.cached_property
+    def records(self) -> list[SweepRecord]:
+        """The columns as one SweepRecord per row, built on first access.
+
+        Kept only because the benchmark's checks read it. It gives the bits
+        of the columns, as Python floats. The benchmark v2 item of
+        ROADMAP.md moves those checks onto the columns and deletes it, with
+        SweepRecord.
+        """
+        return [SweepRecord(V=v, y_p=y, C_top=c, breakdown=ForceBreakdown(*terms))
+                for v, y, c, *terms in zip(
+                    self.V.tolist(), self.y_p.tolist(), self.C_top.tolist(),
+                    self.F_film.tolist(), self.F_beam.tolist(), self.F_elec_top.tolist(),
+                    self.F_elec_bottom.tolist(), self.F_total.tolist())]
 
 
 @dataclass(frozen=True)
@@ -217,6 +242,24 @@ def drive_voltages(electrode: Electrode, V: float) -> tuple[float, float]:
 def _scan_bounds(model: ValidatedModel) -> tuple[float, float]:
     """The open touch interval, shrunk by SCAN_MARGIN at each end."""
     return model.y_p_min * (1.0 - SCAN_MARGIN), model.y_p_max * (1.0 - SCAN_MARGIN)
+
+
+def sorted_voltages(V_list, nonempty: bool = True) -> np.ndarray:
+    """V_list as an ascending 1-D float array, in stable order.
+
+    Raises InvalidParameter("V_list") unless every voltage is finite and
+    >= 0, and, when nonempty is set, unless there is at least one.
+    """
+    V = np.asarray(V_list, dtype=float)
+    if V.ndim != 1:
+        raise InvalidParameter("V_list", f"must be a 1-D list of voltages, got shape {V.shape}")
+    if nonempty and not V.size:
+        raise InvalidParameter("V_list", "must be nonempty")
+    V = np.sort(V, kind="stable")  # NaN sorts last
+    if V.size and not 0.0 <= V[0] <= V[-1] < math.inf:
+        bad = float(V[-1] if V[0] >= 0.0 else V[0])
+        raise InvalidParameter("V_list", f"voltages must be finite and >= 0, got {bad!r}")
+    return V
 
 
 def _check_drive(V_top: float, V_bottom: float) -> None:
@@ -489,25 +532,19 @@ def pull_in_voltage(model: ValidatedModel, electrode: Electrode) -> PullInResult
 
 def sweep_voltage(model: ValidatedModel, electrode: Electrode,
                   V_list) -> SweepResult:
-    """Equilibrium records for each voltage below pull-in, ascending.
+    """Equilibrium columns (SweepResult) for each voltage below pull-in, ascending.
 
-    Voltages past pull-in do not produce records; the first such voltage
-    is reported in truncated_at (truncation is data, not an error). The
-    stable branch is built once and solves every voltage in one closed-form
-    call; capacitances and force terms are then one array call each.
+    Voltages past pull-in give no row; the first such voltage is reported
+    in truncated_at (truncation is data, not an error). The stable branch
+    is built once and solves every voltage in one closed-form call; the
+    capacitances and the force terms are then one array call each, and
+    their arrays are the columns. Raises InvalidParameter when V_list is
+    empty or holds a negative or non-finite voltage.
     """
-    voltages = sorted(float(v) for v in V_list)
-    if not voltages:
-        raise InvalidParameter("V_list", "must be nonempty")
-    if voltages[0] < 0.0:
-        raise InvalidParameter("V_list", f"voltages must be >= 0, got {voltages[0]!r}")
+    V = sorted_voltages(V_list)
     branch = StableBranch(model, electrode)
-    y = branch.solve_leading(np.array(voltages))
-    n = len(y)
-    b = total_force(y, *drive_voltages(branch.electrode, np.array(voltages[:n])), model)
-    C_top = capacitance_value(y, model, Electrode.TOP)
-    terms = zip(*(term.tolist() for term in vars(b).values()))
-    records = [SweepRecord(V=v, y_p=y_p, C_top=c, breakdown=ForceBreakdown(*t))
-               for v, y_p, c, t in zip(voltages, y.tolist(), C_top.tolist(), terms)]
-    return SweepResult(records=records,
-                       truncated_at=voltages[n] if n < len(voltages) else None)
+    y = branch.solve_leading(V)
+    n = y.size
+    forces = total_force(y, *drive_voltages(branch.electrode, V[:n]), model)
+    return SweepResult(V=V[:n], y_p=y, C_top=capacitance_value(y, model, Electrode.TOP),
+                       **vars(forces), truncated_at=float(V[n]) if n < V.size else None)

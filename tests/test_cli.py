@@ -399,6 +399,24 @@ def test_extract_missing_file(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+def test_out_naming_a_file_exit_2(tmp_path, capsys, sub):
+    # --out a regular file (FileExistsError) or a path under one (NotADirectoryError)
+    target = tmp_path / "taken"
+    target.write_text("keep\n")
+    assert run(["pullin", "--electrode", "top", "--out", str(target / sub)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert target.read_text() == "keep\n"
+
+
+def test_extract_data_naming_a_directory_exit_2(tmp_path, capsys):
+    rc = run(["extract", "--data", str(tmp_path), "--electrode", "bottom",
+              "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_extract_nonconvergence_exit_code(tmp_path, capsys):
     # capacitance drifting down under bottom drive implies a prestress that
     # pushes the paddle past the touch window: the first residual evaluation

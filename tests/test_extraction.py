@@ -33,6 +33,18 @@ def test_simulate_cv_noise_seeded(with_sigma0):
     assert all(0.0 < d < 1e-15 for d in deltas)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_simulate_cv_rejects_non_finite_voltages(with_sigma0, bad):
+    m = with_sigma0(100e6)
+    with pytest.raises(InvalidParameter, match=r"^V_list: voltages must be finite and >= 0"):
+        simulate_cv(m, Electrode.BOTTOM, [0.0, bad, 50.0, 100.0])
+
+
+def test_simulate_cv_empty_is_insufficient(with_sigma0):
+    with pytest.raises(InsufficientData):
+        simulate_cv(with_sigma0(100e6), Electrode.BOTTOM, [])
+
+
 def test_dataset_validation():
     rows = (CVRow(0.0, 2e-12, Electrode.BOTTOM), CVRow(10.0, 2e-12, Electrode.BOTTOM))
     with pytest.raises(InsufficientData):

@@ -259,25 +259,23 @@ def test_pull_in_dense_scan_agreement(with_sigma0):
 def test_sweep_single_voltage(with_sigma0):
     m = with_sigma0(100e6)
     result = sweep_voltage(m, Electrode.BOTTOM, [0.0])
-    assert len(result.records) == 1
+    assert result.y_p.shape == (1,)
     assert result.truncated_at is None
-    assert result.records[0].y_p == solve_equilibrium(m).y_p
+    assert result.y_p[0] == solve_equilibrium(m).y_p
 
 
 def test_sweep_monotone_toward_electrode(with_sigma0):
     m = with_sigma0(100e6)
     result = sweep_voltage(m, Electrode.BOTTOM, np.linspace(0.0, 150.0, 16))
-    y = [r.y_p for r in result.records]
-    assert len(y) == 16
-    assert all(a > b for a, b in zip(y, y[1:]))
-    c = [r.C_top for r in result.records]
-    assert all(a > b for a, b in zip(c, c[1:]))  # receding from the top plate
+    assert result.y_p.shape == (16,)
+    assert np.all(np.diff(result.y_p) < 0.0)
+    assert np.all(np.diff(result.C_top) < 0.0)  # receding from the top plate
 
 
 def test_sweep_truncation(with_sigma0):
     m = with_sigma0(100e6)
     result = sweep_voltage(m, Electrode.BOTTOM, [0.0, 100.0, 300.0, 400.0])
-    assert len(result.records) == 2
+    assert result.V.tolist() == [0.0, 100.0]
     assert result.truncated_at == 300.0
 
 
@@ -288,10 +286,46 @@ def test_sweep_validation(default_model):
         sweep_voltage(default_model, Electrode.BOTTOM, [-5.0, 10.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sweep_rejects_non_finite_voltages(default_model, bad):
+    with pytest.raises(InvalidParameter, match=r"^V_list: voltages must be finite and >= 0"):
+        sweep_voltage(default_model, Electrode.TOP, [bad, 10.0])
+    with pytest.raises(InvalidParameter, match=r"^V_list: "):
+        sweep_voltage(default_model, Electrode.TOP, np.array([10.0, 0.0, bad]))
+
+
 def test_sweep_orders_voltages(with_sigma0):
     m = with_sigma0(100e6)
     result = sweep_voltage(m, Electrode.BOTTOM, [50.0, 0.0, 100.0])
-    assert [r.V for r in result.records] == [0.0, 50.0, 100.0]
+    assert result.V.tolist() == [0.0, 50.0, 100.0]
+
+
+SWEEP_COLUMNS = ("V", "y_p", "C_top", "F_film", "F_beam", "F_elec_top", "F_elec_bottom",
+                 "F_total")
+
+
+@pytest.mark.parametrize("voltages,electrode", [
+    (np.linspace(0.0, 200.0, 7), Electrode.BOTTOM),
+    ([150.0, 0.0, 0.0, 50.0], Electrode.TOP),
+    ([400.0, 10.0, 500.0], Electrode.TOP),  # truncated after one row
+    ([400.0, 500.0], Electrode.TOP),        # truncated at its first voltage
+])
+def test_sweep_records_view_equals_columns(with_sigma0, voltages, electrode):
+    result = sweep_voltage(with_sigma0(100e6), electrode, voltages)
+    columns = [getattr(result, name) for name in SWEEP_COLUMNS]
+    n = result.V.size
+    for column in columns:
+        assert column.dtype == np.float64 and column.shape == (n,)
+    assert len(result.records) == n
+    for i, r in enumerate(result.records):
+        row = (r.V, r.y_p, r.C_top, r.breakdown.F_film, r.breakdown.F_beam,
+               r.breakdown.F_elec_top, r.breakdown.F_elec_bottom, r.breakdown.F_total)
+        assert all(type(x) is float for x in row)
+        assert np.array(row).tobytes() == np.array([c[i] for c in columns]).tobytes()
+    assert result.records is result.records  # built once
+    if n == 0:
+        assert result.records == []
+        assert result.truncated_at == 400.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -485,13 +519,13 @@ def test_sweep_records_match_scalar_kernels(with_sigma0, sigma0, electrode):
     m = with_sigma0(sigma0)
     v_pi = pull_in_voltage(m, electrode).V_pull_in
     result = sweep_voltage(m, electrode, np.linspace(0.0, 0.99 * v_pi, 9))
-    assert len(result.records) == 9
+    assert result.y_p.shape == (9,)
 
     def close(a, b):
         return abs(a - b) <= 4.0 * math.ulp(b)
 
-    for r in result.records:
-        expected = total_force(r.y_p, *drive_voltages(electrode, r.V), m)
-        assert all(close(getattr(r.breakdown, f), getattr(expected, f))
+    for i, (v, y_p) in enumerate(zip(result.V.tolist(), result.y_p.tolist())):
+        expected = total_force(y_p, *drive_voltages(electrode, v), m)
+        assert all(close(getattr(result, f)[i], getattr(expected, f))
                    for f in ("F_film", "F_beam", "F_elec_top", "F_elec_bottom", "F_total"))
-        assert close(r.C_top, capacitance_value(r.y_p, m, Electrode.TOP))
+        assert close(result.C_top[i], capacitance_value(y_p, m, Electrode.TOP))
