@@ -17,10 +17,15 @@ independent oracles for testing.
 All functions are pure. capacitance_value and force_per_v2_value take a
 float, kept on math.log1p and allocation-free for the root-finding loops,
 or a numpy array, evaluated elementwise in one pass; capacitance_slope is
-the exact dC/dy_p of the same closed form.
+the exact dC/dy_p of the same closed form. The array math of C and dC/dy_p
+lives in two helpers on gap_line's terms (g0, delta, u = delta/g0 and
+ln(1+u)), so a caller that needs both computes the gap line and the log
+once. Each takes the closed form everywhere and its flat-pose series only
+on the elements whose |u| is below the series threshold.
 
 yp_from_capacitance inverts C(y_p) by safeguarded Newton, a float running
-through the same loop as a one-element array. C(y_p) is smooth and monotone
+through the same loop as a one-element array; each step makes one gap_line
+and one log1p call for both C and its slope. C(y_p) is smooth and monotone
 on the inversion bracket, so unlike the force balance at pull-in it has no
 double root to stall Newton. On an array, OutOfRange names the first value
 outside the attainable range and carries its flat index as `row`.
@@ -105,19 +110,52 @@ def gap_line(y_p, model: ValidatedModel, electrode: Electrode):
     return g0, delta
 
 
+def _flat_capacitance(u, g0):
+    """ln(1+u)/(u*g0) by its 4-term series, for |u| below SERIES_U_THRESHOLD."""
+    return (1.0 - u * (0.5 - u * (1.0 / 3.0 - 0.25 * u))) / g0
+
+
+def _capacitance_terms(c, g0, delta, u, log1p_u):
+    """capacitance_value's array path on gap_line's terms, u = delta/g0 and
+    log1p_u = ln(1+u), with c = eps0*w_p*l_p.
+
+    The closed form is taken everywhere and the flat-pose series replaces it
+    only on the elements that need it.
+    """
+    small = np.abs(u) < SERIES_U_THRESHOLD
+    value = log1p_u / np.where(small, 1.0, delta)
+    if small.any():
+        value[small] = _flat_capacitance(u[small], g0[small])
+    return c * value
+
+
+def _slope_terms(c, s, center_ratio, tilt, g0, u, log1p_u):
+    """capacitance_slope's array math on gap_line's terms (see there), with
+    log1p_u = ln(1+u) and (s, center_ratio, tilt) from gap_coefficients.
+
+    N(u) is taken in closed form everywhere, on w = u or 1 so that u = 0
+    never divides, and by series only on the elements that need it.
+    """
+    small = np.abs(u) < SLOPE_SERIES_U_THRESHOLD
+    w = np.where(small, 1.0, u)
+    n = (log1p_u / w - 1.0 / (1.0 + w)) / w
+    if small.any():
+        v = u[small]
+        n[small] = 0.5 - v * (2.0 / 3.0 - v * (0.75 - v * (0.8 - v * (5.0 / 6.0 - v * (6.0 / 7.0)))))
+    return -s * (c * (1.0 / (1.0 + u) + tilt * n)) / (center_ratio * (g0 * g0))
+
+
 def capacitance_value(y_p, model: ValidatedModel, electrode: Electrode):
     """Closed-form paddle capacitance, F, at a float or array of deflections."""
     g0, delta = gap_line(y_p, model, electrode)
     g = model.geom
     c = model.constants.eps0 * g.w_p * g.l_p
     u = delta / g0
-    if isinstance(u, float) and abs(u) >= SERIES_U_THRESHOLD:
-        return c * (math.log1p(u) / delta)
-    series = (1.0 - u * (0.5 - u * (1.0 / 3.0 - 0.25 * u))) / g0
     if isinstance(u, float):
-        return c * series
-    small = np.abs(u) < SERIES_U_THRESHOLD
-    return c * np.where(small, series, np.log1p(u) / np.where(small, 1.0, delta))
+        if abs(u) >= SERIES_U_THRESHOLD:
+            return c * (math.log1p(u) / delta)
+        return c * _flat_capacitance(u, g0)
+    return _capacitance_terms(c, g0, delta, u, np.log1p(u))
 
 
 def capacitance_slope(y_p, model: ValidatedModel, electrode: Electrode):
@@ -126,21 +164,17 @@ def capacitance_slope(y_p, model: ValidatedModel, electrode: Electrode):
     On gap_line's terms, with u = delta/g0 and c = eps0*w_p*l_p,
         dC/dy_p = -s * c * (1/(1+u) + tilt*N(u)) / (center_ratio * g0^2),
         N(u) = (ln(1+u)/u - 1/(1+u)) / u, 0/0 at the flat pose where N = 1/2,
-    so N is evaluated by series below SLOPE_SERIES_U_THRESHOLD. A float is
-    evaluated as a one-element array and gets the bits of the array element.
+    so N is evaluated by series below SLOPE_SERIES_U_THRESHOLD. A float (or
+    any other lone number) is evaluated as a one-element array and gets the
+    bits of the array element.
     """
-    scalar = isinstance(y_p, float)
-    g0, delta = gap_line(np.array([y_p]) if scalar else y_p, model, electrode)
+    scalar = np.ndim(y_p) == 0
+    g0, delta = gap_line(np.array([y_p], dtype=float) if scalar else y_p, model, electrode)
     _, s, center_ratio, tilt = gap_coefficients(model, electrode)
     g = model.geom
     u = delta / g0
-    small = np.abs(u) < SLOPE_SERIES_U_THRESHOLD
-    w = np.where(small, 1.0, u)
-    n = np.where(small,
-                 0.5 - u * (2.0 / 3.0 - u * (0.75 - u * (0.8 - u * (5.0 / 6.0 - u * (6.0 / 7.0))))),
-                 (np.log1p(w) / w - 1.0 / (1.0 + w)) / w)
-    c = model.constants.eps0 * g.w_p * g.l_p
-    slope = -s * (c * (1.0 / (1.0 + u) + tilt * n)) / (center_ratio * (g0 * g0))
+    slope = _slope_terms(model.constants.eps0 * g.w_p * g.l_p, s, center_ratio, tilt,
+                         g0, u, np.log1p(u))
     return float(slope[0]) if scalar else slope
 
 
@@ -218,6 +252,12 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
     1/C, close to linear in the mean gap, where that stays strictly inside
     its bracket and bisects where it does not (rtsafe, Numerical Recipes
     9.4), until |C(y) - C| <= 1e-12*C or for BISECT_MAX_ITER steps.
+
+    A step evaluates the gap line and ln(1+u) once and hands them to the
+    capacitance and slope helpers, the slope only after the convergence
+    test has left some element active; the flat-pose series runs only on
+    the elements near the flat pose. The results have the bits of
+    capacitance_value and capacitance_slope at the same poses.
     """
     C = np.asarray(C, dtype=float)
     bad = np.flatnonzero(~invertible(C, model, electrode))
@@ -234,19 +274,25 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
     lo, hi = inversion_bracket(model)
     rest, s, center_ratio, tilt = gap_coefficients(model, electrode)
     g = model.geom
+    c = model.constants.eps0 * g.w_p * g.l_p
     target = C.reshape(-1)
-    mean_gap = model.constants.eps0 * g.w_p * g.l_p / target
-    y = np.clip(s * center_ratio * (mean_gap - rest) / (1.0 + 0.5 * tilt), lo, hi)
+    tol = 1e-12 * target
+    y = np.clip(s * center_ratio * (c / target - rest) / (1.0 + 0.5 * tilt), lo, hi)
     a, b = np.full(y.shape, lo), np.full(y.shape, hi)
     active = np.ones(y.shape, dtype=bool)
     for _ in range(BISECT_MAX_ITER):
-        c_y = capacitance_value(y, model, electrode)
-        active &= np.abs(c_y - target) > 1e-12 * target
+        g0, delta = gap_line(y, model, electrode)
+        u = delta / g0
+        log1p_u = np.log1p(u)
+        c_y = _capacitance_terms(c, g0, delta, u, log1p_u)
+        active &= np.abs(c_y - target) > tol
         if not active.any():
             break
-        above = (c_y < target) == (s < 0.0)  # the root lies above y
+        # the root lies above y (C_top rises with y, C_bottom falls)
+        above = c_y < target if s < 0.0 else c_y >= target
         a, b = np.where(above, y, a), np.where(above, b, y)
-        newton = y + c_y * (target - c_y) / (target * capacitance_slope(y, model, electrode))
+        slope = _slope_terms(c, s, center_ratio, tilt, g0, u, log1p_u)
+        newton = y + c_y * (target - c_y) / (target * slope)
         step = np.where((a < newton) & (newton < b), newton, 0.5 * (a + b))
         y = np.where(active, step, y)
     return y.reshape(C.shape) if C.ndim else float(y[0])

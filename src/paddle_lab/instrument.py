@@ -47,8 +47,11 @@ class NoiseModel:
         """n noise values, sigma_C times standard normals from a fresh RNG seeded with seed.
 
         The one place seeded noise is drawn: a given (noise, n) always yields
-        the same values and concurrent calls never share state.
+        the same values and concurrent calls never share state. Noise-free
+        (sigma_C = 0) draws are zeros and build no generator.
         """
+        if self.sigma_C == 0.0:
+            return np.zeros(n)
         return self.sigma_C * np.random.default_rng(self.seed).standard_normal(n)
 
 

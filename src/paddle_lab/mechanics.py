@@ -263,8 +263,10 @@ def sorted_voltages(V_list, nonempty: bool = True) -> np.ndarray:
 
 
 def _check_drive(V_top: float, V_bottom: float) -> None:
-    if V_top < 0.0 or V_bottom < 0.0:
-        raise InvalidParameter("V", "drive voltages must be >= 0 (force is even in V)")
+    for V in (V_top, V_bottom):
+        if not 0.0 <= V < math.inf:  # NaN fails both
+            raise InvalidParameter(
+                "V", f"drive voltages must be finite and >= 0 (force is even in V), got {V!r}")
 
 
 def _solution(model: ValidatedModel, y: float, V_top: float, V_bottom: float,
@@ -421,7 +423,7 @@ class StableBranch:
         equilibrium exists, and the error for the first such V (None when
         there is none)."""
         V = np.asarray(V, dtype=float)
-        _check_drive(float(np.min(V, initial=0.0)), 0.0)
+        _check_drive(float(V.min(initial=0.0)), float(V.max(initial=0.0)))
         v2 = V * V
         force = _force_closure(self.model, *drive_voltages(self.electrode, V))
         unforced = v2 == 0.0

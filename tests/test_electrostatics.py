@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from paddle_lab import (Electrode, InvalidParameter, OutOfRange, TouchViolation,
-                        build_model, capacitance_curve, capacitance_value,
-                        force_per_v2_value, paddle_capacitance_quadrature,
-                        parallel_plate_capacitance, yp_from_capacitance)
+from paddle_lab import (Electrode, InvalidParameter, NoiseModel, OutOfRange,
+                        TouchViolation, build_model, capacitance_curve, capacitance_value,
+                        force_per_v2_value, measure_stream,
+                        paddle_capacitance_quadrature, parallel_plate_capacitance,
+                        yp_from_capacitance)
 from paddle_lab import electrostatics
 from paddle_lab.electrostatics import (SERIES_U_THRESHOLD, SLOPE_SERIES_U_THRESHOLD,
                                        capacitance_slope,
@@ -341,15 +342,68 @@ def test_inversion_bisects_where_newton_leaves_bracket(default_model, monkeypatc
     # a slope 1000 times too shallow sends the first Newton step out of the
     # bracket; the loop bisects instead and still meets its tolerance
     iterates = []
+    slope_terms, line = electrostatics._slope_terms, electrostatics.gap_line
 
-    def shallow(y, model, electrode):
-        iterates.append(float(y[0]))
-        return 1e-3 * capacitance_slope(y, model, electrode)
+    def shallow(*terms):
+        return 1e-3 * slope_terms(*terms)
 
-    monkeypatch.setattr(electrostatics, "capacitance_slope", shallow)
+    def recorded(y, model, electrode):  # the Newton loop evaluates arrays
+        if not isinstance(y, float):
+            iterates.append(float(y[0]))
+        return line(y, model, electrode)
+
+    monkeypatch.setattr(electrostatics, "_slope_terms", shallow)
+    monkeypatch.setattr(electrostatics, "gap_line", recorded)
     C = capacitance_value(2e-5, default_model, Electrode.TOP)
     y = yp_from_capacitance(C, default_model, Electrode.TOP)
     assert abs(capacitance_value(y, default_model, Electrode.TOP) - C) <= 1e-12 * C
     lo, hi = inversion_bracket(default_model)
     y0, y1 = iterates[:2]
     assert y1 in (0.5 * (lo + y0), 0.5 * (y0 + hi))  # the midpoint of the bracket
+
+
+def test_newton_step_makes_one_gap_line_call(default_model, monkeypatch):
+    # each Newton step shares one gap line and one log between C and dC/dy;
+    # only capacitance_range's two bracket ends take the float path
+    calls = []
+    line = electrostatics.gap_line
+    value_terms, slope_terms = electrostatics._capacitance_terms, electrostatics._slope_terms
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append("float" if name == "line" and isinstance(args[0], float) else name)
+            return f(*args)
+        return wrapper
+
+    _, C = measure_stream(capacitance_value(2e-5, default_model, Electrode.TOP),
+                          NoiseModel(sigma_C=1e-16, seed=3), 200)
+    monkeypatch.setattr(electrostatics, "gap_line", counted("line", line))
+    monkeypatch.setattr(electrostatics, "_capacitance_terms", counted("value", value_terms))
+    monkeypatch.setattr(electrostatics, "_slope_terms", counted("slope", slope_terms))
+    y = yp_from_capacitance(C, default_model, Electrode.TOP)
+    steps = calls[2:]
+    assert calls[:2] == ["float", "float"]
+    evaluations = steps.count("line")
+    assert evaluations >= 2
+    assert steps == ["line", "value"] + ["slope", "line", "value"] * (evaluations - 1)
+    assert np.all(np.abs(capacitance_value(y, default_model, Electrode.TOP) - C) <= 1e-12 * C)
+
+
+@pytest.mark.parametrize("electrode", [Electrode.TOP, Electrode.BOTTOM])
+def test_series_subset_matches_lone_poses(default_model, electrode):
+    # poses on both sides of the flat pose with |u| on both sides of each
+    # series threshold, among closed-form poses: every element of an array
+    # call has the bits of the same pose evaluated as a one-element array
+    rest, _, center_ratio, tilt = electrostatics.gap_coefficients(default_model, electrode)
+    u = np.concatenate([np.outer([SERIES_U_THRESHOLD, SLOPE_SERIES_U_THRESHOLD],
+                                 [0.5, 0.99, 1.01, 2.0]).ravel(), [0.0, 1e-9, 0.05, 0.3]])
+    y = np.random.default_rng(5).permutation(np.concatenate([u, -u]) * center_ratio * rest / tilt)
+    g0, delta = gap_line(y, default_model, electrode)
+    abs_u = np.abs(delta / g0)
+    for threshold in (SERIES_U_THRESHOLD, SLOPE_SERIES_U_THRESHOLD):
+        assert np.any(abs_u < threshold) and np.any(abs_u >= threshold)
+    for kernel in (capacitance_value, capacitance_slope):
+        whole = kernel(y, default_model, electrode)
+        lone = np.concatenate([kernel(y[i:i + 1], default_model, electrode)
+                               for i in range(y.size)])
+        assert whole.tobytes() == lone.tobytes()

@@ -202,6 +202,20 @@ def test_noise_is_drawn_by_the_noise_model(default_model):
         (np.array([r.C for r in clean.rows]) + noise.draw(3)).tolist()
 
 
+def test_noise_free_draws_are_exact(default_model):
+    # sigma_C = 0 adds +0.0: the stream and the calibration rows are the
+    # noise-free values, bit for bit
+    noise = NoiseModel(sigma_C=0.0, seed=9)
+    zeros = noise.draw(6)
+    assert zeros.dtype == np.float64 and zeros.shape == (6,)
+    assert not np.any(zeros) and not np.any(np.signbit(zeros))
+    C_true = 2.2125e-12
+    assert measure_stream(C_true, noise, 40)[1].tolist() == [C_true] * 40
+    area = default_model.geom.w_p * default_model.geom.l_p
+    assert [C for _, _, C in calibration_table(default_model, DEFAULT_SPACERS, noise)] == \
+        [parallel_plate_capacitance(area, s, 8.85e-12) for s in DEFAULT_SPACERS]
+
+
 def test_calibration_table_rejects_bad_spacer(default_model):
     with pytest.raises(InvalidParameter):
         calibration_table(default_model, [25e-6, -50e-6], QUIET)

@@ -210,6 +210,21 @@ def test_equilibrium_rejects_negative_voltage(default_model):
         solve_equilibrium(default_model, -1.0, 0.0)
 
 
+@pytest.mark.parametrize("V", [math.nan, math.inf, -math.inf])
+def test_non_finite_drive_is_invalid_input(default_model, V):
+    # an invalid drive is InvalidParameter, not a missing equilibrium
+    message = r"^V: drive voltages must be finite and >= 0"
+    for drive in ((V, 0.0), (0.0, V)):
+        with pytest.raises(InvalidParameter, match=message):
+            solve_equilibrium(default_model, *drive)
+    branch = StableBranch(default_model, Electrode.TOP)
+    with pytest.raises(InvalidParameter, match=message):
+        branch.solve(V)
+    with pytest.raises(InvalidParameter, match=message):
+        branch.solve(np.array([10.0, V, 20.0]))
+    assert branch.solve(np.array([10.0, 20.0])).shape == (2,)
+
+
 def test_equilibrium_beyond_pull_in(with_sigma0):
     with pytest.raises(NoStableEquilibrium):
         solve_equilibrium(with_sigma0(0.0), 0.0, 500.0)
