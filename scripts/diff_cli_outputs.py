@@ -35,10 +35,16 @@ def commands():
     yield "calibrate", "calibrate --sigma-c 1e-15 --seed 3"
     for e, yp in itertools.product(("top", "bottom"), ("-4e-5", "0", "3e-5")):
         yield f"measure-{e}-{yp}", f"measure --electrode {e} --yp={yp} --seed 5"
-    truth = build_model(sigma0=150e6, t_F=220e-9)
-    for name, e, top in (("top", "top", 0.8), ("bottom", "bottom", 0.8), ("near", "bottom", 0.9999)):
+    # (name, truth sigma0, electrode, sampled up to this fraction of V_PI, noise in F)
+    for name, sigma0, e, top, sigma_C in (("top", 150e6, "top", 0.8, 1e-17),
+                                          ("bottom", 150e6, "bottom", 0.8, 1e-17),
+                                          ("near", 150e6, "bottom", 0.9999, 1e-17),
+                                          ("near-top", 150e6, "top", 0.9999, 1e-17),
+                                          ("compressive", -150e6, "top", 0.9, 1e-17),
+                                          ("noisy", 150e6, "top", 0.8, 1e-15)):
+        truth = build_model(sigma0=sigma0, t_F=220e-9)
         V = np.linspace(0.0, top * pull_in_voltage(truth, e).V_pull_in, 21)
-        rows = simulate_cv(truth, e, V, NoiseModel(sigma_C=1e-17, seed=11)).rows
+        rows = simulate_cv(truth, e, V, NoiseModel(sigma_C=sigma_C, seed=11)).rows
         with open(f"cv-{name}.csv", "w") as fh:
             fh.write("V_volt,C_F\n" + "".join(f"{r.V:.12e},{r.C:.12e}\n" for r in rows))
         yield f"extract-{name}", f"extract --electrode {e} --data cv-{name}.csv"

@@ -5,10 +5,17 @@ sigma0 and the stiffness-volume product E_F*V_F, so those two are the fit
 parameters; E_F alone is not identifiable and the template's value is used
 to express results. The fit is damped Gauss-Newton on the capacitance
 residuals with a central-difference Jacobian.
+
+Each fit prepares once what does not depend on theta = (sigma0, E_F*V_F):
+per electrode, the row indices, the measured C and the voltages with V^2
+and their force terms (_PreparedFit). A trial theta then costs one
+validated model with the film replaced, and per electrode one closed-form
+branch solve and one capacitance evaluation.
 """
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -17,11 +24,11 @@ import numpy as np
 from .electrostatics import (Electrode, capacitance_value, force_per_v2_value,
                              invertible, yp_from_capacitance)
 from .errors import (DegenerateData, InsufficientData, InvalidParameter,
-                     NoStableEquilibrium, OutOfRange, TouchViolation)
+                     OutOfRange, TouchViolation)
 from .instrument import MeasurementSample, NoiseModel
-from .mechanics import (StableBranch, compliance, film_stiffness, sorted_voltages,
+from .mechanics import (StableBranch, _Drive, compliance, film_stiffness, sorted_voltages,
                         strain_coupling)
-from .model import ValidatedModel, model_from_dict, model_to_dict
+from .model import ValidatedModel
 
 MAX_ITERATIONS = 100
 REL_STEP_TOL = 1e-10
@@ -141,37 +148,57 @@ def load_cv_csv(path, electrode: Electrode) -> CVDataset:
     return CVDataset(rows=tuple(rows))
 
 
-def _with_film(template: ValidatedModel, sigma0: float, EFVF: float) -> ValidatedModel:
-    """Template model with the film replaced by (sigma0, E_F*V_F).
+class _PreparedFit:
+    """Everything of one fit that does not depend on theta = (sigma0, E_F*V_F).
 
-    E_F and A_F are kept from the template; the product is realized by
-    adjusting t_F, which the forward model only sees through V_F.
+    Built once per fit: the data's V and C arrays and, per electrode, its
+    row indices, its measured C and its voltages prepared for the branch
+    solve (mechanics._Drive, which holds V^2 and the drive's force terms).
+    _initial_guess reads the same groups.
     """
-    film = template.film
-    return model_from_dict({**model_to_dict(template), "sigma0": sigma0,
-                            "t_F": EFVF / (film.E_F * film.A_F)})
 
+    def __init__(self, data: CVDataset, template: ValidatedModel):
+        self.template = template
+        self.V, self.C = data.voltages, data.capacitances
+        electrodes = [row.electrode for row in data.rows]
+        self.groups = []
+        for e in dict.fromkeys(electrodes):
+            rows = np.flatnonzero([el is e for el in electrodes])
+            self.groups.append((e, rows, self.C[rows],
+                                _Drive(StableBranch(template, e), self.V[rows])))
 
-def _residuals(theta, data: CVDataset, template: ValidatedModel):
-    """Capacitance residual vector at theta, or None if the model fails there."""
-    try:
-        m = _with_film(template, float(theta[0]), float(theta[1]))
-    except InvalidParameter:
-        return None
-    electrodes = [row.electrode for row in data.rows]
-    V, C = data.voltages, data.capacitances
-    res = np.empty(len(data.rows))
-    for e in set(electrodes):
-        rows = np.array([el is e for el in electrodes])
+    def residuals(self, theta):
+        """Capacitance residual vector at theta, or None if the model fails there.
+
+        Only the film is derived per theta: the trial model replaces the
+        template's film by (sigma0, E_F*V_F), keeping E_F and A_F and
+        realizing the product through t_F, which the forward model only sees
+        through V_F. Constructing it is the model's one validity check. Each
+        electrode's prepared voltages are then solved on the trial film's
+        branch, and the capacitance is evaluated on the template, whose
+        geometry the film does not change.
+        """
+        template = self.template
+        film = template.film
         try:
-            y = StableBranch(m, e).solve(V[rows])
-            res[rows] = capacitance_value(y, m, e) - C[rows]
-        except (NoStableEquilibrium, TouchViolation, InvalidParameter):
+            m = ValidatedModel(template.constants, template.geom, template.substrate,
+                               dataclasses.replace(film, sigma0=float(theta[0]),
+                                                   t_F=float(theta[1]) / (film.E_F * film.A_F)))
+        except InvalidParameter:
             return None
-    return res
+        res = np.empty(self.C.size)
+        for e, rows, C, drive in self.groups:
+            y, error = StableBranch(m, e)._roots(drive)
+            if error is not None:
+                return None
+            try:
+                res[rows] = capacitance_value(y, template, e) - C
+            except TouchViolation:
+                return None
+        return res
 
 
-def _initial_guess(data: CVDataset, template: ValidatedModel) -> np.ndarray:
+def _initial_guess(fit: _PreparedFit) -> np.ndarray:
     """Linear pre-fit of the force balance after inverting each C to y_p.
 
     At equilibrium p - k_f*y = y/compliance - f(y)*V^2 with p the prestress
@@ -182,20 +209,19 @@ def _initial_guess(data: CVDataset, template: ValidatedModel) -> np.ndarray:
     than two rows, no deflection spread, or k_f <= 0) the template's EFVF
     is kept and only p is re-estimated.
     """
+    template = fit.template
     EFVF0 = template.film.E_F * template.V_F
     a = strain_coupling(template)
     inv_c = 1.0 / compliance(template)
-    electrodes = [row.electrode for row in data.rows]
-    V, C = data.voltages, data.capacitances
-    y, f = np.full(len(C), np.nan), np.empty(len(C))
-    for e in set(electrodes):
-        rows = np.array([el is e for el in electrodes]) & invertible(C, template, e)
-        y[rows] = yp_from_capacitance(C[rows], template, e)
+    y, f = np.full(fit.C.size, np.nan), np.empty(fit.C.size)
+    for e, rows, C, _ in fit.groups:
+        rows = rows[invertible(C, template, e)]
+        y[rows] = yp_from_capacitance(fit.C[rows], template, e)
         f[rows] = force_per_v2_value(y[rows], template, e)
     kept = ~np.isnan(y)
     if not kept.any():
         return np.array([template.film.sigma0, EFVF0])
-    ys, V = y[kept], V[kept]
+    ys, V = y[kept], fit.V[kept]
     bs = ys * inv_c - f[kept] * V * V
     y_scale = float(np.max(np.abs(ys)))
     p = k_f = float("nan")
@@ -223,6 +249,11 @@ def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> Film
     exhausted line search whose finest attempted step was already below
     the tolerance counts as converged; non-convergence is reported in the
     flag, not raised.
+
+    The data are grouped by electrode and their voltages prepared for the
+    branch solve once per fit (_PreparedFit); each residual vector then
+    derives only the trial film, so every residual has the bits of one
+    computed on a model rebuilt from scratch.
     """
     if len({row.V for row in data.rows}) < 2:
         raise DegenerateData("all rows share one voltage; sigma0 and E_F*V_F "
@@ -235,8 +266,9 @@ def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> Film
         return np.array([max(abs(theta[0]), SIGMA0_SCALE_FLOOR),
                          max(abs(theta[1]), 1e-3 * EFVF_ref)])
 
-    theta = _initial_guess(data, model_template)
-    r = _residuals(theta, data, model_template)
+    fit = _PreparedFit(data, model_template)
+    theta = _initial_guess(fit)
+    r = fit.residuals(theta)
     if r is None:
         return FilmFitResult(sigma0_hat=float(theta[0]), EFVF_hat=float(theta[1]),
                              rms_residual=float("inf"), iterations=0, converged=False)
@@ -250,8 +282,8 @@ def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> Film
         bad_jacobian = False
         for j in range(2):
             h = JACOBIAN_REL_STEP * sc[j]
-            hi = _residuals(theta + h * np.eye(2)[j], data, model_template)
-            lo = _residuals(theta - h * np.eye(2)[j], data, model_template)
+            hi = fit.residuals(theta + h * np.eye(2)[j])
+            lo = fit.residuals(theta - h * np.eye(2)[j])
             if hi is None or lo is None:
                 bad_jacobian = True
                 break
@@ -273,7 +305,7 @@ def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> Film
         accepted = False
         for _ in range(MAX_HALVINGS + 1):
             trial = theta + alpha * delta
-            rt = _residuals(trial, data, model_template)
+            rt = fit.residuals(trial)
             if rt is not None:
                 st = float(rt @ rt)
                 if st < ssq:

@@ -191,33 +191,36 @@ def total_force(y_p: float, V_top: float, V_bottom: float,
 def _force_closure(model: ValidatedModel, V_top: float, V_bottom: float):
     """Total force F(y_p) in plain arithmetic, on a float or an array.
 
-    The one sum of the force terms, for the scan grid and its bisection
-    and for the branch's Newton step. A drive voltage may be an array too, which
-    broadcasts against y_p.
-    Poses are not checked against the touch limits: callers stay inside
-    the scan interval.
+    For the scan grid and its bisection, and for a branch's equilibrium
+    breakdown. A drive voltage may be an array too, which broadcasts
+    against y_p. Poses are not checked against the touch limits: callers
+    stay inside the scan interval.
     """
-    g = model.geom
-    half = 0.5 * model.constants.eps0 * g.w_p * g.l_p
-    prestress = film_force(0.0, model)
-    k_lin = film_stiffness(model) + 1.0 / compliance(model)
-    rest_t, s_t, cr, tilt = gap_coefficients(model, Electrode.TOP)
-    rest_b, s_b, _, _ = gap_coefficients(model, Electrode.BOTTOM)
-    c_t = s_t * (half * (V_top * V_top))
-    c_b = s_b * (half * (V_bottom * V_bottom))
-    top, bottom = np.count_nonzero(c_t) > 0, np.count_nonzero(c_b) > 0
+    half = 0.5 * model.constants.eps0 * model.geom.w_p * model.geom.l_p
+    terms = []
+    for electrode, V in ((Electrode.TOP, V_top), (Electrode.BOTTOM, V_bottom)):
+        rest, s, cr, tilt = gap_coefficients(model, electrode)  # cr, tilt: same for both
+        c = s * (half * (V * V))
+        if np.count_nonzero(c) > 0:
+            terms.append((rest, s, c))
+    return _force_sum(film_force(0.0, model), film_stiffness(model) + 1.0 / compliance(model),
+                      cr, tilt, terms)
+
+
+def _force_sum(prestress, k_lin, cr, tilt, terms):
+    """F(y_p) = prestress - k_lin*y_p - sum of c/(g0*g1) over the driven electrodes.
+
+    The one sum of the force terms. terms holds (rest, s, c) of each driven
+    electrode's gap line, with c = s*half*V^2 (a float or an array).
+    """
 
     def force(y_p):
         y_b = y_p / cr
         out = prestress - k_lin * y_p
-        if top:
-            y_s = s_t * y_b
-            g0 = rest_t + y_s
-            out -= c_t / (g0 * (g0 + tilt * y_s))
-        if bottom:
-            y_s = s_b * y_b
-            g0 = rest_b + y_s
-            out -= c_b / (g0 * (g0 + tilt * y_s))
+        for rest, s, c in terms:
+            y_s = s * y_b
+            g0 = rest + y_s
+            out -= c / (g0 * (g0 + tilt * y_s))
         return out
 
     return force
@@ -326,16 +329,30 @@ class StableBranch:
     rest deflection past a touch limit pins the paddle, and that is the
     error reported unless the drive pulls the paddle free.
 
-    One branch serves any number of voltages on the same model: sweeps and
-    fits build it once, compute pull-in once and solve all their voltages
-    in one call.
+    The constructor computes the branch's constants once: the gap line to
+    the driven electrode with its edge slopes b0 and b1, half = eps0*w_p*l_p/2,
+    and the film's prestress force, the total stiffness and the rest
+    deflection. One branch serves any number of voltages on the same model:
+    sweeps build it once, compute pull-in once and solve all their voltages
+    in one call. What a solve needs of the voltages alone is a _Drive,
+    which the branch of any film on the same geometry and electrode can
+    solve (_roots): a fit prepares each electrode's voltages once and
+    solves them on the branch of every trial film.
     """
 
     def __init__(self, model: ValidatedModel, electrode: Electrode):
         self.model = model
         self.electrode = Electrode(electrode)
         self.lo, self.hi = _scan_bounds(model)
-        self.rest = zero_voltage_equilibrium(model)
+        self.gap, self.s, self.cr, self.tilt = gap_coefficients(model, self.electrode)
+        self.b0 = self.s / self.cr
+        self.b1 = (1.0 + self.tilt) * self.b0
+        self.half = 0.5 * model.constants.eps0 * model.geom.w_p * model.geom.l_p
+        self.prestress = film_force(0.0, model)
+        self.k = film_stiffness(model) + 1.0 / compliance(model)
+        self.rest = self.prestress / self.k  # zero_voltage_equilibrium
+        # the two edge gaps at rest
+        self.G0, self.G1 = self.gap + self.b0 * self.rest, self.gap + self.b1 * self.rest
         self.start = min(max(self.rest, self.lo), self.hi)  # clamped rest deflection
         self.pinned = self.start != self.rest
         toward_top = self.electrode is Electrode.TOP
@@ -343,6 +360,10 @@ class StableBranch:
         # and the sign of a restoring force at the rest-side end
         self.far, self.end = (self.lo, self.hi) if toward_top else (self.hi, self.lo)
         self.far_sign = 1.0 if toward_top else -1.0
+
+    def _force(self, terms=()):
+        """The total force F(y_p) (_force_sum) of this film under a drive's terms."""
+        return _force_sum(self.prestress, self.k, self.cr, self.tilt, terms)
 
     @functools.cached_property
     def pull_in(self) -> tuple[float, float]:
@@ -357,18 +378,14 @@ class StableBranch:
         """
         if self.start == self.end:
             raise self._pinned_error(0.0)
-        gap, s, cr, tilt = gap_coefficients(self.model, self.electrode)
-        b0 = s / cr
-        b1 = (1.0 + tilt) * b0
-        G0, G1 = gap + b0 * self.rest, gap + b1 * self.rest
+        b0, b1, G0, G1 = self.b0, self.b1, self.G0, self.G1
         a, b, c = 3.0 * b0 * b1, 2.0 * (b0 * G1 + b1 * G0), G0 * G1
         z = -2.0 * c / (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
         y = min(max(self.rest + z, min(self.start, self.end)), max(self.start, self.end))
-        # V^2 = -F_mech/f_e with f_e = -s*half/(g0*g1), as in _force_closure
-        half = 0.5 * self.model.constants.eps0 * self.model.geom.w_p * self.model.geom.l_p
-        y_s = s * (y / cr)
-        g0 = gap + y_s
-        return y, s * _force_closure(self.model, 0.0, 0.0)(y) * g0 * (g0 + tilt * y_s) / half
+        # V^2 = -F_mech/f_e with f_e = -s*half/(g0*g1), as in _force_sum
+        y_s = self.s * (y / self.cr)
+        g0 = self.gap + y_s
+        return y, self.s * self._force()(y) * g0 * (g0 + self.tilt * y_s) / self.half
 
     def _pinned_error(self, V: float) -> NoStableEquilibrium:
         side, limit = (("top", self.model.y_p_max) if self.rest > self.hi
@@ -379,8 +396,8 @@ class StableBranch:
             msg += f"; {V!r} V on the {self.electrode.value} electrode does not pull it free"
         return NoStableEquilibrium(msg)
 
-    def _stable_root(self, v2, force, y_pi):
-        """Stable root of the branch cubic at squared drives v2, in [far, y_PI].
+    def _stable_root(self, drive: _Drive, force, y_pi):
+        """Stable root of the branch cubic at drive's squared voltages, in [far, y_PI].
 
         With z = y_p - rest and w = s*z the balance k*z*(G0 + b0*z)*(G1 +
         b1*z) + s*half*V^2 = 0 reads w*(w + r0)*(w + r1) + e = 0, where
@@ -394,62 +411,55 @@ class StableBranch:
         total force then polishes it and is discarded if it leaves [far,
         y_PI], which it can near the double root at V_PI.
         """
-        gap, s, cr, tilt = gap_coefficients(self.model, self.electrode)
-        b0 = s / cr
-        b1 = (1.0 + tilt) * b0
-        k = film_stiffness(self.model) + 1.0 / compliance(self.model)
-        half = 0.5 * self.model.constants.eps0 * self.model.geom.w_p * self.model.geom.l_p
-        r0 = (gap + b0 * self.rest) * cr
-        r1 = (gap + b1 * self.rest) * cr / (1.0 + tilt)
-        e = (half * v2) * (cr * cr / (k * (1.0 + tilt)))
+        gap, s, cr, tilt, b0, b1, k = (self.gap, self.s, self.cr, self.tilt, self.b0,
+                                       self.b1, self.k)
+        r0 = self.G0 * cr
+        r1 = self.G1 * cr / (1.0 + tilt)
+        e = drive.half_v2 * (cr * cr / (k * (1.0 + tilt)))
         # depressed cubic t^3 - 3*m^2*t + q0 + e, t = w + (r0 + r1)/3
         m = math.sqrt((r0 - r1) ** 2 + r0 * r1) / 3.0
         q0 = (r0 + r1) * (2.0 * r0 - r1) * (r0 - 2.0 * r1) / 27.0
-        x = np.clip(-(q0 + e) / (2.0 * m**3), -1.0, 1.0)
+        # np.minimum(np.maximum(...)) gives np.clip's bits here at half its call cost
+        x = np.minimum(np.maximum(-(q0 + e) / (2.0 * m**3), -1.0), 1.0)
         w_far = -2.0 * m * np.cos(math.pi / 3.0 - np.arccos(x) / 3.0) - (r0 + r1) / 3.0
         beta = r0 + r1 + w_far  # w^2 + beta*w + gamma holds the other two roots
         gamma = -e / w_far
         w = -2.0 * gamma / (beta + np.sqrt(np.maximum(beta * beta - 4.0 * gamma, 0.0)))
         lo, hi = min(self.far, y_pi), max(self.far, y_pi)
-        y = np.clip(self.rest + s * w, lo, hi)
-        c = s * (half * v2)
+        y = np.minimum(np.maximum(self.rest + s * w, lo), hi)
         g0, g1 = gap + b0 * y, gap + b1 * y
         with np.errstate(divide="ignore", invalid="ignore"):
-            polished = y - force(y) / (c * (b0 * g1 + b1 * g0) / (g0 * g1) ** 2 - k)
+            polished = y - force(y) / (drive.c * (b0 * g1 + b1 * g0) / (g0 * g1) ** 2 - k)
         return np.where((lo <= polished) & (polished <= hi), polished, y)
 
-    def _roots(self, V):
-        """(y_p, error): solve's y_p at each V, NaN where no stable
+    def _roots(self, drive: _Drive):
+        """(y_p, error): solve's y_p at each of drive's V, NaN where no stable
         equilibrium exists, and the error for the first such V (None when
         there is none)."""
-        V = np.asarray(V, dtype=float)
-        _check_drive(float(V.min(initial=0.0)), float(V.max(initial=0.0)))
-        v2 = V * V
-        force = _force_closure(self.model, *drive_voltages(self.electrode, V))
-        unforced = v2 == 0.0
-        pinned = np.zeros(V.shape, dtype=bool)
+        force = self._force(drive.terms)
         if self.pinned:  # unforced, or the rest-side end not yet pulled free
-            pinned |= unforced | (force(self.far) * self.far_sign <= 0.0)
-        solved = unforced & ~pinned
+            pinned = drive.unforced | (force(self.far) * self.far_sign <= 0.0)
+            solved, driven = np.zeros(pinned.shape, dtype=bool), ~pinned
+        else:
+            pinned, solved, driven = None, drive.unforced, drive.driven
         y = np.where(solved, self.start, np.nan)
-        driven = ~(unforced | pinned)
         error = None
-        if driven.any():
+        if np.count_nonzero(driven):
             try:
                 y_pi, v2_pi = self.pull_in
             except NoStableEquilibrium as exc:
                 error = exc
             else:
                 # within rounding of V_PI, F(y_PI) can keep the rest-side sign
-                stable = driven & (v2 < v2_pi) & (force(y_pi) * self.far_sign <= 0.0)
-                if stable.any():
-                    y = np.where(stable, self._stable_root(v2, force, y_pi), y)
-                    solved |= stable
+                stable = driven & (drive.v2 < v2_pi) & (force(y_pi) * self.far_sign <= 0.0)
+                if np.count_nonzero(stable):
+                    y = np.where(stable, self._stable_root(drive, force, y_pi), y)
+                    solved = solved | stable
         if solved.all():
             return y, None
         i = int(np.argmin(solved))
-        v = float(V.flat[i])
-        if pinned.flat[i]:
+        v = float(drive.V.flat[i])
+        if pinned is not None and pinned.flat[i]:
             error = self._pinned_error(v)
         elif error is None:
             error = NoStableEquilibrium(
@@ -465,14 +475,14 @@ class StableBranch:
         Raises NoStableEquilibrium for the first V, in array order, at or
         past pull-in or at which film stress pins the paddle.
         """
-        y, error = self._roots(V)
+        y, error = self._roots(_Drive(self, V))
         if error is not None:
             raise error
         return y if np.ndim(V) else float(y)
 
     def solve_leading(self, V) -> np.ndarray:
         """Stable y_p at each V of a 1-D array, up to the first V without one."""
-        y, _ = self._roots(V)
+        y, _ = self._roots(_Drive(self, V))
         failed = np.flatnonzero(np.isnan(y))
         return y[:failed[0]] if failed.size else y
 
@@ -482,6 +492,30 @@ class StableBranch:
         V_top, V_bottom = drive_voltages(self.electrode, V)
         return _solution(self.model, y, V_top, V_bottom,
                          _force_closure(self.model, V_top, V_bottom))
+
+
+class _Drive:
+    """Voltages on one branch's electrode, prepared for solving on any film.
+
+    Holds everything of StableBranch's solve that depends only on V, the
+    geometry and the electrode: the drive check, V^2, half*V^2, the force
+    coefficient c = s*half*V^2 with its _force_sum term, and the unforced
+    (V = 0) and driven voltages. Built from any branch on that geometry and
+    electrode; the branch of every film then solves it with _roots.
+    """
+
+    __slots__ = ("V", "v2", "half_v2", "c", "terms", "unforced", "driven")
+
+    def __init__(self, branch: StableBranch, V):
+        V = np.asarray(V, dtype=float)
+        _check_drive(float(V.min(initial=0.0)), float(V.max(initial=0.0)))
+        self.V = V
+        self.v2 = V * V
+        self.half_v2 = branch.half * self.v2
+        self.c = branch.s * self.half_v2
+        self.terms = ((branch.gap, branch.s, self.c),) if np.count_nonzero(self.c) > 0 else ()
+        self.unforced = self.v2 == 0.0
+        self.driven = ~self.unforced
 
 
 def solve_equilibrium(model: ValidatedModel, V_top: float = 0.0,

@@ -1,11 +1,19 @@
+import functools
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from paddle_lab import (CVDataset, CVRow, DegenerateData, Electrode,
                         InsufficientData, InvalidParameter, MeasurementSample,
-                        NoiseModel, OutOfRange, build_model, capacitance_value,
-                        deflection_series, fit_film_parameters, load_cv_csv,
-                        measure_capacitance, simulate_cv)
+                        NoiseModel, NoStableEquilibrium, OutOfRange, TouchViolation,
+                        build_model, capacitance_value, deflection_series,
+                        fit_film_parameters, load_cv_csv, measure_capacitance,
+                        model_from_dict, model_to_dict, pull_in_voltage, simulate_cv)
+from paddle_lab.extraction import _PreparedFit
+from paddle_lab.mechanics import StableBranch
 
 
 def test_simulate_cv_basic(with_sigma0):
@@ -186,3 +194,106 @@ def test_fit_degenerate_single_voltage(default_model):
     rows = tuple(CVRow(25.0, C * (1.0 + 1e-4 * i), Electrode.BOTTOM) for i in range(4))
     with pytest.raises(DegenerateData):
         fit_film_parameters(CVDataset(rows=rows), default_model)
+
+
+TRUTH_SIGMA0, TRUTH_T_F = 150e6, 220e-9
+TRUTH_EFVF = 70e9 * TRUTH_T_F * 7.5e-6
+
+
+def _interleaved(*parts):
+    """The rows of several datasets, alternating between them while they last."""
+    n = max(len(p) for p in parts)
+    return tuple(p[i] for i in range(n) for p in parts if i < len(p))
+
+
+def test_fit_two_electrodes(default_model):
+    # 11 bottom and 10 top rows of one noise-free truth, interleaved: each
+    # electrode's rows are solved on its own branch and land in their own places
+    truth = build_model(sigma0=TRUTH_SIGMA0, t_F=TRUTH_T_F)
+    parts = []
+    for e, n in ((Electrode.BOTTOM, 11), (Electrode.TOP, 10)):
+        V = np.linspace(0.0, 0.8 * pull_in_voltage(truth, e).V_pull_in, n)
+        parts.append(simulate_cv(truth, e, V).rows)
+    fit = fit_film_parameters(CVDataset(rows=_interleaved(*parts)), default_model)
+    assert fit.converged
+    assert fit.sigma0_hat == pytest.approx(TRUTH_SIGMA0, rel=1e-6)
+    assert fit.EFVF_hat == pytest.approx(TRUTH_EFVF, rel=1e-6)
+
+
+def test_fit_rebuilds_no_model_through_the_dict(default_model, with_sigma0, monkeypatch):
+    # a trial film is a replaced film on the template, not a flat-dict round trip
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "paddle_lab"]:
+        for name in ("model_to_dict", "model_from_dict"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    ds = simulate_cv(with_sigma0(150e6), Electrode.BOTTOM, np.linspace(0.0, 150.0, 11))
+    fit = fit_film_parameters(ds, default_model)
+    assert fit.converged and fit.iterations > 0
+    assert calls == []
+
+
+@functools.cache
+def _oracle_datasets():
+    """Noisy C-V sets of one truth up to 0.99 V_PI: each electrode alone, and both interleaved."""
+    truth = build_model(sigma0=TRUTH_SIGMA0, t_F=TRUTH_T_F)
+    sets = {}
+    for e in Electrode:
+        V = np.linspace(0.0, 0.99 * pull_in_voltage(truth, e).V_pull_in, 21)
+        sets[e.value] = simulate_cv(truth, e, V, NoiseModel(sigma_C=1e-16, seed=3))
+    sets["both"] = CVDataset(rows=_interleaved(sets["bottom"].rows[:11], sets["top"].rows[:10]))
+    return sets
+
+
+def _rebuilt_residuals(theta, data, template):
+    """The residual vector through a rebuilt model: the flat-dict round trip,
+    one branch solve and one capacitance per electrode, or None where one raises."""
+    film = template.film
+    try:
+        m = model_from_dict({**model_to_dict(template), "sigma0": float(theta[0]),
+                             "t_F": float(theta[1]) / (film.E_F * film.A_F)})
+    except InvalidParameter:
+        return None
+    V, C = data.voltages, data.capacitances
+    res = np.empty(len(data.rows))
+    for e in Electrode:
+        rows = np.array([row.electrode is e for row in data.rows])
+        if rows.any():
+            try:
+                res[rows] = capacitance_value(StableBranch(m, e).solve(V[rows]), m, e) - C[rows]
+            except (NoStableEquilibrium, TouchViolation):
+                return None
+    return res
+
+
+@settings(max_examples=150, deadline=None)
+@given(which=st.sampled_from(["bottom", "top", "both"]),
+       sigma0=st.one_of(st.floats(min_value=-1.0, max_value=2.5).map(lambda f: f * TRUTH_SIGMA0),
+                        st.sampled_from([math.nan, math.inf, -math.inf, 9e8, -9e8])),
+       EFVF=st.one_of(st.floats(min_value=0.3, max_value=2.0).map(lambda f: f * TRUTH_EFVF),
+                      st.sampled_from([0.0, -TRUTH_EFVF, math.nan, math.inf])))
+@example(which="both", sigma0=TRUTH_SIGMA0, EFVF=TRUTH_EFVF)     # defined
+@example(which="both", sigma0=math.nan, EFVF=TRUTH_EFVF)         # not a model
+@example(which="bottom", sigma0=TRUTH_SIGMA0, EFVF=0.0)          # no film: V_PI below the data
+@example(which="bottom", sigma0=TRUTH_SIGMA0, EFVF=-TRUTH_EFVF)  # not a model
+@example(which="bottom", sigma0=-TRUTH_SIGMA0, EFVF=TRUTH_EFVF)  # V_PI below the data
+@example(which="top", sigma0=2.0 * TRUTH_SIGMA0, EFVF=TRUTH_EFVF)  # V_PI below the data
+@example(which="both", sigma0=9e8, EFVF=TRUTH_EFVF)              # pinned on top
+@example(which="both", sigma0=-9e8, EFVF=TRUTH_EFVF)             # pinned on the bottom
+def test_fit_residuals_match_rebuilt_model_bitwise(default_model, which, sigma0, EFVF):
+    # the prepared fit's residual has the bits of a residual through a rebuilt
+    # model, and is undefined exactly where that one raises
+    data = _oracle_datasets()[which]
+    theta = np.array([sigma0, EFVF])
+    expected = _rebuilt_residuals(theta, data, default_model)
+    got = _PreparedFit(data, default_model).residuals(theta)
+    assert (got is None) == (expected is None)
+    if expected is not None:
+        assert got.tobytes() == expected.tobytes()
