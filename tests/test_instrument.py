@@ -237,6 +237,33 @@ def test_calibration_fit_of_table_rows(default_model):
         calibration_fit(default_model, rows[:1] * 3 + rows[1:2])
 
 
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       sigma_C=st.sampled_from([1e-17, 1e-15, 1e-13]),
+       microns=st.lists(st.integers(min_value=5, max_value=400), min_size=3, max_size=12,
+                        unique=True))
+def test_calibration_fit_matches_polyfit(default_model, seed, sigma_C, microns):
+    # the closed-form centered line is the least-squares line np.polyfit finds
+    rows = calibration_table(default_model, [1e-6 * k for k in microns],
+                             NoiseModel(sigma_C=sigma_C, seed=seed))
+    slope, intercept = np.polyfit([r[1] for r in rows], [r[2] for r in rows], 1)
+    fit = calibration_fit(default_model, rows)
+    assert fit.slope == pytest.approx(slope, rel=1e-14)
+    assert fit.intercept == pytest.approx(intercept, rel=0.0,
+                                          abs=1e-14 * max(r[2] for r in rows))
+
+
+@pytest.mark.parametrize("stray", [3e-13, -1e-13, 2e-12])
+def test_calibration_fit_recovers_stray_capacitance(default_model, stray):
+    # rows C = eps0*A/d + b: the line has slope eps0*A and intercept b
+    eps0_area = 8.85e-12 * 25e-6
+    rows = [(d, 1.0 / d, eps0_area / d + stray) for d in DEFAULT_SPACERS]
+    fit = calibration_fit(default_model, rows)
+    assert fit.slope == pytest.approx(eps0_area, rel=1e-12)
+    assert fit.intercept == pytest.approx(stray, rel=1e-12)
+    assert fit.r2 == pytest.approx(1.0, abs=1e-12)
+    assert fit.implied_area == pytest.approx(25e-6, rel=1e-12)
+
+
 def test_calibrate_insufficient_spacers(default_model):
     with pytest.raises(InsufficientData):
         calibrate(default_model, [25e-6, 50e-6], QUIET)
