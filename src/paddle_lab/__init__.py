@@ -19,9 +19,10 @@ from .errors import (DegenerateData, InsufficientData, InvalidParameter,
 from .extraction import (CVDataset, CVRow, FilmFitResult, deflection_series,
                          fit_film_parameters, load_cv_csv, simulate_cv)
 from .instrument import (BridgeConfig, CalibrationFit, MeasurementSample,
-                         NoiseModel, balance_bridge, bridge_output, calibrate,
-                         calibration_fit, calibration_table, measure_capacitance,
-                         measure_stream, resolvable_displacement)
+                         MeasurementStream, NoiseModel, balance_bridge,
+                         bridge_output, calibrate, calibration_fit,
+                         calibration_table, measure_capacitance, measure_stream,
+                         resolvable_displacement)
 from .mechanics import (EquilibriumSolution, ForceBreakdown, PullInResult,
                         StressProfile, SweepRecord, SweepResult, bending_stress,
                         compliance, film_force, film_stiffness, pull_in_voltage,
@@ -53,9 +54,10 @@ __all__ = [
     "total_force", "total_force_curve", "zero_voltage_equilibrium",
     "solve_equilibrium", "pull_in_voltage", "sweep_voltage",
     # instrument
-    "BridgeConfig", "NoiseModel", "MeasurementSample", "CalibrationFit",
-    "bridge_output", "balance_bridge", "measure_stream", "measure_capacitance",
-    "resolvable_displacement", "calibration_table", "calibration_fit", "calibrate",
+    "BridgeConfig", "NoiseModel", "MeasurementSample", "MeasurementStream",
+    "CalibrationFit", "bridge_output", "balance_bridge", "measure_stream",
+    "measure_capacitance", "resolvable_displacement", "calibration_table",
+    "calibration_fit", "calibrate",
     # extraction
     "CVRow", "CVDataset", "FilmFitResult",
     "simulate_cv", "deflection_series", "load_cv_csv", "fit_film_parameters",

@@ -6,11 +6,17 @@ normalized imbalance is the observable and the whole lock-in chain
 collapses to that bilinear form. The drive frequency is carried along as
 metadata only. Readings pick up white Gaussian noise per sample, with a
 fixed seed making every stream reproducible.
+
+A stream of readings is held as columns: measure_stream returns the sample
+times and readings as two float64 arrays, and measure_capacitance wraps them
+in a MeasurementStream, which builds a MeasurementSample only when a row is
+read.
 """
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +33,10 @@ class BridgeConfig:
     f_drive: float = 1e5   # Hz, informational only
 
     def __post_init__(self):
-        if self.C_ref <= 0.0:
-            raise InvalidParameter("C_ref", f"must be > 0, got {self.C_ref!r}")
-        if self.V1 <= 0.0:
-            raise InvalidParameter("V1", f"must be > 0, got {self.V1!r}")
+        if not 0.0 < self.C_ref < math.inf:
+            raise InvalidParameter("C_ref", f"must be finite and > 0, got {self.C_ref!r}")
+        if not 0.0 < self.V1 < math.inf:
+            raise InvalidParameter("V1", f"must be finite and > 0, got {self.V1!r}")
 
 
 @dataclass(frozen=True)
@@ -40,10 +46,13 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_C < 0.0:
-            raise InvalidParameter("sigma_C", f"must be >= 0, got {self.sigma_C!r}")
-        if self.dt <= 0.0:
-            raise InvalidParameter("dt", f"must be > 0, got {self.dt!r}")
+        if not 0.0 <= self.sigma_C < math.inf:
+            raise InvalidParameter("sigma_C", f"must be finite and >= 0, got {self.sigma_C!r}")
+        if not 0.0 < self.dt < math.inf:
+            raise InvalidParameter("dt", f"must be finite and > 0, got {self.dt!r}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise InvalidParameter("seed", f"must be an integer >= 0, got {self.seed!r}")
 
     def draw(self, n: int) -> np.ndarray:
         """n noise values, sigma_C times standard normals from a fresh RNG seeded with seed.
@@ -61,6 +70,41 @@ class NoiseModel:
 class MeasurementSample:
     t: float       # s
     C_meas: float  # F
+
+
+@dataclass(frozen=True, eq=False)  # == is defined below, as a list's
+class MeasurementStream(Sequence):
+    """A stream of readings as columns: element i of t (s) and of C_meas (F),
+    both float64 arrays, is the i-th reading.
+
+    As a read-only sequence of MeasurementSample it is a row view: len,
+    indexing, slicing (a list) and iteration build each sample on access,
+    with the bits of the columns as Python floats. == and != compare with
+    another stream or a list of samples as a list of those samples would.
+    """
+
+    t: np.ndarray
+    C_meas: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(MeasurementSample, self.t[i].tolist(), self.C_meas[i].tolist()))
+        i = operator.index(i)
+        return MeasurementSample(float(self.t[i]), float(self.C_meas[i]))
+
+    def __iter__(self):
+        return map(MeasurementSample, self.t.tolist(), self.C_meas.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, MeasurementStream):
+            return (self.t.tolist() == other.t.tolist()
+                    and self.C_meas.tolist() == other.C_meas.tolist())
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -98,10 +142,12 @@ def measure_stream(C_true: float, noise: NoiseModel, n: int) -> tuple[np.ndarray
     return noise.dt * np.arange(1, n + 1), C_true + noise.draw(n)
 
 
-def measure_capacitance(C_true: float, noise: NoiseModel, n: int) -> list[MeasurementSample]:
-    """measure_stream's readings as MeasurementSample objects, the same bits."""
-    times, values = measure_stream(C_true, noise, n)
-    return list(map(MeasurementSample, times.tolist(), values.tolist()))
+def measure_capacitance(C_true: float, noise: NoiseModel, n: int) -> MeasurementStream:
+    """measure_stream's two arrays as a MeasurementStream, with no copy.
+
+    No MeasurementSample is built until a row of the stream is read.
+    """
+    return MeasurementStream(*measure_stream(C_true, noise, n))
 
 
 def resolvable_displacement(model: ValidatedModel, at_y_p: float,
@@ -123,8 +169,9 @@ def calibration_table(model: ValidatedModel, spacers,
     """
     spacers = sorted(float(s) for s in spacers)
     for s in spacers:
-        if s <= 0.0:
-            raise InvalidParameter("spacers", f"spacer thickness must be > 0, got {s!r}")
+        if not 0.0 < s < math.inf:
+            raise InvalidParameter("spacers",
+                                   f"spacer thickness must be finite and > 0, got {s!r}")
     area = model.geom.w_p * model.geom.l_p
     rows = []
     for s, dC in zip(spacers, noise.draw(len(spacers))):

@@ -202,6 +202,18 @@ def test_failed_command_leaves_no_out_dir(tmp_path, argv, code):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", ["measure --seed -1", "measure --seed=-7 --sigma-c 0",
+                                  "calibrate --seed -1", "calibrate --seed -1 --sigma-c 1e-15"],
+                         ids=["measure", "measure-noise-free", "calibrate-noise-free",
+                              "calibrate"])
+def test_negative_seed_exit_2(tmp_path, capsys, argv):
+    # NoiseModel refuses the seed before any noise is drawn, even when none is
+    out = tmp_path / "out"
+    assert run(argv.split() + ["--out", str(out)]) == 2
+    assert "error: seed: must be an integer >= 0, got -" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_module_entry_point(tmp_path):
     # `python3 -m paddle_lab` runs main and hands its exit code to the shell
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from paddle_lab import (CVDataset, CVRow, DegenerateData, Electrode,
                         InsufficientData, InvalidParameter, MeasurementSample,
-                        NoiseModel, NoStableEquilibrium, OutOfRange, TouchViolation,
+                        MeasurementStream, NoiseModel, NoStableEquilibrium, OutOfRange, TouchViolation,
                         build_model, capacitance_value, deflection_series,
                         fit_film_parameters, load_cv_csv, measure_capacitance,
                         model_from_dict, model_to_dict, pull_in_voltage, simulate_cv)
@@ -98,6 +98,64 @@ def test_deflection_series_out_of_range_row(default_model):
         deflection_series(samples, default_model, Electrode.TOP)
     assert exc.value.row == 1
     assert deflection_series([], default_model, Electrode.TOP) == []
+
+
+def _bits(series):
+    return np.array(series, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("electrode", [Electrode.TOP, Electrode.BOTTOM])
+def test_deflection_series_of_stream_is_of_list(default_model, electrode):
+    # the stream's columns go straight to the inversion; a list of its samples
+    # takes the other input path to the same (t, y_p) tuples, bit for bit
+    for y_p, sigma_C in ((2e-5, 1e-16), (-3e-5, 3e-16), (0.0, 0.0)):
+        stream = measure_capacitance(capacitance_value(y_p, default_model, electrode),
+                                     NoiseModel(sigma_C=sigma_C, dt=1e-3, seed=4), 200)
+        series = deflection_series(stream, default_model, electrode)
+        assert all(type(t) is float and type(y) is float for t, y in series)
+        assert [t for t, _ in series] == stream.t.tolist()
+        assert _bits(series) == _bits(deflection_series(list(stream), default_model, electrode))
+
+
+@pytest.mark.parametrize("first_bad", [0, 137])
+@pytest.mark.parametrize("bad", [float("nan"), 10e-12, -1e-12])
+def test_deflection_series_out_of_range_stream_is_list(default_model, first_bad, bad):
+    # the same OutOfRange message and row from a stream and from a list,
+    # naming the first bad reading with t as a Python float
+    stream = measure_capacitance(capacitance_value(1e-5, default_model, Electrode.TOP),
+                                 NoiseModel(dt=1e-3, seed=8), 200)
+    C = stream.C_meas.copy()
+    C[[first_bad, 150]] = bad
+    stream = MeasurementStream(stream.t, C)
+    errors = []
+    for samples in (stream, list(stream)):
+        with pytest.raises(OutOfRange) as exc:
+            deflection_series(samples, default_model, Electrode.TOP)
+        errors.append((str(exc.value), exc.value.row))
+    assert errors[0] == errors[1]
+    message, row = errors[0]
+    assert row == first_bad
+    assert message.startswith(f"sample {first_bad} (t={stream.t[first_bad].item()!r}): ")
+    assert "np.float64" not in message
+
+
+def test_readout_builds_no_sample_objects(default_model, monkeypatch):
+    # measure_capacitance and deflection_series pass columns: no MeasurementSample
+    # is constructed until a row of the stream is read
+    calls = []
+    init = MeasurementSample.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MeasurementSample, "__init__", counted)
+    C = capacitance_value(2e-5, default_model, Electrode.TOP)
+    stream = measure_capacitance(C, NoiseModel(sigma_C=1e-16, seed=3), 200)
+    series = deflection_series(stream, default_model, Electrode.TOP)
+    assert len(series) == len(stream) == 200
+    assert len(calls) == 0
+    assert len(list(stream)) == 200 and len(calls) == 200
 
 
 def test_load_cv_csv(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paddle_lab import (BridgeConfig, Electrode, InsufficientData, InvalidParameter,
-                        MeasurementSample, NoiseModel, TouchViolation, balance_bridge,
+                        MeasurementSample, MeasurementStream, NoiseModel, TouchViolation,
+                        balance_bridge,
                         bridge_output, build_model, calibrate,
                         calibration_fit, calibration_table, measure_capacitance,
                         measure_stream, parallel_plate_capacitance,
@@ -66,11 +67,44 @@ def test_bridge_config_validation():
         BridgeConfig(V1=-1.0)
 
 
+@pytest.mark.parametrize("field", ["C_ref", "V1"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_bridge_config_rejects_non_finite(field, value):
+    with pytest.raises(InvalidParameter, match=rf"^{field}: must be finite and > 0") as exc:
+        BridgeConfig(**{field: value})
+    assert exc.value.name == field
+
+
 def test_noise_model_validation():
     with pytest.raises(InvalidParameter):
         NoiseModel(sigma_C=-1e-16)
     with pytest.raises(InvalidParameter):
         NoiseModel(dt=0.0)
+
+
+@pytest.mark.parametrize("field", ["sigma_C", "dt"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_noise_model_rejects_non_finite(field, value):
+    # a NaN sigma_C would give an all-NaN stream, an infinite dt infinite timestamps
+    with pytest.raises(InvalidParameter, match=rf"^{field}: must be finite") as exc:
+        NoiseModel(**{field: value})
+    assert exc.value.name == field
+
+
+@pytest.mark.parametrize("seed", [-1, -2**40, np.int64(-3), 1.0, 2.5, "3", None, True])
+def test_noise_model_rejects_bad_seed(seed):
+    # the seed goes to np.random.default_rng, which refuses negative seeds
+    # only when noise is drawn; the model refuses them at construction
+    with pytest.raises(InvalidParameter, match=r"^seed: must be an integer >= 0") as exc:
+        NoiseModel(sigma_C=0.0, seed=seed)
+    assert exc.value.name == "seed"
+
+
+def test_noise_model_accepts_integer_seeds():
+    for seed in (0, 7, 2**64, np.int64(5), np.uint32(9)):
+        noise = NoiseModel(seed=seed)
+        assert np.array_equal(noise.draw(3),
+                              1e-16 * np.random.default_rng(seed).standard_normal(3))
 
 
 def test_measure_noise_free_is_constant():
@@ -97,6 +131,55 @@ def test_measure_stream_is_measure_capacitance():
     assert C.tolist() == [s.C_meas for s in samples]
     with pytest.raises(InvalidParameter):
         measure_stream(2e-12, noise, 0)
+
+
+def test_stream_columns_are_measure_stream():
+    # the stream holds measure_stream's arrays, bit for bit
+    noise = NoiseModel(sigma_C=3e-16, dt=2.5e-3, seed=17)
+    t, C = measure_stream(2e-12, noise, 1000)
+    stream = measure_capacitance(2e-12, noise, 1000)
+    assert isinstance(stream, MeasurementStream)
+    assert stream.t.dtype == stream.C_meas.dtype == np.float64
+    assert stream.t.tobytes() == t.tobytes()
+    assert stream.C_meas.tobytes() == C.tobytes()
+
+
+def test_stream_row_view():
+    # len, indexing, slicing and iteration build samples with the columns' bits
+    stream = measure_capacitance(2e-12, NoiseModel(seed=5), 6)
+    t, C = stream.t.tolist(), stream.C_meas.tolist()
+    rows = [MeasurementSample(a, b) for a, b in zip(t, C)]
+    assert len(stream) == 6
+    assert list(stream) == rows
+    assert [stream[i] for i in range(6)] == rows
+    assert stream[-1] == rows[-1] and stream[np.int64(2)] == rows[2]
+    assert type(stream[0].t) is float and type(stream[0].C_meas) is float
+    assert stream[1:5:2] == rows[1:5:2] and stream[::-1] == rows[::-1]
+    assert stream[4:2] == []
+    assert list(reversed(stream)) == rows[::-1]
+    assert rows[3] in stream and stream.index(rows[3]) == 3
+    with pytest.raises(IndexError):
+        stream[6]
+    with pytest.raises(TypeError):
+        stream[1.0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stream.t = stream.C_meas
+    with pytest.raises(TypeError):
+        hash(stream)
+
+
+def test_stream_equality_is_a_lists():
+    # == and != compare as the lists of samples would
+    stream = measure_capacitance(2e-12, NoiseModel(seed=5), 4)
+    rows = list(stream)
+    assert stream == rows and rows == stream and not stream != rows
+    assert stream == MeasurementStream(stream.t.copy(), stream.C_meas.copy())
+    assert stream != rows[:3] and stream != rows + rows[:1]
+    assert stream != measure_capacitance(2e-12, NoiseModel(seed=5), 3)
+    assert stream != tuple(rows) and stream != stream.C_meas.tolist()
+    nan = MeasurementStream(np.array([0.01]), np.array([float("nan")]))
+    assert nan != MeasurementStream(np.array([0.01]), np.array([float("nan")]))
+    assert nan != list(nan)
 
 
 def test_measure_deterministic_per_seed():
@@ -127,8 +210,7 @@ def test_measure_requires_samples():
 def test_measure_sample_std_measures_sigma():
     hits = 0
     for seed in range(100):
-        vals = [s.C_meas for s in
-                measure_capacitance(2e-12, NoiseModel(seed=seed), 10**4)]
+        vals = measure_capacitance(2e-12, NoiseModel(seed=seed), 10**4).C_meas
         std = np.std(vals, ddof=1)
         if 0.95e-16 <= std <= 1.05e-16:
             hits += 1
@@ -140,8 +222,7 @@ def test_measure_mean_converges():
     n = 10**4
     bound = 5.0 * 1e-16 / np.sqrt(n)
     for seed in range(100):
-        vals = [s.C_meas for s in
-                measure_capacitance(2e-12, NoiseModel(seed=seed), n)]
+        vals = measure_capacitance(2e-12, NoiseModel(seed=seed), n).C_meas
         if abs(np.mean(vals) - 2e-12) <= bound:
             hits += 1
     assert hits >= 99
@@ -219,6 +300,14 @@ def test_noise_free_draws_are_exact(default_model):
 def test_calibration_table_rejects_bad_spacer(default_model):
     with pytest.raises(InvalidParameter):
         calibration_table(default_model, [25e-6, -50e-6], QUIET)
+
+
+@pytest.mark.parametrize("spacer", [float("nan"), float("inf"), -float("inf")])
+def test_calibration_table_rejects_non_finite_spacer(default_model, spacer):
+    # a NaN spacer gave a (nan, nan, nan) row, an infinite one a row with C = 0
+    with pytest.raises(InvalidParameter, match="spacer thickness must be finite") as exc:
+        calibration_table(default_model, [25e-6, spacer, 50e-6, 75e-6], QUIET)
+    assert exc.value.name == "spacers"
 
 
 def test_calibrate_noise_free(default_model):
