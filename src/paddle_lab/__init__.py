@@ -21,7 +21,7 @@ from .extraction import (CVDataset, CVRow, FilmFitResult, deflection_series,
 from .instrument import (BridgeConfig, CalibrationFit, MeasurementSample,
                          MeasurementStream, NoiseModel, balance_bridge,
                          bridge_output, calibrate, calibration_fit,
-                         calibration_table, measure_capacitance, measure_stream,
+                         calibration_table, measure_capacitance,
                          resolvable_displacement)
 from .mechanics import (EquilibriumSolution, ForceBreakdown, PullInResult,
                         StressProfile, SweepRecord, SweepResult, bending_stress,
@@ -55,9 +55,8 @@ __all__ = [
     "solve_equilibrium", "pull_in_voltage", "sweep_voltage",
     # instrument
     "BridgeConfig", "NoiseModel", "MeasurementSample", "MeasurementStream",
-    "CalibrationFit", "bridge_output", "balance_bridge", "measure_stream",
-    "measure_capacitance", "resolvable_displacement", "calibration_table",
-    "calibration_fit", "calibrate",
+    "CalibrationFit", "bridge_output", "balance_bridge", "measure_capacitance",
+    "resolvable_displacement", "calibration_table", "calibration_fit", "calibrate",
     # extraction
     "CVRow", "CVDataset", "FilmFitResult",
     "simulate_cv", "deflection_series", "load_cv_csv", "fit_film_parameters",

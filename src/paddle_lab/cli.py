@@ -51,7 +51,7 @@ from .electrostatics import (Electrode, capacitance_value, force_per_v2_value)
 from .errors import NoStableEquilibrium, PaddleLabError
 from .extraction import fit_film_parameters, load_cv_csv
 from .floatfmt import FLOAT_FORMAT, format_e17
-from .instrument import NoiseModel, calibration_fit, calibration_table, measure_stream
+from .instrument import NoiseModel, calibration_fit, calibration_table, measure_capacitance
 from .mechanics import (compliance, drive_voltages, film_force, pull_in_voltage,
                         solve_equilibrium, stress_profile, sweep_voltage)
 from .model import (ValidatedModel, build_model, load_model_json, model_from_dict,
@@ -314,7 +314,8 @@ def cmd_measure(args, model: ValidatedModel):
     electrode = Electrode(args.electrode or "top")
     C_true = capacitance_value(args.yp, model, electrode)
     noise = NoiseModel(sigma_C=args.sigma_c, dt=args.dt, seed=args.seed)
-    return ({"measurement.csv": (["t_s", "C_meas_F"], measure_stream(C_true, noise, args.n))},
+    stream = measure_capacitance(C_true, noise, args.n)
+    return ({"measurement.csv": (["t_s", "C_meas_F"], [stream.t, stream.C_meas])},
             f"{args.n} samples of C = {C_true:.6e} F ({electrode.value} electrode)", 0)
 
 

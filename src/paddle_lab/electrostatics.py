@@ -15,15 +15,16 @@ composite-trapezoid quadrature versions of both integrals are kept as
 independent oracles for testing.
 
 All functions are pure. capacitance_value and force_per_v2_value take a
-float, kept on math.log1p and allocation-free for the root-finding loops,
-or a numpy array, evaluated elementwise in one pass; capacitance_slope is
-the exact dC/dy_p of the same closed form. The array math of C and dC/dy_p
-lives in two helpers on gap_line's terms (g0, delta, u = delta/g0 and
-ln(1+u)), so a caller that needs both computes the gap line and the log
-once. Each takes the closed form everywhere and its flat-pose series only
-on the elements whose |u| is below the series threshold. A lone float takes
-capacitance_slope through gap_line's float path and np.log1p on the
-scalar, and gets the bits of the same pose inside an array.
+float, kept allocation-free for the root-finding loops, or a numpy array,
+evaluated elementwise in one pass; capacitance_slope is the exact dC/dy_p
+of the same closed form. The array math of C and dC/dy_p lives in two
+helpers on gap_line's terms (g0, delta, u = delta/g0 and ln(1+u)), so a
+caller that needs both computes the gap line and the log once. Each takes
+the closed form everywhere and its flat-pose series only on the elements
+whose |u| is below the series threshold. A lone float takes
+capacitance_value and capacitance_slope through gap_line's float path and
+np.log1p on the scalar, the same operations as on an array element, and
+gets the bits of the same pose inside an array.
 
 yp_from_capacitance inverts C(y_p) by safeguarded Newton, a float running
 through the same loop as a one-element array. c/C is the logarithmic mean
@@ -37,7 +38,6 @@ index as `row`.
 """
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 import numpy as np
@@ -160,14 +160,18 @@ def _slope_terms(c, s, center_ratio, tilt, g0, u, log1p_u):
 
 
 def capacitance_value(y_p, model: ValidatedModel, electrode: Electrode):
-    """Closed-form paddle capacitance, F, at a float or array of deflections."""
+    """Closed-form paddle capacitance, F, at a float or array of deflections.
+
+    A float takes gap_line's float path and np.log1p on the scalar, so it
+    gets the bits of the same pose inside an array.
+    """
     g0, delta = gap_line(y_p, model, electrode)
     g = model.geom
     c = model.constants.eps0 * g.w_p * g.l_p
     u = delta / g0
     if isinstance(u, float):
         if abs(u) >= SERIES_U_THRESHOLD:
-            return c * (math.log1p(u) / delta)
+            return c * (float(np.log1p(u)) / delta)
         return c * _flat_capacitance(u, g0)
     return _capacitance_terms(c, g0, delta, u, np.log1p(u))
 

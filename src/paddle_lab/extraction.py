@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .electrostatics import (Electrode, capacitance_value, force_per_v2_value,
                              invertible, yp_from_capacitance)
 from .errors import (DegenerateData, InsufficientData, InvalidParameter,
                      OutOfRange, TouchViolation)
-from .instrument import MeasurementSample, MeasurementStream, NoiseModel
+from .instrument import MeasurementStream, NoiseModel
 from .mechanics import (StableBranch, _Drive, compliance, film_stiffness, sorted_voltages,
                         strain_coupling)
 from .model import ValidatedModel
@@ -102,28 +101,19 @@ def simulate_cv(model: ValidatedModel, electrode: Electrode, V_list,
                                 for v, c in zip(voltages.tolist(), C.tolist())))
 
 
-def _stream_columns(samples) -> tuple[np.ndarray, np.ndarray]:
-    """The t and C_meas columns of a MeasurementStream, or of any sequence of samples."""
-    if isinstance(samples, MeasurementStream):
-        return samples.t, samples.C_meas
-    return (np.array([sample.t for sample in samples], dtype=float),
-            np.array([sample.C_meas for sample in samples], dtype=float))
-
-
-def deflection_series(samples: Sequence[MeasurementSample], model: ValidatedModel,
+def deflection_series(samples: MeasurementStream, model: ValidatedModel,
                       electrode: Electrode) -> list[tuple[float, float]]:
-    """Convert timed capacitance readings to (t, y_p) by inverting C(y_p).
+    """Convert a stream of timed capacitance readings to (t, y_p) by inverting C(y_p).
 
-    The readings are taken as columns, straight from a MeasurementStream or
-    collected from any other sequence of samples, and the whole C column is
-    inverted in one yp_from_capacitance call. The result is one (t, y_p)
-    tuple of Python floats per reading. A reading outside the attainable
-    range raises OutOfRange naming the first such sample, its time and its
-    index as `row`.
+    The stream's C_meas column is inverted in one yp_from_capacitance call.
+    The result is one (t, y_p) tuple of Python floats per reading, [] for
+    an empty stream. A reading outside the attainable range raises
+    OutOfRange naming the first such sample, its time and its index as
+    `row`.
     """
-    t, C = _stream_columns(samples)
+    t = samples.t
     try:
-        y = yp_from_capacitance(C, model, electrode)
+        y = yp_from_capacitance(samples.C_meas, model, electrode)
     except OutOfRange as exc:
         i = exc.row
         raise OutOfRange(f"sample {i} (t={float(t[i])!r}): {exc}", row=i) from exc

@@ -3,20 +3,17 @@
 Two generators drive the unknown and a reference capacitor 180 degrees out
 of phase; the summed currents null when V1*C_paddle = V2*C_ref, so the
 normalized imbalance is the observable and the whole lock-in chain
-collapses to that bilinear form. The drive frequency is carried along as
-metadata only. Readings pick up white Gaussian noise per sample, with a
-fixed seed making every stream reproducible.
+collapses to that bilinear form. Readings pick up white Gaussian noise per
+sample, with a fixed seed making every stream reproducible.
 
-A stream of readings is held as columns: measure_stream returns the sample
-times and readings as two float64 arrays, and measure_capacitance wraps them
-in a MeasurementStream, which builds a MeasurementSample only when a row is
-read.
+A stream of readings is held as columns: measure_capacitance returns a
+MeasurementStream of the sample times and readings as two float64 arrays,
+which builds a MeasurementSample only when the stream is iterated.
 """
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +27,6 @@ from .model import ValidatedModel
 class BridgeConfig:
     C_ref: float = 3e-12   # F
     V1: float = 1.0        # drive amplitude, V
-    f_drive: float = 1e5   # Hz, informational only
 
     def __post_init__(self):
         if not 0.0 < self.C_ref < math.inf:
@@ -72,15 +68,14 @@ class MeasurementSample:
     C_meas: float  # F
 
 
-@dataclass(frozen=True, eq=False)  # == is defined below, as a list's
-class MeasurementStream(Sequence):
+@dataclass(frozen=True, eq=False)
+class MeasurementStream:
     """A stream of readings as columns: element i of t (s) and of C_meas (F),
     both float64 arrays, is the i-th reading.
 
-    As a read-only sequence of MeasurementSample it is a row view: len,
-    indexing, slicing (a list) and iteration build each sample on access,
-    with the bits of the columns as Python floats. == and != compare with
-    another stream or a list of samples as a list of those samples would.
+    len is the number of readings; iteration builds one MeasurementSample
+    per reading, with the bits of the columns as Python floats. Streams
+    compare by identity; compare their columns for equal readings.
     """
 
     t: np.ndarray
@@ -89,22 +84,8 @@ class MeasurementStream(Sequence):
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(map(MeasurementSample, self.t[i].tolist(), self.C_meas[i].tolist()))
-        i = operator.index(i)
-        return MeasurementSample(float(self.t[i]), float(self.C_meas[i]))
-
     def __iter__(self):
         return map(MeasurementSample, self.t.tolist(), self.C_meas.tolist())
-
-    def __eq__(self, other):
-        if isinstance(other, MeasurementStream):
-            return (self.t.tolist() == other.t.tolist()
-                    and self.C_meas.tolist() == other.C_meas.tolist())
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -131,23 +112,15 @@ def balance_bridge(C_paddle: float, cfg: BridgeConfig) -> float:
     return cfg.V1 * C_paddle / cfg.C_ref
 
 
-def measure_stream(C_true: float, noise: NoiseModel, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample times t = dt, 2*dt, ... and n noisy readings of a fixed capacitance.
+def measure_capacitance(C_true: float, noise: NoiseModel, n: int) -> MeasurementStream:
+    """n noisy readings of a fixed capacitance at sample times t = dt, 2*dt, ...
 
     The readings are C_true plus noise.draw(n), so a given (noise, n)
-    always yields the same stream.
+    always yields the same stream. No MeasurementSample is built.
     """
     if n < 1:
         raise InvalidParameter("n", f"need at least 1 sample, got {n!r}")
-    return noise.dt * np.arange(1, n + 1), C_true + noise.draw(n)
-
-
-def measure_capacitance(C_true: float, noise: NoiseModel, n: int) -> MeasurementStream:
-    """measure_stream's two arrays as a MeasurementStream, with no copy.
-
-    No MeasurementSample is built until a row of the stream is read.
-    """
-    return MeasurementStream(*measure_stream(C_true, noise, n))
+    return MeasurementStream(noise.dt * np.arange(1, n + 1), C_true + noise.draw(n))
 
 
 def resolvable_displacement(model: ValidatedModel, at_y_p: float,

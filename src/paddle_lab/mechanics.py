@@ -121,14 +121,12 @@ def bending_stress(P: float, x: float, width: float, thickness: float) -> float:
     return 6.0 * P * x / (width * thickness * thickness)
 
 
-def stress_profile(P: float, geom: PaddleGeometry, plan: str, n: int,
-                   x_min: float | None = None,
-                   x_max: float | None = None) -> StressProfile:
+def stress_profile(P: float, geom: PaddleGeometry, plan: str, n: int) -> StressProfile:
     """Sampled stress along the beam for a tip load P.
 
     plan "triangular" tapers the width linearly to zero at the load point,
     which makes the surface stress uniform; "rectangular" keeps the root
-    width everywhere, giving stress proportional to x. The default span
+    width everywhere, giving stress proportional to x. The span
     [l_b/10, l_b] stays clear of the load point, where the rectangular
     profile's max/min ratio would diverge.
     """
@@ -136,13 +134,7 @@ def stress_profile(P: float, geom: PaddleGeometry, plan: str, n: int,
         raise InvalidParameter("plan", f"must be 'triangular' or 'rectangular', got {plan!r}")
     if n < 2:
         raise InvalidParameter("n", f"need at least 2 samples, got {n!r}")
-    if x_min is None:
-        x_min = geom.l_b / 10.0
-    if x_max is None:
-        x_max = geom.l_b
-    if not 0.0 < x_min < x_max <= geom.l_b:
-        raise InvalidParameter("x_min", f"need 0 < x_min < x_max <= l_b, got [{x_min!r}, {x_max!r}]")
-    x = np.linspace(x_min, x_max, n)
+    x = np.linspace(geom.l_b / 10.0, geom.l_b, n)
     if plan == "triangular":
         # width b(x) = b_root * x / l_b cancels the moment's x dependence
         sigma = np.full(n, 6.0 * P * geom.l_b / (geom.b_root * geom.t_b**2))

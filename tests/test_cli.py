@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from paddle_lab import (Electrode, __version__, build_model, model_from_dict, model_to_dict,
-                        simulate_cv)
+from paddle_lab import (Electrode, __version__, build_model, capacitance_value,
+                        model_from_dict, model_to_dict, simulate_cv)
 from paddle_lab import cli, instrument
 from paddle_lab.cli import _write_csv, main
 
@@ -323,6 +323,22 @@ def test_measure_deterministic(tmp_path):
     assert len(rows) == 50
     assert run(["measure", "--n", "50", "--seed", "8", "--out", str(tmp_path / "c")]) == 0
     assert (tmp_path / "c" / "measurement.csv").read_bytes() != bytes_a
+
+
+@pytest.mark.parametrize("electrode,yp,sigma_c,dt,seed", [
+    ("top", "3e-5", "1e-16", "1e-2", "5"), ("bottom", "-4e-5", "3e-16", "2.5e-3", "17"),
+    ("top", "0", "0", "1e-3", "0")])
+def test_measurement_csv_is_measure_capacitance(tmp_path, electrode, yp, sigma_c, dt, seed):
+    # measurement.csv holds the t and C_meas columns of measure_capacitance, as "%.17e"
+    assert run(["measure", "--electrode", electrode, f"--yp={yp}", "--sigma-c", sigma_c,
+                "--dt", dt, "--seed", seed, "--n", "300", "--out", str(tmp_path)]) == 0
+    model = build_model()
+    stream = instrument.measure_capacitance(
+        capacitance_value(float(yp), model, Electrode(electrode)),
+        instrument.NoiseModel(sigma_C=float(sigma_c), dt=float(dt), seed=int(seed)), 300)
+    expected = "t_s,C_meas_F\n" + "".join(
+        f"{t:.17e},{C:.17e}\n" for t, C in zip(stream.t.tolist(), stream.C_meas.tolist()))
+    assert (tmp_path / "measurement.csv").read_text() == expected
 
 
 def test_manifests_reproducible_modulo_timestamp(tmp_path):

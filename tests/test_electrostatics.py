@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from paddle_lab import (Electrode, InvalidParameter, NoiseModel, OutOfRange,
                         TouchViolation, build_model, capacitance_curve, capacitance_value,
-                        force_per_v2_value, measure_stream,
+                        force_per_v2_value, measure_capacitance,
                         paddle_capacitance_quadrature, parallel_plate_capacitance,
                         yp_from_capacitance)
 from paddle_lab import electrostatics
@@ -134,12 +134,30 @@ def test_capacitance_monotone_toward_electrode(default_model):
     assert np.all(np.diff(c_bot) < 0.0)
 
 
-def test_curve_matches_scalar_path(default_model):
-    # array path (np.log1p/series) must agree with the scalar fast path
-    y = np.concatenate([np.linspace(-5e-5, 5e-5, 41), [1e-11, -1e-11, 0.0]])
-    curve = capacitance_curve(y, default_model, Electrode.TOP)
-    scalars = np.array([capacitance_value(float(v), default_model, Electrode.TOP) for v in y])
-    assert np.allclose(curve, scalars, rtol=1e-14, atol=0.0)
+@given(d_c=st.floats(min_value=41e-6, max_value=300e-6),
+       d_e=st.floats(min_value=41e-6, max_value=300e-6),
+       l_b=st.floats(min_value=1e-3, max_value=8e-3),
+       electrode=st.sampled_from([Electrode.TOP, Electrode.BOTTOM]),
+       fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12),
+       rel_u=st.lists(st.floats(min_value=0.0, max_value=4.0), max_size=6))
+@example(d_c=100e-6, d_e=100e-6, l_b=3e-3, electrode=Electrode.TOP,
+         fracs=np.linspace(0.0, 1.0, 41).tolist(), rel_u=[0.0, 0.99, 1.0, 1.01])
+@example(d_c=41e-6, d_e=300e-6, l_b=8e-3, electrode=Electrode.BOTTOM,
+         fracs=[0.0, 1.0], rel_u=[0.5, 1.0, 2.0])
+def test_curve_matches_scalar_path(d_c, d_e, l_b, electrode, fracs, rel_u):
+    # a lone float (np.log1p on the scalar, or the series) has the bits of the
+    # same pose inside an array: poses across the inversion bracket, plus poses
+    # with |u| at rel_u times SERIES_U_THRESHOLD on both sides of the flat pose
+    m = build_model(d_c=d_c, d_e=d_e, l_b=l_b)
+    rest, _, center_ratio, tilt = electrostatics.gap_coefficients(m, electrode)
+    lo, hi = inversion_bracket(m)
+    u = SERIES_U_THRESHOLD * np.array(rel_u)
+    y_u = center_ratio * u * rest / (tilt - u)  # |delta/g0| = u
+    y = np.concatenate([np.minimum(lo + np.array(fracs) * (hi - lo), hi), y_u, -y_u])
+    curve = capacitance_curve(y, m, electrode)
+    scalars = [capacitance_value(v, m, electrode) for v in y.tolist()]
+    assert all(type(v) is float for v in scalars)
+    assert np.array(scalars).tobytes() == curve.tobytes()
 
 
 def test_series_fallback_continuity(default_model):
@@ -411,8 +429,8 @@ def test_newton_step_makes_one_gap_line_call(default_model, monkeypatch):
             return f(*args)
         return wrapper
 
-    _, C = measure_stream(capacitance_value(2e-5, default_model, Electrode.TOP),
-                          NoiseModel(sigma_C=1e-16, seed=3), 200)
+    C = measure_capacitance(capacitance_value(2e-5, default_model, Electrode.TOP),
+                            NoiseModel(sigma_C=1e-16, seed=3), 200).C_meas
     monkeypatch.setattr(electrostatics, "gap_line", counted("line", line))
     monkeypatch.setattr(electrostatics, "_capacitance_terms", counted("value", value_terms))
     monkeypatch.setattr(electrostatics, "_slope_terms", counted("slope", slope_terms))
@@ -465,8 +483,8 @@ def test_readout_stream_takes_three_evaluations(default_model, monkeypatch, elec
     monkeypatch.setattr(electrostatics, "_capacitance_terms", counted)
     m = default_model
     for seed, y_p in enumerate(np.linspace(0.8 * m.y_p_min, 0.8 * m.y_p_max, 9).tolist()):
-        _, C = measure_stream(capacitance_value(y_p, m, electrode),
-                              NoiseModel(sigma_C=sigma_C, seed=seed), 200)
+        C = measure_capacitance(capacitance_value(y_p, m, electrode),
+                                NoiseModel(sigma_C=sigma_C, seed=seed), 200).C_meas
         calls[0] = 0
         y = yp_from_capacitance(C, m, electrode)
         evaluations.append(calls[0])

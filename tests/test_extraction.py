@@ -11,7 +11,9 @@ from paddle_lab import (CVDataset, CVRow, DegenerateData, Electrode,
                         MeasurementStream, NoiseModel, NoStableEquilibrium, OutOfRange, TouchViolation,
                         build_model, capacitance_value, deflection_series,
                         fit_film_parameters, load_cv_csv, measure_capacitance,
-                        model_from_dict, model_to_dict, pull_in_voltage, simulate_cv)
+                        model_from_dict, model_to_dict, pull_in_voltage, simulate_cv,
+                        yp_from_capacitance)
+from paddle_lab.cli import main
 from paddle_lab.extraction import _PreparedFit
 from paddle_lab.mechanics import StableBranch
 
@@ -85,63 +87,59 @@ def test_deflection_series_noise_propagation(default_model):
     assert abs(np.mean(y)) < 5.0 * predicted / np.sqrt(len(y))
 
 
+def _stream(t, C):
+    return MeasurementStream(np.array(t, dtype=float), np.array(C, dtype=float))
+
+
 def test_deflection_series_out_of_range_row(default_model):
-    samples = [MeasurementSample(t=0.01, C_meas=2e-12),
-               MeasurementSample(t=0.02, C_meas=2.5e-12),
-               MeasurementSample(t=0.03, C_meas=10e-12)]
+    samples = _stream([0.01, 0.02, 0.03], [2e-12, 2.5e-12, 10e-12])
     with pytest.raises(OutOfRange) as exc:
         deflection_series(samples, default_model, Electrode.TOP)
     assert exc.value.row == 2
     # the first bad sample is named, ahead of a later one
-    samples[1] = MeasurementSample(t=0.02, C_meas=float("nan"))
+    samples.C_meas[1] = float("nan")
     with pytest.raises(OutOfRange, match=r"^sample 1 \(t=0\.02\): C=nan") as exc:
         deflection_series(samples, default_model, Electrode.TOP)
     assert exc.value.row == 1
-    assert deflection_series([], default_model, Electrode.TOP) == []
-
-
-def _bits(series):
-    return np.array(series, dtype=float).tobytes()
+    assert deflection_series(_stream([], []), default_model, Electrode.TOP) == []
 
 
 @pytest.mark.parametrize("electrode", [Electrode.TOP, Electrode.BOTTOM])
-def test_deflection_series_of_stream_is_of_list(default_model, electrode):
-    # the stream's columns go straight to the inversion; a list of its samples
-    # takes the other input path to the same (t, y_p) tuples, bit for bit
+def test_deflection_series_is_column_inversion(default_model, electrode):
+    # one (t, y_p) tuple of Python floats per reading: the stream's t and the
+    # inversion of its C_meas column, bit for bit
     for y_p, sigma_C in ((2e-5, 1e-16), (-3e-5, 3e-16), (0.0, 0.0)):
         stream = measure_capacitance(capacitance_value(y_p, default_model, electrode),
                                      NoiseModel(sigma_C=sigma_C, dt=1e-3, seed=4), 200)
         series = deflection_series(stream, default_model, electrode)
         assert all(type(t) is float and type(y) is float for t, y in series)
         assert [t for t, _ in series] == stream.t.tolist()
-        assert _bits(series) == _bits(deflection_series(list(stream), default_model, electrode))
+        y = yp_from_capacitance(stream.C_meas, default_model, electrode)
+        assert np.array([y for _, y in series]).tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("first_bad", [0, 137])
 @pytest.mark.parametrize("bad", [float("nan"), 10e-12, -1e-12])
 def test_deflection_series_out_of_range_stream_is_list(default_model, first_bad, bad):
-    # the same OutOfRange message and row from a stream and from a list,
-    # naming the first bad reading with t as a Python float
+    # the message names the first bad reading, with t as a Python float, then
+    # gives the lone reading's inversion message; `row` is its index
     stream = measure_capacitance(capacitance_value(1e-5, default_model, Electrode.TOP),
                                  NoiseModel(dt=1e-3, seed=8), 200)
     C = stream.C_meas.copy()
     C[[first_bad, 150]] = bad
     stream = MeasurementStream(stream.t, C)
-    errors = []
-    for samples in (stream, list(stream)):
-        with pytest.raises(OutOfRange) as exc:
-            deflection_series(samples, default_model, Electrode.TOP)
-        errors.append((str(exc.value), exc.value.row))
-    assert errors[0] == errors[1]
-    message, row = errors[0]
-    assert row == first_bad
-    assert message.startswith(f"sample {first_bad} (t={stream.t[first_bad].item()!r}): ")
-    assert "np.float64" not in message
+    with pytest.raises(OutOfRange) as exc:
+        deflection_series(stream, default_model, Electrode.TOP)
+    with pytest.raises(OutOfRange) as lone:
+        yp_from_capacitance(bad, default_model, Electrode.TOP)
+    assert exc.value.row == first_bad
+    assert str(exc.value) == f"sample {first_bad} (t={stream.t[first_bad].item()!r}): {lone.value}"
+    assert "np.float64" not in str(exc.value)
 
 
-def test_readout_builds_no_sample_objects(default_model, monkeypatch):
-    # measure_capacitance and deflection_series pass columns: no MeasurementSample
-    # is constructed until a row of the stream is read
+def test_readout_builds_no_sample_objects(default_model, monkeypatch, tmp_path):
+    # measure_capacitance, deflection_series and `cli measure` pass columns: no
+    # MeasurementSample is constructed until the stream is iterated
     calls = []
     init = MeasurementSample.__init__
 
@@ -154,6 +152,7 @@ def test_readout_builds_no_sample_objects(default_model, monkeypatch):
     stream = measure_capacitance(C, NoiseModel(sigma_C=1e-16, seed=3), 200)
     series = deflection_series(stream, default_model, Electrode.TOP)
     assert len(series) == len(stream) == 200
+    assert main(["measure", "--n", "200", "--out", str(tmp_path)]) == 0
     assert len(calls) == 0
     assert len(list(stream)) == 200 and len(calls) == 200
 
