@@ -45,9 +45,10 @@ def commands():
                                           ("noisy", 150e6, "top", 0.8, 1e-15)):
         truth = build_model(sigma0=sigma0, t_F=220e-9)
         V = np.linspace(0.0, top * pull_in_voltage(truth, e).V_pull_in, 21)
-        rows = simulate_cv(truth, e, V, NoiseModel(sigma_C=sigma_C, seed=11)).rows
+        data = simulate_cv(truth, e, V, NoiseModel(sigma_C=sigma_C, seed=11))
         with open(f"cv-{name}.csv", "w") as fh:
-            fh.write("V_volt,C_F\n" + "".join(f"{r.V:.12e},{r.C:.12e}\n" for r in rows))
+            fh.write("V_volt,C_F\n" + "".join(f"{v:.12e},{c:.12e}\n"
+                                               for v, c in zip(data.V.tolist(), data.C.tolist())))
         yield f"extract-{name}", f"extract --electrode {e} --data cv-{name}.csv"
 
 

@@ -16,7 +16,7 @@ from .electrostatics import (Electrode, capacitance_curve, capacitance_value,
 from .errors import (DegenerateData, InsufficientData, InvalidParameter,
                      NoStableEquilibrium, OutOfRange, PaddleLabError,
                      TouchViolation)
-from .extraction import (CVDataset, CVRow, FilmFitResult, deflection_series,
+from .extraction import (CVDataset, FilmFitResult, deflection_series,
                          fit_film_parameters, load_cv_csv, simulate_cv)
 from .instrument import (BridgeConfig, CalibrationFit, MeasurementSample,
                          MeasurementStream, NoiseModel, balance_bridge,
@@ -58,6 +58,6 @@ __all__ = [
     "CalibrationFit", "bridge_output", "balance_bridge", "measure_capacitance",
     "resolvable_displacement", "calibration_table", "calibration_fit", "calibrate",
     # extraction
-    "CVRow", "CVDataset", "FilmFitResult",
+    "CVDataset", "FilmFitResult",
     "simulate_cv", "deflection_series", "load_cv_csv", "fit_film_parameters",
 ]

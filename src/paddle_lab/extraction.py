@@ -4,7 +4,8 @@ The forward model depends on the film only through the residual stress
 sigma0 and the stiffness-volume product E_F*V_F, so those two are the fit
 parameters; E_F alone is not identifiable and the template's value is used
 to express results. The fit is damped Gauss-Newton on the capacitance
-residuals with a central-difference Jacobian.
+residuals with a central-difference Jacobian. Its data, a CVDataset, are
+the columns V, C and electrode, which simulate_cv and load_cv_csv build.
 
 Each fit prepares once what does not depend on theta = (sigma0, E_F*V_F):
 per electrode, the row indices, the measured C and the voltages with V^2
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +27,7 @@ from .electrostatics import (Electrode, capacitance_value, force_per_v2_value,
                              invertible, yp_from_capacitance)
 from .errors import (DegenerateData, InsufficientData, InvalidParameter,
                      OutOfRange, TouchViolation)
-from .instrument import MeasurementStream, NoiseModel
+from .instrument import MeasurementStream, NoiseModel, _columns
 from .mechanics import (StableBranch, _Drive, compliance, film_stiffness, sorted_voltages,
                         strain_coupling)
 from .model import ValidatedModel
@@ -54,23 +56,42 @@ def _check_row(V: float, C: float, prefix: str, i: int) -> None:
         raise InvalidParameter("C", f"{prefix}row {i}: capacitance must be finite and > 0, got {C!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on array fields would raise
 class CVDataset:
-    rows: tuple[CVRow, ...]
+    """C-V data as columns: row i is voltage V[i] (V) and capacitance C[i] (F)
+    sensed on electrode[i], a str array of 'top' or 'bottom' (an Electrode
+    member counts as its name). Construction is the one check: 1-D columns
+    of one length (_columns), at least 3 rows, and then the first bad row
+    raises _check_row's error or InvalidParameter("electrode")."""
+
+    V: np.ndarray
+    C: np.ndarray
+    electrode: np.ndarray
 
     def __post_init__(self):
-        if len(self.rows) < 3:
-            raise InsufficientData(f"need >= 3 rows, got {len(self.rows)}")
-        for i, row in enumerate(self.rows):
-            _check_row(row.V, row.C, "", i)
+        n = _columns(self, V=np.float64, C=np.float64, electrode=object)
+        if n < 3:
+            raise InsufficientData(f"need >= 3 rows, got {n}")
+        V, C, names = self.V, self.C, self.electrode
+        top, bottom = names == "top", names == "bottom"
+        ok = (top | bottom) & (V >= 0.0) & (V < math.inf) & (C > 0.0) & (C < math.inf)
+        if not ok.all():
+            i = int(ok.argmin())
+            _check_row(V[i].item(), C[i].item(), "", i)
+            raise InvalidParameter("electrode", f"row {i}: must be 'top' or 'bottom', got {names[i]!r}")
+        object.__setattr__(self, "electrode", np.where(top, "top", "bottom"))
 
-    @property
-    def voltages(self) -> np.ndarray:
-        return np.array([row.V for row in self.rows])
+    @functools.cached_property
+    def rows(self) -> tuple[CVRow, ...]:
+        """The columns as one CVRow per row, built on first access.
 
-    @property
-    def capacitances(self) -> np.ndarray:
-        return np.array([row.C for row in self.rows])
+        Kept only because the benchmark's `cli` set-up reads it. It gives the
+        bits of the columns, as Python floats. The benchmark v2 item of
+        ROADMAP.md moves that set-up onto the columns and deletes it, with
+        CVRow.
+        """
+        return tuple(map(CVRow, self.V.tolist(), self.C.tolist(),
+                         map(Electrode, self.electrode.tolist())))
 
 
 @dataclass(frozen=True)
@@ -97,8 +118,7 @@ def simulate_cv(model: ValidatedModel, electrode: Electrode, V_list,
     C = capacitance_value(y, model, electrode)
     if noise is not None and noise.sigma_C > 0.0:
         C = C + noise.draw(len(C))
-    return CVDataset(rows=tuple(CVRow(V=v, C=c, electrode=electrode)
-                                for v, c in zip(voltages.tolist(), C.tolist())))
+    return CVDataset(voltages[:C.size], C, np.full(C.size, electrode.value))
 
 
 def deflection_series(samples: MeasurementStream, model: ValidatedModel,
@@ -136,7 +156,7 @@ def load_cv_csv(path, electrode: Electrode) -> CVDataset:
         if header != ["V_volt", "C_F"]:
             raise InvalidParameter("data", f"{path}: expected header 'V_volt,C_F', got {','.join(header)!r}")
         prefix = f"{path}: "
-        rows = []
+        V, C = [], []
         for i, rec in enumerate(reader):
             if not rec:
                 continue
@@ -147,26 +167,26 @@ def load_cv_csv(path, electrode: Electrode) -> CVDataset:
             except ValueError:
                 raise InvalidParameter("data", f"{path}: row {i}: non-numeric field in {rec!r}") from None
             _check_row(v, c, prefix, i)
-            rows.append(CVRow(V=v, C=c, electrode=electrode))
-    return CVDataset(rows=tuple(rows))
+            V.append(v)
+            C.append(c)
+    return CVDataset(np.array(V), np.array(C), np.full(len(V), electrode.value))
 
 
 class _PreparedFit:
     """Everything of one fit that does not depend on theta = (sigma0, E_F*V_F).
 
-    Built once per fit: the data's V and C arrays and, per electrode, its
-    row indices, its measured C and its voltages prepared for the branch
-    solve (mechanics._Drive, which holds V^2 and the drive's force terms).
-    _initial_guess reads the same groups.
+    Built once per fit: the data's V and C columns and, per electrode in
+    order of first appearance, its row indices, its measured C and its
+    voltages prepared for the branch solve (mechanics._Drive, which holds
+    V^2 and the drive's force terms). _initial_guess reads the same groups.
     """
 
     def __init__(self, data: CVDataset, template: ValidatedModel):
         self.template = template
-        self.V, self.C = data.voltages, data.capacitances
-        electrodes = [row.electrode for row in data.rows]
+        self.V, self.C = data.V, data.C
         self.groups = []
-        for e in dict.fromkeys(electrodes):
-            rows = np.flatnonzero([el is e for el in electrodes])
+        for name in dict.fromkeys(data.electrode.tolist()):
+            e, rows = Electrode(name), np.flatnonzero(data.electrode == name)
             self.groups.append((e, rows, self.C[rows],
                                 _Drive(StableBranch(template, e), self.V[rows])))
 
@@ -258,7 +278,7 @@ def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> Film
     derives only the trial film, so every residual has the bits of one
     computed on a model rebuilt from scratch.
     """
-    if len({row.V for row in data.rows}) < 2:
+    if data.V.min() == data.V.max():
         raise DegenerateData("all rows share one voltage; sigma0 and E_F*V_F "
                              "are not separately identifiable")
     EFVF_ref = model_template.film.E_F * model_template.V_F

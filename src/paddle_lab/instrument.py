@@ -62,6 +62,23 @@ class NoiseModel:
         return self.sigma_C * np.random.default_rng(self.seed).standard_normal(n)
 
 
+def _columns(obj, **dtypes) -> int:
+    """Make each named field of the frozen dataclass obj a 1-D array of its dtype,
+    kept if it already is one; all must have one length, which is returned."""
+    n = None
+    for name, dtype in dtypes.items():
+        try:
+            col = np.asarray(getattr(obj, name), dtype=dtype)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameter(name, f"must be a column of {np.dtype(dtype)}: {exc}") from None
+        if col.ndim != 1 or n not in (None, col.size):
+            raise InvalidParameter(name, f"must be 1-D and as long as the other columns, "
+                                         f"got shape {col.shape}")
+        n = col.size
+        object.__setattr__(obj, name, col)
+    return n
+
+
 @dataclass(frozen=True, slots=True)
 class MeasurementSample:
     t: float       # s
@@ -71,7 +88,7 @@ class MeasurementSample:
 @dataclass(frozen=True, eq=False)
 class MeasurementStream:
     """A stream of readings as columns: element i of t (s) and of C_meas (F),
-    both float64 arrays, is the i-th reading.
+    1-D float64 arrays of one length (_columns), is the i-th reading.
 
     len is the number of readings; iteration builds one MeasurementSample
     per reading, with the bits of the columns as Python floats. Streams
@@ -80,6 +97,9 @@ class MeasurementStream:
 
     t: np.ndarray
     C_meas: np.ndarray
+
+    def __post_init__(self):
+        _columns(self, t=np.float64, C_meas=np.float64)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -118,6 +138,8 @@ def measure_capacitance(C_true: float, noise: NoiseModel, n: int) -> Measurement
     The readings are C_true plus noise.draw(n), so a given (noise, n)
     always yields the same stream. No MeasurementSample is built.
     """
+    if not 0.0 < C_true < math.inf:
+        raise InvalidParameter("C_true", f"must be finite and > 0, got {C_true!r}")
     if n < 1:
         raise InvalidParameter("n", f"need at least 1 sample, got {n!r}")
     return MeasurementStream(noise.dt * np.arange(1, n + 1), C_true + noise.draw(n))

@@ -229,8 +229,7 @@ def test_criterion_10_cli_determinism_and_exit_codes(tmp_path):
     with open(cv_path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["V_volt", "C_F"])
-        for r in ds.rows:
-            w.writerow([f"{r.V:.17e}", f"{r.C:.17e}"])
+        w.writerows([f"{v:.17e}", f"{c:.17e}"] for v, c in zip(ds.V.tolist(), ds.C.tolist()))
 
     commands = [
         ["design"],

@@ -39,9 +39,8 @@ def write_cv_csv(path, sigma0=200e6, v_max=160.0, n=9):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["V_volt", "C_F"])
-        for r in ds.rows:
-            w.writerow([f"{r.V:.17e}", f"{r.C:.17e}"])
-    return len(ds.rows)
+        w.writerows([f"{v:.17e}", f"{c:.17e}"] for v, c in zip(ds.V.tolist(), ds.C.tolist()))
+    return ds.V.size
 
 
 def test_design_report(tmp_path):

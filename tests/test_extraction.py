@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from paddle_lab import (CVDataset, CVRow, DegenerateData, Electrode,
+from paddle_lab import (CVDataset, DegenerateData, Electrode,
                         InsufficientData, InvalidParameter, MeasurementSample,
                         MeasurementStream, NoiseModel, NoStableEquilibrium, OutOfRange, TouchViolation,
                         build_model, capacitance_value, deflection_series,
@@ -14,22 +14,24 @@ from paddle_lab import (CVDataset, CVRow, DegenerateData, Electrode,
                         model_from_dict, model_to_dict, pull_in_voltage, simulate_cv,
                         yp_from_capacitance)
 from paddle_lab.cli import main
-from paddle_lab.extraction import _PreparedFit
+from paddle_lab.extraction import CVRow, _PreparedFit
 from paddle_lab.mechanics import StableBranch
 
 
 def test_simulate_cv_basic(with_sigma0):
     m = with_sigma0(100e6)
     ds = simulate_cv(m, Electrode.BOTTOM, [50.0, 0.0, 100.0])
-    assert [r.V for r in ds.rows] == [0.0, 50.0, 100.0]
-    assert all(r.electrode is Electrode.BOTTOM for r in ds.rows)
-    assert all(r.C > 0.0 for r in ds.rows)
+    assert ds.V.dtype == ds.C.dtype == np.float64
+    assert ds.V.tolist() == [0.0, 50.0, 100.0]
+    assert ds.electrode.tolist() == ["bottom"] * 3
+    assert np.all(ds.C > 0.0)
 
 
 def test_simulate_cv_skips_past_pull_in(with_sigma0):
     m = with_sigma0(100e6)  # pull-in near 204.5 V on the bottom electrode
     ds = simulate_cv(m, Electrode.BOTTOM, [0.0, 100.0, 150.0, 300.0, 400.0])
-    assert [r.V for r in ds.rows] == [0.0, 100.0, 150.0]
+    assert ds.V.tolist() == [0.0, 100.0, 150.0]
+    assert ds.C.size == ds.electrode.size == 3
 
 
 def test_simulate_cv_noise_seeded(with_sigma0):
@@ -38,9 +40,9 @@ def test_simulate_cv_noise_seeded(with_sigma0):
     a = simulate_cv(m, Electrode.BOTTOM, [0.0, 50.0, 100.0], noise)
     b = simulate_cv(m, Electrode.BOTTOM, [0.0, 50.0, 100.0], noise)
     clean = simulate_cv(m, Electrode.BOTTOM, [0.0, 50.0, 100.0])
-    assert a == b
-    deltas = [abs(x.C - y.C) for x, y in zip(a.rows, clean.rows)]
-    assert all(0.0 < d < 1e-15 for d in deltas)
+    assert _same(a, b)
+    deltas = np.abs(a.C - clean.C)
+    assert np.all((0.0 < deltas) & (deltas < 1e-15))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -55,14 +57,90 @@ def test_simulate_cv_empty_is_insufficient(with_sigma0):
         simulate_cv(with_sigma0(100e6), Electrode.BOTTOM, [])
 
 
+def _same(a, b):
+    """True when two datasets hold the same columns, bit for bit."""
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in ((a.V, b.V), (a.C, b.C), (a.electrode, b.electrode)))
+
+
 def test_dataset_validation():
-    rows = (CVRow(0.0, 2e-12, Electrode.BOTTOM), CVRow(10.0, 2e-12, Electrode.BOTTOM))
-    with pytest.raises(InsufficientData):
-        CVDataset(rows=rows)
-    with pytest.raises(InvalidParameter):
-        CVDataset(rows=rows + (CVRow(-1.0, 2e-12, Electrode.BOTTOM),))
-    with pytest.raises(InvalidParameter):
-        CVDataset(rows=rows + (CVRow(5.0, 0.0, Electrode.BOTTOM),))
+    V, C, el = [0.0, 10.0, 20.0], [2e-12, 2.1e-12, 2.2e-12], ["bottom"] * 3
+    with pytest.raises(InsufficientData, match=r"^need >= 3 rows, got 2$"):
+        CVDataset(V[:2], C[:2], el[:2])
+    for args, name in (((V, C[:2], el), "C"), ((V[:2], C, el), "C"), ((V, C, el[:2]), "electrode"),
+                       (([V], [C], [el]), "V"), ((V, np.array([C]), el), "C"),
+                       ((V, C, "bottom"), "electrode"), ((["a", 1.0, 2.0], C, el), "V")):
+        with pytest.raises(InvalidParameter) as info:
+            CVDataset(*args)
+        assert info.value.name == name
+    with pytest.raises(InvalidParameter, match=r"^electrode: row 1: must be 'top' or 'bottom', "
+                                               r"got 'left'$") as info:
+        CVDataset(V, C, ["top", "left", "top"])
+    assert info.value.name == "electrode"
+
+
+@pytest.mark.parametrize("i", [0, 2])
+@pytest.mark.parametrize("column, bad", [("V", -1.0), ("V", math.nan), ("V", math.inf),
+                                         ("C", 0.0), ("C", math.nan), ("C", -math.inf)])
+def test_dataset_names_first_bad_row(column, bad, i):
+    # the first bad row gets _check_row's message, ahead of a later bad row
+    # and of a later unknown electrode
+    V, C = np.array([0.0, 10.0, 20.0, 30.0]), np.array([2e-12, 2.1e-12, 2.2e-12, 2.3e-12])
+    (V if column == "V" else C)[[i, 3]] = bad
+    with pytest.raises(InvalidParameter) as info:
+        CVDataset(V, C, ["top", "top", "top", "left"])
+    what = "voltage must be finite and >= 0" if column == "V" else "capacitance must be finite and > 0"
+    assert str(info.value) == f"{column}: row {i}: {what}, got {bad!r}"
+    assert info.value.name == column
+
+
+def test_dataset_columns():
+    # float64 columns pass through uncopied; electrode becomes a str array,
+    # Electrode members read as their names
+    V, C = np.array([0.0, 10.0, 20.0]), np.array([2e-12, 2.1e-12, 2.2e-12])
+    ds = CVDataset(V, C, [Electrode.TOP, "bottom", Electrode.TOP])
+    assert ds.V is V and ds.C is C
+    assert ds.electrode.tolist() == ["top", "bottom", "top"] and ds.electrode.dtype.kind == "U"
+    ds = CVDataset([0, 10, 20], [2e-12, 2.1e-12, 2.2e-12], np.full(3, "top"))
+    assert ds.V.dtype == ds.C.dtype == np.float64 and ds.V.tolist() == [0.0, 10.0, 20.0]
+
+
+@pytest.mark.parametrize("electrode", [Electrode.TOP, Electrode.BOTTOM])
+def test_dataset_rows_view_is_the_columns(default_model, electrode):
+    # the benchmark-only row view holds the columns' bits as Python floats
+    ds = simulate_cv(default_model, electrode, np.linspace(0.0, 60.0, 13),
+                     NoiseModel(sigma_C=1e-16, seed=6))
+    rows = ds.rows
+    assert rows is ds.rows and len(rows) == 13
+    assert all(type(r.V) is float and type(r.C) is float for r in rows)
+    assert all(r.electrode is electrode for r in rows)
+    assert np.array([r.V for r in rows]).tobytes() == ds.V.tobytes()
+    assert np.array([r.C for r in rows]).tobytes() == ds.C.tobytes()
+
+
+def test_cv_path_builds_no_row_objects(default_model, with_sigma0, monkeypatch, tmp_path):
+    # simulate_cv, load_cv_csv, fit_film_parameters and `cli extract` pass
+    # columns: no CVRow is constructed until the rows view is read
+    calls = []
+    init = CVRow.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CVRow, "__init__", counted)
+    ds = simulate_cv(with_sigma0(150e6), Electrode.BOTTOM, np.linspace(0.0, 150.0, 11),
+                     NoiseModel(sigma_C=1e-17, seed=2))
+    path = tmp_path / "cv.csv"
+    path.write_text("V_volt,C_F\n" + "".join(f"{v!r},{c!r}\n"
+                                             for v, c in zip(ds.V.tolist(), ds.C.tolist())))
+    loaded = load_cv_csv(path, Electrode.BOTTOM)
+    assert _same(loaded, ds)
+    assert fit_film_parameters(loaded, default_model).converged
+    assert main(["extract", "--data", str(path), "--electrode", "bottom",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 0
+    assert len(ds.rows) == 11 and len(calls) == 11
 
 
 def test_deflection_series_round_trip(default_model):
@@ -89,6 +167,26 @@ def test_deflection_series_noise_propagation(default_model):
 
 def _stream(t, C):
     return MeasurementStream(np.array(t, dtype=float), np.array(C, dtype=float))
+
+
+@pytest.mark.parametrize("t, C, name", [([0.01, 0.02, 0.03], [2.3e-12], "C_meas"),
+                                        ([0.01], [2.3e-12, 2.4e-12], "C_meas"),
+                                        ([[0.01, 0.02]], [2.3e-12, 2.4e-12], "t"),
+                                        ([0.01, 0.02], "2.3e-12 F", "C_meas")])
+def test_stream_refuses_bad_columns(t, C, name):
+    # columns of unequal length or of another shape never reach deflection_series
+    with pytest.raises(InvalidParameter) as info:
+        MeasurementStream(np.array(t), C)
+    assert info.value.name == name
+
+
+def test_stream_of_list_columns_is_arrays(default_model):
+    C = capacitance_value(1e-5, default_model, Electrode.TOP)
+    stream = MeasurementStream([0.01, 0.02, 0.03], [C, C, C])
+    assert stream.t.dtype == stream.C_meas.dtype == np.float64
+    series = deflection_series(stream, default_model, Electrode.TOP)
+    assert [t for t, _ in series] == [0.01, 0.02, 0.03]
+    assert all(y == pytest.approx(1e-5, abs=1e-12) for _, y in series)
 
 
 def test_deflection_series_out_of_range_row(default_model):
@@ -161,9 +259,9 @@ def test_load_cv_csv(tmp_path):
     path = tmp_path / "cv.csv"
     path.write_text("V_volt,C_F\n0.0,2.2e-12\n10.0,2.3e-12\n20.0,2.4e-12\n")
     ds = load_cv_csv(path, Electrode.TOP)
-    assert len(ds.rows) == 3
-    assert ds.rows[1].V == 10.0 and ds.rows[1].C == 2.3e-12
-    assert ds.rows[0].electrode is Electrode.TOP
+    assert ds.V.tolist() == [0.0, 10.0, 20.0]
+    assert ds.C.tolist() == [2.2e-12, 2.3e-12, 2.4e-12]
+    assert ds.electrode.tolist() == ["top"] * 3
 
 
 @pytest.mark.parametrize("text", [
@@ -248,19 +346,28 @@ def test_fit_noisy_recovery(default_model, with_sigma0):
 
 def test_fit_degenerate_single_voltage(default_model):
     C = capacitance_value(0.0, default_model, Electrode.BOTTOM)
-    rows = tuple(CVRow(25.0, C * (1.0 + 1e-4 * i), Electrode.BOTTOM) for i in range(4))
+    data = CVDataset(np.full(4, 25.0), C * (1.0 + 1e-4 * np.arange(4)), np.full(4, "bottom"))
     with pytest.raises(DegenerateData):
-        fit_film_parameters(CVDataset(rows=rows), default_model)
+        fit_film_parameters(data, default_model)
 
 
 TRUTH_SIGMA0, TRUTH_T_F = 150e6, 220e-9
 TRUTH_EFVF = 70e9 * TRUTH_T_F * 7.5e-6
 
 
+def _rows(data, index):
+    """The dataset of data's rows at an index array (or slice), in its order."""
+    return CVDataset(data.V[index], data.C[index], data.electrode[index])
+
+
 def _interleaved(*parts):
-    """The rows of several datasets, alternating between them while they last."""
-    n = max(len(p) for p in parts)
-    return tuple(p[i] for i in range(n) for p in parts if i < len(p))
+    """The rows of several datasets in one, alternating between them while they last."""
+    sizes = [p.V.size for p in parts]
+    starts = np.cumsum([0] + sizes[:-1])
+    order = np.array([s + i for i in range(max(sizes)) for s, n in zip(starts, sizes) if i < n])
+    joined = CVDataset(*(np.concatenate([getattr(p, f) for p in parts])
+                         for f in ("V", "C", "electrode")))
+    return _rows(joined, order)
 
 
 def test_fit_two_electrodes(default_model):
@@ -270,8 +377,11 @@ def test_fit_two_electrodes(default_model):
     parts = []
     for e, n in ((Electrode.BOTTOM, 11), (Electrode.TOP, 10)):
         V = np.linspace(0.0, 0.8 * pull_in_voltage(truth, e).V_pull_in, n)
-        parts.append(simulate_cv(truth, e, V).rows)
-    fit = fit_film_parameters(CVDataset(rows=_interleaved(*parts)), default_model)
+        parts.append(simulate_cv(truth, e, V))
+    data = _interleaved(*parts)
+    assert data.electrode.tolist() == ["bottom", "top"] * 10 + ["bottom"]
+    assert data.V[1::2].tobytes() == parts[1].V.tobytes()
+    fit = fit_film_parameters(data, default_model)
     assert fit.converged
     assert fit.sigma0_hat == pytest.approx(TRUTH_SIGMA0, rel=1e-6)
     assert fit.EFVF_hat == pytest.approx(TRUTH_EFVF, rel=1e-6)
@@ -305,7 +415,7 @@ def _oracle_datasets():
     for e in Electrode:
         V = np.linspace(0.0, 0.99 * pull_in_voltage(truth, e).V_pull_in, 21)
         sets[e.value] = simulate_cv(truth, e, V, NoiseModel(sigma_C=1e-16, seed=3))
-    sets["both"] = CVDataset(rows=_interleaved(sets["bottom"].rows[:11], sets["top"].rows[:10]))
+    sets["both"] = _interleaved(_rows(sets["bottom"], slice(11)), _rows(sets["top"], slice(10)))
     return sets
 
 
@@ -318,10 +428,10 @@ def _rebuilt_residuals(theta, data, template):
                              "t_F": float(theta[1]) / (film.E_F * film.A_F)})
     except InvalidParameter:
         return None
-    V, C = data.voltages, data.capacitances
-    res = np.empty(len(data.rows))
+    V, C = data.V, data.C
+    res = np.empty(C.size)
     for e in Electrode:
-        rows = np.array([row.electrode is e for row in data.rows])
+        rows = data.electrode == e.value
         if rows.any():
             try:
                 res[rows] = capacitance_value(StableBranch(m, e).solve(V[rows]), m, e) - C[rows]

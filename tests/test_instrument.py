@@ -131,6 +131,9 @@ def test_stream_columns():
     assert stream.t.shape == stream.C_meas.shape == (1000,)
     assert stream.t.tobytes() == (2.5e-3 * np.arange(1, 1001)).tobytes()
     assert stream.C_meas.tobytes() == (2e-12 + noise.draw(1000)).tobytes()
+    # float64 columns pass through the stream's check uncopied
+    again = MeasurementStream(stream.t, stream.C_meas)
+    assert again.t is stream.t and again.C_meas is stream.C_meas
 
 
 def test_stream_row_view():
@@ -170,6 +173,13 @@ def test_measurement_sample_value_semantics():
 def test_measure_requires_samples():
     with pytest.raises(InvalidParameter):
         measure_capacitance(2e-12, QUIET, 0)
+
+
+@pytest.mark.parametrize("C_true", [float("nan"), float("inf"), -float("inf"), 0.0, -2e-12])
+def test_measure_rejects_bad_capacitance(C_true):
+    with pytest.raises(InvalidParameter, match=r"^C_true: must be finite and > 0, got ") as info:
+        measure_capacitance(C_true, NoiseModel(), 2)
+    assert info.value.name == "C_true"
 
 
 def test_measure_sample_std_measures_sigma():
@@ -244,8 +254,7 @@ def test_noise_is_drawn_by_the_noise_model(default_model):
     V = [0.0, 40.0, 80.0]
     clean = simulate_cv(default_model, Electrode.TOP, V)
     noisy = simulate_cv(default_model, Electrode.TOP, V, noise)
-    assert [r.C for r in noisy.rows] == \
-        (np.array([r.C for r in clean.rows]) + noise.draw(3)).tolist()
+    assert noisy.C.tobytes() == (clean.C + noise.draw(3)).tobytes()
 
 
 def test_noise_free_draws_are_exact(default_model):
