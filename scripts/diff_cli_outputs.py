@@ -2,7 +2,9 @@
 
 Usage: PYTHONPATH=src python3 scripts/diff_cli_outputs.py --write DIR | --compare DIR_A DIR_B
 Extract fits C-V files rounded to 12 digits, so trees differing in the last bits of C fit the
-same data. --compare prints one row per file that differs in its bytes: (bytes) with the lines
+same data. --write also runs the two study scripts with their default flags, into
+study-performance/ and study-extraction/, so the tree holds every data file the repo writes.
+--compare prints one row per file that differs in its bytes: (bytes) with the lines
 that differ, then (header) if the column names differ and (rows A/B) if the row counts do; a
 file in one tree only gets one (only in A) or (only in B) row. Then, per column and over the
 rows both files have, it prints changed rows and max ulp and absolute differences, and the max
@@ -17,6 +19,8 @@ import json
 import operator
 import os
 import pathlib
+import runpy
+import sys
 
 import numpy as np
 
@@ -50,6 +54,12 @@ def commands():
             fh.write("V_volt,C_F\n" + "".join(f"{v:.12e},{c:.12e}\n"
                                                for v, c in zip(data.V.tolist(), data.C.tolist())))
         yield f"extract-{name}", f"extract --electrode {e} --data cv-{name}.csv"
+
+
+# (output directory, study script), each run with its default flags
+SCRIPTS = os.path.dirname(os.path.abspath(__file__))
+STUDIES = (("study-performance", os.path.join(SCRIPTS, "run_performance_curves.py")),
+           ("study-extraction", os.path.join(SCRIPTS, "run_extraction_study.py")))
 
 
 def table(path):
@@ -120,5 +130,8 @@ if __name__ == "__main__":
         os.chdir(args.write)
         for name, argv in commands():
             main(argv.split() + ["--out", name])
+        for name, script in STUDIES:
+            sys.argv = [script, "--out", name]
+            runpy.run_path(script, run_name="__main__")
         for f in glob.glob(os.path.join("*", "*_manifest.json")):
             os.remove(f)

@@ -26,15 +26,16 @@ capacitance_value and capacitance_slope through gap_line's float path and
 np.log1p on the scalar, the same operations as on an array element, and
 gets the bits of the same pose inside an array.
 
-yp_from_capacitance inverts C(y_p) by safeguarded Newton, a float running
+yp_from_capacitance inverts C(y_p) by Newton on 1/C, a float running
 through the same loop as a one-element array. c/C is the logarithmic mean
-of the two edge gaps, so each reading starts where Carlson's bound
-(2*G + A)/3 on that mean, a quadratic in y_p, equals c/C. Each step makes
-one gap_line and one log1p call for both C and its slope. C(y_p) is smooth
-and monotone on the inversion bracket, so unlike the force balance at
-pull-in it has no double root to stall Newton. On an array, OutOfRange
-names the first value outside the attainable range and carries its flat
-index as `row`.
+L of the two edge gaps, concave and increasing in both, and both gaps are
+affine in y_p, so 1/C is concave and monotone on the inversion bracket.
+From the start, where Carlson's bound (2*G + A)/3 >= L equals c/C and so
+1/C is at or below its target, the Newton steps approach the root without
+passing it, and clipping them to the bracket is the only safeguard. Each
+step makes one gap_line and one log1p call for both C and its slope. On an
+array, OutOfRange names the first value outside the attainable range and
+carries its flat index as `row`.
 """
 from __future__ import annotations
 
@@ -44,7 +45,6 @@ import numpy as np
 
 from .errors import InvalidParameter, OutOfRange, TouchViolation
 from .model import PhysicalConstants, ValidatedModel
-from .roots import BISECT_MAX_ITER
 
 # Below this relative gap change across the plate, ln(1+u)/u switches to its
 # 4-term series; truncation error ~ u^4/5 < 1e-25 at the threshold.
@@ -59,6 +59,8 @@ SLOPE_SERIES_U_THRESHOLD = 3e-3
 # bracket. C diverges logarithmically at the limits, so values measured
 # closer than this to an electrode are treated as out of range.
 INVERSION_MARGIN = 0.05
+
+INVERSION_MAX_ITER = 200  # Newton step cap of yp_from_capacitance
 
 
 class Electrode(str, Enum):
@@ -281,7 +283,7 @@ def _log_mean_start(S, rest, tilt):
 
 
 def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
-    """Deflection whose paddle capacitance equals C, by safeguarded Newton.
+    """Deflection whose paddle capacitance equals C, by Newton on 1/C.
 
     C is a float or an array; an array is inverted elementwise into an array
     of its shape, a float as a one-element array into a float. Every value
@@ -293,11 +295,10 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
     Each element starts from the log-mean-gap guess clipped to the bracket:
     the pose whose edge gaps have c/C as Carlson's bound on their
     logarithmic mean (_log_mean_start), off in C by 4.7e-6 relative in the
-    median over the bracket of the default geometry. It keeps its own
-    bracket around the root, takes the Newton step on 1/C, close to linear
-    in the mean gap, where that stays strictly inside its bracket and
-    bisects where it does not (rtsafe, Numerical Recipes 9.4), until
-    |C(y) - C| <= 1e-12*C or for BISECT_MAX_ITER steps.
+    median over the bracket of the default geometry. It then takes Newton
+    steps on 1/C, close to linear in the mean gap, clipped to the bracket
+    (the module docstring says why nothing more is needed), until
+    |C(y) - C| <= 1e-12*C or for INVERSION_MAX_ITER steps.
 
     A step evaluates the gap line and ln(1+u) once and hands them to the
     capacitance and slope helpers, the slope only after the convergence
@@ -324,9 +325,8 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
     target = C.reshape(-1)
     tol = 1e-12 * target
     y = np.clip(s * center_ratio * _log_mean_start(c / target, rest, tilt), lo, hi)
-    a, b = np.full(y.shape, lo), np.full(y.shape, hi)
     active = np.ones(y.shape, dtype=bool)
-    for _ in range(BISECT_MAX_ITER):
+    for _ in range(INVERSION_MAX_ITER):
         g0, delta = gap_line(y, model, electrode)
         u = delta / g0
         log1p_u = np.log1p(u)
@@ -334,11 +334,7 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
         active &= np.abs(c_y - target) > tol
         if not np.count_nonzero(active):
             break
-        # the root lies above y (C_top rises with y, C_bottom falls)
-        above = c_y < target if s < 0.0 else c_y >= target
-        a, b = np.where(above, y, a), np.where(above, b, y)
         slope = _slope_terms(c, s, center_ratio, tilt, g0, u, log1p_u)
         newton = y + c_y * (target - c_y) / (target * slope)
-        step = np.where((a < newton) & (newton < b), newton, 0.5 * (a + b))
-        y = np.where(active, step, y)
+        y = np.where(active, np.minimum(np.maximum(newton, lo), hi), y)
     return y.reshape(C.shape) if C.ndim else float(y[0])

@@ -27,7 +27,7 @@ from .electrostatics import (Electrode, capacitance_value, force_per_v2_value,
                              invertible, yp_from_capacitance)
 from .errors import (DegenerateData, InsufficientData, InvalidParameter,
                      OutOfRange, TouchViolation)
-from .instrument import MeasurementStream, NoiseModel, _columns
+from .instrument import MeasurementStream, NoiseModel, _columns, _read_only
 from .mechanics import (StableBranch, _Drive, compliance, film_stiffness, sorted_voltages,
                         strain_coupling)
 from .model import ValidatedModel
@@ -62,7 +62,8 @@ class CVDataset:
     sensed on electrode[i], a str array of 'top' or 'bottom' (an Electrode
     member counts as its name). Construction is the one check: 1-D columns
     of one length (_columns), at least 3 rows, and then the first bad row
-    raises _check_row's error or InvalidParameter("electrode")."""
+    raises _check_row's error or InvalidParameter("electrode"). The columns
+    are read-only, so no later write bypasses it."""
 
     V: np.ndarray
     C: np.ndarray
@@ -79,7 +80,7 @@ class CVDataset:
             i = int(ok.argmin())
             _check_row(V[i].item(), C[i].item(), "", i)
             raise InvalidParameter("electrode", f"row {i}: must be 'top' or 'bottom', got {names[i]!r}")
-        object.__setattr__(self, "electrode", np.where(top, "top", "bottom"))
+        object.__setattr__(self, "electrode", _read_only(np.where(top, "top", "bottom")))
 
     @functools.cached_property
     def rows(self) -> tuple[CVRow, ...]:

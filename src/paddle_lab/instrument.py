@@ -7,8 +7,9 @@ collapses to that bilinear form. Readings pick up white Gaussian noise per
 sample, with a fixed seed making every stream reproducible.
 
 A stream of readings is held as columns: measure_capacitance returns a
-MeasurementStream of the sample times and readings as two float64 arrays,
-which builds a MeasurementSample only when the stream is iterated.
+MeasurementStream of the sample times and readings as two read-only
+float64 arrays, which builds a MeasurementSample only when the stream is
+iterated.
 """
 from __future__ import annotations
 
@@ -62,9 +63,18 @@ class NoiseModel:
         return self.sigma_C * np.random.default_rng(self.seed).standard_normal(n)
 
 
+def _read_only(col: np.ndarray) -> np.ndarray:
+    """col if read-only, else a read-only view of it (no copy; col keeps its flags)."""
+    if col.flags.writeable:
+        col = col.view()
+        col.flags.writeable = False
+    return col
+
+
 def _columns(obj, **dtypes) -> int:
     """Make each named field of the frozen dataclass obj a 1-D array of its dtype,
-    kept if it already is one; all must have one length, which is returned."""
+    kept if it already is one, and read-only (_read_only), so no later write
+    bypasses this check; all must have one length, which is returned."""
     n = None
     for name, dtype in dtypes.items():
         try:
@@ -75,7 +85,7 @@ def _columns(obj, **dtypes) -> int:
             raise InvalidParameter(name, f"must be 1-D and as long as the other columns, "
                                          f"got shape {col.shape}")
         n = col.size
-        object.__setattr__(obj, name, col)
+        object.__setattr__(obj, name, _read_only(col))
     return n
 
 
@@ -140,8 +150,8 @@ def measure_capacitance(C_true: float, noise: NoiseModel, n: int) -> Measurement
     """
     if not 0.0 < C_true < math.inf:
         raise InvalidParameter("C_true", f"must be finite and > 0, got {C_true!r}")
-    if n < 1:
-        raise InvalidParameter("n", f"need at least 1 sample, got {n!r}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidParameter("n", f"must be an integer >= 1, got {n!r}")
     return MeasurementStream(noise.dt * np.arange(1, n + 1), C_true + noise.draw(n))
 
 

@@ -6,8 +6,8 @@ preferred there over faster methods: the scan's equation approaches a
 double root at pull-in, where Newton-type iterations stall, it has no
 closed form, and the cost of bisection is bounded. bisect_root solves one
 equation on floats and allocates nothing per step. Tests also use it as
-the oracle for capacitance inversion, which runs safeguarded Newton
-(electrostatics.yp_from_capacitance) on a curve without such a root.
+the oracle for capacitance inversion (electrostatics.yp_from_capacitance),
+which runs Newton on the concave 1/C, a curve without such a root.
 One-electrode equilibria and pull-in need none of it: they have closed
 forms (mechanics.StableBranch).
 """

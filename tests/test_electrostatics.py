@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -322,20 +323,36 @@ def test_extreme_round_trip(default_model):
 
 # l_p/l_b from 0.01 to 30 puts the edge-gap ratio tilt = 2*l_p/l_b on both
 # sides of 6 + 4*sqrt(3) ~ 12.93, where the start's quadratic changes sign
-@given(d_c=st.floats(min_value=41e-6, max_value=300e-6),
-       d_e=st.floats(min_value=41e-6, max_value=300e-6),
-       l_b=st.floats(min_value=1e-3, max_value=8e-3),
-       lp_per_lb=st.floats(min_value=0.01, max_value=30.0),
-       electrode=st.sampled_from([Electrode.TOP, Electrode.BOTTOM]),
-       fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12))
+INVERSION_CASES = dict(
+    d_c=st.floats(min_value=41e-6, max_value=300e-6),
+    d_e=st.floats(min_value=41e-6, max_value=300e-6),
+    l_b=st.floats(min_value=1e-3, max_value=8e-3),
+    lp_per_lb=st.floats(min_value=0.01, max_value=30.0),
+    electrode=st.sampled_from([Electrode.TOP, Electrode.BOTTOM]),
+    fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12))
+
+
+def _inversion_case(d_c, d_e, l_b, lp_per_lb, electrode, fracs):
+    """(model, readings): poses from end to end of the margin-shrunk bracket;
+    a reading that rounds onto a bracket end is moved one ulp inside the
+    attainable range."""
+    m = build_model(d_c=d_c, d_e=d_e, l_b=l_b, l_p=lp_per_lb * l_b)
+    lo, hi = inversion_bracket(m)
+    c_ends = sorted(capacitance_value(y, m, electrode) for y in (lo, hi))
+    y_pose = np.minimum(lo + np.array(fracs) * (hi - lo), hi)
+    return m, np.clip(capacitance_value(y_pose, m, electrode),
+                      math.nextafter(c_ends[0], math.inf), math.nextafter(c_ends[1], 0.0))
+
+
+@given(**INVERSION_CASES)
 @example(d_c=100e-6, d_e=100e-6, l_b=3e-3, lp_per_lb=5.0 / 3.0, electrode=Electrode.TOP,
          fracs=[0.0, 0.5, 1.0])
 @example(d_c=41e-6, d_e=300e-6, l_b=8e-3, lp_per_lb=0.625, electrode=Electrode.BOTTOM,
          fracs=[1.0, 0.0])
 @example(d_c=52.53e-6, d_e=293.37e-6, l_b=1.07e-3, lp_per_lb=5.0 / 1.07,
          electrode=Electrode.TOP, fracs=[0.0])
-# one ulp above c_min, the second Newton step overshoots the bracket end and
-# the loop bisects from there
+# one ulp above c_min, rounding carries the second Newton step an ulp past
+# the bracket end, and the step is clipped back to that end
 @example(d_c=194.94e-6, d_e=228.1e-6, l_b=2.03e-3, lp_per_lb=5.0 / 2.03,
          electrode=Electrode.TOP, fracs=[0.0])
 @example(d_c=100e-6, d_e=100e-6, l_b=1e-3, lp_per_lb=6.4, electrode=Electrode.TOP,
@@ -345,15 +362,9 @@ def test_extreme_round_trip(default_model):
 @example(d_c=41e-6, d_e=300e-6, l_b=1e-3, lp_per_lb=30.0, electrode=Electrode.TOP,
          fracs=[0.0, 0.5, 1.0])
 def test_array_inversion_matches_float_path(d_c, d_e, l_b, lp_per_lb, electrode, fracs):
-    # poses from end to end of the margin-shrunk bracket; a reading that
-    # rounds onto a bracket end is moved one ulp inside the attainable range
-    m = build_model(d_c=d_c, d_e=d_e, l_b=l_b, l_p=lp_per_lb * l_b)
+    m, C = _inversion_case(d_c, d_e, l_b, lp_per_lb, electrode, fracs)
     lo, hi = inversion_bracket(m)
     c_lo, c_hi = (capacitance_value(y, m, electrode) for y in (lo, hi))
-    c_ends = sorted((c_lo, c_hi))
-    y_pose = np.minimum(lo + np.array(fracs) * (hi - lo), hi)
-    C = np.clip(capacitance_value(y_pose, m, electrode),
-                math.nextafter(c_ends[0], math.inf), math.nextafter(c_ends[1], 0.0))
     y = yp_from_capacitance(C, m, electrode)
     assert y.shape == C.shape
     assert np.all(np.abs(capacitance_value(y, m, electrode) - C) <= 1e-12 * C)
@@ -387,33 +398,50 @@ def test_log_mean_start_is_close_at_every_tilt(tilt):
             assert np.all(np.abs(capacitance_value(start, m, electrode) / C - 1.0) <= bound)
 
 
-def test_inversion_bisects_where_newton_leaves_bracket(default_model, monkeypatch):
-    # a slope a million times too shallow sends the first Newton step out of
-    # the bracket (from the log-mean start, 1e-3 leaves it inside); the loop
-    # bisects instead and still meets its tolerance
-    factor = 1e-6
-    iterates = []
-    slope_terms, line = electrostatics._slope_terms, electrostatics.gap_line
-
-    def shallow(*terms):
-        return factor * slope_terms(*terms)
+@given(**INVERSION_CASES)
+@example(d_c=194.94e-6, d_e=228.1e-6, l_b=2.03e-3, lp_per_lb=5.0 / 2.03,
+         electrode=Electrode.TOP, fracs=[0.0, 1.0])
+def test_newton_iterates_approach_root_from_one_side(d_c, d_e, l_b, lp_per_lb, electrode,
+                                                     fracs):
+    # 1/C is concave and monotone on the bracket: after the start, every
+    # iterate has 1/C at or below its target (C at or above it, up to the
+    # 1e-12*C tolerance) and the iterates move monotonically to the root
+    m, C = _inversion_case(d_c, d_e, l_b, lp_per_lb, electrode, fracs)
+    iterates, line = [], electrostatics.gap_line
 
     def recorded(y, model, electrode):  # the Newton loop evaluates arrays
         if not isinstance(y, float):
-            iterates.append(float(y[0]))
+            iterates.append(y.copy())
         return line(y, model, electrode)
 
-    monkeypatch.setattr(electrostatics, "_slope_terms", shallow)
-    monkeypatch.setattr(electrostatics, "gap_line", recorded)
-    C = capacitance_value(2e-5, default_model, Electrode.TOP)
-    y = yp_from_capacitance(C, default_model, Electrode.TOP)
-    assert abs(capacitance_value(y, default_model, Electrode.TOP) - C) <= 1e-12 * C
-    lo, hi = inversion_bracket(default_model)
-    y0, y1 = iterates[:2]
-    c0 = capacitance_value(y0, default_model, Electrode.TOP)
-    forced = y0 + c0 * (C - c0) / (C * factor * capacitance_slope(y0, default_model, Electrode.TOP))
-    assert not lo <= forced <= hi
-    assert y1 in (0.5 * (lo + y0), 0.5 * (y0 + hi))  # the midpoint of the bracket
+    with mock.patch.object(electrostatics, "gap_line", recorded):
+        y = yp_from_capacitance(C, m, electrode)
+    assert np.array_equal(iterates[-1], y)
+    if len(iterates) == 1:  # the start met the tolerance
+        return
+    after_start = np.array(iterates[1:])
+    assert np.all(capacitance_value(after_start, m, electrode) - C >= -1e-12 * C)
+    assert np.all(np.diff(after_start, axis=0) * np.sign(y - after_start[0]) >= 0.0)
+
+
+def test_inversion_at_range_end_takes_three_evaluations(monkeypatch):
+    # C one ulp above c_min: the second Newton step lands a few ulp past the
+    # bracket end, where C already meets the 1e-12*C tolerance; clipped back
+    # to that end, the reading stops at the third evaluation of C (bisecting
+    # towards the end took 11)
+    m = build_model(d_c=175.64e-6, d_e=151.52e-6, l_b=1.28e-3)
+    C = math.nextafter(electrostatics.capacitance_range(m, Electrode.BOTTOM)[0], math.inf)
+    calls, value_terms = [], electrostatics._capacitance_terms
+
+    def counted(*args):
+        calls.append(args)
+        return value_terms(*args)
+
+    monkeypatch.setattr(electrostatics, "_capacitance_terms", counted)
+    y = yp_from_capacitance(C, m, Electrode.BOTTOM)
+    assert len(calls) <= 3
+    assert y == inversion_bracket(m)[1]
+    assert abs(capacitance_value(y, m, Electrode.BOTTOM) - C) <= 1e-12 * C
 
 
 def test_newton_step_makes_one_gap_line_call(default_model, monkeypatch):

@@ -95,14 +95,30 @@ def test_dataset_names_first_bad_row(column, bad, i):
 
 
 def test_dataset_columns():
-    # float64 columns pass through uncopied; electrode becomes a str array,
-    # Electrode members read as their names
+    # float64 columns pass through uncopied, as read-only views; electrode
+    # becomes a str array, Electrode members read as their names
     V, C = np.array([0.0, 10.0, 20.0]), np.array([2e-12, 2.1e-12, 2.2e-12])
     ds = CVDataset(V, C, [Electrode.TOP, "bottom", Electrode.TOP])
-    assert ds.V is V and ds.C is C
+    assert ds.V.base is V and ds.C.base is C
     assert ds.electrode.tolist() == ["top", "bottom", "top"] and ds.electrode.dtype.kind == "U"
     ds = CVDataset([0, 10, 20], [2e-12, 2.1e-12, 2.2e-12], np.full(3, "top"))
     assert ds.V.dtype == ds.C.dtype == np.float64 and ds.V.tolist() == [0.0, 10.0, 20.0]
+
+
+def test_dataset_columns_are_read_only(default_model):
+    # a write after the constructor's check raises instead of reaching the fit;
+    # the caller's own arrays keep their flags
+    V, C = np.linspace(0.0, 150.0, 11), np.full(11, 2.5e-12)
+    ds = CVDataset(V, C, np.full(11, "bottom"))
+    for name in ("V", "C", "electrode"):
+        column = getattr(ds, name)
+        with pytest.raises(ValueError, match="read-only"):
+            column[4] = column[0]
+    assert V.flags.writeable and C.flags.writeable
+    ds = simulate_cv(build_model(sigma0=150e6), "bottom", np.linspace(0, 150, 11))
+    with pytest.raises(ValueError, match="read-only"):
+        ds.C[4] = float("nan")
+    assert math.isfinite(fit_film_parameters(ds, default_model).rms_residual)
 
 
 @pytest.mark.parametrize("electrode", [Electrode.TOP, Electrode.BOTTOM])
@@ -195,7 +211,7 @@ def test_deflection_series_out_of_range_row(default_model):
         deflection_series(samples, default_model, Electrode.TOP)
     assert exc.value.row == 2
     # the first bad sample is named, ahead of a later one
-    samples.C_meas[1] = float("nan")
+    samples = _stream([0.01, 0.02, 0.03], [2e-12, float("nan"), 10e-12])
     with pytest.raises(OutOfRange, match=r"^sample 1 \(t=0\.02\): C=nan") as exc:
         deflection_series(samples, default_model, Electrode.TOP)
     assert exc.value.row == 1

@@ -171,8 +171,27 @@ def test_measurement_sample_value_semantics():
 
 
 def test_measure_requires_samples():
-    with pytest.raises(InvalidParameter):
-        measure_capacitance(2e-12, QUIET, 0)
+    # an integer >= 1, and not a bool, as NoiseModel.seed
+    for n in (0, -3, 2.5, 3.0, True, False, "3", None, np.float64(3.0)):
+        with pytest.raises(InvalidParameter, match=r"^n: must be an integer >= 1, got ") as info:
+            measure_capacitance(2e-12, QUIET, n)
+        assert info.value.name == "n"
+    assert measure_capacitance(2e-12, QUIET, np.int64(3)).C_meas.tolist() == [2e-12] * 3
+
+
+def test_stream_columns_are_read_only():
+    # a write after the stream's check raises; a writable column is taken as
+    # a read-only view, and the caller's array keeps its flags
+    stream = measure_capacitance(2e-12, NoiseModel(seed=2), 5)
+    for column in (stream.t, stream.C_meas):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0
+    t, C = np.arange(1.0, 6.0), np.full(5, 2e-12)
+    own = MeasurementStream(t, C)
+    assert own.t.base is t and own.C_meas.base is C
+    assert t.flags.writeable and C.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        own.C_meas[0] = float("nan")
 
 
 @pytest.mark.parametrize("C_true", [float("nan"), float("inf"), -float("inf"), 0.0, -2e-12])

@@ -60,8 +60,11 @@ HEADER = ["file", "column", "changed", "max", "ulp", "max", "|diff|", "rel", "|d
 
 
 def test_diff_cli_outputs_self_compare(cli_tree):
-    # a written tree compared with itself has no changed rows: only the header is printed
-    assert os.path.isfile(cli_tree / "out" / "sweep-top-0" / "sweep.csv")
+    # a written tree compared with itself has no changed rows: only the header is printed;
+    # the tree holds the CLI files and both study scripts' files
+    for name in ("sweep-top-0/sweep.csv", "study-performance/transfer_curves.csv",
+                 "study-extraction/extraction_trials.csv"):
+        assert os.path.isfile(cli_tree / "out" / name)
     lines = run_script("diff_cli_outputs.py", ["--compare", "out", "out"], cli_tree).splitlines()
     assert [line.split() for line in lines] == [HEADER]
 
