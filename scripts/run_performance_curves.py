@@ -3,7 +3,7 @@
 Generates the standard performance set for the default device: capacitance
 and force-per-V^2 curves over the travel range, equilibrium deflection vs
 drive voltage for a few film stresses, pull-in voltage vs stress, and the
-displacement resolution implied by the bridge noise floor. Results land as
+displacement resolution implied by the capacitance noise floor. Results land as
 CSV files in --out plus a printed summary.
 
 Usage: python3 scripts/run_performance_curves.py [--out results] [--points 201]
@@ -72,7 +72,7 @@ def main():
     write_csv(os.path.join(args.out, "deflection_vs_voltage.csv"),
               ["sigma0_Pa", "V_volt", "y_p_m", "C_top_F"], rows)
 
-    # displacement resolution vs bridge noise floor
+    # displacement resolution vs capacitance noise floor
     rows = []
     for sigma_c in (1e-17, 1e-16, 1e-15):
         r = resolvable_displacement(m, 0.0, NoiseModel(sigma_C=sigma_c))

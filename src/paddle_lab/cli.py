@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paddle-lab",
         description="Paddle-cantilever capacitive test system: forward model, "
-                    "virtual bridge, and film-stress extraction.")
+                    "noisy capacitance readout, and film-stress extraction.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

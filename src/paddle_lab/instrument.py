@@ -1,10 +1,11 @@
 """Virtual measurement electronics for the paddle capacitor.
 
-Two generators drive the unknown and a reference capacitor 180 degrees out
-of phase; the summed currents null when V1*C_paddle = V2*C_ref, so the
-normalized imbalance is the observable and the whole lock-in chain
-collapses to that bilinear form. Readings pick up white Gaussian noise per
-sample, with a fixed seed making every stream reproducible.
+In the bridge this models, two generators drive the unknown and a reference
+capacitor 180 degrees out of phase; the summed currents null when
+V1*C_paddle = V2*C_ref, so the normalized imbalance is the observable and
+the whole lock-in chain collapses to that bilinear form. No function here
+computes the bridge: a reading is the capacitance plus white Gaussian noise
+in farads (NoiseModel), with a fixed seed making every stream reproducible.
 
 A stream of readings is held as columns: measure_capacitance returns a
 MeasurementStream of the sample times and readings as two read-only
@@ -22,18 +23,6 @@ import numpy as np
 from .electrostatics import Electrode, capacitance_slope, parallel_plate_capacitance
 from .errors import InsufficientData, InvalidParameter
 from .model import ValidatedModel
-
-
-@dataclass(frozen=True)
-class BridgeConfig:
-    C_ref: float = 3e-12   # F
-    V1: float = 1.0        # drive amplitude, V
-
-    def __post_init__(self):
-        if not 0.0 < self.C_ref < math.inf:
-            raise InvalidParameter("C_ref", f"must be finite and > 0, got {self.C_ref!r}")
-        if not 0.0 < self.V1 < math.inf:
-            raise InvalidParameter("V1", f"must be finite and > 0, got {self.V1!r}")
 
 
 @dataclass(frozen=True)
@@ -126,32 +115,20 @@ class CalibrationFit:
     implied_area: float  # m^2, slope/eps0
 
 
-def bridge_output(C_paddle: float, cfg: BridgeConfig, V2: float) -> float:
-    """Normalized bridge imbalance (V1*C_paddle - V2*C_ref) / (V1*C_ref).
-
-    Evaluated as (V1*C_paddle/C_ref - V2) / V1, the same quantity with the
-    division applied first; the nulling amplitude is computed by exactly
-    this expression, so a balanced bridge reads identically zero instead
-    of one rounding ulp.
-    """
-    return (cfg.V1 * C_paddle / cfg.C_ref - V2) / cfg.V1
-
-
-def balance_bridge(C_paddle: float, cfg: BridgeConfig) -> float:
-    """Second-generator amplitude that nulls the bridge: V2 = V1*C_paddle/C_ref."""
-    return cfg.V1 * C_paddle / cfg.C_ref
-
-
 def measure_capacitance(C_true: float, noise: NoiseModel, n: int) -> MeasurementStream:
     """n noisy readings of a fixed capacitance at sample times t = dt, 2*dt, ...
 
     The readings are C_true plus noise.draw(n), so a given (noise, n)
-    always yields the same stream. No MeasurementSample is built.
+    always yields the same stream. No MeasurementSample is built. Raises
+    InvalidParameter("dt") when the last sample time n*dt is not finite.
     """
     if not 0.0 < C_true < math.inf:
         raise InvalidParameter("C_true", f"must be finite and > 0, got {C_true!r}")
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParameter("n", f"must be an integer >= 1, got {n!r}")
+    if not float(noise.dt) * int(n) < math.inf:  # Python floats: no NumPy overflow warning
+        raise InvalidParameter("dt", f"the last sample time n*dt must be finite, "
+                                     f"got dt={noise.dt!r} and n={n!r}")
     return MeasurementStream(noise.dt * np.arange(1, n + 1), C_true + noise.draw(n))
 
 

@@ -112,15 +112,6 @@ class PullInResult:
     electrode: Electrode
 
 
-def bending_stress(P: float, x: float, width: float, thickness: float) -> float:
-    """Surface bending stress 6*P*x / (width*thickness^2) of a cantilever."""
-    if width <= 0.0:
-        raise InvalidParameter("width", f"must be > 0, got {width!r}")
-    if thickness <= 0.0:
-        raise InvalidParameter("thickness", f"must be > 0, got {thickness!r}")
-    return 6.0 * P * x / (width * thickness * thickness)
-
-
 def stress_profile(P: float, geom: PaddleGeometry, plan: str, n: int) -> StressProfile:
     """Sampled stress along the beam for a tip load P.
 
@@ -259,9 +250,11 @@ def sorted_voltages(V_list, nonempty: bool = True) -> np.ndarray:
 
 def _check_drive(V_top: float, V_bottom: float) -> None:
     for V in (V_top, V_bottom):
-        if not 0.0 <= V < math.inf:  # NaN fails both
+        # NaN fails both; V*V of Python floats overflows to inf without a NumPy warning
+        if not (0.0 <= V < math.inf and float(V) * float(V) < math.inf):
             raise InvalidParameter(
-                "V", f"drive voltages must be finite and >= 0 (force is even in V), got {V!r}")
+                "V", f"drive voltages must be finite and >= 0, with a finite square "
+                     f"(force is even in V), got {V!r}")
 
 
 def _solution(model: ValidatedModel, y: float, V_top: float, V_bottom: float,

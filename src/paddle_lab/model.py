@@ -26,13 +26,6 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidParameter
 
-# Keys accepted in a JSON model file; omitted keys take the defaults below.
-MODEL_JSON_KEYS = (
-    "eps0", "l_b", "l_p", "w_p", "t_b", "b_root", "d_c", "d_e",
-    "E_biaxial", "K", "E_F", "t_F", "A_F", "sigma0",
-)
-
-
 @dataclass(frozen=True)
 class PhysicalConstants:
     eps0: float = 8.85e-12  # vacuum permittivity, F/m
@@ -92,6 +85,12 @@ class FilmSpec:
     t_F: float = 200e-9      # film thickness, m
     A_F: float | None = None  # strained film area, m^2
     sigma0: float = 0.0      # residual (initial) film stress, Pa
+
+
+# Keys accepted in a JSON model file (the parts' fields, in order); omitted keys take the defaults.
+MODEL_JSON_KEYS = tuple(f.name for part in (PhysicalConstants, PaddleGeometry,
+                                            SubstrateMaterial, FilmSpec)
+                        for f in dataclasses.fields(part))
 
 
 @dataclass(frozen=True)
@@ -203,11 +202,6 @@ def load_model_json(path) -> ValidatedModel:
 def yb_from_yp(y_p: float, geom: PaddleGeometry) -> float:
     """Beam-tip deflection for a given paddle-center deflection."""
     return y_p / geom.center_ratio
-
-
-def yp_from_yb(y_b: float, geom: PaddleGeometry) -> float:
-    """Paddle-center deflection for a given beam-tip deflection."""
-    return y_b * geom.center_ratio
 
 
 def touch_limits(geom: PaddleGeometry) -> tuple[float, float]:

@@ -213,14 +213,29 @@ def test_negative_seed_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("sweep --electrode top --v-max 1e308 --points 3", "V: drive voltages must be finite and >= 0"),
+    ("equilibrium --electrode bottom --v 1.4e154", "V: drive voltages must be finite and >= 0"),
+    ("measure --yp 0 --dt 1e308 --n 3", "dt: the last sample time n*dt must be finite"),
+], ids=["sweep", "equilibrium", "measure"])
+def test_overflowing_input_exit_2(tmp_path, capsys, argv, message):
+    # finite flags whose V^2 or n*dt overflows are input errors, not inf in the files
+    out = tmp_path / "out"
+    assert run(argv.split() + ["--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_module_entry_point(tmp_path):
     # `python3 -m paddle_lab` runs main and hands its exit code to the shell
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
 
     def module(*argv):
-        return subprocess.run([sys.executable, "-m", "paddle_lab", *argv], cwd=tmp_path,
-                              env=env, capture_output=True, text=True, timeout=120)
+        # pyproject's filterwarnings stops at the process boundary
+        return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "paddle_lab",
+                               *argv], cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
 
     proc = module("--version")
     assert (proc.returncode, proc.stdout) == (0, f"paddle-lab {__version__}\n")

@@ -5,75 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from paddle_lab import (BridgeConfig, Electrode, InsufficientData, InvalidParameter,
+from paddle_lab import (Electrode, InsufficientData, InvalidParameter,
                         MeasurementSample, MeasurementStream, NoiseModel, TouchViolation,
-                        balance_bridge,
-                        bridge_output, build_model, calibrate,
-                        calibration_fit, calibration_table, measure_capacitance,
-                        parallel_plate_capacitance,
+                        build_model, calibrate, calibration_fit, calibration_table,
+                        measure_capacitance, parallel_plate_capacitance,
                         resolvable_displacement, simulate_cv)
 
 DEFAULT_SPACERS = [25e-6, 50e-6, 75e-6, 100e-6, 125e-6]
 QUIET = NoiseModel(sigma_C=0.0)
-
-
-def test_bridge_null_condition():
-    cfg = BridgeConfig(C_ref=3e-12, V1=1.0)
-    v2 = balance_bridge(2.2125e-12, cfg)
-    assert v2 == pytest.approx(0.7375, rel=1e-14)
-    assert bridge_output(2.2125e-12, cfg, v2) == 0.0
-
-
-def test_bridge_trivial_ratios():
-    cfg = BridgeConfig(C_ref=3e-12, V1=2.5)
-    assert balance_bridge(3e-12, cfg) == pytest.approx(2.5, rel=1e-15)
-    half = BridgeConfig(C_ref=6e-12, V1=2.5)
-    assert balance_bridge(4e-12, half) == pytest.approx(balance_bridge(4e-12, cfg) / 2.0,
-                                                        rel=1e-15)
-
-
-def test_bridge_null_exact_for_random_draws():
-    rng = np.random.default_rng(123)
-    for _ in range(1000):
-        C = float(rng.uniform(0.1e-12, 10e-12))
-        cfg = BridgeConfig(C_ref=float(rng.uniform(0.5e-12, 20e-12)),
-                           V1=float(rng.uniform(0.1, 10.0)))
-        assert bridge_output(C, cfg, balance_bridge(C, cfg)) == 0.0
-
-
-def test_bridge_linear_in_perturbation():
-    cfg = BridgeConfig(C_ref=3e-12, V1=1.0)
-    v2 = balance_bridge(2.2125e-12, cfg)
-    for dC in (1e-16, -2e-15, 5e-13):
-        out = bridge_output(2.2125e-12 + dC, cfg, v2)
-        assert out == pytest.approx(dC / cfg.C_ref, rel=1e-10)
-
-
-@given(st.floats(min_value=1e-13, max_value=1e-11),
-       st.floats(min_value=1e-13, max_value=1e-11),
-       st.floats(min_value=0.1, max_value=10.0))
-def test_null_ratio_property(C_paddle, C_ref, V1):
-    cfg = BridgeConfig(C_ref=C_ref, V1=V1)
-    v2 = balance_bridge(C_paddle, cfg)
-    # capacitance ratio is the inverse of the amplitude ratio at null
-    assert C_paddle / C_ref == pytest.approx(v2 / V1, rel=1e-12)
-    assert bridge_output(C_paddle, cfg, v2) == 0.0
-
-
-def test_bridge_config_validation():
-    with pytest.raises(InvalidParameter):
-        BridgeConfig(C_ref=0.0)
-    with pytest.raises(InvalidParameter):
-        BridgeConfig(V1=-1.0)
-    assert [f.name for f in dataclasses.fields(BridgeConfig)] == ["C_ref", "V1"]
-
-
-@pytest.mark.parametrize("field", ["C_ref", "V1"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-def test_bridge_config_rejects_non_finite(field, value):
-    with pytest.raises(InvalidParameter, match=rf"^{field}: must be finite and > 0") as exc:
-        BridgeConfig(**{field: value})
-    assert exc.value.name == field
 
 
 def test_noise_model_validation():
@@ -199,6 +138,16 @@ def test_measure_rejects_bad_capacitance(C_true):
     with pytest.raises(InvalidParameter, match=r"^C_true: must be finite and > 0, got ") as info:
         measure_capacitance(C_true, NoiseModel(), 2)
     assert info.value.name == "C_true"
+
+
+def test_measure_rejects_overflowing_sample_times():
+    # dt is finite, but the last sample time n*dt is not
+    for dt, n in ((1e308, 3), (6e307, np.int64(3)), (np.float64(1e308), 2)):
+        with pytest.raises(InvalidParameter,
+                           match=r"^dt: the last sample time n\*dt must be finite") as info:
+            measure_capacitance(2e-12, NoiseModel(dt=dt), n)
+        assert info.value.name == "dt"
+    assert measure_capacitance(2e-12, NoiseModel(dt=1e308), 1).t.tolist() == [1e308]
 
 
 def test_measure_sample_std_measures_sigma():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from paddle_lab import (Electrode, InvalidParameter, NoStableEquilibrium,
-                        TouchViolation, bending_stress, build_model, compliance,
+                        TouchViolation, build_model, compliance,
                         film_force, film_stiffness, force_per_v2_value,
                         pull_in_voltage, solve_equilibrium, strain_coupling,
                         stress_profile, sweep_voltage, total_force,
@@ -20,22 +20,20 @@ COMPLIANCE = 6.0 * 3e-3 * 8e-3 / (180e9 * 0.3 * (40e-6) ** 3)  # 4.1667e-2 m/N
 
 
 def test_bending_stress_hand_value():
-    # 6 * 1 mN * 3 mm / (5 mm * (40 um)^2) = 2.25 MPa
-    assert bending_stress(1e-3, 3e-3, 5e-3, 40e-6) == pytest.approx(2.25e6, rel=1e-12)
+    # either plan at x = l_b: 6 * 1 mN * 3 mm / (5 mm * (40 um)^2) = 2.25 MPa
+    geom = build_model(l_b=3e-3, b_root=5e-3, t_b=40e-6).geom
+    for plan in ("triangular", "rectangular"):
+        prof = stress_profile(1e-3, geom, plan, 11)
+        assert prof.x[-1] == 3e-3
+        assert prof.sigma[-1] == pytest.approx(2.25e6, rel=1e-12)
 
 
 def test_bending_stress_scalings():
-    base = bending_stress(1e-3, 3e-3, 5e-3, 40e-6)
-    assert bending_stress(0.0, 3e-3, 5e-3, 40e-6) == 0.0
-    assert bending_stress(1e-3, 3e-3, 5e-3, 80e-6) == pytest.approx(base / 4.0, rel=1e-12)
-    assert bending_stress(2e-3, 3e-3, 5e-3, 40e-6) == pytest.approx(2.0 * base, rel=1e-12)
-
-
-def test_bending_stress_validation():
-    with pytest.raises(InvalidParameter):
-        bending_stress(1e-3, 1e-3, 0.0, 40e-6)
-    with pytest.raises(InvalidParameter):
-        bending_stress(1e-3, 1e-3, 5e-3, -1e-6)
+    base = stress_profile(1e-3, build_model(t_b=40e-6).geom, "rectangular", 11).sigma
+    thick = stress_profile(1e-3, build_model(t_b=80e-6).geom, "rectangular", 11).sigma
+    np.testing.assert_allclose(thick, base / 4.0, rtol=1e-12)  # 1/t^2
+    double = stress_profile(2e-3, build_model(t_b=40e-6).geom, "rectangular", 11).sigma
+    np.testing.assert_allclose(double, 2.0 * base, rtol=1e-12)
 
 
 def test_stress_profile_triangular_uniform(default_model):
@@ -207,11 +205,12 @@ def test_equilibrium_rejects_negative_voltage(default_model):
         solve_equilibrium(default_model, -1.0, 0.0)
 
 
-@pytest.mark.parametrize("V", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("V", [math.nan, math.inf, -math.inf, 1.4e154])
 def test_non_finite_drive_is_invalid_input(default_model, V):
-    # an invalid drive is InvalidParameter, not a missing equilibrium
+    # an invalid drive is InvalidParameter, not a missing equilibrium; 1.4e154
+    # is finite, but its square overflows
     message = r"^V: drive voltages must be finite and >= 0"
-    for drive in ((V, 0.0), (0.0, V)):
+    for drive in ((V, 0.0), (0.0, V), (V, V)):
         with pytest.raises(InvalidParameter, match=message):
             solve_equilibrium(default_model, *drive)
     branch = StableBranch(default_model, Electrode.TOP)

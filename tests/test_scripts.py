@@ -12,7 +12,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def run_script(name, args, cwd):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
+    # pyproject's filterwarnings stops at the process boundary
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           os.path.join(ROOT, "scripts", name), *args],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
