@@ -44,7 +44,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParameter, OutOfRange, TouchViolation
-from .model import PhysicalConstants, ValidatedModel
+from .model import ValidatedModel
 
 # Below this relative gap change across the plate, ln(1+u)/u switches to its
 # 4-term series; truncation error ~ u^4/5 < 1e-25 at the threshold.
@@ -72,8 +72,7 @@ class Electrode(str, Enum):
 GAP_SIGN = {Electrode.TOP: -1.0, Electrode.BOTTOM: 1.0}
 
 
-def parallel_plate_capacitance(area: float, gap: float,
-                               eps0: float = PhysicalConstants().eps0) -> float:
+def parallel_plate_capacitance(area: float, gap: float, eps0: float) -> float:
     """Ideal flat-plate capacitance eps0*A/d."""
     if gap <= 0.0:
         raise InvalidParameter("gap", f"must be > 0, got {gap!r}")

@@ -9,14 +9,13 @@ the columns V, C and electrode, which simulate_cv and load_cv_csv build.
 
 Each fit prepares once what does not depend on theta = (sigma0, E_F*V_F):
 per electrode, the row indices, the measured C and the voltages with V^2
-and their force terms (_PreparedFit). A trial theta then costs one
-validated model with the film replaced, and per electrode one closed-form
+and their force terms (_PreparedFit). A trial theta builds no model: it
+costs the film's (prestress, k) pair and, per electrode, one closed-form
 branch solve and one capacitance evaluation.
 """
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -176,15 +175,17 @@ def load_cv_csv(path, electrode: Electrode) -> CVDataset:
 class _PreparedFit:
     """Everything of one fit that does not depend on theta = (sigma0, E_F*V_F).
 
-    Built once per fit: the data's V and C columns and, per electrode in
-    order of first appearance, its row indices, its measured C and its
-    voltages prepared for the branch solve (mechanics._Drive, which holds
-    V^2 and the drive's force terms). _initial_guess reads the same groups.
+    Built once per fit: the data's V and C columns, the template's strain
+    coupling a and beam stiffness 1/compliance and, per electrode in order
+    of first appearance, its row indices, its measured C and its voltages
+    prepared for the branch solve (mechanics._Drive, which holds V^2 and
+    the drive's force terms). _initial_guess reads the same groups.
     """
 
     def __init__(self, data: CVDataset, template: ValidatedModel):
         self.template = template
         self.V, self.C = data.V, data.C
+        self.a, self.inv_c = strain_coupling(template), 1.0 / compliance(template)
         self.groups = []
         for name in dict.fromkeys(data.electrode.tolist()):
             e, rows = Electrode(name), np.flatnonzero(data.electrode == name)
@@ -194,29 +195,27 @@ class _PreparedFit:
     def residuals(self, theta):
         """Capacitance residual vector at theta, or None if the model fails there.
 
-        Only the film is derived per theta: the trial model replaces the
-        template's film by (sigma0, E_F*V_F), keeping E_F and A_F and
-        realizing the product through t_F, which the forward model only sees
-        through V_F. Constructing it is the model's one validity check. Each
-        electrode's prepared voltages are then solved on the trial film's
-        branch, and the capacitance is evaluated on the template, whose
-        geometry the film does not change.
+        theta becomes the trial film's (prestress, k) (mechanics.film_pair)
+        directly: E_F and A_F stay the template's and t_F = E_F*V_F/(E_F*A_F).
+        It is None unless sigma0 and t_F are finite and t_F >= 0, a model's
+        film checks. V_F = t_F*A_F and the pair take film_force's and
+        film_stiffness's operations, so the residual has the bits of one on a
+        model with that film. Branch solves and capacitances run on the
+        template, whose geometry the film does not change.
         """
-        template = self.template
-        film = template.film
-        try:
-            m = ValidatedModel(template.constants, template.geom, template.substrate,
-                               dataclasses.replace(film, sigma0=float(theta[0]),
-                                                   t_F=float(theta[1]) / (film.E_F * film.A_F)))
-        except InvalidParameter:
+        film = self.template.film
+        sigma0, t_F = float(theta[0]), float(theta[1]) / (film.E_F * film.A_F)
+        if not (math.isfinite(sigma0) and 0.0 <= t_F < math.inf):
             return None
+        EFVFa = film.E_F * (t_F * film.A_F) * self.a
+        pair = EFVFa * (sigma0 / film.E_F), EFVFa * self.a + self.inv_c
         res = np.empty(self.C.size)
         for e, rows, C, drive in self.groups:
-            y, error = StableBranch(m, e)._roots(drive)
+            y, error = StableBranch(self.template, e, pair)._roots(drive)
             if error is not None:
                 return None
             try:
-                res[rows] = capacitance_value(y, template, e) - C
+                res[rows] = capacitance_value(y, self.template, e) - C
             except TouchViolation:
                 return None
         return res
@@ -235,8 +234,7 @@ def _initial_guess(fit: _PreparedFit) -> np.ndarray:
     """
     template = fit.template
     EFVF0 = template.film.E_F * template.V_F
-    a = strain_coupling(template)
-    inv_c = 1.0 / compliance(template)
+    a, inv_c = fit.a, fit.inv_c
     y, f = np.full(fit.C.size, np.nan), np.empty(fit.C.size)
     for e, rows, C, _ in fit.groups:
         rows = rows[invertible(C, template, e)]
@@ -274,10 +272,8 @@ def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> Film
     the tolerance counts as converged; non-convergence is reported in the
     flag, not raised.
 
-    The data are grouped by electrode and their voltages prepared for the
-    branch solve once per fit (_PreparedFit); each residual vector then
-    derives only the trial film, so every residual has the bits of one
-    computed on a model rebuilt from scratch.
+    The data are prepared once per fit (_PreparedFit); a residual vector
+    derives only the trial film's (prestress, k) and builds no model.
     """
     if data.V.min() == data.V.max():
         raise DegenerateData("all rows share one voltage; sigma0 and E_F*V_F "

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,12 +121,14 @@ def measure_capacitance(C_true: float, noise: NoiseModel, n: int) -> Measurement
 
     The readings are C_true plus noise.draw(n), so a given (noise, n)
     always yields the same stream. No MeasurementSample is built. Raises
-    InvalidParameter("dt") when the last sample time n*dt is not finite.
+    InvalidParameter("n" or "dt") when n or n*dt exceeds the float range.
     """
     if not 0.0 < C_true < math.inf:
         raise InvalidParameter("C_true", f"must be finite and > 0, got {C_true!r}")
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidParameter("n", f"must be an integer >= 1, got {n!r}")
+    if n > sys.float_info.max:  # n*dt has no float to check
+        raise InvalidParameter("n", f"must be at most {sys.float_info.max!r}, got {len(str(n))} digits")
     if not float(noise.dt) * int(n) < math.inf:  # Python floats: no NumPy overflow warning
         raise InvalidParameter("dt", f"the last sample time n*dt must be finite, "
                                      f"got dt={noise.dt!r} and n={n!r}")

@@ -160,6 +160,11 @@ def film_stiffness(model: ValidatedModel) -> float:
     return model.film.E_F * model.V_F * a * a
 
 
+def film_pair(model: ValidatedModel) -> tuple[float, float]:
+    """(film_force at y_p = 0, film_stiffness + 1/compliance): all the force sees of the film."""
+    return film_force(0.0, model), film_stiffness(model) + 1.0 / compliance(model)
+
+
 def total_force(y_p: float, V_top: float, V_bottom: float,
                 model: ValidatedModel) -> ForceBreakdown:
     """All force components and their sum at one paddle pose."""
@@ -186,8 +191,7 @@ def _force_closure(model: ValidatedModel, V_top: float, V_bottom: float):
         c = s * (half * (V * V))
         if np.count_nonzero(c) > 0:
             terms.append((rest, s, c))
-    return _force_sum(film_force(0.0, model), film_stiffness(model) + 1.0 / compliance(model),
-                      cr, tilt, terms)
+    return _force_sum(*film_pair(model), cr, tilt, terms)
 
 
 def _force_sum(prestress, k_lin, cr, tilt, terms):
@@ -217,7 +221,8 @@ def total_force_curve(y_p, V_top: float, V_bottom: float,
 
 def zero_voltage_equilibrium(model: ValidatedModel) -> float:
     """Closed-form rest deflection: prestress force over total stiffness."""
-    return film_force(0.0, model) / (film_stiffness(model) + 1.0 / compliance(model))
+    prestress, k = film_pair(model)
+    return prestress / k
 
 
 def drive_voltages(electrode: Electrode, V: float) -> tuple[float, float]:
@@ -314,18 +319,18 @@ class StableBranch:
     rest deflection past a touch limit pins the paddle, and that is the
     error reported unless the drive pulls the paddle free.
 
-    The constructor computes the branch's constants once: the gap line to
-    the driven electrode with its edge slopes b0 and b1, half = eps0*w_p*l_p/2,
-    and the film's prestress force, the total stiffness and the rest
-    deflection. One branch serves any number of voltages on the same model:
-    sweeps build it once, compute pull-in once and solve all their voltages
-    in one call. What a solve needs of the voltages alone is a _Drive,
-    which the branch of any film on the same geometry and electrode can
-    solve (_roots): a fit prepares each electrode's voltages once and
-    solves them on the branch of every trial film.
+    The film enters as film = (prestress, k) (film_pair), the model's
+    unless given. The constructor computes the branch's constants once: the
+    gap line to the driven electrode with its edge slopes b0 and b1, half =
+    eps0*w_p*l_p/2, and the rest deflection prestress/k. One branch serves
+    any number of voltages: sweeps build it once, compute pull-in once and
+    solve all their voltages in one call. What a solve needs of the voltages
+    alone is a _Drive, which any branch on the same geometry and electrode
+    can solve (_roots): the stress fit prepares each electrode's voltages
+    once and solves them on its template with each trial film's pair.
     """
 
-    def __init__(self, model: ValidatedModel, electrode: Electrode):
+    def __init__(self, model: ValidatedModel, electrode: Electrode, film=None):
         self.model = model
         self.electrode = Electrode(electrode)
         self.lo, self.hi = _scan_bounds(model)
@@ -333,8 +338,7 @@ class StableBranch:
         self.b0 = self.s / self.cr
         self.b1 = (1.0 + self.tilt) * self.b0
         self.half = 0.5 * model.constants.eps0 * model.geom.w_p * model.geom.l_p
-        self.prestress = film_force(0.0, model)
-        self.k = film_stiffness(model) + 1.0 / compliance(model)
+        self.prestress, self.k = film_pair(model) if film is None else film
         self.rest = self.prestress / self.k  # zero_voltage_equilibrium
         # the two edge gaps at rest
         self.G0, self.G1 = self.gap + self.b0 * self.rest, self.gap + self.b1 * self.rest
@@ -486,7 +490,7 @@ class _Drive:
     geometry and the electrode: the drive check, V^2, half*V^2, the force
     coefficient c = s*half*V^2 with its _force_sum term, and the unforced
     (V = 0) and driven voltages. Built from any branch on that geometry and
-    electrode; the branch of every film then solves it with _roots.
+    electrode; a branch of any film then solves it with _roots.
     """
 
     __slots__ = ("V", "v2", "half_v2", "c", "terms", "unforced", "driven")

@@ -14,8 +14,7 @@ ValidatedModel is the one model type; its constructor resolves the derived
 defaults and checks every parameter. build_model (keyword overrides of the
 defaults) and model_from_dict (a flat dict, as read from a JSON model file)
 build it; model_to_dict is the inverse. A parameter is varied through the
-flat dict, or, in a loop that varies one part only (the stress fit's trial
-films), by constructing the model from the other parts and a replaced one.
+flat dict or build_model.
 """
 from __future__ import annotations
 
@@ -101,9 +100,7 @@ class ValidatedModel:
     be finite, then lie in its range; InvalidParameter names the first that
     does not) and computes the touch limits. build_model and model_from_dict
     build one from flat keywords or a dict; to vary a parameter, go through
-    the flat dict: model_from_dict({**model_to_dict(m), key: value}), or
-    construct one from m's other parts and a dataclasses.replace of the
-    varied one, which runs the same checks without the dict round trip.
+    the flat dict: model_from_dict({**model_to_dict(m), key: value}).
     Immutable after construction; safe to share across workers.
     """
 

@@ -19,12 +19,12 @@ BISECT_MAX_ITER = 200
 
 
 def bisect_root(func: Callable[[float], float], lo: float, hi: float,
-                f_lo: float, f_hi: float, ftol: float = 0.0) -> float:
+                f_lo: float, f_hi: float) -> float:
     """Root of func on [lo, hi]; f_lo = func(lo) and f_hi = func(hi) must differ in sign.
 
     The end values are passed in, so a caller that knows them does not
-    pay for them again. Runs until |f(mid)| <= ftol or the midpoint stops
-    moving (machine precision), or for at most BISECT_MAX_ITER steps.
+    pay for them again. Runs until f(mid) == 0 or the midpoint stops moving
+    (machine precision), or for at most BISECT_MAX_ITER steps.
     """
     if lo > hi:
         lo, hi, f_lo, f_hi = hi, lo, f_hi, f_lo
@@ -39,7 +39,7 @@ def bisect_root(func: Callable[[float], float], lo: float, hi: float,
         if not (lo < mid < hi):
             break  # interval no longer representable
         f_mid = func(mid)
-        if f_mid == 0.0 or abs(f_mid) <= ftol:
+        if f_mid == 0.0:
             return mid
         if (f_mid > 0.0) == (f_lo > 0.0):
             lo, f_lo = mid, f_mid

@@ -217,9 +217,11 @@ def test_negative_seed_exit_2(tmp_path, capsys, argv):
     ("sweep --electrode top --v-max 1e308 --points 3", "V: drive voltages must be finite and >= 0"),
     ("equilibrium --electrode bottom --v 1.4e154", "V: drive voltages must be finite and >= 0"),
     ("measure --yp 0 --dt 1e308 --n 3", "dt: the last sample time n*dt must be finite"),
-], ids=["sweep", "equilibrium", "measure"])
+    ("measure --yp 0 --n 1" + "0" * 400, "n: must be at most 1.7976931348623157e+308"),
+], ids=["sweep", "equilibrium", "measure", "measure-count"])
 def test_overflowing_input_exit_2(tmp_path, capsys, argv, message):
-    # finite flags whose V^2 or n*dt overflows are input errors, not inf in the files
+    # finite flags whose V^2, n*dt or n itself overflows a float are input
+    # errors, not inf in the files or a traceback
     out = tmp_path / "out"
     assert run(argv.split() + ["--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err

@@ -23,14 +23,14 @@ C_TOP_TILTED = 3.070663626931e-12  # 1e6-panel trapezoid at y_p = 80/3 um, froze
 
 
 def test_parallel_plate_value():
-    assert parallel_plate_capacitance(25e-6, 100e-6) == pytest.approx(FLAT_C, rel=1e-12)
+    assert parallel_plate_capacitance(25e-6, 100e-6, 8.85e-12) == pytest.approx(FLAT_C, rel=1e-12)
 
 
 def test_parallel_plate_validation():
     with pytest.raises(InvalidParameter):
-        parallel_plate_capacitance(25e-6, 0.0)
+        parallel_plate_capacitance(25e-6, 0.0, 8.85e-12)
     with pytest.raises(InvalidParameter):
-        parallel_plate_capacitance(-1e-6, 1e-4)
+        parallel_plate_capacitance(-1e-6, 1e-4, 8.85e-12)
 
 
 def test_flat_capacitance_both_electrodes(default_model):
@@ -372,11 +372,11 @@ def test_array_inversion_matches_float_path(d_c, d_e, l_b, lp_per_lb, electrode,
     assert np.array_equal(y, y_float)
     column = yp_from_capacitance(C.reshape(-1, 1), m, electrode)
     assert column.shape == (C.size, 1) and np.array_equal(column[:, 0], y)
-    # bisection to the same tolerance as the oracle: both roots lie within
-    # 1e-12*C/|dC/dy| of the true one
+    # the oracle bisects to machine precision, so the Newton root lies
+    # within 2e-12*C/|dC/dy| of it
     for c, y_c in zip(C.tolist(), y.tolist()):
         oracle = bisect_root(lambda v: capacitance_value(v, m, electrode) - c,
-                             lo, hi, c_lo - c, c_hi - c, ftol=1e-12 * c)
+                             lo, hi, c_lo - c, c_hi - c)
         assert y_c == pytest.approx(oracle, rel=0.0,
                                     abs=2e-12 * c / abs(capacitance_slope(y_c, m, electrode)))
 

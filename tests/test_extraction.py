@@ -12,7 +12,7 @@ from paddle_lab import (CVDataset, DegenerateData, Electrode,
                         build_model, capacitance_value, deflection_series,
                         fit_film_parameters, load_cv_csv, measure_capacitance,
                         model_from_dict, model_to_dict, pull_in_voltage, simulate_cv,
-                        yp_from_capacitance)
+                        ValidatedModel, yp_from_capacitance)
 from paddle_lab.cli import main
 from paddle_lab.extraction import CVRow, _PreparedFit
 from paddle_lab.mechanics import StableBranch
@@ -404,7 +404,7 @@ def test_fit_two_electrodes(default_model):
 
 
 def test_fit_rebuilds_no_model_through_the_dict(default_model, with_sigma0, monkeypatch):
-    # a trial film is a replaced film on the template, not a flat-dict round trip
+    # a trial film is a (prestress, k) pair on the template, not a flat-dict round trip
     calls = []
 
     def counted(name, fn):
@@ -421,6 +421,22 @@ def test_fit_rebuilds_no_model_through_the_dict(default_model, with_sigma0, monk
     fit = fit_film_parameters(ds, default_model)
     assert fit.converged and fit.iterations > 0
     assert calls == []
+
+
+def test_fit_constructs_no_model(default_model, with_sigma0, monkeypatch):
+    # no ValidatedModel is built per trial theta, nor anywhere else in the fit
+    ds = simulate_cv(with_sigma0(150e6), Electrode.BOTTOM, np.linspace(0.0, 150.0, 11))
+    builds = []
+    post_init = ValidatedModel.__post_init__
+
+    def counted(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ValidatedModel, "__post_init__", counted)
+    fit = fit_film_parameters(ds, default_model)
+    assert fit.converged and fit.iterations > 0
+    assert len(builds) == 0
 
 
 @functools.cache

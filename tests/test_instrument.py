@@ -150,6 +150,14 @@ def test_measure_rejects_overflowing_sample_times():
     assert measure_capacitance(2e-12, NoiseModel(dt=1e308), 1).t.tolist() == [1e308]
 
 
+def test_measure_rejects_count_beyond_float_range():
+    # n*dt cannot be formed for a count no float holds; the check allocates nothing
+    with pytest.raises(InvalidParameter, match=r"^n: must be at most 1\.7976931348623157e\+308, "
+                                               r"got 401 digits$") as info:
+        measure_capacitance(2e-12, NoiseModel(), 10**400)
+    assert info.value.name == "n"
+
+
 def test_measure_sample_std_measures_sigma():
     hits = 0
     for seed in range(100):

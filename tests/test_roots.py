@@ -26,20 +26,9 @@ def test_no_sign_change_raises():
         bisect_root(lambda x: x * x + 1.0, -1.0, 1.0, 2.0, 2.0)
 
 
-def test_ftol_early_stop():
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return x - 0.5
-
-    bisect_root(f, 0.0, 1.0, -0.5, 0.5, ftol=0.4)
-    assert len(calls) <= 4
-
-
 def test_machine_precision_default():
     r = bisect_root(lambda x: math.cos(x), 0.0, 3.0, 1.0, math.cos(3.0))
-    # with ftol = 0, bisection runs until the midpoint stops moving
+    # bisection runs until the midpoint stops moving
     assert abs(r - math.pi / 2.0) <= 2.0 * math.ulp(math.pi / 2.0)
 
 
