@@ -36,6 +36,7 @@ equilibrium, 4 fit non-convergence (the result file is still written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import functools
 import json
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .electrostatics import (Electrode, capacitance_value, force_per_v2_value)
-from .errors import NoStableEquilibrium, PaddleLabError
+from .errors import InvalidParameter, NoStableEquilibrium, PaddleLabError
 from .extraction import fit_film_parameters, load_cv_csv
 from .floatfmt import FLOAT_FORMAT, format_e17
 from .instrument import NoiseModel, calibration_fit, calibration_table, measure_capacitance
@@ -180,6 +181,17 @@ def _float_list(text: str, flag: str) -> list[float]:
     return values
 
 
+@contextlib.contextmanager
+def _flag_names(flag: str, *params: str):
+    """Re-raise the library's InvalidParameter on one of params as one naming flag."""
+    try:
+        yield
+    except InvalidParameter as exc:
+        if exc.name not in params:
+            raise
+        raise InvalidParameter(flag, exc.reason) from None
+
+
 def cmd_design(args, model: ValidatedModel):
     tri = stress_profile(DESIGN_REFERENCE_LOAD, model.geom, "triangular",
                          DESIGN_PROFILE_POINTS)
@@ -249,7 +261,9 @@ def cmd_equilibrium(args, model: ValidatedModel):
     if args.v > 0.0 and args.electrode is None:
         raise PaddleLabError("--electrode is required when --v > 0")
     # NoStableEquilibrium says why (past pull-in, or pinned by film stress) and exits 3
-    sol = solve_equilibrium(model, *drive_voltages(Electrode(args.electrode or "bottom"), args.v))
+    with _flag_names("--v", "V"):
+        sol = solve_equilibrium(model, *drive_voltages(Electrode(args.electrode or "bottom"),
+                                                       args.v))
     b = sol.breakdown
     result = {
         "V_V": args.v,
@@ -286,7 +300,8 @@ def cmd_sweep(args, model: ValidatedModel):
         voltages = np.linspace(0.0, args.v_max, _grid_points(args)).tolist()
     else:
         raise PaddleLabError("sweep needs --v-max or --v-list")
-    result = sweep_voltage(model, Electrode(args.electrode), voltages)
+    with _flag_names("--v-list" if args.v_list else "--v-max", "V_list", "V"):
+        result = sweep_voltage(model, Electrode(args.electrode), voltages)
     columns = [result.V, result.y_p, result.C_top, result.F_film, result.F_beam,
                result.F_elec_top, result.F_elec_bottom, result.F_total]
     summary = {"rows": result.V.size,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .electrostatics import Electrode, capacitance_slope, parallel_plate_capacitance
-from .errors import InsufficientData, InvalidParameter
+from .errors import DegenerateData, InsufficientData, InvalidParameter
 from .model import ValidatedModel
 
 
@@ -173,24 +173,41 @@ def calibration_fit(model: ValidatedModel, rows) -> CalibrationFit:
     is eps0*area, the intercept vanishes and r2 = 1. The line is the
     closed-form centered one, slope = sum(dx*dC)/sum(dx^2) with dx and dC
     the deviations from the means x_bar and C_bar and
-    intercept = C_bar - slope*x_bar, every sum taken by math.fsum.
+    intercept = C_bar - slope*x_bar, every sum taken by math.fsum. Raises
+    DegenerateData, naming the spacers, when the line leaves the float64
+    range: sum(dx^2) not a normal float, or a sum or result not finite.
     """
     distinct = {row[0] for row in rows}
     if len(distinct) < 3:
         raise InsufficientData(
             f"calibration needs >= 3 distinct spacers, got {len(distinct)}")
     n = len(rows)
-    x_mean = math.fsum(row[1] for row in rows) / n
-    C_mean = math.fsum(row[2] for row in rows) / n
-    dx = [row[1] - x_mean for row in rows]
-    dC = [row[2] - C_mean for row in rows]
-    slope = math.fsum(map(operator.mul, dx, dC)) / math.fsum(map(operator.mul, dx, dx))
-    intercept = C_mean - slope * x_mean
-    ss_res = math.fsum((row[2] - (slope * row[1] + intercept)) ** 2 for row in rows)
-    ss_tot = math.fsum(map(operator.mul, dC, dC))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    # fsum and ** raise OverflowError past the float range; a spread that underflows to 0
+    # divides by 0
+    try:
+        x_mean = math.fsum(row[1] for row in rows) / n
+        C_mean = math.fsum(row[2] for row in rows) / n
+        dx = [row[1] - x_mean for row in rows]
+        dC = [row[2] - C_mean for row in rows]
+        ss_x = math.fsum(map(operator.mul, dx, dx))
+        slope = math.fsum(map(operator.mul, dx, dC)) / ss_x
+        intercept = C_mean - slope * x_mean
+        ss_res = math.fsum((row[2] - (slope * row[1] + intercept)) ** 2 for row in rows)
+        ss_tot = math.fsum(map(operator.mul, dC, dC))
+        r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    except (OverflowError, ZeroDivisionError):
+        ss_x = ss_tot = slope = intercept = r2 = math.nan
+    implied_area = slope / model.constants.eps0
+    # the squared spread of 1/spacer must be a normal float: subnormal (underflowed) leaves the
+    # slope few digits, inf (overflowed) makes it 0; an infinite ss_tot makes r2 1. Checked
+    # before the clamp, which would turn a NaN r2 into 1.
+    if not (sys.float_info.min <= ss_x < math.inf
+            and all(map(math.isfinite, (ss_tot, slope, intercept, r2, implied_area)))):
+        raise DegenerateData(f"spacers {sorted(distinct)!r}: the line of C versus 1/spacer "
+                             f"leaves the float64 range (slope {slope!r}, intercept "
+                             f"{intercept!r}, r2 {r2!r})")
     return CalibrationFit(slope=slope, intercept=intercept, r2=max(0.0, min(1.0, r2)),
-                          implied_area=slope / model.constants.eps0)
+                          implied_area=implied_area)
 
 
 def calibrate(model: ValidatedModel, spacers, noise: NoiseModel) -> CalibrationFit:

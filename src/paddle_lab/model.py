@@ -98,9 +98,11 @@ class ValidatedModel:
 
     The constructor resolves the A_F default, checks every field (each must
     be finite, then lie in its range; InvalidParameter names the first that
-    does not) and computes the touch limits. build_model and model_from_dict
-    build one from flat keywords or a dict; to vary a parameter, go through
-    the flat dict: model_from_dict({**model_to_dict(m), key: value}).
+    does not), checks that the beam's section and rigidity products neither
+    underflow to 0 nor overflow, and computes the touch limits. build_model
+    and model_from_dict build one from flat keywords or a dict; to vary a
+    parameter, go through the flat dict: model_from_dict({**model_to_dict(m),
+    key: value}).
     Immutable after construction; safe to share across workers.
     """
 
@@ -127,6 +129,10 @@ class ValidatedModel:
             raise InvalidParameter("t_b", f"plate must be thin relative to the gap (t_b={g.t_b} >= d_c={g.d_c})")
         _require_positive("E_biaxial", substrate.E_biaxial)
         _require_positive("K", substrate.K)
+        # the divisors of mechanics.stress_profile and mechanics.compliance
+        _require_in_range("t_b", "the beam section b_root*t_b**2", lambda: g.b_root * g.t_b**2)
+        _require_in_range("E_biaxial", "the beam rigidity E_biaxial*K*t_b**3",
+                          lambda: substrate.E_biaxial * substrate.K * g.t_b**3)
         _require_positive("E_F", film.E_F)
         if film.t_F < 0.0:
             raise InvalidParameter("t_F", f"must be >= 0, got {film.t_F!r}")
@@ -149,6 +155,16 @@ class ValidatedModel:
 def _require_positive(name: str, value: float) -> None:
     if not value > 0.0:
         raise InvalidParameter(name, f"must be > 0, got {value!r}")
+
+
+def _require_in_range(name: str, what: str, product) -> None:
+    """product() of positive factors must neither underflow to 0 nor overflow (** raises)."""
+    try:
+        value = product()
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise InvalidParameter(name, f"{what} must be > 0 and finite, got {value!r}")
 
 
 def build_model(**overrides) -> ValidatedModel:

@@ -214,14 +214,28 @@ def test_negative_seed_exit_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv,message", [
-    ("sweep --electrode top --v-max 1e308 --points 3", "V: drive voltages must be finite and >= 0"),
-    ("equilibrium --electrode bottom --v 1.4e154", "V: drive voltages must be finite and >= 0"),
+    ("sweep --electrode top --v-max 1e308 --points 3",
+     "--v-max: drive voltages must be finite and >= 0"),
+    ("equilibrium --electrode bottom --v 1.4e154", "--v: drive voltages must be finite and >= 0"),
     ("measure --yp 0 --dt 1e308 --n 3", "dt: the last sample time n*dt must be finite"),
     ("measure --yp 0 --n 1" + "0" * 400, "n: must be at most 1.7976931348623157e+308"),
-], ids=["sweep", "equilibrium", "measure", "measure-count"])
+    ("sweep --electrode top --v-list=1e200,5", "--v-list: drive voltages must be finite and >= 0"),
+    ("sweep --electrode top --v-max=-5", "--v-max: voltages must be finite and >= 0, got -5.0"),
+    ("sweep --electrode top --v-list=-1,5", "--v-list: voltages must be finite and >= 0, got -1.0"),
+    ("equilibrium --electrode top --v=-5", "--v: drive voltages must be finite and >= 0"),
+    ("calibrate --spacers 1e300,2e300,3e300",
+     "spacers [1e+300, 2e+300, 3e+300]: the line of C versus 1/spacer leaves the float64 range"),
+    ("calibrate --spacers 1e-320,1e-6,2e-6",
+     "spacers [1e-320, 1e-06, 2e-06]: the line of C versus 1/spacer leaves the float64 range"),
+    ("calibrate --spacers 1e-200,2e-200,3e-200",
+     "spacers [1e-200, 2e-200, 3e-200]: the line of C versus 1/spacer leaves the float64 range"),
+], ids=["sweep", "equilibrium", "measure", "measure-count", "sweep-list", "sweep-negative",
+        "sweep-list-negative", "equilibrium-negative", "calibrate-spread-underflow",
+        "calibrate-inverse-overflow", "calibrate-sums-overflow"])
 def test_overflowing_input_exit_2(tmp_path, capsys, argv, message):
-    # finite flags whose V^2, n*dt or n itself overflows a float are input
-    # errors, not inf in the files or a traceback
+    # finite flags whose V^2, n*dt, n itself or a calibration sum overflows (or underflows) a
+    # float, and negative voltages, are input errors that name the flag or the spacers, not
+    # inf or NaN in the files or a traceback
     out = tmp_path / "out"
     assert run(argv.split() + ["--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
@@ -405,6 +419,20 @@ def test_non_finite_config_exit_2(tmp_path, capsys, command, text):
     key = next(iter(json.loads(text)))
     assert f"error: {key}: must be finite" in capsys.readouterr().err
     assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["design", "pullin --electrode top"])
+@pytest.mark.parametrize("text,key", [('{"t_b": 1e-300}', "t_b"),
+                                      ('{"E_biaxial": 1e-300, "K": 1e-20}', "E_biaxial")])
+def test_beam_stiffness_underflow_config_exit_2(tmp_path, capsys, command, text, key):
+    # every field is in range, but the beam's section or rigidity underflows to 0: a
+    # ZeroDivisionError traceback before the model refused it
+    config = tmp_path / "model.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert run(command.split() + ["--config", str(config), "--out", str(out)]) == 2
+    assert f"error: {key}: the beam " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from paddle_lab import (Electrode, InsufficientData, InvalidParameter,
+from paddle_lab import (DegenerateData, Electrode, InsufficientData, InvalidParameter,
                         MeasurementSample, MeasurementStream, NoiseModel, TouchViolation,
                         build_model, calibrate, calibration_fit, calibration_table,
                         measure_capacitance, parallel_plate_capacitance,
@@ -301,6 +301,24 @@ def test_calibration_fit_recovers_stray_capacitance(default_model, stray):
     assert fit.intercept == pytest.approx(stray, rel=1e-12)
     assert fit.r2 == pytest.approx(1.0, abs=1e-12)
     assert fit.implied_area == pytest.approx(25e-6, rel=1e-12)
+
+
+@pytest.mark.parametrize("spacers,sigma_C", [
+    ([1e300, 2e300, 3e300], 0.0),     # the spread of 1/spacer squared underflows to 0
+    ([1e154, 2e154, 3e154], 0.0),     # ... to a subnormal: the slope read 0 and r2 1
+    ([1e-320, 1e-6, 2e-6], 0.0),      # 1/spacer overflows: the line was NaN with r2 1
+    ([1e-200, 2e-200, 3e-200], 0.0),  # the sums overflow: the line was NaN with r2 1
+    ([1e-155, 2e-155, 3e-155], 0.0),  # sum(dx^2) overflows alone: the slope read 0
+    (DEFAULT_SPACERS, 1e200),         # the residuals' squares overflow: OverflowError
+], ids=["spread-underflow", "spread-subnormal", "inverse-overflow", "sums-overflow",
+        "spread-overflow", "noise-overflow"])
+def test_calibration_fit_outside_float_range(default_model, spacers, sigma_C):
+    # no NaN or silently wrong line is reported, clamped to a perfect r2, and nothing crashes
+    rows = calibration_table(default_model, spacers, NoiseModel(sigma_C=sigma_C, seed=1))
+    with pytest.raises(DegenerateData, match=r"^spacers \[.*: the line of C versus 1/spacer "
+                                             r"leaves the float64 range") as exc:
+        calibration_fit(default_model, rows)
+    assert repr(sorted(spacers)) in str(exc.value)
 
 
 def test_calibrate_insufficient_spacers(default_model):

@@ -72,6 +72,24 @@ def test_derived_film_area_must_be_finite():
     assert "finite" in info.value.reason
 
 
+@pytest.mark.parametrize("overrides,name,what", [
+    ({"t_b": 1e-300}, "t_b", "b_root*t_b**2 must be > 0 and finite, got 0.0"),
+    ({"t_b": 1e200, "d_c": 1e201}, "t_b", "b_root*t_b**2 must be > 0 and finite, got inf"),
+    ({"E_biaxial": 1e-300, "K": 1e-20}, "E_biaxial", "E_biaxial*K*t_b**3 must be > 0 and finite, "
+                                                     "got 0.0"),
+    ({"E_biaxial": 1e300, "K": 1e300}, "E_biaxial", "E_biaxial*K*t_b**3 must be > 0 and finite, "
+                                                    "got inf"),
+], ids=["section-underflow", "section-overflow", "rigidity-underflow", "rigidity-overflow"])
+def test_beam_products_must_stay_in_range(overrides, name, what):
+    # every field is finite and positive, but stress_profile divides by b_root*t_b**2 and
+    # compliance by E_biaxial*K*t_b**3: 0 was a ZeroDivisionError there, t_b**2 past the
+    # float range an OverflowError
+    with pytest.raises(InvalidParameter) as info:
+        build_model(**overrides)
+    assert info.value.name == name
+    assert info.value.reason.endswith(what)
+
+
 def test_constructor_checks_itself():
     # built directly, without build_model: the same checks and defaults apply
     with pytest.raises(InvalidParameter) as info:

@@ -41,6 +41,8 @@ def read_csv(path):
     }),
 ])
 def test_study_script_outputs(tmp_path, script, args, expected):
+    # the CLI's CSV format: every float field is "%.17e" % value; extraction_trials.csv's
+    # text columns hold the str of an int or of a bool
     run_script(script, [*args, "--out", "out"], tmp_path)
     assert sorted(os.listdir(tmp_path / "out")) == sorted(expected)
     for name, (header, n_rows) in expected.items():
@@ -48,6 +50,14 @@ def test_study_script_outputs(tmp_path, script, args, expected):
         assert got_header == header
         assert len(rows) == n_rows
         assert all(len(row) == len(header) for row in rows)
+        for row in rows:
+            for column, field in zip(header, row):
+                if column in ("seed", "iterations"):
+                    assert field == str(int(field)), (name, column, field)
+                elif column == "converged":
+                    assert field in (str(True), str(False)), (name, column, field)
+                else:
+                    assert field == "%.17e" % float(field), (name, column, field)
 
 
 @pytest.fixture(scope="module")
