@@ -6,10 +6,11 @@ same data. --write also runs the two study scripts with their default flags, int
 study-performance/ and study-extraction/, so the tree holds every data file the repo writes.
 --compare prints one row per file that differs in its bytes: (bytes) with the lines
 that differ, then (header) if the column names differ and (rows A/B) if the row counts do; a
-file in one tree only gets one (only in A) or (only in B) row. Then, per column and over the
-rows both files have, it prints changed rows and max ulp and absolute differences, and the max
-absolute difference over the column's max |value| in either tree (rel |diff|), which stays
-meaningful for columns that cross zero, where ulp counts across a sign change are not.
+file in one tree only gets one (only in A) or (only in B) row. Then, per column of A (matched
+in B by name, else by position) and over the rows both files have, it prints changed rows and
+max ulp and absolute differences, and the max absolute difference over the column's max
+|value| in either tree (rel |diff|), which stays meaningful for columns that cross zero, where
+ulp counts across a sign change are not.
 """
 import argparse
 import csv
@@ -101,8 +102,12 @@ def compare(a, b):
             row(name, "(header)")
         if len(rows_a) != len(rows_b):
             row(name, "(rows A/B)", count(len(rows_a), len(rows_b)))
-        # columns by position, over the rows both files have
-        for col, fields, other in zip(head_a, zip(*rows_a), zip(*rows_b)):
+        # columns by name (a JSON file may gain keys), or by position where B renamed
+        # one, over the rows both files have
+        columns_b = list(zip(*rows_b))
+        by_name = dict(zip(head_b, columns_b))
+        for i, (col, fields) in enumerate(zip(head_a, zip(*rows_a))):
+            other = by_name.get(col, columns_b[i] if i < len(columns_b) else ())
             changed = [(x, y) for x, y in zip(fields, other) if x != y]
             if not changed:
                 continue

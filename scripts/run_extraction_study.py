@@ -4,7 +4,9 @@ Simulates noisy C-V measurements of a device with known film stress, runs
 the least-squares extraction against a template whose film parameters are
 deliberately wrong, and reports the recovered-stress error statistics per
 noise level. Writes one CSV row per trial, by the CLI's CSV writer, plus a
-printed summary table.
+printed summary table and one coverage line: at sigma_C = 1e-16 F, the
+median |sigma0 error| against 0.674 times the median standard error the
+fits report, which it matches when the errors are normal.
 
 Usage: python3 scripts/run_extraction_study.py [--out results] [--seeds 20]
 """
@@ -21,6 +23,7 @@ TRUE_SIGMA0 = 200e6      # Pa
 TRUE_T_F = 250e-9        # m, template carries 200 nm so EFVF starts 25% off
 NOISE_LEVELS = [0.0, 1e-17, 1e-16, 3e-16]  # F rms on each capacitance reading
 N_VOLTAGES = 21
+COVERAGE_SIGMA_C = 1e-16  # F, the noise level of the coverage line
 
 
 def main():
@@ -56,6 +59,13 @@ def main():
         print(f"{sigma_c:>12.1e} {np.median(errs):>11.2e} "
               f"{np.percentile(errs, 90):>9.2e} {max(errs):>9.2e} "
               f"{conv:>3d}/{n_seeds}")
+
+    covered = [(abs(f.sigma0_hat - TRUE_SIGMA0), f.sigma0_se)
+               for sigma_c, _, f, _ in trials if sigma_c == COVERAGE_SIGMA_C]
+    abs_errs, ses = zip(*covered)
+    print(f"coverage at sigma_C = {COVERAGE_SIGMA_C:.0e} F: median |sigma0 error| "
+          f"{np.median(abs_errs) / 1e6:.2f} MPa against 0.674 x median standard error "
+          f"{0.674 * np.median(ses) / 1e6:.2f} MPa")
 
     sigma_cs, seeds, fits, errors = zip(*trials)
     path = os.path.join(args.out, "extraction_trials.csv")

@@ -340,7 +340,11 @@ def cmd_extract(args, model: ValidatedModel):
                                      "EFVF_hat_Pa_m3": fit.EFVF_hat,
                                      "rms_residual_F": fit.rms_residual,
                                      "iterations": fit.iterations,
-                                     "converged": fit.converged}}
+                                     "converged": fit.converged,
+                                     "sigma0_se_Pa": fit.sigma0_se,
+                                     "EFVF_se_Pa_m3": fit.EFVF_se,
+                                     "corr_sigma0_EFVF": fit.corr,
+                                     "cond_JTJ_scaled": fit.cond}}
     if not fit.converged:
         return files, (f"warning: fit did not converge after {fit.iterations} iterations "
                        f"(result written)"), 4

@@ -1,17 +1,16 @@
 """Inverse problem: recover film parameters from voltage-capacitance data.
 
-The forward model depends on the film only through the residual stress
-sigma0 and the stiffness-volume product E_F*V_F, so those two are the fit
-parameters; E_F alone is not identifiable and the template's value is used
-to express results. The fit is damped Gauss-Newton on the capacitance
-residuals with a central-difference Jacobian. Its data, a CVDataset, are
+The force balance sees the film only as the pair (prestress, k) of
+mechanics.film_pair, F(y_p) = k*(y0 - y_p) - c/(g0*g1) with y0 =
+prestress/k the rest deflection and k the total stiffness. So the fit of
+the residual stress sigma0 and the stiffness-volume product E_F*V_F runs in
+theta = (y0, k), where J^T J is conditioned about 10 instead of 1e5 to 2e6
+(Bates & Watts, J. R. Stat. Soc. B 42, 1980), and maps back by E_F*V_F =
+(k - 1/compliance)/a^2 and sigma0 = y0*k*E_F*a/(k - 1/compliance), with a
+the strain coupling and the template's E_F. It is damped Gauss-Newton on
+the capacitance residuals with the exact Jacobian of the branch solve, and
+reports standard errors by the delta method. Its data, a CVDataset, are
 the columns V, C and electrode, which simulate_cv and load_cv_csv build.
-
-Each fit prepares once what does not depend on theta = (sigma0, E_F*V_F):
-per electrode, the row indices, the measured C and the voltages with V^2
-and their force terms (_PreparedFit). A trial theta builds no model: it
-costs the film's (prestress, k) pair and, per electrode, one closed-form
-branch solve and one capacitance evaluation.
 """
 from __future__ import annotations
 
@@ -22,22 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrostatics import (Electrode, capacitance_value, force_per_v2_value,
-                             invertible, yp_from_capacitance)
+from .electrostatics import (Electrode, capacitance_slope, capacitance_value,
+                             force_per_v2_value, invertible, yp_from_capacitance)
 from .errors import (DegenerateData, InsufficientData, InvalidParameter,
                      OutOfRange, TouchViolation)
 from .instrument import MeasurementStream, NoiseModel, _columns, _read_only
-from .mechanics import (StableBranch, _Drive, compliance, film_stiffness, sorted_voltages,
-                        strain_coupling)
+from .mechanics import (StableBranch, _Drive, compliance, film_pair, film_stiffness,
+                        sorted_voltages, strain_coupling)
 from .model import ValidatedModel
 
 MAX_ITERATIONS = 100
 REL_STEP_TOL = 1e-10
-JACOBIAN_REL_STEP = 1e-3
 MAX_HALVINGS = 20
-
-# Parameter scale floors guarding finite-difference steps near zero.
-SIGMA0_SCALE_FLOOR = 1e6  # Pa
 
 
 @dataclass(frozen=True)
@@ -101,6 +96,10 @@ class FilmFitResult:
     rms_residual: float  # F
     iterations: int
     converged: bool
+    sigma0_se: float     # Pa, standard error (delta method, see _error_bars)
+    EFVF_se: float       # Pa*m^3, standard error
+    corr: float          # correlation of the sigma0 and E_F*V_F estimates
+    cond: float          # condition number of J^T J in (y0, k), columns scaled to unit norm
 
 
 def simulate_cv(model: ValidatedModel, electrode: Electrode, V_list,
@@ -173,19 +172,22 @@ def load_cv_csv(path, electrode: Electrode) -> CVDataset:
 
 
 class _PreparedFit:
-    """Everything of one fit that does not depend on theta = (sigma0, E_F*V_F).
+    """Everything of one fit that does not depend on theta = (y0, k).
 
     Built once per fit: the data's V and C columns, the template's strain
-    coupling a and beam stiffness 1/compliance and, per electrode in order
-    of first appearance, its row indices, its measured C and its voltages
-    prepared for the branch solve (mechanics._Drive, which holds V^2 and
-    the drive's force terms). _initial_guess reads the same groups.
+    coupling a, beam stiffness 1/compliance and travel y_p_max - y_p_min
+    (the scale of y0) and, per electrode in order of first appearance, its
+    row indices, its measured C and its voltages prepared for the branch
+    solve (mechanics._Drive). A trial theta builds no model: per electrode,
+    it costs one branch solve and one capacitance evaluation, and an
+    accepted one adds one capacitance slope for its Jacobian.
     """
 
     def __init__(self, data: CVDataset, template: ValidatedModel):
         self.template = template
         self.V, self.C = data.V, data.C
         self.a, self.inv_c = strain_coupling(template), 1.0 / compliance(template)
+        self.travel = template.y_p_max - template.y_p_min
         self.groups = []
         for name in dict.fromkeys(data.electrode.tolist()):
             e, rows = Electrode(name), np.flatnonzero(data.electrode == name)
@@ -193,147 +195,178 @@ class _PreparedFit:
                                 _Drive(StableBranch(template, e), self.V[rows])))
 
     def residuals(self, theta):
-        """Capacitance residual vector at theta, or None if the model fails there.
+        """(r, solved) at theta: the capacitance residuals and, per electrode,
+        the trial branch and its rows' deflections, which jacobian reads.
 
-        theta becomes the trial film's (prestress, k) (mechanics.film_pair)
-        directly: E_F and A_F stay the template's and t_F = E_F*V_F/(E_F*A_F).
-        It is None unless sigma0 and t_F are finite and t_F >= 0, a model's
-        film checks. V_F = t_F*A_F and the pair take film_force's and
-        film_stiffness's operations, so the residual has the bits of one on a
-        model with that film. Branch solves and capacitances run on the
-        template, whose geometry the film does not change.
+        The film pair is (y0*k, k), solved on the template's geometry. None
+        unless y0 is finite and 1/compliance <= k < inf (E_F*V_F >= 0, as a
+        model's film requires), and where a row has no stable equilibrium
+        or touches an electrode.
         """
-        film = self.template.film
-        sigma0, t_F = float(theta[0]), float(theta[1]) / (film.E_F * film.A_F)
-        if not (math.isfinite(sigma0) and 0.0 <= t_F < math.inf):
+        y0, k = float(theta[0]), float(theta[1])
+        if not (math.isfinite(y0) and self.inv_c <= k < math.inf):
             return None
-        EFVFa = film.E_F * (t_F * film.A_F) * self.a
-        pair = EFVFa * (sigma0 / film.E_F), EFVFa * self.a + self.inv_c
-        res = np.empty(self.C.size)
+        res, solved = np.empty(self.C.size), []
         for e, rows, C, drive in self.groups:
-            y, error = StableBranch(self.template, e, pair)._roots(drive)
+            branch = StableBranch(self.template, e, (y0 * k, k))
+            y, error = branch._roots(drive)
             if error is not None:
                 return None
             try:
                 res[rows] = capacitance_value(y, self.template, e) - C
             except TouchViolation:
                 return None
-        return res
+            solved.append((branch, y))
+        return res, solved
+
+    def jacobian(self, solved) -> np.ndarray:
+        """Exact d(residual)/d(y0, k) at the theta that residuals solved.
+
+        With F = k*(y0 - y_p) - c/(g0*g1), dF/dy0 = k and dF/dk = y0 - y_p,
+        so each row's dC/dtheta = C'(y_p)*(-dF/dtheta)/(dF/dy_p), where
+        dF/dy_p is the branch's Newton-polish denominator
+        (StableBranch._force_slope). No branch is solved again.
+        """
+        J = np.empty((self.C.size, 2))
+        for (e, rows, _, drive), (branch, y) in zip(self.groups, solved):
+            dC_dF = capacitance_slope(y, self.template, e) / -branch._force_slope(drive, y)
+            J[rows, 0] = dC_dF * branch.k
+            J[rows, 1] = dC_dF * (branch.rest - y)
+        return J
+
+    def film(self, theta) -> tuple[float, float]:
+        """(sigma0, E_F*V_F) of theta = (y0, k); sigma0 is NaN when k_f = k - 1/compliance is 0."""
+        y0, k = float(theta[0]), float(theta[1])
+        k_f = k - self.inv_c
+        sigma0 = y0 * k * self.template.film.E_F * self.a / k_f if k_f > 0.0 else math.nan
+        return sigma0, k_f / (self.a * self.a)
 
 
 def _initial_guess(fit: _PreparedFit) -> np.ndarray:
-    """Linear pre-fit of the force balance after inverting each C to y_p.
+    """Linear pre-fit of the force balance after inverting each C to y_p, as (y0, k).
 
     At equilibrium p - k_f*y = y/compliance - f(y)*V^2 with p the prestress
     force a*sigma0*V_F and k_f the film stiffness EFVF*a^2; the right side
-    uses only shared geometry, so (p, k_f) come from linear least squares.
-    Each electrode's invertible rows are inverted in one array call; the
-    other rows are skipped. If the stiffness estimate is unusable (fewer
-    than two rows, no deflection spread, or k_f <= 0) the template's EFVF
-    is kept and only p is re-estimated.
+    uses only shared geometry, so (p, k_f) come from linear least squares,
+    and theta = (p/k, k) with k = k_f + 1/compliance. Each electrode's
+    invertible rows are inverted in one array call; the other rows are
+    skipped. If the stiffness estimate is unusable (fewer than two rows, no
+    deflection spread, or k_f <= 0) the template's film stiffness is kept
+    and only p is re-estimated. With no invertible row, or no finite
+    estimate, the start is the template's own film.
     """
     template = fit.template
-    EFVF0 = template.film.E_F * template.V_F
-    a, inv_c = fit.a, fit.inv_c
+    inv_c = fit.inv_c
     y, f = np.full(fit.C.size, np.nan), np.empty(fit.C.size)
     for e, rows, C, _ in fit.groups:
         rows = rows[invertible(C, template, e)]
         y[rows] = yp_from_capacitance(fit.C[rows], template, e)
         f[rows] = force_per_v2_value(y[rows], template, e)
     kept = ~np.isnan(y)
-    if not kept.any():
-        return np.array([template.film.sigma0, EFVF0])
-    ys, V = y[kept], fit.V[kept]
-    bs = ys * inv_c - f[kept] * V * V
-    y_scale = float(np.max(np.abs(ys)))
-    p = k_f = float("nan")
-    if len(ys) >= 2 and y_scale > 0.0 and np.ptp(ys) > 1e-6 * y_scale:
-        design = np.column_stack([np.ones_like(ys), -ys / y_scale])
-        coef, _, _, _ = np.linalg.lstsq(design, bs, rcond=None)
-        p, k_f = float(coef[0]), float(coef[1]) / y_scale
-    if not (np.isfinite(k_f) and k_f > 0.0):
-        # fall back to the template's film stiffness, fit the offset alone
-        k_f = film_stiffness(template)
-        p = float(np.mean(bs + k_f * ys))
-    EFVF_guess = k_f / (a * a)
-    sigma0_guess = p * template.film.E_F / (a * EFVF_guess)
-    if not (np.isfinite(sigma0_guess) and np.isfinite(EFVF_guess)):
-        return np.array([template.film.sigma0, EFVF0])
-    return np.array([sigma0_guess, EFVF_guess])
+    p = k_f = math.nan
+    if kept.any():
+        ys, V = y[kept], fit.V[kept]
+        bs = ys * inv_c - f[kept] * V * V
+        y_scale = float(np.max(np.abs(ys)))
+        if len(ys) >= 2 and y_scale > 0.0 and np.ptp(ys) > 1e-6 * y_scale:
+            design = np.column_stack([np.ones_like(ys), -ys / y_scale])
+            coef, _, _, _ = np.linalg.lstsq(design, bs, rcond=None)
+            p, k_f = float(coef[0]), float(coef[1]) / y_scale
+        if not (np.isfinite(k_f) and k_f > 0.0):
+            # fall back to the template's film stiffness, fit the offset alone
+            k_f = film_stiffness(template)
+            p = float(np.mean(bs + k_f * ys))
+    k = k_f + inv_c
+    if not (math.isfinite(p) and math.isfinite(k)):
+        p, k = film_pair(template)
+    return np.array([p / k, k])
+
+
+def _error_bars(fit: _PreparedFit, theta, J: np.ndarray, ssq: float):
+    """(se of sigma0, se of E_F*V_F, their correlation, scaled cond(J^T J)).
+
+    The delta method: the covariance of theta = (y0, k) is s^2*(J^T J)^-1
+    with s^2 = ssq/(n - 2), mapped to (sigma0, E_F*V_F) through the
+    Jacobian G of fit.film. J^T J is inverted with its columns scaled to
+    unit norm, and the condition number is that scaled matrix's. All four
+    are NaN when J^T J is singular or k_f = 0.
+    """
+    y0, k = float(theta[0]), float(theta[1])
+    k_f = k - fit.inv_c
+    nan = (math.nan,) * 4
+    if not k_f > 0.0:
+        return nan
+    JTJ = J.T @ J
+    d = 1.0 / np.sqrt(np.diag(JTJ))
+    scaled = JTJ * np.outer(d, d)
+    try:
+        inv = np.linalg.inv(scaled) * np.outer(d, d)
+    except np.linalg.LinAlgError:
+        return nan
+    EFa = fit.template.film.E_F * fit.a
+    G = np.array([[k * EFa / k_f, -y0 * EFa * fit.inv_c / (k_f * k_f)],
+                  [0.0, 1.0 / (fit.a * fit.a)]])
+    cov = G @ inv @ G.T  # covariance over s^2
+    var = np.diag(cov)
+    s2 = ssq / (J.shape[0] - 2)
+    return (math.sqrt(s2 * var[0]), math.sqrt(s2 * var[1]),
+            float(cov[0, 1] / math.sqrt(var[0] * var[1])), float(np.linalg.cond(scaled)))
 
 
 def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> FilmFitResult:
-    """Least-squares (sigma0, E_F*V_F) from C-V data, damped Gauss-Newton.
+    """Least-squares (sigma0, E_F*V_F) from C-V data, damped Gauss-Newton in (y0, k).
 
-    Central-difference Jacobian with 1e-3 relative steps, step halving up
-    to 20 times per iteration so the objective never increases, stopping
-    when the relative step drops below 1e-10 or after 100 iterations. An
-    exhausted line search whose finest attempted step was already below
-    the tolerance counts as converged; non-convergence is reported in the
-    flag, not raised.
-
-    The data are prepared once per fit (_PreparedFit); a residual vector
-    derives only the trial film's (prestress, k) and builds no model.
+    From the linear pre-fit (_initial_guess), each iteration solves for the
+    step with the exact Jacobian of the accepted iterate, y0 scaled by the
+    template's travel and k by itself, then halves it up to 20 times so the
+    objective never increases. The fit stops when the relative step drops
+    below 1e-10 or after 100 iterations; an exhausted line search whose
+    finest attempted step was already below the tolerance counts as
+    converged. Non-convergence is reported in the flag, not raised. The
+    error bars are those of the final theta (_error_bars), NaN when the
+    residual is undefined at the start.
     """
     if data.V.min() == data.V.max():
         raise DegenerateData("all rows share one voltage; sigma0 and E_F*V_F "
                              "are not separately identifiable")
-    EFVF_ref = model_template.film.E_F * model_template.V_F
-    if EFVF_ref <= 0.0:
+    if model_template.film.E_F * model_template.V_F <= 0.0:
         raise InvalidParameter("model_template", "template film must have E_F*V_F > 0")
-
-    def scales(theta):
-        return np.array([max(abs(theta[0]), SIGMA0_SCALE_FLOOR),
-                         max(abs(theta[1]), 1e-3 * EFVF_ref)])
 
     fit = _PreparedFit(data, model_template)
     theta = _initial_guess(fit)
-    r = fit.residuals(theta)
-    if r is None:
-        return FilmFitResult(sigma0_hat=float(theta[0]), EFVF_hat=float(theta[1]),
-                             rms_residual=float("inf"), iterations=0, converged=False)
+    trial = fit.residuals(theta)
+    if trial is None:
+        sigma0, EFVF = fit.film(theta)
+        return FilmFitResult(sigma0, EFVF, math.inf, 0, False, *(math.nan,) * 4)
+    r, solved = trial
     ssq = float(r @ r)
     converged = False
     iterations = 0
 
     for iterations in range(1, MAX_ITERATIONS + 1):
-        sc = scales(theta)
-        J = np.empty((len(r), 2))
-        bad_jacobian = False
-        for j in range(2):
-            h = JACOBIAN_REL_STEP * sc[j]
-            hi = fit.residuals(theta + h * np.eye(2)[j])
-            lo = fit.residuals(theta - h * np.eye(2)[j])
-            if hi is None or lo is None:
-                bad_jacobian = True
-                break
-            J[:, j] = (hi - lo) / (2.0 * h)
-        if bad_jacobian:
-            break
-
-        g = J.T @ r
+        scale = np.array([fit.travel, theta[1]])
+        J = fit.jacobian(solved) * scale
         try:
-            delta = np.linalg.solve(J.T @ J, -g)
+            step = np.linalg.solve(J.T @ J, -(J.T @ r))
         except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(J, -r, rcond=None)[0]
-        rel_full = float(np.max(np.abs(delta) / sc))
+            step = np.linalg.lstsq(J, -r, rcond=None)[0]
+        rel_full = float(np.max(np.abs(step)))
         if rel_full < REL_STEP_TOL:
             converged = True
             break
+        delta = step * scale
 
         alpha = 1.0
-        accepted = False
         for _ in range(MAX_HALVINGS + 1):
-            trial = theta + alpha * delta
-            rt = fit.residuals(trial)
-            if rt is not None:
-                st = float(rt @ rt)
+            candidate = theta + alpha * delta
+            trial = fit.residuals(candidate)
+            if trial is not None:
+                st = float(trial[0] @ trial[0])
                 if st < ssq:
-                    theta, r, ssq = trial, rt, st
-                    accepted = True
+                    theta, (r, solved), ssq = candidate, trial, st
                     break
             alpha *= 0.5
-        if not accepted:
+        else:
             # nothing improves: converged if even the finest attempted step
             # was below tolerance, otherwise genuinely stuck
             converged = rel_full * 0.5**MAX_HALVINGS < REL_STEP_TOL
@@ -342,6 +375,6 @@ def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> Film
             converged = True
             break
 
-    return FilmFitResult(sigma0_hat=float(theta[0]), EFVF_hat=float(theta[1]),
-                         rms_residual=float(np.sqrt(ssq / len(r))),
-                         iterations=iterations, converged=converged)
+    sigma0, EFVF = fit.film(theta)
+    return FilmFitResult(sigma0, EFVF, float(np.sqrt(ssq / len(r))), iterations, converged,
+                         *_error_bars(fit, theta, fit.jacobian(solved), ssq))

@@ -400,8 +400,7 @@ class StableBranch:
         total force then polishes it and is discarded if it leaves [far,
         y_PI], which it can near the double root at V_PI.
         """
-        gap, s, cr, tilt, b0, b1, k = (self.gap, self.s, self.cr, self.tilt, self.b0,
-                                       self.b1, self.k)
+        s, cr, tilt, k = self.s, self.cr, self.tilt, self.k
         r0 = self.G0 * cr
         r1 = self.G1 * cr / (1.0 + tilt)
         e = drive.half_v2 * (cr * cr / (k * (1.0 + tilt)))
@@ -416,10 +415,21 @@ class StableBranch:
         w = -2.0 * gamma / (beta + np.sqrt(np.maximum(beta * beta - 4.0 * gamma, 0.0)))
         lo, hi = min(self.far, y_pi), max(self.far, y_pi)
         y = np.minimum(np.maximum(self.rest + s * w, lo), hi)
-        g0, g1 = gap + b0 * y, gap + b1 * y
         with np.errstate(divide="ignore", invalid="ignore"):
-            polished = y - force(y) / (drive.c * (b0 * g1 + b1 * g0) / (g0 * g1) ** 2 - k)
+            polished = y - force(y) / self._force_slope(drive, y)
         return np.where((lo <= polished) & (polished <= hi), polished, y)
+
+    def _force_slope(self, drive: _Drive, y):
+        """dF/dy_p of this film's total force under drive, at deflections y.
+
+        The denominator of _stable_root's Newton polish, and the implicit
+        derivative of an equilibrium on the film: with F = k*(rest - y_p) -
+        c/(g0*g1), dy_p/dtheta = -(dF/dtheta)/(dF/dy_p), which is how the
+        stress fit takes its exact Jacobian.
+        """
+        b0, b1 = self.b0, self.b1
+        g0, g1 = self.gap + b0 * y, self.gap + b1 * y
+        return drive.c * (b0 * g1 + b1 * g0) / (g0 * g1) ** 2 - self.k
 
     def _roots(self, drive: _Drive):
         """(y_p, error): solve's y_p at each of drive's V, NaN where no stable

@@ -19,6 +19,7 @@ flat dict or build_model.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -98,8 +99,9 @@ class ValidatedModel:
 
     The constructor resolves the A_F default, checks every field (each must
     be finite, then lie in its range; InvalidParameter names the first that
-    does not), checks that the beam's section and rigidity products neither
-    underflow to 0 nor overflow, and computes the touch limits. build_model
+    does not), checks that the beam's section, rigidity and compliance
+    products and each gap's pull-in scale neither underflow to 0 nor
+    overflow, and computes the touch limits. build_model
     and model_from_dict build one from flat keywords or a dict; to vary a
     parameter, go through the flat dict: model_from_dict({**model_to_dict(m),
     key: value}).
@@ -133,6 +135,19 @@ class ValidatedModel:
         _require_in_range("t_b", "the beam section b_root*t_b**2", lambda: g.b_root * g.t_b**2)
         _require_in_range("E_biaxial", "the beam rigidity E_biaxial*K*t_b**3",
                           lambda: substrate.E_biaxial * substrate.K * g.t_b**3)
+        # mechanics.compliance's numerator, and each gap's pull-in scale: V_PI^2 is
+        # about d**3/(compliance*eps0*w_p*l_p), so past it the pull-in arithmetic overflows
+        _require_in_range("l_b", "the compliance numerator 6*l_b*(l_b + l_p)",
+                          lambda: 6.0 * g.l_b * (g.l_b + g.l_p))
+
+        def pull_in_scale(d):
+            inv_compliance = (substrate.E_biaxial * substrate.K * g.t_b**3
+                              / (6.0 * g.l_b * (g.l_b + g.l_p)))
+            return d**3 * inv_compliance / (self.constants.eps0 * g.w_p * g.l_p)
+
+        for name in ("d_c", "d_e"):
+            _require_in_range(name, f"the pull-in scale {name}**3/(compliance*eps0*w_p*l_p)",
+                              functools.partial(pull_in_scale, getattr(g, name)))
         _require_positive("E_F", film.E_F)
         if film.t_F < 0.0:
             raise InvalidParameter("t_F", f"must be >= 0, got {film.t_F!r}")

@@ -435,6 +435,19 @@ def test_beam_stiffness_underflow_config_exit_2(tmp_path, capsys, command, text,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["design", "pullin --electrode top", "pullin --electrode bottom"])
+@pytest.mark.parametrize("text,key", [('{"l_b": 1e300}', "l_b"), ('{"d_c": 1e300}', "d_c")])
+def test_pull_in_overflow_config_exit_2(tmp_path, capsys, command, text, key):
+    # every field is in range, but 1/compliance is 0 (a ZeroDivisionError traceback in
+    # StableBranch) or the pull-in arithmetic overflows ("pull-in at nan V", exit 0)
+    config = tmp_path / "model.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert run(command.split() + ["--config", str(config), "--out", str(out)]) == 2
+    assert f"error: {key}: the " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config(tmp_path):
     rc = run(["design", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2
@@ -449,6 +462,12 @@ def test_extract_round_trip(tmp_path):
     result = read_json(tmp_path / "extract_result.json")
     assert float(result["sigma0_hat_Pa"]) == pytest.approx(200e6, rel=1e-6)
     assert result["converged"] is True
+    # noise-free data: tiny standard errors, sigma0 and E_F*V_F correlated to -1, and a
+    # well-conditioned fit in (y0, k); floats are full-precision strings
+    assert 0.0 < float(result["sigma0_se_Pa"]) < 1.0
+    assert 0.0 < float(result["EFVF_se_Pa_m3"]) < 1e-9
+    assert -1.0 <= float(result["corr_sigma0_EFVF"]) < -0.999
+    assert 1.0 <= float(result["cond_JTJ_scaled"]) < 20.0
 
 
 def test_extract_needs_electrode(tmp_path):
@@ -500,6 +519,8 @@ def test_extract_nonconvergence_exit_code(tmp_path, capsys):
     assert rc == 4
     result = read_json(tmp_path / "extract_result.json")
     assert result["converged"] is False
+    assert [result[key] for key in ("sigma0_se_Pa", "EFVF_se_Pa_m3", "corr_sigma0_EFVF",
+                                    "cond_JTJ_scaled")] == ["nan"] * 4
     assert "converge" in capsys.readouterr().err
 
 

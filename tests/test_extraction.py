@@ -15,7 +15,7 @@ from paddle_lab import (CVDataset, DegenerateData, Electrode,
                         ValidatedModel, yp_from_capacitance)
 from paddle_lab.cli import main
 from paddle_lab.extraction import CVRow, _PreparedFit
-from paddle_lab.mechanics import StableBranch
+from paddle_lab.mechanics import StableBranch, compliance, strain_coupling
 
 
 def test_simulate_cv_basic(with_sigma0):
@@ -472,6 +472,13 @@ def _rebuilt_residuals(theta, data, template):
     return res
 
 
+def _theta(template, sigma0, EFVF):
+    """theta = (y0, k) of a film (sigma0, E_F*V_F) on the template, by mechanics.film_pair's map."""
+    a, inv_c = strain_coupling(template), 1.0 / compliance(template)
+    k = EFVF * a * a + inv_c
+    return np.array([EFVF * a * sigma0 / template.film.E_F / k, k])
+
+
 @settings(max_examples=150, deadline=None)
 @given(which=st.sampled_from(["bottom", "top", "both"]),
        sigma0=st.one_of(st.floats(min_value=-1.0, max_value=2.5).map(lambda f: f * TRUTH_SIGMA0),
@@ -486,13 +493,120 @@ def _rebuilt_residuals(theta, data, template):
 @example(which="top", sigma0=2.0 * TRUTH_SIGMA0, EFVF=TRUTH_EFVF)  # V_PI below the data
 @example(which="both", sigma0=9e8, EFVF=TRUTH_EFVF)              # pinned on top
 @example(which="both", sigma0=-9e8, EFVF=TRUTH_EFVF)             # pinned on the bottom
-def test_fit_residuals_match_rebuilt_model_bitwise(default_model, which, sigma0, EFVF):
-    # the prepared fit's residual has the bits of a residual through a rebuilt
-    # model, and is undefined exactly where that one raises
+def test_fit_residuals_match_rebuilt_model(default_model, which, sigma0, EFVF):
+    # the prepared fit's residual at theta = (y0, k) is, to rounding, the residual
+    # through a model rebuilt with that film, and is undefined exactly where that one
+    # raises; theta's pair is formed directly, so the bits may differ in the last place
     data = _oracle_datasets()[which]
-    theta = np.array([sigma0, EFVF])
-    expected = _rebuilt_residuals(theta, data, default_model)
+    expected = _rebuilt_residuals(np.array([sigma0, EFVF]), data, default_model)
+    with np.errstate(invalid="ignore", over="ignore"):  # nan and inf films map to nan or inf
+        theta = _theta(default_model, sigma0, EFVF)
     got = _PreparedFit(data, default_model).residuals(theta)
     assert (got is None) == (expected is None)
     if expected is not None:
-        assert got.tobytes() == expected.tobytes()
+        r, solved = got
+        assert np.all(np.abs(r - expected) <= 1e-12 * data.C)
+        assert len(solved) == (2 if which == "both" else 1)
+
+
+def _trial_data(truth, electrode, top, sigma_C=0.0, seed=0, n=21):
+    V = np.linspace(0.0, top * pull_in_voltage(truth, electrode).V_pull_in, n)
+    return simulate_cv(truth, electrode, V,
+                       NoiseModel(sigma_C=sigma_C, seed=seed) if sigma_C else None)
+
+
+@pytest.mark.parametrize("electrode", [Electrode.TOP, Electrode.BOTTOM])
+def test_fit_exact_near_pull_in_converges(default_model, electrode):
+    # noise-free rows up to 0.9999 V_PI: the exact Jacobian needs no trial film
+    # near the branch end, so the fit converges on the truth
+    truth = build_model(sigma0=200e6, t_F=250e-9)
+    fit = fit_film_parameters(_trial_data(truth, electrode, 0.9999), default_model)
+    assert fit.converged
+    assert fit.sigma0_hat == pytest.approx(200e6, rel=1e-9)
+    assert fit.EFVF_hat == pytest.approx(truth.film.E_F * truth.V_F, rel=1e-7)
+
+
+@pytest.mark.parametrize("top", [0.5, 0.8, 0.95])
+@pytest.mark.parametrize("which", ["bottom", "top", "both"])
+def test_fit_jacobian_matches_central_differences(default_model, which, top):
+    # the implicit-function Jacobian against central differences of the residual
+    # at 1e-6 relative steps, at a theta off the truth
+    truth = build_model(sigma0=TRUTH_SIGMA0, t_F=TRUTH_T_F)
+    parts = [_trial_data(truth, e, top, 1e-16, 3, 11) for e in (Electrode.BOTTOM, Electrode.TOP)]
+    data = {"bottom": parts[0], "top": parts[1], "both": _interleaved(*parts)}[which]
+    fit = _PreparedFit(data, default_model)
+    theta = _theta(default_model, 0.98 * TRUTH_SIGMA0, 1.02 * TRUTH_EFVF)
+    J = fit.jacobian(fit.residuals(theta)[1])
+    for j, h in enumerate((1e-6 * fit.travel, 1e-6 * theta[1])):
+        step = h * np.eye(2)[j]
+        fd = (fit.residuals(theta + step)[0] - fit.residuals(theta - step)[0]) / (2.0 * h)
+        assert np.max(np.abs(J[:, j] - fd)) <= 1e-7 * np.max(np.abs(J[:, j]))
+
+
+def test_fit_noisy_near_pull_in_converges(default_model):
+    # sigma_C = 1e-14 F, seed 4, bottom up to 0.95 V_PI: the (sigma0, E_F*V_F) fit
+    # stopped at 100 iterations; in (y0, k) it converges in a few
+    truth = build_model(sigma0=200e6, t_F=250e-9)
+    data = _trial_data(truth, Electrode.BOTTOM, 0.95, 1e-14, 4)
+    fit = fit_film_parameters(data, default_model)
+    assert fit.converged and fit.iterations <= 10
+    assert fit.rms_residual < 1.2e-14
+    assert fit.cond < 20.0
+
+
+def test_fit_solves_each_branch_once_per_trial(default_model, monkeypatch):
+    # one StableBranch._roots per trial theta and electrode: the Jacobian of an
+    # accepted iterate solves nothing
+    calls = {"roots": 0, "trials": 0, "jacobians": 0}
+    roots, residuals, jacobian = StableBranch._roots, _PreparedFit.residuals, _PreparedFit.jacobian
+
+    def counted_roots(self, drive):
+        calls["roots"] += 1
+        return roots(self, drive)
+
+    def counted_residuals(self, theta):
+        calls["trials"] += 1
+        return residuals(self, theta)
+
+    def counted_jacobian(self, solved):
+        before = calls["roots"]
+        calls["jacobians"] += 1
+        J = jacobian(self, solved)
+        assert calls["roots"] == before
+        return J
+
+    truth = build_model(sigma0=200e6, t_F=250e-9)
+    data = _trial_data(truth, Electrode.BOTTOM, 0.8, 1e-16, 1)
+    monkeypatch.setattr(StableBranch, "_roots", counted_roots)
+    monkeypatch.setattr(_PreparedFit, "residuals", counted_residuals)
+    monkeypatch.setattr(_PreparedFit, "jacobian", counted_jacobian)
+    fit = fit_film_parameters(data, default_model)
+    assert fit.converged and fit.iterations >= 2
+    assert calls["roots"] == calls["trials"] >= fit.iterations
+    # one Jacobian per iteration, and one more for the error bars at the final theta
+    assert calls["jacobians"] == fit.iterations + 1
+
+
+def test_fit_error_bars(default_model):
+    # the standard error of sigma0 covers the scatter of 20 noisy fits: the median
+    # |error| is near 0.674 standard errors (normal errors); sigma0 and E_F*V_F stay
+    # correlated to -1 while the fit's own coordinates are well conditioned
+    truth = build_model(sigma0=200e6, t_F=250e-9)
+    errors, ses = [], []
+    for seed in range(20):
+        fit = fit_film_parameters(_trial_data(truth, Electrode.BOTTOM, 0.8, 1e-16, seed),
+                                  default_model)
+        assert fit.converged
+        errors.append(abs(fit.sigma0_hat - 200e6))
+        ses.append(fit.sigma0_se)
+        assert fit.EFVF_se > 0.0 and -1.0 <= fit.corr < -0.999 and 5.0 < fit.cond < 12.0
+    assert 0.5 < np.median(errors) / (0.674 * np.median(ses)) < 2.0
+    assert 2e6 < np.median(ses) < 5e6
+
+
+def test_fit_error_bars_undefined_start(default_model):
+    # a start at which no residual exists gives no fit and no error bars
+    data = CVDataset([0.0, 400.0, 800.0], [2.2125e-12, 2.1e-12, 2.0e-12], ["bottom"] * 3)
+    fit = fit_film_parameters(data, default_model)
+    assert not fit.converged and fit.iterations == 0 and fit.rms_residual == math.inf
+    assert all(math.isnan(v) for v in (fit.sigma0_se, fit.EFVF_se, fit.corr, fit.cond))

@@ -2,10 +2,10 @@ import json
 import math
 
 import pytest
-from paddle_lab import (FilmSpec, InvalidParameter, PaddleGeometry,
+from paddle_lab import (Electrode, FilmSpec, InvalidParameter, PaddleGeometry,
                         PhysicalConstants, SubstrateMaterial, ValidatedModel,
                         build_model, load_model_json, model_from_dict,
-                        model_to_dict, touch_limits, yb_from_yp)
+                        model_to_dict, pull_in_voltage, touch_limits, yb_from_yp)
 from paddle_lab.model import MODEL_JSON_KEYS
 
 
@@ -88,6 +88,28 @@ def test_beam_products_must_stay_in_range(overrides, name, what):
         build_model(**overrides)
     assert info.value.name == name
     assert info.value.reason.endswith(what)
+
+
+@pytest.mark.parametrize("overrides,name,what,inside", [
+    ({"l_b": 1e300}, "l_b", "6*l_b*(l_b + l_p) must be > 0 and finite, got inf", {"l_b": 1e150}),
+    ({"d_c": 1e300}, "d_c", "d_c**3/(compliance*eps0*w_p*l_p) must be > 0 and finite, got inf",
+     {"d_c": 1e50}),
+    ({"d_c": 1e100}, "d_c", "d_c**3/(compliance*eps0*w_p*l_p) must be > 0 and finite, got inf",
+     {"d_c": 1e50}),
+    ({"d_e": 1e300}, "d_e", "d_e**3/(compliance*eps0*w_p*l_p) must be > 0 and finite, got inf",
+     {"d_e": 1e50}),
+], ids=["compliance-overflow", "gap-cube-overflow", "pull-in-scale-overflow", "bottom-gap"])
+def test_pull_in_products_must_stay_in_range(overrides, name, what, inside):
+    # every field is finite and positive, but 1/compliance was 0 (a ZeroDivisionError in
+    # StableBranch) or the pull-in arithmetic overflowed to a NaN or infinite V_PI
+    with pytest.raises(InvalidParameter) as info:
+        build_model(**overrides)
+    assert info.value.name == name
+    assert info.value.reason.endswith(what)
+    # inside the range, both pull-in voltages are finite and positive
+    model = build_model(**inside)
+    for electrode in Electrode:
+        assert 0.0 < pull_in_voltage(model, electrode).V_pull_in < math.inf
 
 
 def test_constructor_checks_itself():
