@@ -118,10 +118,10 @@ def _write_csv(path: str, header: list[str], *columns) -> None:
     so its fields must hold no comma, quote, newline or NUL; every other
     column as FLOAT_FORMAT, byte for byte, by format_e17. Rows go out in
     blocks of about CSV_BLOCK_VALUES float fields: each block is one
-    NUL-padded byte matrix (fields, separators, line ends) whose NULs are
-    dropped in one pass before it is written, through _write_output. Columns
-    of unequal length and text holding NUL raise ValueError before the file
-    is opened.
+    NUL-padded byte matrix (fields, separators, line ends), written through
+    _write_output as its bytes with the NULs removed by bytes.replace.
+    Columns of unequal length and text holding NUL raise ValueError before
+    the file is opened.
     """
     n = len(columns[0]) if columns else 0
     if any(len(c) != n for c in columns):
@@ -152,8 +152,7 @@ def _write_csv(path: str, header: list[str], *columns) -> None:
             for text in texts:
                 parts += [next(formatted) if text is None else text[start:start + m], comma]
             parts[-1] = np.full((m, 1), ord("\n"), dtype=np.uint8)
-            matrix = np.concatenate(parts, axis=1).ravel()
-            yield matrix[matrix != 0]
+            yield np.concatenate(parts, axis=1).tobytes().replace(b"\0", b"")
 
     _write_output(path, blocks())
 

@@ -26,6 +26,13 @@ capacitance_value and capacitance_slope through gap_line's float path and
 np.log1p on the scalar, the same operations as on an array element, and
 gets the bits of the same pose inside an array.
 
+Each formula lives in one helper: gap_line is the gap-line arithmetic
+(_gap_terms) plus the touch check, and capacitance_value and
+force_per_v2_value are gap_line plus their formula on its terms
+(_capacitance_on_line, _force_per_v2_on_line). A caller whose poses are
+already inside the touch interval, such as a sweep on the stable branch,
+takes the helpers directly and gets the same bits without the check.
+
 yp_from_capacitance inverts C(y_p) by Newton on 1/C, a float running
 through the same loop as a one-element array. c/C is the logarithmic mean
 L of the two edge gaps, concave and increasing in both, and both gaps are
@@ -95,6 +102,17 @@ def gap_coefficients(model: ValidatedModel,
     return (g.d_c if s < 0.0 else g.d_e), s, g.center_ratio, 2.0 * g.l_p / g.l_b
 
 
+def _gap_terms(y_p, model: ValidatedModel, electrode: Electrode):
+    """gap_line's (g0, delta) at a float or array y_p, without its touch check.
+
+    For poses already known to lie inside the touch interval, such as the
+    equilibria of a stable branch.
+    """
+    rest, s, center_ratio, tilt = gap_coefficients(model, electrode)
+    y_s = s * (y_p / center_ratio)
+    return rest + y_s, tilt * y_s
+
+
 def gap_line(y_p, model: ValidatedModel, electrode: Electrode):
     """(g0, delta): gap at the paddle root and signed change to the far edge.
 
@@ -103,12 +121,10 @@ def gap_line(y_p, model: ValidatedModel, electrode: Electrode):
     positive far-edge gap g0 + delta, which rounding can close first within
     an ulp or two of a limit.
     """
-    rest, s, center_ratio, tilt = gap_coefficients(model, electrode)
     scalar = isinstance(y_p, float)
     if not scalar:
         y_p = np.asarray(y_p, dtype=float)
-    y_s = s * (y_p / center_ratio)
-    g0, delta = rest + y_s, tilt * y_s
+    g0, delta = _gap_terms(y_p, model, electrode)
     inside = (model.y_p_min < y_p) & (y_p < model.y_p_max) & (g0 + delta > 0.0)
     if not (inside if scalar else np.count_nonzero(inside) == inside.size):
         raise TouchViolation(f"paddle at or past the {Electrode(electrode).value} electrode: "
@@ -166,7 +182,11 @@ def capacitance_value(y_p, model: ValidatedModel, electrode: Electrode):
     A float takes gap_line's float path and np.log1p on the scalar, so it
     gets the bits of the same pose inside an array.
     """
-    g0, delta = gap_line(y_p, model, electrode)
+    return _capacitance_on_line(*gap_line(y_p, model, electrode), model)
+
+
+def _capacitance_on_line(g0, delta, model: ValidatedModel):
+    """capacitance_value on gap_line's terms, floats or arrays."""
     g = model.geom
     c = model.constants.eps0 * g.w_p * g.l_p
     u = delta / g0
@@ -214,7 +234,11 @@ def force_per_v2_value(y_p, model: ValidatedModel, electrode: Electrode):
     distributed pressure (eps0*w_p/2) * integral dx/gap^2, at a float or
     array of deflections.
     """
-    g0, delta = gap_line(y_p, model, electrode)
+    return _force_per_v2_on_line(*gap_line(y_p, model, electrode), model, electrode)
+
+
+def _force_per_v2_on_line(g0, delta, model: ValidatedModel, electrode: Electrode):
+    """force_per_v2_value on gap_line's terms, floats or arrays."""
     g = model.geom
     return -GAP_SIGN[electrode] * 0.5 * model.constants.eps0 * g.w_p * g.l_p / (
         g0 * (g0 + delta))
@@ -323,7 +347,8 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
     c = model.constants.eps0 * g.w_p * g.l_p
     target = C.reshape(-1)
     tol = 1e-12 * target
-    y = np.clip(s * center_ratio * _log_mean_start(c / target, rest, tilt), lo, hi)
+    # np.minimum(np.maximum(...)) gives np.clip's bits at half its call cost
+    y = np.minimum(np.maximum(s * center_ratio * _log_mean_start(c / target, rest, tilt), lo), hi)
     active = np.ones(y.shape, dtype=bool)
     for _ in range(INVERSION_MAX_ITER):
         g0, delta = gap_line(y, model, electrode)

@@ -15,9 +15,11 @@ is stable when the force gradient there is restoring (dF/dy_p < 0).
 With one electrode driven, equilibria and pull-in are found along the
 deflection (StableBranch), both in closed form: pull-in as the root of a
 quadratic, the equilibria of a whole voltage array as the stable roots of
-one cubic, each polished by one Newton step. A scan-and-bisect solver
-handles drives on both electrodes and is the independent reference for the
-branch.
+one cubic, each polished by one Newton step. A sweep's breakdown and C_top
+columns then come from one gap-line pass on the driven electrode, unchecked
+since the branch keeps its poses inside the touch interval, with the bits
+total_force and capacitance_value give. A scan-and-bisect solver handles
+drives on both electrodes and is the independent reference for the branch.
 """
 from __future__ import annotations
 
@@ -27,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrostatics import (Electrode, capacitance_value, force_per_v2_value,
-                             gap_coefficients)
+from .electrostatics import (Electrode, _capacitance_on_line,
+                             _force_per_v2_on_line, _gap_terms, capacitance_value,
+                             force_per_v2_value, gap_coefficients)
 from .errors import InvalidParameter, NoStableEquilibrium
 from .model import PaddleGeometry, ValidatedModel
 from .roots import bisect_root
@@ -168,10 +171,19 @@ def film_pair(model: ValidatedModel) -> tuple[float, float]:
 def total_force(y_p: float, V_top: float, V_bottom: float,
                 model: ValidatedModel) -> ForceBreakdown:
     """All force components and their sum at one paddle pose."""
+    return _breakdown(y_p, model,
+                      force_per_v2_value(y_p, model, Electrode.TOP) * V_top * V_top,
+                      force_per_v2_value(y_p, model, Electrode.BOTTOM) * V_bottom * V_bottom)
+
+
+def _breakdown(y_p, model: ValidatedModel, F_t, F_e) -> ForceBreakdown:
+    """The force breakdown at y_p, given each electrode's force f*V*V.
+
+    The one place the mechanical terms and the sum F_total are formed, for
+    total_force and the columns of sweep_voltage.
+    """
     F_f = film_force(y_p, model)
     F_b = -y_p / compliance(model)
-    F_t = force_per_v2_value(y_p, model, Electrode.TOP) * V_top * V_top
-    F_e = force_per_v2_value(y_p, model, Electrode.BOTTOM) * V_bottom * V_bottom
     return ForceBreakdown(F_film=F_f, F_beam=F_b, F_elec_top=F_t,
                           F_elec_bottom=F_e, F_total=F_f + F_b + F_t + F_e)
 
@@ -454,7 +466,7 @@ class StableBranch:
                 if np.count_nonzero(stable):
                     y = np.where(stable, self._stable_root(drive, force, y_pi), y)
                     solved = solved | stable
-        if solved.all():
+        if np.count_nonzero(solved) == solved.size:
             return y, None
         i = int(np.argmin(solved))
         v = float(drive.V.flat[i])
@@ -571,15 +583,26 @@ def sweep_voltage(model: ValidatedModel, electrode: Electrode,
 
     Voltages past pull-in give no row; the first such voltage is reported
     in truncated_at (truncation is data, not an error). The stable branch
-    is built once and solves every voltage in one closed-form call; the
-    capacitances and the force terms are then one array call each, and
-    their arrays are the columns. Raises InvalidParameter when V_list is
-    empty or holds a negative or non-finite voltage.
+    is built once and solves every voltage in one closed-form call. Its
+    poses lie inside the touch interval, so the columns come from one
+    unchecked gap-line pass on the driven electrode: its force and, with
+    the top electrode driven, C_top; the electrode at 0 V gets the signed
+    zero that f*0*0 gives (-0.0 for bottom, +0.0 for top). Every column has
+    the bits of total_force and capacitance_value at the same poses. Raises
+    InvalidParameter when V_list is empty or holds a negative or
+    non-finite voltage.
     """
     V = sorted_voltages(V_list)
     branch = StableBranch(model, electrode)
     y = branch.solve_leading(V)
     n = y.size
-    forces = total_force(y, *drive_voltages(branch.electrode, V[:n]), model)
-    return SweepResult(V=V[:n], y_p=y, C_top=capacitance_value(y, model, Electrode.TOP),
-                       **vars(forces), truncated_at=float(V[n]) if n < V.size else None)
+    V_n, driven = V[:n], branch.electrode
+    line = _gap_terms(y, model, driven)
+    F = _force_per_v2_on_line(*line, model, driven) * V_n * V_n
+    if driven is Electrode.TOP:  # f_bottom < 0, so f_bottom*0*0 is -0.0
+        F_t, F_e, top_line = F, np.full(n, -0.0), line
+    else:  # f_top > 0, so f_top*0*0 is +0.0
+        F_t, F_e, top_line = np.zeros(n), F, _gap_terms(y, model, Electrode.TOP)
+    return SweepResult(V=V_n, y_p=y, C_top=_capacitance_on_line(*top_line, model),
+                       **vars(_breakdown(y, model, F_t, F_e)),
+                       truncated_at=float(V[n]) if n < V.size else None)

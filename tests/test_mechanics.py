@@ -11,7 +11,7 @@ from paddle_lab import (Electrode, InvalidParameter, NoStableEquilibrium,
                         pull_in_voltage, solve_equilibrium, strain_coupling,
                         stress_profile, sweep_voltage, total_force,
                         total_force_curve, zero_voltage_equilibrium)
-from paddle_lab import capacitance_value
+from paddle_lab import capacitance_value, electrostatics, mechanics
 from paddle_lab.electrostatics import gap_coefficients
 from paddle_lab.mechanics import (StableBranch, _scan_equilibrium, drive_voltages,
                                   has_stable_equilibrium)
@@ -540,3 +540,59 @@ def test_sweep_records_match_scalar_kernels(with_sigma0, sigma0, electrode):
         assert all(close(getattr(result, f)[i], getattr(expected, f))
                    for f in ("F_film", "F_beam", "F_elec_top", "F_elec_bottom", "F_total"))
         assert close(result.C_top[i], capacitance_value(y_p, m, Electrode.TOP))
+
+
+SWEEP_COLUMNS = ("V", "y_p", "C_top", "F_film", "F_beam", "F_elec_top", "F_elec_bottom",
+                 "F_total")
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigma0=st.floats(min_value=-300e6, max_value=300e6),
+       electrode=st.sampled_from(list(Electrode)))
+@example(sigma0=0.0, electrode=Electrode.TOP)
+@example(sigma0=0.0, electrode=Electrode.BOTTOM)
+def test_sweep_columns_match_total_force_bitwise(with_sigma0, sigma0, electrode):
+    # the sweep's one unchecked gap-line pass gives the bits of the checked
+    # kernels on the same arrays, signed zeros included: the grounded
+    # electrode's column is f*0*0, -0.0 for bottom and +0.0 for top. The
+    # voltages run from V = 0 to past pull-in, so the sweep is truncated
+    m = with_sigma0(sigma0)
+    v_pi = pull_in_voltage(m, electrode).V_pull_in
+    result = sweep_voltage(m, electrode, np.linspace(0.0, 1.05 * v_pi, 22))
+    assert result.V[0] == 0.0 and result.truncated_at is not None
+    assert 0 < result.V.size < 22
+    expected = vars(total_force(result.y_p, *drive_voltages(electrode, result.V), m))
+    expected.update(V=result.V, y_p=result.y_p,
+                    C_top=capacitance_value(result.y_p, m, Electrode.TOP))
+    for name in SWEEP_COLUMNS:
+        column = getattr(result, name)
+        assert column.shape == result.V.shape, name
+        assert np.array_equal(column.view(np.uint64), expected[name].view(np.uint64)), name
+    grounded = result.F_elec_bottom if electrode is Electrode.TOP else result.F_elec_top
+    assert np.all(grounded == 0.0)
+    assert np.all(np.signbit(grounded) == (electrode is Electrode.TOP))
+
+
+@pytest.mark.parametrize("electrode", list(Electrode))
+def test_sweep_makes_one_gap_line_pass_per_electrode_read(default_model, monkeypatch,
+                                                          electrode):
+    # the driven electrode's gap terms give its force and, when top is
+    # driven, C_top too; a bottom sweep takes the top gap terms once more
+    # for C_top. The branch's poses lie inside the touch interval, so the
+    # checked gap_line never runs
+    calls = []
+    terms, line = mechanics._gap_terms, electrostatics.gap_line
+
+    def counted_terms(y_p, model, e):
+        calls.append(Electrode(e))
+        return terms(y_p, model, e)
+
+    def counted_line(*args):
+        calls.append("checked")
+        return line(*args)
+
+    V = np.linspace(0.0, 0.99 * pull_in_voltage(default_model, electrode).V_pull_in, 9)
+    monkeypatch.setattr(mechanics, "_gap_terms", counted_terms)
+    monkeypatch.setattr(electrostatics, "gap_line", counted_line)
+    sweep_voltage(default_model, electrode, V)
+    assert calls == [electrode] + ([Electrode.TOP] if electrode is Electrode.BOTTOM else [])
