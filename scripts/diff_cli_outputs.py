@@ -2,8 +2,10 @@
 
 Usage: PYTHONPATH=src python3 scripts/diff_cli_outputs.py --write DIR | --compare DIR_A DIR_B
 Extract fits C-V files rounded to 12 digits, so trees differing in the last bits of C fit the
-same data. --write also runs the two study scripts with their default flags, into
-study-performance/ and study-extraction/, so the tree holds every data file the repo writes.
+same data. The alt-* commands run on one non-default model (--config model-alt.json, ALT_MODEL),
+so a derived constant that swaps d_c with d_e or w_p with l_p changes their files. --write also
+runs the two study scripts with their default flags, into study-performance/ and
+study-extraction/, so the tree holds every data file the repo writes.
 --compare prints one row per file that differs in its bytes: (bytes) with the lines
 that differ, then (header) if the column names differ and (rows A/B) if the row counts do; a
 file in one tree only gets one (only in A) or (only in B) row. Then, per column of A (matched
@@ -27,6 +29,11 @@ import numpy as np
 
 from paddle_lab import NoiseModel, build_model, pull_in_voltage, simulate_cv
 from paddle_lab.cli import main
+
+
+# unequal gaps, a rectangular paddle, a narrower beam root and a stressed film
+ALT_MODEL = {"d_e": 80e-6, "w_p": 4e-3, "b_root": 3e-3, "l_b": 2.5e-3, "t_F": 300e-9,
+             "E_F": 120e9, "sigma0": 120e6}
 
 
 def commands():
@@ -55,6 +62,16 @@ def commands():
             fh.write("V_volt,C_F\n" + "".join(f"{v:.12e},{c:.12e}\n"
                                                for v, c in zip(data.V.tolist(), data.C.tolist())))
         yield f"extract-{name}", f"extract --electrode {e} --data cv-{name}.csv"
+    with open("model-alt.json", "w") as fh:
+        json.dump(ALT_MODEL, fh)
+    alt = "--config model-alt.json"
+    for e in ("top", "bottom"):
+        yield f"alt-pullin-{e}", f"pullin --electrode {e} {alt}"
+        yield f"alt-sweep-{e}", f"sweep --v-max 200 --electrode {e} {alt}"
+        yield f"alt-equilibrium-{e}", f"equilibrium --v 90 --electrode {e} {alt}"
+    for which in ("capacitance", "force"):
+        yield f"alt-curves-{which}", f"curves --which {which} {alt}"
+    yield "alt-design", f"design {alt}"
 
 
 # (output directory, study script), each run with its default flags

@@ -99,7 +99,7 @@ def gap_coefficients(model: ValidatedModel,
     """
     g = model.geom
     s = GAP_SIGN[electrode]
-    return (g.d_c if s < 0.0 else g.d_e), s, g.center_ratio, 2.0 * g.l_p / g.l_b
+    return (g.d_c if s < 0.0 else g.d_e), s, g.center_ratio, model.tilt
 
 
 def _gap_terms(y_p, model: ValidatedModel, electrode: Electrode):
@@ -187,8 +187,7 @@ def capacitance_value(y_p, model: ValidatedModel, electrode: Electrode):
 
 def _capacitance_on_line(g0, delta, model: ValidatedModel):
     """capacitance_value on gap_line's terms, floats or arrays."""
-    g = model.geom
-    c = model.constants.eps0 * g.w_p * g.l_p
+    c = model.eps0_area
     u = delta / g0
     if isinstance(u, float):
         if abs(u) >= SERIES_U_THRESHOLD:
@@ -211,8 +210,7 @@ def capacitance_slope(y_p, model: ValidatedModel, electrode: Electrode):
     lone = np.ndim(y_p) == 0
     g0, delta = gap_line(float(y_p) if lone else y_p, model, electrode)
     _, s, center_ratio, tilt = gap_coefficients(model, electrode)
-    g = model.geom
-    c = model.constants.eps0 * g.w_p * g.l_p
+    c = model.eps0_area
     u = delta / g0
     if not lone:
         return _slope_terms(c, s, center_ratio, tilt, g0, u, np.log1p(u))
@@ -239,9 +237,7 @@ def force_per_v2_value(y_p, model: ValidatedModel, electrode: Electrode):
 
 def _force_per_v2_on_line(g0, delta, model: ValidatedModel, electrode: Electrode):
     """force_per_v2_value on gap_line's terms, floats or arrays."""
-    g = model.geom
-    return -GAP_SIGN[electrode] * 0.5 * model.constants.eps0 * g.w_p * g.l_p / (
-        g0 * (g0 + delta))
+    return -GAP_SIGN[electrode] * model.half_eps0_area / (g0 * (g0 + delta))
 
 
 def _quadrature_grid(y_p: float, model: ValidatedModel, electrode: Electrode,
@@ -343,8 +339,7 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
         raise OutOfRange(reason, row=row if C.ndim else None)
     lo, hi = inversion_bracket(model)
     rest, s, center_ratio, tilt = gap_coefficients(model, electrode)
-    g = model.geom
-    c = model.constants.eps0 * g.w_p * g.l_p
+    c = model.eps0_area
     target = C.reshape(-1)
     tol = 1e-12 * target
     # np.minimum(np.maximum(...)) gives np.clip's bits at half its call cost

@@ -1,7 +1,7 @@
 """Inverse problem: recover film parameters from voltage-capacitance data.
 
-The force balance sees the film only as the pair (prestress, k) of
-mechanics.film_pair, F(y_p) = k*(y0 - y_p) - c/(g0*g1) with y0 =
+The force balance sees the film only as the pair (prestress, k) that
+ValidatedModel forms, F(y_p) = k*(y0 - y_p) - c/(g0*g1) with y0 =
 prestress/k the rest deflection and k the total stiffness. So the fit of
 the residual stress sigma0 and the stiffness-volume product E_F*V_F runs in
 theta = (y0, k), where J^T J is conditioned about 10 instead of 1e5 to 2e6
@@ -26,8 +26,7 @@ from .electrostatics import (Electrode, capacitance_slope, capacitance_value,
 from .errors import (DegenerateData, InsufficientData, InvalidParameter,
                      OutOfRange, TouchViolation)
 from .instrument import MeasurementStream, NoiseModel, _columns, _read_only
-from .mechanics import (StableBranch, _Drive, compliance, film_pair, film_stiffness,
-                        sorted_voltages, strain_coupling)
+from .mechanics import StableBranch, _Drive, film_stiffness, sorted_voltages
 from .model import ValidatedModel
 
 MAX_ITERATIONS = 100
@@ -186,7 +185,7 @@ class _PreparedFit:
     def __init__(self, data: CVDataset, template: ValidatedModel):
         self.template = template
         self.V, self.C = data.V, data.C
-        self.a, self.inv_c = strain_coupling(template), 1.0 / compliance(template)
+        self.a, self.inv_c = template.a, 1.0 / template.compliance
         self.travel = template.y_p_max - template.y_p_min
         self.groups = []
         for name in dict.fromkeys(data.electrode.tolist()):
@@ -278,7 +277,7 @@ def _initial_guess(fit: _PreparedFit) -> np.ndarray:
             p = float(np.mean(bs + k_f * ys))
     k = k_f + inv_c
     if not (math.isfinite(p) and math.isfinite(k)):
-        p, k = film_pair(template)
+        p, k = template.prestress, template.k
     return np.array([p / k, k])
 
 

@@ -141,31 +141,22 @@ def stress_profile(P: float, geom: PaddleGeometry, plan: str, n: int) -> StressP
 
 def compliance(model: ValidatedModel) -> float:
     """Paddle-center deflection per unit load, m/N."""
-    g, s = model.geom, model.substrate
-    return 6.0 * g.l_b * (g.l_b + g.l_p) / (s.E_biaxial * s.K * g.t_b**3)
+    return model.compliance
 
 
 def strain_coupling(model: ValidatedModel) -> float:
     """Film strain change per unit paddle-center deflection, 1/m."""
-    g = model.geom
-    return g.t_b / (g.l_b * (g.l_b + g.l_p))
+    return model.a
 
 
 def film_force(y_p, model: ValidatedModel):
     """Upward force from film stress at deflection y_p (elementwise on arrays)."""
-    a = strain_coupling(model)
-    return model.film.E_F * model.V_F * a * (model.eps_F0 - a * y_p)
+    return model.EFVFa * (model.eps_F0 - model.a * y_p)
 
 
 def film_stiffness(model: ValidatedModel) -> float:
     """-dF_film/dy_p = E_F * V_F * a^2, N/m."""
-    a = strain_coupling(model)
-    return model.film.E_F * model.V_F * a * a
-
-
-def film_pair(model: ValidatedModel) -> tuple[float, float]:
-    """(film_force at y_p = 0, film_stiffness + 1/compliance): all the force sees of the film."""
-    return film_force(0.0, model), film_stiffness(model) + 1.0 / compliance(model)
+    return model.EFVFa * model.a
 
 
 def total_force(y_p: float, V_top: float, V_bottom: float,
@@ -183,7 +174,7 @@ def _breakdown(y_p, model: ValidatedModel, F_t, F_e) -> ForceBreakdown:
     total_force and the columns of sweep_voltage.
     """
     F_f = film_force(y_p, model)
-    F_b = -y_p / compliance(model)
+    F_b = -y_p / model.compliance
     return ForceBreakdown(F_film=F_f, F_beam=F_b, F_elec_top=F_t,
                           F_elec_bottom=F_e, F_total=F_f + F_b + F_t + F_e)
 
@@ -196,14 +187,13 @@ def _force_closure(model: ValidatedModel, V_top: float, V_bottom: float):
     against y_p. Poses are not checked against the touch limits: callers
     stay inside the scan interval.
     """
-    half = 0.5 * model.constants.eps0 * model.geom.w_p * model.geom.l_p
     terms = []
     for electrode, V in ((Electrode.TOP, V_top), (Electrode.BOTTOM, V_bottom)):
         rest, s, cr, tilt = gap_coefficients(model, electrode)  # cr, tilt: same for both
-        c = s * (half * (V * V))
+        c = s * (model.half_eps0_area * (V * V))
         if np.count_nonzero(c) > 0:
             terms.append((rest, s, c))
-    return _force_sum(*film_pair(model), cr, tilt, terms)
+    return _force_sum(model.prestress, model.k, cr, tilt, terms)
 
 
 def _force_sum(prestress, k_lin, cr, tilt, terms):
@@ -233,8 +223,7 @@ def total_force_curve(y_p, V_top: float, V_bottom: float,
 
 def zero_voltage_equilibrium(model: ValidatedModel) -> float:
     """Closed-form rest deflection: prestress force over total stiffness."""
-    prestress, k = film_pair(model)
-    return prestress / k
+    return model.prestress / model.k
 
 
 def drive_voltages(electrode: Electrode, V: float) -> tuple[float, float]:
@@ -331,7 +320,7 @@ class StableBranch:
     rest deflection past a touch limit pins the paddle, and that is the
     error reported unless the drive pulls the paddle free.
 
-    The film enters as film = (prestress, k) (film_pair), the model's
+    The film enters as film = (prestress, k), the model's pair
     unless given. The constructor computes the branch's constants once: the
     gap line to the driven electrode with its edge slopes b0 and b1, half =
     eps0*w_p*l_p/2, and the rest deflection prestress/k. One branch serves
@@ -349,8 +338,8 @@ class StableBranch:
         self.gap, self.s, self.cr, self.tilt = gap_coefficients(model, self.electrode)
         self.b0 = self.s / self.cr
         self.b1 = (1.0 + self.tilt) * self.b0
-        self.half = 0.5 * model.constants.eps0 * model.geom.w_p * model.geom.l_p
-        self.prestress, self.k = film_pair(model) if film is None else film
+        self.half = model.half_eps0_area
+        self.prestress, self.k = (model.prestress, model.k) if film is None else film
         self.rest = self.prestress / self.k  # zero_voltage_equilibrium
         # the two edge gaps at rest
         self.G0, self.G1 = self.gap + self.b0 * self.rest, self.gap + self.b1 * self.rest

@@ -19,9 +19,9 @@ flat dict or build_model.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import InvalidParameter
@@ -97,22 +97,44 @@ MODEL_JSON_KEYS = tuple(f.name for part in (PhysicalConstants, PaddleGeometry,
 class ValidatedModel:
     """The package's one model type: every parameter resolved and checked.
 
-    The constructor resolves the A_F default, checks every field (each must
-    be finite, then lie in its range; InvalidParameter names the first that
-    does not), checks that the beam's section, rigidity and compliance
-    products and each gap's pull-in scale neither underflow to 0 nor
-    overflow, and computes the touch limits. build_model
-    and model_from_dict build one from flat keywords or a dict; to vary a
-    parameter, go through the flat dict: model_from_dict({**model_to_dict(m),
-    key: value}).
-    Immutable after construction; safe to share across workers.
+    The constructor resolves the A_F default and checks every field (each
+    must be finite, then lie in its range). It then forms the derived
+    constants, the init=False fields, which mechanics and electrostatics
+    read. Each one a kernel divides by or squares must be a normal positive
+    float (sys.float_info.min <= v < inf), and the rest deflection finite.
+    InvalidParameter names the field that drives the first check to fail:
+
+        b_root*t_b**2 (stress_profile)  t_b           {"t_b": 1e-300}
+        E_biaxial*K*t_b**3              E_biaxial     {"E_biaxial": 1e300, "K": 1e300}
+        6*l_b*(l_b + l_p)               l_b           {"l_b": 1e300}
+        compliance, under/overflow      E_biaxial/l_b {"E_biaxial": 1e300, "l_b": 1e-160}
+        a                               l_b           {"l_b": 1e152}
+        k                               *, else l_b   {"E_F": 1e300, "t_F": 1e300}
+        half_eps0_area, under/overflow  least/greatest of eps0, w_p, l_p: {"w_p": 1e-300}
+        tilt                            l_p           {"l_b": 1e-200, "l_p": 1e120}
+        k*d**3, and over eps0_area      *, else d     {"d_e": 2.3e-108}, {"t_F": 1e300}
+        prestress/k, finite             sigma0        {"sigma0": 1e300, "E_F": 1e-300}
+
+    * t_F where the film's part of k is the larger. build_model and model_from_dict build one;
+    to vary a parameter, go through the flat dict: model_from_dict({**model_to_dict(m),
+    key: value}). Immutable after construction; safe to share across workers.
     """
 
     constants: PhysicalConstants
     geom: PaddleGeometry
     substrate: SubstrateMaterial
     film: FilmSpec
-    y_p_min: float = field(init=False)
+    compliance: float = field(init=False)  # 6*l_b*(l_b + l_p)/(E_biaxial*K*t_b**3), m/N
+    a: float = field(init=False)           # strain coupling t_b/(l_b*(l_b + l_p)), 1/m
+    V_F: float = field(init=False)         # film volume t_F*A_F, m^3
+    eps_F0: float = field(init=False)      # initial film strain sigma0/E_F
+    EFVFa: float = field(init=False)       # E_F*V_F*a, N
+    prestress: float = field(init=False)   # film force at y_p = 0, EFVFa*eps_F0, N
+    k: float = field(init=False)           # total stiffness EFVFa*a + 1/compliance, N/m
+    eps0_area: float = field(init=False)   # eps0*w_p*l_p, F*m
+    half_eps0_area: float = field(init=False)  # eps0*w_p*l_p/2, F*m
+    tilt: float = field(init=False)        # gap change root to far edge per y_b, 2*l_p/l_b
+    y_p_min: float = field(init=False)     # touch limits (touch_limits)
     y_p_max: float = field(init=False)
 
     def __post_init__(self):
@@ -120,66 +142,60 @@ class ValidatedModel:
         if film.A_F is None:
             film = dataclasses.replace(film, A_F=0.5 * g.b_root * g.l_b)
             object.__setattr__(self, "film", film)
-        for name, value in {**vars(self.constants), **vars(g), **vars(substrate),
-                            **vars(film)}.items():
+        params = {**vars(self.constants), **vars(g), **vars(substrate), **vars(film)}
+        for name, value in params.items():
             if not math.isfinite(value):
                 raise InvalidParameter(name, f"must be finite, got {value!r}")
-        _require_positive("eps0", self.constants.eps0)
-        for name, value in vars(g).items():
-            _require_positive(name, value)
+            if name == "t_F" and value < 0.0:
+                raise InvalidParameter(name, f"must be >= 0, got {value!r}")
+            if name not in ("t_F", "sigma0") and value <= 0.0:
+                raise InvalidParameter(name, f"must be > 0, got {value!r}")
         if not g.t_b < g.d_c:
             raise InvalidParameter("t_b", f"plate must be thin relative to the gap (t_b={g.t_b} >= d_c={g.d_c})")
-        _require_positive("E_biaxial", substrate.E_biaxial)
-        _require_positive("K", substrate.K)
-        # the divisors of mechanics.stress_profile and mechanics.compliance
-        _require_in_range("t_b", "the beam section b_root*t_b**2", lambda: g.b_root * g.t_b**2)
-        _require_in_range("E_biaxial", "the beam rigidity E_biaxial*K*t_b**3",
-                          lambda: substrate.E_biaxial * substrate.K * g.t_b**3)
-        # mechanics.compliance's numerator, and each gap's pull-in scale: V_PI^2 is
-        # about d**3/(compliance*eps0*w_p*l_p), so past it the pull-in arithmetic overflows
-        _require_in_range("l_b", "the compliance numerator 6*l_b*(l_b + l_p)",
-                          lambda: 6.0 * g.l_b * (g.l_b + g.l_p))
-
-        def pull_in_scale(d):
-            inv_compliance = (substrate.E_biaxial * substrate.K * g.t_b**3
-                              / (6.0 * g.l_b * (g.l_b + g.l_p)))
-            return d**3 * inv_compliance / (self.constants.eps0 * g.w_p * g.l_p)
-
-        for name in ("d_c", "d_e"):
-            _require_in_range(name, f"the pull-in scale {name}**3/(compliance*eps0*w_p*l_p)",
-                              functools.partial(pull_in_scale, getattr(g, name)))
-        _require_positive("E_F", film.E_F)
-        if film.t_F < 0.0:
-            raise InvalidParameter("t_F", f"must be >= 0, got {film.t_F!r}")
-        _require_positive("A_F", film.A_F)
+        _normal("t_b", "the beam section b_root*t_b**2", lambda: g.b_root * g.t_b**2)
+        rigidity = _normal("E_biaxial", "the beam rigidity E_biaxial*K*t_b**3",
+                           lambda: substrate.E_biaxial * substrate.K * g.t_b**3)
+        numerator = _normal("l_b", "the compliance numerator 6*l_b*(l_b + l_p)",
+                            lambda: 6.0 * g.l_b * (g.l_b + g.l_p))
+        compliance = _normal("E_biaxial" if numerator < rigidity else "l_b",
+                             "the compliance 6*l_b*(l_b + l_p)/(E_biaxial*K*t_b**3)",
+                             lambda: numerator / rigidity)
+        a = _normal("l_b", "the strain coupling t_b/(l_b*(l_b + l_p))",
+                    lambda: g.t_b / (g.l_b * (g.l_b + g.l_p)))
+        V_F, eps_F0 = film.t_F * film.A_F, film.sigma0 / film.E_F
+        EFVFa = film.E_F * V_F * a
+        prestress = EFVFa * eps_F0
+        film_name = "t_F" if EFVFa * a > 1.0 / compliance else None
+        k = _normal(film_name or "l_b", "the stiffness E_F*V_F*a**2 + 1/compliance",
+                    lambda: EFVFa * a + 1.0 / compliance)
+        eps0_area = self.constants.eps0 * g.w_p * g.l_p
+        area_name = (min if eps0_area < 1.0 else max)(("l_p", "w_p", "eps0"), key=params.get)
+        half_eps0_area = _normal(area_name, "the electrostatic scale eps0*w_p*l_p/2",
+                                 lambda: 0.5 * eps0_area)
+        tilt = _normal("l_p", "the tilt 2*l_p/l_b", lambda: 2.0 * g.l_p / g.l_b)
+        for name, d in (("d_c", g.d_c), ("d_e", g.d_e)):  # V_PI**2 ~ k*d**3/(eps0*w_p*l_p)
+            for what, over in ((f"k*{name}**3", 1.0), (f"k*{name}**3/(eps0*w_p*l_p)", eps0_area)):
+                _normal(film_name or name, f"the pull-in scale {what}", lambda: k * d**3 / over)
+        if not math.isfinite(prestress / k):
+            raise InvalidParameter("sigma0", f"the rest deflection E_F*V_F*a*eps_F0/k must be "
+                                             f"finite, got {prestress / k!r}")
         y_p_min, y_p_max = touch_limits(g)
-        object.__setattr__(self, "y_p_min", y_p_min)
-        object.__setattr__(self, "y_p_max", y_p_max)
-
-    @property
-    def eps_F0(self) -> float:
-        """Initial film strain sigma0 / E_F."""
-        return self.film.sigma0 / self.film.E_F
-
-    @property
-    def V_F(self) -> float:
-        """Film volume t_F * A_F, m^3."""
-        return self.film.t_F * self.film.A_F
+        for name, value in dict(compliance=compliance, a=a, V_F=V_F, eps_F0=eps_F0, EFVFa=EFVFa,
+                                prestress=prestress, k=k, eps0_area=eps0_area,
+                                half_eps0_area=half_eps0_area, tilt=tilt,
+                                y_p_min=y_p_min, y_p_max=y_p_max).items():
+            object.__setattr__(self, name, value)
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not value > 0.0:
-        raise InvalidParameter(name, f"must be > 0, got {value!r}")
-
-
-def _require_in_range(name: str, what: str, product) -> None:
-    """product() of positive factors must neither underflow to 0 nor overflow (** raises)."""
+def _normal(name: str, what: str, value) -> float:
+    """value() unless it is not a normal positive float (** overflow counts as inf)."""
     try:
-        value = product()
+        value = value()
     except OverflowError:
         value = math.inf
-    if not 0.0 < value < math.inf:
-        raise InvalidParameter(name, f"{what} must be > 0 and finite, got {value!r}")
+    if not sys.float_info.min <= value < math.inf:
+        raise InvalidParameter(name, f"{what} must be a normal positive float, got {value!r}")
+    return value
 
 
 def build_model(**overrides) -> ValidatedModel:

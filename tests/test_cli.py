@@ -436,10 +436,14 @@ def test_beam_stiffness_underflow_config_exit_2(tmp_path, capsys, command, text,
 
 
 @pytest.mark.parametrize("command", ["design", "pullin --electrode top", "pullin --electrode bottom"])
-@pytest.mark.parametrize("text,key", [('{"l_b": 1e300}', "l_b"), ('{"d_c": 1e300}', "d_c")])
+@pytest.mark.parametrize("text,key", [
+    ('{"l_b": 1e300}', "l_b"), ('{"d_c": 1e300}', "d_c"), ('{"t_F": 1e300}', "t_F"),
+    ('{"l_p": 1e-300}', "t_b"), ('{"E_F": 1e300, "t_F": 1e300}', "t_F"),
+    ('{"l_b": 1e-200, "l_p": 1e120, "w_p": 1e-3, "b_root": 1e-3}', "l_p")])
 def test_pull_in_overflow_config_exit_2(tmp_path, capsys, command, text, key):
-    # every field is in range, but 1/compliance is 0 (a ZeroDivisionError traceback in
-    # StableBranch) or the pull-in arithmetic overflows ("pull-in at nan V", exit 0)
+    # every field is in range, but a derived constant leaves the normal floats: 1/compliance
+    # was 0 (a ZeroDivisionError traceback in StableBranch), the pull-in arithmetic
+    # overflowed ("pull-in at inf V" or "at nan V", exit 0) or the rest deflection was NaN
     config = tmp_path / "model.json"
     config.write_text(text)
     out = tmp_path / "out"

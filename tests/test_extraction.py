@@ -473,7 +473,7 @@ def _rebuilt_residuals(theta, data, template):
 
 
 def _theta(template, sigma0, EFVF):
-    """theta = (y0, k) of a film (sigma0, E_F*V_F) on the template, by mechanics.film_pair's map."""
+    """theta = (y0, k) of a film (sigma0, E_F*V_F) on the template, as the model maps it."""
     a, inv_c = strain_coupling(template), 1.0 / compliance(template)
     k = EFVF * a * a + inv_c
     return np.array([EFVF * a * sigma0 / template.film.E_F / k, k])

@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
 import pytest
-from paddle_lab import (Electrode, FilmSpec, InvalidParameter, PaddleGeometry,
-                        PhysicalConstants, SubstrateMaterial, ValidatedModel,
-                        build_model, load_model_json, model_from_dict,
+from hypothesis import example, given, settings, strategies as st
+from paddle_lab import (Electrode, FilmSpec, InvalidParameter, NoStableEquilibrium,
+                        PaddleGeometry, PhysicalConstants, SubstrateMaterial,
+                        ValidatedModel, build_model, load_model_json, model_from_dict,
                         model_to_dict, pull_in_voltage, touch_limits, yb_from_yp)
 from paddle_lab.model import MODEL_JSON_KEYS
 
@@ -73,12 +75,13 @@ def test_derived_film_area_must_be_finite():
 
 
 @pytest.mark.parametrize("overrides,name,what", [
-    ({"t_b": 1e-300}, "t_b", "b_root*t_b**2 must be > 0 and finite, got 0.0"),
-    ({"t_b": 1e200, "d_c": 1e201}, "t_b", "b_root*t_b**2 must be > 0 and finite, got inf"),
-    ({"E_biaxial": 1e-300, "K": 1e-20}, "E_biaxial", "E_biaxial*K*t_b**3 must be > 0 and finite, "
-                                                     "got 0.0"),
-    ({"E_biaxial": 1e300, "K": 1e300}, "E_biaxial", "E_biaxial*K*t_b**3 must be > 0 and finite, "
-                                                    "got inf"),
+    ({"t_b": 1e-300}, "t_b", "b_root*t_b**2 must be a normal positive float, got 0.0"),
+    ({"t_b": 1e200, "d_c": 1e201}, "t_b",
+     "b_root*t_b**2 must be a normal positive float, got inf"),
+    ({"E_biaxial": 1e-300, "K": 1e-20}, "E_biaxial",
+     "E_biaxial*K*t_b**3 must be a normal positive float, got 0.0"),
+    ({"E_biaxial": 1e300, "K": 1e300}, "E_biaxial",
+     "E_biaxial*K*t_b**3 must be a normal positive float, got inf"),
 ], ids=["section-underflow", "section-overflow", "rigidity-underflow", "rigidity-overflow"])
 def test_beam_products_must_stay_in_range(overrides, name, what):
     # every field is finite and positive, but stress_profile divides by b_root*t_b**2 and
@@ -91,17 +94,47 @@ def test_beam_products_must_stay_in_range(overrides, name, what):
 
 
 @pytest.mark.parametrize("overrides,name,what,inside", [
-    ({"l_b": 1e300}, "l_b", "6*l_b*(l_b + l_p) must be > 0 and finite, got inf", {"l_b": 1e150}),
-    ({"d_c": 1e300}, "d_c", "d_c**3/(compliance*eps0*w_p*l_p) must be > 0 and finite, got inf",
+    ({"l_b": 1e300}, "l_b", "6*l_b*(l_b + l_p) must be a normal positive float, got inf",
+     {"l_b": 1e100}),
+    ({"d_c": 1e300}, "d_c", "k*d_c**3 must be a normal positive float, got inf", {"d_c": 1e50}),
+    ({"d_c": 1e100}, "d_c", "k*d_c**3/(eps0*w_p*l_p) must be a normal positive float, got inf",
      {"d_c": 1e50}),
-    ({"d_c": 1e100}, "d_c", "d_c**3/(compliance*eps0*w_p*l_p) must be > 0 and finite, got inf",
-     {"d_c": 1e50}),
-    ({"d_e": 1e300}, "d_e", "d_e**3/(compliance*eps0*w_p*l_p) must be > 0 and finite, got inf",
-     {"d_e": 1e50}),
-], ids=["compliance-overflow", "gap-cube-overflow", "pull-in-scale-overflow", "bottom-gap"])
+    ({"d_e": 1e300}, "d_e", "k*d_e**3 must be a normal positive float, got inf", {"d_e": 1e50}),
+    ({"d_e": 2.3e-108}, "d_e", "k*d_e**3 must be a normal positive float, got 2.4e-322",
+     {"d_e": 1e-100}),
+    ({"E_biaxial": 1e300, "l_b": 1e-160}, "E_biaxial",
+     "/(E_biaxial*K*t_b**3) must be a normal positive float, got 0.0", {"E_biaxial": 1e200}),
+    ({"l_b": 1e153}, "l_b", "/(E_biaxial*K*t_b**3) must be a normal positive float, got inf",
+     {"l_b": 1e100}),
+    ({"l_b": 1e152}, "l_b", "t_b/(l_b*(l_b + l_p)) must be a normal positive float, got 4e-309",
+     {"l_b": 1e100}),
+    ({"E_F": 1e300, "t_F": 1e300}, "t_F",
+     "E_F*V_F*a**2 + 1/compliance must be a normal positive float, got inf",
+     {"E_F": 1e300, "t_F": 1e-10}),
+    ({"E_biaxial": 1e9, "l_b": 1.8e151}, "l_b",
+     "E_F*V_F*a**2 + 1/compliance must be a normal positive float, got 9.876543209876544e-309",
+     {"E_biaxial": 1e9, "l_b": 1e60}),
+    ({"w_p": 1e-300}, "w_p", "eps0*w_p*l_p/2 must be a normal positive float, got 2.2125e-314",
+     {"w_p": 1e-200}),
+    ({"eps0": 1e-300, "l_p": 1e-5}, "eps0",
+     "eps0*w_p*l_p/2 must be a normal positive float, got 5e-311", {"eps0": 1e-290, "l_p": 1e-5}),
+    ({"w_p": 1e300, "eps0": 1e20}, "w_p",
+     "eps0*w_p*l_p/2 must be a normal positive float, got inf", {"w_p": 1e100, "eps0": 1e20}),
+    ({"l_b": 1e-200, "l_p": 1e120}, "l_p", "2*l_p/l_b must be a normal positive float, got inf",
+     {"l_b": 1e-100, "l_p": 1e120}),
+    ({"t_F": 1e300}, "t_F", "k*d_c**3/(eps0*w_p*l_p) must be a normal positive float, got inf",
+     {"t_F": 1e290}),
+    ({"sigma0": 1e300, "E_F": 1e-300}, "sigma0", "E_F*V_F*a*eps_F0/k must be finite, got inf",
+     {"sigma0": 1e8, "E_F": 1e-300}),
+], ids=["compliance-overflow", "gap-cube-overflow", "pull-in-scale-overflow", "bottom-gap",
+        "gap-cube-underflow", "stiff-beam-compliance", "long-beam-compliance", "strain-coupling",
+        "film-stiffness", "beam-stiffness", "area-width", "area-eps0", "area-overflow", "tilt",
+        "film-pull-in-scale", "rest-deflection"])
 def test_pull_in_products_must_stay_in_range(overrides, name, what, inside):
-    # every field is finite and positive, but 1/compliance was 0 (a ZeroDivisionError in
-    # StableBranch) or the pull-in arithmetic overflowed to a NaN or infinite V_PI
+    # every field is finite and positive, but a derived constant leaves the normal floats:
+    # 1/compliance was 0 (a ZeroDivisionError in StableBranch), or the pull-in arithmetic
+    # overflowed to a NaN or infinite V_PI or underflowed to 0; each case is a documented
+    # example (ValidatedModel, README)
     with pytest.raises(InvalidParameter) as info:
         build_model(**overrides)
     assert info.value.name == name
@@ -110,6 +143,36 @@ def test_pull_in_products_must_stay_in_range(overrides, name, what, inside):
     model = build_model(**inside)
     for electrode in Electrode:
         assert 0.0 < pull_in_voltage(model, electrode).V_pull_in < math.inf
+
+
+# 10**U(-310, 308): subnormal to near the float maximum; sigma0 of either sign
+_DECADES = st.floats(min_value=-310.0, max_value=308.0).map(lambda e: 10.0 ** e)
+_SIGNED = st.tuples(_DECADES, st.sampled_from([1.0, -1.0])).map(lambda p: p[0] * p[1])
+_CONFIGS = st.lists(st.sampled_from(MODEL_JSON_KEYS), min_size=1, max_size=3, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _SIGNED if k == "sigma0" else _DECADES for k in keys}))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(config=_CONFIGS)
+@example(config={"t_F": 1e300})  # was "pull-in at inf V"
+@example(config={"l_p": 1e-300})  # was a ZeroDivisionError in the constructor
+@example(config={"l_b": 1e-200, "l_p": 1e120, "w_p": 1e-3, "b_root": 1e-3})  # was nan V
+@example(config={"E_F": 1e300, "t_F": 1e300})  # was "rest y_p = nan"
+def test_accepted_models_give_finite_pull_in(config):
+    # a config is refused naming a model key, or both pull-in voltages are finite and
+    # positive, or their NoStableEquilibrium message prints no nan or inf
+    try:
+        model = build_model(**config)
+    except InvalidParameter as exc:
+        assert exc.name in MODEL_JSON_KEYS
+        return
+    for electrode in Electrode:
+        try:
+            V = pull_in_voltage(model, electrode).V_pull_in
+        except NoStableEquilibrium as exc:
+            assert not re.search(r"\b(nan|inf)\b", str(exc)), str(exc)
+        else:
+            assert 0.0 < V < math.inf
 
 
 def test_constructor_checks_itself():
