@@ -41,6 +41,10 @@ def commands():
         yield f"pullin-{e}-{s}", f"pullin --electrode {e} --sigma0={s}"
         yield f"sweep-{e}-{s}", f"sweep --v-max 200 --electrode {e} --sigma0={s}"
         yield f"equilibrium-{e}-{s}", f"equilibrium --v 90 --electrode {e} --sigma0={s}"
+    for s in ("0", "100e6", "-200e6", "250e6"):  # undriven: the grounded electrodes' signed zeros
+        yield f"equilibrium-rest-{s}", f"equilibrium --v 0 --sigma0={s}"
+    # film stress pins the paddle at 0 V: exits 3 and writes nothing
+    yield "sweep-pinned", "sweep --electrode bottom --v-max 300 --points 7 --sigma0 8e8"
     for which, n in itertools.product(("capacitance", "force", "film-beam"), ("201", "2001")):
         yield f"curves-{which}-{n}", f"curves --which {which} --points {n}"
     yield "design", "design"

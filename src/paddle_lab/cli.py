@@ -256,6 +256,11 @@ def cmd_curves(args, model: ValidatedModel):
     return {name: table}, f"wrote {name} ({args.which}, {args.points} grid points)", 0
 
 
+# each is a SweepResult field plus a unit suffix; all but V_volt name EquilibriumSolution fields
+SWEEP_HEADER = ["V_volt", "y_p_m", "C_top_F", "F_film_N", "F_beam_N",
+                "F_elec_top_N", "F_elec_bottom_N", "F_total_N"]
+
+
 def cmd_equilibrium(args, model: ValidatedModel):
     if args.v > 0.0 and args.electrode is None:
         raise PaddleLabError("--electrode is required when --v > 0")
@@ -263,18 +268,13 @@ def cmd_equilibrium(args, model: ValidatedModel):
     with _flag_names("--v", "V"):
         sol = solve_equilibrium(model, *drive_voltages(Electrode(args.electrode or "bottom"),
                                                        args.v))
-    b = sol.breakdown
     result = {
         "V_V": args.v,
         "electrode": args.electrode,
-        "y_p_m": sol.y_p,
         "y_b_m": yb_from_yp(sol.y_p, model.geom),
-        "C_top_F": sol.C_top,
-        "stable": sol.stable,
+        "stable": True,  # solve_equilibrium returns stable equilibria only
         "residual_N": sol.residual,
-        "F_film_N": b.F_film, "F_beam_N": b.F_beam,
-        "F_elec_top_N": b.F_elec_top, "F_elec_bottom_N": b.F_elec_bottom,
-        "F_total_N": b.F_total,
+        **{key: getattr(sol, key.rsplit("_", 1)[0]) for key in SWEEP_HEADER[1:]},
     }
     return {"equilibrium.json": result}, f"y_p = {sol.y_p:.6e} m, C_top = {sol.C_top:.6e} F", 0
 
@@ -288,10 +288,6 @@ def cmd_pullin(args, model: ValidatedModel):
             f"pull-in at {pi.V_pull_in:.4f} V ({pi.electrode.value} electrode)", 0)
 
 
-SWEEP_HEADER = ["V_volt", "y_p_m", "C_top_F", "F_film_N", "F_beam_N",
-                "F_elec_top_N", "F_elec_bottom_N", "F_total_N"]
-
-
 def cmd_sweep(args, model: ValidatedModel):
     if args.v_list:
         voltages = _float_list(args.v_list, "--v-list")
@@ -301,8 +297,7 @@ def cmd_sweep(args, model: ValidatedModel):
         raise PaddleLabError("sweep needs --v-max or --v-list")
     with _flag_names("--v-list" if args.v_list else "--v-max", "V_list", "V"):
         result = sweep_voltage(model, Electrode(args.electrode), voltages)
-    columns = [result.V, result.y_p, result.C_top, result.F_film, result.F_beam,
-               result.F_elec_top, result.F_elec_bottom, result.F_total]
+    columns = [getattr(result, key.rsplit("_", 1)[0]) for key in SWEEP_HEADER]
     summary = {"rows": result.V.size,
                "requested": len(voltages),
                "truncated_at_V": result.truncated_at,

@@ -15,11 +15,12 @@ is stable when the force gradient there is restoring (dF/dy_p < 0).
 With one electrode driven, equilibria and pull-in are found along the
 deflection (StableBranch), both in closed form: pull-in as the root of a
 quadratic, the equilibria of a whole voltage array as the stable roots of
-one cubic, each polished by one Newton step. A sweep's breakdown and C_top
-columns then come from one gap-line pass on the driven electrode, unchecked
-since the branch keeps its poses inside the touch interval, with the bits
-total_force and capacitance_value give. A scan-and-bisect solver handles
-drives on both electrodes and is the independent reference for the branch.
+one cubic, each polished by one Newton step. Their C_top and force columns,
+a sweep's arrays or one equilibrium's floats, come from one gap-line pass on
+the driven electrode (_branch_columns), unchecked since the branch keeps its
+poses inside the touch interval, with the bits total_force and
+capacitance_value give. A scan-and-bisect solver handles drives on both
+electrodes and is the independent reference for the branch.
 """
 from __future__ import annotations
 
@@ -64,9 +65,12 @@ class ForceBreakdown:
 class EquilibriumSolution:
     y_p: float
     C_top: float
-    breakdown: ForceBreakdown
-    stable: bool
-    residual: float
+    F_film: float
+    F_beam: float
+    F_elec_top: float
+    F_elec_bottom: float
+    F_total: float
+    residual: float  # total force recomputed at y_p in plain arithmetic (_force_closure)
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ class SweepResult:
     F_elec_top: np.ndarray
     F_elec_bottom: np.ndarray
     F_total: np.ndarray
-    truncated_at: float | None  # first requested voltage without an equilibrium, if any
+    truncated_at: float | None  # first requested voltage at or past pull-in, if any
 
     @functools.cached_property
     def records(self) -> list[SweepRecord]:
@@ -162,28 +166,43 @@ def film_stiffness(model: ValidatedModel) -> float:
 def total_force(y_p: float, V_top: float, V_bottom: float,
                 model: ValidatedModel) -> ForceBreakdown:
     """All force components and their sum at one paddle pose."""
-    return _breakdown(y_p, model,
-                      force_per_v2_value(y_p, model, Electrode.TOP) * V_top * V_top,
-                      force_per_v2_value(y_p, model, Electrode.BOTTOM) * V_bottom * V_bottom)
+    return ForceBreakdown(**_breakdown(
+        y_p, model, force_per_v2_value(y_p, model, Electrode.TOP) * V_top * V_top,
+        force_per_v2_value(y_p, model, Electrode.BOTTOM) * V_bottom * V_bottom))
 
 
-def _breakdown(y_p, model: ValidatedModel, F_t, F_e) -> ForceBreakdown:
-    """The force breakdown at y_p, given each electrode's force f*V*V.
-
-    The one place the mechanical terms and the sum F_total are formed, for
-    total_force and the columns of sweep_voltage.
-    """
+def _breakdown(y_p, model: ValidatedModel, F_t, F_e) -> dict:
+    """ForceBreakdown's fields at y_p as a dict, given each electrode's force f*V*V:
+    the one place the mechanical terms and their sum F_total are formed."""
     F_f = film_force(y_p, model)
     F_b = -y_p / model.compliance
-    return ForceBreakdown(F_film=F_f, F_beam=F_b, F_elec_top=F_t,
-                          F_elec_bottom=F_e, F_total=F_f + F_b + F_t + F_e)
+    return dict(F_film=F_f, F_beam=F_b, F_elec_top=F_t, F_elec_bottom=F_e,
+                F_total=F_f + F_b + F_t + F_e)
+
+
+def _branch_columns(y_p, V, model: ValidatedModel, driven: Electrode) -> dict:
+    """C_top and the force breakdown at stable-branch poses y_p (floats or arrays)
+    under V on `driven`, with the bits of total_force and capacitance_value.
+
+    One unchecked gap-line pass on the driven electrode gives its force F and,
+    with top driven, C_top. The grounded electrode's f*0*0 has the sign
+    opposite to F's (f_top > 0 > f_bottom), so it is -0.0*F.
+    """
+    line = _gap_terms(y_p, model, driven)
+    F = _force_per_v2_on_line(*line, model, driven) * V * V
+    if driven is Electrode.TOP:
+        F_t, F_e, top_line = F, -0.0 * F, line
+    else:
+        F_t, F_e, top_line = -0.0 * F, F, _gap_terms(y_p, model, Electrode.TOP)
+    return dict(C_top=_capacitance_on_line(*top_line, model),
+                **_breakdown(y_p, model, F_t, F_e))
 
 
 def _force_closure(model: ValidatedModel, V_top: float, V_bottom: float):
     """Total force F(y_p) in plain arithmetic, on a float or an array.
 
-    For the scan grid and its bisection, and for a branch's equilibrium
-    breakdown. A drive voltage may be an array too, which broadcasts
+    For the scan grid and its bisection, and for an equilibrium's
+    residual. A drive voltage may be an array too, which broadcasts
     against y_p. Poses are not checked against the touch limits: callers
     stay inside the scan interval.
     """
@@ -263,20 +282,8 @@ def _check_drive(V_top: float, V_bottom: float) -> None:
                      f"(force is even in V), got {V!r}")
 
 
-def _solution(model: ValidatedModel, y: float, V_top: float, V_bottom: float,
-              force) -> EquilibriumSolution:
-    return EquilibriumSolution(
-        y_p=y,
-        C_top=capacitance_value(y, model, Electrode.TOP),
-        breakdown=total_force(y, V_top, V_bottom, model),
-        stable=True,
-        residual=force(y),
-    )
-
-
-def _scan_equilibrium(model: ValidatedModel, V_top: float,
-                      V_bottom: float) -> EquilibriumSolution:
-    """Stable force balance, found by a fixed scan plus bisection.
+def _scan_equilibrium(model: ValidatedModel, V_top: float, V_bottom: float) -> float:
+    """Stable pose y_p of the force balance, found by a fixed scan plus bisection.
 
     The open touch interval is scanned on a 2048-point grid (relative
     margin 1e-6 at each end). A zero where the grid force falls from > 0
@@ -293,12 +300,15 @@ def _scan_equilibrium(model: ValidatedModel, V_top: float,
     falling = np.nonzero(sign[:-1] & ~sign[1:])[0]
     if falling.size:
         i = falling[0]
-        y = bisect_root(force, float(grid[i]), float(grid[i + 1]),
-                        float(f[i]), float(f[i + 1]))
-        return _solution(model, y, V_top, V_bottom, force)
+        return bisect_root(force, float(grid[i]), float(grid[i + 1]),
+                           float(f[i]), float(f[i + 1]))
     raise NoStableEquilibrium(
         f"no restoring force balance for V_top={V_top!r}, V_bottom={V_bottom!r} "
         f"({np.count_nonzero(sign[:-1] != sign[1:])} unstable zero(s) found)")
+
+
+class _Pinned(NoStableEquilibrium):
+    """Film stress pins the paddle against an electrode (StableBranch._pinned_error)."""
 
 
 class StableBranch:
@@ -377,14 +387,14 @@ class StableBranch:
         g0 = self.gap + y_s
         return y, self.s * self._force()(y) * g0 * (g0 + self.tilt * y_s) / self.half
 
-    def _pinned_error(self, V: float) -> NoStableEquilibrium:
+    def _pinned_error(self, V: float) -> _Pinned:
         side, limit = (("top", self.model.y_p_max) if self.rest > self.hi
                        else ("bottom", self.model.y_p_min))
         msg = (f"film stress pins the paddle against the {side} electrode: rest "
                f"y_p = {self.rest:.6e} m lies past the touch limit {limit:.6e} m")
         if V > 0.0:
             msg += f"; {V!r} V on the {self.electrode.value} electrode does not pull it free"
-        return NoStableEquilibrium(msg)
+        return _Pinned(msg)
 
     def _stable_root(self, drive: _Drive, force, y_pi):
         """Stable root of the branch cubic at drive's squared voltages, in [far, y_PI].
@@ -481,17 +491,13 @@ class StableBranch:
         return y if np.ndim(V) else float(y)
 
     def solve_leading(self, V) -> np.ndarray:
-        """Stable y_p at each V of a 1-D array, up to the first V without one."""
-        y, _ = self._roots(_Drive(self, V))
+        """Stable y_p at each V of a 1-D array, up to the first V without one.
+        Raises NoStableEquilibrium instead if film stress pins the paddle there."""
+        y, error = self._roots(_Drive(self, V))
+        if isinstance(error, _Pinned):
+            raise error
         failed = np.flatnonzero(np.isnan(y))
         return y[:failed[0]] if failed.size else y
-
-    def equilibrium(self, V: float) -> EquilibriumSolution:
-        """Stable equilibrium at drive V on this electrode, with its force breakdown."""
-        y = self.solve(V)
-        V_top, V_bottom = drive_voltages(self.electrode, V)
-        return _solution(self.model, y, V_top, V_bottom,
-                         _force_closure(self.model, V_top, V_bottom))
 
 
 class _Drive:
@@ -523,16 +529,22 @@ def solve_equilibrium(model: ValidatedModel, V_top: float = 0.0,
     """Stable force balance at the given drive voltages.
 
     With one electrode driven, or neither, this is one closed-form solve on
-    the stable branch (StableBranch); with both driven, the scan solver runs.
-    Raises NoStableEquilibrium at or past pull-in, and when film stress
-    pins the paddle against an electrode.
+    the stable branch with a sweep's _branch_columns on floats; with both
+    driven, the scan solver runs with the checked total_force and
+    capacitance_value. Raises NoStableEquilibrium at or past pull-in, and
+    when film stress pins the paddle against an electrode.
     """
     _check_drive(V_top, V_bottom)
     if V_top != 0.0 and V_bottom != 0.0:
-        return _scan_equilibrium(model, V_top, V_bottom)
-    if V_top != 0.0:
-        return StableBranch(model, Electrode.TOP).equilibrium(V_top)
-    return StableBranch(model, Electrode.BOTTOM).equilibrium(V_bottom)
+        y = _scan_equilibrium(model, V_top, V_bottom)
+        columns = dict(C_top=capacitance_value(y, model, Electrode.TOP),
+                       **vars(total_force(y, V_top, V_bottom, model)))
+    else:
+        driven, V = (Electrode.TOP, V_top) if V_top != 0.0 else (Electrode.BOTTOM, V_bottom)
+        y = StableBranch(model, driven).solve(V)
+        columns = _branch_columns(y, V, model, driven)
+    return EquilibriumSolution(y_p=y, **columns,
+                               residual=_force_closure(model, V_top, V_bottom)(y))
 
 
 def has_stable_equilibrium(model: ValidatedModel, electrode: Electrode, V: float) -> bool:
@@ -572,26 +584,16 @@ def sweep_voltage(model: ValidatedModel, electrode: Electrode,
 
     Voltages past pull-in give no row; the first such voltage is reported
     in truncated_at (truncation is data, not an error). The stable branch
-    is built once and solves every voltage in one closed-form call. Its
-    poses lie inside the touch interval, so the columns come from one
-    unchecked gap-line pass on the driven electrode: its force and, with
-    the top electrode driven, C_top; the electrode at 0 V gets the signed
-    zero that f*0*0 gives (-0.0 for bottom, +0.0 for top). Every column has
-    the bits of total_force and capacitance_value at the same poses. Raises
-    InvalidParameter when V_list is empty or holds a negative or
-    non-finite voltage.
+    is built once and solves every voltage in one closed-form call, and
+    _branch_columns forms the columns: the electrode at 0 V gets the signed
+    zero that f*0*0 gives (-0.0 for bottom, +0.0 for top). Raises
+    NoStableEquilibrium when film stress pins the paddle at the lowest
+    voltage, and InvalidParameter when V_list is empty or holds a negative
+    or non-finite voltage.
     """
     V = sorted_voltages(V_list)
     branch = StableBranch(model, electrode)
     y = branch.solve_leading(V)
     n = y.size
-    V_n, driven = V[:n], branch.electrode
-    line = _gap_terms(y, model, driven)
-    F = _force_per_v2_on_line(*line, model, driven) * V_n * V_n
-    if driven is Electrode.TOP:  # f_bottom < 0, so f_bottom*0*0 is -0.0
-        F_t, F_e, top_line = F, np.full(n, -0.0), line
-    else:  # f_top > 0, so f_top*0*0 is +0.0
-        F_t, F_e, top_line = np.zeros(n), F, _gap_terms(y, model, Electrode.TOP)
-    return SweepResult(V=V_n, y_p=y, C_top=_capacitance_on_line(*top_line, model),
-                       **vars(_breakdown(y, model, F_t, F_e)),
+    return SweepResult(V=V[:n], y_p=y, **_branch_columns(y, V[:n], model, branch.electrode),
                        truncated_at=float(V[n]) if n < V.size else None)

@@ -142,7 +142,7 @@ class ValidatedModel:
         if film.A_F is None:
             film = dataclasses.replace(film, A_F=0.5 * g.b_root * g.l_b)
             object.__setattr__(self, "film", film)
-        params = {**vars(self.constants), **vars(g), **vars(substrate), **vars(film)}
+        params = model_to_dict(self)
         for name, value in params.items():
             if not math.isfinite(value):
                 raise InvalidParameter(name, f"must be finite, got {value!r}")
@@ -217,8 +217,10 @@ def build_model(**overrides) -> ValidatedModel:
 
 def model_to_dict(model: ValidatedModel) -> dict:
     """Flat JSON-ready dict: the parts' fields, which are MODEL_JSON_KEYS in order."""
-    return {**vars(model.constants), **vars(model.geom), **vars(model.substrate),
-            **vars(model.film)}
+    # getattr, not vars(): materializing a part's __dict__ slows every later read on it
+    return {name: getattr(part, name)
+            for part in (model.constants, model.geom, model.substrate, model.film)
+            for name in part.__dataclass_fields__}
 
 
 def model_from_dict(data: dict) -> ValidatedModel:

@@ -190,6 +190,8 @@ def test_equilibrium_needs_electrode(tmp_path):
 
 @pytest.mark.parametrize("argv,code", [
     ("pullin --sigma0=-8e8 --electrode bottom", 3),
+    # pinned at 0 V: not a sweep truncated at pull-in with an empty sweep.csv
+    ("sweep --electrode bottom --v-max 300 --points 7 --sigma0 8e8", 3),
     ("equilibrium --v 10", 2),
     ("extract --electrode bottom --data {missing}", 2),
 ], ids=lambda v: str(v).split()[0])

@@ -404,7 +404,10 @@ def test_fit_two_electrodes(default_model):
 
 
 def test_fit_rebuilds_no_model_through_the_dict(default_model, with_sigma0, monkeypatch):
-    # a trial film is a (prestress, k) pair on the template, not a flat-dict round trip
+    # a trial film is a (prestress, k) pair on the template, not a flat-dict round trip.
+    # The data set is built first: every ValidatedModel reads its parameters through
+    # model_to_dict, so the count also shows that the fit builds no model at all
+    ds = simulate_cv(with_sigma0(150e6), Electrode.BOTTOM, np.linspace(0.0, 150.0, 11))
     calls = []
 
     def counted(name, fn):
@@ -417,7 +420,6 @@ def test_fit_rebuilds_no_model_through_the_dict(default_model, with_sigma0, monk
         for name in ("model_to_dict", "model_from_dict"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    ds = simulate_cv(with_sigma0(150e6), Electrode.BOTTOM, np.linspace(0.0, 150.0, 11))
     fit = fit_film_parameters(ds, default_model)
     assert fit.converged and fit.iterations > 0
     assert calls == []

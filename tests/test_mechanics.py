@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from paddle_lab import (Electrode, InvalidParameter, NoStableEquilibrium,
                         TouchViolation, build_model, compliance,
                         film_force, film_stiffness, force_per_v2_value,
-                        pull_in_voltage, solve_equilibrium, strain_coupling,
+                        pull_in_voltage, simulate_cv, solve_equilibrium, strain_coupling,
                         stress_profile, sweep_voltage, total_force,
                         total_force_curve, zero_voltage_equilibrium)
 from paddle_lab import capacitance_value, electrostatics, mechanics
@@ -145,7 +145,6 @@ def test_total_force_curve_matches_scalar(with_sigma0):
 def test_equilibrium_trivial_origin(with_sigma0):
     sol = solve_equilibrium(with_sigma0(0.0))
     assert sol.y_p == pytest.approx(0.0, abs=1e-15)
-    assert sol.stable
 
 
 @pytest.mark.parametrize("sigma0", [50e6, 100e6, 200e6, 300e6, -50e6, -100e6,
@@ -192,6 +191,11 @@ def test_equilibrium_both_electrodes_driven(with_sigma0):
     positive = total_force_curve(y, 60.0, 80.0, m) > 0.0
     i = np.nonzero(positive[:-1] & ~positive[1:])[0][0]
     assert abs(sol.y_p - 0.5 * (y[i] + y[i + 1])) <= y[1] - y[0]
+    # the scan path's columns are the checked kernels' at sol.y_p, bit for bit
+    expected = dict(vars(total_force(sol.y_p, 60.0, 80.0, m)),
+                    C_top=capacitance_value(sol.y_p, m, Electrode.TOP))
+    for name, value in expected.items():
+        assert _bits(getattr(sol, name)) == _bits(value), name
 
 
 def test_equilibrium_both_electrodes_no_restoring_zero(with_sigma0):
@@ -311,6 +315,11 @@ def test_sweep_orders_voltages(with_sigma0):
     assert result.V.tolist() == [0.0, 50.0, 100.0]
 
 
+def _bits(x) -> int:
+    """The IEEE-754 bits of a float, so that -0.0 and +0.0 differ."""
+    return int(np.float64(x).view(np.uint64))
+
+
 SWEEP_COLUMNS = ("V", "y_p", "C_top", "F_film", "F_beam", "F_elec_top", "F_elec_bottom",
                  "F_total")
 
@@ -358,19 +367,26 @@ def test_branch_agrees_with_scan_oracle(with_sigma0, sigma0, d_e, electrode, fra
     # force sum (about ulp(prestress)/stiffness), not of y_p
     scale = abs(pi.y_p_last_stable - zero_voltage_equilibrium(m))
     assert solve_equilibrium(m, *drive).y_p == pytest.approx(
-        _scan_equilibrium(m, *drive).y_p, rel=1e-12, abs=1e-14 * scale)
+        _scan_equilibrium(m, *drive), rel=1e-12, abs=1e-14 * scale)
 
 
 @pytest.mark.parametrize("sigma0, side", [(8e8, "top"), (-8e8, "bottom")])
 def test_pinned_at_rest_is_named(with_sigma0, sigma0, side):
     m = with_sigma0(sigma0)
+    V = np.linspace(0.0, 300.0, 7)
     calls = [lambda: solve_equilibrium(m),
              lambda: pull_in_voltage(m, Electrode.TOP),
-             lambda: pull_in_voltage(m, Electrode.BOTTOM)]
+             lambda: pull_in_voltage(m, Electrode.BOTTOM),
+             lambda: sweep_voltage(m, Electrode.TOP, V),
+             lambda: sweep_voltage(m, Electrode.BOTTOM, V),
+             lambda: simulate_cv(m, Electrode.BOTTOM, V)]
     for call in calls:
         with pytest.raises(NoStableEquilibrium,
                            match=f"pins the paddle against the {side} electrode"):
             call()
+    # the other electrode pulls the paddle free at 350 and 400 V: those keep their rows
+    free = Electrode.BOTTOM if side == "top" else Electrode.TOP
+    assert sweep_voltage(m, free, [350.0, 400.0]).V.tolist() == [350.0, 400.0]
 
 
 @pytest.mark.parametrize("sigma0", [8e8, -8e8, 5e8])
@@ -383,7 +399,7 @@ def test_branch_agrees_with_scan_when_stress_pins(with_sigma0, sigma0):
         for V in np.linspace(0.0, 600.0, 61):
             drive = drive_voltages(electrode, float(V))
             try:
-                expected = _scan_equilibrium(m, *drive).y_p
+                expected = _scan_equilibrium(m, *drive)
             except NoStableEquilibrium:
                 expected = None
             try:
@@ -519,7 +535,7 @@ def test_branch_array_agrees_with_scan(with_sigma0, default_model, sigma0, scale
     # force sum (about ulp(prestress)/stiffness), not of y_p
     scale = abs(pi.y_p_last_stable - zero_voltage_equilibrium(m))
     for v, y_p in zip(V, y):
-        assert y_p == pytest.approx(_scan_equilibrium(m, *drive_voltages(electrode, float(v))).y_p,
+        assert y_p == pytest.approx(_scan_equilibrium(m, *drive_voltages(electrode, float(v))),
                                     rel=1e-12, abs=1e-14 * scale)
 
 
@@ -540,10 +556,6 @@ def test_sweep_records_match_scalar_kernels(with_sigma0, sigma0, electrode):
         assert all(close(getattr(result, f)[i], getattr(expected, f))
                    for f in ("F_film", "F_beam", "F_elec_top", "F_elec_bottom", "F_total"))
         assert close(result.C_top[i], capacitance_value(y_p, m, Electrode.TOP))
-
-
-SWEEP_COLUMNS = ("V", "y_p", "C_top", "F_film", "F_beam", "F_elec_top", "F_elec_bottom",
-                 "F_total")
 
 
 @settings(max_examples=40, deadline=None)
@@ -571,6 +583,12 @@ def test_sweep_columns_match_total_force_bitwise(with_sigma0, sigma0, electrode)
     grounded = result.F_elec_bottom if electrode is Electrode.TOP else result.F_elec_top
     assert np.all(grounded == 0.0)
     assert np.all(np.signbit(grounded) == (electrode is Electrode.TOP))
+    # a single-electrode solve_equilibrium takes the same columns on floats: every
+    # row's bits in the seven fields the two results share
+    for i, v in enumerate(result.V.tolist()):
+        sol = solve_equilibrium(m, *drive_voltages(electrode, v))
+        for name in SWEEP_COLUMNS[1:]:
+            assert _bits(getattr(sol, name)) == _bits(getattr(result, name)[i]), (v, name)
 
 
 @pytest.mark.parametrize("electrode", list(Electrode))
