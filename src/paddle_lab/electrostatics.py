@@ -19,9 +19,11 @@ float, kept allocation-free for the root-finding loops, or a numpy array,
 evaluated elementwise in one pass; capacitance_slope is the exact dC/dy_p
 of the same closed form. The array math of C and dC/dy_p lives in two
 helpers on gap_line's terms (g0, delta, u = delta/g0 and ln(1+u)), so a
-caller that needs both computes the gap line and the log once. Each takes
-the closed form everywhere and its flat-pose series only on the elements
-whose |u| is below the series threshold. A lone float takes
+caller that needs both computes the gap line and the log once. Where no
+element's |u| is below a helper's series threshold, the helper takes the
+closed form directly, with no mask; otherwise it takes the closed form
+everywhere and its flat-pose series only on the elements below the
+threshold, with the same bits on the other elements. A lone float takes
 capacitance_value and capacitance_slope through gap_line's float path and
 np.log1p on the scalar, the same operations as on an array element, and
 gets the bits of the same pose inside an array.
@@ -39,10 +41,11 @@ L of the two edge gaps, concave and increasing in both, and both gaps are
 affine in y_p, so 1/C is concave and monotone on the inversion bracket.
 From the start, where Carlson's bound (2*G + A)/3 >= L equals c/C and so
 1/C is at or below its target, the Newton steps approach the root without
-passing it, and clipping them to the bracket is the only safeguard. Each
-step makes one gap_line and one log1p call for both C and its slope. On an
-array, OutOfRange names the first value outside the attainable range and
-carries its flat index as `row`.
+passing it, and clipping them to the bracket is the only safeguard. The
+bracket sits inside the touch interval, so each step takes one gap-line
+pass without the touch check (_gap_terms) and one log1p call for both C and
+its slope. On an array, OutOfRange names the first value outside the
+attainable range and carries its flat index as `row`.
 """
 from __future__ import annotations
 
@@ -99,7 +102,7 @@ def gap_coefficients(model: ValidatedModel,
     """
     g = model.geom
     s = GAP_SIGN[electrode]
-    return (g.d_c if s < 0.0 else g.d_e), s, g.center_ratio, model.tilt
+    return (g.d_c if s < 0.0 else g.d_e), s, model.center_ratio, model.tilt
 
 
 def _gap_terms(y_p, model: ValidatedModel, electrode: Electrode):
@@ -141,13 +144,15 @@ def _capacitance_terms(c, g0, delta, u, log1p_u):
     """capacitance_value's array path on gap_line's terms, u = delta/g0 and
     log1p_u = ln(1+u), with c = eps0*w_p*l_p.
 
-    The closed form is taken everywhere and the flat-pose series replaces it
-    only on the elements that need it.
+    Where no element needs the flat-pose series, the closed form is taken
+    directly. Otherwise it is taken everywhere, on a divisor of 1 where the
+    series applies, and the series replaces it on those elements only.
     """
     small = np.abs(u) < SERIES_U_THRESHOLD
+    if not np.count_nonzero(small):
+        return c * (log1p_u / delta)
     value = log1p_u / np.where(small, 1.0, delta)
-    if np.count_nonzero(small):
-        value[small] = _flat_capacitance(u[small], g0[small])
+    value[small] = _flat_capacitance(u[small], g0[small])
     return c * value
 
 
@@ -156,24 +161,28 @@ def _slope_series(u):
     return 0.5 - u * (2.0 / 3.0 - u * (0.75 - u * (0.8 - u * (5.0 / 6.0 - u * (6.0 / 7.0)))))
 
 
-def _slope_from_n(c, s, center_ratio, tilt, g0, u, n):
-    """dC/dy_p from gap_line's g0, u = delta/g0 and N(u) (see capacitance_slope)."""
-    return -s * (c * (1.0 / (1.0 + u) + tilt * n)) / (center_ratio * (g0 * g0))
+def _slope_from_n(c, s, center_ratio, tilt, g0, r, n):
+    """dC/dy_p from gap_line's g0, r = 1/(1+u) and N(u) (see capacitance_slope)."""
+    return -s * (c * (r + tilt * n)) / (center_ratio * (g0 * g0))
 
 
 def _slope_terms(c, s, center_ratio, tilt, g0, u, log1p_u):
     """capacitance_slope's array math on gap_line's terms (see there), with
     log1p_u = ln(1+u) and (s, center_ratio, tilt) from gap_coefficients.
 
-    N(u) is taken in closed form everywhere, on w = u or 1 so that u = 0
-    never divides, and by series only on the elements that need it.
+    Where no element needs the series, N(u) is taken in closed form directly
+    and shares 1/(1+u) with the slope. Otherwise it is taken in closed form
+    everywhere, on w = u or 1 so that u = 0 never divides, and by series on
+    the elements that need it.
     """
     small = np.abs(u) < SLOPE_SERIES_U_THRESHOLD
+    r = 1.0 / (1.0 + u)
+    if not np.count_nonzero(small):
+        return _slope_from_n(c, s, center_ratio, tilt, g0, r, (log1p_u / u - r) / u)
     w = np.where(small, 1.0, u)
     n = (log1p_u / w - 1.0 / (1.0 + w)) / w
-    if np.count_nonzero(small):
-        n[small] = _slope_series(u[small])
-    return _slope_from_n(c, s, center_ratio, tilt, g0, u, n)
+    n[small] = _slope_series(u[small])
+    return _slope_from_n(c, s, center_ratio, tilt, g0, r, n)
 
 
 def capacitance_value(y_p, model: ValidatedModel, electrode: Electrode):
@@ -214,11 +223,9 @@ def capacitance_slope(y_p, model: ValidatedModel, electrode: Electrode):
     u = delta / g0
     if not lone:
         return _slope_terms(c, s, center_ratio, tilt, g0, u, np.log1p(u))
-    if abs(u) < SLOPE_SERIES_U_THRESHOLD:
-        n = _slope_series(u)
-    else:
-        n = (float(np.log1p(u)) / u - 1.0 / (1.0 + u)) / u
-    return _slope_from_n(c, s, center_ratio, tilt, g0, u, n)
+    r = 1.0 / (1.0 + u)
+    n = _slope_series(u) if abs(u) < SLOPE_SERIES_U_THRESHOLD else (float(np.log1p(u)) / u - r) / u
+    return _slope_from_n(c, s, center_ratio, tilt, g0, r, n)
 
 
 # The same kernel under the name perfbench/tracing.py times array calls by.
@@ -296,9 +303,19 @@ def _log_mean_start(S, rest, tilt):
     stays finite where qa changes sign, at tilt = 6 + 4*sqrt(3).
     """
     qa = (4.0 * (1.0 + tilt) - (1.0 + 0.5 * tilt) ** 2) / 3.0
-    qb = (2.0 + tilt) * (rest + S)
-    qc = (rest - S) * (rest + 3.0 * S)
-    return -2.0 * qc / (qb + np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)))
+    qb = rest + S
+    qb *= 2.0 + tilt
+    qc = 3.0 * S
+    qc += rest
+    qc *= rest - S
+    root = qb * qb
+    root -= 4.0 * qa * qc
+    np.maximum(root, 0.0, out=root)
+    np.sqrt(root, out=root)
+    root += qb
+    qc *= -2.0
+    qc /= root
+    return qc
 
 
 def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
@@ -319,16 +336,19 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
     (the module docstring says why nothing more is needed), until
     |C(y) - C| <= 1e-12*C or for INVERSION_MAX_ITER steps.
 
-    A step evaluates the gap line and ln(1+u) once and hands them to the
+    A step evaluates the gap line, without the touch check since every
+    iterate lies in the bracket, and ln(1+u) once, and hands them to the
     capacitance and slope helpers, the slope only after the convergence
-    test has left some element active; the flat-pose series runs only on
-    the elements near the flat pose. The results have the bits of
-    capacitance_value and capacitance_slope at the same poses.
+    test has left some element active. The helpers build the flat-pose
+    series mask only when some element needs the series. The results have
+    the bits of capacitance_value and capacitance_slope at the same poses.
+    The step updates the arrays it forms in place, with each element's
+    operations in the same order, and never writes C.
     """
     C = np.asarray(C, dtype=float)
-    bad = np.flatnonzero(~invertible(C, model, electrode))
-    if bad.size:
-        row = int(bad[0])
+    ok = invertible(C, model, electrode)
+    if np.count_nonzero(ok) != ok.size:
+        row = int(np.flatnonzero(~ok)[0])
         c = float(C.flat[row])
         if c <= 0.0:
             reason = f"capacitance must be > 0, got {c!r}"
@@ -342,18 +362,30 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
     c = model.eps0_area
     target = C.reshape(-1)
     tol = 1e-12 * target
-    # np.minimum(np.maximum(...)) gives np.clip's bits at half its call cost
-    y = np.minimum(np.maximum(s * center_ratio * _log_mean_start(c / target, rest, tilt), lo), hi)
+    # target may be a view of the caller's C: only the arrays formed here are
+    # updated in place. np.minimum(np.maximum(...)) gives np.clip's bits at
+    # half its call cost.
+    y = _log_mean_start(c / target, rest, tilt)
+    y *= s * center_ratio
+    np.maximum(y, lo, out=y)
+    np.minimum(y, hi, out=y)
     active = np.ones(y.shape, dtype=bool)
     for _ in range(INVERSION_MAX_ITER):
-        g0, delta = gap_line(y, model, electrode)
+        g0, delta = _gap_terms(y, model, electrode)
         u = delta / g0
         log1p_u = np.log1p(u)
         c_y = _capacitance_terms(c, g0, delta, u, log1p_u)
-        active &= np.abs(c_y - target) > tol
+        step = target - c_y  # |target - c_y| has the bits of |c_y - target|
+        active &= np.abs(step) > tol
         if not np.count_nonzero(active):
             break
         slope = _slope_terms(c, s, center_ratio, tilt, g0, u, log1p_u)
-        newton = y + c_y * (target - c_y) / (target * slope)
-        y = np.where(active, np.minimum(np.maximum(newton, lo), hi), y)
+        # y + c_y*(target - c_y)/(target*slope), operand for operand
+        step *= c_y
+        slope *= target
+        step /= slope
+        step += y
+        np.maximum(step, lo, out=step)
+        np.minimum(step, hi, out=step)
+        np.copyto(y, step, where=active)
     return y.reshape(C.shape) if C.ndim else float(y[0])

@@ -134,6 +134,7 @@ class ValidatedModel:
     eps0_area: float = field(init=False)   # eps0*w_p*l_p, F*m
     half_eps0_area: float = field(init=False)  # eps0*w_p*l_p/2, F*m
     tilt: float = field(init=False)        # gap change root to far edge per y_b, 2*l_p/l_b
+    center_ratio: float = field(init=False)  # y_p/y_b, 1 + l_p/l_b (finite where tilt is)
     y_p_min: float = field(init=False)     # touch limits (touch_limits)
     y_p_max: float = field(init=False)
 
@@ -183,6 +184,7 @@ class ValidatedModel:
         for name, value in dict(compliance=compliance, a=a, V_F=V_F, eps_F0=eps_F0, EFVFa=EFVFa,
                                 prestress=prestress, k=k, eps0_area=eps0_area,
                                 half_eps0_area=half_eps0_area, tilt=tilt,
+                                center_ratio=g.center_ratio,
                                 y_p_min=y_p_min, y_p_max=y_p_max).items():
             object.__setattr__(self, name, value)
 

@@ -407,14 +407,14 @@ def test_newton_iterates_approach_root_from_one_side(d_c, d_e, l_b, lp_per_lb, e
     # iterate has 1/C at or below its target (C at or above it, up to the
     # 1e-12*C tolerance) and the iterates move monotonically to the root
     m, C = _inversion_case(d_c, d_e, l_b, lp_per_lb, electrode, fracs)
-    iterates, line = [], electrostatics.gap_line
+    iterates, terms = [], electrostatics._gap_terms
 
     def recorded(y, model, electrode):  # the Newton loop evaluates arrays
         if not isinstance(y, float):
-            iterates.append(y.copy())
-        return line(y, model, electrode)
+            iterates.append(y.copy())  # the loop updates its iterate in place
+        return terms(y, model, electrode)
 
-    with mock.patch.object(electrostatics, "gap_line", recorded):
+    with mock.patch.object(electrostatics, "_gap_terms", recorded):
         y = yp_from_capacitance(C, m, electrode)
     assert np.array_equal(iterates[-1], y)
     if len(iterates) == 1:  # the start met the tolerance
@@ -445,10 +445,12 @@ def test_inversion_at_range_end_takes_three_evaluations(monkeypatch):
 
 
 def test_newton_step_makes_one_gap_line_call(default_model, monkeypatch):
-    # each Newton step shares one gap line and one log between C and dC/dy;
-    # only capacitance_range's two bracket ends take the float path
+    # each Newton step shares one gap-line pass and one log between C and
+    # dC/dy, and takes the gap line without the touch check, since every
+    # iterate lies inside the bracket; only capacitance_range's two bracket
+    # ends take the float path
     calls = []
-    line = electrostatics.gap_line
+    line = electrostatics._gap_terms
     value_terms, slope_terms = electrostatics._capacitance_terms, electrostatics._slope_terms
 
     def counted(name, f):
@@ -459,7 +461,7 @@ def test_newton_step_makes_one_gap_line_call(default_model, monkeypatch):
 
     C = measure_capacitance(capacitance_value(2e-5, default_model, Electrode.TOP),
                             NoiseModel(sigma_C=1e-16, seed=3), 200).C_meas
-    monkeypatch.setattr(electrostatics, "gap_line", counted("line", line))
+    monkeypatch.setattr(electrostatics, "_gap_terms", counted("line", line))
     monkeypatch.setattr(electrostatics, "_capacitance_terms", counted("value", value_terms))
     monkeypatch.setattr(electrostatics, "_slope_terms", counted("slope", slope_terms))
     y = yp_from_capacitance(C, default_model, Electrode.TOP)
@@ -493,6 +495,45 @@ def test_series_subset_matches_lone_poses(default_model, electrode):
     lone = [capacitance_slope(v, default_model, electrode) for v in y.tolist()]
     assert all(type(v) is float for v in lone)
     assert np.array(lone).tobytes() == capacitance_slope(y, default_model, electrode).tobytes()
+
+
+@pytest.mark.parametrize("electrode", [Electrode.TOP, Electrode.BOTTOM])
+def test_unmasked_closed_form_matches_masked_path(default_model, electrode):
+    # an array with no element below either series threshold takes the closed
+    # form of C and dC/dy without a mask; with a flat pose (u = 0) and a pose
+    # between the two thresholds appended, the same poses go through the
+    # masked path of both helpers and keep every bit
+    rest, _, center_ratio, tilt = electrostatics.gap_coefficients(default_model, electrode)
+    lo, hi = inversion_bracket(default_model)
+    u = SLOPE_SERIES_U_THRESHOLD * np.array([1.0, 1.01, 2.0])
+    y_u = center_ratio * u * rest / (tilt - u)
+    y = np.concatenate([np.linspace(lo, hi, 100), y_u, -y_u])
+    u_flat = 10.0 * SERIES_U_THRESHOLD  # between the two thresholds
+    masked = np.concatenate([y, [0.0, center_ratio * u_flat * rest / (tilt - u_flat)]])
+    for poses, expect_small in ((y, False), (masked, True)):
+        g0, delta = gap_line(poses, default_model, electrode)
+        abs_u = np.abs(delta / g0)
+        for threshold in (SERIES_U_THRESHOLD, SLOPE_SERIES_U_THRESHOLD):
+            assert bool(np.any(abs_u < threshold)) is expect_small
+    for kernel in (capacitance_value, capacitance_slope):
+        unmasked = kernel(y, default_model, electrode)
+        assert unmasked.tobytes() == kernel(masked, default_model, electrode)[:y.size].tobytes()
+
+
+@pytest.mark.parametrize("electrode", [Electrode.TOP, Electrode.BOTTOM])
+def test_inversion_never_writes_its_input(default_model, electrode):
+    # the inversion updates only the arrays it forms: a writable input keeps
+    # its bits, and a stream's read-only C_meas column is accepted as it is
+    m = default_model
+    C = measure_capacitance(capacitance_value(2e-5, m, electrode),
+                            NoiseModel(sigma_C=1e-16, seed=3), 200).C_meas
+    assert not C.flags.writeable
+    y = yp_from_capacitance(C, m, electrode)
+    for writable in (C.copy(), C.reshape(-1, 1).copy()):
+        before = writable.tobytes()
+        again = yp_from_capacitance(writable, m, electrode)
+        assert writable.tobytes() == before
+        assert again.shape == writable.shape and again.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("electrode", [Electrode.TOP, Electrode.BOTTOM])

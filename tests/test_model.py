@@ -8,6 +8,7 @@ from paddle_lab import (Electrode, FilmSpec, InvalidParameter, NoStableEquilibri
                         PaddleGeometry, PhysicalConstants, SubstrateMaterial,
                         ValidatedModel, build_model, load_model_json, model_from_dict,
                         model_to_dict, pull_in_voltage, touch_limits, yb_from_yp)
+from paddle_lab.electrostatics import gap_coefficients
 from paddle_lab.model import MODEL_JSON_KEYS
 
 
@@ -18,6 +19,15 @@ def test_default_geometry_resolution(default_model):
     assert g.d_e == g.d_c
     assert g.center_ratio == pytest.approx(1.0 + 5.0 / 3.0, rel=1e-15)
     assert g.edge_ratio == pytest.approx(1.0 + 10.0 / 3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("config", [{}, {"l_b": 1e-3, "l_p": 30e-3}, {"l_b": 8e-3, "l_p": 1e-3}])
+def test_center_ratio_is_formed_once(config):
+    # the kernels read the stored y_p/y_b, which has the bits of the property
+    m = build_model(**config)
+    assert type(m.center_ratio) is float
+    assert m.center_ratio.hex() == m.geom.center_ratio.hex()
+    assert gap_coefficients(m, Electrode.TOP)[2] is m.center_ratio
 
 
 def test_film_defaults_resolve(default_model):
