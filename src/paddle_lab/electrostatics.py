@@ -19,14 +19,14 @@ float, kept allocation-free for the root-finding loops, or a numpy array,
 evaluated elementwise in one pass; capacitance_slope is the exact dC/dy_p
 of the same closed form. The array math of C and dC/dy_p lives in two
 helpers on gap_line's terms (g0, delta, u = delta/g0 and ln(1+u)), so a
-caller that needs both computes the gap line and the log once. Where no
-element's |u| is below a helper's series threshold, the helper takes the
-closed form directly, with no mask; otherwise it takes the closed form
-everywhere and its flat-pose series only on the elements below the
-threshold, with the same bits on the other elements. A lone float takes
-capacitance_value and capacitance_slope through gap_line's float path and
-np.log1p on the scalar, the same operations as on an array element, and
-gets the bits of the same pose inside an array.
+caller that needs both computes the gap line and the log once. Each takes
+the closed form everywhere and its flat-pose series only on the elements
+whose |u| is below the series threshold; the mask that keeps the closed
+form's divisor off zero there is built only when some element needs the
+series, and the other elements get the same bits either way. A lone
+float takes capacitance_value and capacitance_slope through gap_line's
+float path and np.log1p on the scalar, the same operations as on an array
+element, and gets the bits of the same pose inside an array.
 
 Each formula lives in one helper: gap_line is the gap-line arithmetic
 (_gap_terms) plus the touch check, and capacitance_value and
@@ -144,15 +144,15 @@ def _capacitance_terms(c, g0, delta, u, log1p_u):
     """capacitance_value's array path on gap_line's terms, u = delta/g0 and
     log1p_u = ln(1+u), with c = eps0*w_p*l_p.
 
-    Where no element needs the flat-pose series, the closed form is taken
-    directly. Otherwise it is taken everywhere, on a divisor of 1 where the
-    series applies, and the series replaces it on those elements only.
+    The closed form is taken everywhere and the flat-pose series replaces it
+    only on the elements that need it; the closed form divides by 1 there,
+    and the mask is built only when some element needs the series.
     """
     small = np.abs(u) < SERIES_U_THRESHOLD
-    if not np.count_nonzero(small):
-        return c * (log1p_u / delta)
-    value = log1p_u / np.where(small, 1.0, delta)
-    value[small] = _flat_capacitance(u[small], g0[small])
+    any_small = np.count_nonzero(small)
+    value = log1p_u / (np.where(small, 1.0, delta) if any_small else delta)
+    if any_small:
+        value[small] = _flat_capacitance(u[small], g0[small])
     return c * value
 
 
@@ -170,18 +170,18 @@ def _slope_terms(c, s, center_ratio, tilt, g0, u, log1p_u):
     """capacitance_slope's array math on gap_line's terms (see there), with
     log1p_u = ln(1+u) and (s, center_ratio, tilt) from gap_coefficients.
 
-    Where no element needs the series, N(u) is taken in closed form directly
-    and shares 1/(1+u) with the slope. Otherwise it is taken in closed form
-    everywhere, on w = u or 1 so that u = 0 never divides, and by series on
-    the elements that need it.
+    N(u) is taken in closed form everywhere, sharing r = 1/(1+u) with the
+    slope, and by series only on the elements that need it. The closed form
+    divides by w = 1 on those elements, so that u = 0 never divides, and by
+    w = u elsewhere; the mask is built only when some element needs it.
     """
     small = np.abs(u) < SLOPE_SERIES_U_THRESHOLD
+    any_small = np.count_nonzero(small)
     r = 1.0 / (1.0 + u)
-    if not np.count_nonzero(small):
-        return _slope_from_n(c, s, center_ratio, tilt, g0, r, (log1p_u / u - r) / u)
-    w = np.where(small, 1.0, u)
-    n = (log1p_u / w - 1.0 / (1.0 + w)) / w
-    n[small] = _slope_series(u[small])
+    w = np.where(small, 1.0, u) if any_small else u
+    n = (log1p_u / w - r) / w
+    if any_small:
+        n[small] = _slope_series(u[small])
     return _slope_from_n(c, s, center_ratio, tilt, g0, r, n)
 
 
@@ -303,19 +303,9 @@ def _log_mean_start(S, rest, tilt):
     stays finite where qa changes sign, at tilt = 6 + 4*sqrt(3).
     """
     qa = (4.0 * (1.0 + tilt) - (1.0 + 0.5 * tilt) ** 2) / 3.0
-    qb = rest + S
-    qb *= 2.0 + tilt
-    qc = 3.0 * S
-    qc += rest
-    qc *= rest - S
-    root = qb * qb
-    root -= 4.0 * qa * qc
-    np.maximum(root, 0.0, out=root)
-    np.sqrt(root, out=root)
-    root += qb
-    qc *= -2.0
-    qc /= root
-    return qc
+    qb = (2.0 + tilt) * (rest + S)
+    qc = (rest - S) * (rest + 3.0 * S)
+    return -2.0 * qc / (qb + np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)))
 
 
 def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
@@ -342,8 +332,6 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
     test has left some element active. The helpers build the flat-pose
     series mask only when some element needs the series. The results have
     the bits of capacitance_value and capacitance_slope at the same poses.
-    The step updates the arrays it forms in place, with each element's
-    operations in the same order, and never writes C.
     """
     C = np.asarray(C, dtype=float)
     ok = invertible(C, model, electrode)
@@ -362,30 +350,19 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
     c = model.eps0_area
     target = C.reshape(-1)
     tol = 1e-12 * target
-    # target may be a view of the caller's C: only the arrays formed here are
-    # updated in place. np.minimum(np.maximum(...)) gives np.clip's bits at
-    # half its call cost.
-    y = _log_mean_start(c / target, rest, tilt)
-    y *= s * center_ratio
-    np.maximum(y, lo, out=y)
-    np.minimum(y, hi, out=y)
+    # np.minimum(np.maximum(...)) gives np.clip's bits at half its call cost
+    y = np.minimum(np.maximum(s * center_ratio * _log_mean_start(c / target, rest, tilt), lo), hi)
     active = np.ones(y.shape, dtype=bool)
     for _ in range(INVERSION_MAX_ITER):
         g0, delta = _gap_terms(y, model, electrode)
         u = delta / g0
         log1p_u = np.log1p(u)
         c_y = _capacitance_terms(c, g0, delta, u, log1p_u)
-        step = target - c_y  # |target - c_y| has the bits of |c_y - target|
-        active &= np.abs(step) > tol
+        residual = target - c_y  # |target - c_y| has the bits of |c_y - target|
+        active &= np.abs(residual) > tol
         if not np.count_nonzero(active):
             break
         slope = _slope_terms(c, s, center_ratio, tilt, g0, u, log1p_u)
-        # y + c_y*(target - c_y)/(target*slope), operand for operand
-        step *= c_y
-        slope *= target
-        step /= slope
-        step += y
-        np.maximum(step, lo, out=step)
-        np.minimum(step, hi, out=step)
-        np.copyto(y, step, where=active)
+        newton = y + c_y * residual / (target * slope)
+        y = np.where(active, np.minimum(np.maximum(newton, lo), hi), y)
     return y.reshape(C.shape) if C.ndim else float(y[0])
