@@ -29,6 +29,7 @@ import numpy as np
 
 from paddle_lab import NoiseModel, build_model, pull_in_voltage, simulate_cv
 from paddle_lab.cli import main
+from paddle_lab.electrostatics import capacitance_range
 
 
 # unequal gaps, a rectangular paddle, a narrower beam root and a stressed film
@@ -66,6 +67,13 @@ def commands():
             fh.write("V_volt,C_F\n" + "".join(f"{v:.12e},{c:.12e}\n"
                                                for v, c in zip(data.V.tolist(), data.C.tolist())))
         yield f"extract-{name}", f"extract --electrode {e} --data cv-{name}.csv"
+    # C at twice the largest that inverts: the fit starts from the template's film
+    # and its line search stops stuck (exit 4)
+    c_max = capacitance_range(build_model(), "bottom")[1]
+    with open("cv-unreachable.csv", "w") as fh:
+        fh.write("V_volt,C_F\n" + "".join(f"{v:.12e},{2.0 * c_max:.12e}\n"
+                                           for v in (0.0, 10.0, 20.0, 30.0)))
+    yield "extract-unreachable", "extract --electrode bottom --data cv-unreachable.csv"
     with open("model-alt.json", "w") as fh:
         json.dump(ALT_MODEL, fh)
     alt = "--config model-alt.json"

@@ -29,11 +29,12 @@ float path and np.log1p on the scalar, the same operations as on an array
 element, and gets the bits of the same pose inside an array.
 
 Each formula lives in one helper: gap_line is the gap-line arithmetic
-(_gap_terms) plus the touch check, and capacitance_value and
-force_per_v2_value are gap_line plus their formula on its terms
-(_capacitance_on_line, _force_per_v2_on_line). A caller whose poses are
-already inside the touch interval, such as a sweep on the stable branch,
-takes the helpers directly and gets the same bits without the check.
+(_gap_terms) plus the touch check, and capacitance_value,
+capacitance_slope and force_per_v2_value are gap_line plus their formula
+on its terms (_capacitance_on_line, _slope_on_line,
+_force_per_v2_on_line). A caller whose poses are already inside the touch
+interval, such as a sweep or a fit trial on the stable branch, takes the
+helpers directly and gets the same bits without the check.
 
 yp_from_capacitance inverts C(y_p) by Newton on 1/C, a float running
 through the same loop as a one-element array. c/C is the logarithmic mean
@@ -211,21 +212,24 @@ def capacitance_slope(y_p, model: ValidatedModel, electrode: Electrode):
     On gap_line's terms, with u = delta/g0 and c = eps0*w_p*l_p,
         dC/dy_p = -s * c * (1/(1+u) + tilt*N(u)) / (center_ratio * g0^2),
         N(u) = (ln(1+u)/u - 1/(1+u)) / u, 0/0 at the flat pose where N = 1/2,
-    so N is evaluated by series below SLOPE_SERIES_U_THRESHOLD. A float (or
-    any other lone number) takes gap_line's float path and np.log1p on the
-    scalar: the same operations as on an array element, so it gets the bits
-    of the array element.
+    so N is evaluated by series below SLOPE_SERIES_U_THRESHOLD. A float
+    takes gap_line's float path and np.log1p on the scalar: the same
+    operations as on an array element, so it gets the bits of the array
+    element.
     """
-    lone = np.ndim(y_p) == 0
-    g0, delta = gap_line(float(y_p) if lone else y_p, model, electrode)
+    return _slope_on_line(*gap_line(y_p, model, electrode), model, electrode)
+
+
+def _slope_on_line(g0, delta, model: ValidatedModel, electrode: Electrode):
+    """capacitance_slope on gap_line's terms, floats or arrays."""
     _, s, center_ratio, tilt = gap_coefficients(model, electrode)
     c = model.eps0_area
     u = delta / g0
-    if not lone:
-        return _slope_terms(c, s, center_ratio, tilt, g0, u, np.log1p(u))
-    r = 1.0 / (1.0 + u)
-    n = _slope_series(u) if abs(u) < SLOPE_SERIES_U_THRESHOLD else (float(np.log1p(u)) / u - r) / u
-    return _slope_from_n(c, s, center_ratio, tilt, g0, r, n)
+    if isinstance(u, float):
+        r = 1.0 / (1.0 + u)
+        n = _slope_series(u) if abs(u) < SLOPE_SERIES_U_THRESHOLD else (float(np.log1p(u)) / u - r) / u
+        return _slope_from_n(c, s, center_ratio, tilt, g0, r, n)
+    return _slope_terms(c, s, center_ratio, tilt, g0, u, np.log1p(u))
 
 
 # The same kernel under the name perfbench/tracing.py times array calls by.

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrostatics import (Electrode, capacitance_slope, capacitance_value,
-                             force_per_v2_value, invertible, yp_from_capacitance)
-from .errors import (DegenerateData, InsufficientData, InvalidParameter,
-                     OutOfRange, TouchViolation)
+from .electrostatics import (Electrode, _capacitance_on_line, _gap_terms, _slope_on_line,
+                             capacitance_value, force_per_v2_value, invertible,
+                             yp_from_capacitance)
+from .errors import DegenerateData, InsufficientData, InvalidParameter, OutOfRange
 from .instrument import MeasurementStream, NoiseModel, _columns, _read_only
-from .mechanics import StableBranch, _Drive, film_stiffness, sorted_voltages
+from .mechanics import StableBranch, _Drive, film_stiffness, sweep_voltage
 from .model import ValidatedModel
 
 MAX_ITERATIONS = 100
@@ -103,20 +103,20 @@ class FilmFitResult:
 
 def simulate_cv(model: ValidatedModel, electrode: Electrode, V_list,
                 noise: NoiseModel | None = None) -> CVDataset:
-    """Forward-generated dataset: equilibrium capacitance at each voltage.
+    """Forward-generated dataset: a voltage sweep read out as capacitance.
 
-    The energized electrode is also the sensed one. Voltages past pull-in
-    yield no row. Optional per-row Gaussian noise is seeded through the
-    NoiseModel, keeping datasets reproducible.
+    sweep_voltage solves the equilibria, with its ordering, its truncation
+    at pull-in and its errors, and each pose is read as the capacitance of
+    the energized electrode, which is also the sensed one. Voltages past
+    pull-in yield no row. Optional per-row Gaussian noise is seeded through
+    the NoiseModel, keeping datasets reproducible.
     """
-    voltages = sorted_voltages(V_list, nonempty=False)
-    branch = StableBranch(model, electrode)
-    electrode = branch.electrode
-    y = branch.solve_leading(voltages)
-    C = capacitance_value(y, model, electrode)
+    electrode = Electrode(electrode)
+    sweep = sweep_voltage(model, electrode, V_list)
+    C = capacitance_value(sweep.y_p, model, electrode)
     if noise is not None and noise.sigma_C > 0.0:
-        C = C + noise.draw(len(C))
-    return CVDataset(voltages[:C.size], C, np.full(C.size, electrode.value))
+        C = C + noise.draw(C.size)
+    return CVDataset(sweep.V, C, np.full(C.size, electrode.value))
 
 
 def deflection_series(samples: MeasurementStream, model: ValidatedModel,
@@ -199,8 +199,8 @@ class _PreparedFit:
 
         The film pair is (y0*k, k), solved on the template's geometry. None
         unless y0 is finite and 1/compliance <= k < inf (E_F*V_F >= 0, as a
-        model's film requires), and where a row has no stable equilibrium
-        or touches an electrode.
+        model's film requires), and where a row has no stable equilibrium.
+        The branch keeps its poses inside the touch interval: no touch check.
         """
         y0, k = float(theta[0]), float(theta[1])
         if not (math.isfinite(y0) and self.inv_c <= k < math.inf):
@@ -211,10 +211,7 @@ class _PreparedFit:
             y, error = branch._roots(drive)
             if error is not None:
                 return None
-            try:
-                res[rows] = capacitance_value(y, self.template, e) - C
-            except TouchViolation:
-                return None
+            res[rows] = _capacitance_on_line(*_gap_terms(y, self.template, e), self.template) - C
             solved.append((branch, y))
         return res, solved
 
@@ -228,7 +225,8 @@ class _PreparedFit:
         """
         J = np.empty((self.C.size, 2))
         for (e, rows, _, drive), (branch, y) in zip(self.groups, solved):
-            dC_dF = capacitance_slope(y, self.template, e) / -branch._force_slope(drive, y)
+            slope = _slope_on_line(*_gap_terms(y, self.template, e), self.template, e)
+            dC_dF = slope / -branch._force_slope(drive, y)
             J[rows, 0] = dC_dF * branch.k
             J[rows, 1] = dC_dF * (branch.rest - y)
         return J

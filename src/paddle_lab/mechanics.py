@@ -255,24 +255,6 @@ def _scan_bounds(model: ValidatedModel) -> tuple[float, float]:
     return model.y_p_min * (1.0 - SCAN_MARGIN), model.y_p_max * (1.0 - SCAN_MARGIN)
 
 
-def sorted_voltages(V_list, nonempty: bool = True) -> np.ndarray:
-    """V_list as an ascending 1-D float array, in stable order.
-
-    Raises InvalidParameter("V_list") unless every voltage is finite and
-    >= 0, and, when nonempty is set, unless there is at least one.
-    """
-    V = np.asarray(V_list, dtype=float)
-    if V.ndim != 1:
-        raise InvalidParameter("V_list", f"must be a 1-D list of voltages, got shape {V.shape}")
-    if nonempty and not V.size:
-        raise InvalidParameter("V_list", "must be nonempty")
-    V = np.sort(V, kind="stable")  # NaN sorts last
-    if V.size and not 0.0 <= V[0] <= V[-1] < math.inf:
-        bad = float(V[-1] if V[0] >= 0.0 else V[0])
-        raise InvalidParameter("V_list", f"voltages must be finite and >= 0, got {bad!r}")
-    return V
-
-
 def _check_drive(V_top: float, V_bottom: float) -> None:
     for V in (V_top, V_bottom):
         # NaN fails both; V*V of Python floats overflows to inf without a NumPy warning
@@ -588,10 +570,18 @@ def sweep_voltage(model: ValidatedModel, electrode: Electrode,
     _branch_columns forms the columns: the electrode at 0 V gets the signed
     zero that f*0*0 gives (-0.0 for bottom, +0.0 for top). Raises
     NoStableEquilibrium when film stress pins the paddle at the lowest
-    voltage, and InvalidParameter when V_list is empty or holds a negative
-    or non-finite voltage.
+    voltage, and InvalidParameter("V_list") unless V_list is a nonempty 1-D
+    list of finite voltages >= 0.
     """
-    V = sorted_voltages(V_list)
+    V = np.asarray(V_list, dtype=float)
+    if V.ndim != 1:
+        raise InvalidParameter("V_list", f"must be a 1-D list of voltages, got shape {V.shape}")
+    if not V.size:
+        raise InvalidParameter("V_list", "must be nonempty")
+    V = np.sort(V, kind="stable")  # NaN sorts last
+    if not 0.0 <= V[0] <= V[-1] < math.inf:
+        bad = float(V[-1] if V[0] >= 0.0 else V[0])
+        raise InvalidParameter("V_list", f"voltages must be finite and >= 0, got {bad!r}")
     branch = StableBranch(model, electrode)
     y = branch.solve_leading(V)
     n = y.size

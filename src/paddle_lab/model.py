@@ -227,8 +227,6 @@ def model_to_dict(model: ValidatedModel) -> dict:
 
 def model_from_dict(data: dict) -> ValidatedModel:
     for key, value in data.items():
-        if key not in MODEL_JSON_KEYS:
-            raise InvalidParameter(key, "unknown model key")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise InvalidParameter(key, f"must be a number, got {value!r}")
     return build_model(**data)

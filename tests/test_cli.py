@@ -423,6 +423,18 @@ def test_non_finite_config_exit_2(tmp_path, capsys, command, text):
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("text,key", [('{"sigma_0": 1e8}', "sigma_0"), ("[1, 2]", "config")])
+def test_unknown_key_or_non_object_config_exit_2(tmp_path, capsys, text, key):
+    # build_model refuses a key it does not know, naming it; a JSON value that is
+    # not an object is refused as the config
+    config = tmp_path / "model.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert run(["design", "--config", str(config), "--out", str(out)]) == 2
+    assert f"error: {key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["design", "pullin --electrode top"])
 @pytest.mark.parametrize("text,key", [('{"t_b": 1e-300}', "t_b"),
                                       ('{"E_biaxial": 1e-300, "K": 1e-20}', "E_biaxial")])

@@ -14,7 +14,9 @@ from paddle_lab import (CVDataset, DegenerateData, Electrode,
                         model_from_dict, model_to_dict, pull_in_voltage, simulate_cv,
                         ValidatedModel, yp_from_capacitance)
 from paddle_lab.cli import main
-from paddle_lab.extraction import CVRow, _PreparedFit
+from paddle_lab.electrostatics import capacitance_range, capacitance_slope
+from paddle_lab.extraction import (MAX_HALVINGS, MAX_ITERATIONS, CVRow, _initial_guess,
+                                   _PreparedFit)
 from paddle_lab.mechanics import StableBranch, compliance, strain_coupling
 
 
@@ -52,9 +54,14 @@ def test_simulate_cv_rejects_non_finite_voltages(with_sigma0, bad):
         simulate_cv(m, Electrode.BOTTOM, [0.0, bad, 50.0, 100.0])
 
 
-def test_simulate_cv_empty_is_insufficient(with_sigma0):
+def test_simulate_cv_empty_is_invalid(with_sigma0):
+    # an empty list is sweep_voltage's error; rows that do not reach three are
+    # the dataset's
+    m = with_sigma0(100e6)
+    with pytest.raises(InvalidParameter, match=r"^V_list: must be nonempty$"):
+        simulate_cv(m, Electrode.BOTTOM, [])
     with pytest.raises(InsufficientData):
-        simulate_cv(with_sigma0(100e6), Electrode.BOTTOM, [])
+        simulate_cv(m, Electrode.BOTTOM, [0.0, 100.0, 300.0])
 
 
 def _same(a, b):
@@ -511,6 +518,25 @@ def test_fit_residuals_match_rebuilt_model(default_model, which, sigma0, EFVF):
         assert len(solved) == (2 if which == "both" else 1)
 
 
+@pytest.mark.parametrize("which", ["bottom", "top", "both"])
+def test_fit_reads_branch_poses_as_the_checked_kernels_bitwise(default_model, which):
+    # residuals and jacobian read the trial branch's poses without the touch check;
+    # they give the bits of capacitance_value and capacitance_slope at those poses
+    data = _oracle_datasets()[which]
+    fit = _PreparedFit(data, default_model)
+    for theta in (_theta(default_model, TRUTH_SIGMA0, TRUTH_EFVF),
+                  _theta(default_model, 1.02 * TRUTH_SIGMA0, 0.98 * TRUTH_EFVF)):
+        r, solved = fit.residuals(theta)
+        expected_r, expected_J = np.empty_like(r), np.empty((r.size, 2))
+        for (e, rows, C, drive), (branch, y) in zip(fit.groups, solved):
+            expected_r[rows] = capacitance_value(y, default_model, e) - C
+            dC_dF = capacitance_slope(y, default_model, e) / -branch._force_slope(drive, y)
+            expected_J[rows, 0] = dC_dF * branch.k
+            expected_J[rows, 1] = dC_dF * (branch.rest - y)
+        assert np.array_equal(r.view(np.uint64), expected_r.view(np.uint64))
+        assert np.array_equal(fit.jacobian(solved).view(np.uint64), expected_J.view(np.uint64))
+
+
 def _trial_data(truth, electrode, top, sigma_C=0.0, seed=0, n=21):
     V = np.linspace(0.0, top * pull_in_voltage(truth, electrode).V_pull_in, n)
     return simulate_cv(truth, electrode, V,
@@ -612,3 +638,60 @@ def test_fit_error_bars_undefined_start(default_model):
     fit = fit_film_parameters(data, default_model)
     assert not fit.converged and fit.iterations == 0 and fit.rms_residual == math.inf
     assert all(math.isnan(v) for v in (fit.sigma0_se, fit.EFVF_se, fit.corr, fit.cond))
+
+
+def _no_row_inverts(model):
+    """Four bottom rows at twice the largest capacitance that inverts."""
+    C = 2.0 * capacitance_range(model, Electrode.BOTTOM)[1]
+    return CVDataset([0.0, 10.0, 20.0, 30.0], np.full(4, C), ["bottom"] * 4)
+
+
+def _recorded_trials(monkeypatch, defined=None):
+    """Record the objective r @ r of each residuals call (None where undefined).
+    With `defined` set, only the first that many calls are evaluated."""
+    trials, residuals = [], _PreparedFit.residuals
+
+    def recorded(self, theta):
+        got = residuals(self, theta) if defined is None or len(trials) < defined else None
+        trials.append(None if got is None else float(got[0] @ got[0]))
+        return got
+
+    monkeypatch.setattr(_PreparedFit, "residuals", recorded)
+    return trials
+
+
+def _stopped_on_exhausted_line_search(trials, fit, n):
+    """Whether the fit's last iteration tried MAX_HALVINGS + 1 steps and none lowered
+    the objective of the iterate it ended on."""
+    current, tail = trials[-(MAX_HALVINGS + 2)], trials[-(MAX_HALVINGS + 1):]
+    return (math.sqrt(current / n) == fit.rms_residual
+            and all(t is None or t >= current for t in tail))
+
+
+def test_fit_starts_from_template_when_no_row_inverts(default_model):
+    fit = _PreparedFit(_no_row_inverts(default_model), default_model)
+    assert _initial_guess(fit).tolist() == [default_model.prestress / default_model.k,
+                                            default_model.k]
+
+
+def test_fit_stuck_line_search_is_not_converged(default_model, monkeypatch):
+    # no row inverts, so the fit starts from the template's film; it reaches an iterate
+    # where no halving of the step lowers the objective and the finest step tried is
+    # still above tolerance, and stops there, unconverged, before MAX_ITERATIONS
+    trials = _recorded_trials(monkeypatch)
+    fit = fit_film_parameters(_no_row_inverts(default_model), default_model)
+    assert not fit.converged and 0 < fit.iterations < MAX_ITERATIONS
+    assert _stopped_on_exhausted_line_search(trials, fit, 4)
+
+
+def test_fit_exhausted_line_search_below_tolerance_is_converged(default_model, monkeypatch):
+    # the pre-fit of sigma_C = 1e-17 F data is about 5e-6 off the optimum in the scaled
+    # step; with every trial undefined, the line search's finest step, 2**-20 of that,
+    # is below REL_STEP_TOL, so the first iteration's exhausted search counts as converged
+    truth = build_model(sigma0=TRUTH_SIGMA0, t_F=TRUTH_T_F)
+    data = _trial_data(truth, Electrode.BOTTOM, 0.8, 1e-17, 3, 11)
+    trials = _recorded_trials(monkeypatch, defined=1)
+    fit = fit_film_parameters(data, default_model)
+    assert fit.converged and fit.iterations == 1
+    assert len(trials) == MAX_HALVINGS + 2
+    assert _stopped_on_exhausted_line_search(trials, fit, 11)

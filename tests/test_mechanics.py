@@ -299,6 +299,8 @@ def test_sweep_validation(default_model):
         sweep_voltage(default_model, Electrode.BOTTOM, [])
     with pytest.raises(InvalidParameter):
         sweep_voltage(default_model, Electrode.BOTTOM, [-5.0, 10.0])
+    with pytest.raises(InvalidParameter, match=r"^V_list: must be a 1-D list of voltages"):
+        sweep_voltage(default_model, Electrode.BOTTOM, [[1.0, 2.0]])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
