@@ -42,9 +42,12 @@ class CVRow:
 
 
 def _check_row(V: float, C: float, prefix: str, i: int) -> None:
-    """Raise InvalidParameter, named V or C, unless 0 <= V < inf and 0 < C < inf."""
+    """Raise InvalidParameter, named V or C, unless 0 <= V < inf, V*V < inf
+    (mechanics._Drive's rule) and 0 < C < inf."""
     if not 0.0 <= V < math.inf:
         raise InvalidParameter("V", f"{prefix}row {i}: voltage must be finite and >= 0, got {V!r}")
+    if not V * V < math.inf:
+        raise InvalidParameter("V", f"{prefix}row {i}: voltage must have a finite square, got {V!r}")
     if not 0.0 < C < math.inf:
         raise InvalidParameter("C", f"{prefix}row {i}: capacitance must be finite and > 0, got {C!r}")
 
@@ -68,7 +71,8 @@ class CVDataset:
             raise InsufficientData(f"need >= 3 rows, got {n}")
         V, C, names = self.V, self.C, self.electrode
         top, bottom = names == "top", names == "bottom"
-        ok = (top | bottom) & (V >= 0.0) & (V < math.inf) & (C > 0.0) & (C < math.inf)
+        with np.errstate(over="ignore"):  # V*V < inf also refuses V = inf and NaN
+            ok = (top | bottom) & (V >= 0.0) & (V * V < math.inf) & (C > 0.0) & (C < math.inf)
         if not ok.all():
             i = int(ok.argmin())
             _check_row(V[i].item(), C[i].item(), "", i)
@@ -191,7 +195,7 @@ class _PreparedFit:
         for name in dict.fromkeys(data.electrode.tolist()):
             e, rows = Electrode(name), np.flatnonzero(data.electrode == name)
             self.groups.append((e, rows, self.C[rows],
-                                _Drive(StableBranch(template, e), self.V[rows])))
+                                _Drive(template, e, self.V[rows])))
 
     def residuals(self, theta):
         """(r, solved) at theta: the capacitance residuals and, per electrode,

@@ -70,7 +70,7 @@ class EquilibriumSolution:
     F_elec_top: float
     F_elec_bottom: float
     F_total: float
-    residual: float  # total force recomputed at y_p in plain arithmetic (_force_closure)
+    residual: float  # total force recomputed at y_p in plain arithmetic, _force_closure's bits
 
 
 @dataclass(frozen=True)
@@ -198,21 +198,50 @@ def _branch_columns(y_p, V, model: ValidatedModel, driven: Electrode) -> dict:
                 **_breakdown(y_p, model, F_t, F_e))
 
 
+class _Drive:
+    """Voltages V on one electrode, checked and prepared for solving on any film.
+
+    The one place a drive voltage is checked, InvalidParameter("V") unless
+    every V is finite and >= 0 with a finite square (read on V's extremes as
+    Python floats: no NumPy overflow warning), and turned into a _force_sum
+    term. Holds V^2, half*V^2, c = s*half*V^2 with its term (none where every
+    c is 0), and the unforced (V = 0) and driven voltages. Any film's
+    StableBranch on the same geometry and electrode solves it with _roots.
+    """
+
+    __slots__ = ("V", "v2", "half_v2", "c", "terms", "unforced", "driven")
+
+    def __init__(self, model: ValidatedModel, electrode: Electrode, V):
+        V = np.asarray(V, dtype=float)
+        for v in (float(V.min(initial=0.0)), float(V.max(initial=0.0))):
+            if not (0.0 <= v < math.inf and v * v < math.inf):  # NaN fails both
+                raise InvalidParameter(
+                    "V", f"drive voltages must be finite and >= 0, with a finite square "
+                         f"(force is even in V), got {v!r}")
+        rest, s = gap_coefficients(model, electrode)[:2]
+        self.V = V
+        self.v2 = V * V
+        self.half_v2 = model.half_eps0_area * self.v2
+        self.c = s * self.half_v2
+        # a lone V's term holds c as a Python float: a scan's bisection steps on floats
+        term_c = self.c if V.ndim else float(self.c)
+        self.terms = ((rest, s, term_c),) if np.count_nonzero(self.c) > 0 else ()
+        self.unforced = self.v2 == 0.0
+        self.driven = ~self.unforced
+
+
 def _force_closure(model: ValidatedModel, V_top: float, V_bottom: float):
     """Total force F(y_p) in plain arithmetic, on a float or an array.
 
-    For the scan grid and its bisection, and for an equilibrium's
-    residual. A drive voltage may be an array too, which broadcasts
-    against y_p. Poses are not checked against the touch limits: callers
-    stay inside the scan interval.
+    For the scan grid and its bisection, and for the residual of an
+    equilibrium with both electrodes driven. Each electrode's term comes
+    from its _Drive, which also checks the voltage. A drive voltage may be
+    an array too, which broadcasts against y_p. Poses are not checked
+    against the touch limits: callers stay inside the scan interval.
     """
-    terms = []
-    for electrode, V in ((Electrode.TOP, V_top), (Electrode.BOTTOM, V_bottom)):
-        rest, s, cr, tilt = gap_coefficients(model, electrode)  # cr, tilt: same for both
-        c = s * (model.half_eps0_area * (V * V))
-        if np.count_nonzero(c) > 0:
-            terms.append((rest, s, c))
-    return _force_sum(model.prestress, model.k, cr, tilt, terms)
+    top, bottom = _Drive(model, Electrode.TOP, V_top), _Drive(model, Electrode.BOTTOM, V_bottom)
+    return _force_sum(model.prestress, model.k, model.center_ratio, model.tilt,
+                      top.terms + bottom.terms)
 
 
 def _force_sum(prestress, k_lin, cr, tilt, terms):
@@ -236,7 +265,7 @@ def _force_sum(prestress, k_lin, cr, tilt, terms):
 
 def total_force_curve(y_p, V_top: float, V_bottom: float,
                       model: ValidatedModel) -> np.ndarray:
-    """Total force on an array of deflections inside the touch interval."""
+    """Total force on an array of deflections inside the touch interval (V checked by _Drive)."""
     return _force_closure(model, V_top, V_bottom)(np.asarray(y_p, dtype=float))
 
 
@@ -253,15 +282,6 @@ def drive_voltages(electrode: Electrode, V: float) -> tuple[float, float]:
 def _scan_bounds(model: ValidatedModel) -> tuple[float, float]:
     """The open touch interval, shrunk by SCAN_MARGIN at each end."""
     return model.y_p_min * (1.0 - SCAN_MARGIN), model.y_p_max * (1.0 - SCAN_MARGIN)
-
-
-def _check_drive(V_top: float, V_bottom: float) -> None:
-    for V in (V_top, V_bottom):
-        # NaN fails both; V*V of Python floats overflows to inf without a NumPy warning
-        if not (0.0 <= V < math.inf and float(V) * float(V) < math.inf):
-            raise InvalidParameter(
-                "V", f"drive voltages must be finite and >= 0, with a finite square "
-                     f"(force is even in V), got {V!r}")
 
 
 def _scan_equilibrium(model: ValidatedModel, V_top: float, V_bottom: float) -> float:
@@ -318,9 +338,9 @@ class StableBranch:
     eps0*w_p*l_p/2, and the rest deflection prestress/k. One branch serves
     any number of voltages: sweeps build it once, compute pull-in once and
     solve all their voltages in one call. What a solve needs of the voltages
-    alone is a _Drive, which any branch on the same geometry and electrode
-    can solve (_roots): the stress fit prepares each electrode's voltages
-    once and solves them on its template with each trial film's pair.
+    alone is a _Drive on the same geometry and electrode, which any film's
+    branch can solve (_roots): the stress fit prepares each electrode's
+    voltages once and solves them on its template with each trial film's pair.
     """
 
     def __init__(self, model: ValidatedModel, electrode: Electrode, film=None):
@@ -467,43 +487,10 @@ class StableBranch:
         Raises NoStableEquilibrium for the first V, in array order, at or
         past pull-in or at which film stress pins the paddle.
         """
-        y, error = self._roots(_Drive(self, V))
+        y, error = self._roots(_Drive(self.model, self.electrode, V))
         if error is not None:
             raise error
         return y if np.ndim(V) else float(y)
-
-    def solve_leading(self, V) -> np.ndarray:
-        """Stable y_p at each V of a 1-D array, up to the first V without one.
-        Raises NoStableEquilibrium instead if film stress pins the paddle there."""
-        y, error = self._roots(_Drive(self, V))
-        if isinstance(error, _Pinned):
-            raise error
-        failed = np.flatnonzero(np.isnan(y))
-        return y[:failed[0]] if failed.size else y
-
-
-class _Drive:
-    """Voltages on one branch's electrode, prepared for solving on any film.
-
-    Holds everything of StableBranch's solve that depends only on V, the
-    geometry and the electrode: the drive check, V^2, half*V^2, the force
-    coefficient c = s*half*V^2 with its _force_sum term, and the unforced
-    (V = 0) and driven voltages. Built from any branch on that geometry and
-    electrode; a branch of any film then solves it with _roots.
-    """
-
-    __slots__ = ("V", "v2", "half_v2", "c", "terms", "unforced", "driven")
-
-    def __init__(self, branch: StableBranch, V):
-        V = np.asarray(V, dtype=float)
-        _check_drive(float(V.min(initial=0.0)), float(V.max(initial=0.0)))
-        self.V = V
-        self.v2 = V * V
-        self.half_v2 = branch.half * self.v2
-        self.c = branch.s * self.half_v2
-        self.terms = ((branch.gap, branch.s, self.c),) if np.count_nonzero(self.c) > 0 else ()
-        self.unforced = self.v2 == 0.0
-        self.driven = ~self.unforced
 
 
 def solve_equilibrium(model: ValidatedModel, V_top: float = 0.0,
@@ -511,29 +498,35 @@ def solve_equilibrium(model: ValidatedModel, V_top: float = 0.0,
     """Stable force balance at the given drive voltages.
 
     With one electrode driven, or neither, this is one closed-form solve on
-    the stable branch with a sweep's _branch_columns on floats; with both
-    driven, the scan solver runs with the checked total_force and
-    capacitance_value. Raises NoStableEquilibrium at or past pull-in, and
-    when film stress pins the paddle against an electrode.
+    the stable branch with a sweep's _branch_columns on floats, and the
+    residual is the branch's force under the same _Drive; with both driven,
+    the scan solver runs with the checked total_force and capacitance_value.
+    The residual has _force_closure's bits either way. Raises
+    InvalidParameter("V") for a refused drive, NoStableEquilibrium at or
+    past pull-in and when film stress pins the paddle against an electrode.
     """
-    _check_drive(V_top, V_bottom)
     if V_top != 0.0 and V_bottom != 0.0:
         y = _scan_equilibrium(model, V_top, V_bottom)
         columns = dict(C_top=capacitance_value(y, model, Electrode.TOP),
                        **vars(total_force(y, V_top, V_bottom, model)))
+        residual = _force_closure(model, V_top, V_bottom)(y)
     else:
         driven, V = (Electrode.TOP, V_top) if V_top != 0.0 else (Electrode.BOTTOM, V_bottom)
-        y = StableBranch(model, driven).solve(V)
+        branch, drive = StableBranch(model, driven), _Drive(model, driven, V)
+        y, error = branch._roots(drive)
+        if error is not None:
+            raise error
+        y = float(y)
         columns = _branch_columns(y, V, model, driven)
-    return EquilibriumSolution(y_p=y, **columns,
-                               residual=_force_closure(model, V_top, V_bottom)(y))
+        residual = branch._force(drive.terms)(y)
+    return EquilibriumSolution(y_p=y, **columns, residual=residual)
 
 
 def has_stable_equilibrium(model: ValidatedModel, electrode: Electrode, V: float) -> bool:
     """Whether the scan solver finds a stable equilibrium at V on `electrode`.
 
     Deliberately independent of StableBranch: it is the oracle that
-    pull-in results are checked against.
+    pull-in results are checked against. V is checked by _Drive.
     """
     try:
         _scan_equilibrium(model, *drive_voltages(electrode, V))
@@ -570,20 +563,22 @@ def sweep_voltage(model: ValidatedModel, electrode: Electrode,
     _branch_columns forms the columns: the electrode at 0 V gets the signed
     zero that f*0*0 gives (-0.0 for bottom, +0.0 for top). Raises
     NoStableEquilibrium when film stress pins the paddle at the lowest
-    voltage, and InvalidParameter("V_list") unless V_list is a nonempty 1-D
-    list of finite voltages >= 0.
+    voltage, InvalidParameter("V_list") unless V_list is a nonempty 1-D
+    list, and the drive's InvalidParameter("V") unless every voltage is
+    finite and >= 0 with a finite square.
     """
     V = np.asarray(V_list, dtype=float)
     if V.ndim != 1:
         raise InvalidParameter("V_list", f"must be a 1-D list of voltages, got shape {V.shape}")
     if not V.size:
         raise InvalidParameter("V_list", "must be nonempty")
-    V = np.sort(V, kind="stable")  # NaN sorts last
-    if not 0.0 <= V[0] <= V[-1] < math.inf:
-        bad = float(V[-1] if V[0] >= 0.0 else V[0])
-        raise InvalidParameter("V_list", f"voltages must be finite and >= 0, got {bad!r}")
+    V = np.sort(V, kind="stable")
     branch = StableBranch(model, electrode)
-    y = branch.solve_leading(V)
-    n = y.size
+    y, error = branch._roots(_Drive(model, branch.electrode, V))
+    if isinstance(error, _Pinned):
+        raise error
+    failed = np.flatnonzero(np.isnan(y))
+    n = int(failed[0]) if failed.size else V.size
+    y = y[:n]
     return SweepResult(V=V[:n], y_p=y, **_branch_columns(y, V[:n], model, branch.electrode),
                        truncated_at=float(V[n]) if n < V.size else None)

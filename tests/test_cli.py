@@ -222,8 +222,10 @@ def test_negative_seed_exit_2(tmp_path, capsys, argv):
     ("measure --yp 0 --dt 1e308 --n 3", "dt: the last sample time n*dt must be finite"),
     ("measure --yp 0 --n 1" + "0" * 400, "n: must be at most 1.7976931348623157e+308"),
     ("sweep --electrode top --v-list=1e200,5", "--v-list: drive voltages must be finite and >= 0"),
-    ("sweep --electrode top --v-max=-5", "--v-max: voltages must be finite and >= 0, got -5.0"),
-    ("sweep --electrode top --v-list=-1,5", "--v-list: voltages must be finite and >= 0, got -1.0"),
+    ("sweep --electrode top --v-max=-5", "--v-max: drive voltages must be finite and >= 0, "
+     "with a finite square (force is even in V), got -5.0"),
+    ("sweep --electrode top --v-list=-1,5", "--v-list: drive voltages must be finite and >= 0, "
+     "with a finite square (force is even in V), got -1.0"),
     ("equilibrium --electrode top --v=-5", "--v: drive voltages must be finite and >= 0"),
     ("calibrate --spacers 1e300,2e300,3e300",
      "spacers [1e+300, 2e+300, 3e+300]: the line of C versus 1/spacer leaves the float64 range"),
@@ -540,6 +542,38 @@ def test_extract_nonconvergence_exit_code(tmp_path, capsys):
     assert [result[key] for key in ("sigma0_se_Pa", "EFVF_se_Pa_m3", "corr_sigma0_EFVF",
                                     "cond_JTJ_scaled")] == ["nan"] * 4
     assert "converge" in capsys.readouterr().err
+
+
+def test_extract_row_with_overflowing_square_exit_2(tmp_path, capsys):
+    # a finite voltage whose square overflows is refused as a row of the file,
+    # not later by the fit's drive without the file and row
+    data = tmp_path / "cv.csv"
+    out = tmp_path / "out"
+    data.write_text("V_volt,C_F\n0.0,2.2125e-12\n400.0,2.1e-12\n1e200,2.3e-12\n")
+    assert run(["extract", "--data", str(data), "--electrode", "bottom", "--out", str(out)]) == 2
+    assert (f"error: V: {data}: row 2: voltage must have a finite square, got 1e+200"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("curves --which force --y-min=-1e-3",
+     "error: grid [-0.001, 5.5384615384615394e-05] must lie strictly inside the touch window"),
+    ("calibrate --spacers 1e-6,abc", "error: --spacers: expected comma-separated numbers, "
+                                     "got '1e-6,abc'"),
+    ("equilibrium --electrode top --v abc", "error: argument --v: expected a number, got 'abc'"),
+    ("extract --electrode bottom --data {data} --config {config}",
+     "error: model_template: template film must have E_F*V_F > 0"),
+], ids=["curves-grid", "calibrate-spacers", "equilibrium-v", "extract-no-film"])
+def test_refused_input_exit_2(tmp_path, capsys, argv, message):
+    # each refusal names what it refuses, exits 2 and creates no output directory
+    data, config, out = tmp_path / "cv.csv", tmp_path / "no-film.json", tmp_path / "out"
+    write_cv_csv(data)
+    config.write_text('{"t_F": 0}\n')
+    argv = argv.format(data=data, config=config).split() + ["--out", str(out)]
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

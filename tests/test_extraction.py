@@ -17,7 +17,7 @@ from paddle_lab.cli import main
 from paddle_lab.electrostatics import capacitance_range, capacitance_slope
 from paddle_lab.extraction import (MAX_HALVINGS, MAX_ITERATIONS, CVRow, _initial_guess,
                                    _PreparedFit)
-from paddle_lab.mechanics import StableBranch, compliance, strain_coupling
+from paddle_lab.mechanics import StableBranch, _Drive, compliance, strain_coupling
 
 
 def test_simulate_cv_basic(with_sigma0):
@@ -50,8 +50,11 @@ def test_simulate_cv_noise_seeded(with_sigma0):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_simulate_cv_rejects_non_finite_voltages(with_sigma0, bad):
     m = with_sigma0(100e6)
-    with pytest.raises(InvalidParameter, match=r"^V_list: voltages must be finite and >= 0"):
+    message = (r"^V: drive voltages must be finite and >= 0, with a finite square "
+               rf"\(force is even in V\), got {bad!r}$")
+    with pytest.raises(InvalidParameter, match=message) as info:
         simulate_cv(m, Electrode.BOTTOM, [0.0, bad, 50.0, 100.0])
+    assert info.value.name == "V"
 
 
 def test_simulate_cv_empty_is_invalid(with_sigma0):
@@ -99,6 +102,27 @@ def test_dataset_names_first_bad_row(column, bad, i):
     what = "voltage must be finite and >= 0" if column == "V" else "capacitance must be finite and > 0"
     assert str(info.value) == f"{column}: row {i}: {what}, got {bad!r}"
     assert info.value.name == column
+
+
+def test_dataset_takes_the_drive_voltage_rule(default_model):
+    # a finite V whose square overflows is the row's error, ahead of a later bad
+    # row, and no NumPy overflow warning; the dataset and the fit's drive draw
+    # the line at the same float
+    C, el = np.array([2e-12, 2.1e-12, 2.2e-12, 2.3e-12]), ["top"] * 4
+    with pytest.raises(InvalidParameter) as info:
+        CVDataset([0.0, 10.0, 1e200, -1.0], C, el)
+    assert str(info.value) == "V: row 2: voltage must have a finite square, got 1e+200"
+    assert info.value.name == "V"
+    over = math.sqrt(sys.float_info.max)
+    while over * over < math.inf:
+        over = math.nextafter(over, math.inf)
+    under = math.nextafter(over, 0.0)  # the largest V with a finite square
+    assert CVDataset([0.0, 10.0, under, 20.0], C, el).V[2] == under
+    _Drive(default_model, Electrode.TOP, under)
+    with pytest.raises(InvalidParameter, match=r"^V: row 2: voltage must have a finite square"):
+        CVDataset([0.0, 10.0, over, 20.0], C, el)
+    with pytest.raises(InvalidParameter, match=r"^V: drive voltages must be finite and >= 0"):
+        _Drive(default_model, Electrode.TOP, over)
 
 
 def test_dataset_columns():

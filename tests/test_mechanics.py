@@ -225,6 +225,34 @@ def test_non_finite_drive_is_invalid_input(default_model, V):
     assert branch.solve(np.array([10.0, 20.0])).shape == (2,)
 
 
+@pytest.mark.parametrize("sigma0", [-200e6, 0.0, 100e6, 250e6])
+def test_equilibrium_residual_is_total_force_curve_bitwise(with_sigma0, sigma0):
+    # one electrode driven, or neither, takes the residual from the branch's
+    # force under the solve's own drive; it keeps the bits of the two-drive
+    # total force, which the both-driven scan path takes itself
+    m = with_sigma0(sigma0)
+    v_top, v_bottom = (pull_in_voltage(m, e).V_pull_in for e in (Electrode.TOP, Electrode.BOTTOM))
+    drives = [(0.0, 0.0), (0.5 * v_top, 0.0), (0.999 * v_top, 0.0), (0.0, 0.5 * v_bottom),
+              (0.0, 0.999 * v_bottom), (0.3 * v_top, 0.3 * v_bottom)]
+    for drive in drives:
+        sol = solve_equilibrium(m, *drive)
+        assert _bits(sol.residual) == _bits(total_force_curve(sol.y_p, *drive, m)), drive
+
+
+def test_force_curve_refuses_what_the_drive_refuses(default_model):
+    # total_force_curve and the scan oracle check V in the drive, instead of
+    # squaring a negative or non-finite voltage
+    message = r"^V: drive voltages must be finite and >= 0, with a finite square"
+    y = np.array([-1e-6, 0.0, 1e-6])
+    for drive in ((-1.0, 0.0), (0.0, -1.0), (math.nan, 0.0), (0.0, math.inf), (1.4e154, 0.0)):
+        with pytest.raises(InvalidParameter, match=message):
+            total_force_curve(y, *drive, default_model)
+    with pytest.raises(InvalidParameter, match=message):
+        total_force_curve(0.0, -1.0, 0.0, default_model)
+    with pytest.raises(InvalidParameter, match=message):
+        has_stable_equilibrium(default_model, Electrode.BOTTOM, -1.0)
+
+
 def test_equilibrium_beyond_pull_in(with_sigma0):
     with pytest.raises(NoStableEquilibrium):
         solve_equilibrium(with_sigma0(0.0), 0.0, 500.0)
@@ -305,10 +333,13 @@ def test_sweep_validation(default_model):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_sweep_rejects_non_finite_voltages(default_model, bad):
-    with pytest.raises(InvalidParameter, match=r"^V_list: voltages must be finite and >= 0"):
-        sweep_voltage(default_model, Electrode.TOP, [bad, 10.0])
-    with pytest.raises(InvalidParameter, match=r"^V_list: "):
-        sweep_voltage(default_model, Electrode.TOP, np.array([10.0, 0.0, bad]))
+    # the drive's check, wherever the bad voltage sorts
+    message = (r"^V: drive voltages must be finite and >= 0, with a finite square "
+               rf"\(force is even in V\), got {bad!r}$")
+    for V_list in ([bad, 10.0], np.array([10.0, 0.0, bad])):
+        with pytest.raises(InvalidParameter, match=message) as info:
+            sweep_voltage(default_model, Electrode.TOP, V_list)
+        assert info.value.name == "V"
 
 
 def test_sweep_orders_voltages(with_sigma0):
