@@ -110,11 +110,13 @@ def _gap_terms(y_p, model: ValidatedModel, electrode: Electrode):
     """gap_line's (g0, delta) at a float or array y_p, without its touch check.
 
     For poses already known to lie inside the touch interval, such as the
-    equilibria of a stable branch.
+    equilibria of a stable branch. g0 = rest - y_b or rest + y_b and delta =
+    (s*tilt)*y_b, y_b = y_p/center_ratio: s = +-1 commutes with rounding, so
+    these are the bits of rest + s*y_b and tilt*(s*y_b), signed zeros too.
     """
     rest, s, center_ratio, tilt = gap_coefficients(model, electrode)
-    y_s = s * (y_p / center_ratio)
-    return rest + y_s, tilt * y_s
+    y_b = y_p / center_ratio
+    return (rest - y_b if s < 0.0 else rest + y_b), (s * tilt) * y_b
 
 
 def gap_line(y_p, model: ValidatedModel, electrode: Electrode):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,7 +176,7 @@ def _breakdown(y_p, model: ValidatedModel, F_t, F_e) -> dict:
     """ForceBreakdown's fields at y_p as a dict, given each electrode's force f*V*V:
     the one place the mechanical terms and their sum F_total are formed."""
     F_f = film_force(y_p, model)
-    F_b = -y_p / model.compliance
+    F_b = y_p / -model.compliance
     return dict(F_film=F_f, F_beam=F_b, F_elec_top=F_t, F_elec_bottom=F_e,
                 F_total=F_f + F_b + F_t + F_e)
 
@@ -254,10 +255,9 @@ def _force_sum(prestress, k_lin, cr, tilt, terms):
     def force(y_p):
         y_b = y_p / cr
         out = prestress - k_lin * y_p
-        for rest, s, c in terms:
-            y_s = s * y_b
-            g0 = rest + y_s
-            out -= c / (g0 * (g0 + tilt * y_s))
+        for rest, s, c in terms:  # _gap_terms' arithmetic
+            g0 = rest - y_b if s < 0.0 else rest + y_b
+            out -= c / (g0 * (g0 + (s * tilt) * y_b))
         return out
 
     return force
@@ -336,8 +336,8 @@ class StableBranch:
     unless given. The constructor computes the branch's constants once: the
     gap line to the driven electrode with its edge slopes b0 and b1, half =
     eps0*w_p*l_p/2, and the rest deflection prestress/k. One branch serves
-    any number of voltages: sweeps build it once, compute pull-in once and
-    solve all their voltages in one call. What a solve needs of the voltages
+    any number of voltages: a sweep builds it once, reads pull_in() once and
+    solves all its voltages in one call. What a solve needs of the voltages
     alone is a _Drive on the same geometry and electrode, which any film's
     branch can solve (_roots): the stress fit prepares each electrode's
     voltages once and solves them on its template with each trial film's pair.
@@ -359,15 +359,14 @@ class StableBranch:
         self.pinned = self.start != self.rest
         toward_top = self.electrode is Electrode.TOP
         # rest-side end of the scan interval, the end at the driven electrode,
-        # and the sign of a restoring force at the rest-side end
+        # and whether a force F lacks a restoring force's sign at the rest-side end
         self.far, self.end = (self.lo, self.hi) if toward_top else (self.hi, self.lo)
-        self.far_sign = 1.0 if toward_top else -1.0
+        self.not_restoring = operator.le if toward_top else operator.ge  # F <= 0, F >= 0
 
     def _force(self, terms=()):
         """The total force F(y_p) (_force_sum) of this film under a drive's terms."""
         return _force_sum(self.prestress, self.k, self.cr, self.tilt, terms)
 
-    @functools.cached_property
     def pull_in(self) -> tuple[float, float]:
         """(y_PI, V_PI^2): the maximum of V^2(y_p) from rest to the driven electrode.
 
@@ -421,13 +420,13 @@ class StableBranch:
         m = math.sqrt((r0 - r1) ** 2 + r0 * r1) / 3.0
         q0 = (r0 + r1) * (2.0 * r0 - r1) * (r0 - 2.0 * r1) / 27.0
         # np.minimum(np.maximum(...)) gives np.clip's bits here at half its call cost
-        x = np.minimum(np.maximum(-(q0 + e) / (2.0 * m**3), -1.0), 1.0)
+        x = np.minimum(np.maximum((q0 + e) / (-2.0 * m**3), -1.0), 1.0)
         w_far = -2.0 * m * np.cos(math.pi / 3.0 - np.arccos(x) / 3.0) - (r0 + r1) / 3.0
-        beta = r0 + r1 + w_far  # w^2 + beta*w + gamma holds the other two roots
-        gamma = -e / w_far
-        w = -2.0 * gamma / (beta + np.sqrt(np.maximum(beta * beta - 4.0 * gamma, 0.0)))
+        beta = r0 + r1 + w_far  # w^2 + beta*w - mu holds the other two roots
+        mu = e / w_far
+        w = 2.0 * mu / (beta + np.sqrt(np.maximum(beta * beta + 4.0 * mu, 0.0)))
         lo, hi = min(self.far, y_pi), max(self.far, y_pi)
-        y = np.minimum(np.maximum(self.rest + s * w, lo), hi)
+        y = np.minimum(np.maximum(self.rest - w if s < 0.0 else self.rest + w, lo), hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             polished = y - force(y) / self._force_slope(drive, y)
         return np.where((lo <= polished) & (polished <= hi), polished, y)
@@ -450,7 +449,7 @@ class StableBranch:
         there is none)."""
         force = self._force(drive.terms)
         if self.pinned:  # unforced, or the rest-side end not yet pulled free
-            pinned = drive.unforced | (force(self.far) * self.far_sign <= 0.0)
+            pinned = drive.unforced | self.not_restoring(force(self.far), 0.0)
             solved, driven = np.zeros(pinned.shape, dtype=bool), ~pinned
         else:
             pinned, solved, driven = None, drive.unforced, drive.driven
@@ -458,12 +457,12 @@ class StableBranch:
         error = None
         if np.count_nonzero(driven):
             try:
-                y_pi, v2_pi = self.pull_in
+                y_pi, v2_pi = self.pull_in()
             except NoStableEquilibrium as exc:
                 error = exc
             else:
                 # within rounding of V_PI, F(y_PI) can keep the rest-side sign
-                stable = driven & (drive.v2 < v2_pi) & (force(y_pi) * self.far_sign <= 0.0)
+                stable = driven & (drive.v2 < v2_pi) & self.not_restoring(force(y_pi), 0.0)
                 if np.count_nonzero(stable):
                     y = np.where(stable, self._stable_root(drive, force, y_pi), y)
                     solved = solved | stable
@@ -540,7 +539,7 @@ def pull_in_voltage(model: ValidatedModel, electrode: Electrode) -> PullInResult
 
     V(y_p) = sqrt(-F_mech(y_p)/f_e(y_p)) is the drive that balances
     deflection y_p. Its maximum along the branch from rest toward the
-    electrode is V_PI, in closed form (StableBranch.pull_in); no stable
+    electrode is V_PI, in closed form (StableBranch.pull_in()); no stable
     equilibrium exists at V >= V_PI. y_p_last_stable is the pull-in
     displacement y_PI where the maximum is reached. Raises
     NoStableEquilibrium when film stress pins the paddle at rest.
@@ -548,7 +547,7 @@ def pull_in_voltage(model: ValidatedModel, electrode: Electrode) -> PullInResult
     branch = StableBranch(model, electrode)
     if branch.pinned:
         raise branch._pinned_error(0.0)
-    y_pi, v2_pi = branch.pull_in
+    y_pi, v2_pi = branch.pull_in()
     return PullInResult(V_pull_in=math.sqrt(v2_pi), y_p_last_stable=y_pi,
                         electrode=branch.electrode)
 
@@ -577,8 +576,7 @@ def sweep_voltage(model: ValidatedModel, electrode: Electrode,
     y, error = branch._roots(_Drive(model, branch.electrode, V))
     if isinstance(error, _Pinned):
         raise error
-    failed = np.flatnonzero(np.isnan(y))
-    n = int(failed[0]) if failed.size else V.size
+    n = V.size if error is None else int(np.flatnonzero(np.isnan(y))[0])  # first refused V
     y = y[:n]
     return SweepResult(V=V[:n], y_p=y, **_branch_columns(y, V[:n], model, branch.electrode),
                        truncated_at=float(V[n]) if n < V.size else None)

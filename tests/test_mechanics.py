@@ -544,7 +544,7 @@ def test_refused_where_force_keeps_its_sign_at_pull_in(with_sigma0):
                     d_e=0.00014981508604812926, l_b=0.005074927257528863)
     V = 198.19144870442844
     branch = StableBranch(m, Electrode.BOTTOM)
-    assert V * V < branch.pull_in[1]
+    assert V * V < branch.pull_in()[1]
     with pytest.raises(NoStableEquilibrium, match="pull-in voltage is"):
         branch.solve(V)
 
