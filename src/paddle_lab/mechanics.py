@@ -214,11 +214,11 @@ class _Drive:
 
     def __init__(self, model: ValidatedModel, electrode: Electrode, V):
         V = np.asarray(V, dtype=float)
-        for v in (float(V.min(initial=0.0)), float(V.max(initial=0.0))):
-            if not (0.0 <= v < math.inf and v * v < math.inf):  # NaN fails both
-                raise InvalidParameter(
-                    "V", f"drive voltages must be finite and >= 0, with a finite square "
-                         f"(force is even in V), got {v!r}")
+        lo, hi = float(V.min(initial=0.0)), float(V.max(initial=0.0))
+        if not (0.0 <= lo and hi * hi < math.inf):  # NaN fails both
+            raise InvalidParameter(
+                "V", f"drive voltages must be finite and >= 0, with a finite square "
+                     f"(force is even in V), got {hi if 0.0 <= lo else lo!r}")
         rest, s = gap_coefficients(model, electrode)[:2]
         self.V = V
         self.v2 = V * V
@@ -327,20 +327,20 @@ class StableBranch:
     Below V_PI the total force changes sign exactly once between the
     rest-side end of the scan interval and y_PI, at the stable root. The
     force balance is a cubic in the deflection, so the stable roots of a
-    whole voltage array come from one closed-form solve (see solve). At
-    V = 0 the equilibrium is the rest deflection. Film stress that puts the
-    rest deflection past a touch limit pins the paddle, and that is the
-    error reported unless the drive pulls the paddle free.
+    whole voltage array come from one closed-form solve (_stable_root). At
+    V = 0 the equilibrium is the rest deflection. Film stress that puts rest
+    past a touch limit or on the driven end of the scan interval pins the
+    paddle, and _roots refuses each V that does not pull it free.
 
     The film enters as film = (prestress, k), the model's pair
     unless given. The constructor computes the branch's constants once: the
     gap line to the driven electrode with its edge slopes b0 and b1, half =
     eps0*w_p*l_p/2, and the rest deflection prestress/k. One branch serves
-    any number of voltages: a sweep builds it once, reads pull_in() once and
-    solves all its voltages in one call. What a solve needs of the voltages
-    alone is a _Drive on the same geometry and electrode, which any film's
-    branch can solve (_roots): the stress fit prepares each electrode's
-    voltages once and solves them on its template with each trial film's pair.
+    any number of voltages, and _roots is its one solve, of a _Drive on the
+    same geometry and electrode, which any film's branch can solve: sweeps
+    and single solves build a branch per call, and the stress fit prepares
+    each electrode's drive once and solves it on its template with each
+    trial film's pair.
     """
 
     def __init__(self, model: ValidatedModel, electrode: Electrode, film=None):
@@ -356,14 +356,14 @@ class StableBranch:
         # the two edge gaps at rest
         self.G0, self.G1 = self.gap + self.b0 * self.rest, self.gap + self.b1 * self.rest
         self.start = min(max(self.rest, self.lo), self.hi)  # clamped rest deflection
-        self.pinned = self.start != self.rest
         toward_top = self.electrode is Electrode.TOP
         # rest-side end of the scan interval, the end at the driven electrode,
         # and whether a force F lacks a restoring force's sign at the rest-side end
         self.far, self.end = (self.lo, self.hi) if toward_top else (self.hi, self.lo)
         self.not_restoring = operator.le if toward_top else operator.ge  # F <= 0, F >= 0
+        self.pinned = self.start != self.rest or self.start == self.end  # see _roots
 
-    def _force(self, terms=()):
+    def _force(self, terms):
         """The total force F(y_p) (_force_sum) of this film under a drive's terms."""
         return _force_sum(self.prestress, self.k, self.cr, self.tilt, terms)
 
@@ -373,23 +373,21 @@ class StableBranch:
         With z = y_p - rest, V^2 is proportional to z*(G0 + b0*z)*(G1 + b1*z),
         the two edge gaps being linear in z, so y_PI - rest is the root of
         3*b0*b1*z^2 + 2*(b0*G1 + b1*G0)*z + G0*G1 nearest 0, taken in the
-        form that does not cancel (the discriminant is positive). It is
-        clamped into [start, end]: when film stress pins the paddle on the
-        far side, the maximum over the interval can lie on the start end.
+        form that does not cancel (the discriminant is positive). Never
+        raises: y_PI is clamped into [start, end], so on a pinned branch it
+        can lie on an end, with V_PI^2 <= 0 on the driven one, where _roots
+        refuses every V as pinned.
         """
-        if self.start == self.end:
-            raise self._pinned_error(0.0)
         b0, b1, G0, G1 = self.b0, self.b1, self.G0, self.G1
         a, b, c = 3.0 * b0 * b1, 2.0 * (b0 * G1 + b1 * G0), G0 * G1
         z = -2.0 * c / (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
         y = min(max(self.rest + z, min(self.start, self.end)), max(self.start, self.end))
         # V^2 = -F_mech/f_e with f_e = -s*half/(g0*g1), as in _force_sum
-        y_s = self.s * (y / self.cr)
-        g0 = self.gap + y_s
-        return y, self.s * self._force()(y) * g0 * (g0 + self.tilt * y_s) / self.half
+        g0, delta = _gap_terms(y, self.model, self.electrode)
+        return y, self.s * (self.prestress - self.k * y) * g0 * (g0 + delta) / self.half
 
     def _pinned_error(self, V: float) -> _Pinned:
-        side, limit = (("top", self.model.y_p_max) if self.rest > self.hi
+        side, limit = (("top", self.model.y_p_max) if self.rest >= self.hi
                        else ("bottom", self.model.y_p_min))
         msg = (f"film stress pins the paddle against the {side} electrode: rest "
                f"y_p = {self.rest:.6e} m lies past the touch limit {limit:.6e} m")
@@ -444,52 +442,38 @@ class StableBranch:
         return drive.c * (b0 * g1 + b1 * g0) / (g0 * g1) ** 2 - self.k
 
     def _roots(self, drive: _Drive):
-        """(y_p, error): solve's y_p at each of drive's V, NaN where no stable
-        equilibrium exists, and the error for the first such V (None when
-        there is none)."""
+        """(y_p, error): the stable y_p at each of drive's V, NaN where none
+        exists, and the error for the first such V in array order (or None).
+
+        One closed-form solve for all voltages (_stable_root); a float gets
+        the bits of an array's element. A pinned branch refuses V as pinned
+        where it is pinned against its driven electrode, where V = 0, or
+        where the force at the rest-side end does not yet restore; that V's
+        error is _pinned_error(V), any other's names V_PI.
+        """
         force = self._force(drive.terms)
-        if self.pinned:  # unforced, or the rest-side end not yet pulled free
-            pinned = drive.unforced | self.not_restoring(force(self.far), 0.0)
+        solved, driven = drive.unforced, drive.driven
+        if self.pinned:
+            pinned = drive.unforced | (self.start == self.end
+                                       or self.not_restoring(force(self.far), 0.0))
             solved, driven = np.zeros(pinned.shape, dtype=bool), ~pinned
-        else:
-            pinned, solved, driven = None, drive.unforced, drive.driven
         y = np.where(solved, self.start, np.nan)
-        error = None
         if np.count_nonzero(driven):
-            try:
-                y_pi, v2_pi = self.pull_in()
-            except NoStableEquilibrium as exc:
-                error = exc
-            else:
-                # within rounding of V_PI, F(y_PI) can keep the rest-side sign
-                stable = driven & (drive.v2 < v2_pi) & self.not_restoring(force(y_pi), 0.0)
-                if np.count_nonzero(stable):
-                    y = np.where(stable, self._stable_root(drive, force, y_pi), y)
-                    solved = solved | stable
+            y_pi, v2_pi = self.pull_in()
+            # within rounding of V_PI, F(y_PI) can keep the rest-side sign
+            stable = driven & (drive.v2 < v2_pi) & self.not_restoring(force(y_pi), 0.0)
+            if np.count_nonzero(stable):
+                y = np.where(stable, self._stable_root(drive, force, y_pi), y)
+                solved = solved | stable
         if np.count_nonzero(solved) == solved.size:
             return y, None
         i = int(np.argmin(solved))
         v = float(drive.V.flat[i])
-        if pinned is not None and pinned.flat[i]:
-            error = self._pinned_error(v)
-        elif error is None:
-            error = NoStableEquilibrium(
-                f"no stable equilibrium at V = {v!r} V on the {self.electrode.value} "
-                f"electrode; pull-in voltage is {math.sqrt(v2_pi):.4f} V")
-        return y, error
-
-    def solve(self, V):
-        """Stable y_p at drive V on this electrode, for a float or an array of V.
-
-        All voltages are solved at once in closed form (_stable_root); a
-        float gives the same bits as the matching element of an array.
-        Raises NoStableEquilibrium for the first V, in array order, at or
-        past pull-in or at which film stress pins the paddle.
-        """
-        y, error = self._roots(_Drive(self.model, self.electrode, V))
-        if error is not None:
-            raise error
-        return y if np.ndim(V) else float(y)
+        if self.pinned and pinned.flat[i]:
+            return y, self._pinned_error(v)
+        return y, NoStableEquilibrium(
+            f"no stable equilibrium at V = {v!r} V on the {self.electrode.value} "
+            f"electrode; pull-in voltage is {math.sqrt(v2_pi):.4f} V")
 
 
 def solve_equilibrium(model: ValidatedModel, V_top: float = 0.0,

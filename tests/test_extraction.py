@@ -12,7 +12,7 @@ from paddle_lab import (CVDataset, DegenerateData, Electrode,
                         build_model, capacitance_value, deflection_series,
                         fit_film_parameters, load_cv_csv, measure_capacitance,
                         model_from_dict, model_to_dict, pull_in_voltage, simulate_cv,
-                        ValidatedModel, yp_from_capacitance)
+                        sweep_voltage, ValidatedModel, yp_from_capacitance)
 from paddle_lab.cli import main
 from paddle_lab.electrostatics import capacitance_range, capacitance_slope
 from paddle_lab.extraction import (MAX_HALVINGS, MAX_ITERATIONS, CVRow, _initial_guess,
@@ -486,7 +486,8 @@ def _oracle_datasets():
 
 def _rebuilt_residuals(theta, data, template):
     """The residual vector through a rebuilt model: the flat-dict round trip,
-    one branch solve and one capacitance per electrode, or None where one raises."""
+    one sweep and one capacitance per electrode, or None where a sweep raises
+    or stops short of a row (each electrode's rows ascend in V)."""
     film = template.film
     try:
         m = model_from_dict({**model_to_dict(template), "sigma0": float(theta[0]),
@@ -499,7 +500,10 @@ def _rebuilt_residuals(theta, data, template):
         rows = data.electrode == e.value
         if rows.any():
             try:
-                res[rows] = capacitance_value(StableBranch(m, e).solve(V[rows]), m, e) - C[rows]
+                sweep = sweep_voltage(m, e, V[rows])
+                if sweep.truncated_at is not None:
+                    return None
+                res[rows] = capacitance_value(sweep.y_p, m, e) - C[rows]
             except (NoStableEquilibrium, TouchViolation):
                 return None
     return res

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from paddle_lab import (Electrode, InvalidParameter, NoStableEquilibrium,
                         total_force_curve, zero_voltage_equilibrium)
 from paddle_lab import capacitance_value, electrostatics, mechanics
 from paddle_lab.electrostatics import gap_coefficients
-from paddle_lab.mechanics import (StableBranch, _scan_equilibrium, drive_voltages,
+from paddle_lab.mechanics import (StableBranch, _Drive, _scan_equilibrium, drive_voltages,
                                   has_stable_equilibrium)
 
 COMPLIANCE = 6.0 * 3e-3 * 8e-3 / (180e9 * 0.3 * (40e-6) ** 3)  # 4.1667e-2 m/N
@@ -209,20 +210,52 @@ def test_equilibrium_rejects_negative_voltage(default_model):
         solve_equilibrium(default_model, -1.0, 0.0)
 
 
-@pytest.mark.parametrize("V", [math.nan, math.inf, -math.inf, 1.4e154])
-def test_non_finite_drive_is_invalid_input(default_model, V):
+def _refused_drive(reported):
+    """The drive's InvalidParameter message, ending in the voltage it reports."""
+    return (r"^V: drive voltages must be finite and >= 0, with a finite square "
+            rf"\(force is even in V\), got {re.escape(repr(reported))}$")
+
+
+# (V, the value the drive reports); an array's failing extreme is reported, the minimum first
+REFUSED_DRIVES = [(math.nan, math.nan), (math.inf, math.inf), (-math.inf, -math.inf),
+                  (1.4e154, 1.4e154), ([-1.0, math.inf], -1.0), ([0.0, 1.4e154], 1.4e154),
+                  ([1.0, math.nan, 2.0], math.nan)]
+
+
+@pytest.mark.parametrize("V, reported", REFUSED_DRIVES,
+                         ids=[str(V).replace(" ", "") for V, _ in REFUSED_DRIVES])
+def test_non_finite_drive_is_invalid_input(default_model, V, reported):
     # an invalid drive is InvalidParameter, not a missing equilibrium; 1.4e154
     # is finite, but its square overflows
-    message = r"^V: drive voltages must be finite and >= 0"
-    for drive in ((V, 0.0), (0.0, V), (V, V)):
+    message = _refused_drive(reported)
+    if np.ndim(V) == 0:
+        for drive in ((V, 0.0), (0.0, V), (V, V)):
+            with pytest.raises(InvalidParameter, match=message):
+                solve_equilibrium(default_model, *drive)
+        V = [10.0, V, 20.0]
+    for electrode in Electrode:
         with pytest.raises(InvalidParameter, match=message):
-            solve_equilibrium(default_model, *drive)
-    branch = StableBranch(default_model, Electrode.TOP)
-    with pytest.raises(InvalidParameter, match=message):
-        branch.solve(V)
-    with pytest.raises(InvalidParameter, match=message):
-        branch.solve(np.array([10.0, V, 20.0]))
-    assert branch.solve(np.array([10.0, 20.0])).shape == (2,)
+            sweep_voltage(default_model, electrode, V)
+        with pytest.raises(InvalidParameter, match=message):
+            _Drive(default_model, electrode, np.array(V))
+    assert sweep_voltage(default_model, Electrode.TOP, [10.0, 20.0]).y_p.shape == (2,)
+
+
+@pytest.mark.parametrize("electrode", list(Electrode))
+def test_drive_keeps_a_signed_zero(default_model, electrode):
+    # -0.0 is a drive voltage >= 0: accepted, kept in V, squared into v2 and
+    # unforced; a sweep and the force curve give the bits they give at +0.0
+    V = np.array([-0.0, 5.0])
+    drive = _Drive(default_model, electrode, V)
+    assert np.signbit(drive.V).tolist() == [True, False]
+    assert drive.v2.tobytes() == (V * V).tobytes() and drive.unforced.tolist() == [True, False]
+    signed, plain = (sweep_voltage(default_model, electrode, v) for v in (V, [0.0, 5.0]))
+    assert np.signbit(signed.V).tolist() == [True, False]
+    for name in SWEEP_COLUMNS[1:]:
+        assert getattr(signed, name).tobytes() == getattr(plain, name).tobytes(), name
+    y = np.array([-1e-6, 0.0, 1e-6])
+    assert (total_force_curve(y, *drive_voltages(electrode, -0.0), default_model).tobytes()
+            == total_force_curve(y, 0.0, 0.0, default_model).tobytes())
 
 
 @pytest.mark.parametrize("sigma0", [-200e6, 0.0, 100e6, 250e6])
@@ -241,16 +274,17 @@ def test_equilibrium_residual_is_total_force_curve_bitwise(with_sigma0, sigma0):
 
 def test_force_curve_refuses_what_the_drive_refuses(default_model):
     # total_force_curve and the scan oracle check V in the drive, instead of
-    # squaring a negative or non-finite voltage
-    message = r"^V: drive voltages must be finite and >= 0, with a finite square"
-    y = np.array([-1e-6, 0.0, 1e-6])
-    for drive in ((-1.0, 0.0), (0.0, -1.0), (math.nan, 0.0), (0.0, math.inf), (1.4e154, 0.0)):
-        with pytest.raises(InvalidParameter, match=message):
-            total_force_curve(y, *drive, default_model)
-    with pytest.raises(InvalidParameter, match=message):
-        total_force_curve(0.0, -1.0, 0.0, default_model)
-    with pytest.raises(InvalidParameter, match=message):
-        has_stable_equilibrium(default_model, Electrode.BOTTOM, -1.0)
+    # squaring a negative or non-finite voltage; an array drive is refused
+    # before it is broadcast against y
+    for V, reported in [(-1.0, -1.0)] + REFUSED_DRIVES:
+        message = _refused_drive(reported)
+        for y in (np.array([-1e-6, 0.0, 1e-6]), 0.0):
+            for drive in ((V, 0.0), (0.0, V)):
+                with pytest.raises(InvalidParameter, match=message):
+                    total_force_curve(y, *drive, default_model)
+        if np.ndim(V) == 0:
+            with pytest.raises(InvalidParameter, match=message):
+                has_stable_equilibrium(default_model, Electrode.BOTTOM, V)
 
 
 def test_equilibrium_beyond_pull_in(with_sigma0):
@@ -500,20 +534,52 @@ def test_drive_voltages():
 @pytest.mark.parametrize("electrode", list(Electrode))
 def test_zero_voltage_returns_rest(with_sigma0, sigma0, electrode):
     m = with_sigma0(sigma0)
-    branch = StableBranch(m, electrode)
     rest = zero_voltage_equilibrium(m)
-    assert branch.solve(0.0) == rest
-    y = branch.solve(np.array([0.0, 10.0, 0.0]))
-    assert y[[0, 2]].tolist() == [rest, rest]
+    assert solve_equilibrium(m, *drive_voltages(electrode, 0.0)).y_p == rest
+    result = sweep_voltage(m, electrode, [0.0, 10.0, 0.0])
+    assert result.V.tolist() == [0.0, 0.0, 10.0] and result.truncated_at is None
+    assert result.y_p[:2].tolist() == [rest, rest]
 
 
 @pytest.mark.parametrize("sigma0", [8e8, -8e8])
 @pytest.mark.parametrize("electrode", list(Electrode))
 def test_zero_voltage_pinned_is_named(with_sigma0, sigma0, electrode):
-    branch = StableBranch(with_sigma0(sigma0), electrode)
-    for V in (0.0, np.zeros(2)):
-        with pytest.raises(NoStableEquilibrium, match="pins the paddle"):
-            branch.solve(V)
+    # film stress pins the paddle against the top electrode (+) or the bottom
+    # one (-); a drive on either electrode is refused as pinned, and a V > 0
+    # is named, also on the electrode the paddle is pinned against
+    m = with_sigma0(sigma0)
+    side = "top" if sigma0 > 0.0 else "bottom"
+    pinned = rf"^film stress pins the paddle against the {side} electrode: rest y_p = \S+ m "
+    at_rest = pinned + r"lies past the touch limit \S+ m$"
+    with pytest.raises(NoStableEquilibrium, match=at_rest):
+        pull_in_voltage(m, electrode)
+    for V in ([0.0], np.zeros(2)):
+        with pytest.raises(NoStableEquilibrium, match=at_rest):
+            sweep_voltage(m, electrode, V)
+    with pytest.raises(NoStableEquilibrium, match=at_rest):
+        solve_equilibrium(m, *drive_voltages(electrode, 0.0))
+    free = rf"; 10.0 V on the {electrode.value} electrode does not pull it free$"
+    with pytest.raises(NoStableEquilibrium, match=pinned + ".*" + free):
+        solve_equilibrium(m, *drive_voltages(electrode, 10.0))
+    with pytest.raises(NoStableEquilibrium, match=pinned + ".*" + free):
+        sweep_voltage(m, electrode, [20.0, 10.0])
+
+
+@pytest.mark.parametrize("electrode", list(Electrode))
+def test_rest_on_the_driven_end_is_pinned(default_model, electrode):
+    # the measure-zero edge: rest lies exactly on the driven electrode's end of
+    # the scan interval. The branch is pinned, every V is refused as pinned,
+    # and pull_in() returns a finite pair whose V_PI^2 no caller takes the root of
+    end = StableBranch(default_model, electrode).end
+    branch = StableBranch(default_model, electrode, (2.0 * end, 2.0))
+    assert branch.rest == branch.start == branch.end and branch.pinned
+    y_pi, v2_pi = branch.pull_in()
+    assert y_pi == end and math.isfinite(v2_pi)
+    for V in (0.0, 10.0, np.array([0.0, 10.0])):
+        y, error = branch._roots(_Drive(default_model, electrode, V))
+        assert np.all(np.isnan(y))
+        assert isinstance(error, NoStableEquilibrium)
+        assert f"pins the paddle against the {electrode.value} electrode" in str(error)
 
 
 @pytest.mark.parametrize("electrode", list(Electrode))
@@ -523,14 +589,14 @@ def test_near_pull_in_stays_on_stable_side(with_sigma0, electrode):
     # is within rounding of V_PI
     for sigma0 in np.linspace(-300e6, 300e6, 13):
         m = with_sigma0(float(sigma0))
-        branch = StableBranch(m, electrode)
         pi = pull_in_voltage(m, electrode)
-        lo, hi = sorted((branch.far, pi.y_p_last_stable))
-        V = pi.V_pull_in * (1.0 - np.array([1e-4, 1e-8, 1e-12]))
-        y = branch.solve(V)
-        assert np.all((lo <= y) & (y <= hi))
+        lo, hi = sorted((StableBranch(m, electrode).far, pi.y_p_last_stable))
+        result = sweep_voltage(m, electrode, pi.V_pull_in * (1.0 - np.array([1e-4, 1e-8, 1e-12])))
+        assert result.truncated_at is None
+        assert np.all((lo <= result.y_p) & (result.y_p <= hi))
         try:
-            y = branch.solve(math.nextafter(pi.V_pull_in, 0.0))
+            y = solve_equilibrium(m, *drive_voltages(electrode, math.nextafter(
+                pi.V_pull_in, 0.0))).y_p
         except NoStableEquilibrium as exc:
             assert "pull-in voltage is" in str(exc)
         else:
@@ -543,10 +609,11 @@ def test_refused_where_force_keeps_its_sign_at_pull_in(with_sigma0):
     m = with_sigma0(-86619379.35592344, d_c=0.000188528190878437,
                     d_e=0.00014981508604812926, l_b=0.005074927257528863)
     V = 198.19144870442844
-    branch = StableBranch(m, Electrode.BOTTOM)
-    assert V * V < branch.pull_in()[1]
+    assert V * V < StableBranch(m, Electrode.BOTTOM).pull_in()[1]
     with pytest.raises(NoStableEquilibrium, match="pull-in voltage is"):
-        branch.solve(V)
+        solve_equilibrium(m, 0.0, V)
+    result = sweep_voltage(m, Electrode.BOTTOM, [0.0, V])
+    assert result.V.tolist() == [0.0] and result.truncated_at == V
 
 
 @settings(max_examples=60, deadline=None)
@@ -558,12 +625,13 @@ def test_branch_array_agrees_with_scan(with_sigma0, default_model, sigma0, scale
                                        electrode, fractions):
     g = default_model.geom
     m = with_sigma0(sigma0, d_c=g.d_c * scales[0], d_e=g.d_e * scales[1], l_b=g.l_b * scales[2])
-    branch = StableBranch(m, electrode)
-    assume(not branch.pinned)
+    assume(not StableBranch(m, electrode).pinned)
     pi = pull_in_voltage(m, electrode)
-    V = pi.V_pull_in * np.array(fractions)
-    y = branch.solve(V)
-    assert [branch.solve(float(v)) for v in V] == y.tolist()  # same bits as floats
+    V = np.sort(pi.V_pull_in * np.array(fractions))
+    y = sweep_voltage(m, electrode, V).y_p
+    assert y.size == V.size
+    floats = [solve_equilibrium(m, *drive_voltages(electrode, v)).y_p for v in V.tolist()]
+    assert floats == y.tolist()  # same bits as floats
     # abs covers y_p near 0, where both answers carry the rounding of the
     # force sum (about ulp(prestress)/stiffness), not of y_p
     scale = abs(pi.y_p_last_stable - zero_voltage_equilibrium(m))
@@ -629,13 +697,14 @@ def test_sweep_makes_one_gap_line_pass_per_electrode_read(default_model, monkeyp
                                                           electrode):
     # the driven electrode's gap terms give its force and, when top is
     # driven, C_top too; a bottom sweep takes the top gap terms once more
-    # for C_top. The branch's poses lie inside the touch interval, so the
-    # checked gap_line never runs
+    # for C_top. Before them, pull_in takes the driven gap terms once on its
+    # one float pose y_PI. The branch's poses lie inside the touch interval,
+    # so the checked gap_line never runs
     calls = []
     terms, line = mechanics._gap_terms, electrostatics.gap_line
 
     def counted_terms(y_p, model, e):
-        calls.append(Electrode(e))
+        calls.append((Electrode(e), "float" if isinstance(y_p, float) else "array"))
         return terms(y_p, model, e)
 
     def counted_line(*args):
@@ -646,4 +715,5 @@ def test_sweep_makes_one_gap_line_pass_per_electrode_read(default_model, monkeyp
     monkeypatch.setattr(mechanics, "_gap_terms", counted_terms)
     monkeypatch.setattr(electrostatics, "gap_line", counted_line)
     sweep_voltage(default_model, electrode, V)
-    assert calls == [electrode] + ([Electrode.TOP] if electrode is Electrode.BOTTOM else [])
+    assert calls == [(electrode, "float"), (electrode, "array")] + (
+        [(Electrode.TOP, "array")] if electrode is Electrode.BOTTOM else [])
