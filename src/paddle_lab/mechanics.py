@@ -15,12 +15,16 @@ is stable when the force gradient there is restoring (dF/dy_p < 0).
 With one electrode driven, equilibria and pull-in are found along the
 deflection (StableBranch), both in closed form: pull-in as the root of a
 quadratic, the equilibria of a whole voltage array as the stable roots of
-one cubic, each polished by one Newton step. Their C_top and force columns,
-a sweep's arrays or one equilibrium's floats, come from one gap-line pass on
-the driven electrode (_branch_columns), unchecked since the branch keeps its
-poses inside the touch interval, with the bits total_force and
-capacitance_value give. A scan-and-bisect solver handles drives on both
-electrodes and is the independent reference for the branch.
+one cubic, each polished by one Newton step. A model holds each
+electrode's branch once it is first asked for (_branch), so pull-in and
+the cubic's constants are formed once per (model, electrode) and every
+later pull_in_voltage, sweep_voltage and single-electrode solve_equilibrium
+on that model reuses them. Their C_top and force columns, a sweep's arrays
+or one equilibrium's floats, come from one gap-line pass on the driven
+electrode (_branch_columns), unchecked since the branch keeps its poses
+inside the touch interval, with the bits total_force and capacitance_value
+give. A scan-and-bisect solver handles drives on both electrodes and is
+the independent reference for the branch.
 """
 from __future__ import annotations
 
@@ -335,12 +339,15 @@ class StableBranch:
     The film enters as film = (prestress, k), the model's pair
     unless given. The constructor computes the branch's constants once: the
     gap line to the driven electrode with its edge slopes b0 and b1, half =
-    eps0*w_p*l_p/2, and the rest deflection prestress/k. One branch serves
-    any number of voltages, and _roots is its one solve, of a _Drive on the
-    same geometry and electrode, which any film's branch can solve: sweeps
-    and single solves build a branch per call, and the stress fit prepares
-    each electrode's drive once and solves it on its template with each
-    trial film's pair.
+    eps0*w_p*l_p/2, the rest deflection prestress/k and the pull-in point
+    (y_pi, v2_pi). The cubic's constants are formed on the first solve, so a
+    branch that never solves never forms them. One branch serves any number
+    of voltages, and _roots is its one solve, of a _Drive on the same
+    geometry and electrode, which any film's branch can solve. A model holds
+    the branch of its own film on each electrode (_branch), which every
+    sweep, pull-in and single solve on it reads; the stress fit prepares
+    each electrode's drive once and solves it on its template with a new
+    branch for each trial film's pair, which no model holds.
     """
 
     def __init__(self, model: ValidatedModel, electrode: Electrode, film=None):
@@ -362,6 +369,9 @@ class StableBranch:
         self.far, self.end = (self.lo, self.hi) if toward_top else (self.hi, self.lo)
         self.not_restoring = operator.le if toward_top else operator.ge  # F <= 0, F >= 0
         self.pinned = self.start != self.rest or self.start == self.end  # see _roots
+        self.y_pi, self.v2_pi = self.pull_in()
+        self._cubic = None  # _stable_root's constants, formed on the first solve
+        self.pull_in_result = None  # pull_in_voltage's PullInResult, formed on its first call
 
     def _force(self, terms):
         """The total force F(y_p) (_force_sum) of this film under a drive's terms."""
@@ -387,44 +397,67 @@ class StableBranch:
         return y, self.s * (self.prestress - self.k * y) * g0 * (g0 + delta) / self.half
 
     def _pinned_error(self, V: float) -> _Pinned:
-        side, limit = (("top", self.model.y_p_max) if self.rest >= self.hi
-                       else ("bottom", self.model.y_p_min))
+        """The error for V on a pinned branch. It names the touch limit the rest
+        lies past or, for a rest within SCAN_MARGIN inside it, the scan bound."""
+        rest, model = self.rest, self.model
+        side, bound, limit, past = (("top", self.hi, model.y_p_max, rest >= model.y_p_max)
+                                    if rest >= self.hi else
+                                    ("bottom", self.lo, model.y_p_min, rest <= model.y_p_min))
+        where = (f"lies past the touch limit {limit:.6e} m" if past else
+                 f"lies at or past the scan bound {bound:.6e} m, {SCAN_MARGIN:g} "
+                 f"inside the touch limit {limit:.6e} m")
         msg = (f"film stress pins the paddle against the {side} electrode: rest "
-               f"y_p = {self.rest:.6e} m lies past the touch limit {limit:.6e} m")
+               f"y_p = {rest:.6e} m {where}")
         if V > 0.0:
             msg += f"; {V!r} V on the {self.electrode.value} electrode does not pull it free"
         return _Pinned(msg)
 
-    def _stable_root(self, drive: _Drive, force, y_pi):
+    def _stable_root(self, drive: _Drive, force):
         """Stable root of the branch cubic at drive's squared voltages, in [far, y_PI].
 
         With z = y_p - rest and w = s*z the balance k*z*(G0 + b0*z)*(G1 +
         b1*z) + s*half*V^2 = 0 reads w*(w + r0)*(w + r1) + e = 0, where
         r0 > r1 > 0 are the distances from rest to the root-edge and
-        far-edge touch points and e >= 0 grows with V^2. Below V_PI it has three real roots: the stable one in
-        (w_PI, 0], the unstable one past w_PI and one below -r0. That far
-        root is simple at every V, so it comes from the trigonometric form
-        without cancelling; deflating it leaves a quadratic whose smaller
-        root, taken in the form that does not cancel, is the stable one (W.
-        Kahan, To Solve a Real Cubic Equation, 1986). One Newton step on the
-        total force then polishes it and is discarded if it leaves [far,
-        y_PI], which it can near the double root at V_PI.
+        far-edge touch points and e >= 0 grows with V^2. Below V_PI it has
+        three real roots: the stable one in (w_PI, 0], the unstable one past
+        w_PI and one below -r0. That far root is simple at every V, so it
+        comes from the trigonometric form without cancelling; deflating it
+        leaves a quadratic whose smaller root, taken in the form that does
+        not cancel, is the stable one (W. Kahan, To Solve a Real Cubic
+        Equation, 1986). The quadratic's beta, the two roots' negated sum, is
+        r0 + r1 + w_far, which loses the bits of r0/r1 since w_far is near
+        -r0. Up to r0/r1 = 2**26 the polish restores them; past it (a tilt
+        near 1e8, or less with rest near the driven electrode) beta is
+        -(r0*r1 + mu)/w_far, from the roots' products, which does not cancel. One Newton step on the total force
+        then polishes the root and is discarded if it leaves [far, y_PI],
+        which it can near the double root at V_PI.
+
+        The constants of the film and geometry (the scale of e, q0, m's
+        products, r0 and r1's sum and product, and the interval [far, y_PI])
+        are formed on the first call and kept: the same operations give the
+        same bits.
         """
-        s, cr, tilt, k = self.s, self.cr, self.tilt, self.k
-        r0 = self.G0 * cr
-        r1 = self.G1 * cr / (1.0 + tilt)
-        e = drive.half_v2 * (cr * cr / (k * (1.0 + tilt)))
-        # depressed cubic t^3 - 3*m^2*t + q0 + e, t = w + (r0 + r1)/3
-        m = math.sqrt((r0 - r1) ** 2 + r0 * r1) / 3.0
-        q0 = (r0 + r1) * (2.0 * r0 - r1) * (r0 - 2.0 * r1) / 27.0
+        cubic = self._cubic
+        if cubic is None:
+            cr, tilt = self.cr, self.tilt
+            r0 = self.G0 * cr
+            r1 = self.G1 * cr / (1.0 + tilt)
+            # depressed cubic t^3 - 3*m^2*t + q0 + e, t = w + (r0 + r1)/3
+            m = math.sqrt((r0 - r1) ** 2 + r0 * r1) / 3.0
+            q0 = (r0 + r1) * (2.0 * r0 - r1) * (r0 - 2.0 * r1) / 27.0
+            lo, hi = min(self.far, self.y_pi), max(self.far, self.y_pi)
+            cubic = self._cubic = (cr * cr / (self.k * (1.0 + tilt)), q0, -2.0 * m**3,
+                                   -2.0 * m, (r0 + r1) / 3.0, r0 + r1,
+                                   r0 * r1 if r0 > 2.0**26 * r1 else None, lo, hi)
+        e_scale, q0, minus_2m3, minus_2m, shift, r01, r0r1, lo, hi = cubic
+        e = drive.half_v2 * e_scale
         # np.minimum(np.maximum(...)) gives np.clip's bits here at half its call cost
-        x = np.minimum(np.maximum((q0 + e) / (-2.0 * m**3), -1.0), 1.0)
-        w_far = -2.0 * m * np.cos(math.pi / 3.0 - np.arccos(x) / 3.0) - (r0 + r1) / 3.0
-        beta = r0 + r1 + w_far  # w^2 + beta*w - mu holds the other two roots
-        mu = e / w_far
+        x = np.minimum(np.maximum((q0 + e) / minus_2m3, -1.0), 1.0)
+        w_far = minus_2m * np.cos(math.pi / 3.0 - np.arccos(x) / 3.0) - shift
+        mu = e / w_far  # w^2 + beta*w - mu holds the other two roots
+        beta = r01 + w_far if r0r1 is None else -(r0r1 + mu) / w_far
         w = 2.0 * mu / (beta + np.sqrt(np.maximum(beta * beta + 4.0 * mu, 0.0)))
-        lo, hi = min(self.far, y_pi), max(self.far, y_pi)
-        y = np.minimum(np.maximum(self.rest - w if s < 0.0 else self.rest + w, lo), hi)
+        y = np.minimum(np.maximum(self.rest - w if self.s < 0.0 else self.rest + w, lo), hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             polished = y - force(y) / self._force_slope(drive, y)
         return np.where((lo <= polished) & (polished <= hi), polished, y)
@@ -435,11 +468,14 @@ class StableBranch:
         The denominator of _stable_root's Newton polish, and the implicit
         derivative of an equilibrium on the film: with F = k*(rest - y_p) -
         c/(g0*g1), dy_p/dtheta = -(dF/dtheta)/(dF/dy_p), which is how the
-        stress fit takes its exact Jacobian.
+        stress fit takes its exact Jacobian. The square is a product: an
+        array's ** 2 is one too, while a float's goes through pow, which can
+        differ in the last bit, so a float keeps an array element's bits.
         """
         b0, b1 = self.b0, self.b1
         g0, g1 = self.gap + b0 * y, self.gap + b1 * y
-        return drive.c * (b0 * g1 + b1 * g0) / (g0 * g1) ** 2 - self.k
+        g = g0 * g1
+        return drive.c * (b0 * g1 + b1 * g0) / (g * g) - self.k
 
     def _roots(self, drive: _Drive):
         """(y_p, error): the stable y_p at each of drive's V, NaN where none
@@ -459,11 +495,10 @@ class StableBranch:
             solved, driven = np.zeros(pinned.shape, dtype=bool), ~pinned
         y = np.where(solved, self.start, np.nan)
         if np.count_nonzero(driven):
-            y_pi, v2_pi = self.pull_in()
             # within rounding of V_PI, F(y_PI) can keep the rest-side sign
-            stable = driven & (drive.v2 < v2_pi) & self.not_restoring(force(y_pi), 0.0)
+            stable = driven & (drive.v2 < self.v2_pi) & self.not_restoring(force(self.y_pi), 0.0)
             if np.count_nonzero(stable):
-                y = np.where(stable, self._stable_root(drive, force, y_pi), y)
+                y = np.where(stable, self._stable_root(drive, force), y)
                 solved = solved | stable
         if np.count_nonzero(solved) == solved.size:
             return y, None
@@ -473,7 +508,16 @@ class StableBranch:
             return y, self._pinned_error(v)
         return y, NoStableEquilibrium(
             f"no stable equilibrium at V = {v!r} V on the {self.electrode.value} "
-            f"electrode; pull-in voltage is {math.sqrt(v2_pi):.4f} V")
+            f"electrode; pull-in voltage is {math.sqrt(self.v2_pi):.4f} V")
+
+
+def _branch(model: ValidatedModel, electrode: Electrode) -> StableBranch:
+    """The model's StableBranch on electrode, built on first use and held by the model."""
+    branch = model._branches.get(electrode)  # a str Electrode's value finds its member
+    if branch is None:
+        branch = StableBranch(model, electrode)
+        model._branches[branch.electrode] = branch
+    return branch
 
 
 def solve_equilibrium(model: ValidatedModel, V_top: float = 0.0,
@@ -495,7 +539,7 @@ def solve_equilibrium(model: ValidatedModel, V_top: float = 0.0,
         residual = _force_closure(model, V_top, V_bottom)(y)
     else:
         driven, V = (Electrode.TOP, V_top) if V_top != 0.0 else (Electrode.BOTTOM, V_bottom)
-        branch, drive = StableBranch(model, driven), _Drive(model, driven, V)
+        branch, drive = _branch(model, driven), _Drive(model, driven, V)
         y, error = branch._roots(drive)
         if error is not None:
             raise error
@@ -525,15 +569,19 @@ def pull_in_voltage(model: ValidatedModel, electrode: Electrode) -> PullInResult
     deflection y_p. Its maximum along the branch from rest toward the
     electrode is V_PI, in closed form (StableBranch.pull_in()); no stable
     equilibrium exists at V >= V_PI. y_p_last_stable is the pull-in
-    displacement y_PI where the maximum is reached. Raises
-    NoStableEquilibrium when film stress pins the paddle at rest.
+    displacement y_PI where the maximum is reached. The model's branch
+    (_branch) holds the result, so every call on one model and electrode
+    returns the same frozen PullInResult. Raises NoStableEquilibrium when
+    film stress pins the paddle at rest.
     """
-    branch = StableBranch(model, electrode)
-    if branch.pinned:
-        raise branch._pinned_error(0.0)
-    y_pi, v2_pi = branch.pull_in()
-    return PullInResult(V_pull_in=math.sqrt(v2_pi), y_p_last_stable=y_pi,
-                        electrode=branch.electrode)
+    branch = _branch(model, electrode)
+    if branch.pull_in_result is None:
+        if branch.pinned:
+            raise branch._pinned_error(0.0)
+        branch.pull_in_result = PullInResult(
+            V_pull_in=math.sqrt(branch.v2_pi), y_p_last_stable=branch.y_pi,
+            electrode=branch.electrode)
+    return branch.pull_in_result
 
 
 def sweep_voltage(model: ValidatedModel, electrode: Electrode,
@@ -541,8 +589,8 @@ def sweep_voltage(model: ValidatedModel, electrode: Electrode,
     """Equilibrium columns (SweepResult) for each voltage below pull-in, ascending.
 
     Voltages past pull-in give no row; the first such voltage is reported
-    in truncated_at (truncation is data, not an error). The stable branch
-    is built once and solves every voltage in one closed-form call, and
+    in truncated_at (truncation is data, not an error). The model's stable
+    branch (_branch) solves every voltage in one closed-form call, and
     _branch_columns forms the columns: the electrode at 0 V gets the signed
     zero that f*0*0 gives (-0.0 for bottom, +0.0 for top). Raises
     NoStableEquilibrium when film stress pins the paddle at the lowest
@@ -556,7 +604,7 @@ def sweep_voltage(model: ValidatedModel, electrode: Electrode,
     if not V.size:
         raise InvalidParameter("V_list", "must be nonempty")
     V = np.sort(V, kind="stable")
-    branch = StableBranch(model, electrode)
+    branch = _branch(model, electrode)
     y, error = branch._roots(_Drive(model, branch.electrode, V))
     if isinstance(error, _Pinned):
         raise error

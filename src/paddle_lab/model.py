@@ -113,11 +113,17 @@ class ValidatedModel:
         half_eps0_area, under/overflow  least/greatest of eps0, w_p, l_p: {"w_p": 1e-300}
         tilt                            l_p           {"l_b": 1e-200, "l_p": 1e120}
         k*d**3, and over eps0_area      *, else d     {"d_e": 2.3e-108}, {"t_F": 1e300}
+        ((d_c + d_e)*center_ratio)**3   l_p, else **  {"l_b": 1e-100, "l_p": 1e120}
         prestress/k, finite             sigma0        {"sigma0": 1e300, "E_F": 1e-300}
 
-    * t_F where the film's part of k is the larger. build_model and model_from_dict build one;
-    to vary a parameter, go through the flat dict: model_from_dict({**model_to_dict(m),
-    key: value}). Immutable after construction; safe to share across workers.
+    * t_F where the film's part of k is the larger. ** the larger gap where center_ratio is
+    not the larger factor or the cube underflows. The last but one is the scale of the stable
+    branch's cubic (mechanics.StableBranch), whose roots lie up to (d_c + d_e)*center_ratio
+    apart. build_model and model_from_dict build one; to vary a parameter, go through the flat
+    dict: model_from_dict({**model_to_dict(m), key: value}). Its parameters and derived
+    constants never change after construction, and it is safe to share across workers. It
+    also holds each electrode's StableBranch once one is built (mechanics._branch), which
+    ==, hash and repr leave out.
     """
 
     constants: PhysicalConstants
@@ -137,6 +143,7 @@ class ValidatedModel:
     center_ratio: float = field(init=False)  # y_p/y_b, 1 + l_p/l_b (finite where tilt is)
     y_p_min: float = field(init=False)     # touch limits (touch_limits)
     y_p_max: float = field(init=False)
+    _branches: dict = field(init=False, compare=False, repr=False)  # electrode -> StableBranch
 
     def __post_init__(self):
         g, substrate, film = self.geom, self.substrate, self.film
@@ -177,6 +184,11 @@ class ValidatedModel:
         for name, d in (("d_c", g.d_c), ("d_e", g.d_e)):  # V_PI**2 ~ k*d**3/(eps0*w_p*l_p)
             for what, over in ((f"k*{name}**3", 1.0), (f"k*{name}**3/(eps0*w_p*l_p)", eps0_area)):
                 _normal(film_name or name, f"the pull-in scale {what}", lambda: k * d**3 / over)
+        # the branch cubic's roots lie up to the span times center_ratio apart (StableBranch)
+        span, ratio = g.d_c + g.d_e, g.center_ratio
+        wide = max(("d_c", "d_e"), key=params.get)
+        _normal("l_p" if ratio >= span and span * ratio >= 1.0 else wide,
+                "the branch cubic's scale ((d_c + d_e)*center_ratio)**3", lambda: (span * ratio) ** 3)
         if not math.isfinite(prestress / k):
             raise InvalidParameter("sigma0", f"the rest deflection E_F*V_F*a*eps_F0/k must be "
                                              f"finite, got {prestress / k!r}")
@@ -185,7 +197,7 @@ class ValidatedModel:
                                 prestress=prestress, k=k, eps0_area=eps0_area,
                                 half_eps0_area=half_eps0_area, tilt=tilt,
                                 center_ratio=g.center_ratio,
-                                y_p_min=y_p_min, y_p_max=y_p_max).items():
+                                y_p_min=y_p_min, y_p_max=y_p_max, _branches={}).items():
             object.__setattr__(self, name, value)
 
 

@@ -472,6 +472,15 @@ def test_fit_constructs_no_model(default_model, with_sigma0, monkeypatch):
     assert len(builds) == 0
 
 
+def test_fit_leaves_its_template_without_held_branches(with_sigma0):
+    # a trial film's branch is the fit's own: the template holds none afterwards
+    ds = simulate_cv(with_sigma0(150e6), Electrode.BOTTOM, np.linspace(0.0, 150.0, 11))
+    template = build_model()
+    fit = fit_film_parameters(ds, template)
+    assert fit.converged and fit.iterations > 0
+    assert template._branches == {}
+
+
 @functools.cache
 def _oracle_datasets():
     """Noisy C-V sets of one truth up to 0.99 V_PI: each electrode alone, and both interleaved."""

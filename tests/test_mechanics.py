@@ -7,15 +7,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from paddle_lab import (Electrode, InvalidParameter, NoStableEquilibrium,
-                        TouchViolation, build_model, compliance,
+                        TouchViolation, build_model, compliance, model_from_dict, model_to_dict,
                         film_force, film_stiffness, force_per_v2_value,
                         pull_in_voltage, simulate_cv, solve_equilibrium, strain_coupling,
                         stress_profile, sweep_voltage, total_force,
                         total_force_curve, zero_voltage_equilibrium)
 from paddle_lab import capacitance_value, electrostatics, mechanics
 from paddle_lab.electrostatics import gap_coefficients
-from paddle_lab.mechanics import (StableBranch, _Drive, _scan_equilibrium, drive_voltages,
-                                  has_stable_equilibrium)
+from paddle_lab.mechanics import (SCAN_MARGIN, StableBranch, _Drive, _scan_equilibrium,
+                                  drive_voltages, has_stable_equilibrium)
 
 COMPLIANCE = 6.0 * 3e-3 * 8e-3 / (180e9 * 0.3 * (40e-6) ** 3)  # 4.1667e-2 m/N
 
@@ -664,6 +664,9 @@ def test_sweep_records_match_scalar_kernels(with_sigma0, sigma0, electrode):
        electrode=st.sampled_from(list(Electrode)))
 @example(sigma0=0.0, electrode=Electrode.TOP)
 @example(sigma0=0.0, electrode=Electrode.BOTTOM)
+# a row within rounding of V_PI, polished where dF/dy_p is rounding noise: the float's
+# slope once squared through pow and lost the array element's last bit
+@example(sigma0=-85425417.0425953, electrode=Electrode.BOTTOM)
 def test_sweep_columns_match_total_force_bitwise(with_sigma0, sigma0, electrode):
     # the sweep's one unchecked gap-line pass gives the bits of the checked
     # kernels on the same arrays, signed zeros included: the grounded
@@ -693,13 +696,25 @@ def test_sweep_columns_match_total_force_bitwise(with_sigma0, sigma0, electrode)
 
 
 @pytest.mark.parametrize("electrode", list(Electrode))
-def test_sweep_makes_one_gap_line_pass_per_electrode_read(default_model, monkeypatch,
-                                                          electrode):
-    # the driven electrode's gap terms give its force and, when top is
-    # driven, C_top too; a bottom sweep takes the top gap terms once more
-    # for C_top. Before them, pull_in takes the driven gap terms once on its
-    # one float pose y_PI. The branch's poses lie inside the touch interval,
-    # so the checked gap_line never runs
+def test_force_slope_of_a_float_has_the_array_elements_bits(with_sigma0, electrode):
+    # the Newton polish divides by the slope, so a float solve keeps an array
+    # element's bits only if the slope does. From rest to y_PI at V_PI the slope
+    # falls to rounding noise, where a last-bit difference in a term shows;
+    # a float solve's poses are NumPy scalars, as iterating the array gives them
+    for sigma0 in np.linspace(-300e6, 300e6, 301).tolist():
+        m = with_sigma0(sigma0)
+        branch = StableBranch(m, electrode)
+        V = math.sqrt(branch.v2_pi)
+        y = np.linspace(branch.rest, branch.y_pi, 5)
+        slopes = branch._force_slope(_Drive(m, electrode, np.full(y.size, V)), y)
+        lone = _Drive(m, electrode, V)
+        assert [_bits(branch._force_slope(lone, p)) for p in y] == [
+            _bits(v) for v in slopes.tolist()], sigma0
+
+
+def _gap_line_calls(monkeypatch, model, electrode, V):
+    """The gap-line passes of sweep_voltage(model, electrode, V), in order:
+    (electrode, "float" or "array") per _gap_terms call, "checked" per gap_line."""
     calls = []
     terms, line = mechanics._gap_terms, electrostatics.gap_line
 
@@ -711,9 +726,152 @@ def test_sweep_makes_one_gap_line_pass_per_electrode_read(default_model, monkeyp
         calls.append("checked")
         return line(*args)
 
-    V = np.linspace(0.0, 0.99 * pull_in_voltage(default_model, electrode).V_pull_in, 9)
-    monkeypatch.setattr(mechanics, "_gap_terms", counted_terms)
-    monkeypatch.setattr(electrostatics, "gap_line", counted_line)
-    sweep_voltage(default_model, electrode, V)
-    assert calls == [(electrode, "float"), (electrode, "array")] + (
+    with monkeypatch.context() as patch:
+        patch.setattr(mechanics, "_gap_terms", counted_terms)
+        patch.setattr(electrostatics, "gap_line", counted_line)
+        sweep_voltage(model, electrode, V)
+    return calls
+
+
+@pytest.mark.parametrize("electrode", list(Electrode))
+def test_sweep_makes_one_gap_line_pass_per_electrode_read(monkeypatch, electrode):
+    # on a warm branch (the model's, built by an earlier call on it) the driven
+    # electrode's gap terms give its force and, when top is driven, C_top too;
+    # a bottom sweep takes the top gap terms once more for C_top. The branch's
+    # poses lie inside the touch interval, so the checked gap_line never runs
+    model = build_model()
+    V = np.linspace(0.0, 0.99 * pull_in_voltage(model, electrode).V_pull_in, 9)
+    assert _gap_line_calls(monkeypatch, model, electrode, V) == [(electrode, "array")] + (
         [(Electrode.TOP, "array")] if electrode is Electrode.BOTTOM else [])
+
+
+@pytest.mark.parametrize("electrode", list(Electrode))
+def test_cold_sweep_takes_one_float_pass_first(monkeypatch, electrode):
+    # on a fresh model the sweep first builds the branch, whose constructor
+    # takes the driven gap terms once, on its one float pose y_PI
+    V = np.linspace(0.0, 0.99 * pull_in_voltage(build_model(), electrode).V_pull_in, 9)
+    assert _gap_line_calls(monkeypatch, build_model(), electrode, V) == [
+        (electrode, "float"), (electrode, "array")] + (
+        [(Electrode.TOP, "array")] if electrode is Electrode.BOTTOM else [])
+
+
+def _count_branches(monkeypatch):
+    """A list that gets one entry per StableBranch built from now on."""
+    built, init = [], StableBranch.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(Electrode(args[1]))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StableBranch, "__init__", counted)
+    return built
+
+
+def test_model_holds_one_branch_per_electrode(monkeypatch):
+    # pull-in, sweeps and single-electrode solves on one model build its branch on
+    # each electrode once, whether the electrode is named by member or by value
+    model = build_model(sigma0=50e6)
+    built = _count_branches(monkeypatch)
+    for electrode in (Electrode.TOP, Electrode.BOTTOM, "top", "bottom"):
+        pi = pull_in_voltage(model, electrode)
+        assert pull_in_voltage(model, electrode) is pi  # one frozen result
+        sweep_voltage(model, electrode, np.linspace(0.0, 0.9 * pi.V_pull_in, 5))
+        solve_equilibrium(model, *drive_voltages(Electrode(electrode), 0.5 * pi.V_pull_in))
+        solve_equilibrium(model, *drive_voltages(Electrode(electrode), 0.0))
+        with pytest.raises(NoStableEquilibrium):
+            solve_equilibrium(model, *drive_voltages(Electrode(electrode), pi.V_pull_in))
+    assert built == [Electrode.TOP, Electrode.BOTTOM]
+    assert set(model._branches) == set(Electrode)
+    # an equal model, from build_model or from the flat dict, builds its own
+    for other in (build_model(sigma0=50e6), model_from_dict(model_to_dict(model))):
+        assert other == model and other._branches == {}
+        pull_in_voltage(other, Electrode.TOP)
+        assert other._branches[Electrode.TOP] is not model._branches[Electrode.TOP]
+    # a drive on both electrodes runs the scan, which builds no branch
+    solve_equilibrium(model, 10.0, 10.0)
+    assert built == [Electrode.TOP, Electrode.BOTTOM, Electrode.TOP, Electrode.TOP]
+
+
+@pytest.mark.parametrize("sigma0", [0.0, -220e6, 180e6])
+@pytest.mark.parametrize("electrode", list(Electrode))
+def test_warm_branch_gives_the_cold_branchs_bits(sigma0, electrode):
+    # a held branch keeps pull-in and the cubic's constants: on a warm branch a
+    # sweep (past pull-in, so truncated) and single solves give the bits of the
+    # same calls on a fresh model, whose branch forms them on the spot
+    V = np.linspace(0.0, 1.02 * pull_in_voltage(build_model(sigma0=sigma0),
+                                                electrode).V_pull_in, 17)
+    warm = build_model(sigma0=sigma0)
+    sweep_voltage(warm, electrode, V)
+    cold_sweep, warm_sweep = (sweep_voltage(m, electrode, V)
+                              for m in (build_model(sigma0=sigma0), warm))
+    for name in SWEEP_COLUMNS:
+        assert np.array_equal(getattr(cold_sweep, name).view(np.uint64),
+                              getattr(warm_sweep, name).view(np.uint64)), name
+    assert cold_sweep.truncated_at == warm_sweep.truncated_at is not None
+    for v in V[:8].tolist():
+        cold, hot = (solve_equilibrium(m, *drive_voltages(electrode, v))
+                     for m in (build_model(sigma0=sigma0), warm))
+        assert [_bits(x) for x in vars(cold).values()] == [_bits(x) for x in vars(hot).values()]
+
+
+@pytest.mark.parametrize("electrode", list(Electrode))
+def test_pinned_model_refuses_the_same_way_every_time(with_sigma0, electrode):
+    model = with_sigma0(8e8)
+    for _ in range(2):
+        with pytest.raises(NoStableEquilibrium) as first:
+            pull_in_voltage(model, electrode)
+        with pytest.raises(NoStableEquilibrium) as again:
+            pull_in_voltage(model, electrode)
+        assert str(first.value) == str(again.value)
+        assert "lies past the touch limit" in str(first.value)
+        with pytest.raises(NoStableEquilibrium, match="does not pull it free") as swept:
+            sweep_voltage(model, electrode, [10.0])
+        with pytest.raises(NoStableEquilibrium) as solved:
+            solve_equilibrium(model, *drive_voltages(electrode, 10.0))
+        assert str(swept.value) == str(solved.value)
+
+
+def test_sweep_leaves_equality_hash_and_repr_alone():
+    # the held branches are left out of ==, hash and repr
+    model = build_model(sigma0=75e6)
+    before = (hash(model), repr(model))
+    for electrode in Electrode:
+        sweep_voltage(model, electrode, [0.0, 50.0])
+    assert model._branches and model == build_model(sigma0=75e6)
+    assert (hash(model), repr(model)) == before == (hash(build_model(sigma0=75e6)),
+                                                    repr(build_model(sigma0=75e6)))
+
+
+def test_pinned_message_names_the_scan_bound_inside_the_touch_limit():
+    # the rest lies between the scan bound y_p_max*(1 - SCAN_MARGIN) and the
+    # touch limit: the paddle is pinned at the bound, not past the limit
+    m = build_model(sigma0=597948418.9743592)
+    rest = zero_voltage_equilibrium(m)
+    assert m.y_p_max * (1.0 - SCAN_MARGIN) < rest < m.y_p_max
+    msg = (r"^film stress pins the paddle against the top electrode: rest y_p = 6\.153843e-05 m "
+           r"lies at or past the scan bound 6\.153840e-05 m, 1e-06 inside the touch limit "
+           r"6\.153846e-05 m")
+    for electrode in Electrode:
+        with pytest.raises(NoStableEquilibrium, match=msg + "$"):
+            pull_in_voltage(m, electrode)
+        with pytest.raises(NoStableEquilibrium, match=msg + "$"):
+            sweep_voltage(m, electrode, [0.0, 10.0])
+    # 1 mV on bottom does not yet pull it back inside the bound; 10 V does
+    with pytest.raises(NoStableEquilibrium, match=msg + "; 0.001 V on the bottom electrode"):
+        solve_equilibrium(m, 0.0, 1e-3)
+    assert solve_equilibrium(m, 0.0, 10.0).y_p < m.y_p_max * (1.0 - SCAN_MARGIN)
+
+
+@pytest.mark.parametrize("l_b", [1e-10, 1e-14, 1e-19, 1e-40])
+@pytest.mark.parametrize("electrode", list(Electrode))
+def test_branch_matches_scan_at_a_large_tilt(electrode, l_b):
+    # with the tilt 2*l_p/l_b past 1e8 the far root lies r0/r1 > 2**26 times
+    # farther from rest than the stable root's bound: the deflation takes the
+    # roots' products there, where their sum would cancel (at l_b = 1e-19 to 0)
+    m = build_model(l_b=l_b, sigma0=120e6)
+    V = np.array([0.1, 0.5, 0.9, 0.99]) * pull_in_voltage(m, electrode).V_pull_in
+    y = sweep_voltage(m, electrode, V).y_p
+    rest = zero_voltage_equilibrium(m)
+    for v, y_p in zip(V.tolist(), y.tolist()):
+        expected = _scan_equilibrium(m, *drive_voltages(electrode, v))
+        assert abs(y_p - expected) <= 1e-14 * abs(expected - rest), v

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from paddle_lab import (Electrode, FilmSpec, InvalidParameter, NoStableEquilibrium,
                         PaddleGeometry, PhysicalConstants, SubstrateMaterial,
                         ValidatedModel, build_model, load_model_json, model_from_dict,
-                        model_to_dict, pull_in_voltage, touch_limits, yb_from_yp)
+                        model_to_dict, pull_in_voltage, sweep_voltage, touch_limits,
+                        yb_from_yp)
 from paddle_lab.electrostatics import gap_coefficients
 from paddle_lab.model import MODEL_JSON_KEYS
 
@@ -131,7 +132,10 @@ def test_beam_products_must_stay_in_range(overrides, name, what):
     ({"w_p": 1e300, "eps0": 1e20}, "w_p",
      "eps0*w_p*l_p/2 must be a normal positive float, got inf", {"w_p": 1e100, "eps0": 1e20}),
     ({"l_b": 1e-200, "l_p": 1e120}, "l_p", "2*l_p/l_b must be a normal positive float, got inf",
-     {"l_b": 1e-100, "l_p": 1e120}),
+     {"l_b": 1e-40, "l_p": 1e60}),
+    ({"l_b": 1e-100, "l_p": 1e120}, "l_p",
+     "((d_c + d_e)*center_ratio)**3 must be a normal positive float, got inf",
+     {"l_b": 1e-50, "l_p": 1e50}),
     ({"t_F": 1e300}, "t_F", "k*d_c**3/(eps0*w_p*l_p) must be a normal positive float, got inf",
      {"t_F": 1e290}),
     ({"sigma0": 1e300, "E_F": 1e-300}, "sigma0", "E_F*V_F*a*eps_F0/k must be finite, got inf",
@@ -139,20 +143,29 @@ def test_beam_products_must_stay_in_range(overrides, name, what):
 ], ids=["compliance-overflow", "gap-cube-overflow", "pull-in-scale-overflow", "bottom-gap",
         "gap-cube-underflow", "stiff-beam-compliance", "long-beam-compliance", "strain-coupling",
         "film-stiffness", "beam-stiffness", "area-width", "area-eps0", "area-overflow", "tilt",
-        "film-pull-in-scale", "rest-deflection"])
+        "branch-cubic", "film-pull-in-scale", "rest-deflection"])
 def test_pull_in_products_must_stay_in_range(overrides, name, what, inside):
     # every field is finite and positive, but a derived constant leaves the normal floats:
     # 1/compliance was 0 (a ZeroDivisionError in StableBranch), or the pull-in arithmetic
-    # overflowed to a NaN or infinite V_PI or underflowed to 0; each case is a documented
-    # example (ValidatedModel, README)
+    # overflowed to a NaN or infinite V_PI or underflowed to 0, or the branch cubic of a
+    # sweep overflowed; each case is a documented example (ValidatedModel, README)
     with pytest.raises(InvalidParameter) as info:
         build_model(**overrides)
     assert info.value.name == name
     assert info.value.reason.endswith(what)
-    # inside the range, both pull-in voltages are finite and positive
+    # inside the range, both pull-in voltages are finite and positive, and both sweep
     model = build_model(**inside)
     for electrode in Electrode:
-        assert 0.0 < pull_in_voltage(model, electrode).V_pull_in < math.inf
+        V = pull_in_voltage(model, electrode).V_pull_in
+        assert 0.0 < V < math.inf
+        _sweeps_to_half_pull_in(model, electrode, V)
+
+
+def _sweeps_to_half_pull_in(model, electrode, V_pull_in):
+    """A sweep to V_PI/2 solves every voltage to a finite deflection."""
+    sweep = sweep_voltage(model, electrode, [0.0, 0.25 * V_pull_in, 0.5 * V_pull_in])
+    assert sweep.truncated_at is None
+    assert all(math.isfinite(y) for y in sweep.y_p.tolist())
 
 
 # 10**U(-310, 308): subnormal to near the float maximum; sigma0 of either sign
@@ -168,9 +181,11 @@ _CONFIGS = st.lists(st.sampled_from(MODEL_JSON_KEYS), min_size=1, max_size=3, un
 @example(config={"l_p": 1e-300})  # was a ZeroDivisionError in the constructor
 @example(config={"l_b": 1e-200, "l_p": 1e120, "w_p": 1e-3, "b_root": 1e-3})  # was nan V
 @example(config={"E_F": 1e300, "t_F": 1e300})  # was "rest y_p = nan"
+@example(config={"l_b": 1e-100, "l_p": 1e120})  # was an OverflowError in a sweep
 def test_accepted_models_give_finite_pull_in(config):
     # a config is refused naming a model key, or both pull-in voltages are finite and
-    # positive, or their NoStableEquilibrium message prints no nan or inf
+    # positive and a sweep to half of each solves, or their NoStableEquilibrium message
+    # prints no nan or inf
     try:
         model = build_model(**config)
     except InvalidParameter as exc:
@@ -183,6 +198,7 @@ def test_accepted_models_give_finite_pull_in(config):
             assert not re.search(r"\b(nan|inf)\b", str(exc)), str(exc)
         else:
             assert 0.0 < V < math.inf
+            _sweeps_to_half_pull_in(model, electrode, V)
 
 
 def test_constructor_checks_itself():

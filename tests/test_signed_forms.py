@@ -45,7 +45,7 @@ def _signed_force_sum(prestress, k_lin, cr, tilt, terms):
     return force
 
 
-def _signed_stable_root(branch, drive, force, y_pi):
+def _signed_stable_root(branch, drive, force):
     s, cr, tilt, k = branch.s, branch.cr, branch.tilt, branch.k
     r0 = branch.G0 * cr
     r1 = branch.G1 * cr / (1.0 + tilt)
@@ -57,7 +57,7 @@ def _signed_stable_root(branch, drive, force, y_pi):
     beta = r0 + r1 + w_far
     gamma = -e / w_far
     w = -2.0 * gamma / (beta + np.sqrt(np.maximum(beta * beta - 4.0 * gamma, 0.0)))
-    lo, hi = min(branch.far, y_pi), max(branch.far, y_pi)
+    lo, hi = min(branch.far, branch.y_pi), max(branch.far, branch.y_pi)
     y = np.minimum(np.maximum(branch.rest + s * w, lo), hi)
     with np.errstate(divide="ignore", invalid="ignore"):
         polished = y - force(y) / branch._force_slope(drive, y)
@@ -137,12 +137,10 @@ def test_stable_root_keeps_the_signed_forms_bits(with_sigma0, overrides, electro
     # the model's film, and the trial films of a stress fit on its template
     for film in (None, (1.2 * m.prestress, m.k), (-0.5 * m.prestress, 1.1 * m.k)):
         branch = StableBranch(m, electrode, film)
-        y_pi = branch.pull_in()[0]
         for drive in (_Drive(m, electrode, V), _Drive(m, electrode, float(V[5])),
                       _Drive(m, electrode, 0.0), _Drive(m, electrode, float(V[-1]))):
             force = branch._force(drive.terms)
-            _same_bits(branch._stable_root(drive, force, y_pi),
-                       _signed_stable_root(branch, drive, force, y_pi))
+            _same_bits(branch._stable_root(drive, force), _signed_stable_root(branch, drive, force))
 
 
 def test_not_restoring_keeps_the_signed_comparison(with_sigma0):
