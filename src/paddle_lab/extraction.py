@@ -223,9 +223,9 @@ class _PreparedFit:
         """Exact d(residual)/d(y0, k) at the theta that residuals solved.
 
         With F = k*(y0 - y_p) - c/(g0*g1), dF/dy0 = k and dF/dk = y0 - y_p,
-        so each row's dC/dtheta = C'(y_p)*(-dF/dtheta)/(dF/dy_p), where
-        dF/dy_p is the branch's Newton-polish denominator
-        (StableBranch._force_slope). No branch is solved again.
+        so each row's dC/dtheta = C'(y_p)*(-dF/dtheta)/(dF/dy_p), with
+        dF/dy_p from StableBranch._force_slope at the solved poses. No branch
+        is solved again.
         """
         J = np.empty((self.C.size, 2))
         for (e, rows, _, drive), (branch, y) in zip(self.groups, solved):

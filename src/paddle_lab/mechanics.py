@@ -15,7 +15,7 @@ is stable when the force gradient there is restoring (dF/dy_p < 0).
 With one electrode driven, equilibria and pull-in are found along the
 deflection (StableBranch), both in closed form: pull-in as the root of a
 quadratic, the equilibria of a whole voltage array as the stable roots of
-one cubic, each polished by one Newton step. A model holds each
+one cubic, clipped to the branch and not polished. A model holds each
 electrode's branch once it is first asked for (_branch), so pull-in and
 the cubic's constants are formed once per (model, electrode) and every
 later pull_in_voltage, sweep_voltage and single-electrode solve_equilibrium
@@ -412,7 +412,7 @@ class StableBranch:
             msg += f"; {V!r} V on the {self.electrode.value} electrode does not pull it free"
         return _Pinned(msg)
 
-    def _stable_root(self, drive: _Drive, force):
+    def _stable_root(self, drive: _Drive):
         """Stable root of the branch cubic at drive's squared voltages, in [far, y_PI].
 
         With z = y_p - rest and w = s*z the balance k*z*(G0 + b0*z)*(G1 +
@@ -424,18 +424,17 @@ class StableBranch:
         comes from the trigonometric form without cancelling; deflating it
         leaves a quadratic whose smaller root, taken in the form that does
         not cancel, is the stable one (W. Kahan, To Solve a Real Cubic
-        Equation, 1986). The quadratic's beta, the two roots' negated sum, is
-        r0 + r1 + w_far, which loses the bits of r0/r1 since w_far is near
-        -r0. Up to r0/r1 = 2**26 the polish restores them; past it (a tilt
-        near 1e8, or less with rest near the driven electrode) beta is
-        -(r0*r1 + mu)/w_far, from the roots' products, which does not cancel. One Newton step on the total force
-        then polishes the root and is discarded if it leaves [far, y_PI],
-        which it can near the double root at V_PI.
+        Equation, 1986). The quadratic w^2 + beta*w - mu takes mu = e/w_far
+        and beta = -(r0*r1 + mu)/w_far from the roots' products, which does
+        not cancel, where the roots' sum r0 + r1 + w_far would lose the bits
+        of r1 since w_far is near -r0. The root is clipped into [far, y_PI]
+        and not polished: within rounding of V_PI the force's slope is
+        rounding noise, and a Newton step on it could leave the branch. The
+        force at the root stays within a few eps times |prestress| + k*|y_p|.
 
         The constants of the film and geometry (the scale of e, q0, m's
-        products, r0 and r1's sum and product, and the interval [far, y_PI])
-        are formed on the first call and kept: the same operations give the
-        same bits.
+        products, r0*r1 and the interval [far, y_PI]) are formed on the
+        first call and kept: the same operations give the same bits.
         """
         cubic = self._cubic
         if cubic is None:
@@ -447,30 +446,26 @@ class StableBranch:
             q0 = (r0 + r1) * (2.0 * r0 - r1) * (r0 - 2.0 * r1) / 27.0
             lo, hi = min(self.far, self.y_pi), max(self.far, self.y_pi)
             cubic = self._cubic = (cr * cr / (self.k * (1.0 + tilt)), q0, -2.0 * m**3,
-                                   -2.0 * m, (r0 + r1) / 3.0, r0 + r1,
-                                   r0 * r1 if r0 > 2.0**26 * r1 else None, lo, hi)
-        e_scale, q0, minus_2m3, minus_2m, shift, r01, r0r1, lo, hi = cubic
+                                   -2.0 * m, (r0 + r1) / 3.0, r0 * r1, lo, hi)
+        e_scale, q0, minus_2m3, minus_2m, shift, r0r1, lo, hi = cubic
         e = drive.half_v2 * e_scale
         # np.minimum(np.maximum(...)) gives np.clip's bits here at half its call cost
         x = np.minimum(np.maximum((q0 + e) / minus_2m3, -1.0), 1.0)
         w_far = minus_2m * np.cos(math.pi / 3.0 - np.arccos(x) / 3.0) - shift
         mu = e / w_far  # w^2 + beta*w - mu holds the other two roots
-        beta = r01 + w_far if r0r1 is None else -(r0r1 + mu) / w_far
+        beta = -(r0r1 + mu) / w_far
         w = 2.0 * mu / (beta + np.sqrt(np.maximum(beta * beta + 4.0 * mu, 0.0)))
-        y = np.minimum(np.maximum(self.rest - w if self.s < 0.0 else self.rest + w, lo), hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            polished = y - force(y) / self._force_slope(drive, y)
-        return np.where((lo <= polished) & (polished <= hi), polished, y)
+        return np.minimum(np.maximum(self.rest - w if self.s < 0.0 else self.rest + w, lo), hi)
 
     def _force_slope(self, drive: _Drive, y):
         """dF/dy_p of this film's total force under drive, at deflections y.
 
-        The denominator of _stable_root's Newton polish, and the implicit
-        derivative of an equilibrium on the film: with F = k*(rest - y_p) -
-        c/(g0*g1), dy_p/dtheta = -(dF/dtheta)/(dF/dy_p), which is how the
-        stress fit takes its exact Jacobian. The square is a product: an
-        array's ** 2 is one too, while a float's goes through pow, which can
-        differ in the last bit, so a float keeps an array element's bits.
+        The implicit derivative of an equilibrium on the film: with F =
+        k*(rest - y_p) - c/(g0*g1), dy_p/dtheta = -(dF/dtheta)/(dF/dy_p),
+        which is how the stress fit takes its exact Jacobian. The square is a
+        product: an array's ** 2 is one too, while a float's goes through
+        pow, which can differ in the last bit, so a float keeps an array
+        element's bits.
         """
         b0, b1 = self.b0, self.b1
         g0, g1 = self.gap + b0 * y, self.gap + b1 * y
@@ -498,7 +493,7 @@ class StableBranch:
             # within rounding of V_PI, F(y_PI) can keep the rest-side sign
             stable = driven & (drive.v2 < self.v2_pi) & self.not_restoring(force(self.y_pi), 0.0)
             if np.count_nonzero(stable):
-                y = np.where(stable, self._stable_root(drive, force), y)
+                y = np.where(stable, self._stable_root(drive), y)
                 solved = solved | stable
         if np.count_nonzero(solved) == solved.size:
             return y, None

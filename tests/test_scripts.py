@@ -1,6 +1,8 @@
-"""The study scripts and the CLI diff script run end to end and write what they document."""
+"""The study scripts, the CLI diff script and the stable-branch check run end to end
+and write what they document."""
 import csv
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -102,3 +104,13 @@ def test_diff_cli_outputs_reports_bytes_rows_and_files(cli_tree, tmp_path):
         ["measure-top-0/measurement.csv", "(bytes)", "1/101", "-", "-", "-"],
         ["measure-top-0/measurement.csv", "(rows", "A/B)", "100/99", "-", "-", "-"],
         ["sweep-top-0/sweep.csv", "(bytes)", "45/45", "-", "-", "-"]]
+
+
+def test_check_branch_near_pull_in_script(capsys):
+    # 100 film stresses x 2 electrodes, each swept at 0.99 V_PI, V_PI*(1 - 1e-15),
+    # nextafter(V_PI, 0) and V_PI: no pose moves away from y_PI
+    script = runpy.run_path(os.path.join(ROOT, "scripts", "check_branch_near_pull_in.py"))
+    rc = script["main"](["--stresses", "100", "--seed", "2026"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0, lines
+    assert lines == ["200 branches, 0 move away from y_PI"]

@@ -3,11 +3,12 @@
 _gap_terms, the _force_sum closure, StableBranch._stable_root and
 _breakdown avoid array passes that multiply by a sign s = +-1 or negate:
 rest - y_b for rest + s*y_b, (s*tilt)*y_b for tilt*(s*y_b), (q0 + e)/(-2*m^3)
-for -(q0 + e)/(2*m^3), mu = e/w_far for gamma = -e/w_far, y_p/-compliance
-for -y_p/compliance, and StableBranch.not_restoring(F, 0) for
-F*far_sign <= 0. Each pair is exact in IEEE arithmetic, since sign flips
-commute with rounding. The signed forms are written out below as oracles,
-and every result is compared as uint64, so signed zeros count.
+for -(q0 + e)/(2*m^3), mu = e/w_far for gamma = -e/w_far, -(r0*r1 + mu)/w_far
+for (gamma - r0*r1)/w_far, y_p/-compliance for -y_p/compliance, and
+StableBranch.not_restoring(F, 0) for F*far_sign <= 0. Each pair is exact in
+IEEE arithmetic, since sign flips commute with rounding. The signed forms
+are written out below as oracles, and every result is compared as uint64,
+so signed zeros count.
 """
 import math
 
@@ -45,7 +46,7 @@ def _signed_force_sum(prestress, k_lin, cr, tilt, terms):
     return force
 
 
-def _signed_stable_root(branch, drive, force):
+def _signed_stable_root(branch, drive):
     s, cr, tilt, k = branch.s, branch.cr, branch.tilt, branch.k
     r0 = branch.G0 * cr
     r1 = branch.G1 * cr / (1.0 + tilt)
@@ -54,14 +55,11 @@ def _signed_stable_root(branch, drive, force):
     q0 = (r0 + r1) * (2.0 * r0 - r1) * (r0 - 2.0 * r1) / 27.0
     x = np.minimum(np.maximum(-(q0 + e) / (2.0 * m**3), -1.0), 1.0)
     w_far = -2.0 * m * np.cos(math.pi / 3.0 - np.arccos(x) / 3.0) - (r0 + r1) / 3.0
-    beta = r0 + r1 + w_far
     gamma = -e / w_far
+    beta = (gamma - r0 * r1) / w_far
     w = -2.0 * gamma / (beta + np.sqrt(np.maximum(beta * beta - 4.0 * gamma, 0.0)))
     lo, hi = min(branch.far, branch.y_pi), max(branch.far, branch.y_pi)
-    y = np.minimum(np.maximum(branch.rest + s * w, lo), hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        polished = y - force(y) / branch._force_slope(drive, y)
-    return np.where((lo <= polished) & (polished <= hi), polished, y)
+    return np.minimum(np.maximum(branch.rest + s * w, lo), hi)
 
 
 def _signed_breakdown(y_p, model, F_t, F_e):
@@ -139,8 +137,7 @@ def test_stable_root_keeps_the_signed_forms_bits(with_sigma0, overrides, electro
         branch = StableBranch(m, electrode, film)
         for drive in (_Drive(m, electrode, V), _Drive(m, electrode, float(V[5])),
                       _Drive(m, electrode, 0.0), _Drive(m, electrode, float(V[-1]))):
-            force = branch._force(drive.terms)
-            _same_bits(branch._stable_root(drive, force), _signed_stable_root(branch, drive, force))
+            _same_bits(branch._stable_root(drive), _signed_stable_root(branch, drive))
 
 
 def test_not_restoring_keeps_the_signed_comparison(with_sigma0):
