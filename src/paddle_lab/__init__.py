@@ -16,8 +16,9 @@ from .electrostatics import (Electrode, capacitance_curve, capacitance_value,
 from .errors import (DegenerateData, InsufficientData, InvalidParameter,
                      NoStableEquilibrium, OutOfRange, PaddleLabError,
                      TouchViolation)
-from .extraction import (CVDataset, FilmFitResult, deflection_series,
-                         fit_film_parameters, load_cv_csv, simulate_cv)
+from .extraction import (CVDataset, DeflectionSeries, FilmFitResult,
+                         deflection_series, fit_film_parameters, load_cv_csv,
+                         simulate_cv)
 from .instrument import (CalibrationFit, MeasurementSample, MeasurementStream,
                          NoiseModel, calibrate, calibration_fit,
                          calibration_table, measure_capacitance,
@@ -57,6 +58,6 @@ __all__ = [
     "measure_capacitance", "resolvable_displacement", "calibration_table",
     "calibration_fit", "calibrate",
     # extraction
-    "CVDataset", "FilmFitResult",
+    "CVDataset", "DeflectionSeries", "FilmFitResult",
     "simulate_cv", "deflection_series", "load_cv_csv", "fit_film_parameters",
 ]

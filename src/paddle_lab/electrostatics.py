@@ -21,9 +21,11 @@ of the same closed form. The array math of C and dC/dy_p lives in two
 helpers on gap_line's terms (g0, delta, u = delta/g0 and ln(1+u)), so a
 caller that needs both computes the gap line and the log once. Each takes
 the closed form everywhere and its flat-pose series only on the elements
-whose |u| is below the series threshold; the mask that keeps the closed
-form's divisor off zero there is built only when some element needs the
-series, and the other elements get the same bits either way. A lone
+whose |u| is below its series threshold. The caller hands it that mask,
+which also keeps the closed form's divisor off zero there, or None when
+no element needs the series (_series_mask); the other elements get the
+same bits either way. The slope helper leaves out the sign -s of the
+gap line, which its callers apply. A lone
 float takes capacitance_value and capacitance_slope through gap_line's
 float path and np.log1p on the scalar, the same operations as on an array
 element, and gets the bits of the same pose inside an array.
@@ -44,9 +46,11 @@ From the start, where Carlson's bound (2*G + A)/3 >= L equals c/C and so
 1/C is at or below its target, the Newton steps approach the root without
 passing it, and clipping them to the bracket is the only safeguard. The
 bracket sits inside the touch interval, so each step takes one gap-line
-pass without the touch check (_gap_terms) and one log1p call for both C and
-its slope. On an array, OutOfRange names the first value outside the
-attainable range and carries its flat index as `row`.
+pass without the touch check (_gap_terms), one log1p call and one |u| for
+both C and its slope. The model holds each electrode's attainable range
+(capacitance_range) once it is first formed. On an array, OutOfRange
+names the first value outside that range and carries its flat index as
+`row`.
 """
 from __future__ import annotations
 
@@ -143,18 +147,22 @@ def _flat_capacitance(u, g0):
     return (1.0 - u * (0.5 - u * (1.0 / 3.0 - 0.25 * u))) / g0
 
 
-def _capacitance_terms(c, g0, delta, u, log1p_u):
+def _series_mask(abs_u, threshold):
+    """The elements of |u| below a series threshold, or None when there is none."""
+    small = abs_u < threshold
+    return small if np.count_nonzero(small) else None
+
+
+def _capacitance_terms(c, g0, delta, u, log1p_u, small):
     """capacitance_value's array path on gap_line's terms, u = delta/g0 and
-    log1p_u = ln(1+u), with c = eps0*w_p*l_p.
+    log1p_u = ln(1+u), with c = eps0*w_p*l_p and small the elements below
+    SERIES_U_THRESHOLD (_series_mask), None when there is none.
 
     The closed form is taken everywhere and the flat-pose series replaces it
-    only on the elements that need it; the closed form divides by 1 there,
-    and the mask is built only when some element needs the series.
+    only on the small elements, where the closed form divides by 1.
     """
-    small = np.abs(u) < SERIES_U_THRESHOLD
-    any_small = np.count_nonzero(small)
-    value = log1p_u / (np.where(small, 1.0, delta) if any_small else delta)
-    if any_small:
+    value = log1p_u / (delta if small is None else np.where(small, 1.0, delta))
+    if small is not None:
         value[small] = _flat_capacitance(u[small], g0[small])
     return c * value
 
@@ -164,28 +172,28 @@ def _slope_series(u):
     return 0.5 - u * (2.0 / 3.0 - u * (0.75 - u * (0.8 - u * (5.0 / 6.0 - u * (6.0 / 7.0)))))
 
 
-def _slope_from_n(c, s, center_ratio, tilt, g0, r, n):
-    """dC/dy_p from gap_line's g0, r = 1/(1+u) and N(u) (see capacitance_slope)."""
-    return -s * (c * (r + tilt * n)) / (center_ratio * (g0 * g0))
+def _slope_from_n(c, center_ratio, tilt, g0, r, n):
+    """-s*dC/dy_p from gap_line's g0, r = 1/(1+u) and N(u) (see capacitance_slope)."""
+    return c * (r + tilt * n) / (center_ratio * (g0 * g0))
 
 
-def _slope_terms(c, s, center_ratio, tilt, g0, u, log1p_u):
-    """capacitance_slope's array math on gap_line's terms (see there), with
-    log1p_u = ln(1+u) and (s, center_ratio, tilt) from gap_coefficients.
+def _slope_terms(c, center_ratio, tilt, g0, u, log1p_u, small):
+    """-s*dC/dy_p, capacitance_slope's array math without its sign s = +-1,
+    on gap_line's terms (see there), with log1p_u = ln(1+u), (center_ratio,
+    tilt) from gap_coefficients and small the elements below
+    SLOPE_SERIES_U_THRESHOLD (_series_mask), None when there is none.
 
     N(u) is taken in closed form everywhere, sharing r = 1/(1+u) with the
-    slope, and by series only on the elements that need it. The closed form
-    divides by w = 1 on those elements, so that u = 0 never divides, and by
-    w = u elsewhere; the mask is built only when some element needs it.
+    slope, and by series only on the small elements. The closed form divides
+    by w = 1 on those elements, so that u = 0 never divides, and by w = u
+    elsewhere. The caller applies -s, which commutes with rounding.
     """
-    small = np.abs(u) < SLOPE_SERIES_U_THRESHOLD
-    any_small = np.count_nonzero(small)
     r = 1.0 / (1.0 + u)
-    w = np.where(small, 1.0, u) if any_small else u
+    w = u if small is None else np.where(small, 1.0, u)
     n = (log1p_u / w - r) / w
-    if any_small:
+    if small is not None:
         n[small] = _slope_series(u[small])
-    return _slope_from_n(c, s, center_ratio, tilt, g0, r, n)
+    return _slope_from_n(c, center_ratio, tilt, g0, r, n)
 
 
 def capacitance_value(y_p, model: ValidatedModel, electrode: Electrode):
@@ -205,7 +213,8 @@ def _capacitance_on_line(g0, delta, model: ValidatedModel):
         if abs(u) >= SERIES_U_THRESHOLD:
             return c * (float(np.log1p(u)) / delta)
         return c * _flat_capacitance(u, g0)
-    return _capacitance_terms(c, g0, delta, u, np.log1p(u))
+    return _capacitance_terms(c, g0, delta, u, np.log1p(u),
+                              _series_mask(np.abs(u), SERIES_U_THRESHOLD))
 
 
 def capacitance_slope(y_p, model: ValidatedModel, electrode: Electrode):
@@ -230,8 +239,9 @@ def _slope_on_line(g0, delta, model: ValidatedModel, electrode: Electrode):
     if isinstance(u, float):
         r = 1.0 / (1.0 + u)
         n = _slope_series(u) if abs(u) < SLOPE_SERIES_U_THRESHOLD else (float(np.log1p(u)) / u - r) / u
-        return _slope_from_n(c, s, center_ratio, tilt, g0, r, n)
-    return _slope_terms(c, s, center_ratio, tilt, g0, u, np.log1p(u))
+        return -s * _slope_from_n(c, center_ratio, tilt, g0, r, n)
+    return -s * _slope_terms(c, center_ratio, tilt, g0, u, np.log1p(u),
+                             _series_mask(np.abs(u), SLOPE_SERIES_U_THRESHOLD))
 
 
 # The same kernel under the name perfbench/tracing.py times array calls by.
@@ -284,9 +294,17 @@ def inversion_bracket(model: ValidatedModel) -> tuple[float, float]:
 
 
 def capacitance_range(model: ValidatedModel, electrode: Electrode) -> tuple[float, float]:
-    """(c_min, c_max): the capacitance span of inversion_bracket, ends excluded."""
-    c_lo, c_hi = (capacitance_value(y, model, electrode) for y in inversion_bracket(model))
-    return min(c_lo, c_hi), max(c_lo, c_hi)
+    """(c_min, c_max): the capacitance span of inversion_bracket, ends excluded.
+
+    Formed from two float capacitance_value calls on the first call for an
+    electrode, then held by the model (ValidatedModel._ranges), so invertible
+    and yp_from_capacitance read it without evaluating C.
+    """
+    held = model._ranges.get(electrode)  # a str Electrode's value finds its member
+    if held is None:
+        c_lo, c_hi = (capacitance_value(y, model, electrode) for y in inversion_bracket(model))
+        held = model._ranges[Electrode(electrode)] = (min(c_lo, c_hi), max(c_lo, c_hi))
+    return held
 
 
 def invertible(C, model: ValidatedModel, electrode: Electrode):
@@ -333,11 +351,16 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
     |C(y) - C| <= 1e-12*C or for INVERSION_MAX_ITER steps.
 
     A step evaluates the gap line, without the touch check since every
-    iterate lies in the bracket, and ln(1+u) once, and hands them to the
-    capacitance and slope helpers, the slope only after the convergence
-    test has left some element active. The helpers build the flat-pose
-    series mask only when some element needs the series. The results have
-    the bits of capacitance_value and capacitance_slope at the same poses.
+    iterate lies in the bracket, ln(1+u) and |u| once, and hands them to
+    the capacitance and slope helpers, the slope only after the convergence
+    test has left some element active. It builds the slope's series mask
+    first, and C's only when some |u| is below SLOPE_SERIES_U_THRESHOLD,
+    since SERIES_U_THRESHOLD is the smaller. The helpers give the bits of
+    capacitance_value and of capacitance_slope without its sign s = +-1 at
+    the same poses. The step on that slope is subtracted for s = +1 and
+    added for s = -1, which is exact, since sign flips commute with
+    rounding; np.where keeps converged elements only while some element has
+    converged.
     """
     C = np.asarray(C, dtype=float)
     ok = invertible(C, model, electrode)
@@ -363,12 +386,19 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
         g0, delta = _gap_terms(y, model, electrode)
         u = delta / g0
         log1p_u = np.log1p(u)
-        c_y = _capacitance_terms(c, g0, delta, u, log1p_u)
+        abs_u = np.abs(u)
+        # SERIES_U_THRESHOLD < SLOPE_SERIES_U_THRESHOLD: no slope series, no C series
+        slope_small = _series_mask(abs_u, SLOPE_SERIES_U_THRESHOLD)
+        small = None if slope_small is None else _series_mask(abs_u, SERIES_U_THRESHOLD)
+        c_y = _capacitance_terms(c, g0, delta, u, log1p_u, small)
         residual = target - c_y  # |target - c_y| has the bits of |c_y - target|
         active &= np.abs(residual) > tol
-        if not np.count_nonzero(active):
+        n_active = np.count_nonzero(active)
+        if not n_active:
             break
-        slope = _slope_terms(c, s, center_ratio, tilt, g0, u, log1p_u)
-        newton = y + c_y * residual / (target * slope)
-        y = np.where(active, np.minimum(np.maximum(newton, lo), hi), y)
+        # y + c_y*residual/(target*slope), with slope = -s times _slope_terms
+        step = c_y * residual / (target * _slope_terms(c, center_ratio, tilt, g0, u, log1p_u,
+                                                       slope_small))
+        newton = np.minimum(np.maximum(y - step if s > 0.0 else y + step, lo), hi)
+        y = newton if n_active == y.size else np.where(active, newton, y)
     return y.reshape(C.shape) if C.ndim else float(y[0])

@@ -123,15 +123,39 @@ def simulate_cv(model: ValidatedModel, electrode: Electrode, V_list,
     return CVDataset(sweep.V, C, np.full(C.size, electrode.value))
 
 
-def deflection_series(samples: MeasurementStream, model: ValidatedModel,
-                      electrode: Electrode) -> list[tuple[float, float]]:
-    """Convert a stream of timed capacitance readings to (t, y_p) by inverting C(y_p).
+@dataclass(frozen=True, eq=False)
+class DeflectionSeries:
+    """deflection_series' result as columns: element i of t (s) and of y_p (m),
+    1-D float64 arrays of one length (_columns), is the i-th reading's time
+    and inverted deflection.
 
-    The stream's C_meas column is inverted in one yp_from_capacitance call.
-    The result is one (t, y_p) tuple of Python floats per reading, [] for
-    an empty stream. A reading outside the attainable range raises
-    OutOfRange naming the first such sample, its time and its index as
-    `row`.
+    len is the number of readings; iteration gives one (t, y_p) pair of
+    Python floats per reading, with the bits of the columns. Series compare
+    by identity; compare their columns for equal deflections.
+    """
+
+    t: np.ndarray
+    y_p: np.ndarray
+
+    def __post_init__(self):
+        _columns(self, t=np.float64, y_p=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __iter__(self):
+        return zip(self.t.tolist(), self.y_p.tolist())
+
+
+def deflection_series(samples: MeasurementStream, model: ValidatedModel,
+                      electrode: Electrode) -> DeflectionSeries:
+    """Convert a stream of timed capacitance readings to deflections by inverting C(y_p).
+
+    The stream's C_meas column is inverted in one yp_from_capacitance call
+    into the y_p column of a DeflectionSeries, whose t column is the
+    stream's; an empty stream gives empty columns. A reading outside the
+    attainable range raises OutOfRange naming the first such sample, its
+    time and its index as `row`.
     """
     t = samples.t
     try:
@@ -139,7 +163,7 @@ def deflection_series(samples: MeasurementStream, model: ValidatedModel,
     except OutOfRange as exc:
         i = exc.row
         raise OutOfRange(f"sample {i} (t={float(t[i])!r}): {exc}", row=i) from exc
-    return list(zip(t.tolist(), y.tolist()))
+    return DeflectionSeries(t, y)
 
 
 def load_cv_csv(path, electrode: Electrode) -> CVDataset:
@@ -320,10 +344,12 @@ def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> Film
     From the linear pre-fit (_initial_guess), each iteration solves for the
     step with the exact Jacobian of the accepted iterate, y0 scaled by the
     template's travel and k by itself, then halves it up to 20 times so the
-    objective never increases. The fit stops when the relative step drops
-    below 1e-10 or after 100 iterations; an exhausted line search whose
-    finest attempted step was already below the tolerance counts as
-    converged. Non-convergence is reported in the flag, not raised. The
+    objective never increases. A step whose relative size is below 1e-10 is
+    not tried: the fit stops there, converged, at the last accepted theta,
+    whether that step is the full one or a halving of it. A line search
+    that tries all 21 steps, every one above the tolerance, without lowering
+    the objective stops the fit unconverged, as do 100 iterations.
+    Non-convergence is reported in the flag, not raised. The
     error bars are those of the final theta (_error_bars), NaN when the
     residual is undefined at the start.
     """
@@ -352,13 +378,14 @@ def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> Film
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(J, -r, rcond=None)[0]
         rel_full = float(np.max(np.abs(step)))
-        if rel_full < REL_STEP_TOL:
-            converged = True
-            break
         delta = step * scale
 
         alpha = 1.0
         for _ in range(MAX_HALVINGS + 1):
+            if rel_full * alpha < REL_STEP_TOL:
+                # this step and every finer one are below tolerance: converged, theta kept
+                converged = True
+                break
             candidate = theta + alpha * delta
             trial = fit.residuals(candidate)
             if trial is not None:
@@ -368,12 +395,8 @@ def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> Film
                     break
             alpha *= 0.5
         else:
-            # nothing improves: converged if even the finest attempted step
-            # was below tolerance, otherwise genuinely stuck
-            converged = rel_full * 0.5**MAX_HALVINGS < REL_STEP_TOL
-            break
-        if rel_full * alpha < REL_STEP_TOL:
-            converged = True
+            break  # no step down to 2**-MAX_HALVINGS lowers the objective: stuck
+        if converged:
             break
 
     sigma0, EFVF = fit.film(theta)

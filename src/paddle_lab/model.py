@@ -122,8 +122,9 @@ class ValidatedModel:
     apart. build_model and model_from_dict build one; to vary a parameter, go through the flat
     dict: model_from_dict({**model_to_dict(m), key: value}). Its parameters and derived
     constants never change after construction, and it is safe to share across workers. It
-    also holds each electrode's StableBranch once one is built (mechanics._branch), which
-    ==, hash and repr leave out.
+    also holds each electrode's StableBranch once one is built (mechanics._branch) and its
+    capacitance range once one is formed (electrostatics.capacitance_range), which ==, hash
+    and repr leave out.
     """
 
     constants: PhysicalConstants
@@ -144,6 +145,7 @@ class ValidatedModel:
     y_p_min: float = field(init=False)     # touch limits (touch_limits)
     y_p_max: float = field(init=False)
     _branches: dict = field(init=False, compare=False, repr=False)  # electrode -> StableBranch
+    _ranges: dict = field(init=False, compare=False, repr=False)  # electrode -> (c_min, c_max)
 
     def __post_init__(self):
         g, substrate, film = self.geom, self.substrate, self.film
@@ -197,7 +199,8 @@ class ValidatedModel:
                                 prestress=prestress, k=k, eps0_area=eps0_area,
                                 half_eps0_area=half_eps0_area, tilt=tilt,
                                 center_ratio=g.center_ratio,
-                                y_p_min=y_p_min, y_p_max=y_p_max, _branches={}).items():
+                                y_p_min=y_p_min, y_p_max=y_p_max, _branches={},
+                                _ranges={}).items():
             object.__setattr__(self, name, value)
 
 

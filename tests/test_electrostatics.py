@@ -7,14 +7,14 @@ from hypothesis import example, given, strategies as st
 
 from paddle_lab import (Electrode, InvalidParameter, NoiseModel, OutOfRange,
                         TouchViolation, build_model, capacitance_curve, capacitance_value,
-                        force_per_v2_value, measure_capacitance,
+                        force_per_v2_value, measure_capacitance, model_from_dict, model_to_dict,
                         paddle_capacitance_quadrature, parallel_plate_capacitance,
                         yp_from_capacitance)
 from paddle_lab import electrostatics
 from paddle_lab.electrostatics import (SERIES_U_THRESHOLD, SLOPE_SERIES_U_THRESHOLD,
-                                       capacitance_slope,
+                                       capacitance_range, capacitance_slope,
                                        electrostatic_force_per_v2_quadrature,
-                                       gap_line, inversion_bracket)
+                                       gap_line, inversion_bracket, invertible)
 from paddle_lab.roots import bisect_root
 
 FLAT_C = 2.2125e-12          # eps0 * (5 mm)^2 / 100 um
@@ -444,11 +444,13 @@ def test_inversion_at_range_end_takes_three_evaluations(monkeypatch):
     assert abs(capacitance_value(y, m, Electrode.BOTTOM) - C) <= 1e-12 * C
 
 
-def test_newton_step_makes_one_gap_line_call(default_model, monkeypatch):
+def test_newton_step_makes_one_gap_line_call(monkeypatch):
     # each Newton step shares one gap-line pass and one log between C and
     # dC/dy, and takes the gap line without the touch check, since every
     # iterate lies inside the bracket; only capacitance_range's two bracket
-    # ends take the float path
+    # ends take the float path, on the first inversion on a fresh model, which
+    # then holds the range
+    model = build_model()
     calls = []
     line = electrostatics._gap_terms
     value_terms, slope_terms = electrostatics._capacitance_terms, electrostatics._slope_terms
@@ -459,18 +461,62 @@ def test_newton_step_makes_one_gap_line_call(default_model, monkeypatch):
             return f(*args)
         return wrapper
 
-    C = measure_capacitance(capacitance_value(2e-5, default_model, Electrode.TOP),
+    C = measure_capacitance(capacitance_value(2e-5, model, Electrode.TOP),
                             NoiseModel(sigma_C=1e-16, seed=3), 200).C_meas
     monkeypatch.setattr(electrostatics, "_gap_terms", counted("line", line))
     monkeypatch.setattr(electrostatics, "_capacitance_terms", counted("value", value_terms))
     monkeypatch.setattr(electrostatics, "_slope_terms", counted("slope", slope_terms))
-    y = yp_from_capacitance(C, default_model, Electrode.TOP)
-    steps = calls[2:]
-    assert calls[:2] == ["float", "float"]
-    evaluations = steps.count("line")
-    assert evaluations >= 2
-    assert steps == ["line", "value"] + ["slope", "line", "value"] * (evaluations - 1)
-    assert np.all(np.abs(capacitance_value(y, default_model, Electrode.TOP) - C) <= 1e-12 * C)
+    for cold in (True, False):
+        calls.clear()
+        y = yp_from_capacitance(C, model, Electrode.TOP)
+        steps = calls[2:] if cold else calls
+        assert calls[:2] == ["float", "float"] if cold else "float" not in calls
+        evaluations = steps.count("line")
+        assert evaluations >= 2
+        assert steps == ["line", "value"] + ["slope", "line", "value"] * (evaluations - 1)
+        assert np.all(np.abs(capacitance_value(y, model, Electrode.TOP) - C) <= 1e-12 * C)
+
+
+def test_model_holds_one_range_per_electrode(monkeypatch):
+    # capacitance_range, invertible and yp_from_capacitance on one model form
+    # each electrode's range once, from two float capacitance_value calls,
+    # whether the electrode is named by member or by value; ==, hash and repr
+    # leave the held ranges out
+    model, fresh = build_model(sigma0=50e6), build_model(sigma0=50e6)
+    cold = {e: sorted(capacitance_value(y, fresh, e) for y in inversion_bracket(fresh))
+            for e in Electrode}
+    messages = {}
+    for e in Electrode:
+        with pytest.raises(OutOfRange) as exc:
+            yp_from_capacitance(2.0 * cold[e][1], build_model(sigma0=50e6), e)
+        messages[e] = str(exc.value)
+    calls, value = [], electrostatics.capacitance_value
+
+    def counted(y, m, electrode):
+        calls.append((m, Electrode(electrode)))
+        return value(y, m, electrode)
+
+    monkeypatch.setattr(electrostatics, "capacitance_value", counted)
+    for electrode in (Electrode.TOP, Electrode.BOTTOM, "top", "bottom"):
+        e = Electrode(electrode)
+        assert list(capacitance_range(model, electrode)) == cold[e]
+        C = np.linspace(*cold[e], 7)[1:-1]
+        assert np.all(invertible(C, model, electrode))
+        yp_from_capacitance(C, model, electrode)
+        yp_from_capacitance(float(C[2]), model, electrode)
+        with pytest.raises(OutOfRange) as exc:  # the held range gives the cold message
+            yp_from_capacitance(2.0 * cold[e][1], model, electrode)
+        assert str(exc.value) == messages[e]
+    assert all(m is model for m, _ in calls)
+    assert [e for _, e in calls] == [Electrode.TOP] * 2 + [Electrode.BOTTOM] * 2
+    assert set(model._ranges) == set(Electrode)
+    assert model == fresh and hash(model) == hash(fresh) and repr(model) == repr(fresh)
+    # an equal model, from build_model or from the flat dict, forms its own
+    for other in (fresh, model_from_dict(model_to_dict(model))):
+        assert other == model and other._ranges == {}
+        assert list(capacitance_range(other, Electrode.TOP)) == cold[Electrode.TOP]
+        assert [(m is other, e) for m, e in calls[-2:]] == [(True, Electrode.TOP)] * 2
+    assert len(calls) == 8
 
 
 @pytest.mark.parametrize("electrode", [Electrode.TOP, Electrode.BOTTOM])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from paddle_lab import (CVDataset, DegenerateData, Electrode,
+from paddle_lab import (CVDataset, DeflectionSeries, DegenerateData, Electrode,
                         InsufficientData, InvalidParameter, MeasurementSample,
                         MeasurementStream, NoiseModel, NoStableEquilibrium, OutOfRange, TouchViolation,
                         build_model, capacitance_value, deflection_series,
@@ -15,8 +15,8 @@ from paddle_lab import (CVDataset, DegenerateData, Electrode,
                         sweep_voltage, ValidatedModel, yp_from_capacitance)
 from paddle_lab.cli import main
 from paddle_lab.electrostatics import capacitance_range, capacitance_slope
-from paddle_lab.extraction import (MAX_HALVINGS, MAX_ITERATIONS, CVRow, _initial_guess,
-                                   _PreparedFit)
+from paddle_lab.extraction import (MAX_HALVINGS, MAX_ITERATIONS, REL_STEP_TOL, CVRow,
+                                   _initial_guess, _PreparedFit)
 from paddle_lab.mechanics import StableBranch, _Drive, compliance, strain_coupling
 
 
@@ -246,21 +246,36 @@ def test_deflection_series_out_of_range_row(default_model):
     with pytest.raises(OutOfRange, match=r"^sample 1 \(t=0\.02\): C=nan") as exc:
         deflection_series(samples, default_model, Electrode.TOP)
     assert exc.value.row == 1
-    assert deflection_series(_stream([], []), default_model, Electrode.TOP) == []
+    assert len(deflection_series(_stream([], []), default_model, Electrode.TOP)) == 0
 
 
 @pytest.mark.parametrize("electrode", [Electrode.TOP, Electrode.BOTTOM])
 def test_deflection_series_is_column_inversion(default_model, electrode):
-    # one (t, y_p) tuple of Python floats per reading: the stream's t and the
-    # inversion of its C_meas column, bit for bit
+    # read-only columns: the stream's t and the inversion of its C_meas column,
+    # bit for bit; iterated, one (t, y_p) pair of Python floats per reading
     for y_p, sigma_C in ((2e-5, 1e-16), (-3e-5, 3e-16), (0.0, 0.0)):
         stream = measure_capacitance(capacitance_value(y_p, default_model, electrode),
                                      NoiseModel(sigma_C=sigma_C, dt=1e-3, seed=4), 200)
         series = deflection_series(stream, default_model, electrode)
+        assert isinstance(series, DeflectionSeries) and len(series) == 200
+        y = yp_from_capacitance(stream.C_meas, default_model, electrode)
+        assert series.t is stream.t and series.y_p.tobytes() == y.tobytes()
+        assert not series.y_p.flags.writeable
         assert all(type(t) is float and type(y) is float for t, y in series)
         assert [t for t, _ in series] == stream.t.tolist()
-        y = yp_from_capacitance(stream.C_meas, default_model, electrode)
         assert np.array([y for _, y in series]).tobytes() == y.tobytes()
+
+
+def test_deflection_series_columns_are_checked():
+    # the columns become read-only 1-D float64 arrays of one length, as a stream's do
+    series = DeflectionSeries([0.01, 0.02], [1e-6, -2e-6])
+    assert series.t.dtype == series.y_p.dtype == np.float64
+    assert not series.t.flags.writeable and not series.y_p.flags.writeable
+    assert list(series) == [(0.01, 1e-6), (0.02, -2e-6)]
+    for t, y_p, name in (([0.01], [1e-6, 2e-6], "y_p"), ([[0.01]], [1e-6], "t")):
+        with pytest.raises(InvalidParameter) as info:
+            DeflectionSeries(t, y_p)
+        assert info.value.name == name
 
 
 @pytest.mark.parametrize("first_bad", [0, 137])
@@ -723,12 +738,25 @@ def test_fit_stuck_line_search_is_not_converged(default_model, monkeypatch):
 
 def test_fit_exhausted_line_search_below_tolerance_is_converged(default_model, monkeypatch):
     # the pre-fit of sigma_C = 1e-17 F data is about 5e-6 off the optimum in the scaled
-    # step; with every trial undefined, the line search's finest step, 2**-20 of that,
-    # is below REL_STEP_TOL, so the first iteration's exhausted search counts as converged
+    # step; with every trial undefined, the line search halves that step down to the
+    # last one above REL_STEP_TOL, 2**-15 of it, and stops without trying the next:
+    # the first iteration counts as converged at the pre-fit, as a search exhausted
+    # below the tolerance did, after 16 trial steps, not 21
     truth = build_model(sigma0=TRUTH_SIGMA0, t_F=TRUTH_T_F)
     data = _trial_data(truth, Electrode.BOTTOM, 0.8, 1e-17, 3, 11)
-    trials = _recorded_trials(monkeypatch, defined=1)
+    thetas, residuals = [], _PreparedFit.residuals
+
+    def recorded(self, theta):
+        thetas.append(np.array(theta, dtype=float))
+        return residuals(self, theta) if len(thetas) == 1 else None
+
+    monkeypatch.setattr(_PreparedFit, "residuals", recorded)
     fit = fit_film_parameters(data, default_model)
     assert fit.converged and fit.iterations == 1
-    assert len(trials) == MAX_HALVINGS + 2
-    assert _stopped_on_exhausted_line_search(trials, fit, 11)
+    assert len(thetas) == 17
+    start = thetas[0]
+    r = residuals(_PreparedFit(data, default_model), start)[0]
+    assert fit.rms_residual == math.sqrt(float(r @ r) / 11)  # theta kept at the pre-fit
+    scale = np.array([default_model.y_p_max - default_model.y_p_min, start[1]])
+    finest = float(np.max(np.abs((thetas[-1] - start) / scale)))
+    assert 0.5 * finest < REL_STEP_TOL <= finest * (1.0 + 1e-6)

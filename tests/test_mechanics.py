@@ -16,6 +16,7 @@ from paddle_lab import capacitance_value, electrostatics, mechanics
 from paddle_lab.electrostatics import gap_coefficients
 from paddle_lab.mechanics import (SCAN_MARGIN, StableBranch, _Drive, _scan_equilibrium,
                                   drive_voltages, has_stable_equilibrium)
+from paddle_lab.roots import bisect_root
 
 COMPLIANCE = 6.0 * 3e-3 * 8e-3 / (180e9 * 0.3 * (40e-6) ** 3)  # 4.1667e-2 m/N
 
@@ -652,6 +653,11 @@ def test_refused_where_force_keeps_its_sign_at_pull_in(with_sigma0):
        scales=st.tuples(*[st.floats(min_value=0.5, max_value=2.0)] * 3),
        electrode=st.sampled_from(list(Electrode)),
        fractions=st.lists(st.floats(min_value=0.0, max_value=0.999), min_size=1, max_size=6))
+# rest within one scan cell of a scan bound: at half V_PI the stable root and y_PI
+# share the grid's end cell, and the scan sees no sign change
+@example(sigma0=298191355.0, scales=(0.5, 2.0, 1.0), electrode=Electrode.TOP, fractions=[0.5])
+@example(sigma0=-298191355.0, scales=(2.0, 0.5, 1.0), electrode=Electrode.BOTTOM,
+         fractions=[0.5])
 def test_branch_array_agrees_with_scan(with_sigma0, default_model, sigma0, scales,
                                        electrode, fractions):
     g = default_model.geom
@@ -666,9 +672,31 @@ def test_branch_array_agrees_with_scan(with_sigma0, default_model, sigma0, scale
     # abs covers y_p near 0, where both answers carry the rounding of the
     # force sum (about ulp(prestress)/stiffness), not of y_p
     scale = abs(pi.y_p_last_stable - zero_voltage_equilibrium(m))
-    for v, y_p in zip(V, y):
-        assert y_p == pytest.approx(_scan_equilibrium(m, *drive_voltages(electrode, float(v))),
+    for v, y_p in zip(V.tolist(), y):
+        assert y_p == pytest.approx(_scan_or_cell_root(m, electrode, v, pi.y_p_last_stable),
                                     rel=1e-12, abs=1e-14 * scale)
+
+
+def _scan_or_cell_root(m, electrode, V, y_pi):
+    """The scan's stable pose at V below V_PI; where the scan finds no restoring
+    zero, the root bisected in the scan cell that holds y_PI, between y_PI and
+    the cell's rest-side end, after checking that the force changes sign there.
+
+    The scan misses a branch whose stable root and unstable root share one grid
+    cell, which happens when rest lies within a cell of a scan bound.
+    """
+    drive = drive_voltages(electrode, V)
+    try:
+        return _scan_equilibrium(m, *drive)
+    except NoStableEquilibrium:
+        pass
+    grid = np.linspace(*mechanics._scan_bounds(m), mechanics.SCAN_POINTS)
+    j = int(np.searchsorted(grid, y_pi, side="right")) - 1
+    lo, hi = (grid[j], y_pi) if electrode is Electrode.TOP else (y_pi, grid[j + 1])
+    force = mechanics._force_closure(m, *drive)
+    f_lo, f_hi = force(float(lo)), force(float(hi))
+    assert f_lo > 0.0 >= f_hi  # a restoring zero the grid did not resolve
+    return bisect_root(force, float(lo), float(hi), f_lo, f_hi)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,23 +1,31 @@
-"""The stable-branch arithmetic against its signed expression forms, bit for bit.
+"""The stable-branch and inversion arithmetic against its signed expression forms, bit for bit.
 
 _gap_terms, the _force_sum closure, StableBranch._stable_root and
 _breakdown avoid array passes that multiply by a sign s = +-1 or negate:
 rest - y_b for rest + s*y_b, (s*tilt)*y_b for tilt*(s*y_b), (q0 + e)/(-2*m^3)
 for -(q0 + e)/(2*m^3), mu = e/w_far for gamma = -e/w_far, -(r0*r1 + mu)/w_far
 for (gamma - r0*r1)/w_far, y_p/-compliance for -y_p/compliance, and
-StableBranch.not_restoring(F, 0) for F*far_sign <= 0. Each pair is exact in
-IEEE arithmetic, since sign flips commute with rounding. The signed forms
-are written out below as oracles, and every result is compared as uint64,
-so signed zeros count.
+StableBranch.not_restoring(F, 0) for F*far_sign <= 0. yp_from_capacitance's
+Newton loop steps by y - step or y + step, with step on -s*dC/dy_p, for
+y + c_y*residual/(target*dC/dy_p). Each pair is exact in IEEE arithmetic,
+since sign flips commute with rounding. The signed forms are written out
+below as oracles, and every result is compared as uint64, so signed zeros
+count.
 """
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from paddle_lab import Electrode, NoStableEquilibrium, film_force, pull_in_voltage
+from paddle_lab import (Electrode, NoiseModel, NoStableEquilibrium, build_model,
+                        capacitance_value, deflection_series, film_force, measure_capacitance,
+                        pull_in_voltage, yp_from_capacitance)
 from paddle_lab import mechanics
-from paddle_lab.electrostatics import _gap_terms, gap_coefficients
+from paddle_lab.electrostatics import (INVERSION_MAX_ITER, SERIES_U_THRESHOLD,
+                                       SLOPE_SERIES_U_THRESHOLD, _flat_capacitance, _gap_terms,
+                                       _log_mean_start, _slope_series, capacitance_range,
+                                       gap_coefficients, inversion_bracket)
 from paddle_lab.mechanics import (StableBranch, _breakdown, _Drive, _force_sum,
                                   _scan_bounds, _scan_equilibrium, drive_voltages,
                                   has_stable_equilibrium)
@@ -197,3 +205,109 @@ def test_scan_oracle_keeps_the_signed_forms_bits(with_sigma0, monkeypatch, overr
             _same_bits(got, expected)
         else:
             assert got == expected
+
+
+def _signed_inversion(C, model, electrode):
+    """yp_from_capacitance's Newton loop on invertible readings, in its signed form.
+
+    Each step takes |u| and the series masks of C and of its slope on its
+    own, masks whether or not an element needs a series, steps on the signed
+    slope dC/dy_p = -s*c*(r + tilt*N)/(center_ratio*g0^2) and writes the
+    clipped step through np.where.
+    """
+    C = np.asarray(C, dtype=float)
+    lo, hi = inversion_bracket(model)
+    rest, s, center_ratio, tilt = gap_coefficients(model, electrode)
+    c = model.eps0_area
+    target = C.reshape(-1)
+    tol = 1e-12 * target
+    y = np.minimum(np.maximum(s * center_ratio * _log_mean_start(c / target, rest, tilt), lo), hi)
+    active = np.ones(y.shape, dtype=bool)
+    for _ in range(INVERSION_MAX_ITER):
+        g0, delta = _signed_gap_terms(y, model, electrode)
+        u = delta / g0
+        log1p_u = np.log1p(u)
+        small = np.abs(u) < SERIES_U_THRESHOLD
+        value = log1p_u / np.where(small, 1.0, delta)
+        value[small] = _flat_capacitance(u[small], g0[small])
+        c_y = c * value
+        residual = target - c_y
+        active &= np.abs(residual) > tol
+        if not active.any():
+            break
+        small = np.abs(u) < SLOPE_SERIES_U_THRESHOLD
+        r = 1.0 / (1.0 + u)
+        w = np.where(small, 1.0, u)
+        n = (log1p_u / w - r) / w
+        n[small] = _slope_series(u[small])
+        slope = -s * (c * (r + tilt * n)) / (center_ratio * (g0 * g0))
+        newton = y + c_y * residual / (target * slope)
+        y = np.where(active, np.minimum(np.maximum(newton, lo), hi), y)
+    return y.reshape(C.shape) if C.ndim else float(y[0])
+
+
+def _same_inversion(C, model, electrode):
+    """yp_from_capacitance has the oracle's bits on the array and on each lone float."""
+    _same_bits(yp_from_capacitance(C, model, electrode), _signed_inversion(C, model, electrode))
+    for c in C.tolist():
+        _same_bits(yp_from_capacitance(c, model, electrode),
+                   _signed_inversion(c, model, electrode))
+
+
+def _readings(model, electrode):
+    """Readings at poses with |u| on both sides of each series threshold, at
+    +-0.0, across the inversion bracket, and one ulp inside the attainable
+    range at both ends, whose Newton steps clip to the bracket."""
+    rest, _, center_ratio, tilt = gap_coefficients(model, electrode)
+    lo, hi = inversion_bracket(model)
+    u = np.outer([SERIES_U_THRESHOLD, SLOPE_SERIES_U_THRESHOLD], [0.5, 0.99, 1.01, 2.0]).ravel()
+    y = np.concatenate([u, -u, [1e-9, -1e-9]]) * (center_ratio * rest / tilt)
+    y = np.concatenate([y[(lo < y) & (y < hi)], [0.0, -0.0], np.linspace(lo, hi, 43)[1:-1]])
+    c_min, c_max = capacitance_range(model, electrode)
+    ends = [math.nextafter(c_min, math.inf), math.nextafter(c_max, 0.0)]
+    return np.concatenate([capacitance_value(y, model, electrode), ends])
+
+
+@pytest.mark.parametrize("electrode", list(Electrode))
+@pytest.mark.parametrize("overrides", MODELS)
+def test_inversion_keeps_the_signed_forms_bits(with_sigma0, overrides, electrode):
+    m = with_sigma0(**overrides)
+    C = _readings(m, electrode)
+    g0, delta = _gap_terms(yp_from_capacitance(C, m, electrode), m, electrode)
+    for threshold in (SERIES_U_THRESHOLD, SLOPE_SERIES_U_THRESHOLD):
+        assert np.any(np.abs(delta / g0) < threshold) and np.any(np.abs(delta / g0) > threshold)
+    _same_inversion(C, m, electrode)
+    # arrays with no element below either threshold skip the masks
+    wide = C[np.abs(capacitance_value(0.0, m, electrode) - C) > 1e-2 * C]
+    assert wide.size > 2
+    _same_inversion(wide, m, electrode)
+    # a 2-D array keeps its shape, and a stream inverted by deflection_series
+    _same_bits(yp_from_capacitance(C[:40].reshape(8, 5), m, electrode),
+               _signed_inversion(C[:40].reshape(8, 5), m, electrode))
+    for y_p in (0.0, 2e-5, -3e-5):
+        stream = measure_capacitance(capacitance_value(y_p, m, electrode),
+                                     NoiseModel(sigma_C=1e-16, dt=1e-3, seed=7), 200)
+        _same_bits(deflection_series(stream, m, electrode).y_p,
+                   _signed_inversion(stream.C_meas, m, electrode))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d_c=st.floats(min_value=41e-6, max_value=300e-6),
+       d_e=st.floats(min_value=41e-6, max_value=300e-6),
+       l_b=st.floats(min_value=1e-3, max_value=8e-3),
+       l_p=st.floats(min_value=1e-4, max_value=2e-2),
+       electrode=st.sampled_from(list(Electrode)),
+       fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12))
+@example(d_c=194.94e-6, d_e=228.1e-6, l_b=2.03e-3, l_p=5e-3, electrode=Electrode.TOP,
+         fracs=[0.0, 1.0])
+@example(d_c=100e-6, d_e=100e-6, l_b=1e-3, l_p=6.5e-3, electrode=Electrode.BOTTOM,
+         fracs=[0.0, 0.3, 0.7, 1.0])
+def test_inversion_keeps_the_signed_forms_bits_on_any_geometry(d_c, d_e, l_b, l_p, electrode,
+                                                               fracs):
+    m = build_model(d_c=d_c, d_e=d_e, l_b=l_b, l_p=l_p)
+    lo, hi = inversion_bracket(m)
+    c_min, c_max = capacitance_range(m, electrode)
+    y = np.minimum(lo + np.array(fracs) * (hi - lo), hi)
+    C = np.clip(capacitance_value(y, m, electrode),
+                math.nextafter(c_min, math.inf), math.nextafter(c_max, 0.0))
+    _same_inversion(np.concatenate([C, _readings(m, electrode)]), m, electrode)
