@@ -53,13 +53,16 @@ def commands():
     yield "calibrate-noise-free", "calibrate"
     for e, yp in itertools.product(("top", "bottom"), ("-4e-5", "0", "3e-5")):
         yield f"measure-{e}-{yp}", f"measure --electrode {e} --yp={yp} --seed 5"
-    # (name, truth sigma0, electrode, sampled up to this fraction of V_PI, noise in F)
+    # (name, truth sigma0, electrode, sampled up to this fraction of V_PI, noise in F);
+    # flat's first five readings lie within |u| < 3e-3 of the flat pose, where the
+    # slope takes its series, and the bottom drive carries the paddle across it
     for name, sigma0, e, top, sigma_C in (("top", 150e6, "top", 0.8, 1e-17),
                                           ("bottom", 150e6, "bottom", 0.8, 1e-17),
                                           ("near", 150e6, "bottom", 0.9999, 1e-17),
                                           ("near-top", 150e6, "top", 0.9999, 1e-17),
                                           ("compressive", -150e6, "top", 0.9, 1e-17),
-                                          ("noisy", 150e6, "top", 0.8, 1e-15)):
+                                          ("noisy", 150e6, "top", 0.8, 1e-15),
+                                          ("flat", 1e6, "bottom", 0.8, 1e-17)):
         truth = build_model(sigma0=sigma0, t_F=220e-9)
         V = np.linspace(0.0, top * pull_in_voltage(truth, e).V_pull_in, 21)
         data = simulate_cv(truth, e, V, NoiseModel(sigma_C=sigma_C, seed=11))
@@ -67,8 +70,8 @@ def commands():
             fh.write("V_volt,C_F\n" + "".join(f"{v:.12e},{c:.12e}\n"
                                                for v, c in zip(data.V.tolist(), data.C.tolist())))
         yield f"extract-{name}", f"extract --electrode {e} --data cv-{name}.csv"
-    # C at twice the largest that inverts: the fit starts from the template's film
-    # and its line search stops stuck (exit 4)
+    # C at twice the largest that inverts: no reading inverts, so extract exits 2
+    # and writes nothing
     c_max = capacitance_range(build_model(), "bottom")[1]
     with open("cv-unreachable.csv", "w") as fh:
         fh.write("V_volt,C_F\n" + "".join(f"{v:.12e},{2.0 * c_max:.12e}\n"

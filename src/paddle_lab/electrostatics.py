@@ -21,14 +21,14 @@ of the same closed form. The array math of C and dC/dy_p lives in two
 helpers on gap_line's terms (g0, delta, u = delta/g0 and ln(1+u)), so a
 caller that needs both computes the gap line and the log once. Each takes
 the closed form everywhere and its flat-pose series only on the elements
-whose |u| is below its series threshold. The caller hands it that mask,
-which also keeps the closed form's divisor off zero there, or None when
-no element needs the series (_series_mask); the other elements get the
-same bits either way. The slope helper leaves out the sign -s of the
-gap line, which its callers apply. A lone
-float takes capacitance_value and capacitance_slope through gap_line's
-float path and np.log1p on the scalar, the same operations as on an array
-element, and gets the bits of the same pose inside an array.
+of a mask the caller hands it, which also keeps the closed form's divisor
+off zero there, or None when no element needs the series (_series_mask);
+the other elements get the same bits either way. capacitance_value and
+capacitance_slope mask |u| below each one's own series threshold. The
+slope helper leaves out the sign -s of the gap line, which its callers
+apply. A lone float takes capacitance_value and capacitance_slope through
+gap_line's float path and np.log1p on the scalar, the same operations as
+on an array element, and gets the bits of the same pose inside an array.
 
 Each formula lives in one helper: gap_line is the gap-line arithmetic
 (_gap_terms) plus the touch check, and capacitance_value,
@@ -46,11 +46,15 @@ From the start, where Carlson's bound (2*G + A)/3 >= L equals c/C and so
 1/C is at or below its target, the Newton steps approach the root without
 passing it, and clipping them to the bracket is the only safeguard. The
 bracket sits inside the touch interval, so each step takes one gap-line
-pass without the touch check (_gap_terms), one log1p call and one |u| for
-both C and its slope. The model holds each electrode's attainable range
-(capacitance_range) once it is first formed. On an array, OutOfRange
-names the first value outside that range and carries its flat index as
-`row`.
+pass without the touch check (_gap_terms), one log1p call and one series
+mask, C's, for both C and its slope. The start is within O(u^4) of the
+root, so a reading whose root has |u| below about 7.3e-3, more than twice
+SLOPE_SERIES_U_THRESHOLD, meets the tolerance there and takes no step: the
+loop never steps on a slope that needs its own series
+(test_flat_readings_take_no_newton_step). The model holds
+each electrode's attainable range (capacitance_range) once it is first
+formed. On an array, OutOfRange names the first value outside that range
+and carries its flat index as `row`.
 """
 from __future__ import annotations
 
@@ -147,9 +151,9 @@ def _flat_capacitance(u, g0):
     return (1.0 - u * (0.5 - u * (1.0 / 3.0 - 0.25 * u))) / g0
 
 
-def _series_mask(abs_u, threshold):
-    """The elements of |u| below a series threshold, or None when there is none."""
-    small = abs_u < threshold
+def _series_mask(u, threshold):
+    """The elements whose |u| is below a series threshold, or None when there is none."""
+    small = np.abs(u) < threshold
     return small if np.count_nonzero(small) else None
 
 
@@ -180,8 +184,10 @@ def _slope_from_n(c, center_ratio, tilt, g0, r, n):
 def _slope_terms(c, center_ratio, tilt, g0, u, log1p_u, small):
     """-s*dC/dy_p, capacitance_slope's array math without its sign s = +-1,
     on gap_line's terms (see there), with log1p_u = ln(1+u), (center_ratio,
-    tilt) from gap_coefficients and small the elements below
-    SLOPE_SERIES_U_THRESHOLD (_series_mask), None when there is none.
+    tilt) from gap_coefficients and small the elements that take the
+    series (_series_mask), None when there is none: those below
+    SLOPE_SERIES_U_THRESHOLD for capacitance_slope's bits, below
+    SERIES_U_THRESHOLD in yp_from_capacitance's loop (see there).
 
     N(u) is taken in closed form everywhere, sharing r = 1/(1+u) with the
     slope, and by series only on the small elements. The closed form divides
@@ -214,7 +220,7 @@ def _capacitance_on_line(g0, delta, model: ValidatedModel):
             return c * (float(np.log1p(u)) / delta)
         return c * _flat_capacitance(u, g0)
     return _capacitance_terms(c, g0, delta, u, np.log1p(u),
-                              _series_mask(np.abs(u), SERIES_U_THRESHOLD))
+                              _series_mask(u, SERIES_U_THRESHOLD))
 
 
 def capacitance_slope(y_p, model: ValidatedModel, electrode: Electrode):
@@ -241,7 +247,7 @@ def _slope_on_line(g0, delta, model: ValidatedModel, electrode: Electrode):
         n = _slope_series(u) if abs(u) < SLOPE_SERIES_U_THRESHOLD else (float(np.log1p(u)) / u - r) / u
         return -s * _slope_from_n(c, center_ratio, tilt, g0, r, n)
     return -s * _slope_terms(c, center_ratio, tilt, g0, u, np.log1p(u),
-                             _series_mask(np.abs(u), SLOPE_SERIES_U_THRESHOLD))
+                             _series_mask(u, SLOPE_SERIES_U_THRESHOLD))
 
 
 # The same kernel under the name perfbench/tracing.py times array calls by.
@@ -351,16 +357,20 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
     |C(y) - C| <= 1e-12*C or for INVERSION_MAX_ITER steps.
 
     A step evaluates the gap line, without the touch check since every
-    iterate lies in the bracket, ln(1+u) and |u| once, and hands them to
-    the capacitance and slope helpers, the slope only after the convergence
-    test has left some element active. It builds the slope's series mask
-    first, and C's only when some |u| is below SLOPE_SERIES_U_THRESHOLD,
-    since SERIES_U_THRESHOLD is the smaller. The helpers give the bits of
-    capacitance_value and of capacitance_slope without its sign s = +-1 at
-    the same poses. The step on that slope is subtracted for s = +1 and
-    added for s = -1, which is exact, since sign flips commute with
-    rounding; np.where keeps converged elements only while some element has
-    converged.
+    iterate lies in the bracket, ln(1+u) and C's series mask (|u| below
+    SERIES_U_THRESHOLD) once, and hands them to the capacitance and slope
+    helpers, the slope only after the convergence test has left some
+    element active. The slope takes C's mask too. The start is within
+    O(u^4) of the root, and no reading whose root has |u| below 7.3e-3 has
+    been seen to take a step (tilts 0.1 to 1e3, both electrodes, exact and
+    noisy readings), so every element that steps has |u| above
+    SLOPE_SERIES_U_THRESHOLD, where the slope's closed form is
+    capacitance_slope's. The helpers give the bits of capacitance_value at
+    the same poses, and of capacitance_slope without its sign s = +-1 on
+    every element that steps. The step on that slope is subtracted for
+    s = +1 and added for s = -1, which is exact, since sign flips commute
+    with rounding; np.where keeps converged elements only while some element
+    has converged.
     """
     C = np.asarray(C, dtype=float)
     ok = invertible(C, model, electrode)
@@ -386,10 +396,7 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
         g0, delta = _gap_terms(y, model, electrode)
         u = delta / g0
         log1p_u = np.log1p(u)
-        abs_u = np.abs(u)
-        # SERIES_U_THRESHOLD < SLOPE_SERIES_U_THRESHOLD: no slope series, no C series
-        slope_small = _series_mask(abs_u, SLOPE_SERIES_U_THRESHOLD)
-        small = None if slope_small is None else _series_mask(abs_u, SERIES_U_THRESHOLD)
+        small = _series_mask(u, SERIES_U_THRESHOLD)
         c_y = _capacitance_terms(c, g0, delta, u, log1p_u, small)
         residual = target - c_y  # |target - c_y| has the bits of |c_y - target|
         active &= np.abs(residual) > tol
@@ -397,8 +404,7 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
         if not n_active:
             break
         # y + c_y*residual/(target*slope), with slope = -s times _slope_terms
-        step = c_y * residual / (target * _slope_terms(c, center_ratio, tilt, g0, u, log1p_u,
-                                                       slope_small))
+        step = c_y * residual / (target * _slope_terms(c, center_ratio, tilt, g0, u, log1p_u, small))
         newton = np.minimum(np.maximum(y - step if s > 0.0 else y + step, lo), hi)
         y = newton if n_active == y.size else np.where(active, newton, y)
     return y.reshape(C.shape) if C.ndim else float(y[0])

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .electrostatics import (Electrode, _capacitance_on_line, _gap_terms, _slope_on_line,
-                             capacitance_value, force_per_v2_value, invertible,
-                             yp_from_capacitance)
+                             capacitance_range, capacitance_value, force_per_v2_value,
+                             invertible, yp_from_capacitance)
 from .errors import DegenerateData, InsufficientData, InvalidParameter, OutOfRange
 from .instrument import MeasurementStream, NoiseModel, _columns, _read_only
 from .mechanics import StableBranch, _Drive, film_stiffness, sweep_voltage
@@ -277,8 +277,9 @@ def _initial_guess(fit: _PreparedFit) -> np.ndarray:
     invertible rows are inverted in one array call; the other rows are
     skipped. If the stiffness estimate is unusable (fewer than two rows, no
     deflection spread, or k_f <= 0) the template's film stiffness is kept
-    and only p is re-estimated. With no invertible row, or no finite
-    estimate, the start is the template's own film.
+    and only p is re-estimated. With no invertible row the data hold no
+    deflection to start from: DegenerateData names each electrode's
+    attainable range.
     """
     template = fit.template
     inv_c = fit.inv_c
@@ -288,22 +289,23 @@ def _initial_guess(fit: _PreparedFit) -> np.ndarray:
         y[rows] = yp_from_capacitance(fit.C[rows], template, e)
         f[rows] = force_per_v2_value(y[rows], template, e)
     kept = ~np.isnan(y)
-    p = k_f = math.nan
-    if kept.any():
-        ys, V = y[kept], fit.V[kept]
-        bs = ys * inv_c - f[kept] * V * V
-        y_scale = float(np.max(np.abs(ys)))
-        if len(ys) >= 2 and y_scale > 0.0 and np.ptp(ys) > 1e-6 * y_scale:
-            design = np.column_stack([np.ones_like(ys), -ys / y_scale])
-            coef, _, _, _ = np.linalg.lstsq(design, bs, rcond=None)
-            p, k_f = float(coef[0]), float(coef[1]) / y_scale
-        if not (np.isfinite(k_f) and k_f > 0.0):
-            # fall back to the template's film stiffness, fit the offset alone
-            k_f = film_stiffness(template)
-            p = float(np.mean(bs + k_f * ys))
+    if not kept.any():
+        ranges = "; ".join(f"{e.value} {capacitance_range(template, e)!r}" for e, *_ in fit.groups)
+        raise DegenerateData(f"no reading lies inside its electrode's attainable capacitance "
+                             f"range (c_min, c_max), F: {ranges}")
+    ys, V = y[kept], fit.V[kept]
+    bs = ys * inv_c - f[kept] * V * V
+    y_scale = float(np.max(np.abs(ys)))
+    k_f = math.nan
+    if len(ys) >= 2 and y_scale > 0.0 and np.ptp(ys) > 1e-6 * y_scale:
+        design = np.column_stack([np.ones_like(ys), -ys / y_scale])
+        coef, _, _, _ = np.linalg.lstsq(design, bs, rcond=None)
+        p, k_f = float(coef[0]), float(coef[1]) / y_scale
+    if not (np.isfinite(k_f) and k_f > 0.0):
+        # fall back to the template's film stiffness, fit the offset alone
+        k_f = film_stiffness(template)
+        p = float(np.mean(bs + k_f * ys))
     k = k_f + inv_c
-    if not (math.isfinite(p) and math.isfinite(k)):
-        p, k = template.prestress, template.k
     return np.array([p / k, k])
 
 
@@ -351,7 +353,9 @@ def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> Film
     the objective stops the fit unconverged, as do 100 iterations.
     Non-convergence is reported in the flag, not raised. The
     error bars are those of the final theta (_error_bars), NaN when the
-    residual is undefined at the start.
+    residual is undefined at the start. DegenerateData is raised when all
+    rows share one voltage or when no reading is invertible on the
+    template (_initial_guess).
     """
     if data.V.min() == data.V.max():
         raise DegenerateData("all rows share one voltage; sigma0 and E_F*V_F "

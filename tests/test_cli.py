@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from paddle_lab import (Electrode, __version__, build_model, capacitance_value,
-                        model_from_dict, model_to_dict, simulate_cv)
+from paddle_lab import (Electrode, InvalidParameter, __version__, build_model,
+                        capacitance_value, model_from_dict, model_to_dict, simulate_cv)
 from paddle_lab import cli, instrument
 from paddle_lab.cli import _write_csv, main
+from paddle_lab.electrostatics import capacitance_range
 
 
 def run(argv):
@@ -542,6 +543,35 @@ def test_extract_nonconvergence_exit_code(tmp_path, capsys):
     assert [result[key] for key in ("sigma0_se_Pa", "EFVF_se_Pa_m3", "corr_sigma0_EFVF",
                                     "cond_JTJ_scaled")] == ["nan"] * 4
     assert "converge" in capsys.readouterr().err
+
+
+def test_extract_no_invertible_reading_exit_2(tmp_path, capsys):
+    # every reading above the largest capacitance the bottom electrode attains: the
+    # fit refuses the data, naming that range, exits 2 and writes nothing
+    c_min, c_max = capacitance_range(build_model(), Electrode.BOTTOM)
+    data, out = tmp_path / "cv.csv", tmp_path / "out"
+    data.write_text("V_volt,C_F\n" + "".join(f"{v},{2.0 * c_max!r}\n" for v in (0, 10, 20, 30)))
+    assert run(["extract", "--data", str(data), "--electrode", "bottom", "--out", str(out)]) == 2
+    assert f"range (c_min, c_max), F: bottom {(c_min, c_max)!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_jsonify_refuses_other_types():
+    # a JSON file takes bools, None, ints, strings and floats, in dicts, lists and
+    # tuples; anything else, a NumPy integer too, is refused rather than written
+    assert cli._jsonify({"a": (1, [True, None, "x"])}) == {"a": [1, [True, None, "x"]]}
+    for obj in (np.int64(3), {"a": [1.0, object()]}, {1.0}):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            cli._jsonify(obj)
+
+
+def test_flag_names_passes_other_parameters_through():
+    # only an InvalidParameter on one of the named parameters is renamed to the flag
+    for name, shown in (("V", "--v"), ("sigma0", "sigma0")):
+        with pytest.raises(InvalidParameter) as exc:
+            with cli._flag_names("--v", "V"):
+                raise InvalidParameter(name, "bad value")
+        assert (exc.value.name, exc.value.reason) == (shown, "bad value")
 
 
 def test_extract_row_with_overflowing_square_exit_2(tmp_path, capsys):

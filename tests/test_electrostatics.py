@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from paddle_lab import (Electrode, InvalidParameter, NoiseModel, OutOfRange,
                         TouchViolation, build_model, capacitance_curve, capacitance_value,
@@ -396,6 +396,43 @@ def test_log_mean_start_is_close_at_every_tilt(tilt):
             C = capacitance_value(np.linspace(frac * lo, frac * hi, 201), m, electrode)
             start = s * center_ratio * electrostatics._log_mean_start(c / C, rest, tilt_m)
             assert np.all(np.abs(capacitance_value(start, m, electrode) / C - 1.0) <= bound)
+
+
+@settings(max_examples=80, deadline=None)
+@given(d_c=st.floats(min_value=41e-6, max_value=300e-6),
+       d_e=st.floats(min_value=41e-6, max_value=300e-6),
+       log10_tilt=st.floats(min_value=-1.0, max_value=3.0),
+       l_p=st.floats(min_value=1e-4, max_value=2e-2),
+       electrode=st.sampled_from([Electrode.TOP, Electrode.BOTTOM]),
+       rel_u=st.lists(st.floats(min_value=-0.99, max_value=0.99), min_size=1, max_size=12),
+       sigma_C=st.sampled_from([1e-18, 1e-16, 1e-15]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(d_c=100e-6, d_e=100e-6, log10_tilt=-1.0, l_p=1e-4, electrode=Electrode.TOP,
+         rel_u=[-0.99, 0.99], sigma_C=1e-18, seed=0)
+@example(d_c=41e-6, d_e=300e-6, log10_tilt=3.0, l_p=2e-2, electrode=Electrode.BOTTOM,
+         rel_u=[-0.99, 0.99], sigma_C=1e-15, seed=0)
+def test_flat_readings_take_no_newton_step(d_c, d_e, log10_tilt, l_p, electrode, rel_u,
+                                           sigma_C, seed):
+    # the log-mean start is within O(u^4) of the root (Carlson's bound), so a
+    # reading whose root has |u| below SLOPE_SERIES_U_THRESHOLD meets the
+    # 1e-12*C tolerance there and comes back as the clipped start, bit for
+    # bit: the Newton loop never steps on a slope that needs its own series,
+    # and C's series mask serves both helpers
+    m = build_model(d_c=d_c, d_e=d_e, l_p=l_p, l_b=2.0 * l_p / 10.0 ** log10_tilt)
+    rest, s, center_ratio, tilt = electrostatics.gap_coefficients(m, electrode)
+    lo, hi = inversion_bracket(m)
+    u = np.concatenate([rel_u, [0.0, -0.0, 5e-324, -5e-324]]) * SLOPE_SERIES_U_THRESHOLD
+    # the poses whose delta/g0 is u
+    exact = capacitance_value(s * center_ratio * u * rest / (tilt - u), m, electrode)
+    noisy = exact + np.random.default_rng(seed).normal(0.0, sigma_C, exact.size)
+    C = np.concatenate([exact, noisy[invertible(noisy, m, electrode)]])
+    y = yp_from_capacitance(C, m, electrode)
+    g0, delta = electrostatics._gap_terms(y, m, electrode)
+    flat = np.abs(delta / g0) < SLOPE_SERIES_U_THRESHOLD
+    assert np.all(flat[:exact.size])
+    start = np.minimum(np.maximum(
+        s * center_ratio * electrostatics._log_mean_start(m.eps0_area / C, rest, tilt), lo), hi)
+    assert np.array_equal(y[flat].view(np.uint64), start[flat].view(np.uint64))
 
 
 @given(**INVERSION_CASES)

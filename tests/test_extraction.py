@@ -15,8 +15,8 @@ from paddle_lab import (CVDataset, DeflectionSeries, DegenerateData, Electrode,
                         sweep_voltage, ValidatedModel, yp_from_capacitance)
 from paddle_lab.cli import main
 from paddle_lab.electrostatics import capacitance_range, capacitance_slope
-from paddle_lab.extraction import (MAX_HALVINGS, MAX_ITERATIONS, REL_STEP_TOL, CVRow,
-                                   _initial_guess, _PreparedFit)
+from paddle_lab.extraction import (MAX_HALVINGS, REL_STEP_TOL, CVRow, _error_bars,
+                                   _PreparedFit)
 from paddle_lab.mechanics import StableBranch, _Drive, compliance, strain_coupling
 
 
@@ -692,10 +692,35 @@ def test_fit_error_bars_undefined_start(default_model):
     assert all(math.isnan(v) for v in (fit.sigma0_se, fit.EFVF_se, fit.corr, fit.cond))
 
 
-def _no_row_inverts(model):
-    """Four bottom rows at twice the largest capacitance that inverts."""
-    C = 2.0 * capacitance_range(model, Electrode.BOTTOM)[1]
-    return CVDataset([0.0, 10.0, 20.0, 30.0], np.full(4, C), ["bottom"] * 4)
+def test_error_bars_undefined_at_zero_film_stiffness_or_singular_jtj(default_model):
+    # k_f = 0 leaves sigma0 undefined, and a J^T J with equal columns has no inverse:
+    # either way all four error-bar fields are NaN
+    truth = build_model(sigma0=TRUTH_SIGMA0, t_F=TRUTH_T_F)
+    fit = _PreparedFit(_trial_data(truth, Electrode.BOTTOM, 0.8), default_model)
+    J = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    for theta in ([0.0, fit.inv_c], [1e-6, 2.0 * fit.inv_c]):
+        assert all(map(math.isnan, _error_bars(fit, np.array(theta), J, 1e-30)))
+
+
+def test_fit_steps_by_least_squares_when_normal_equations_are_singular(default_model,
+                                                                        monkeypatch):
+    # where np.linalg.solve refuses J^T J as singular, the Gauss-Newton step is
+    # the least-squares one on J, which on a full-rank J is the same step up to
+    # rounding: the fit converges on the optimum the solved steps reach
+    truth = build_model(sigma0=TRUTH_SIGMA0, t_F=TRUTH_T_F)
+    data = _trial_data(truth, Electrode.BOTTOM, 0.8, 1e-16, 3)
+    solved = fit_film_parameters(data, default_model)
+    refused = []
+
+    def singular(a, b):
+        refused.append(a)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    fit = fit_film_parameters(data, default_model)
+    assert fit.converged and len(refused) == fit.iterations
+    assert fit.sigma0_hat == pytest.approx(solved.sigma0_hat, rel=1e-8)
+    assert fit.EFVF_hat == pytest.approx(solved.EFVF_hat, rel=1e-8)
 
 
 def _recorded_trials(monkeypatch, defined=None):
@@ -720,20 +745,33 @@ def _stopped_on_exhausted_line_search(trials, fit, n):
             and all(t is None or t >= current for t in tail))
 
 
-def test_fit_starts_from_template_when_no_row_inverts(default_model):
-    fit = _PreparedFit(_no_row_inverts(default_model), default_model)
-    assert _initial_guess(fit).tolist() == [default_model.prestress / default_model.k,
-                                            default_model.k]
+@pytest.mark.parametrize("electrodes", [["bottom"] * 4, ["top", "bottom", "bottom", "top"]],
+                         ids=["bottom", "top-bottom"])
+def test_fit_refuses_data_with_no_invertible_reading(default_model, electrodes):
+    # every reading at twice the largest capacitance its electrode attains: the
+    # pre-fit has no deflection to start from, so the fit refuses the data and
+    # names each electrode's attainable range, in order of first appearance
+    ranges = {e: capacitance_range(default_model, e) for e in ("top", "bottom")}
+    C = [2.0 * ranges[e][1] for e in electrodes]
+    data = CVDataset([0.0, 10.0, 20.0, 30.0], C, electrodes)
+    with pytest.raises(DegenerateData) as exc:
+        fit_film_parameters(data, default_model)
+    named = "; ".join(f"{e} {ranges[e]!r}" for e in dict.fromkeys(electrodes))
+    assert str(exc.value).endswith(f"attainable capacitance range (c_min, c_max), F: {named}")
 
 
 def test_fit_stuck_line_search_is_not_converged(default_model, monkeypatch):
-    # no row inverts, so the fit starts from the template's film; it reaches an iterate
-    # where no halving of the step lowers the objective and the finest step tried is
-    # still above tolerance, and stops there, unconverged, before MAX_ITERATIONS
-    trials = _recorded_trials(monkeypatch)
-    fit = fit_film_parameters(_no_row_inverts(default_model), default_model)
-    assert not fit.converged and 0 < fit.iterations < MAX_ITERATIONS
-    assert _stopped_on_exhausted_line_search(trials, fit, 4)
+    # the pre-fit of sigma_C = 1e-15 F data is about 3.4e-4 off the optimum in the
+    # scaled step, above REL_STEP_TOL*2**MAX_HALVINGS; with every trial undefined, no
+    # halving lowers the objective and the finest step tried is still above
+    # tolerance, so the fit stops there, unconverged, after its first iteration
+    truth = build_model(sigma0=TRUTH_SIGMA0, t_F=TRUTH_T_F)
+    data = _trial_data(truth, Electrode.BOTTOM, 0.8, 1e-15, 11)
+    trials = _recorded_trials(monkeypatch, defined=1)
+    fit = fit_film_parameters(data, default_model)
+    assert not fit.converged and fit.iterations == 1
+    assert len(trials) == MAX_HALVINGS + 2
+    assert _stopped_on_exhausted_line_search(trials, fit, 21)
 
 
 def test_fit_exhausted_line_search_below_tolerance_is_converged(default_model, monkeypatch):

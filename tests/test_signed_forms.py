@@ -213,7 +213,9 @@ def _signed_inversion(C, model, electrode):
     Each step takes |u| and the series masks of C and of its slope on its
     own, masks whether or not an element needs a series, steps on the signed
     slope dC/dy_p = -s*c*(r + tilt*N)/(center_ratio*g0^2) and writes the
-    clipped step through np.where.
+    clipped step through np.where. The slope keeps its own series threshold,
+    where the loop hands it C's mask, so equal bits also show that no
+    element steps on a slope that needs that series.
     """
     C = np.asarray(C, dtype=float)
     lo, hi = inversion_bracket(model)
