@@ -44,15 +44,19 @@ def commands():
         yield f"equilibrium-{e}-{s}", f"equilibrium --v 90 --electrode {e} --sigma0={s}"
     for s in ("0", "100e6", "-200e6", "250e6"):  # undriven: the grounded electrodes' signed zeros
         yield f"equilibrium-rest-{s}", f"equilibrium --v 0 --sigma0={s}"
+    for e in ("top", "bottom"):  # unsorted, repeated and past pull-in: sorted, truncated
+        yield f"sweep-list-{e}", f"sweep --electrode {e} --v-list 150,0,300,50,50 --sigma0=100e6"
     # film stress pins the paddle at 0 V: exits 3 and writes nothing
     yield "sweep-pinned", "sweep --electrode bottom --v-max 300 --points 7 --sigma0 8e8"
     for which, n in itertools.product(("capacitance", "force", "film-beam"), ("201", "2001")):
         yield f"curves-{which}-{n}", f"curves --which {which} --points {n}"
+    yield "curves-film-beam-list", "curves --which film-beam --sigma0-list=-150e6,0,250e6"
     yield "design", "design"
     yield "calibrate", "calibrate --sigma-c 1e-15 --seed 3"
     yield "calibrate-noise-free", "calibrate"
     for e, yp in itertools.product(("top", "bottom"), ("-4e-5", "0", "3e-5")):
         yield f"measure-{e}-{yp}", f"measure --electrode {e} --yp={yp} --seed 5"
+    yield "measure-default-electrode", "measure --yp=3e-5 --seed 5"
     # (name, truth sigma0, electrode, sampled up to this fraction of V_PI, noise in F);
     # flat's first five readings lie within |u| < 3e-3 of the flat pose, where the
     # slope takes its series, and the bottom drive carries the paddle across it

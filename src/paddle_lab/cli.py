@@ -1,5 +1,11 @@
 """Command-line surface: config loading, simulation commands, CSV/JSON emission.
 
+The parser declares each flag on the commands that read it (only --config
+and --out are on every command), gives it its type (finite floats, comma
+lists of finite numbers, grids of at least 2 points) and requires what a
+command cannot run without, so a bad flag exits 2 with argparse's message;
+a manifest's seed is null for a command without --seed.
+
 A command `cmd_<name>(args, model)` only computes. It returns its files in
 write order, as {name: dict} for a JSON file and {name: (header, columns)}
 for a CSV, its one-line message and its exit code. main alone does the I/O:
@@ -55,8 +61,8 @@ from .floatfmt import FLOAT_FORMAT, format_e17
 from .instrument import NoiseModel, calibration_fit, calibration_table, measure_capacitance
 from .mechanics import (compliance, drive_voltages, film_force, pull_in_voltage,
                         solve_equilibrium, stress_profile, sweep_voltage)
-from .model import (ValidatedModel, build_model, load_model_json, model_from_dict,
-                    model_to_dict, yb_from_yp)
+from .model import (ValidatedModel, _read_model_json, model_from_dict, model_to_dict,
+                    yb_from_yp)
 
 DEFAULT_SPACERS = "25e-6,50e-6,75e-6,100e-6,125e-6"
 DEFAULT_SIGMA0_LIST = "100e6,200e6,300e6"
@@ -168,16 +174,29 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _float_list(text: str, flag: str) -> list[float]:
+def _float_list(text: str) -> list[float]:
+    """argparse type of every comma-list flag: one or more finite numbers."""
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise PaddleLabError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
     if not values:
-        raise PaddleLabError(f"{flag}: expected at least one number, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
     if not all(map(math.isfinite, values)):
-        raise PaddleLabError(f"{flag}: expected finite numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
     return values
+
+
+def _grid_points(text: str) -> int:
+    """argparse type of --points: a grid needs at least 2 points."""
+    try:
+        points = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if points < 2:
+        raise argparse.ArgumentTypeError(f"a grid needs at least 2 points, got {points}")
+    return points
 
 
 @contextlib.contextmanager
@@ -215,21 +234,14 @@ def cmd_design(args, model: ValidatedModel):
                    f"triangular uniformity {tri.uniformity}"), 0
 
 
-def _grid_points(args) -> int:
-    if args.points < 2:
-        raise PaddleLabError(f"--points: a grid needs at least 2 points, got {args.points}")
-    return args.points
-
-
 def _curve_grid(args, model: ValidatedModel) -> np.ndarray:
-    points = _grid_points(args)
     lo = args.y_min if args.y_min is not None else CURVE_GRID_FRACTION * model.y_p_min
     hi = args.y_max if args.y_max is not None else CURVE_GRID_FRACTION * model.y_p_max
     if not model.y_p_min < lo < hi < model.y_p_max:
         raise PaddleLabError(
             f"grid [{lo!r}, {hi!r}] must lie strictly inside the touch window "
             f"({model.y_p_min:.4e}, {model.y_p_max:.4e})")
-    return np.linspace(lo, hi, points)
+    return np.linspace(lo, hi, args.points)
 
 
 CURVE_KERNELS = {"capacitance": (capacitance_value, ["C_top_F", "C_bottom_F"]),
@@ -244,14 +256,13 @@ def cmd_curves(args, model: ValidatedModel):
         table = (["y_p_m"] + header, [grid, kernel(grid, model, Electrode.TOP),
                                       kernel(grid, model, Electrode.BOTTOM)])
     else:
-        sigma_list = _float_list(args.sigma0_list, "--sigma0-list")
         base = model_to_dict(model)
         forces = []
-        for s0 in sigma_list:
+        for s0 in args.sigma0_list:
             m = model_from_dict({**base, "sigma0": s0})
             forces.append(film_force(grid, m) - grid / compliance(m))
-        table = (["sigma0_Pa", "y_p_m", "F_N"], [np.repeat(sigma_list, grid.size),
-                                                 np.tile(grid, len(sigma_list)),
+        table = (["sigma0_Pa", "y_p_m", "F_N"], [np.repeat(args.sigma0_list, grid.size),
+                                                 np.tile(grid, len(args.sigma0_list)),
                                                  np.concatenate(forces)])
     return {name: table}, f"wrote {name} ({args.which}, {args.points} grid points)", 0
 
@@ -289,12 +300,8 @@ def cmd_pullin(args, model: ValidatedModel):
 
 
 def cmd_sweep(args, model: ValidatedModel):
-    if args.v_list:
-        voltages = _float_list(args.v_list, "--v-list")
-    elif args.v_max is not None:
-        voltages = np.linspace(0.0, args.v_max, _grid_points(args)).tolist()
-    else:
-        raise PaddleLabError("sweep needs --v-max or --v-list")
+    # argparse gives exactly one of --v-list and --v-max
+    voltages = args.v_list or np.linspace(0.0, args.v_max, args.points).tolist()
     with _flag_names("--v-list" if args.v_list else "--v-max", "V_list", "V"):
         result = sweep_voltage(model, Electrode(args.electrode), voltages)
     columns = [getattr(result, key.rsplit("_", 1)[0]) for key in SWEEP_HEADER]
@@ -309,9 +316,8 @@ def cmd_sweep(args, model: ValidatedModel):
 
 
 def cmd_calibrate(args, model: ValidatedModel):
-    spacers = _float_list(args.spacers, "--spacers")
     noise = NoiseModel(sigma_C=args.sigma_c, seed=args.seed)
-    rows = calibration_table(model, spacers, noise)
+    rows = calibration_table(model, args.spacers, noise)
     fit = calibration_fit(model, rows)
     files = {"calibration.csv": (["spacer_m", "inv_spacer_per_m", "C_F"], list(zip(*rows))),
              "calibration_fit.json": {"slope_F_m": fit.slope, "intercept_F": fit.intercept,
@@ -320,7 +326,7 @@ def cmd_calibrate(args, model: ValidatedModel):
 
 
 def cmd_measure(args, model: ValidatedModel):
-    electrode = Electrode(args.electrode or "top")
+    electrode = Electrode(args.electrode)
     C_true = capacitance_value(args.yp, model, electrode)
     noise = NoiseModel(sigma_C=args.sigma_c, dt=args.dt, seed=args.seed)
     stream = measure_capacitance(C_true, noise, args.n)
@@ -356,9 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="model JSON path (defaults built in)")
     common.add_argument("--out", default=".", help="output directory (PADDLE_LAB_OUT overrides)")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed for noisy commands")
-    common.add_argument("--electrode", choices=["top", "bottom"], default=None,
-                        help="which DC electrode is energized/sensed")
+    electrodes = ["top", "bottom"]
 
     parser = argparse.ArgumentParser(
         prog="paddle-lab",
@@ -375,52 +379,56 @@ def build_parser() -> argparse.ArgumentParser:
                    default="capacitance")
     p.add_argument("--y-min", type=_finite_float, default=None, help="grid start, m")
     p.add_argument("--y-max", type=_finite_float, default=None, help="grid end, m")
-    p.add_argument("--points", type=int, default=CURVE_GRID_POINTS)
-    p.add_argument("--sigma0-list", default=DEFAULT_SIGMA0_LIST,
+    p.add_argument("--points", type=_grid_points, default=CURVE_GRID_POINTS)
+    p.add_argument("--sigma0-list", type=_float_list, default=DEFAULT_SIGMA0_LIST,
                    help="comma list of film stresses, Pa (film-beam mode)")
 
     p = sub.add_parser("equilibrium", parents=[common], help="stable force balance")
+    p.add_argument("--electrode", choices=electrodes, help="driven electrode (needed when --v > 0)")
     p.add_argument("--v", type=_finite_float, default=0.0, help="drive voltage, V")
     p.add_argument("--sigma0", type=_finite_float, default=None, help="override film stress, Pa")
 
-    p = sub.add_parser("pullin", parents=[common], help="pull-in voltage (requires --electrode)")
+    p = sub.add_parser("pullin", parents=[common], help="pull-in voltage")
+    p.add_argument("--electrode", choices=electrodes, required=True, help="driven electrode")
     p.add_argument("--sigma0", type=_finite_float, default=None, help="override film stress, Pa")
-    p.set_defaults(needs_electrode=True)
 
     p = sub.add_parser("sweep", parents=[common], help="equilibrium sweep over voltage")
-    p.add_argument("--v-max", type=_finite_float, default=None, help="sweep end, V")
-    p.add_argument("--points", type=int, default=51)
-    p.add_argument("--v-list", default=None, help="explicit comma list of voltages, V")
+    p.add_argument("--electrode", choices=electrodes, required=True, help="driven electrode")
+    grid = p.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--v-max", type=_finite_float, default=None, help="sweep end, V")
+    grid.add_argument("--v-list", type=_float_list, default=None,
+                      help="explicit comma list of voltages, V")
+    p.add_argument("--points", type=_grid_points, default=51)
     p.add_argument("--sigma0", type=_finite_float, default=None, help="override film stress, Pa")
-    p.set_defaults(needs_electrode=True)
 
     p = sub.add_parser("calibrate", parents=[common], help="spacer-sweep calibration")
-    p.add_argument("--spacers", default=DEFAULT_SPACERS, help="comma list of spacer gaps, m")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed of the noise")
+    p.add_argument("--spacers", type=_float_list, default=DEFAULT_SPACERS,
+                   help="comma list of spacer gaps, m")
     p.add_argument("--sigma-c", type=_finite_float, default=0.0, help="capacitance noise std, F")
 
     p = sub.add_parser("measure", parents=[common], help="noisy capacitance stream")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed of the noise")
+    p.add_argument("--electrode", choices=electrodes, default="top", help="sensed electrode")
     p.add_argument("--yp", type=_finite_float, default=0.0, help="paddle-center deflection, m")
     p.add_argument("--n", type=int, default=100, help="sample count")
     p.add_argument("--dt", type=_finite_float, default=1e-2, help="sample interval, s")
     p.add_argument("--sigma-c", type=_finite_float, default=1e-16, help="capacitance noise std, F")
 
-    p = sub.add_parser("extract", parents=[common],
-                       help="fit film stress to a V_volt,C_F CSV (requires --electrode)")
+    p = sub.add_parser("extract", parents=[common], help="fit film stress to a V_volt,C_F CSV")
+    p.add_argument("--electrode", choices=electrodes, required=True, help="driven electrode")
     p.add_argument("--data", required=True, help="input CSV path")
-    p.set_defaults(needs_electrode=True)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "needs_electrode", False) and args.electrode is None:
-        print(f"error: {args.command} requires --electrode top|bottom", file=sys.stderr)
-        return 2
     try:
-        model = load_model_json(args.config) if args.config else build_model()
+        params = _read_model_json(args.config) if args.config else {}
         if getattr(args, "sigma0", None) is not None:
-            model = model_from_dict({**model_to_dict(model), "sigma0": args.sigma0})
+            params["sigma0"] = args.sigma0
+        model = model_from_dict(params)
         files, message, code = globals()[f"cmd_{args.command}"](args, model)
         out = os.environ.get("PADDLE_LAB_OUT") or args.out
         os.makedirs(out, exist_ok=True)
@@ -428,7 +436,7 @@ def main(argv=None) -> int:
             "command": args.command,
             "config_path": args.config,
             "output_paths": list(files),
-            "seed": args.seed,
+            "seed": getattr(args, "seed", None),
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "tool_version": __version__,
         }

@@ -247,7 +247,8 @@ def model_from_dict(data: dict) -> ValidatedModel:
     return build_model(**data)
 
 
-def load_model_json(path) -> ValidatedModel:
+def _read_model_json(path) -> dict:
+    """The model file's JSON object, unchecked beyond being an object."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -255,7 +256,11 @@ def load_model_json(path) -> ValidatedModel:
             raise InvalidParameter("config", f"malformed JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidParameter("config", "model file must contain a JSON object")
-    return model_from_dict(data)
+    return data
+
+
+def load_model_json(path) -> ValidatedModel:
+    return model_from_dict(_read_model_json(path))
 
 
 # --- kinematics ---

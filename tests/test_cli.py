@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -589,8 +590,8 @@ def test_extract_row_with_overflowing_square_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv,message", [
     ("curves --which force --y-min=-1e-3",
      "error: grid [-0.001, 5.5384615384615394e-05] must lie strictly inside the touch window"),
-    ("calibrate --spacers 1e-6,abc", "error: --spacers: expected comma-separated numbers, "
-                                     "got '1e-6,abc'"),
+    ("calibrate --spacers 1e-6,abc", "error: argument --spacers: expected comma-separated "
+                                     "numbers, got '1e-6,abc'"),
     ("equilibrium --electrode top --v abc", "error: argument --v: expected a number, got 'abc'"),
     ("extract --electrode bottom --data {data} --config {config}",
      "error: model_template: template film must have E_F*V_F > 0"),
@@ -684,13 +685,60 @@ def test_parser_reuse(tmp_path, monkeypatch):
     assert sorted(p.name for p in (tmp_path / "c").iterdir()) == [
         "curves_capacitance.csv", "curves_manifest.json"]
     assert len(read_csv(tmp_path / "c" / "curves_capacitance.csv")[1]) == cli.CURVE_GRID_POINTS
-    assert read_json(tmp_path / "c" / "curves_manifest.json")["seed"] == 0
+    assert read_json(tmp_path / "c" / "curves_manifest.json")["seed"] is None
     # a command rebound after the parser was built is the one that runs
     seen = []
     monkeypatch.setattr(cli, "cmd_design",
                         lambda args, model: seen.append(args.out) or ({}, "stub", 0))
     assert run(["design", "--out", a]) == 0
     assert seen == [a]
+
+
+# each command's flags beyond --config and --out, its required flags, and its one
+# required group of mutually exclusive flags
+FLAG_TABLE = {
+    "design": (set(), set(), set()),
+    "curves": ({"--which", "--y-min", "--y-max", "--points", "--sigma0-list"}, set(), set()),
+    "equilibrium": ({"--electrode", "--v", "--sigma0"}, set(), set()),
+    "pullin": ({"--electrode", "--sigma0"}, {"--electrode"}, set()),
+    "sweep": ({"--electrode", "--v-max", "--v-list", "--points", "--sigma0"}, {"--electrode"},
+              {"--v-max", "--v-list"}),
+    "calibrate": ({"--seed", "--spacers", "--sigma-c"}, set(), set()),
+    "measure": ({"--seed", "--electrode", "--yp", "--n", "--dt", "--sigma-c"}, set(), set()),
+    "extract": ({"--electrode", "--data"}, {"--electrode", "--data"}, set()),
+}
+
+
+def test_each_command_declares_the_flags_it_reads():
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(FLAG_TABLE)
+    for name, parser in commands.choices.items():
+        flags, required, exclusive = FLAG_TABLE[name]
+        actions = [a for a in parser._actions if a.dest != "help"]
+        assert all(len(a.option_strings) == 1 for a in actions), name
+        assert {a.option_strings[0] for a in actions} == flags | {"--config", "--out"}, name
+        assert {a.option_strings[0] for a in actions if a.required} == required, name
+        groups = [({a.option_strings[0] for a in g._group_actions}, g.required)
+                  for g in parser._mutually_exclusive_groups]
+        assert groups == ([(exclusive, True)] if exclusive else []), name
+    # settable values: 51 while every command took --seed and --electrode
+    assert sum(len(flags) + 2 for flags, _, _ in FLAG_TABLE.values()) == 42
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("design --seed 1", "unrecognized arguments: --seed 1"),
+    ("design --seed -1", "unrecognized arguments: --seed -1"),
+    ("calibrate --electrode top", "unrecognized arguments: --electrode top"),
+    ("curves --electrode top", "unrecognized arguments: --electrode top"),
+    ("sweep --electrode top --v-max 50 --v-list 10",
+     "argument --v-list: not allowed with argument --v-max"),
+])
+def test_flag_a_command_does_not_read_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run(argv.split() + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def output_files(out):

@@ -684,6 +684,32 @@ def test_fit_error_bars(default_model):
     assert 2e6 < np.median(ses) < 5e6
 
 
+# Student's t with 21 - 2 degrees of freedom gives the +-1.96 se interval a coverage of
+# 0.9352; 300 fits put its binomial sd at 0.0142
+COVERAGE_T19, COVERAGE_SD_300 = 0.9352, 0.0142
+
+
+@pytest.mark.parametrize("electrode,top,sigma_C", [
+    (Electrode.BOTTOM, 0.8, 1e-15), (Electrode.TOP, 0.95, 1e-16)])
+def test_fit_error_bars_cover_the_truth(default_model, electrode, top, sigma_C):
+    # the delta-method error bars are calibrated: over 300 seeds, +-1.96 se covers the true
+    # sigma0 and E_F*V_F within 3 binomial sd of the t prediction (measured 0.927-0.940 over
+    # both electrodes, 0.8 and 0.95 V_PI, 1e-16 and 1e-15 F). An se off by x1.5 (coverage
+    # 0.992) or x0.7 (0.814) falls outside.
+    truth = build_model(sigma0=200e6, t_F=250e-9)
+    EFVF = truth.film.E_F * truth.V_F
+    V = np.linspace(0.0, top * pull_in_voltage(truth, electrode).V_pull_in, 21)
+    covered = np.zeros(2)
+    for seed in range(300):
+        fit = fit_film_parameters(simulate_cv(truth, electrode, V,
+                                              NoiseModel(sigma_C=sigma_C, seed=seed)),
+                                  default_model)
+        assert fit.converged, seed
+        covered += [abs(fit.sigma0_hat - 200e6) <= 1.96 * fit.sigma0_se,
+                    abs(fit.EFVF_hat - EFVF) <= 1.96 * fit.EFVF_se]
+    assert np.all(np.abs(covered / 300 - COVERAGE_T19) < 3 * COVERAGE_SD_300), covered / 300
+
+
 def test_fit_error_bars_undefined_start(default_model):
     # a start at which no residual exists gives no fit and no error bars
     data = CVDataset([0.0, 400.0, 800.0], [2.2125e-12, 2.1e-12, 2.0e-12], ["bottom"] * 3)

@@ -1,4 +1,5 @@
 """The README's documented defaults, schemas and quick start must match the code."""
+import argparse
 import os
 import re
 
@@ -50,3 +51,14 @@ def test_readme_csv_schemas_match_cli(tmp_path):
     for name in written:
         with open(tmp_path / name, newline="") as fh:
             assert fh.readline() == schemas[name] + "\n", name
+
+
+def test_readme_flag_table_matches_parser():
+    # rows of the command line's flag table: | `command` | flags |
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*--.*|none) \|$", _readme(), re.MULTILINE))
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert set(rows) == set(commands.choices)
+    for name, parser in commands.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"--[a-z0-9-]+", rows[name])) == flags - {"--config", "--out"}, name
