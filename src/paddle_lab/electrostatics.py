@@ -86,6 +86,11 @@ class Electrode(str, Enum):
     TOP = "top"
     BOTTOM = "bottom"
 
+    @classmethod
+    def _missing_(cls, value):
+        # Enum calls this only for a value that names no member
+        raise InvalidParameter("electrode", f"must be 'top' or 'bottom', got {value!r}")
+
 
 # s of each electrode's gap line (gap_coefficients)
 GAP_SIGN = {Electrode.TOP: -1.0, Electrode.BOTTOM: 1.0}
@@ -107,10 +112,14 @@ def gap_coefficients(model: ValidatedModel,
     With the beam tip at y_b = y_p/center_ratio the gap runs from
     g0 = rest + s*y_b at the paddle root to g0 + tilt*s*y_b at the far edge.
     (rest, s) is (d_c, -1) for the top electrode and (d_e, +1) for the
-    bottom one, whose force on the paddle has sign -s.
+    bottom one, whose force on the paddle has sign -s. Any other name
+    raises Electrode's InvalidParameter("electrode").
     """
     g = model.geom
-    s = GAP_SIGN[electrode]
+    try:
+        s = GAP_SIGN[electrode]
+    except KeyError:
+        Electrode(electrode)  # raises InvalidParameter: no electrode has this name
     return (g.d_c if s < 0.0 else g.d_e), s, model.center_ratio, model.tilt
 
 

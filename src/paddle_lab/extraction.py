@@ -8,9 +8,12 @@ theta = (y0, k), where J^T J is conditioned about 10 instead of 1e5 to 2e6
 (Bates & Watts, J. R. Stat. Soc. B 42, 1980), and maps back by E_F*V_F =
 (k - 1/compliance)/a^2 and sigma0 = y0*k*E_F*a/(k - 1/compliance), with a
 the strain coupling and the template's E_F. It is damped Gauss-Newton on
-the capacitance residuals with the exact Jacobian of the branch solve, and
-reports standard errors by the delta method. Its data, a CVDataset, are
-the columns V, C and electrode, which simulate_cv and load_cv_csv build.
+the capacitance residuals with the exact Jacobian of the branch solve:
+each trial theta forms both in one pass (_PreparedFit.residuals), and the
+fit keeps the Jacobian of its accepted theta for the next step and for the
+standard errors, which it reports by the delta method. Its data, a
+CVDataset, are the columns V, C and electrode, which simulate_cv and
+load_cv_csv build.
 """
 from __future__ import annotations
 
@@ -206,8 +209,8 @@ class _PreparedFit:
     (the scale of y0) and, per electrode in order of first appearance, its
     row indices, its measured C and its voltages prepared for the branch
     solve (mechanics._Drive). A trial theta builds no model: per electrode,
-    it costs one branch solve and one capacitance evaluation, and an
-    accepted one adds one capacitance slope for its Jacobian.
+    it costs one branch solve and one gap-line pass that gives the rows'
+    residuals and their Jacobian (residuals).
     """
 
     def __init__(self, data: CVDataset, template: ValidatedModel):
@@ -222,42 +225,34 @@ class _PreparedFit:
                                 _Drive(template, e, self.V[rows])))
 
     def residuals(self, theta):
-        """(r, solved) at theta: the capacitance residuals and, per electrode,
-        the trial branch and its rows' deflections, which jacobian reads.
+        """(r, J) at theta: the capacitance residuals and their exact Jacobian
+        d(r)/d(y0, k), or None where the residual is undefined.
 
         The film pair is (y0*k, k), solved on the template's geometry. None
         unless y0 is finite and 1/compliance <= k < inf (E_F*V_F >= 0, as a
         model's film requires), and where a row has no stable equilibrium.
-        The branch keeps its poses inside the touch interval: no touch check.
+        With F = k*(y0 - y_p) - c/(g0*g1), dF/dy0 = k and dF/dk = y0 - y_p,
+        so each row's dC/dtheta = C'(y_p)*(-dF/dtheta)/(dF/dy_p), with
+        dF/dy_p from StableBranch._force_slope at the solved poses. Per
+        electrode, the branch is solved once and one gap-line pass at its
+        poses gives both C and C'. The branch keeps its poses inside the
+        touch interval: no touch check.
         """
         y0, k = float(theta[0]), float(theta[1])
         if not (math.isfinite(y0) and self.inv_c <= k < math.inf):
             return None
-        res, solved = np.empty(self.C.size), []
+        r, J = np.empty(self.C.size), np.empty((self.C.size, 2))
         for e, rows, C, drive in self.groups:
             branch = StableBranch(self.template, e, (y0 * k, k))
             y, error = branch._roots(drive)
             if error is not None:
                 return None
-            res[rows] = _capacitance_on_line(*_gap_terms(y, self.template, e), self.template) - C
-            solved.append((branch, y))
-        return res, solved
-
-    def jacobian(self, solved) -> np.ndarray:
-        """Exact d(residual)/d(y0, k) at the theta that residuals solved.
-
-        With F = k*(y0 - y_p) - c/(g0*g1), dF/dy0 = k and dF/dk = y0 - y_p,
-        so each row's dC/dtheta = C'(y_p)*(-dF/dtheta)/(dF/dy_p), with
-        dF/dy_p from StableBranch._force_slope at the solved poses. No branch
-        is solved again.
-        """
-        J = np.empty((self.C.size, 2))
-        for (e, rows, _, drive), (branch, y) in zip(self.groups, solved):
-            slope = _slope_on_line(*_gap_terms(y, self.template, e), self.template, e)
-            dC_dF = slope / -branch._force_slope(drive, y)
+            terms = _gap_terms(y, self.template, e)
+            r[rows] = _capacitance_on_line(*terms, self.template) - C
+            dC_dF = _slope_on_line(*terms, self.template, e) / -branch._force_slope(drive, y)
             J[rows, 0] = dC_dF * branch.k
             J[rows, 1] = dC_dF * (branch.rest - y)
-        return J
+        return r, J
 
     def film(self, theta) -> tuple[float, float]:
         """(sigma0, E_F*V_F) of theta = (y0, k); sigma0 is NaN when k_f = k - 1/compliance is 0."""
@@ -351,11 +346,11 @@ def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> Film
     whether that step is the full one or a halving of it. A line search
     that tries all 21 steps, every one above the tolerance, without lowering
     the objective stops the fit unconverged, as do 100 iterations.
-    Non-convergence is reported in the flag, not raised. The
-    error bars are those of the final theta (_error_bars), NaN when the
-    residual is undefined at the start. DegenerateData is raised when all
-    rows share one voltage or when no reading is invertible on the
-    template (_initial_guess).
+    Non-convergence is reported in the flag, not raised. The error bars are
+    those of the final theta, from the Jacobian its trial formed
+    (_error_bars), NaN when the residual is undefined at the start.
+    DegenerateData is raised when all rows share one voltage or when no
+    reading is invertible on the template (_initial_guess).
     """
     if data.V.min() == data.V.max():
         raise DegenerateData("all rows share one voltage; sigma0 and E_F*V_F "
@@ -367,20 +362,19 @@ def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> Film
     theta = _initial_guess(fit)
     trial = fit.residuals(theta)
     if trial is None:
-        sigma0, EFVF = fit.film(theta)
-        return FilmFitResult(sigma0, EFVF, math.inf, 0, False, *(math.nan,) * 4)
-    r, solved = trial
+        return FilmFitResult(*fit.film(theta), math.inf, 0, False, *(math.nan,) * 4)
+    r, J = trial
     ssq = float(r @ r)
     converged = False
     iterations = 0
 
     for iterations in range(1, MAX_ITERATIONS + 1):
         scale = np.array([fit.travel, theta[1]])
-        J = fit.jacobian(solved) * scale
+        Js = J * scale
         try:
-            step = np.linalg.solve(J.T @ J, -(J.T @ r))
+            step = np.linalg.solve(Js.T @ Js, -(Js.T @ r))
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -r, rcond=None)[0]
+            step = np.linalg.lstsq(Js, -r, rcond=None)[0]
         rel_full = float(np.max(np.abs(step)))
         delta = step * scale
 
@@ -395,7 +389,7 @@ def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> Film
             if trial is not None:
                 st = float(trial[0] @ trial[0])
                 if st < ssq:
-                    theta, (r, solved), ssq = candidate, trial, st
+                    theta, (r, J), ssq = candidate, trial, st
                     break
             alpha *= 0.5
         else:
@@ -403,6 +397,5 @@ def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> Film
         if converged:
             break
 
-    sigma0, EFVF = fit.film(theta)
-    return FilmFitResult(sigma0, EFVF, float(np.sqrt(ssq / len(r))), iterations, converged,
-                         *_error_bars(fit, theta, fit.jacobian(solved), ssq))
+    return FilmFitResult(*fit.film(theta), float(np.sqrt(ssq / len(r))), iterations, converged,
+                         *_error_bars(fit, theta, J, ssq))

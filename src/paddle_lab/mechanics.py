@@ -135,8 +135,8 @@ def stress_profile(P: float, geom: PaddleGeometry, plan: str, n: int) -> StressP
     """
     if plan not in ("triangular", "rectangular"):
         raise InvalidParameter("plan", f"must be 'triangular' or 'rectangular', got {plan!r}")
-    if n < 2:
-        raise InvalidParameter("n", f"need at least 2 samples, got {n!r}")
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise InvalidParameter("n", f"must be an integer >= 2, got {n!r}")
     x = np.linspace(geom.l_b / 10.0, geom.l_b, n)
     if plan == "triangular":
         # width b(x) = b_root * x / l_b cancels the moment's x dependence

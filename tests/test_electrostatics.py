@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from paddle_lab import (Electrode, InvalidParameter, NoiseModel, OutOfRange,
-                        TouchViolation, build_model, capacitance_curve, capacitance_value,
-                        force_per_v2_value, measure_capacitance, model_from_dict, model_to_dict,
+from paddle_lab import (Electrode, InvalidParameter, MeasurementStream, NoiseModel,
+                        OutOfRange, TouchViolation, build_model, capacitance_curve,
+                        capacitance_value, deflection_series, force_per_v2_value, load_cv_csv,
+                        measure_capacitance, model_from_dict, model_to_dict,
                         paddle_capacitance_quadrature, parallel_plate_capacitance,
-                        yp_from_capacitance)
+                        pull_in_voltage, simulate_cv, sweep_voltage, yp_from_capacitance)
 from paddle_lab import electrostatics
 from paddle_lab.electrostatics import (SERIES_U_THRESHOLD, SLOPE_SERIES_U_THRESHOLD,
                                        capacitance_range, capacitance_slope,
@@ -261,6 +262,32 @@ def test_string_electrode(default_model):
     f = force_per_v2_value(1e-5, default_model, "bottom")
     assert f == force_per_v2_value(1e-5, default_model, Electrode.BOTTOM)
     assert f < 0.0
+
+
+UNKNOWN_ELECTRODE_CALLS = {
+    "capacitance_value": lambda m, e, path: capacitance_value(1e-5, m, e),
+    "force_per_v2_value": lambda m, e, path: force_per_v2_value(1e-5, m, e),
+    "capacitance_slope": lambda m, e, path: capacitance_slope(1e-5, m, e),
+    "yp_from_capacitance": lambda m, e, path: yp_from_capacitance(FLAT_C, m, e),
+    "deflection_series": lambda m, e, path: deflection_series(
+        MeasurementStream(np.array([0.0]), np.array([FLAT_C])), m, e),
+    "pull_in_voltage": lambda m, e, path: pull_in_voltage(m, e),
+    "sweep_voltage": lambda m, e, path: sweep_voltage(m, e, [0.0, 50.0]),
+    "simulate_cv": lambda m, e, path: simulate_cv(m, e, [0.0, 50.0, 100.0]),
+    "load_cv_csv": lambda m, e, path: load_cv_csv(path, e),
+}
+
+
+@pytest.mark.parametrize("call", UNKNOWN_ELECTRODE_CALLS.values(), ids=UNKNOWN_ELECTRODE_CALLS)
+def test_unknown_electrode_name_is_invalid(default_model, tmp_path, call):
+    # a name that is neither electrode's is refused as the parameter it is, by every
+    # function that takes an electrode
+    path = tmp_path / "cv.csv"
+    path.write_text("V_volt,C_F\n0,2.2e-12\n10,2.2e-12\n20,2.2e-12\n")
+    with pytest.raises(InvalidParameter, match=r"^electrode: must be 'top' or 'bottom', "
+                                                r"got 'left'$") as info:
+        call(default_model, "left", path)
+    assert info.value.name == "electrode"
 
 
 def test_quadrature_panel_validation(default_model):

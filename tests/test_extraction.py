@@ -13,6 +13,7 @@ from paddle_lab import (CVDataset, DeflectionSeries, DegenerateData, Electrode,
                         fit_film_parameters, load_cv_csv, measure_capacitance,
                         model_from_dict, model_to_dict, pull_in_voltage, simulate_cv,
                         sweep_voltage, ValidatedModel, yp_from_capacitance)
+from paddle_lab import extraction
 from paddle_lab.cli import main
 from paddle_lab.electrostatics import capacitance_range, capacitance_slope
 from paddle_lab.extraction import (MAX_HALVINGS, REL_STEP_TOL, CVRow, _error_bars,
@@ -565,28 +566,31 @@ def test_fit_residuals_match_rebuilt_model(default_model, which, sigma0, EFVF):
     got = _PreparedFit(data, default_model).residuals(theta)
     assert (got is None) == (expected is None)
     if expected is not None:
-        r, solved = got
+        r, J = got
         assert np.all(np.abs(r - expected) <= 1e-12 * data.C)
-        assert len(solved) == (2 if which == "both" else 1)
+        assert J.shape == (data.C.size, 2)
 
 
 @pytest.mark.parametrize("which", ["bottom", "top", "both"])
 def test_fit_reads_branch_poses_as_the_checked_kernels_bitwise(default_model, which):
-    # residuals and jacobian read the trial branch's poses without the touch check;
-    # they give the bits of capacitance_value and capacitance_slope at those poses
+    # residuals reads the trial branch's poses without the touch check; its residuals
+    # and Jacobian give the bits of capacitance_value and capacitance_slope at those poses
     data = _oracle_datasets()[which]
     fit = _PreparedFit(data, default_model)
     for theta in (_theta(default_model, TRUTH_SIGMA0, TRUTH_EFVF),
                   _theta(default_model, 1.02 * TRUTH_SIGMA0, 0.98 * TRUTH_EFVF)):
-        r, solved = fit.residuals(theta)
-        expected_r, expected_J = np.empty_like(r), np.empty((r.size, 2))
-        for (e, rows, C, drive), (branch, y) in zip(fit.groups, solved):
+        r, J = fit.residuals(theta)
+        y0, k = map(float, theta)
+        expected_r, expected_J = np.empty_like(r), np.empty_like(J)
+        for e, rows, C, drive in fit.groups:
+            branch = StableBranch(default_model, e, (y0 * k, k))
+            y, _ = branch._roots(drive)
             expected_r[rows] = capacitance_value(y, default_model, e) - C
             dC_dF = capacitance_slope(y, default_model, e) / -branch._force_slope(drive, y)
             expected_J[rows, 0] = dC_dF * branch.k
             expected_J[rows, 1] = dC_dF * (branch.rest - y)
         assert np.array_equal(r.view(np.uint64), expected_r.view(np.uint64))
-        assert np.array_equal(fit.jacobian(solved).view(np.uint64), expected_J.view(np.uint64))
+        assert np.array_equal(J.view(np.uint64), expected_J.view(np.uint64))
 
 
 def _trial_data(truth, electrode, top, sigma_C=0.0, seed=0, n=21):
@@ -616,7 +620,7 @@ def test_fit_jacobian_matches_central_differences(default_model, which, top):
     data = {"bottom": parts[0], "top": parts[1], "both": _interleaved(*parts)}[which]
     fit = _PreparedFit(data, default_model)
     theta = _theta(default_model, 0.98 * TRUTH_SIGMA0, 1.02 * TRUTH_EFVF)
-    J = fit.jacobian(fit.residuals(theta)[1])
+    J = fit.residuals(theta)[1]
     for j, h in enumerate((1e-6 * fit.travel, 1e-6 * theta[1])):
         step = h * np.eye(2)[j]
         fd = (fit.residuals(theta + step)[0] - fit.residuals(theta - step)[0]) / (2.0 * h)
@@ -635,36 +639,28 @@ def test_fit_noisy_near_pull_in_converges(default_model):
 
 
 def test_fit_solves_each_branch_once_per_trial(default_model, monkeypatch):
-    # one StableBranch._roots per trial theta and electrode: the Jacobian of an
-    # accepted iterate solves nothing
-    calls = {"roots": 0, "trials": 0, "jacobians": 0}
-    roots, residuals, jacobian = StableBranch._roots, _PreparedFit.residuals, _PreparedFit.jacobian
+    # one StableBranch._roots and one gap-line pass per trial theta and electrode,
+    # which gives both the residuals and the Jacobian: nothing is solved or
+    # differentiated outside a trial, after the loop included
+    calls = {"roots": 0, "trials": 0, "gap_terms": 0, "slopes": 0}
+    roots, residuals = StableBranch._roots, _PreparedFit.residuals
 
-    def counted_roots(self, drive):
-        calls["roots"] += 1
-        return roots(self, drive)
-
-    def counted_residuals(self, theta):
-        calls["trials"] += 1
-        return residuals(self, theta)
-
-    def counted_jacobian(self, solved):
-        before = calls["roots"]
-        calls["jacobians"] += 1
-        J = jacobian(self, solved)
-        assert calls["roots"] == before
-        return J
+    def counted(key, f):
+        def wrapped(*args):
+            calls[key] += 1
+            return f(*args)
+        return wrapped
 
     truth = build_model(sigma0=200e6, t_F=250e-9)
     data = _trial_data(truth, Electrode.BOTTOM, 0.8, 1e-16, 1)
-    monkeypatch.setattr(StableBranch, "_roots", counted_roots)
-    monkeypatch.setattr(_PreparedFit, "residuals", counted_residuals)
-    monkeypatch.setattr(_PreparedFit, "jacobian", counted_jacobian)
+    monkeypatch.setattr(StableBranch, "_roots", counted("roots", roots))
+    monkeypatch.setattr(_PreparedFit, "residuals", counted("trials", residuals))
+    monkeypatch.setattr(extraction, "_gap_terms", counted("gap_terms", extraction._gap_terms))
+    monkeypatch.setattr(extraction, "_slope_on_line", counted("slopes", extraction._slope_on_line))
     fit = fit_film_parameters(data, default_model)
     assert fit.converged and fit.iterations >= 2
     assert calls["roots"] == calls["trials"] >= fit.iterations
-    # one Jacobian per iteration, and one more for the error bars at the final theta
-    assert calls["jacobians"] == fit.iterations + 1
+    assert calls["gap_terms"] == calls["slopes"] == calls["trials"]
 
 
 def test_fit_error_bars(default_model):
@@ -726,6 +722,42 @@ def test_error_bars_undefined_at_zero_film_stiffness_or_singular_jtj(default_mod
     J = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     for theta in ([0.0, fit.inv_c], [1e-6, 2.0 * fit.inv_c]):
         assert all(map(math.isnan, _error_bars(fit, np.array(theta), J, 1e-30)))
+
+
+def _rounded(data):
+    """data with V and C rounded to 12 digits, as scripts/diff_cli_outputs.py writes them."""
+    V, C = ([float(f"{x:.12e}") for x in col.tolist()] for col in (data.V, data.C))
+    return CVDataset(V, C, data.electrode)
+
+
+@pytest.mark.parametrize("rejects", [False, True], ids=["all-accepted", "rejecting"])
+def test_fit_error_bars_read_the_accepted_jacobian(default_model, monkeypatch, rejects):
+    # the error bars are _error_bars on the Jacobian that residuals forms at the last
+    # accepted theta, bit for bit: on a fit that accepts every trial it evaluates, and
+    # on diff_cli_outputs.py's extract-rejecting data, whose line search turns down
+    # trials with a defined residual after that theta
+    truth = build_model(sigma0=TRUTH_SIGMA0, t_F=TRUTH_T_F)
+    data = (_rounded(_trial_data(truth, Electrode.BOTTOM, 0.95, 3e-15, 11)) if rejects
+            else _trial_data(truth, Electrode.BOTTOM, 0.8, 1e-16, 1))
+    trials, residuals = [], _PreparedFit.residuals
+
+    def recorded(self, theta):
+        got = residuals(self, theta)
+        if got is not None:
+            trials.append((np.array(theta, dtype=float), float(got[0] @ got[0])))
+        return got
+
+    monkeypatch.setattr(_PreparedFit, "residuals", recorded)
+    fit = fit_film_parameters(data, default_model)
+    assert fit.converged
+    # the objective only falls, so the accepted theta is the first with the lowest one
+    theta, ssq = min(trials, key=lambda trial: trial[1])
+    assert math.sqrt(ssq / data.C.size) == fit.rms_residual
+    assert (trials[-1][0] is not theta) == rejects
+    prepared = _PreparedFit(data, default_model)
+    expected = _error_bars(prepared, theta, residuals(prepared, theta)[1], ssq)
+    got = (fit.sigma0_se, fit.EFVF_se, fit.corr, fit.cond)
+    assert np.array(got).view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
 
 
 def test_fit_steps_by_least_squares_when_normal_equations_are_singular(default_model,

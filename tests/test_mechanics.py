@@ -66,6 +66,12 @@ def test_stress_profile_validation(default_model):
         stress_profile(1e-3, default_model.geom, "triangular", 1)
 
 
+@pytest.mark.parametrize("n", [2.5, 11.0, "11"])
+def test_stress_profile_refuses_non_integer_samples(default_model, n):
+    with pytest.raises(InvalidParameter, match=rf"^n: must be an integer >= 2, got {n!r}$"):
+        stress_profile(1e-3, default_model.geom, "rectangular", n)
+
+
 @settings(max_examples=100)
 @given(P=st.floats(min_value=-10.0, max_value=10.0),
        l_b=st.floats(min_value=1e-3, max_value=1e-2),
