@@ -9,8 +9,13 @@ bit patterns (15 in 16 with an exponent of two decimal digits or just past
 it, the rest over every exponent, subnormals, infinities and nan
 included) and fixed classes: rounding ties, powers of ten and their
 neighbours, values next to a digit-count carry, zeros, subnormals,
-non-finite values and three-digit exponents. Prints one line per class
-and exits 1 on any difference, listing the first few.
+non-finite values and three-digit exponents. Each class is also written
+with one sign, as |x| and as -|x| sorted by magnitude, so that most of its
+blocks hold fields of one width: the writer's paths for columns of positive
+or of full-width fields, which a block of random signs never takes. The
+random class splits its N values among the three variants, the fixed
+classes are written whole in each. Prints one line per class, counting
+every field written, and exits 1 on any difference, listing the first few.
 """
 import argparse
 import math
@@ -70,6 +75,17 @@ def value_classes(n: int, seed: int) -> dict[str, np.ndarray]:
             "subnormal": subnormal, "zero/nan/inf": special, "three-digit exp": three_digit}
 
 
+def sign_variants(name: str, values: np.ndarray) -> list[np.ndarray]:
+    """values as drawn, as |x| and as -|x|, the last two sorted by magnitude;
+    the random class splits its values among the three."""
+    if name == "random":
+        third = values.size // 3
+        signed, plus, minus = values[2 * third:], values[:third], values[third:2 * third]
+    else:
+        signed, plus, minus = values, values, values
+    return [signed, np.sort(np.abs(plus)), -np.sort(np.abs(minus))]
+
+
 def mismatches(values: np.ndarray, directory: str) -> list[tuple[float, str, str]]:
     """(value, written, expected) for every field of values that the writer gets wrong."""
     bad = []
@@ -98,8 +114,9 @@ def main(argv=None) -> int:
     failed = False
     with tempfile.TemporaryDirectory() as directory:
         for name, values in value_classes(args.values, args.seed).items():
-            bad = mismatches(values, directory)
-            print(f"{name:16s} {values.size:9d} values  {len(bad)} differ")
+            variants = sign_variants(name, values)
+            bad = [b for v in variants for b in mismatches(v, directory)]
+            print(f"{name:16s} {sum(v.size for v in variants):9d} values  {len(bad)} differ")
             for x, got, want in bad[:SHOWN]:
                 print(f"    {x!r} ({np.array(x).view(np.uint64):#018x}): "
                       f"wrote {got!r}, % gives {want!r}")

@@ -22,7 +22,11 @@ design_profile.csv is the only text column. Every CSV goes through
 _write_csv, whose float fields are byte for byte `"%.17e" % x`: an array
 kernel (floatfmt.format_e17) formats them and hands to `%` only nan, the
 infinities, three-digit exponents (|x| < 1e-99 or >= 1e100) and values
-within 2^-30 of a rounding tie. Text fields may not contain NUL. JSON
+within 2^-30 of a rounding tie. The kernel pads its fields with NUL
+bytes; a column of one sign, all on its fast path, needs no pass to remove
+them (a positive field's NUL sign slot is cut off or holds the separator,
+a negative field has none), and only a block that still holds a NUL is
+copied once more to remove them. Text fields may not contain NUL. JSON
 floats go through fmt, the same format.
 
 Reruns usually write over the files of the last run, so every output file
@@ -57,7 +61,7 @@ from . import __version__
 from .electrostatics import (Electrode, capacitance_value, force_per_v2_value)
 from .errors import InvalidParameter, NoStableEquilibrium, PaddleLabError
 from .extraction import fit_film_parameters, load_cv_csv
-from .floatfmt import FLOAT_FORMAT, format_e17
+from .floatfmt import FIELD_WIDTH, FLOAT_FORMAT, format_e17
 from .instrument import NoiseModel, calibration_fit, calibration_table, measure_capacitance
 from .mechanics import (compliance, drive_voltages, film_force, pull_in_voltage,
                         solve_equilibrium, stress_profile, sweep_voltage)
@@ -123,11 +127,19 @@ def _write_csv(path: str, header: list[str], *columns) -> None:
     A column whose first entry is a str is written as is (UTF-8), unquoted,
     so its fields must hold no comma, quote, newline or NUL; every other
     column as FLOAT_FORMAT, byte for byte, by format_e17. Rows go out in
-    blocks of about CSV_BLOCK_VALUES float fields: each block is one
-    NUL-padded byte matrix (fields, separators, line ends), written through
-    _write_output as its bytes with the NULs removed by bytes.replace.
-    Columns of unequal length and text holding NUL raise ValueError before
-    the file is opened.
+    blocks of about CSV_BLOCK_VALUES float fields: each block is one byte
+    matrix (fields, separators, line ends), written through _write_output.
+    The kernel's fields are NUL-padded: a positive one on its fast path
+    has a NUL sign slot, a `%` one and a text field NULs at the end. A
+    block of positive fast-path fields alone (FIELD_WIDTH wide, first byte
+    NUL) and no text is the kernel's matrix, each sign slot holding the
+    separator before its field. Otherwise the block is assembled column by
+    column: a column of positive fast-path fields goes in without its first
+    byte, one whose fields all have both ends set holds no NUL and goes in
+    as is, and only a block that still holds a NUL (mixed signs, `%`
+    fields, three-digit exponents, text of unequal width) has them removed,
+    by bytes.replace. Columns of unequal length and text holding NUL raise
+    ValueError before the file is opened.
     """
     n = len(columns[0]) if columns else 0
     if any(len(c) != n for c in columns):
@@ -146,19 +158,37 @@ def _write_csv(path: str, header: list[str], *columns) -> None:
     for j, c in enumerate(float_columns):
         floats[:, j] = c
     rows = max(1, CSV_BLOCK_VALUES // max(1, floats.shape[1]))
+    only_floats = all(text is None for text in texts)
 
     def blocks():
         yield (",".join(header) + "\n").encode()
         for start in range(0, n, rows):
             block = floats[start:start + rows]
             m = block.shape[0]
-            formatted = iter(format_e17(block).reshape(m, block.shape[1], -1).transpose(1, 0, 2))
+            fields = format_e17(block)
+            if only_floats and not fields[:, 0].any():
+                # every field positive on the fast path, so FIELD_WIDTH wide: its NUL
+                # sign slot holds the separator before it, the first field's the line
+                # end of the row before
+                fields[:, 0] = ord(",")
+                fields.reshape(m, -1)[:, 0] = ord("\n")
+                yield fields.reshape(-1)[1:]
+                yield b"\n"
+                continue
+            formatted = iter(fields.reshape(m, block.shape[1], -1).transpose(1, 0, 2))
             comma = np.full((m, 1), ord(","), dtype=np.uint8)
-            parts = []
+            parts, padded = [], False
             for text in texts:
-                parts += [next(formatted) if text is None else text[start:start + m], comma]
+                field = next(formatted) if text is None else text[start:start + m]
+                if text is None and field.shape[1] == FIELD_WIDTH and not field[:, 0].any():
+                    field = field[:, 1:]  # positive fast-path fields: NUL only in the sign slot
+                elif not padded:
+                    # NULs pad a field only at its ends, so one with both ends set holds none
+                    padded = not (field[:, 0].all() and field[:, -1].all())
+                parts += [field, comma]
             parts[-1] = np.full((m, 1), ord("\n"), dtype=np.uint8)
-            yield np.concatenate(parts, axis=1).tobytes().replace(b"\0", b"")
+            chunk = np.concatenate(parts, axis=1)
+            yield chunk.tobytes().replace(b"\0", b"") if padded else chunk
 
     _write_output(path, blocks())
 

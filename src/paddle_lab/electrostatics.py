@@ -33,10 +33,11 @@ on an array element, and gets the bits of the same pose inside an array.
 Each formula lives in one helper: gap_line is the gap-line arithmetic
 (_gap_terms) plus the touch check, and capacitance_value,
 capacitance_slope and force_per_v2_value are gap_line plus their formula
-on its terms (_capacitance_on_line, _slope_on_line,
+on its terms (_capacitance_on_line, _slope_terms,
 _force_per_v2_on_line). A caller whose poses are already inside the touch
 interval, such as a sweep or a fit trial on the stable branch, takes the
-helpers directly and gets the same bits without the check.
+helpers directly and gets the same bits without the check; a fit trial
+forms u and ln(1+u) once for both C and its slope.
 
 yp_from_capacitance inverts C(y_p) by Newton on 1/C, a float running
 through the same loop as a one-element array. c/C is the logarithmic mean
@@ -118,7 +119,7 @@ def gap_coefficients(model: ValidatedModel,
     g = model.geom
     try:
         s = GAP_SIGN[electrode]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         Electrode(electrode)  # raises InvalidParameter: no electrode has this name
     return (g.d_c if s < 0.0 else g.d_e), s, model.center_ratio, model.tilt
 
@@ -243,11 +244,7 @@ def capacitance_slope(y_p, model: ValidatedModel, electrode: Electrode):
     operations as on an array element, so it gets the bits of the array
     element.
     """
-    return _slope_on_line(*gap_line(y_p, model, electrode), model, electrode)
-
-
-def _slope_on_line(g0, delta, model: ValidatedModel, electrode: Electrode):
-    """capacitance_slope on gap_line's terms, floats or arrays."""
+    g0, delta = gap_line(y_p, model, electrode)
     _, s, center_ratio, tilt = gap_coefficients(model, electrode)
     c = model.eps0_area
     u = delta / g0
@@ -315,7 +312,10 @@ def capacitance_range(model: ValidatedModel, electrode: Electrode) -> tuple[floa
     electrode, then held by the model (ValidatedModel._ranges), so invertible
     and yp_from_capacitance read it without evaluating C.
     """
-    held = model._ranges.get(electrode)  # a str Electrode's value finds its member
+    try:
+        held = model._ranges.get(electrode)  # a str Electrode's value finds its member
+    except TypeError:  # an unhashable name
+        Electrode(electrode)  # raises InvalidParameter
     if held is None:
         c_lo, c_hi = (capacitance_value(y, model, electrode) for y in inversion_bracket(model))
         held = model._ranges[Electrode(electrode)] = (min(c_lo, c_hi), max(c_lo, c_hi))

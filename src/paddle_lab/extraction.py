@@ -24,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrostatics import (Electrode, _capacitance_on_line, _gap_terms, _slope_on_line,
+from .electrostatics import (SERIES_U_THRESHOLD, SLOPE_SERIES_U_THRESHOLD, Electrode,
+                             _capacitance_terms, _gap_terms, _series_mask, _slope_terms,
                              capacitance_range, capacitance_value, force_per_v2_value,
                              invertible, yp_from_capacitance)
 from .errors import DegenerateData, InsufficientData, InvalidParameter, OutOfRange
 from .instrument import MeasurementStream, NoiseModel, _columns, _read_only
-from .mechanics import StableBranch, _Drive, film_stiffness, sweep_voltage
+from .mechanics import StableBranch, _Drive, _sweep_poses, film_stiffness
 from .model import ValidatedModel
 
 MAX_ITERATIONS = 100
@@ -112,18 +113,19 @@ def simulate_cv(model: ValidatedModel, electrode: Electrode, V_list,
                 noise: NoiseModel | None = None) -> CVDataset:
     """Forward-generated dataset: a voltage sweep read out as capacitance.
 
-    sweep_voltage solves the equilibria, with its ordering, its truncation
-    at pull-in and its errors, and each pose is read as the capacitance of
-    the energized electrode, which is also the sensed one. Voltages past
+    sweep_voltage's solve gives the equilibria, with its ordering, its
+    truncation at pull-in and its errors, but none of its force or C_top
+    columns, and each pose is read as the capacitance of the energized
+    electrode, which is also the sensed one. Voltages past
     pull-in yield no row. Optional per-row Gaussian noise is seeded through
     the NoiseModel, keeping datasets reproducible.
     """
     electrode = Electrode(electrode)
-    sweep = sweep_voltage(model, electrode, V_list)
-    C = capacitance_value(sweep.y_p, model, electrode)
+    V, y, _ = _sweep_poses(model, electrode, V_list)
+    C = capacitance_value(y, model, electrode)
     if noise is not None and noise.sigma_C > 0.0:
         C = C + noise.draw(C.size)
-    return CVDataset(sweep.V, C, np.full(C.size, electrode.value))
+    return CVDataset(V, C, np.full(C.size, electrode.value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,22 +236,30 @@ class _PreparedFit:
         With F = k*(y0 - y_p) - c/(g0*g1), dF/dy0 = k and dF/dk = y0 - y_p,
         so each row's dC/dtheta = C'(y_p)*(-dF/dtheta)/(dF/dy_p), with
         dF/dy_p from StableBranch._force_slope at the solved poses. Per
-        electrode, the branch is solved once and one gap-line pass at its
-        poses gives both C and C'. The branch keeps its poses inside the
+        electrode, the branch is solved once, and one gap-line pass with one
+        u = delta/g0 and one ln(1+u) at its poses gives both C and C', each
+        helper with its own series mask, so they have capacitance_value's
+        and capacitance_slope's bits. The branch keeps its poses inside the
         touch interval: no touch check.
         """
         y0, k = float(theta[0]), float(theta[1])
         if not (math.isfinite(y0) and self.inv_c <= k < math.inf):
             return None
         r, J = np.empty(self.C.size), np.empty((self.C.size, 2))
+        c = self.template.eps0_area
         for e, rows, C, drive in self.groups:
             branch = StableBranch(self.template, e, (y0 * k, k))
             y, error = branch._roots(drive)
             if error is not None:
                 return None
-            terms = _gap_terms(y, self.template, e)
-            r[rows] = _capacitance_on_line(*terms, self.template) - C
-            dC_dF = _slope_on_line(*terms, self.template, e) / -branch._force_slope(drive, y)
+            g0, delta = _gap_terms(y, self.template, e)
+            u = delta / g0
+            log1p_u = np.log1p(u)
+            r[rows] = _capacitance_terms(c, g0, delta, u, log1p_u,
+                                         _series_mask(u, SERIES_U_THRESHOLD)) - C
+            slope = -branch.s * _slope_terms(c, branch.cr, branch.tilt, g0, u, log1p_u,
+                                             _series_mask(u, SLOPE_SERIES_U_THRESHOLD))
+            dC_dF = slope / -branch._force_slope(drive, y)
             J[rows, 0] = dC_dF * branch.k
             J[rows, 1] = dC_dF * (branch.rest - y)
         return r, J

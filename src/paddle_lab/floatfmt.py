@@ -23,7 +23,8 @@ the same for every value whose rounding it can prove:
 What the kernel cannot prove goes to `%`, once per distinct bit pattern:
 nan and the infinities, exponents of three digits (|x| < 1e-99 or
 |x| >= 1e100, subnormals included) and the tie window. Zeros and exact
-powers of ten stay on the fast path.
+powers of ten stay on the fast path. An array whose values all lie in
+1e-99 <= |x| < 1e100 (so no zero) skips the masks that set the rest aside.
 """
 from __future__ import annotations
 
@@ -105,7 +106,9 @@ def format_e17(values) -> np.ndarray:
     # exactly 10^-99 <= |x| < 10^100: each literal is the double nearest its
     # power of ten and lies above it
     fast = (a >= 1e-99) & (a < 1e100)
-    a = np.where(fast, a, 1.0)  # the rest run as 1.0: e = 0, and D = 0 below
+    every = np.count_nonzero(fast) == v.size  # then no mask is applied below
+    if not every:
+        a = np.where(fast, a, 1.0)  # the rest run as 1.0: e = 0, and D = 0 below
     e = np.floor(np.log10(a)).astype(np.int64)
     whole, frac = _scaled(a, e, t)
     # the digit count of floor(y), not of its rounding, shows whether e was one off
@@ -113,8 +116,12 @@ def format_e17(values) -> np.ndarray:
     if redo.size:
         e[redo] += np.where(whole[redo] < 10**17, -1, 1)
         whole[redo], frac[redo] = _scaled(a[redo], e[redo], t)
-    D = (whole + (frac > 0.5)) * fast  # 0 off the fast path: right for zeros, % does the rest
-    slow = ((~fast & (v != 0.0)) | (np.abs(frac - 0.5) < TIE_WINDOW)).nonzero()[0]
+    D = whole + (frac > 0.5)
+    undecided = np.abs(frac - 0.5) < TIE_WINDOW
+    if not every:
+        D *= fast  # 0 off the fast path: right for zeros, % does the rest
+        undecided |= ~fast & (v != 0.0)
+    slow = undecided.nonzero()[0]
 
     words = np.empty((v.size, FIELD_WIDTH // 4), dtype=np.uint32)
     q = D // 10**16

@@ -508,7 +508,10 @@ class StableBranch:
 
 def _branch(model: ValidatedModel, electrode: Electrode) -> StableBranch:
     """The model's StableBranch on electrode, built on first use and held by the model."""
-    branch = model._branches.get(electrode)  # a str Electrode's value finds its member
+    try:
+        branch = model._branches.get(electrode)  # a str Electrode's value finds its member
+    except TypeError:  # an unhashable name
+        Electrode(electrode)  # raises InvalidParameter
     if branch is None:
         branch = StableBranch(model, electrode)
         model._branches[branch.electrode] = branch
@@ -593,6 +596,14 @@ def sweep_voltage(model: ValidatedModel, electrode: Electrode,
     list, and the drive's InvalidParameter("V") unless every voltage is
     finite and >= 0 with a finite square.
     """
+    V, y, truncated_at = _sweep_poses(model, electrode, V_list)
+    return SweepResult(V=V, y_p=y, **_branch_columns(y, V, model, Electrode(electrode)),
+                       truncated_at=truncated_at)
+
+
+def _sweep_poses(model: ValidatedModel, electrode: Electrode, V_list):
+    """(V, y_p, truncated_at) of sweep_voltage, with its checks and errors: the
+    solved voltages ascending and their poses, without the other columns."""
     V = np.asarray(V_list, dtype=float)
     if V.ndim != 1:
         raise InvalidParameter("V_list", f"must be a 1-D list of voltages, got shape {V.shape}")
@@ -604,6 +615,4 @@ def sweep_voltage(model: ValidatedModel, electrode: Electrode,
     if isinstance(error, _Pinned):
         raise error
     n = V.size if error is None else int(np.flatnonzero(np.isnan(y))[0])  # first refused V
-    y = y[:n]
-    return SweepResult(V=V[:n], y_p=y, **_branch_columns(y, V[:n], model, branch.electrode),
-                       truncated_at=float(V[n]) if n < V.size else None)
+    return V[:n], y[:n], float(V[n]) if n < V.size else None

@@ -280,14 +280,15 @@ UNKNOWN_ELECTRODE_CALLS = {
 
 @pytest.mark.parametrize("call", UNKNOWN_ELECTRODE_CALLS.values(), ids=UNKNOWN_ELECTRODE_CALLS)
 def test_unknown_electrode_name_is_invalid(default_model, tmp_path, call):
-    # a name that is neither electrode's is refused as the parameter it is, by every
-    # function that takes an electrode
+    # a name that is neither electrode's, hashable or not, is refused as the parameter
+    # it is, by every function that takes an electrode
     path = tmp_path / "cv.csv"
     path.write_text("V_volt,C_F\n0,2.2e-12\n10,2.2e-12\n20,2.2e-12\n")
-    with pytest.raises(InvalidParameter, match=r"^electrode: must be 'top' or 'bottom', "
-                                                r"got 'left'$") as info:
-        call(default_model, "left", path)
-    assert info.value.name == "electrode"
+    for name, shown in [("left", "'left'"), (["top"], r"\['top'\]")]:
+        with pytest.raises(InvalidParameter, match=r"^electrode: must be 'top' or 'bottom', "
+                                                    rf"got {shown}$") as info:
+            call(default_model, name, path)
+        assert info.value.name == "electrode"
 
 
 def test_quadrature_panel_validation(default_model):

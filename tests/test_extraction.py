@@ -639,10 +639,11 @@ def test_fit_noisy_near_pull_in_converges(default_model):
 
 
 def test_fit_solves_each_branch_once_per_trial(default_model, monkeypatch):
-    # one StableBranch._roots and one gap-line pass per trial theta and electrode,
-    # which gives both the residuals and the Jacobian: nothing is solved or
-    # differentiated outside a trial, after the loop included
-    calls = {"roots": 0, "trials": 0, "gap_terms": 0, "slopes": 0}
+    # one StableBranch._roots, one gap-line pass and one call of each of the C and
+    # slope helpers per trial theta and electrode, which give both the residuals and
+    # the Jacobian: nothing is solved or differentiated outside a trial, after the
+    # loop included
+    calls = {"roots": 0, "trials": 0, "gap_terms": 0, "values": 0, "slopes": 0}
     roots, residuals = StableBranch._roots, _PreparedFit.residuals
 
     def counted(key, f):
@@ -656,11 +657,13 @@ def test_fit_solves_each_branch_once_per_trial(default_model, monkeypatch):
     monkeypatch.setattr(StableBranch, "_roots", counted("roots", roots))
     monkeypatch.setattr(_PreparedFit, "residuals", counted("trials", residuals))
     monkeypatch.setattr(extraction, "_gap_terms", counted("gap_terms", extraction._gap_terms))
-    monkeypatch.setattr(extraction, "_slope_on_line", counted("slopes", extraction._slope_on_line))
+    monkeypatch.setattr(extraction, "_capacitance_terms",
+                        counted("values", extraction._capacitance_terms))
+    monkeypatch.setattr(extraction, "_slope_terms", counted("slopes", extraction._slope_terms))
     fit = fit_film_parameters(data, default_model)
     assert fit.converged and fit.iterations >= 2
     assert calls["roots"] == calls["trials"] >= fit.iterations
-    assert calls["gap_terms"] == calls["slopes"] == calls["trials"]
+    assert calls["gap_terms"] == calls["values"] == calls["slopes"] == calls["trials"]
 
 
 def test_fit_error_bars(default_model):

@@ -44,6 +44,51 @@ def test_text_column_across_blocks(tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == want.encode()
 
 
+def _percent_csv(header, columns) -> bytes:
+    """The CSV that _write_csv must write, each float field formatted by % alone."""
+    fields = [c if isinstance(c[0], str) else [FLOAT_FORMAT % x for x in np.asarray(c).tolist()]
+              for c in columns]
+    return (",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in zip(*fields))).encode()
+
+
+def test_sign_uniform_columns_across_blocks(tmp_path):
+    # four float columns, with and without a text column, over three full blocks and
+    # a partial one. A block of positive fast-path fields alone puts each separator
+    # in a NUL sign slot; otherwise a column of positive fast-path fields goes out
+    # without its NUL sign slot, one of full-width fields as is, and a block with
+    # mixed signs, %-formatted fields (padded at the end), a three-digit exponent
+    # (wider fields) or text of unequal width anywhere has its NULs removed
+    rows = CSV_BLOCK_VALUES // 4
+    n = 3 * rows + 5
+    block = np.arange(n) // rows
+    rng = np.random.default_rng(11)
+    # all on the fast path: above 1e9 a random double can be an exact tie at 18 digits
+    positive = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-99, 9, n)
+    # m/2^18 with m odd has 19 significant digits, the last a 5: all of them go to %
+    ties = (2 * rng.integers(2**17, 5 * 2**18, n) + 1) / 2.0**18
+    zeros = np.where(block == 0, 0.0, np.where(block == 1, -0.0, rng.choice([0.0, -0.0], n)))
+    # equal-width text in the first block only
+    plan = ["rectangular" if b == 0 or i % 3 else "triangular" for i, b in enumerate(block)]
+    # "wide": negative three-digit exponents fill 25 bytes, so the positive fields
+    # there are padded at both ends
+    files = {"positive": [positive, positive[::-1], zeros, np.sqrt(positive)],
+             "signs": [positive, -positive[::-1], rng.standard_normal(n), zeros],
+             "ties": [ties, -ties[::-1], positive, -positive],
+             "wide": [positive, -positive * 1e-150, -positive[::-1] * 1e-150, -ties * 1e-120]}
+    for name, special in [("tie", ties[0]), ("nan", np.nan), ("inf", np.inf),
+                          ("exponent", 1.5e-150)]:
+        # one % field in the second block of a positive and of a negative column
+        up, down = positive.copy(), -positive[::-1]
+        up[rows + 7], down[rows + 200] = special, -special
+        files[name] = [up, down, positive, zeros]
+    for name, (a, b, c, d) in files.items():
+        for header, columns in [(["a", "plan", "b", "c", "d"], [a, plan, b, c, d]),
+                                (["a", "b", "c", "d"], [a, b, c, d])]:
+            path = tmp_path / f"{name}.csv"
+            _write_csv(path, header, *columns)
+            assert path.read_bytes() == _percent_csv(header, columns), (name, header)
+
+
 def test_text_with_nul_rejected(tmp_path):
     with pytest.raises(ValueError, match="NUL"):
         _write_csv(tmp_path / "x.csv", ["plan", "x"], ["a", "b\0"], [1.0, 2.0])
