@@ -44,6 +44,9 @@ def commands():
         yield f"equilibrium-{e}-{s}", f"equilibrium --v 90 --electrode {e} --sigma0={s}"
     for s in ("0", "100e6", "-200e6", "250e6"):  # undriven: the grounded electrodes' signed zeros
         yield f"equilibrium-rest-{s}", f"equilibrium --v 0 --sigma0={s}"
+    # a -0.0 film stress puts rest at -0.0: the undriven pose keeps that zero's sign
+    yield "sweep-signed-zero-rest", "sweep --electrode top --v-list 0,50 --sigma0=-0.0"
+    yield "equilibrium-signed-zero-rest", "equilibrium --v 0 --sigma0=-0.0"
     for e in ("top", "bottom"):  # unsorted, repeated and past pull-in: sorted, truncated
         yield f"sweep-list-{e}", f"sweep --electrode {e} --v-list 150,0,300,50,50 --sigma0=100e6"
     # film stress pins the paddle at 0 V: exits 3 and writes nothing

@@ -175,7 +175,9 @@ def _write_csv(path: str, header: list[str], *columns) -> None:
                 yield fields.reshape(-1)[1:]
                 yield b"\n"
                 continue
-            formatted = iter(fields.reshape(m, block.shape[1], -1).transpose(1, 0, 2))
+            # width from fields: a block with no float column is its text rows alone
+            formatted = iter(fields.reshape(m, block.shape[1], fields.shape[1])
+                             .transpose(1, 0, 2))
             comma = np.full((m, 1), ord(","), dtype=np.uint8)
             parts, padded = [], False
             for text in texts:

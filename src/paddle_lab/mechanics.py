@@ -15,7 +15,10 @@ is stable when the force gradient there is restoring (dF/dy_p < 0).
 With one electrode driven, equilibria and pull-in are found along the
 deflection (StableBranch), both in closed form: pull-in as the root of a
 quadratic, the equilibria of a whole voltage array as the stable roots of
-one cubic, clipped to the branch and not polished. A model holds each
+one cubic, clipped to the branch and not polished. Whether a voltage has
+a stable root is monotone in V^2, so the largest voltage of a drive below
+pull-in decides the whole drive, and only a drive that reaches pull-in or
+a pinned branch is refused voltage by voltage. A model holds each
 electrode's branch once it is first asked for (_branch), so pull-in and
 the cubic's constants are formed once per (model, electrode) and every
 later pull_in_voltage, sweep_voltage and single-electrode solve_equilibrium
@@ -207,32 +210,41 @@ class _Drive:
     """Voltages V on one electrode, checked and prepared for solving on any film.
 
     The one place a drive voltage is checked, InvalidParameter("V") unless
-    every V is finite and >= 0 with a finite square (read on V's extremes as
-    Python floats: no NumPy overflow warning), and turned into a _force_sum
-    term. Holds V^2, half*V^2, c = s*half*V^2 with its term (none where every
-    c is 0), and the unforced (V = 0) and driven voltages. Any film's
-    StableBranch on the same geometry and electrode solves it with _roots.
+    every V is finite and >= 0 with a finite square (read on V's extremes lo
+    and hi as Python floats: no NumPy overflow warning), and turned into a
+    _force_sum term. Holds the extremes, V^2, half*V^2 and c = s*half*V^2,
+    with the largest V's c as a float (c_hi) and the term (none where c_hi,
+    and so every c, is 0). Where V^2 is 0 (unforced) is formed only when
+    read. Any film's StableBranch on the same geometry and electrode solves
+    it with _roots.
     """
 
-    __slots__ = ("V", "v2", "half_v2", "c", "terms", "unforced", "driven")
+    __slots__ = ("V", "lo", "hi", "v2", "half_v2", "c", "c_hi", "terms")
 
     def __init__(self, model: ValidatedModel, electrode: Electrode, V):
         V = np.asarray(V, dtype=float)
-        lo, hi = float(V.min(initial=0.0)), float(V.max(initial=0.0))
+        # a lone V is both extremes: no reduction
+        lo, hi = ((float(V),) * 2 if not V.ndim else
+                  (float(V.min(initial=math.inf)), float(V.max(initial=0.0))))
         if not (0.0 <= lo and hi * hi < math.inf):  # NaN fails both
             raise InvalidParameter(
                 "V", f"drive voltages must be finite and >= 0, with a finite square "
                      f"(force is even in V), got {hi if 0.0 <= lo else lo!r}")
         rest, s = gap_coefficients(model, electrode)[:2]
-        self.V = V
+        self.V, self.lo, self.hi = V, lo, hi
         self.v2 = V * V
         self.half_v2 = model.half_eps0_area * self.v2
         self.c = s * self.half_v2
+        # c is monotone in V^2: the largest V's c has its element's bits, and
+        # is 0 only where every c is
+        self.c_hi = s * (model.half_eps0_area * (hi * hi))
         # a lone V's term holds c as a Python float: a scan's bisection steps on floats
-        term_c = self.c if V.ndim else float(self.c)
-        self.terms = ((rest, s, term_c),) if np.count_nonzero(self.c) > 0 else ()
-        self.unforced = self.v2 == 0.0
-        self.driven = ~self.unforced
+        self.terms = ((rest, s, self.c if V.ndim else self.c_hi),) if self.c_hi != 0.0 else ()
+
+    @property
+    def unforced(self):
+        """Where V^2 is 0 (V = 0, or a V whose square underflows): rows at rest."""
+        return self.v2 == 0.0
 
 
 def _force_closure(model: ValidatedModel, V_top: float, V_bottom: float):
@@ -392,9 +404,11 @@ class StableBranch:
         a, b, c = 3.0 * b0 * b1, 2.0 * (b0 * G1 + b1 * G0), G0 * G1
         z = -2.0 * c / (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
         y = min(max(self.rest + z, min(self.start, self.end)), max(self.start, self.end))
-        # V^2 = -F_mech/f_e with f_e = -s*half/(g0*g1), as in _force_sum
+        # V^2 = -F_mech/f_e with f_e = -s*half/(g0*g1), as in _force_sum, whose
+        # F_mech and g0*g1 at y_PI are kept for _roots' test of a whole drive
         g0, delta = _gap_terms(y, self.model, self.electrode)
-        return y, self.s * (self.prestress - self.k * y) * g0 * (g0 + delta) / self.half
+        self.mech_pi, self.gaps_pi = self.prestress - self.k * y, g0 * (g0 + delta)
+        return y, self.s * self.mech_pi * g0 * (g0 + delta) / self.half
 
     def _pinned_error(self, V: float) -> _Pinned:
         """The error for V on a pinned branch. It names the touch limit the rest
@@ -433,8 +447,9 @@ class StableBranch:
         force at the root stays within a few eps times |prestress| + k*|y_p|.
 
         The constants of the film and geometry (the scale of e, q0, m's
-        products, r0*r1 and the interval [far, y_PI]) are formed on the
-        first call and kept: the same operations give the same bits.
+        products, r0*r1, the interval [far, y_PI] and whether x at V = 0 is
+        at most 1, which rounding can break at tilts near 1e-9) are formed on
+        the first call and kept: the same operations give the same bits.
         """
         cubic = self._cubic
         if cubic is None:
@@ -446,11 +461,16 @@ class StableBranch:
             q0 = (r0 + r1) * (2.0 * r0 - r1) * (r0 - 2.0 * r1) / 27.0
             lo, hi = min(self.far, self.y_pi), max(self.far, self.y_pi)
             cubic = self._cubic = (cr * cr / (self.k * (1.0 + tilt)), q0, -2.0 * m**3,
-                                   -2.0 * m, (r0 + r1) / 3.0, r0 * r1, lo, hi)
-        e_scale, q0, minus_2m3, minus_2m, shift, r0r1, lo, hi = cubic
+                                   -2.0 * m, (r0 + r1) / 3.0, r0 * r1, lo, hi,
+                                   q0 / (-2.0 * m**3) <= 1.0)
+        e_scale, q0, minus_2m3, minus_2m, shift, r0r1, lo, hi, x_at_rest_in = cubic
         e = drive.half_v2 * e_scale
-        # np.minimum(np.maximum(...)) gives np.clip's bits here at half its call cost
-        x = np.minimum(np.maximum((q0 + e) / minus_2m3, -1.0), 1.0)
+        x = (q0 + e) / minus_2m3
+        # x falls as e rises from 0: it lies in [-1, 1] when x at 0 and at the
+        # largest V (half*V^2 = |c_hi|) do, and then the clip changes no bits.
+        # np.minimum(np.maximum(...)) gives np.clip's bits at half its call cost
+        if not (x_at_rest_in and (q0 + abs(drive.c_hi) * e_scale) / minus_2m3 >= -1.0):
+            x = np.minimum(np.maximum(x, -1.0), 1.0)
         w_far = minus_2m * np.cos(math.pi / 3.0 - np.arccos(x) / 3.0) - shift
         mu = e / w_far  # w^2 + beta*w - mu holds the other two roots
         beta = -(r0r1 + mu) / w_far
@@ -477,20 +497,40 @@ class StableBranch:
         exists, and the error for the first such V in array order (or None).
 
         One closed-form solve for all voltages (_stable_root); a float gets
-        the bits of an array's element. A pinned branch refuses V as pinned
-        where it is pinned against its driven electrode, where V = 0, or
-        where the force at the rest-side end does not yet restore; that V's
-        error is _pinned_error(V), any other's names V_PI.
+        the bits of an array's element. The rule is per V: where V^2 is 0
+        the pose is the rest deflection (start), and elsewhere V is stable
+        where V^2 < V_PI^2 and the force at y_PI does not yet restore
+        (within rounding of V_PI it can keep the rest-side sign). A pinned
+        branch refuses V as pinned where it is pinned against its driven
+        electrode, where V^2 is 0, or where the force at the rest-side end
+        does not yet restore; that V's error is _pinned_error(V), any
+        other's names V_PI.
+
+        On an unpinned branch the drive's largest V decides every row. The
+        force at y_PI is F = F_mech - c/(g0*g1), with F_mech and g0*g1 > 0
+        fixed by the film (pull_in keeps them) and c = s*(half*V^2), so
+        both tests are monotone in V^2 even under rounding, each operation
+        being monotone. When the largest V passes, every V is solved with
+        no per-row mask. The cubic's root where V^2 is 0 is rest up to the
+        sign of a zero (a -0.0 rest on top gives +0.0), so when the smallest
+        V^2 is 0 those rows are set to start; where every V^2 is 0 no cubic
+        is solved. Otherwise the rule runs row by row.
         """
+        if (not self.pinned and drive.hi * drive.hi < self.v2_pi
+                and self.not_restoring(self.mech_pi - drive.c_hi / self.gaps_pi, 0.0)):
+            y = self._stable_root(drive) if drive.hi * drive.hi > 0.0 else self.start
+            if drive.lo * drive.lo == 0.0:
+                y = np.where(drive.unforced, self.start, y)
+            return y, None
         force = self._force(drive.terms)
-        solved, driven = drive.unforced, drive.driven
+        unforced = drive.unforced
+        solved, driven = unforced, ~unforced
         if self.pinned:
-            pinned = drive.unforced | (self.start == self.end
-                                       or self.not_restoring(force(self.far), 0.0))
+            pinned = unforced | (self.start == self.end
+                                 or self.not_restoring(force(self.far), 0.0))
             solved, driven = np.zeros(pinned.shape, dtype=bool), ~pinned
         y = np.where(solved, self.start, np.nan)
         if np.count_nonzero(driven):
-            # within rounding of V_PI, F(y_PI) can keep the rest-side sign
             stable = driven & (drive.v2 < self.v2_pi) & self.not_restoring(force(self.y_pi), 0.0)
             if np.count_nonzero(stable):
                 y = np.where(stable, self._stable_root(drive), y)

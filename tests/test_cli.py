@@ -673,6 +673,18 @@ def test_write_csv_rejects_unequal_columns(tmp_path, columns):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("header, columns, expected", [
+    # no float column: the block is its text rows alone
+    (["plan"], [["a", "b"]], b"plan\na\nb\n"),
+    (["plan", "x"], [["ab", "c"], [1.5, -2.0]],
+     b"plan,x\nab,1.50000000000000000e+00\nc,-2.00000000000000000e+00\n"),
+])
+def test_write_csv_writes_text_columns_with_or_without_floats(tmp_path, header, columns,
+                                                               expected):
+    _write_csv(tmp_path / "x.csv", header, *columns)
+    assert (tmp_path / "x.csv").read_bytes() == expected
+
+
 def test_parser_reuse(tmp_path, monkeypatch):
     # one process, one parser: each call sees only its own flags and defaults
     a, b, c = (str(tmp_path / d) for d in "abc")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from paddle_lab import (Electrode, InvalidParameter, NoStableEquilibrium,
+from paddle_lab import (CVDataset, Electrode, InvalidParameter, NoStableEquilibrium,
                         TouchViolation, build_model, compliance, model_from_dict, model_to_dict,
                         film_force, film_stiffness, force_per_v2_value,
                         pull_in_voltage, simulate_cv, solve_equilibrium, strain_coupling,
@@ -14,8 +15,9 @@ from paddle_lab import (Electrode, InvalidParameter, NoStableEquilibrium,
                         total_force_curve, zero_voltage_equilibrium)
 from paddle_lab import capacitance_value, electrostatics, mechanics
 from paddle_lab.electrostatics import gap_coefficients
-from paddle_lab.mechanics import (SCAN_MARGIN, StableBranch, _Drive, _scan_equilibrium,
-                                  drive_voltages, has_stable_equilibrium)
+from paddle_lab.extraction import _PreparedFit
+from paddle_lab.mechanics import (SCAN_MARGIN, StableBranch, _Drive, _force_sum,
+                                  _scan_equilibrium, drive_voltages, has_stable_equilibrium)
 from paddle_lab.roots import bisect_root
 
 COMPLIANCE = 6.0 * 3e-3 * 8e-3 / (180e9 * 0.3 * (40e-6) ** 3)  # 4.1667e-2 m/N
@@ -652,6 +654,158 @@ def test_refused_where_force_keeps_its_sign_at_pull_in(with_sigma0):
         solve_equilibrium(m, 0.0, V)
     result = sweep_voltage(m, Electrode.BOTTOM, [0.0, V])
     assert result.V.tolist() == [0.0] and result.truncated_at == V
+
+
+def _per_row_roots(branch, drive):
+    """StableBranch._roots' rule restated row by row: each row's rest, pinned
+    and stable masks, with V^2 and the force at y_PI (_force_sum) taken on
+    every row, and the error for the first row left unsolved."""
+    force = _force_sum(branch.prestress, branch.k, branch.cr, branch.tilt, drive.terms)
+    v2 = drive.V * drive.V
+    unforced = v2 == 0.0
+    solved, driven, pinned = unforced, ~unforced, np.zeros(unforced.shape, dtype=bool)
+    if branch.pinned:
+        pinned = unforced | (branch.start == branch.end
+                             or branch.not_restoring(force(branch.far), 0.0))
+        solved, driven = np.zeros(pinned.shape, dtype=bool), ~pinned
+    y = np.where(solved, branch.start, np.nan)
+    stable = driven & (v2 < branch.v2_pi) & branch.not_restoring(force(branch.y_pi), 0.0)
+    if stable.any():
+        y = np.where(stable, branch._stable_root(drive), y)
+    solved = solved | stable
+    if solved.all():
+        return y, None
+    i = int(np.argmin(solved))
+    v = float(drive.V.flat[i])
+    if pinned.flat[i]:
+        return y, branch._pinned_error(v)
+    return y, NoStableEquilibrium(
+        f"no stable equilibrium at V = {v!r} V on the {branch.electrode.value} "
+        f"electrode; pull-in voltage is {math.sqrt(branch.v2_pi):.4f} V")
+
+
+def _roots_and_path(branch, drive):
+    """(branch._roots(drive), whether it took the per-row path): only that
+    path forms the force closure (StableBranch._force); a drive that its
+    largest V decides never does."""
+    calls = []
+    branch._force = lambda terms: calls.append(terms) or StableBranch._force(branch, terms)
+    try:
+        return branch._roots(drive), bool(calls)
+    finally:
+        del branch._force
+
+
+def _same_roots(got, expected):
+    """The same poses as uint64 (NaN and signed zeros too), and the same error."""
+    (y, error), (y_expected, error_expected) = got, expected
+    assert np.shape(y) == np.shape(y_expected)
+    assert np.array_equal(np.asarray(y, dtype=float).view(np.uint64),
+                          np.asarray(y_expected, dtype=float).view(np.uint64))
+    assert type(error) is type(error_expected) and str(error) == str(error_expected)
+
+
+def _edge_voltages(v_pi):
+    """0, -0.0, a V whose square underflows to 0, one whose c does, the last
+    ulps at and below V_PI, one past it, and 400 V (frees a pinned paddle)."""
+    return [0.0, -0.0, 1e-170, 1e-160, *(v_pi * (1.0 - k * 2.0**-52) for k in range(5)),
+            math.nextafter(v_pi, math.inf), v_pi * (1.0 + 2.0**-50), 400.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sigma0=st.one_of(st.floats(min_value=-300e6, max_value=300e6),
+                        st.sampled_from([8e8, -8e8, 0.0, -0.0])),
+       d_e=st.floats(min_value=60e-6, max_value=200e-6),
+       electrode=st.sampled_from(list(Electrode)),
+       rows=st.lists(st.one_of(st.floats(min_value=0.0, max_value=1.5),
+                               st.integers(min_value=0, max_value=11)),
+                     min_size=1, max_size=12))
+@example(sigma0=100e6, d_e=150e-6, electrode=Electrode.TOP, rows=[2, 0.5, 0, 0.5, 1])
+@example(sigma0=-0.0, d_e=150e-6, electrode=Electrode.TOP, rows=[0, 1, 0.3, 2, 3, 4, 8])
+@example(sigma0=8e8, d_e=150e-6, electrode=Electrode.BOTTOM, rows=[11, 0.2, 0, 11])
+@example(sigma0=-0.0, d_e=150e-6, electrode=Electrode.TOP, rows=[2, 0.3])
+def test_roots_match_the_per_row_rule(with_sigma0, sigma0, d_e, electrode, rows):
+    # unsorted drives with repeats and zeros, rows at and past V_PI and pinned
+    # films: a drive its largest V decides gets the bits and error of the
+    # per-row rule, as the array and as each lone V
+    m = with_sigma0(sigma0, d_e=d_e)
+    branch = StableBranch(m, electrode)
+    v_pi = math.sqrt(branch.v2_pi) if branch.v2_pi > 0.0 else 500.0
+    edges = _edge_voltages(v_pi)
+    V = np.array([edges[r] if isinstance(r, int) else r * v_pi for r in rows])
+    for drive in [_Drive(m, electrode, V)] + [_Drive(m, electrode, v) for v in V.tolist()]:
+        got, per_row = _roots_and_path(branch, drive)
+        expected = _per_row_roots(branch, drive)
+        _same_roots(got, expected)
+        if branch.pinned or expected[1] is not None:
+            assert per_row
+        elif np.any(drive.V * drive.V > 0.0):  # every V solved, some forced: the shortcut
+            assert not per_row
+
+
+def test_roots_take_the_shortcut_and_the_per_row_path(default_model, with_sigma0):
+    # below V_PI the largest V decides the drive; a row past V_PI, and any row
+    # on a pinned branch, takes the per-row masks
+    for electrode in Electrode:
+        branch = StableBranch(default_model, electrode)
+        v_pi = math.sqrt(branch.v2_pi)
+        below = np.linspace(0.0, 0.999 * v_pi, 40)
+        for V, per_row in ((below, False), (0.5 * v_pi, False), (0.0, False),
+                           (np.append(below, 1.001 * v_pi), True), (1.001 * v_pi, True)):
+            drive = _Drive(default_model, electrode, V)
+            got, path = _roots_and_path(branch, drive)
+            assert path is per_row
+            _same_roots(got, _per_row_roots(branch, drive))
+    pinned = StableBranch(with_sigma0(8e8), Electrode.BOTTOM)
+    assert pinned.pinned
+    drive = _Drive(pinned.model, Electrode.BOTTOM, [420.0, 400.0])  # both pull it free
+    got, path = _roots_and_path(pinned, drive)
+    assert path and got[1] is None
+    _same_roots(got, _per_row_roots(pinned, drive))
+    # the film of test_refused_where_force_keeps_its_sign_at_pull_in: V^2 < V_PI^2,
+    # yet the force at y_PI does not restore, so the largest V does not decide
+    film = with_sigma0(-86619379.35592344, d_c=0.000188528190878437,
+                       d_e=0.00014981508604812926, l_b=0.005074927257528863)
+    branch = StableBranch(film, Electrode.BOTTOM)
+    drive = _Drive(film, Electrode.BOTTOM, [100.0, 198.19144870442844, 0.0])
+    got, path = _roots_and_path(branch, drive)
+    assert path and drive.hi * drive.hi < branch.v2_pi
+    assert isinstance(got[1], NoStableEquilibrium) and np.isnan(got[0][1])
+    _same_roots(got, _per_row_roots(branch, drive))
+
+
+def test_roots_of_a_fits_prepared_drives_match_the_per_row_rule(with_sigma0):
+    # a fit solves each electrode's prepared drive on a new branch per trial film:
+    # trial films that keep every row below their pull-in take the shortcut, and
+    # stiffer or softer ones put rows past it
+    truth = with_sigma0(150e6)
+    rows = [simulate_cv(truth, e, np.linspace(0.0, 0.95 * pull_in_voltage(truth, e).V_pull_in,
+                                              21)) for e in Electrode]
+    data = CVDataset(*(np.concatenate([getattr(r, name) for r in rows])
+                       for name in ("V", "C", "electrode")))
+    fit = _PreparedFit(data, with_sigma0(0.0))
+    paths = set()
+    for f_stress, f_k in itertools.product((-1.0, 0.5, 1.0, 1.5, 3.0), (0.9, 1.0, 1.2)):
+        for e, _, _, drive in fit.groups:
+            branch = StableBranch(fit.template, e, (f_stress * truth.prestress, f_k * truth.k))
+            got, per_row = _roots_and_path(branch, drive)
+            _same_roots(got, _per_row_roots(branch, drive))
+            paths.add(per_row)
+    assert paths == {False, True}
+
+
+@pytest.mark.parametrize("electrode", list(Electrode))
+def test_signed_zero_rest_keeps_its_sign_at_zero_volts(electrode):
+    # sigma0 = -0.0 puts rest at -0.0, and the undriven pose keeps that sign. The
+    # cubic alone gives +0.0 there on top (rest - (-0.0)), so the branch sets
+    # every V = 0 row to its start
+    m = build_model(sigma0=-0.0)
+    minus_zero = np.float64(-0.0).view(np.uint64)
+    assert np.float64(zero_voltage_equilibrium(m)).view(np.uint64) == minus_zero
+    assert np.float64(solve_equilibrium(m).y_p).view(np.uint64) == minus_zero
+    assert sweep_voltage(m, electrode, [0.0, 10.0]).y_p[:1].view(np.uint64) == minus_zero
+    raw = StableBranch(m, electrode)._stable_root(_Drive(m, electrode, [0.0, 10.0]))[0]
+    assert np.signbit(raw) == (electrode is Electrode.BOTTOM)
 
 
 @settings(max_examples=60, deadline=None)

@@ -136,7 +136,8 @@ def test_force_sum_keeps_the_signed_forms_bits(with_sigma0, overrides):
 
 
 @pytest.mark.parametrize("electrode", list(Electrode))
-@pytest.mark.parametrize("overrides", MODELS)
+# and a tilt of 1.2e-9, where the cubic's x at V = 0 rounds past 1 and takes the clip
+@pytest.mark.parametrize("overrides", MODELS + [dict(sigma0=0.0, l_p=3e-12)])
 def test_stable_root_keeps_the_signed_forms_bits(with_sigma0, overrides, electrode):
     m = with_sigma0(**overrides)
     V = _voltages(m, electrode)
