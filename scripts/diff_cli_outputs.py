@@ -60,21 +60,24 @@ def commands():
     for e, yp in itertools.product(("top", "bottom"), ("-4e-5", "0", "3e-5")):
         yield f"measure-{e}-{yp}", f"measure --electrode {e} --yp={yp} --seed 5"
     yield "measure-default-electrode", "measure --yp=3e-5 --seed 5"
-    # (name, truth sigma0, electrode, sampled up to this fraction of V_PI, noise in F);
-    # flat's first five readings lie within |u| < 3e-3 of the flat pose, where the
-    # slope takes its series, and the bottom drive carries the paddle across it;
-    # rejecting's line search turns down trials whose residual is defined (4 in its
-    # 4 iterations), so the error bars read the Jacobian of an earlier trial than the last
-    for name, sigma0, e, top, sigma_C in (("top", 150e6, "top", 0.8, 1e-17),
-                                          ("bottom", 150e6, "bottom", 0.8, 1e-17),
-                                          ("near", 150e6, "bottom", 0.9999, 1e-17),
-                                          ("near-top", 150e6, "top", 0.9999, 1e-17),
-                                          ("compressive", -150e6, "top", 0.9, 1e-17),
-                                          ("noisy", 150e6, "top", 0.8, 1e-15),
-                                          ("flat", 1e6, "bottom", 0.8, 1e-17),
-                                          ("rejecting", 150e6, "bottom", 0.95, 3e-15)):
+    # (name, truth sigma0, electrode, sampled up to this fraction of V_PI, noise in F,
+    # rows); flat's first five readings lie within |u| < 3e-3 of the flat pose, where
+    # the slope takes its series, and the bottom drive carries the paddle across it;
+    # rejecting's line search turns down trials whose residual is defined (6 in its
+    # 4 iterations, the last 4 after its last accepted one), so the error bars read
+    # the Jacobian of an earlier trial than the last; long's 300 rows take the fit's
+    # row sums (np.add.reduce) past NumPy's pairwise block of 128
+    for name, sigma0, e, top, sigma_C, n in (("top", 150e6, "top", 0.8, 1e-17, 21),
+                                             ("bottom", 150e6, "bottom", 0.8, 1e-17, 21),
+                                             ("near", 150e6, "bottom", 0.9999, 1e-17, 21),
+                                             ("near-top", 150e6, "top", 0.9999, 1e-17, 21),
+                                             ("compressive", -150e6, "top", 0.9, 1e-17, 21),
+                                             ("noisy", 150e6, "top", 0.8, 1e-15, 21),
+                                             ("flat", 1e6, "bottom", 0.8, 1e-17, 21),
+                                             ("rejecting", 150e6, "bottom", 0.95, 3e-15, 21),
+                                             ("long", 150e6, "top", 0.9, 1e-16, 300)):
         truth = build_model(sigma0=sigma0, t_F=220e-9)
-        V = np.linspace(0.0, top * pull_in_voltage(truth, e).V_pull_in, 21)
+        V = np.linspace(0.0, top * pull_in_voltage(truth, e).V_pull_in, n)
         data = simulate_cv(truth, e, V, NoiseModel(sigma_C=sigma_C, seed=11))
         with open(f"cv-{name}.csv", "w") as fh:
             fh.write("V_volt,C_F\n" + "".join(f"{v:.12e},{c:.12e}\n"

@@ -11,9 +11,13 @@ the strain coupling and the template's E_F. It is damped Gauss-Newton on
 the capacitance residuals with the exact Jacobian of the branch solve:
 each trial theta forms both in one pass (_PreparedFit.residuals), and the
 fit keeps the Jacobian of its accepted theta for the next step and for the
-standard errors, which it reports by the delta method. Its data, a
-CVDataset, are the columns V, C and electrode, which simulate_cv and
-load_cv_csv build.
+standard errors, which it reports by the delta method. Only the per-row
+work runs on arrays: the 2-parameter algebra (the pre-fit line, each
+step's 2x2 normal equations, the inverse and condition number of J^T J)
+takes closed forms on Python floats, and every row sum is np.add.reduce
+of the elementwise products (_dot), NumPy's pairwise order, so a
+full-rank fit makes no BLAS or LAPACK call. Its data, a CVDataset, are
+the columns V, C and electrode, which simulate_cv and load_cv_csv build.
 """
 from __future__ import annotations
 
@@ -106,7 +110,8 @@ class FilmFitResult:
     sigma0_se: float     # Pa, standard error (delta method, see _error_bars)
     EFVF_se: float       # Pa*m^3, standard error
     corr: float          # correlation of the sigma0 and E_F*V_F estimates
-    cond: float          # condition number of J^T J in (y0, k), columns scaled to unit norm
+    cond: float          # condition number of J^T J in (y0, k), columns scaled to unit norm:
+                         # (1 + |rho|)/(1 - |rho|), rho the columns' correlation (_error_bars)
 
 
 def simulate_cv(model: ValidatedModel, electrode: Electrode, V_list,
@@ -272,19 +277,40 @@ class _PreparedFit:
         return sigma0, k_f / (self.a * self.a)
 
 
-def _initial_guess(fit: _PreparedFit) -> np.ndarray:
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The row sum of a*b, in NumPy's pairwise order (np.add.reduce), not a BLAS kernel's."""
+    return float(np.add.reduce(a * b))
+
+
+def _normal(J: np.ndarray) -> tuple[float, float, float]:
+    """J^T J of an (n, 2) J as its entries (J0.J0, J0.J1, J1.J1), J0 and J1 its columns."""
+    J0, J1 = J[:, 0], J[:, 1]
+    return _dot(J0, J0), _dot(J0, J1), _dot(J1, J1)
+
+
+def _line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(intercept, slope) of the least-squares line y = intercept + slope*x, centred:
+    slope = sum(dx*dy)/sum(dx*dx) with dx, dy the deviations from the means."""
+    n = x.size
+    x_mean, y_mean = float(np.add.reduce(x)) / n, float(np.add.reduce(y)) / n
+    dx = x - x_mean
+    slope = _dot(dx, y - y_mean) / _dot(dx, dx)
+    return y_mean - slope * x_mean, slope
+
+
+def _initial_guess(fit: _PreparedFit) -> tuple[float, float]:
     """Linear pre-fit of the force balance after inverting each C to y_p, as (y0, k).
 
     At equilibrium p - k_f*y = y/compliance - f(y)*V^2 with p the prestress
     force a*sigma0*V_F and k_f the film stiffness EFVF*a^2; the right side
-    uses only shared geometry, so (p, k_f) come from linear least squares,
-    and theta = (p/k, k) with k = k_f + 1/compliance. Each electrode's
-    invertible rows are inverted in one array call; the other rows are
-    skipped. If the stiffness estimate is unusable (fewer than two rows, no
-    deflection spread, or k_f <= 0) the template's film stiffness is kept
-    and only p is re-estimated. With no invertible row the data hold no
-    deflection to start from: DegenerateData names each electrode's
-    attainable range.
+    uses only shared geometry, so (p, k_f) come from a least-squares line in
+    y (_line, closed form), and theta = (p/k, k) with k = k_f + 1/compliance.
+    Each electrode's invertible rows are inverted in one array call; the
+    other rows are skipped. If the stiffness estimate is unusable (fewer than
+    two rows, a deflection spread max(y) - min(y) of at most 1e-6 max|y|, or
+    k_f <= 0) the template's film stiffness is kept and only p is
+    re-estimated. With no invertible row the data hold no deflection to
+    start from: DegenerateData names each electrode's attainable range.
     """
     template = fit.template
     inv_c = fit.inv_c
@@ -300,18 +326,37 @@ def _initial_guess(fit: _PreparedFit) -> np.ndarray:
                              f"range (c_min, c_max), F: {ranges}")
     ys, V = y[kept], fit.V[kept]
     bs = ys * inv_c - f[kept] * V * V
-    y_scale = float(np.max(np.abs(ys)))
+    lo, hi = float(ys.min()), float(ys.max())
+    y_scale = max(-lo, hi)
     k_f = math.nan
-    if len(ys) >= 2 and y_scale > 0.0 and np.ptp(ys) > 1e-6 * y_scale:
-        design = np.column_stack([np.ones_like(ys), -ys / y_scale])
-        coef, _, _, _ = np.linalg.lstsq(design, bs, rcond=None)
-        p, k_f = float(coef[0]), float(coef[1]) / y_scale
-    if not (np.isfinite(k_f) and k_f > 0.0):
+    if len(ys) >= 2 and y_scale > 0.0 and hi - lo > 1e-6 * y_scale:
+        p, slope = _line(ys, bs)
+        k_f = -slope
+    if not (math.isfinite(k_f) and k_f > 0.0):
         # fall back to the template's film stiffness, fit the offset alone
         k_f = film_stiffness(template)
         p = float(np.mean(bs + k_f * ys))
     k = k_f + inv_c
-    return np.array([p / k, k])
+    return p / k, k
+
+
+def _step(J: np.ndarray, r: np.ndarray, s0: float, s1: float) -> tuple[float, float]:
+    """The Gauss-Newton step for the residuals r with Jacobian J, in the
+    coordinates theta/(s0, s1): the solution of (S J^T J S) x = -S J^T r,
+    S = diag(s0, s1), by the 2x2 closed form. Where that determinant is not
+    positive and finite (J^T J singular to rounding, or overflowing), the
+    least-squares solution of (J S) x = -r on a finite J, and NaN on a J
+    with a non-finite entry.
+    """
+    a, b, c = _normal(J)
+    a, b, c = a * s0 * s0, b * s0 * s1, c * s1 * s1
+    g0, g1 = -_dot(J[:, 0], r) * s0, -_dot(J[:, 1], r) * s1
+    det = a * c - b * b
+    if 0.0 < det < math.inf:
+        return (c * g0 - b * g1) / det, (a * g1 - b * g0) / det
+    if not np.isfinite(J).all():
+        return math.nan, math.nan
+    return tuple(np.linalg.lstsq(J * (s0, s1), -r, rcond=None)[0].tolist())
 
 
 def _error_bars(fit: _PreparedFit, theta, J: np.ndarray, ssq: float):
@@ -319,30 +364,33 @@ def _error_bars(fit: _PreparedFit, theta, J: np.ndarray, ssq: float):
 
     The delta method: the covariance of theta = (y0, k) is s^2*(J^T J)^-1
     with s^2 = ssq/(n - 2), mapped to (sigma0, E_F*V_F) through the
-    Jacobian G of fit.film. J^T J is inverted with its columns scaled to
-    unit norm, and the condition number is that scaled matrix's. All four
-    are NaN when J^T J is singular or k_f = 0.
+    Jacobian G of fit.film. J^T J = [[a, b], [b, c]] with its columns scaled
+    to unit norm is [[1, rho], [rho, 1]], rho = b/sqrt(a*c), so its inverse
+    and its condition number (1 + |rho|)/(1 - |rho|) take closed forms. All
+    four are NaN when a*c is 0 or not finite (a zero or non-finite column),
+    when |rho| rounds to 1 or more (J^T J singular), or when k_f = 0.
     """
     y0, k = float(theta[0]), float(theta[1])
     k_f = k - fit.inv_c
     nan = (math.nan,) * 4
-    if not k_f > 0.0:
+    a, b, c = _normal(J)
+    ac = a * c
+    if not (k_f > 0.0 and 0.0 < ac < math.inf):
         return nan
-    JTJ = J.T @ J
-    d = 1.0 / np.sqrt(np.diag(JTJ))
-    scaled = JTJ * np.outer(d, d)
-    try:
-        inv = np.linalg.inv(scaled) * np.outer(d, d)
-    except np.linalg.LinAlgError:
+    root = math.sqrt(ac)
+    rho = b / root
+    if not abs(rho) < 1.0:
         return nan
+    q = (1.0 - rho) * (1.0 + rho)  # det(J^T J) = a*c*q
+    i00, i01, i11 = 1.0 / (a * q), -rho / (root * q), 1.0 / (c * q)  # (J^T J)^-1
     EFa = fit.template.film.E_F * fit.a
-    G = np.array([[k * EFa / k_f, -y0 * EFa * fit.inv_c / (k_f * k_f)],
-                  [0.0, 1.0 / (fit.a * fit.a)]])
-    cov = G @ inv @ G.T  # covariance over s^2
-    var = np.diag(cov)
+    # G = [[g, h], [0, m]]; cov = G (J^T J)^-1 G^T over s^2
+    g, h, m = k * EFa / k_f, -y0 * EFa * fit.inv_c / (k_f * k_f), 1.0 / (fit.a * fit.a)
+    t0, t1 = g * i00 + h * i01, g * i01 + h * i11
+    var0, cov01, var1 = t0 * g + t1 * h, t1 * m, m * i11 * m
     s2 = ssq / (J.shape[0] - 2)
-    return (math.sqrt(s2 * var[0]), math.sqrt(s2 * var[1]),
-            float(cov[0, 1] / math.sqrt(var[0] * var[1])), float(np.linalg.cond(scaled)))
+    return (math.sqrt(s2 * var0), math.sqrt(s2 * var1), cov01 / math.sqrt(var0 * var1),
+            (1.0 + abs(rho)) / (1.0 - abs(rho)))
 
 
 def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> FilmFitResult:
@@ -374,19 +422,15 @@ def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> Film
     if trial is None:
         return FilmFitResult(*fit.film(theta), math.inf, 0, False, *(math.nan,) * 4)
     r, J = trial
-    ssq = float(r @ r)
+    ssq = _dot(r, r)
     converged = False
     iterations = 0
 
     for iterations in range(1, MAX_ITERATIONS + 1):
-        scale = np.array([fit.travel, theta[1]])
-        Js = J * scale
-        try:
-            step = np.linalg.solve(Js.T @ Js, -(Js.T @ r))
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(Js, -r, rcond=None)[0]
-        rel_full = float(np.max(np.abs(step)))
-        delta = step * scale
+        s0, s1 = fit.travel, theta[1]
+        step0, step1 = _step(J, r, s0, s1)
+        rel_full = max(abs(step0), abs(step1))
+        delta0, delta1 = step0 * s0, step1 * s1
 
         alpha = 1.0
         for _ in range(MAX_HALVINGS + 1):
@@ -394,10 +438,10 @@ def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> Film
                 # this step and every finer one are below tolerance: converged, theta kept
                 converged = True
                 break
-            candidate = theta + alpha * delta
+            candidate = (theta[0] + alpha * delta0, theta[1] + alpha * delta1)
             trial = fit.residuals(candidate)
             if trial is not None:
-                st = float(trial[0] @ trial[0])
+                st = _dot(trial[0], trial[0])
                 if st < ssq:
                     theta, (r, J), ssq = candidate, trial, st
                     break
@@ -407,5 +451,5 @@ def fit_film_parameters(data: CVDataset, model_template: ValidatedModel) -> Film
         if converged:
             break
 
-    return FilmFitResult(*fit.film(theta), float(np.sqrt(ssq / len(r))), iterations, converged,
+    return FilmFitResult(*fit.film(theta), math.sqrt(ssq / len(r)), iterations, converged,
                          *_error_bars(fit, theta, J, ssq))

@@ -13,8 +13,10 @@ the same for every value whose rounding it can prove:
    double-double product (Dekker, 1971): 10^p is tabled as hi + lo, and
    |x|*hi is split exactly into p1 + err by Veltkamp splitting, so
    |x|*10^p = p1 + r with p1 an integer and r = err + |x|*lo accurate to
-   about 1e-13. D rounds the fraction of r half to even; a fraction within
-   TIE_WINDOW of 0.5 is left undecided. D never rounds up to 10^18 (a carry
+   about 1e-13. D rounds r's fraction to nearest; a fraction within
+   TIE_WINDOW of 0.5 is left undecided, unless 0 <= 17-e <= 22: there 10^p
+   is an exact double (lo = 0), so r and its fraction are exact and D
+   rounds half to even, as `%` does. D never rounds up to 10^18 (a carry
    to the next exponent): no double with a two-digit exponent lies within
    5e-19 below a power of ten, the closest, below 10^-79, is 1.1e-18 off.
 3. The characters are gathered from small tables: 4-digit groups of D, the
@@ -22,9 +24,10 @@ the same for every value whose rounding it can prove:
 
 What the kernel cannot prove goes to `%`, once per distinct bit pattern:
 nan and the infinities, exponents of three digits (|x| < 1e-99 or
-|x| >= 1e100, subnormals included) and the tie window. Zeros and exact
-powers of ten stay on the fast path. An array whose values all lie in
-1e-99 <= |x| < 1e100 (so no zero) skips the masks that set the rest aside.
+|x| >= 1e100, subnormals included) and the tie window outside
+1e-5 <= |x| < 1e18. Zeros and exact powers of ten stay on the fast path.
+An array whose values all lie in 1e-99 <= |x| < 1e100 (so no zero) skips
+the masks that set the rest aside.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ FLOAT_FORMAT = "%.17e"  # 18 significant digits: every float64 round-trips
 FIELD_WIDTH = 24        # len("-d.ddddddddddddddddde+dd")
 TIE_WINDOW = 2.0**-30   # |fraction - 1/2| below this is decided by %; r is good to ~1e-13
 MAX_EXP = 99            # two exponent digits
+EXACT_POWER = 22        # 10^p is an exact double for 0 <= p <= 22 (5^22 < 2^53)
 # 10^p for p = 17 - e, e in -101..101: the log10 estimate of an exponent in
 # -99..99 is off by at most one, and one more on each side is margin
 _P_MIN, _P_MAX = 17 - MAX_EXP - 2, 17 + MAX_EXP + 2
@@ -122,6 +126,14 @@ def format_e17(values) -> np.ndarray:
         D *= fast  # 0 off the fast path: right for zeros, % does the rest
         undecided |= ~fast & (v != 0.0)
     slow = undecided.nonzero()[0]
+    if slow.size:
+        # where 10^(17-e) is an exact double, r and frac are exact: round half to even
+        exact = (e[slow] >= 17 - EXACT_POWER) & (e[slow] <= 17)
+        if not every:
+            exact &= fast[slow]
+        tie = slow[exact]
+        D[tie] += (frac[tie] == 0.5) & (whole[tie] % 2 == 1)
+        slow = slow[~exact]
 
     words = np.empty((v.size, FIELD_WIDTH // 4), dtype=np.uint32)
     q = D // 10**16

@@ -16,8 +16,8 @@ from paddle_lab import (CVDataset, DeflectionSeries, DegenerateData, Electrode,
 from paddle_lab import extraction
 from paddle_lab.cli import main
 from paddle_lab.electrostatics import capacitance_range, capacitance_slope
-from paddle_lab.extraction import (MAX_HALVINGS, REL_STEP_TOL, CVRow, _error_bars,
-                                   _PreparedFit)
+from paddle_lab.extraction import (MAX_HALVINGS, REL_STEP_TOL, CVRow, _dot, _error_bars,
+                                   _initial_guess, _normal, _PreparedFit, _step)
 from paddle_lab.mechanics import StableBranch, _Drive, compliance, strain_coupling
 
 
@@ -727,6 +727,178 @@ def test_error_bars_undefined_at_zero_film_stiffness_or_singular_jtj(default_mod
         assert all(map(math.isnan, _error_bars(fit, np.array(theta), J, 1e-30)))
 
 
+EPS = np.finfo(np.float64).eps
+# each closed form against its np.linalg twin: the 2x2 closed forms and LAPACK each
+# round to a few eps in J^T J scaled to a unit diagonal, so the two may differ by
+# about eps times that matrix's condition number kappa; CLOSED_FORM_TOL eps kappa
+# is the stated bound (measured peak 4.6 eps kappa, over the fit data below and 3000
+# random Jacobians)
+CLOSED_FORM_TOL = 32.0
+
+
+def _numpy_error_bars(fit, theta, J, ssq):
+    """_error_bars as np.linalg forms it (inv and cond of J^T J scaled to a unit
+    diagonal), and |G| M |G|^T with M_ij = sqrt(inv_ii inv_jj), the magnitudes that
+    bound the rounding of the quadratic forms of the delta method."""
+    y0, k = map(float, theta)
+    k_f = k - fit.inv_c
+    JTJ = J.T @ J
+    d = 1.0 / np.sqrt(np.diag(JTJ))
+    scaled = JTJ * np.outer(d, d)
+    inv = np.linalg.inv(scaled) * np.outer(d, d)
+    EFa = fit.template.film.E_F * fit.a
+    G = np.array([[k * EFa / k_f, -y0 * EFa * fit.inv_c / (k_f * k_f)],
+                  [0.0, 1.0 / (fit.a * fit.a)]])
+    M = np.sqrt(np.outer(np.diag(inv), np.diag(inv)))
+    cov, bound = G @ inv @ G.T, np.abs(G) @ M @ np.abs(G).T
+    s2 = ssq / (J.shape[0] - 2)
+    values = (math.sqrt(s2 * cov[0, 0]), math.sqrt(s2 * cov[1, 1]),
+              cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1]), np.linalg.cond(scaled))
+    return values, cov, bound
+
+
+def _check_closed_forms(fit, theta, J, r, x, y):
+    """The fit's sums, step and error bars on (J, r), and its pre-fit line through
+    (x, y), each against np.linalg to its stated tolerance; returns each check's
+    error over its tolerance."""
+    n = J.shape[0]
+    ratios = {}
+    # the pairwise row sums against BLAS: within n eps of the sums of |products|
+    sums = np.array(_normal(J) + (_dot(J[:, 0], r), _dot(J[:, 1], r)))
+    blas = np.array([J[:, 0] @ J[:, 0], J[:, 0] @ J[:, 1], J[:, 1] @ J[:, 1]] + list(J.T @ r))
+    A = np.abs(J)
+    mags = np.concatenate([(A.T @ A)[[0, 0, 1], [0, 1, 1]], A.T @ np.abs(r)])
+    ratios["sums"] = np.max(np.abs(sums - blas) / (n * EPS * mags))
+    # the step against np.linalg.solve on the same sums, both in the coordinates where
+    # the normal matrix has a unit diagonal: there partial pivoting's error, like the
+    # closed form's, is about eps kappa of the step's size (LAPACK on the fit's own
+    # scaling, whose diagonal spans 1e12, is not)
+    s = np.array([fit.travel, float(theta[1])])
+    a, b, c, g0, g1 = sums
+    N = np.array([[a, b], [b, c]]) * np.outer(s, s)
+    d = np.sqrt(np.diag(N))
+    unit = N / np.outer(d, d)
+    kappa = np.linalg.cond(unit)
+    want = np.linalg.solve(unit, -np.array([g0, g1]) * s / d)
+    got = d * np.array(_step(J, r, *s))
+    ratios["step"] = np.max(np.abs(got - want)) / (CLOSED_FORM_TOL * EPS * kappa
+                                                   * np.max(np.abs(want)))
+    # the pre-fit line against np.linalg.lstsq on the old scaled design [1, -x/max|x|]:
+    # the fitted values agree to eps times the design's condition number and |y|
+    design = np.column_stack([np.ones_like(x), -x / np.max(np.abs(x))])
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    intercept, slope = extraction._line(x, y)
+    fitted = np.abs((intercept + slope * x) - design @ coef)
+    ratios["line"] = np.max(fitted) / (CLOSED_FORM_TOL * EPS * np.linalg.cond(design)
+                                       * np.max(np.abs(y)))
+    # se, corr and cond against inv and cond: entry ij of the inverse is good to
+    # about eps kappa sqrt(inv_ii inv_jj), so a quadratic form of the delta method is
+    # good to eps kappa times the same form on those magnitudes
+    ssq = _dot(r, r)
+    got = _error_bars(fit, theta, J, ssq)
+    want, cov, bound = _numpy_error_bars(fit, theta, J, ssq)
+    rel = CLOSED_FORM_TOL * EPS * kappa * np.abs(bound / cov)
+    tol = (0.5 * rel[0, 0], 0.5 * rel[1, 1], rel[0, 1] + 0.5 * (rel[0, 0] + rel[1, 1]),
+           CLOSED_FORM_TOL * EPS * kappa)
+    for name, g, w, t in zip(("sigma0_se", "EFVF_se", "corr", "cond"), got, want, tol):
+        ratios[name] = abs(g - w) / (t * abs(w))
+    return ratios
+
+
+@pytest.mark.parametrize("top", [0.5, 0.8, 0.95])
+@pytest.mark.parametrize("which", ["bottom", "top", "both"])
+def test_closed_forms_match_numpy_linalg_on_fit_data(default_model, monkeypatch, which, top):
+    # on the data of test_fit_jacobian_matches_central_differences: the pre-fit line
+    # the fit draws, and the step and error bars at a theta off the truth
+    truth = build_model(sigma0=TRUTH_SIGMA0, t_F=TRUTH_T_F)
+    parts = [_trial_data(truth, e, top, 1e-16, 3, 11) for e in (Electrode.BOTTOM, Electrode.TOP)]
+    data = {"bottom": parts[0], "top": parts[1], "both": _interleaved(*parts)}[which]
+    fit = _PreparedFit(data, default_model)
+    lines = []
+    line = extraction._line
+
+    def recorded(x, y):
+        lines.append((x, y))
+        return line(x, y)
+
+    monkeypatch.setattr(extraction, "_line", recorded)
+    _initial_guess(fit)
+    monkeypatch.setattr(extraction, "_line", line)
+    assert len(lines) == 1
+    theta = _theta(default_model, 0.98 * TRUTH_SIGMA0, 1.02 * TRUTH_EFVF)
+    r, J = fit.residuals(theta)
+    ratios = _check_closed_forms(fit, theta, J, r, *lines[0])
+    assert max(ratios.values()) <= 1.0, ratios
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 300),
+       log_kappa=st.floats(0.0, 6.0), sign=st.sampled_from([-1.0, 1.0]),
+       scales=st.tuples(st.floats(-12.0, -4.0), st.floats(-18.0, -10.0)),
+       shift=st.floats(0.0, 1e3))
+def test_closed_forms_match_numpy_linalg_on_any_jacobian(default_model, seed, n, log_kappa,
+                                                          sign, scales, shift):
+    # J with orthonormal columns turned to a correlation rho, so that J^T J scaled to
+    # a unit diagonal has condition number kappa = (1 + |rho|)/(1 - |rho|) up to 1e6,
+    # the columns then scaled to the fit's magnitudes; the line runs through x, the
+    # first column shifted off zero, and y, the second
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, 2)))
+    kappa = 10.0 ** log_kappa
+    rho = sign * (kappa - 1.0) / (kappa + 1.0)
+    J = np.column_stack([q[:, 0], rho * q[:, 0] + math.sqrt(1.0 - rho * rho) * q[:, 1]])
+    J *= 10.0 ** np.array(scales)
+    r = 1e-15 * rng.standard_normal(n)
+    fit = _PreparedFit(_oracle_datasets()["bottom"], default_model)
+    theta = _theta(default_model, TRUTH_SIGMA0, TRUTH_EFVF)
+    x = J[:, 0] + shift * np.max(np.abs(J[:, 0]))
+    ratios = _check_closed_forms(fit, theta, J, r, x, J[:, 1])
+    assert max(ratios.values()) <= 1.0, ratios
+
+
+def test_full_rank_fit_calls_no_numpy_linalg(default_model, monkeypatch):
+    # the pre-fit line, every step and the error bars take closed forms on floats:
+    # a fit on full-rank data calls none of np.linalg's solvers
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in ("lstsq", "solve", "inv", "cond"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    truth = build_model(sigma0=200e6, t_F=250e-9)
+    for data in (*_oracle_datasets().values(),
+                 _trial_data(truth, Electrode.TOP, 0.9999, 1e-16, 2)):
+        fit = fit_film_parameters(data, default_model)
+        assert fit.converged and fit.iterations >= 2
+        assert all(map(math.isfinite, (fit.sigma0_se, fit.EFVF_se, fit.corr, fit.cond)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(column=st.lists(st.floats(1e-30, 1.0) | st.floats(-1.0, -1e-30), min_size=3,
+                       max_size=40),
+       defect=st.sampled_from(["zero first", "zero second", "both zero", "inf", "-inf",
+                               "nan", "duplicated"]))
+@example(column=[1e-8, 2e-8, 3e-8], defect="duplicated")
+def test_error_bars_are_nan_on_a_zero_non_finite_or_duplicated_column(default_model, column,
+                                                                      defect):
+    # J^T J of such a J has no inverse, or none that rounding can trust: all four
+    # error-bar fields are NaN, and no ZeroDivisionError or ValueError is raised
+    fit = _PreparedFit(_oracle_datasets()["bottom"], default_model)
+    theta = _theta(default_model, TRUTH_SIGMA0, TRUTH_EFVF)
+    x = np.array(column)
+    J = np.column_stack([x, x[::-1] + 1.0])
+    if defect == "zero first":
+        J[:, 0] = 0.0
+    elif defect == "zero second":
+        J[:, 1] = 0.0
+    elif defect == "both zero":
+        J[:] = 0.0
+    elif defect == "duplicated":
+        J[:, 1] = x
+    else:
+        J[len(x) // 2, 1] = float(defect)
+    assert all(map(math.isnan, _error_bars(fit, theta, J, 1e-30)))
+
+
 def _rounded(data):
     """data with V and C rounded to 12 digits, as scripts/diff_cli_outputs.py writes them."""
     V, C = ([float(f"{x:.12e}") for x in col.tolist()] for col in (data.V, data.C))
@@ -747,7 +919,7 @@ def test_fit_error_bars_read_the_accepted_jacobian(default_model, monkeypatch, r
     def recorded(self, theta):
         got = residuals(self, theta)
         if got is not None:
-            trials.append((np.array(theta, dtype=float), float(got[0] @ got[0])))
+            trials.append((np.array(theta, dtype=float), _dot(got[0], got[0])))
         return got
 
     monkeypatch.setattr(_PreparedFit, "residuals", recorded)
@@ -765,33 +937,56 @@ def test_fit_error_bars_read_the_accepted_jacobian(default_model, monkeypatch, r
 
 def test_fit_steps_by_least_squares_when_normal_equations_are_singular(default_model,
                                                                         monkeypatch):
-    # where np.linalg.solve refuses J^T J as singular, the Gauss-Newton step is
-    # the least-squares one on J, which on a full-rank J is the same step up to
-    # rounding: the fit converges on the optimum the solved steps reach
+    # where the scaled normal equations' determinant is not positive (here J^T J is
+    # read as zero), the Gauss-Newton step is the least-squares one on J, which on a
+    # full-rank J is the same step up to rounding: the fit converges on the optimum
+    # the closed-form steps reach, with one np.linalg.lstsq call per iteration
     truth = build_model(sigma0=TRUTH_SIGMA0, t_F=TRUTH_T_F)
     data = _trial_data(truth, Electrode.BOTTOM, 0.8, 1e-16, 3)
     solved = fit_film_parameters(data, default_model)
-    refused = []
+    calls, lstsq = [], np.linalg.lstsq
 
-    def singular(a, b):
-        refused.append(a)
-        raise np.linalg.LinAlgError("Singular matrix")
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(extraction, "_normal", lambda J: (0.0, 0.0, 0.0))
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
     fit = fit_film_parameters(data, default_model)
-    assert fit.converged and len(refused) == fit.iterations
+    assert fit.converged and len(calls) == fit.iterations
     assert fit.sigma0_hat == pytest.approx(solved.sigma0_hat, rel=1e-8)
     assert fit.EFVF_hat == pytest.approx(solved.EFVF_hat, rel=1e-8)
 
 
+def test_fit_takes_no_step_on_a_non_finite_jacobian(default_model, monkeypatch):
+    # a Jacobian with an infinite entry (a row whose force slope rounds to 0) gives a
+    # NaN step, as np.linalg.solve did, and not np.linalg.lstsq's LinAlgError: no
+    # trial is defined, and the fit stops unconverged after one iteration
+    truth = build_model(sigma0=TRUTH_SIGMA0, t_F=TRUTH_T_F)
+    data = _trial_data(truth, Electrode.BOTTOM, 0.8, 1e-16, 3)
+    residuals = _PreparedFit.residuals
+
+    def infinite(self, theta):
+        got = residuals(self, theta)
+        if got is not None:
+            got[1][0, 1] = math.inf
+        return got
+
+    monkeypatch.setattr(_PreparedFit, "residuals", infinite)
+    fit = fit_film_parameters(data, default_model)
+    assert not fit.converged and fit.iterations == 1
+    assert all(map(math.isnan, (fit.sigma0_se, fit.EFVF_se, fit.corr, fit.cond)))
+
+
 def _recorded_trials(monkeypatch, defined=None):
-    """Record the objective r @ r of each residuals call (None where undefined).
+    """Record the objective r.r of each residuals call, by the fit's own sum _dot
+    (None where undefined).
     With `defined` set, only the first that many calls are evaluated."""
     trials, residuals = [], _PreparedFit.residuals
 
     def recorded(self, theta):
         got = residuals(self, theta) if defined is None or len(trials) < defined else None
-        trials.append(None if got is None else float(got[0] @ got[0]))
+        trials.append(None if got is None else _dot(got[0], got[0]))
         return got
 
     monkeypatch.setattr(_PreparedFit, "residuals", recorded)
@@ -855,7 +1050,7 @@ def test_fit_exhausted_line_search_below_tolerance_is_converged(default_model, m
     assert len(thetas) == 17
     start = thetas[0]
     r = residuals(_PreparedFit(data, default_model), start)[0]
-    assert fit.rms_residual == math.sqrt(float(r @ r) / 11)  # theta kept at the pre-fit
+    assert fit.rms_residual == math.sqrt(_dot(r, r) / 11)  # theta kept at the pre-fit
     scale = np.array([default_model.y_p_max - default_model.y_p_min, start[1]])
     finest = float(np.max(np.abs((thetas[-1] - start) / scale)))
     assert 0.5 * finest < REL_STEP_TOL <= finest * (1.0 + 1e-6)

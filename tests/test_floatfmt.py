@@ -5,6 +5,7 @@ import runpy
 import numpy as np
 import pytest
 
+from paddle_lab import floatfmt
 from paddle_lab.cli import CSV_BLOCK_VALUES, _write_csv
 from paddle_lab.floatfmt import FIELD_WIDTH, FLOAT_FORMAT, format_e17
 
@@ -28,6 +29,19 @@ def test_format_e17_rows():
     assert out.dtype == np.uint8 and out.shape == (values.size, FIELD_WIDTH + 1)
     assert [bytes(row[row != 0]).decode() for row in out] == [FLOAT_FORMAT % v for v in values]
     assert format_e17(np.array([])).shape == (0, FIELD_WIDTH)
+
+
+def test_exact_ties_are_rounded_half_to_even_in_the_kernel(monkeypatch):
+    # exact ties at 18 digits (a 19th digit 5): where 10^(17-e) is an exact double
+    # (1e-5 <= |x| < 1e18) the kernel rounds them half to even itself, below that they
+    # still go to %; with % set to another format only the rows that take it change
+    kernel = [1.0 + 2.0**-18, 1.0 + 3.0 * 2.0**-18, -1234567890123.03125, 5.0 * 2.0**-25 * 1e2]
+    percent = [5.0 * 2.0**-25]  # 1.490116119384765625e-07
+    values = np.array(kernel + percent)
+    monkeypatch.setattr(floatfmt, "FLOAT_FORMAT", "%.3e")
+    rows = [bytes(row[row != 0]).decode() for row in format_e17(values)]
+    assert rows == [FLOAT_FORMAT % v for v in kernel] + ["%.3e" % v for v in percent]
+    assert rows[:2] == ["1.00000381469726562e+00", "1.00001144409179688e+00"]
 
 
 def test_text_column_across_blocks(tmp_path):
