@@ -11,8 +11,8 @@ voltage-capacitance sweeps.
 __version__ = "0.1.0"
 
 from .electrostatics import (Electrode, capacitance_curve, capacitance_value,
-                             force_per_v2_value, paddle_capacitance_quadrature,
-                             parallel_plate_capacitance, yp_from_capacitance)
+                             force_per_v2_value, parallel_plate_capacitance,
+                             yp_from_capacitance)
 from .errors import (DegenerateData, InsufficientData, InvalidParameter,
                      NoStableEquilibrium, OutOfRange, PaddleLabError,
                      TouchViolation)
@@ -45,8 +45,7 @@ __all__ = [
     "load_model_json", "touch_limits", "yb_from_yp",
     # electrostatics
     "Electrode", "parallel_plate_capacitance", "capacitance_value",
-    "capacitance_curve", "force_per_v2_value", "paddle_capacitance_quadrature",
-    "yp_from_capacitance",
+    "capacitance_curve", "force_per_v2_value", "yp_from_capacitance",
     # mechanics
     "StressProfile", "ForceBreakdown", "EquilibriumSolution", "SweepRecord",
     "SweepResult", "PullInResult", "stress_profile", "compliance",

@@ -11,8 +11,9 @@ edge (g1):
 
 The log form degenerates to 0/0 for a flat plate; below a small tilt the
 integral factor is evaluated by series instead (see capacitance_value). The
-composite-trapezoid quadrature versions of both integrals are kept as
-independent oracles for testing.
+composite-trapezoid quadrature forms of both integrals, the independent
+oracles these closed forms are tested against, live with the tests
+(tests/oracles.py), not in the package.
 
 All functions are pure. capacitance_value and force_per_v2_value take a
 float, kept allocation-free for the root-finding loops, or a numpy array,
@@ -256,7 +257,9 @@ def capacitance_slope(y_p, model: ValidatedModel, electrode: Electrode):
                              _series_mask(u, SLOPE_SERIES_U_THRESHOLD))
 
 
-# The same kernel under the name perfbench/tracing.py times array calls by.
+# The same kernel under the name perfbench/tracing.py times array calls by. Kept
+# only for that: the benchmark v2 item of ROADMAP.md moves the tracer and the
+# tests onto capacitance_value and deletes it.
 capacitance_curve = capacitance_value
 
 
@@ -273,31 +276,6 @@ def force_per_v2_value(y_p, model: ValidatedModel, electrode: Electrode):
 def _force_per_v2_on_line(g0, delta, model: ValidatedModel, electrode: Electrode):
     """force_per_v2_value on gap_line's terms, floats or arrays."""
     return -GAP_SIGN[electrode] * model.half_eps0_area / (g0 * (g0 + delta))
-
-
-def _quadrature_grid(y_p: float, model: ValidatedModel, electrode: Electrode,
-                     panels: int) -> tuple[np.ndarray, float]:
-    if not isinstance(panels, (int, np.integer)) or panels < 2:
-        raise InvalidParameter("panels", f"must be an integer >= 2, got {panels!r}")
-    g0, delta = gap_line(y_p, model, electrode)
-    x = np.linspace(0.0, model.geom.l_p, panels + 1)
-    gap = g0 + (delta / model.geom.l_p) * x
-    return gap, model.geom.l_p / panels
-
-
-def paddle_capacitance_quadrature(y_p: float, model: ValidatedModel,
-                                  electrode: Electrode, panels: int) -> float:
-    """Composite-trapezoid oracle for the capacitance integral."""
-    gap, dx = _quadrature_grid(y_p, model, electrode, panels)
-    return model.constants.eps0 * model.geom.w_p * np.trapezoid(1.0 / gap, dx=dx)
-
-
-def electrostatic_force_per_v2_quadrature(y_p: float, model: ValidatedModel,
-                                          electrode: Electrode, panels: int) -> float:
-    """Composite-trapezoid oracle for the signed pressure integral."""
-    gap, dx = _quadrature_grid(y_p, model, electrode, panels)
-    return -GAP_SIGN[electrode] * 0.5 * model.constants.eps0 * model.geom.w_p * np.trapezoid(
-        1.0 / gap**2, dx=dx)
 
 
 def inversion_bracket(model: ValidatedModel) -> tuple[float, float]:

@@ -180,9 +180,20 @@ def load_cv_csv(path, electrode: Electrode) -> CVDataset:
     """Read a `V_volt,C_F` CSV into a dataset.
 
     Blank lines are skipped. A row error names the file and the row, counted
-    from 0 over the lines after the header, blank lines included.
+    from 0 over the lines after the header, blank lines included. A file
+    that is not CSV text (undecodable bytes, a field past the csv module's
+    size limit) raises InvalidParameter("data") too.
     """
     electrode = Electrode(electrode)
+    try:
+        V, C = _read_cv_rows(path)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidParameter("data", f"{path}: not a CSV text file: {exc}") from None
+    return CVDataset(np.array(V), np.array(C), np.full(len(V), electrode.value))
+
+
+def _read_cv_rows(path) -> tuple[list, list]:
+    """load_cv_csv's V and C lists, each row checked."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -205,7 +216,7 @@ def load_cv_csv(path, electrode: Electrode) -> CVDataset:
             _check_row(v, c, prefix, i)
             V.append(v)
             C.append(c)
-    return CVDataset(np.array(V), np.array(C), np.full(len(V), electrode.value))
+    return V, C
 
 
 class _PreparedFit:

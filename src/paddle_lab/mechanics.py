@@ -26,8 +26,10 @@ on that model reuses them. Their C_top and force columns, a sweep's arrays
 or one equilibrium's floats, come from one gap-line pass on the driven
 electrode (_branch_columns), unchecked since the branch keeps its poses
 inside the touch interval, with the bits total_force and capacitance_value
-give. A scan-and-bisect solver handles drives on both electrodes and is
-the independent reference for the branch.
+give. Every equilibrium is one driven electrode's, or none's:
+solve_equilibrium refuses a drive on both. The scan-and-bisect solver the
+branch is checked against lives with the tests (tests/oracles.py), as an
+independent reference.
 """
 from __future__ import annotations
 
@@ -39,16 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .electrostatics import (Electrode, _capacitance_on_line,
-                             _force_per_v2_on_line, _gap_terms, capacitance_value,
-                             force_per_v2_value, gap_coefficients)
+                             _force_per_v2_on_line, _gap_terms, force_per_v2_value,
+                             gap_coefficients)
 from .errors import InvalidParameter, NoStableEquilibrium
 from .model import PaddleGeometry, ValidatedModel
-from .roots import bisect_root
 
-# Relative margin keeping the equilibrium scan strictly inside the touch
-# interval, and the fixed scan resolution used to bracket force zeros.
+# Relative margin keeping the stable branch (and the tests' equilibrium scan)
+# strictly inside the touch interval.
 SCAN_MARGIN = 1e-6
-SCAN_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,8 @@ class StressProfile:
 
 @dataclass(frozen=True)
 class ForceBreakdown:
+    """total_force's result, kept with it and with SweepResult.records for the benchmark."""
+
     F_film: float
     F_beam: float
     F_elec_top: float
@@ -173,7 +175,11 @@ def film_stiffness(model: ValidatedModel) -> float:
 
 def total_force(y_p: float, V_top: float, V_bottom: float,
                 model: ValidatedModel) -> ForceBreakdown:
-    """All force components and their sum at one paddle pose."""
+    """All force components and their sum at one paddle pose.
+
+    No solve calls it (_branch_columns gives its bits); it is kept because
+    perfbench/tracing.py wraps it, and the tests check those columns against it.
+    """
     return ForceBreakdown(**_breakdown(
         y_p, model, force_per_v2_value(y_p, model, Electrode.TOP) * V_top * V_top,
         force_per_v2_value(y_p, model, Electrode.BOTTOM) * V_bottom * V_bottom))
@@ -238,7 +244,7 @@ class _Drive:
         # c is monotone in V^2: the largest V's c has its element's bits, and
         # is 0 only where every c is
         self.c_hi = s * (model.half_eps0_area * (hi * hi))
-        # a lone V's term holds c as a Python float: a scan's bisection steps on floats
+        # a lone V's term holds c as a Python float: the scan oracle's bisection steps on floats
         self.terms = ((rest, s, self.c if V.ndim else self.c_hi),) if self.c_hi != 0.0 else ()
 
     @property
@@ -248,13 +254,15 @@ class _Drive:
 
 
 def _force_closure(model: ValidatedModel, V_top: float, V_bottom: float):
-    """Total force F(y_p) in plain arithmetic, on a float or an array.
+    """Total force F(y_p) under a drive on each electrode, in plain arithmetic,
+    on a float or an array.
 
-    For the scan grid and its bisection, and for the residual of an
-    equilibrium with both electrodes driven. Each electrode's term comes
-    from its _Drive, which also checks the voltage. A drive voltage may be
-    an array too, which broadcasts against y_p. Poses are not checked
-    against the touch limits: callers stay inside the scan interval.
+    For total_force_curve, which perfbench/tracing.py times, and for the
+    tests' scan oracle (tests/oracles.py); a solve takes the same sum on its
+    one drive (StableBranch._force). Each electrode's term comes from its
+    _Drive, which also checks the voltage. A drive voltage may be an array
+    too, which broadcasts against y_p. Poses are not checked against the
+    touch limits: callers stay inside the scan interval.
     """
     top, bottom = _Drive(model, Electrode.TOP, V_top), _Drive(model, Electrode.BOTTOM, V_bottom)
     return _force_sum(model.prestress, model.k, model.center_ratio, model.tilt,
@@ -281,7 +289,11 @@ def _force_sum(prestress, k_lin, cr, tilt, terms):
 
 def total_force_curve(y_p, V_top: float, V_bottom: float,
                       model: ValidatedModel) -> np.ndarray:
-    """Total force on an array of deflections inside the touch interval (V checked by _Drive)."""
+    """Total force on an array of deflections inside the touch interval (V checked by _Drive).
+
+    Kept because perfbench/tracing.py times it; the benchmark v2 item of
+    ROADMAP.md moves its tests onto _force_closure and deletes it.
+    """
     return _force_closure(model, V_top, V_bottom)(np.asarray(y_p, dtype=float))
 
 
@@ -298,31 +310,6 @@ def drive_voltages(electrode: Electrode, V: float) -> tuple[float, float]:
 def _scan_bounds(model: ValidatedModel) -> tuple[float, float]:
     """The open touch interval, shrunk by SCAN_MARGIN at each end."""
     return model.y_p_min * (1.0 - SCAN_MARGIN), model.y_p_max * (1.0 - SCAN_MARGIN)
-
-
-def _scan_equilibrium(model: ValidatedModel, V_top: float, V_bottom: float) -> float:
-    """Stable pose y_p of the force balance, found by a fixed scan plus bisection.
-
-    The open touch interval is scanned on a 2048-point grid (relative
-    margin 1e-6 at each end). A zero where the grid force falls from > 0
-    to <= 0 is restoring, so the lowest such falling crossing is bisected
-    to machine precision and returned. This is the only solver for drives
-    on both electrodes at once, and the reference that StableBranch is
-    checked against. Raises NoStableEquilibrium when every zero is
-    unstable or none exists.
-    """
-    grid = np.linspace(*_scan_bounds(model), SCAN_POINTS)
-    force = _force_closure(model, V_top, V_bottom)
-    f = force(grid)
-    sign = f > 0.0
-    falling = np.nonzero(sign[:-1] & ~sign[1:])[0]
-    if falling.size:
-        i = falling[0]
-        return bisect_root(force, float(grid[i]), float(grid[i + 1]),
-                           float(f[i]), float(f[i + 1]))
-    raise NoStableEquilibrium(
-        f"no restoring force balance for V_top={V_top!r}, V_bottom={V_bottom!r} "
-        f"({np.count_nonzero(sign[:-1] != sign[1:])} unstable zero(s) found)")
 
 
 class _Pinned(NoStableEquilibrium):
@@ -560,44 +547,27 @@ def _branch(model: ValidatedModel, electrode: Electrode) -> StableBranch:
 
 def solve_equilibrium(model: ValidatedModel, V_top: float = 0.0,
                       V_bottom: float = 0.0) -> EquilibriumSolution:
-    """Stable force balance at the given drive voltages.
+    """Stable force balance with V_top or V_bottom driven, the other at 0 V.
 
-    With one electrode driven, or neither, this is one closed-form solve on
-    the stable branch with a sweep's _branch_columns on floats, and the
-    residual is the branch's force under the same _Drive; with both driven,
-    the scan solver runs with the checked total_force and capacitance_value.
-    The residual has _force_closure's bits either way. Raises
-    InvalidParameter("V") for a refused drive, NoStableEquilibrium at or
-    past pull-in and when film stress pins the paddle against an electrode.
+    One closed-form solve on the model's stable branch of the driven
+    electrode (bottom when both are 0), with a sweep's _branch_columns on
+    floats; the residual is the branch's force under the same _Drive, with
+    _force_closure's bits. Raises InvalidParameter("V") for a refused drive
+    and for a drive on both electrodes, which the paddle is not run with,
+    NoStableEquilibrium at or past pull-in and when film stress pins the
+    paddle against an electrode.
     """
     if V_top != 0.0 and V_bottom != 0.0:
-        y = _scan_equilibrium(model, V_top, V_bottom)
-        columns = dict(C_top=capacitance_value(y, model, Electrode.TOP),
-                       **vars(total_force(y, V_top, V_bottom, model)))
-        residual = _force_closure(model, V_top, V_bottom)(y)
-    else:
-        driven, V = (Electrode.TOP, V_top) if V_top != 0.0 else (Electrode.BOTTOM, V_bottom)
-        branch, drive = _branch(model, driven), _Drive(model, driven, V)
-        y, error = branch._roots(drive)
-        if error is not None:
-            raise error
-        y = float(y)
-        columns = _branch_columns(y, V, model, driven)
-        residual = branch._force(drive.terms)(y)
-    return EquilibriumSolution(y_p=y, **columns, residual=residual)
-
-
-def has_stable_equilibrium(model: ValidatedModel, electrode: Electrode, V: float) -> bool:
-    """Whether the scan solver finds a stable equilibrium at V on `electrode`.
-
-    Deliberately independent of StableBranch: it is the oracle that
-    pull-in results are checked against. V is checked by _Drive.
-    """
-    try:
-        _scan_equilibrium(model, *drive_voltages(electrode, V))
-        return True
-    except NoStableEquilibrium:
-        return False
+        raise InvalidParameter("V", f"drive one electrode and ground the other, got "
+                                    f"V_top={V_top!r} and V_bottom={V_bottom!r}")
+    driven, V = (Electrode.TOP, V_top) if V_top != 0.0 else (Electrode.BOTTOM, V_bottom)
+    branch, drive = _branch(model, driven), _Drive(model, driven, V)
+    y, error = branch._roots(drive)
+    if error is not None:
+        raise error
+    y = float(y)
+    return EquilibriumSolution(y_p=y, **_branch_columns(y, V, model, driven),
+                               residual=branch._force(drive.terms)(y))
 
 
 def pull_in_voltage(model: ValidatedModel, electrode: Electrode) -> PullInResult:

@@ -150,11 +150,20 @@ class ValidatedModel:
     def __post_init__(self):
         g, substrate, film = self.geom, self.substrate, self.film
         if film.A_F is None:
-            film = dataclasses.replace(film, A_F=0.5 * g.b_root * g.l_b)
+            try:
+                A_F = 0.5 * g.b_root * g.l_b
+            except OverflowError:  # an int past the float range, which the loop below names
+                A_F = math.inf
+            film = dataclasses.replace(film, A_F=A_F)
             object.__setattr__(self, "film", film)
         params = model_to_dict(self)
         for name, value in params.items():
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int past the float range
+                raise InvalidParameter(name, "must be finite, got an integer past the "
+                                             "float range") from None
+            if not finite:
                 raise InvalidParameter(name, f"must be finite, got {value!r}")
             if name == "t_F" and value < 0.0:
                 raise InvalidParameter(name, f"must be >= 0, got {value!r}")
@@ -248,12 +257,18 @@ def model_from_dict(data: dict) -> ValidatedModel:
 
 
 def _read_model_json(path) -> dict:
-    """The model file's JSON object, unchecked beyond being an object."""
+    """The model file's JSON object, unchecked beyond being an object.
+
+    A file that is not JSON text, undecodable bytes included, raises
+    InvalidParameter("config").
+    """
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidParameter("config", f"malformed JSON: {exc}") from exc
+        except ValueError as exc:  # undecodable bytes, or an int past Python's digit limit
+            raise InvalidParameter("config", f"{path}: unreadable JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidParameter("config", "model file must contain a JSON object")
     return data

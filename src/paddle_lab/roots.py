@@ -1,15 +1,18 @@
 """Derivative-free 1-D root finding: bracketed bisection.
 
-Bisection runs the scan solver (mechanics._scan_equilibrium, for drives on
-both electrodes and as the reference for the stable branch). It is
-preferred there over faster methods: the scan's equation approaches a
-double root at pull-in, where Newton-type iterations stall, it has no
-closed form, and the cost of bisection is bounded. bisect_root solves one
-equation on floats and allocates nothing per step. Tests also use it as
-the oracle for capacitance inversion (electrostatics.yp_from_capacitance),
-which runs Newton on the concave 1/C, a curve without such a root.
-One-electrode equilibria and pull-in need none of it: they have closed
-forms (mechanics.StableBranch).
+The package itself calls none of it. Bisection runs the scan oracle of
+the tests (tests/oracles.py), which solves drives on both electrodes and
+is the reference for the stable branch. It is preferred there over faster
+methods: the scan's equation approaches a double root at pull-in, where
+Newton-type iterations stall, and the cost of bisection is bounded.
+bisect_root solves one equation on floats and allocates nothing per step.
+Tests also use it as the oracle for capacitance inversion
+(electrostatics.yp_from_capacitance), which runs Newton on the concave
+1/C, a curve without such a root. Equilibria and pull-in, one driven
+electrode at a time, have closed forms (mechanics.StableBranch). The
+module stays in the package because perfbench/tracing.py imports it and
+wraps bisect_root; the benchmark v2 item of ROADMAP.md moves it to the
+tests.
 """
 from __future__ import annotations
 

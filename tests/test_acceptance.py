@@ -13,13 +13,13 @@ from paddle_lab import (Electrode, NoiseModel, build_model, calibrate,
                         capacitance_curve, capacitance_value,
                         fit_film_parameters, force_per_v2_value,
                         model_from_dict, model_to_dict,
-                        paddle_capacitance_quadrature,
                         parallel_plate_capacitance, pull_in_voltage,
                         resolvable_displacement, simulate_cv,
                         solve_equilibrium, touch_limits,
                         zero_voltage_equilibrium)
 from paddle_lab.cli import main as cli_main
-from paddle_lab.mechanics import has_stable_equilibrium
+
+from oracles import has_stable_equilibrium, paddle_capacitance_quadrature
 
 EPS0 = 8.85e-12
 

@@ -415,9 +415,12 @@ def test_malformed_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["design", "equilibrium"])
-@pytest.mark.parametrize("text", ['{"sigma0": NaN}', '{"l_b": Infinity}', '{"t_F": -Infinity}'])
+@pytest.mark.parametrize("text", ['{"sigma0": NaN}', '{"l_b": Infinity}', '{"t_F": -Infinity}',
+                                  pytest.param('{"sigma0": 1%s}' % ("0" * 400),
+                                               id='{"sigma0": 10**400}')])
 def test_non_finite_config_exit_2(tmp_path, capsys, command, text):
-    # Python's json reads NaN and Infinity; the model rejects them by key
+    # Python's json reads NaN and Infinity, and an integer past the float range
+    # as an int; the model rejects them by key
     config = tmp_path / "model.json"
     config.write_text(text)
     out = tmp_path / "out"
@@ -595,15 +598,21 @@ def test_extract_row_with_overflowing_square_exit_2(tmp_path, capsys):
     ("equilibrium --electrode top --v abc", "error: argument --v: expected a number, got 'abc'"),
     ("extract --electrode bottom --data {data} --config {config}",
      "error: model_template: template film must have E_F*V_F > 0"),
-], ids=["curves-grid", "calibrate-spacers", "equilibrium-v", "extract-no-film"])
+    ("extract --electrode bottom --data {binary}", "error: data: {binary}: "),
+    ("design --config {binary}", "error: config: {binary}: "),
+], ids=["curves-grid", "calibrate-spacers", "equilibrium-v", "extract-no-film",
+        "extract-binary-data", "design-binary-config"])
 def test_refused_input_exit_2(tmp_path, capsys, argv, message):
-    # each refusal names what it refuses, exits 2 and creates no output directory
+    # each refusal names what it refuses, exits 2 and creates no output directory;
+    # a file of undecodable bytes is refused as input, not raised as a decoding error
     data, config, out = tmp_path / "cv.csv", tmp_path / "no-film.json", tmp_path / "out"
+    binary = tmp_path / "binary"
     write_cv_csv(data)
     config.write_text('{"t_F": 0}\n')
-    argv = argv.format(data=data, config=config).split() + ["--out", str(out)]
+    binary.write_bytes(bytes(range(256)) * 4)
+    argv = argv.format(data=data, config=config, binary=binary).split() + ["--out", str(out)]
     assert run(argv) == 2
-    assert message in capsys.readouterr().err
+    assert message.format(binary=binary) in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -9,14 +9,15 @@ from paddle_lab import (Electrode, InvalidParameter, MeasurementStream, NoiseMod
                         OutOfRange, TouchViolation, build_model, capacitance_curve,
                         capacitance_value, deflection_series, force_per_v2_value, load_cv_csv,
                         measure_capacitance, model_from_dict, model_to_dict,
-                        paddle_capacitance_quadrature, parallel_plate_capacitance,
-                        pull_in_voltage, simulate_cv, sweep_voltage, yp_from_capacitance)
+                        parallel_plate_capacitance, pull_in_voltage, simulate_cv,
+                        sweep_voltage, yp_from_capacitance)
 from paddle_lab import electrostatics
 from paddle_lab.electrostatics import (SERIES_U_THRESHOLD, SLOPE_SERIES_U_THRESHOLD,
                                        capacitance_range, capacitance_slope,
-                                       electrostatic_force_per_v2_quadrature,
                                        gap_line, inversion_bracket, invertible)
 from paddle_lab.roots import bisect_root
+
+from oracles import electrostatic_force_per_v2_quadrature, paddle_capacitance_quadrature
 
 FLAT_C = 2.2125e-12          # eps0 * (5 mm)^2 / 100 um
 FLAT_F_BOTTOM = -1.10625e-8  # -eps0 * (5 mm)^2 / (2 * (100 um)^2)

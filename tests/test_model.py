@@ -67,8 +67,11 @@ def test_build_model_rejects_nonpositive(key, value):
 
 
 @pytest.mark.parametrize("key", MODEL_JSON_KEYS)
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                   pytest.param(10**400, id="10**400"),
+                                   pytest.param(-10**400, id="-10**400")])
 def test_non_finite_parameters_rejected(key, value):
+    # an int past the float range is refused by key too, not raised as OverflowError
     for make in (lambda: build_model(**{key: value}),
                  lambda: model_from_dict({key: value})):
         with pytest.raises(InvalidParameter) as info:
@@ -247,10 +250,13 @@ def test_load_model_json(tmp_path):
 
 
 def test_load_model_json_malformed(tmp_path):
+    # text that is not JSON, and bytes that are not text, are refused as the config
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(InvalidParameter):
-        load_model_json(path)
+    for content in (b"{not json", bytes(range(256)) * 4):
+        path.write_bytes(content)
+        with pytest.raises(InvalidParameter) as info:
+            load_model_json(path)
+        assert info.value.name == "config"
 
 
 def test_partial_json_uses_defaults(tmp_path):

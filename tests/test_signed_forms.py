@@ -27,8 +27,9 @@ from paddle_lab.electrostatics import (INVERSION_MAX_ITER, SERIES_U_THRESHOLD,
                                        _log_mean_start, _slope_series, capacitance_range,
                                        gap_coefficients, inversion_bracket)
 from paddle_lab.mechanics import (StableBranch, _breakdown, _Drive, _force_sum,
-                                  _scan_bounds, _scan_equilibrium, drive_voltages,
-                                  has_stable_equilibrium)
+                                  _scan_bounds, drive_voltages)
+
+from oracles import _scan_equilibrium, has_stable_equilibrium
 
 # rest at 0 (sigma0 = 0), on either side of it, and a gap pair that is not the default
 MODELS = [dict(sigma0=0.0), dict(sigma0=-200e6), dict(sigma0=150e6),
