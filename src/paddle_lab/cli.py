@@ -62,7 +62,7 @@ from .electrostatics import (Electrode, capacitance_value, force_per_v2_value)
 from .errors import InvalidParameter, NoStableEquilibrium, PaddleLabError
 from .extraction import fit_film_parameters, load_cv_csv
 from .floatfmt import FIELD_WIDTH, FLOAT_FORMAT, format_e17
-from .instrument import NoiseModel, calibration_fit, calibration_table, measure_capacitance
+from .instrument import NoiseModel, _noisy_fit, calibration_table, measure_capacitance
 from .mechanics import (compliance, drive_voltages, film_force, pull_in_voltage,
                         solve_equilibrium, stress_profile, sweep_voltage)
 from .model import (ValidatedModel, _read_model_json, model_from_dict, model_to_dict,
@@ -349,8 +349,9 @@ def cmd_sweep(args, model: ValidatedModel):
 
 def cmd_calibrate(args, model: ValidatedModel):
     noise = NoiseModel(sigma_C=args.sigma_c, seed=args.seed)
-    rows = calibration_table(model, args.spacers, noise)
-    fit = calibration_fit(model, rows)
+    with _flag_names("--sigma-c", "sigma_C"):
+        rows = calibration_table(model, args.spacers, noise)
+        fit = _noisy_fit(model, args.spacers, noise, rows)
     files = {"calibration.csv": (["spacer_m", "inv_spacer_per_m", "C_F"], list(zip(*rows))),
              "calibration_fit.json": {"slope_F_m": fit.slope, "intercept_F": fit.intercept,
                                       "r2": fit.r2, "implied_area_m2": fit.implied_area}}
@@ -361,7 +362,8 @@ def cmd_measure(args, model: ValidatedModel):
     electrode = Electrode(args.electrode)
     C_true = capacitance_value(args.yp, model, electrode)
     noise = NoiseModel(sigma_C=args.sigma_c, dt=args.dt, seed=args.seed)
-    stream = measure_capacitance(C_true, noise, args.n)
+    with _flag_names("--sigma-c", "sigma_C"):
+        stream = measure_capacitance(C_true, noise, args.n)
     return ({"measurement.csv": (["t_s", "C_meas_F"], [stream.t, stream.C_meas])},
             f"{args.n} samples of C = {C_true:.6e} F ({electrode.value} electrode)", 0)
 

@@ -38,7 +38,13 @@ on its terms (_capacitance_on_line, _slope_terms,
 _force_per_v2_on_line). A caller whose poses are already inside the touch
 interval, such as a sweep or a fit trial on the stable branch, takes the
 helpers directly and gets the same bits without the check; a fit trial
-forms u and ln(1+u) once for both C and its slope.
+forms u and ln(1+u) once for both C and its slope. On an array the
+helpers, and mechanics' film, beam and drive terms, read the model's
+constants as read-only 0-d float64 arrays (_array_constants), formed on
+the model's first array and held with it. NumPy 2 takes a Python float
+operand as a weak scalar (NEP 50), about 200 ns more per ufunc call than a
+0-d float64 array of the same bits, which gives the same result; a lone
+float reads the model's floats.
 
 yp_from_capacitance inverts C(y_p) by Newton on 1/C, a float running
 through the same loop as a one-element array. c/C is the logarithmic mean
@@ -84,6 +90,23 @@ INVERSION_MARGIN = 0.05
 INVERSION_MAX_ITER = 200  # Newton step cap of yp_from_capacitance
 
 
+def _frozen(*values: float) -> tuple:
+    """values as read-only 0-d float64 arrays, 0-d views of one array.
+
+    An array operation on one gives the bits of the same operation on its
+    float, at less cost per call: NumPy 2 takes a Python float operand as a
+    weak scalar (NEP 50), which costs it about 200 ns more per ufunc call.
+    One array and its views cost less to form than an array per value.
+    """
+    held = np.array(values, dtype=float)
+    held.flags.writeable = False
+    return tuple(held[i, ...] for i in range(held.size))
+
+
+# the series thresholds as 0-d arrays, which an array's _series_mask compares against
+_SERIES_U, _SLOPE_SERIES_U = _frozen(SERIES_U_THRESHOLD, SLOPE_SERIES_U_THRESHOLD)
+
+
 class Electrode(str, Enum):
     TOP = "top"
     BOTTOM = "bottom"
@@ -125,6 +148,53 @@ def gap_coefficients(model: ValidatedModel,
     return (g.d_c if s < 0.0 else g.d_e), s, model.center_ratio, model.tilt
 
 
+class _ArrayConstants:
+    """A model's constants as its array kernels read them, each a read-only 0-d
+    float64 array of the model's float (_frozen), formed by _array_constants.
+
+    The attributes the model also has carry its names, so a kernel reads
+    either set alike; minus_compliance is -compliance. lines maps each
+    electrode to (rest, s, center_ratio, s*tilt, -s*half_eps0_area) of its
+    gap line (gap_coefficients), the products formed as the float kernels
+    form them and s kept a float for the kernels' branch on its sign.
+    """
+
+    __slots__ = ("center_ratio", "eps0_area", "half_eps0_area", "EFVFa", "eps_F0", "a",
+                 "minus_compliance", "lines")
+
+    def __init__(self, model: ValidatedModel):
+        half = model.half_eps0_area
+        top = gap_coefficients(model, Electrode.TOP)
+        bottom = gap_coefficients(model, Electrode.BOTTOM)
+        (self.center_ratio, self.eps0_area, self.half_eps0_area, self.EFVFa, self.eps_F0, self.a,
+         self.minus_compliance, *lines) = _frozen(
+            model.center_ratio, model.eps0_area, half, model.EFVFa, model.eps_F0, model.a,
+            -model.compliance, top[0], top[1] * top[3], -top[1] * half,
+            bottom[0], bottom[1] * bottom[3], -bottom[1] * half)
+        self.lines = {Electrode.TOP: (lines[0], top[1], self.center_ratio, lines[1], lines[2]),
+                      Electrode.BOTTOM: (lines[3], bottom[1], self.center_ratio, lines[4],
+                                         lines[5])}
+
+
+def _array_constants(model: ValidatedModel) -> _ArrayConstants:
+    """The model's _ArrayConstants, formed on first use and held by the model
+    (ValidatedModel._arrays). Kernels on a float read the model's floats."""
+    held = model._arrays
+    if held is None:
+        held = _ArrayConstants(model)
+        object.__setattr__(model, "_arrays", held)
+    return held
+
+
+def _line_arrays(model: ValidatedModel, electrode: Electrode) -> tuple:
+    """The model's _ArrayConstants.lines entry of electrode (any other name
+    raises Electrode's InvalidParameter("electrode"))."""
+    try:
+        return _array_constants(model).lines[electrode]  # a str Electrode's value finds its member
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        Electrode(electrode)  # raises InvalidParameter: no electrode has this name
+
+
 def _gap_terms(y_p, model: ValidatedModel, electrode: Electrode):
     """gap_line's (g0, delta) at a float or array y_p, without its touch check.
 
@@ -132,10 +202,15 @@ def _gap_terms(y_p, model: ValidatedModel, electrode: Electrode):
     equilibria of a stable branch. g0 = rest - y_b or rest + y_b and delta =
     (s*tilt)*y_b, y_b = y_p/center_ratio: s = +-1 commutes with rounding, so
     these are the bits of rest + s*y_b and tilt*(s*y_b), signed zeros too.
+    An array reads the constants as 0-d arrays (_line_arrays), a float as floats.
     """
-    rest, s, center_ratio, tilt = gap_coefficients(model, electrode)
+    if isinstance(y_p, np.ndarray):
+        rest, s, center_ratio, s_tilt, _ = _line_arrays(model, electrode)
+    else:
+        rest, s, center_ratio, tilt = gap_coefficients(model, electrode)
+        s_tilt = s * tilt
     y_b = y_p / center_ratio
-    return (rest - y_b if s < 0.0 else rest + y_b), (s * tilt) * y_b
+    return (rest - y_b if s < 0.0 else rest + y_b), s_tilt * y_b
 
 
 def gap_line(y_p, model: ValidatedModel, electrode: Electrode):
@@ -163,7 +238,8 @@ def _flat_capacitance(u, g0):
 
 
 def _series_mask(u, threshold):
-    """The elements whose |u| is below a series threshold, or None when there is none."""
+    """The elements whose |u| is below a series threshold, or None when there is
+    none; the package's callers pass the threshold as a 0-d array (_SERIES_U)."""
     small = np.abs(u) < threshold
     return small if np.count_nonzero(small) else None
 
@@ -223,15 +299,15 @@ def capacitance_value(y_p, model: ValidatedModel, electrode: Electrode):
 
 
 def _capacitance_on_line(g0, delta, model: ValidatedModel):
-    """capacitance_value on gap_line's terms, floats or arrays."""
-    c = model.eps0_area
+    """capacitance_value on gap_line's terms, floats or arrays (an array's c a 0-d array)."""
     u = delta / g0
     if isinstance(u, float):
+        c = model.eps0_area
         if abs(u) >= SERIES_U_THRESHOLD:
             return c * (float(np.log1p(u)) / delta)
         return c * _flat_capacitance(u, g0)
-    return _capacitance_terms(c, g0, delta, u, np.log1p(u),
-                              _series_mask(u, SERIES_U_THRESHOLD))
+    return _capacitance_terms(_array_constants(model).eps0_area, g0, delta, u, np.log1p(u),
+                              _series_mask(u, _SERIES_U))
 
 
 def capacitance_slope(y_p, model: ValidatedModel, electrode: Electrode):
@@ -254,7 +330,7 @@ def capacitance_slope(y_p, model: ValidatedModel, electrode: Electrode):
         n = _slope_series(u) if abs(u) < SLOPE_SERIES_U_THRESHOLD else (float(np.log1p(u)) / u - r) / u
         return -s * _slope_from_n(c, center_ratio, tilt, g0, r, n)
     return -s * _slope_terms(c, center_ratio, tilt, g0, u, np.log1p(u),
-                             _series_mask(u, SLOPE_SERIES_U_THRESHOLD))
+                             _series_mask(u, _SLOPE_SERIES_U))
 
 
 # The same kernel under the name perfbench/tracing.py times array calls by. Kept
@@ -274,8 +350,10 @@ def force_per_v2_value(y_p, model: ValidatedModel, electrode: Electrode):
 
 
 def _force_per_v2_on_line(g0, delta, model: ValidatedModel, electrode: Electrode):
-    """force_per_v2_value on gap_line's terms, floats or arrays."""
-    return -GAP_SIGN[electrode] * model.half_eps0_area / (g0 * (g0 + delta))
+    """force_per_v2_value on gap_line's terms, floats or arrays (-s*half as a 0-d array)."""
+    scale = (_line_arrays(model, electrode)[4] if isinstance(g0, np.ndarray)
+             else -GAP_SIGN[electrode] * model.half_eps0_area)
+    return scale / (g0 * (g0 + delta))
 
 
 def inversion_bracket(model: ValidatedModel) -> tuple[float, float]:
@@ -383,7 +461,7 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
         g0, delta = _gap_terms(y, model, electrode)
         u = delta / g0
         log1p_u = np.log1p(u)
-        small = _series_mask(u, SERIES_U_THRESHOLD)
+        small = _series_mask(u, _SERIES_U)
         c_y = _capacitance_terms(c, g0, delta, u, log1p_u, small)
         residual = target - c_y  # |target - c_y| has the bits of |c_y - target|
         active &= np.abs(residual) > tol

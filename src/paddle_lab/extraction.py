@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrostatics import (SERIES_U_THRESHOLD, SLOPE_SERIES_U_THRESHOLD, Electrode,
+from .electrostatics import (_SERIES_U, _SLOPE_SERIES_U, Electrode,
                              _capacitance_terms, _gap_terms, _series_mask, _slope_terms,
                              capacitance_range, capacitance_value, force_per_v2_value,
                              invertible, yp_from_capacitance)
@@ -180,9 +180,10 @@ def load_cv_csv(path, electrode: Electrode) -> CVDataset:
     """Read a `V_volt,C_F` CSV into a dataset.
 
     Blank lines are skipped. A row error names the file and the row, counted
-    from 0 over the lines after the header, blank lines included. A file
-    that is not CSV text (undecodable bytes, a field past the csv module's
-    size limit) raises InvalidParameter("data") too.
+    from 0 over the lines after the header, blank lines included. The file
+    is read as UTF-8 whatever the locale, a leading byte-order mark dropped.
+    A file that is not CSV text (undecodable bytes, a field past the csv
+    module's size limit) raises InvalidParameter("data") too.
     """
     electrode = Electrode(electrode)
     try:
@@ -194,7 +195,7 @@ def load_cv_csv(path, electrode: Electrode) -> CVDataset:
 
 def _read_cv_rows(path) -> tuple[list, list]:
     """load_cv_csv's V and C lists, each row checked."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -272,9 +273,9 @@ class _PreparedFit:
             u = delta / g0
             log1p_u = np.log1p(u)
             r[rows] = _capacitance_terms(c, g0, delta, u, log1p_u,
-                                         _series_mask(u, SERIES_U_THRESHOLD)) - C
+                                         _series_mask(u, _SERIES_U)) - C
             slope = -branch.s * _slope_terms(c, branch.cr, branch.tilt, g0, u, log1p_u,
-                                             _series_mask(u, SLOPE_SERIES_U_THRESHOLD))
+                                             _series_mask(u, _SLOPE_SERIES_U))
             dC_dF = slope / -branch._force_slope(drive, y)
             J[rows, 0] = dC_dF * branch.k
             J[rows, 1] = dC_dF * (branch.rest - y)

@@ -46,11 +46,19 @@ class NoiseModel:
 
         The one place seeded noise is drawn: a given (noise, n) always yields
         the same values and concurrent calls never share state. Noise-free
-        (sigma_C = 0) draws are zeros and build no generator.
+        (sigma_C = 0) draws are zeros and build no generator. Raises
+        InvalidParameter("sigma_C") when a value would overflow the float
+        range, which takes sigma_C > 1 (a normal draw is finite).
         """
         if self.sigma_C == 0.0:
             return np.zeros(n)
-        return self.sigma_C * np.random.default_rng(self.seed).standard_normal(n)
+        z = np.random.default_rng(self.seed).standard_normal(n)
+        if self.sigma_C > 1.0 and z.size:  # checked on Python floats: no NumPy overflow warning
+            peak = float(np.abs(z).max())
+            if not self.sigma_C * peak < math.inf:
+                raise InvalidParameter("sigma_C", f"noise of std {self.sigma_C!r} overflows the "
+                                                  f"float range: {n} draws reach {peak!r} std")
+        return self.sigma_C * z
 
 
 def _read_only(col: np.ndarray) -> np.ndarray:
@@ -182,8 +190,8 @@ def calibration_fit(model: ValidatedModel, rows) -> CalibrationFit:
         raise InsufficientData(
             f"calibration needs >= 3 distinct spacers, got {len(distinct)}")
     n = len(rows)
-    # fsum and ** raise OverflowError past the float range; a spread that underflows to 0
-    # divides by 0
+    # fsum and ** raise OverflowError past the float range, and fsum ValueError on rows
+    # holding both infinities; a spread that underflows to 0 divides by 0
     try:
         x_mean = math.fsum(row[1] for row in rows) / n
         C_mean = math.fsum(row[2] for row in rows) / n
@@ -195,7 +203,7 @@ def calibration_fit(model: ValidatedModel, rows) -> CalibrationFit:
         ss_res = math.fsum((row[2] - (slope * row[1] + intercept)) ** 2 for row in rows)
         ss_tot = math.fsum(map(operator.mul, dC, dC))
         r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ValueError, ZeroDivisionError):
         ss_x = ss_tot = slope = intercept = r2 = math.nan
     implied_area = slope / model.constants.eps0
     # the squared spread of 1/spacer must be a normal float: subnormal (underflowed) leaves the
@@ -211,5 +219,26 @@ def calibration_fit(model: ValidatedModel, rows) -> CalibrationFit:
 
 
 def calibrate(model: ValidatedModel, spacers, noise: NoiseModel) -> CalibrationFit:
-    """The calibration_fit of a spacer sweep: calibration_table, then the line."""
-    return calibration_fit(model, calibration_table(model, spacers, noise))
+    """The line of a spacer sweep: calibration_table, then _noisy_fit."""
+    return _noisy_fit(model, spacers, noise, calibration_table(model, spacers, noise))
+
+
+def _noisy_fit(model: ValidatedModel, spacers, noise: NoiseModel, rows) -> CalibrationFit:
+    """calibration_fit of rows, the calibration_table of spacers under noise.
+
+    A line that leaves the float64 range only under the noise, the
+    noise-free rows of the same spacers giving one, raises
+    InvalidParameter("sigma_C") in place of the DegenerateData.
+    """
+    try:
+        return calibration_fit(model, rows)
+    except DegenerateData as exc:
+        if noise.sigma_C == 0.0:
+            raise
+        try:
+            calibration_fit(model, calibration_table(model, spacers, NoiseModel(sigma_C=0.0)))
+        except DegenerateData:
+            raise exc from None
+        raise InvalidParameter("sigma_C", f"noise of std {noise.sigma_C!r} takes the "
+                                          f"calibration line out of the float64 range: "
+                                          f"{exc}") from None

@@ -26,8 +26,13 @@ on that model reuses them. Their C_top and force columns, a sweep's arrays
 or one equilibrium's floats, come from one gap-line pass on the driven
 electrode (_branch_columns), unchecked since the branch keeps its poses
 inside the touch interval, with the bits total_force and capacitance_value
-give. Every equilibrium is one driven electrode's, or none's:
-solve_equilibrium refuses a drive on both. The scan-and-bisect solver the
+give. On a sweep's arrays every constant, the held branch's cubic and the
+model's gap-line, force, capacitance, film and beam constants, is a
+read-only 0-d float64 array of the float it stands in for
+(electrostatics._frozen): the same bits at less cost per NumPy call. A
+sweep's drive reads its extremes from the ends of its sorted V. Every
+equilibrium is one driven electrode's, or none's: solve_equilibrium
+refuses a drive on both. The scan-and-bisect solver the
 branch is checked against lives with the tests (tests/oracles.py), as an
 independent reference.
 """
@@ -40,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrostatics import (Electrode, _capacitance_on_line,
-                             _force_per_v2_on_line, _gap_terms, force_per_v2_value,
+from .electrostatics import (GAP_SIGN, Electrode, _array_constants, _capacitance_on_line,
+                             _force_per_v2_on_line, _frozen, _gap_terms, force_per_v2_value,
                              gap_coefficients)
 from .errors import InvalidParameter, NoStableEquilibrium
 from .model import PaddleGeometry, ValidatedModel
@@ -49,6 +54,16 @@ from .model import PaddleGeometry, ValidatedModel
 # Relative margin keeping the stable branch (and the tests' equilibrium scan)
 # strictly inside the touch interval.
 SCAN_MARGIN = 1e-6
+
+# -0.0, the factor of a grounded electrode's force column on arrays (_branch_columns)
+_MINUS_ZERO, = _frozen(-0.0)
+
+# s of each electrode's gap line as a 0-d array, the sign of an array _Drive's c
+_SIGN = dict(zip(GAP_SIGN, _frozen(*GAP_SIGN.values())))
+
+# the literals of StableBranch._stable_root: floats, and 0-d arrays for a held branch's arrays
+_ROOT_LITERALS = (math.pi / 3.0, 3.0, 2.0, 4.0, 0.0)
+_ROOT_LITERAL_ARRAYS = _frozen(*_ROOT_LITERALS)
 
 
 @dataclass(frozen=True)
@@ -165,7 +180,8 @@ def strain_coupling(model: ValidatedModel) -> float:
 
 def film_force(y_p, model: ValidatedModel):
     """Upward force from film stress at deflection y_p (elementwise on arrays)."""
-    return model.EFVFa * (model.eps_F0 - model.a * y_p)
+    k = _array_constants(model) if isinstance(y_p, np.ndarray) else model
+    return k.EFVFa * (k.eps_F0 - k.a * y_p)
 
 
 def film_stiffness(model: ValidatedModel) -> float:
@@ -180,23 +196,24 @@ def total_force(y_p: float, V_top: float, V_bottom: float,
     No solve calls it (_branch_columns gives its bits); it is kept because
     perfbench/tracing.py wraps it, and the tests check those columns against it.
     """
-    return ForceBreakdown(**_breakdown(
+    return ForceBreakdown(*_breakdown(
         y_p, model, force_per_v2_value(y_p, model, Electrode.TOP) * V_top * V_top,
         force_per_v2_value(y_p, model, Electrode.BOTTOM) * V_bottom * V_bottom))
 
 
-def _breakdown(y_p, model: ValidatedModel, F_t, F_e) -> dict:
-    """ForceBreakdown's fields at y_p as a dict, given each electrode's force f*V*V:
-    the one place the mechanical terms and their sum F_total are formed."""
+def _breakdown(y_p, model: ValidatedModel, F_t, F_e) -> tuple:
+    """ForceBreakdown's fields at y_p, in its order, given each electrode's force
+    f*V*V: the one place the mechanical terms and their sum F_total are formed."""
     F_f = film_force(y_p, model)
-    F_b = y_p / -model.compliance
-    return dict(F_film=F_f, F_beam=F_b, F_elec_top=F_t, F_elec_bottom=F_e,
-                F_total=F_f + F_b + F_t + F_e)
+    F_b = y_p / (_array_constants(model).minus_compliance if isinstance(y_p, np.ndarray)
+                 else -model.compliance)
+    return F_f, F_b, F_t, F_e, F_f + F_b + F_t + F_e
 
 
-def _branch_columns(y_p, V, model: ValidatedModel, driven: Electrode) -> dict:
-    """C_top and the force breakdown at stable-branch poses y_p (floats or arrays)
-    under V on `driven`, with the bits of total_force and capacitance_value.
+def _branch_columns(y_p, V, model: ValidatedModel, driven: Electrode) -> tuple:
+    """(C_top, F_film, F_beam, F_elec_top, F_elec_bottom, F_total) at stable-branch
+    poses y_p (floats or arrays) under V on `driven`, a checked electrode name,
+    with the bits of total_force and capacitance_value.
 
     One unchecked gap-line pass on the driven electrode gives its force F and,
     with top driven, C_top. The grounded electrode's f*0*0 has the sign
@@ -204,12 +221,12 @@ def _branch_columns(y_p, V, model: ValidatedModel, driven: Electrode) -> dict:
     """
     line = _gap_terms(y_p, model, driven)
     F = _force_per_v2_on_line(*line, model, driven) * V * V
-    if driven is Electrode.TOP:
-        F_t, F_e, top_line = F, -0.0 * F, line
+    grounded = (_MINUS_ZERO if isinstance(y_p, np.ndarray) else -0.0) * F
+    if driven == Electrode.TOP:
+        F_t, F_e, top_line = F, grounded, line
     else:
-        F_t, F_e, top_line = -0.0 * F, F, _gap_terms(y_p, model, Electrode.TOP)
-    return dict(C_top=_capacitance_on_line(*top_line, model),
-                **_breakdown(y_p, model, F_t, F_e))
+        F_t, F_e, top_line = grounded, F, _gap_terms(y_p, model, Electrode.TOP)
+    return (_capacitance_on_line(*top_line, model), *_breakdown(y_p, model, F_t, F_e))
 
 
 class _Drive:
@@ -218,29 +235,33 @@ class _Drive:
     The one place a drive voltage is checked, InvalidParameter("V") unless
     every V is finite and >= 0 with a finite square (read on V's extremes lo
     and hi as Python floats: no NumPy overflow warning), and turned into a
-    _force_sum term. Holds the extremes, V^2, half*V^2 and c = s*half*V^2,
-    with the largest V's c as a float (c_hi) and the term (none where c_hi,
-    and so every c, is 0). Where V^2 is 0 (unforced) is formed only when
-    read. Any film's StableBranch on the same geometry and electrode solves
-    it with _roots.
+    _force_sum term. A lone V is both extremes; a V sorted ascending hands
+    over its first and last elements as `ends`, which fail the check where
+    its min and max do (the sort puts NaN and inf last, -inf first); any
+    other array is reduced. A refusal names V's min or max either way.
+    Holds the extremes, V^2, half*V^2 and c = s*half*V^2, an array's with
+    half and s as 0-d arrays (_array_constants, _SIGN), with the largest V's
+    c as a float (c_hi) and the term (none where c_hi, and so every c, is
+    0). Where V^2 is 0 (unforced) is formed only when read. Any film's
+    StableBranch on the same geometry and electrode solves it with _roots.
     """
 
     __slots__ = ("V", "lo", "hi", "v2", "half_v2", "c", "c_hi", "terms")
 
-    def __init__(self, model: ValidatedModel, electrode: Electrode, V):
+    def __init__(self, model: ValidatedModel, electrode: Electrode, V, ends=None):
         V = np.asarray(V, dtype=float)
-        # a lone V is both extremes: no reduction
-        lo, hi = ((float(V),) * 2 if not V.ndim else
-                  (float(V.min(initial=math.inf)), float(V.max(initial=0.0))))
+        lo, hi = _extremes(V) if ends is None else ends
         if not (0.0 <= lo and hi * hi < math.inf):  # NaN fails both
+            lo, hi = _extremes(V)
             raise InvalidParameter(
                 "V", f"drive voltages must be finite and >= 0, with a finite square "
                      f"(force is even in V), got {hi if 0.0 <= lo else lo!r}")
         rest, s = gap_coefficients(model, electrode)[:2]
         self.V, self.lo, self.hi = V, lo, hi
         self.v2 = V * V
-        self.half_v2 = model.half_eps0_area * self.v2
-        self.c = s * self.half_v2
+        k, sign = (_array_constants(model), _SIGN[electrode]) if V.ndim else (model, s)
+        self.half_v2 = k.half_eps0_area * self.v2
+        self.c = sign * self.half_v2
         # c is monotone in V^2: the largest V's c has its element's bits, and
         # is 0 only where every c is
         self.c_hi = s * (model.half_eps0_area * (hi * hi))
@@ -251,6 +272,12 @@ class _Drive:
     def unforced(self):
         """Where V^2 is 0 (V = 0, or a V whose square underflows): rows at rest."""
         return self.v2 == 0.0
+
+
+def _extremes(V: np.ndarray) -> tuple[float, float]:
+    """(min, max) of V as Python floats, the max at least 0: a lone V is both, unreduced."""
+    return ((float(V),) * 2 if not V.ndim else
+            (float(V.min(initial=math.inf)), float(V.max(initial=0.0))))
 
 
 def _force_closure(model: ValidatedModel, V_top: float, V_bottom: float):
@@ -370,6 +397,8 @@ class StableBranch:
         self.pinned = self.start != self.rest or self.start == self.end  # see _roots
         self.y_pi, self.v2_pi = self.pull_in()
         self._cubic = None  # _stable_root's constants, formed on the first solve
+        self.held = False  # whether a model holds this branch (_branch)
+        self._cubic_arrays = None  # a held branch's _cubic as 0-d arrays, on its first array solve
         self.pull_in_result = None  # pull_in_voltage's PullInResult, formed on its first call
 
     def _force(self, terms):
@@ -434,9 +463,13 @@ class StableBranch:
         force at the root stays within a few eps times |prestress| + k*|y_p|.
 
         The constants of the film and geometry (the scale of e, q0, m's
-        products, r0*r1, the interval [far, y_PI] and whether x at V = 0 is
-        at most 1, which rounding can break at tilts near 1e-9) are formed on
-        the first call and kept: the same operations give the same bits.
+        products, r0*r1, the interval [far, y_PI], rest and whether x at V = 0
+        is at most 1, which rounding can break at tilts near 1e-9) are formed
+        on the first call and kept: the same operations give the same bits. A
+        held branch (_branch) solving an array also keeps them, and the
+        literals, as 0-d arrays (_frozen), which give an array operation the
+        float's bits at less cost; a lone V and a fit's trial branches, which
+        each solve once, read the floats.
         """
         cubic = self._cubic
         if cubic is None:
@@ -448,21 +481,28 @@ class StableBranch:
             q0 = (r0 + r1) * (2.0 * r0 - r1) * (r0 - 2.0 * r1) / 27.0
             lo, hi = min(self.far, self.y_pi), max(self.far, self.y_pi)
             cubic = self._cubic = (cr * cr / (self.k * (1.0 + tilt)), q0, -2.0 * m**3,
-                                   -2.0 * m, (r0 + r1) / 3.0, r0 * r1, lo, hi,
+                                   -2.0 * m, (r0 + r1) / 3.0, r0 * r1, lo, hi, self.rest,
                                    q0 / (-2.0 * m**3) <= 1.0)
-        e_scale, q0, minus_2m3, minus_2m, shift, r0r1, lo, hi, x_at_rest_in = cubic
+        e_scale, q0, minus_2m3 = cubic[:3]
+        # x falls as e rises from 0: it lies in [-1, 1] when x at 0 and at the
+        # largest V (half*V^2 = |c_hi|) do, and then the clip changes no bits
+        clip = not (cubic[-1] and (q0 + abs(drive.c_hi) * e_scale) / minus_2m3 >= -1.0)
+        literals = _ROOT_LITERALS
+        if self.held and drive.V.ndim:
+            if self._cubic_arrays is None:
+                self._cubic_arrays = _frozen(*cubic[:-1])
+            cubic, literals = self._cubic_arrays, _ROOT_LITERAL_ARRAYS
+        e_scale, q0, minus_2m3, minus_2m, shift, r0r1, lo, hi, rest = cubic[:9]
+        third_pi, three, two, four, zero = literals
         e = drive.half_v2 * e_scale
         x = (q0 + e) / minus_2m3
-        # x falls as e rises from 0: it lies in [-1, 1] when x at 0 and at the
-        # largest V (half*V^2 = |c_hi|) do, and then the clip changes no bits.
-        # np.minimum(np.maximum(...)) gives np.clip's bits at half its call cost
-        if not (x_at_rest_in and (q0 + abs(drive.c_hi) * e_scale) / minus_2m3 >= -1.0):
+        if clip:  # np.minimum(np.maximum(...)) gives np.clip's bits at half its call cost
             x = np.minimum(np.maximum(x, -1.0), 1.0)
-        w_far = minus_2m * np.cos(math.pi / 3.0 - np.arccos(x) / 3.0) - shift
+        w_far = minus_2m * np.cos(third_pi - np.arccos(x) / three) - shift
         mu = e / w_far  # w^2 + beta*w - mu holds the other two roots
         beta = -(r0r1 + mu) / w_far
-        w = 2.0 * mu / (beta + np.sqrt(np.maximum(beta * beta + 4.0 * mu, 0.0)))
-        return np.minimum(np.maximum(self.rest - w if self.s < 0.0 else self.rest + w, lo), hi)
+        w = two * mu / (beta + np.sqrt(np.maximum(beta * beta + four * mu, zero)))
+        return np.minimum(np.maximum(rest - w if self.s < 0.0 else rest + w, lo), hi)
 
     def _force_slope(self, drive: _Drive, y):
         """dF/dy_p of this film's total force under drive, at deflections y.
@@ -498,15 +538,17 @@ class StableBranch:
         fixed by the film (pull_in keeps them) and c = s*(half*V^2), so
         both tests are monotone in V^2 even under rounding, each operation
         being monotone. When the largest V passes, every V is solved with
-        no per-row mask. The cubic's root where V^2 is 0 is rest up to the
-        sign of a zero (a -0.0 rest on top gives +0.0), so when the smallest
-        V^2 is 0 those rows are set to start; where every V^2 is 0 no cubic
-        is solved. Otherwise the rule runs row by row.
+        no per-row mask. The cubic's root where V^2 is 0 is rest, which is
+        start there, up to the sign of a zero (a -0.0 rest on top gives
+        +0.0), so only for a rest of +-0 are those rows set to start; where
+        every V^2 is 0 no cubic is solved. Otherwise the rule runs row by row.
         """
         if (not self.pinned and drive.hi * drive.hi < self.v2_pi
                 and self.not_restoring(self.mech_pi - drive.c_hi / self.gaps_pi, 0.0)):
-            y = self._stable_root(drive) if drive.hi * drive.hi > 0.0 else self.start
-            if drive.lo * drive.lo == 0.0:
+            if drive.hi * drive.hi == 0.0:
+                return np.full(drive.V.shape, self.start), None
+            y = self._stable_root(drive)
+            if self.rest == 0.0 and drive.lo * drive.lo == 0.0:
                 y = np.where(drive.unforced, self.start, y)
             return y, None
         force = self._force(drive.terms)
@@ -541,6 +583,7 @@ def _branch(model: ValidatedModel, electrode: Electrode) -> StableBranch:
         Electrode(electrode)  # raises InvalidParameter
     if branch is None:
         branch = StableBranch(model, electrode)
+        branch.held = True
         model._branches[branch.electrode] = branch
     return branch
 
@@ -566,8 +609,8 @@ def solve_equilibrium(model: ValidatedModel, V_top: float = 0.0,
     if error is not None:
         raise error
     y = float(y)
-    return EquilibriumSolution(y_p=y, **_branch_columns(y, V, model, driven),
-                               residual=branch._force(drive.terms)(y))
+    return EquilibriumSolution(y, *_branch_columns(y, V, model, driven),
+                               branch._force(drive.terms)(y))
 
 
 def pull_in_voltage(model: ValidatedModel, electrode: Electrode) -> PullInResult:
@@ -607,22 +650,23 @@ def sweep_voltage(model: ValidatedModel, electrode: Electrode,
     finite and >= 0 with a finite square.
     """
     V, y, truncated_at = _sweep_poses(model, electrode, V_list)
-    return SweepResult(V=V, y_p=y, **_branch_columns(y, V, model, Electrode(electrode)),
-                       truncated_at=truncated_at)
+    return SweepResult(V, y, *_branch_columns(y, V, model, electrode), truncated_at)
 
 
 def _sweep_poses(model: ValidatedModel, electrode: Electrode, V_list):
     """(V, y_p, truncated_at) of sweep_voltage, with its checks and errors: the
     solved voltages ascending and their poses, without the other columns."""
-    V = np.asarray(V_list, dtype=float)
+    V = np.array(V_list, dtype=float)  # a copy, sorted in place below
     if V.ndim != 1:
         raise InvalidParameter("V_list", f"must be a 1-D list of voltages, got shape {V.shape}")
     if not V.size:
         raise InvalidParameter("V_list", "must be nonempty")
-    V = np.sort(V, kind="stable")
+    V.sort(kind="stable")
     branch = _branch(model, electrode)
-    y, error = branch._roots(_Drive(model, branch.electrode, V))
+    y, error = branch._roots(_Drive(model, branch.electrode, V, (V.item(0), V.item(-1))))
+    if error is None:
+        return V, y, None
     if isinstance(error, _Pinned):
         raise error
-    n = V.size if error is None else int(np.flatnonzero(np.isnan(y))[0])  # first refused V
-    return V[:n], y[:n], float(V[n]) if n < V.size else None
+    n = int(np.flatnonzero(np.isnan(y))[0])  # first refused V
+    return V[:n], y[:n], V.item(n)

@@ -14,7 +14,10 @@ ValidatedModel is the one model type; its constructor resolves the derived
 defaults and checks every parameter. build_model (keyword overrides of the
 defaults) and model_from_dict (a flat dict, as read from a JSON model file)
 build it; model_to_dict is the inverse. A parameter is varied through the
-flat dict or build_model.
+flat dict or build_model. A model also holds what its first use forms, in
+private fields that ==, hash and repr leave out: each electrode's stable
+branch (_branches), attainable capacitance range (_ranges), and its
+constants as read-only 0-d float64 arrays for array kernels (_arrays).
 """
 from __future__ import annotations
 
@@ -146,6 +149,7 @@ class ValidatedModel:
     y_p_max: float = field(init=False)
     _branches: dict = field(init=False, compare=False, repr=False)  # electrode -> StableBranch
     _ranges: dict = field(init=False, compare=False, repr=False)  # electrode -> (c_min, c_max)
+    _arrays: object = field(init=False, compare=False, repr=False)  # electrostatics._ArrayConstants
 
     def __post_init__(self):
         g, substrate, film = self.geom, self.substrate, self.film
@@ -209,7 +213,7 @@ class ValidatedModel:
                                 half_eps0_area=half_eps0_area, tilt=tilt,
                                 center_ratio=g.center_ratio,
                                 y_p_min=y_p_min, y_p_max=y_p_max, _branches={},
-                                _ranges={}).items():
+                                _ranges={}, _arrays=None).items():
             object.__setattr__(self, name, value)
 
 
@@ -259,10 +263,11 @@ def model_from_dict(data: dict) -> ValidatedModel:
 def _read_model_json(path) -> dict:
     """The model file's JSON object, unchecked beyond being an object.
 
-    A file that is not JSON text, undecodable bytes included, raises
+    The file is read as UTF-8 whatever the locale, a leading byte-order mark
+    dropped. A file that is not JSON text, undecodable bytes included, raises
     InvalidParameter("config").
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -406,6 +406,17 @@ def test_config_file_used(tmp_path):
     assert float(result["y_p_m"]) == pytest.approx(2.058319039451e-5, rel=1e-9)
 
 
+def test_config_with_a_byte_order_mark_loads(tmp_path):
+    # a config saved with a UTF-8 byte-order mark gives the model of the same text without it
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        config = tmp_path / f"{name}.json"
+        config.write_bytes(prefix + json.dumps({"sigma0": 200e6}).encode())
+        out = tmp_path / name
+        assert run(["equilibrium", "--v", "0", "--config", str(config), "--out", str(out)]) == 0
+    assert ((tmp_path / "bom" / "equilibrium.json").read_bytes()
+            == (tmp_path / "plain" / "equilibrium.json").read_bytes())
+
+
 def test_malformed_config(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text("{broken")
@@ -493,6 +504,18 @@ def test_extract_round_trip(tmp_path):
     assert 0.0 < float(result["EFVF_se_Pa_m3"]) < 1e-9
     assert -1.0 <= float(result["corr_sigma0_EFVF"]) < -0.999
     assert 1.0 <= float(result["cond_JTJ_scaled"]) < 20.0
+
+
+def test_extract_reads_a_byte_order_mark(tmp_path):
+    # a C-V CSV saved with a UTF-8 byte-order mark gives the fit of the same file without it
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_cv_csv(plain, sigma0=200e6)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for data in (plain, bom):
+        out = tmp_path / data.stem
+        assert run(["extract", "--data", str(data), "--electrode", "bottom", "--out", str(out)]) == 0
+    assert ((tmp_path / "bom" / "extract_result.json").read_bytes()
+            == (tmp_path / "plain" / "extract_result.json").read_bytes())
 
 
 def test_extract_needs_electrode(tmp_path):
@@ -600,8 +623,14 @@ def test_extract_row_with_overflowing_square_exit_2(tmp_path, capsys):
      "error: model_template: template film must have E_F*V_F > 0"),
     ("extract --electrode bottom --data {binary}", "error: data: {binary}: "),
     ("design --config {binary}", "error: config: {binary}: "),
+    # the noise takes the calibration line past the float range, or its readings
+    ("calibrate --sigma-c 1e308", "error: --sigma-c: noise of std 1e+308 takes the "
+                                  "calibration line out of the float64 range"),
+    ("measure --sigma-c 1e308 --n 1000", "error: --sigma-c: noise of std 1e+308 overflows "
+                                         "the float range"),
 ], ids=["curves-grid", "calibrate-spacers", "equilibrium-v", "extract-no-film",
-        "extract-binary-data", "design-binary-config"])
+        "extract-binary-data", "design-binary-config", "calibrate-sigma-c-overflow",
+        "measure-sigma-c-overflow"])
 def test_refused_input_exit_2(tmp_path, capsys, argv, message):
     # each refusal names what it refuses, exits 2 and creates no output directory;
     # a file of undecodable bytes is refused as input, not raised as a decoding error

@@ -13,7 +13,7 @@ from paddle_lab import (CVDataset, DeflectionSeries, DegenerateData, Electrode,
                         fit_film_parameters, load_cv_csv, measure_capacitance,
                         model_from_dict, model_to_dict, pull_in_voltage, simulate_cv,
                         sweep_voltage, ValidatedModel, yp_from_capacitance)
-from paddle_lab import extraction
+from paddle_lab import extraction, mechanics
 from paddle_lab.cli import main
 from paddle_lab.electrostatics import capacitance_range, capacitance_slope
 from paddle_lab.extraction import (MAX_HALVINGS, REL_STEP_TOL, CVRow, _dot, _error_bars,
@@ -495,6 +495,20 @@ def test_fit_leaves_its_template_without_held_branches(with_sigma0):
     fit = fit_film_parameters(ds, template)
     assert fit.converged and fit.iterations > 0
     assert template._branches == {}
+
+
+def test_fit_trial_branches_add_nothing_to_the_templates_held_state(with_sigma0, monkeypatch):
+    # a trial film's branch forms only its cubic's float constants: no 0-d arrays,
+    # and a second fit leaves the template's held state as the first left it
+    ds = simulate_cv(with_sigma0(150e6), Electrode.BOTTOM, np.linspace(0.0, 150.0, 11))
+    template = build_model()
+    frozen = []
+    monkeypatch.setattr(mechanics, "_frozen", lambda *values: frozen.extend(values) or values)
+    assert fit_film_parameters(ds, template).converged
+    held = (template._arrays, dict(template._ranges))
+    assert fit_film_parameters(ds, template).converged
+    assert (template._arrays, template._ranges) == held and template._arrays is held[0]
+    assert template._branches == {} and frozen == []
 
 
 @functools.cache

@@ -1,5 +1,7 @@
 import dataclasses
 import pickle
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -281,10 +283,17 @@ def test_calibration_fit_of_table_rows(default_model):
        microns=st.lists(st.integers(min_value=5, max_value=400), min_size=3, max_size=12,
                         unique=True))
 def test_calibration_fit_matches_polyfit(default_model, seed, sigma_C, microns):
-    # the closed-form centered line is the least-squares line np.polyfit finds
+    # the closed-form centered line is the least-squares line np.polyfit finds,
+    # here taken in exact rational arithmetic: polyfit's own intercept can miss
+    # the exact one by more than the tolerance on close spacers (seed=1,
+    # sigma_C=1e-13, microns=[340, 347, 368]), where calibration_fit's does not
     rows = calibration_table(default_model, [1e-6 * k for k in microns],
                              NoiseModel(sigma_C=sigma_C, seed=seed))
-    slope, intercept = np.polyfit([r[1] for r in rows], [r[2] for r in rows], 1)
+    x, C = [Fraction(r[1]) for r in rows], [Fraction(r[2]) for r in rows]
+    x_mean, C_mean = sum(x) / len(x), sum(C) / len(C)
+    exact = (sum((a - x_mean) * (c - C_mean) for a, c in zip(x, C))
+             / sum((a - x_mean) ** 2 for a in x))
+    slope, intercept = float(exact), float(C_mean - exact * x_mean)
     fit = calibration_fit(default_model, rows)
     assert fit.slope == pytest.approx(slope, rel=1e-14)
     assert fit.intercept == pytest.approx(intercept, rel=0.0,
@@ -319,6 +328,24 @@ def test_calibration_fit_outside_float_range(default_model, spacers, sigma_C):
                                              r"leaves the float64 range") as exc:
         calibration_fit(default_model, rows)
     assert repr(sorted(spacers)) in str(exc.value)
+
+
+def test_noise_past_the_float_range_is_refused_as_sigma_C(default_model):
+    # noise whose readings overflow, or that takes the calibration line out of the
+    # float range, is refused by name and with no NumPy overflow warning; a line that
+    # the spacers alone take out of range stays DegenerateData under any noise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter, match=r"^sigma_C: noise of std 1e\+308 overflows"):
+            measure_capacitance(2e-12, NoiseModel(sigma_C=1e308), 1000)
+        assert np.all(np.isfinite(NoiseModel(sigma_C=1e300).draw(1000)))
+        for sigma_C in (1e200, 1e308):
+            with pytest.raises(InvalidParameter, match=r"^sigma_C: noise of std .* takes the "
+                                                       r"calibration line out of the float64 "
+                                                       r"range: spacers \["):
+                calibrate(default_model, DEFAULT_SPACERS, NoiseModel(sigma_C=sigma_C, seed=1))
+        with pytest.raises(DegenerateData, match=r"^spacers \[1e\+300"):
+            calibrate(default_model, [1e300, 2e300, 3e300], NoiseModel(sigma_C=1e-16))
 
 
 def test_calibrate_insufficient_spacers(default_model):

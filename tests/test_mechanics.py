@@ -256,6 +256,26 @@ def test_non_finite_drive_is_invalid_input(default_model, V, reported):
     assert sweep_voltage(default_model, Electrode.TOP, [10.0, 20.0]).y_p.shape == (2,)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf,
+                                           1.4e154]), st.floats(-10.0, 400.0)),
+                min_size=1, max_size=6))
+def test_sorted_drive_reads_its_ends(default_model, values):
+    # a sweep hands _Drive the ends of its sorted V: they pass or fail the check
+    # where V's min and max do, with the same message, and give the same drive
+    V = np.sort(np.array(values), kind="stable")
+    outcomes = []
+    for ends in (None, (V.item(0), V.item(-1))):
+        try:
+            drive = _Drive(default_model, Electrode.BOTTOM, V, ends)
+        except InvalidParameter as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append((drive.lo, drive.hi, _bits(drive.c_hi), drive.c.tobytes(),
+                             [(rest, s, c.tobytes()) for rest, s, c in drive.terms]))
+    assert outcomes[0] == outcomes[1]
+
+
 @pytest.mark.parametrize("electrode", list(Electrode))
 def test_drive_keeps_a_signed_zero(default_model, electrode):
     # -0.0 is a drive voltage >= 0: accepted, kept in V, squared into v2 and
@@ -888,34 +908,41 @@ def test_sweep_records_match_scalar_kernels(with_sigma0, sigma0, electrode):
        electrode=st.sampled_from(list(Electrode)))
 @example(sigma0=0.0, electrode=Electrode.TOP)
 @example(sigma0=0.0, electrode=Electrode.BOTTOM)
+@example(sigma0=-0.0, electrode=Electrode.TOP)
+@example(sigma0=-0.0, electrode=Electrode.BOTTOM)
 # the 21st voltage lies within rounding of V_PI, where the cubic's two upper roots merge
 @example(sigma0=-85425417.0425953, electrode=Electrode.BOTTOM)
 def test_sweep_columns_match_total_force_bitwise(with_sigma0, sigma0, electrode):
     # the sweep's one unchecked gap-line pass gives the bits of the checked
     # kernels on the same arrays, signed zeros included: the grounded
     # electrode's column is f*0*0, -0.0 for bottom and +0.0 for top. The
-    # voltages run from V = 0 to past pull-in, so the sweep is truncated
+    # voltages run from V = 0 to past pull-in, so the sweep is truncated and
+    # takes the per-row rule, and to below it, where the largest V decides
+    # the whole drive
     m = with_sigma0(sigma0)
     v_pi = pull_in_voltage(m, electrode).V_pull_in
-    result = sweep_voltage(m, electrode, np.linspace(0.0, 1.05 * v_pi, 22))
-    assert result.V[0] == 0.0 and result.truncated_at is not None
-    assert 0 < result.V.size < 22
-    expected = vars(total_force(result.y_p, *drive_voltages(electrode, result.V), m))
-    expected.update(V=result.V, y_p=result.y_p,
-                    C_top=capacitance_value(result.y_p, m, Electrode.TOP))
-    for name in SWEEP_COLUMNS:
-        column = getattr(result, name)
-        assert column.shape == result.V.shape, name
-        assert np.array_equal(column.view(np.uint64), expected[name].view(np.uint64)), name
-    grounded = result.F_elec_bottom if electrode is Electrode.TOP else result.F_elec_top
-    assert np.all(grounded == 0.0)
-    assert np.all(np.signbit(grounded) == (electrode is Electrode.TOP))
-    # a single-electrode solve_equilibrium takes the same columns on floats: every
-    # row's bits in the seven fields the two results share
-    for i, v in enumerate(result.V.tolist()):
-        sol = solve_equilibrium(m, *drive_voltages(electrode, v))
-        for name in SWEEP_COLUMNS[1:]:
-            assert _bits(getattr(sol, name)) == _bits(getattr(result, name)[i]), (v, name)
+    for V_max in (1.05 * v_pi, 0.95 * v_pi):
+        result = sweep_voltage(m, electrode, np.linspace(0.0, V_max, 22))
+        assert result.V[0] == 0.0 and (result.truncated_at is None) == (V_max < v_pi)
+        assert 0 < result.V.size <= 22
+        # the row at V = 0 is the rest deflection, the sign of a zero rest (sigma0 = -0.0) too
+        assert _bits(result.y_p[0]) == _bits(zero_voltage_equilibrium(m))
+        expected = vars(total_force(result.y_p, *drive_voltages(electrode, result.V), m))
+        expected.update(V=result.V, y_p=result.y_p,
+                        C_top=capacitance_value(result.y_p, m, Electrode.TOP))
+        for name in SWEEP_COLUMNS:
+            column = getattr(result, name)
+            assert column.shape == result.V.shape, name
+            assert np.array_equal(column.view(np.uint64), expected[name].view(np.uint64)), name
+        grounded = result.F_elec_bottom if electrode is Electrode.TOP else result.F_elec_top
+        assert np.all(grounded == 0.0)
+        assert np.all(np.signbit(grounded) == (electrode is Electrode.TOP))
+        # a single-electrode solve_equilibrium takes the same columns on floats: every
+        # row's bits in the seven fields the two results share
+        for i, v in enumerate(result.V.tolist()):
+            sol = solve_equilibrium(m, *drive_voltages(electrode, v))
+            for name in SWEEP_COLUMNS[1:]:
+                assert _bits(getattr(sol, name)) == _bits(getattr(result, name)[i]), (v, name)
 
 
 @pytest.mark.parametrize("electrode", list(Electrode))
@@ -1011,6 +1038,74 @@ def test_model_holds_one_branch_per_electrode(monkeypatch):
         pull_in_voltage(other, Electrode.TOP)
         assert other._branches[Electrode.TOP] is not model._branches[Electrode.TOP]
     assert built == [Electrode.TOP, Electrode.BOTTOM, Electrode.TOP, Electrode.TOP]
+
+
+@pytest.mark.parametrize("overrides", [dict(sigma0=0.0), dict(sigma0=-0.0), dict(sigma0=-220e6),
+                                       dict(sigma0=80e6, d_c=120e-6, d_e=210e-6, l_b=4e-3)])
+def test_array_constants_hold_the_floats_bits(with_sigma0, overrides):
+    # every constant a sweep's arrays read is a read-only 0-d float64 array with
+    # the bits of the float it stands in for, so the arithmetic is unchanged
+    def same(held, value):
+        assert isinstance(held, np.ndarray) and held.shape == () and held.dtype == np.float64
+        assert not held.flags.writeable
+        assert int(held.view(np.uint64)) == _bits(value), (held, value)
+
+    m = with_sigma0(**overrides)
+    for electrode in Electrode:
+        sweep_voltage(m, electrode, [0.0, 0.5 * pull_in_voltage(m, electrode).V_pull_in])
+    held = electrostatics._array_constants(m)
+    for name in ("center_ratio", "eps0_area", "half_eps0_area", "EFVFa", "eps_F0", "a"):
+        same(getattr(held, name), getattr(m, name))
+    same(held.minus_compliance, -m.compliance)
+    for electrode in Electrode:
+        rest, s, center_ratio, tilt = gap_coefficients(m, electrode)
+        line = held.lines[electrode]
+        same(line[0], rest)
+        assert type(line[1]) is float and line[1] == s
+        assert line[2] is held.center_ratio
+        same(line[3], s * tilt)
+        same(line[4], -s * m.half_eps0_area)
+        same(mechanics._SIGN[electrode], s)
+        branch = m._branches[electrode]
+        assert len(branch._cubic_arrays) == len(branch._cubic) - 1
+        for got, value in zip(branch._cubic_arrays, branch._cubic):
+            same(got, value)
+    for got, value in zip(mechanics._ROOT_LITERAL_ARRAYS, mechanics._ROOT_LITERALS, strict=True):
+        same(got, value)
+    same(mechanics._MINUS_ZERO, -0.0)
+    same(electrostatics._SERIES_U, electrostatics.SERIES_U_THRESHOLD)
+    same(electrostatics._SLOPE_SERIES_U, electrostatics.SLOPE_SERIES_U_THRESHOLD)
+
+
+def test_model_forms_its_array_constants_once(monkeypatch):
+    # a model forms its 0-d constants on its first array, and each held branch its
+    # cubic's on its first array solve; lone voltages read the floats and form none
+    model = build_model(sigma0=50e6)
+    formed, frozen, init = [], [], electrostatics._ArrayConstants.__init__
+    monkeypatch.setattr(electrostatics._ArrayConstants, "__init__",
+                        lambda self, m: formed.append(m) or init(self, m))
+    monkeypatch.setattr(mechanics, "_frozen",
+                        lambda *values: frozen.extend(values) or electrostatics._frozen(*values))
+    for electrode in Electrode:
+        V_pi = pull_in_voltage(model, electrode).V_pull_in
+        solve_equilibrium(model, *drive_voltages(electrode, 0.5 * V_pi))
+    assert formed == frozen == [] and model._arrays is None
+    for electrode in (Electrode.TOP, Electrode.BOTTOM, "top", "bottom"):
+        V = np.linspace(0.0, 0.9 * pull_in_voltage(model, electrode).V_pull_in, 5)
+        sweep_voltage(model, electrode, V)
+        sweep_voltage(model, electrode, V[::-1])
+        simulate_cv(model, electrode, V)
+    assert [m is model for m in formed] == [True]
+    assert frozen == list(model._branches[Electrode.TOP]._cubic[:-1]) + list(
+        model._branches[Electrode.BOTTOM]._cubic[:-1])
+    fresh = build_model(sigma0=50e6)
+    assert model == fresh and hash(model) == hash(fresh) and repr(model) == repr(fresh)
+    # an equal model, from build_model or from the flat dict, forms its own
+    for other in (fresh, model_from_dict(model_to_dict(model))):
+        assert other == model and other._arrays is None
+        sweep_voltage(other, Electrode.TOP, [0.0, 10.0])
+        assert formed[-1] is other and other._arrays is not model._arrays
+    assert len(formed) == 3
 
 
 @pytest.mark.parametrize("sigma0", [0.0, -220e6, 180e6])

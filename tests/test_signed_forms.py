@@ -74,8 +74,7 @@ def _signed_stable_root(branch, drive):
 def _signed_breakdown(y_p, model, F_t, F_e):
     F_f = film_force(y_p, model)
     F_b = -y_p / model.compliance
-    return dict(F_film=F_f, F_beam=F_b, F_elec_top=F_t, F_elec_bottom=F_e,
-                F_total=F_f + F_b + F_t + F_e)
+    return F_f, F_b, F_t, F_e, F_f + F_b + F_t + F_e  # ForceBreakdown's order
 
 
 def _same_bits(got, expected):
@@ -164,14 +163,14 @@ def test_breakdown_keeps_the_signed_forms_bits(with_sigma0, overrides):
     m = with_sigma0(**overrides)
     y = _poses(m)
     F_t, F_e = np.linspace(0.0, 1e-3, y.size), -0.0 * np.linspace(0.0, 1e-3, y.size)
-    for key, value in _breakdown(y, m, F_t, F_e).items():
-        _same_bits(value, _signed_breakdown(y, m, F_t, F_e)[key])
+    for got, expected in zip(_breakdown(y, m, F_t, F_e), _signed_breakdown(y, m, F_t, F_e),
+                             strict=True):
+        _same_bits(got, expected)
     for pose in y.tolist():
         for F in (0.0, -0.0, 2e-4):
-            got = _breakdown(pose, m, F, -0.0 * F)
-            expected = _signed_breakdown(pose, m, F, -0.0 * F)
-            for key in got:
-                _same_bits(got[key], expected[key])
+            for got, expected in zip(_breakdown(pose, m, F, -0.0 * F),
+                                     _signed_breakdown(pose, m, F, -0.0 * F), strict=True):
+                _same_bits(got, expected)
 
 
 @pytest.mark.parametrize("overrides", MODELS + [dict(sigma0=8e8)])
