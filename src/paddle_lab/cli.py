@@ -72,6 +72,9 @@ DEFAULT_SPACERS = "25e-6,50e-6,75e-6,100e-6,125e-6"
 DEFAULT_SIGMA0_LIST = "100e6,200e6,300e6"
 CURVE_GRID_FRACTION = 0.9
 CURVE_GRID_POINTS = 201
+# the most grid points (--points) or samples (measure --n) one command takes: each float
+# column then holds at most 8 MB
+MAX_COUNT = 1_000_000
 DESIGN_REFERENCE_LOAD = 1e-3  # N
 DESIGN_PROFILE_POINTS = 201
 # float fields per format_e17 call: bounds the kernel's temporaries to a few
@@ -220,15 +223,26 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-def _grid_points(text: str) -> int:
-    """argparse type of --points: a grid needs at least 2 points."""
+def _count(text: str, least: int, unit: str) -> int:
+    """An integer from least to MAX_COUNT, else argparse's error giving that range."""
     try:
-        points = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if points < 2:
-        raise argparse.ArgumentTypeError(f"a grid needs at least 2 points, got {points}")
-    return points
+    if not least <= value <= MAX_COUNT:
+        shown = value if abs(value) < 10**20 else f"{len(str(value))} digits"
+        raise argparse.ArgumentTypeError(f"expected {least} to {MAX_COUNT} {unit}, got {shown}")
+    return value
+
+
+def _grid_points(text: str) -> int:
+    """argparse type of --points: a grid needs 2 to MAX_COUNT points."""
+    return _count(text, 2, "points")
+
+
+def _sample_count(text: str) -> int:
+    """argparse type of measure --n: 1 to MAX_COUNT samples."""
+    return _count(text, 1, "samples")
 
 
 @contextlib.contextmanager
@@ -445,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed of the noise")
     p.add_argument("--electrode", choices=electrodes, default="top", help="sensed electrode")
     p.add_argument("--yp", type=_finite_float, default=0.0, help="paddle-center deflection, m")
-    p.add_argument("--n", type=int, default=100, help="sample count")
+    p.add_argument("--n", type=_sample_count, default=100, help="sample count")
     p.add_argument("--dt", type=_finite_float, default=1e-2, help="sample interval, s")
     p.add_argument("--sigma-c", type=_finite_float, default=1e-16, help="capacitance noise std, F")
 

@@ -61,12 +61,17 @@ SLOPE_SERIES_U_THRESHOLD, meets the tolerance there and takes no step: the
 loop never steps on a slope that needs its own series
 (test_flat_readings_take_no_newton_step). The model holds
 each electrode's attainable range (capacitance_range) once it is first
-formed. On an array, OutOfRange names the first value outside that range
-and carries its flat index as `row`.
+formed, and its inversion constants (_inversion: the range, the bracket,
+the gap line's and the log-mean start's constants) as read-only 0-d
+float64 arrays once it first inverts; the loop's literals are module 0-d
+arrays, so no ufunc of an inversion takes a Python float operand. On an
+array, OutOfRange names the first value outside that range and carries its
+flat index as `row`.
 """
 from __future__ import annotations
 
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,6 +110,10 @@ def _frozen(*values: float) -> tuple:
 
 # the series thresholds as 0-d arrays, which an array's _series_mask compares against
 _SERIES_U, _SLOPE_SERIES_U = _frozen(SERIES_U_THRESHOLD, SLOPE_SERIES_U_THRESHOLD)
+
+# the literals of the array slope (1.0 of r = 1/(1+u)) and of yp_from_capacitance (its
+# tolerance factor and the log-mean start's 3.0, -2.0 and 0.0) as 0-d arrays
+_ONE, _TOLERANCE, _THREE, _MINUS_TWO, _ZERO = _frozen(1.0, 1e-12, 3.0, -2.0, 0.0)
 
 
 class Electrode(str, Enum):
@@ -281,7 +290,7 @@ def _slope_terms(c, center_ratio, tilt, g0, u, log1p_u, small):
     by w = 1 on those elements, so that u = 0 never divides, and by w = u
     elsewhere. The caller applies -s, which commutes with rounding.
     """
-    r = 1.0 / (1.0 + u)
+    r = _ONE / (_ONE + u)
     w = u if small is None else np.where(small, 1.0, u)
     n = (log1p_u / w - r) / w
     if small is not None:
@@ -378,10 +387,68 @@ def capacitance_range(model: ValidatedModel, electrode: Electrode) -> tuple[floa
     return held
 
 
+class _Inversion(NamedTuple):
+    """An electrode's constants as yp_from_capacitance reads them (_inversion).
+
+    Each is a read-only 0-d float64 array of the float it stands in for,
+    except the gap line's sign s, a float for the loop's branch on it:
+    capacitance_range's (c_min, c_max), inversion_bracket's (lo, hi), the
+    gap line's tilt and s*center_ratio, the log-mean start's 2 + tilt and
+    4*qa (_log_mean_coefficients), and the model's rest, center_ratio and
+    eps0_area of _ArrayConstants.
+    """
+
+    c_min: np.ndarray
+    c_max: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    tilt: np.ndarray
+    s_center_ratio: np.ndarray
+    two_plus_tilt: np.ndarray
+    four_qa: np.ndarray
+    rest: np.ndarray
+    center_ratio: np.ndarray
+    eps0_area: np.ndarray
+    s: float
+
+
+def _inversion(model: ValidatedModel, electrode: Electrode) -> _Inversion:
+    """electrode's _Inversion, formed on its first inversion and held by the
+    model (ValidatedModel._inversions), as capacitance_range is (any other
+    name raises Electrode's InvalidParameter("electrode"))."""
+    try:
+        held = model._inversions.get(electrode)  # a str Electrode's value finds its member
+    except TypeError:  # an unhashable name
+        Electrode(electrode)  # raises InvalidParameter
+    if held is None:
+        c_min, c_max = capacitance_range(model, electrode)
+        rest, s, center_ratio, tilt = gap_coefficients(model, electrode)
+        arrays = _array_constants(model)
+        held = model._inversions[Electrode(electrode)] = _Inversion(
+            *_frozen(c_min, c_max, *inversion_bracket(model), tilt, s * center_ratio,
+                     *_log_mean_coefficients(tilt)),
+            arrays.lines[electrode][0], arrays.center_ratio, arrays.eps0_area, s)
+    return held
+
+
 def invertible(C, model: ValidatedModel, electrode: Electrode):
-    """Which readings yp_from_capacitance accepts: c_min < C < c_max (NaN never)."""
-    c_min, c_max = capacitance_range(model, electrode)
+    """Which readings yp_from_capacitance accepts: c_min < C < c_max (NaN never).
+
+    An array compares against the range as 0-d arrays (_inversion), which
+    forms the electrode's inversion constants; anything else against floats.
+    """
+    if isinstance(C, np.ndarray):
+        held = _inversion(model, electrode)
+        c_min, c_max = held.c_min, held.c_max
+    else:
+        c_min, c_max = capacitance_range(model, electrode)
     return (c_min < C) & (C < c_max)
+
+
+def _log_mean_coefficients(tilt: float) -> tuple[float, float]:
+    """(2 + tilt, 4*qa) of _log_mean_start's quadratic, with qa as there."""
+    qa = (4.0 * (1.0 + tilt) - (1.0 + 0.5 * tilt) ** 2) / 3.0
+    return 2.0 + tilt, 4.0 * qa
 
 
 def _log_mean_start(S, rest, tilt):
@@ -397,10 +464,15 @@ def _log_mean_start(S, rest, tilt):
     whose root near x = 0 is taken in the form that does not cancel and
     stays finite where qa changes sign, at tilt = 6 + 4*sqrt(3).
     """
-    qa = (4.0 * (1.0 + tilt) - (1.0 + 0.5 * tilt) ** 2) / 3.0
-    qb = (2.0 + tilt) * (rest + S)
-    qc = (rest - S) * (rest + 3.0 * S)
-    return -2.0 * qc / (qb + np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)))
+    return _log_mean_root(S, rest, *_log_mean_coefficients(tilt))
+
+
+def _log_mean_root(S, rest, two_plus_tilt, four_qa):
+    """_log_mean_start's root from its coefficients (_log_mean_coefficients),
+    floats or 0-d arrays, with the same bits either way."""
+    qb = two_plus_tilt * (rest + S)
+    qc = (rest - S) * (rest + _THREE * S)
+    return _MINUS_TWO * qc / (qb + np.sqrt(np.maximum(qb * qb - four_qa * qc, _ZERO)))
 
 
 def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
@@ -435,7 +507,13 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
     every element that steps. The step on that slope is subtracted for
     s = +1 and added for s = -1, which is exact, since sign flips commute
     with rounding; np.where keeps converged elements only while some element
-    has converged.
+    has converged. The first convergence mask is the active set, and later
+    ones are and-ed into it.
+
+    Every constant the inversion reads is a read-only 0-d float64 array
+    (_inversion, and the module's literals), so no ufunc takes a Python
+    float operand, which NumPy 2 handles as a weak scalar at more cost per
+    call, for the same bits.
     """
     C = np.asarray(C, dtype=float)
     ok = invertible(C, model, electrode)
@@ -449,14 +527,14 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
             reason = (f"C={c!r} outside attainable range ({c_min!r}, {c_max!r}) "
                       f"for {Electrode(electrode).value}")
         raise OutOfRange(reason, row=row if C.ndim else None)
-    lo, hi = inversion_bracket(model)
-    rest, s, center_ratio, tilt = gap_coefficients(model, electrode)
-    c = model.eps0_area
+    (_, _, lo, hi, tilt, s_center_ratio, two_plus_tilt, four_qa, rest, center_ratio, c,
+     s) = _inversion(model, electrode)
     target = C.reshape(-1)
-    tol = 1e-12 * target
+    tol = _TOLERANCE * target
     # np.minimum(np.maximum(...)) gives np.clip's bits at half its call cost
-    y = np.minimum(np.maximum(s * center_ratio * _log_mean_start(c / target, rest, tilt), lo), hi)
-    active = np.ones(y.shape, dtype=bool)
+    y = np.minimum(np.maximum(
+        s_center_ratio * _log_mean_root(c / target, rest, two_plus_tilt, four_qa), lo), hi)
+    active = None
     for _ in range(INVERSION_MAX_ITER):
         g0, delta = _gap_terms(y, model, electrode)
         u = delta / g0
@@ -464,7 +542,10 @@ def yp_from_capacitance(C, model: ValidatedModel, electrode: Electrode):
         small = _series_mask(u, _SERIES_U)
         c_y = _capacitance_terms(c, g0, delta, u, log1p_u, small)
         residual = target - c_y  # |target - c_y| has the bits of |c_y - target|
-        active &= np.abs(residual) > tol
+        unmet = np.abs(residual) > tol
+        if active is not None:
+            unmet &= active
+        active = unmet
         n_active = np.count_nonzero(active)
         if not n_active:
             break

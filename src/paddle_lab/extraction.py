@@ -33,7 +33,7 @@ from .electrostatics import (_SERIES_U, _SLOPE_SERIES_U, Electrode,
                              capacitance_range, capacitance_value, force_per_v2_value,
                              invertible, yp_from_capacitance)
 from .errors import DegenerateData, InsufficientData, InvalidParameter, OutOfRange
-from .instrument import MeasurementStream, NoiseModel, _columns, _read_only
+from .instrument import _FLOAT64, MeasurementStream, NoiseModel, _columns, _read_only
 from .mechanics import StableBranch, _Drive, _sweep_poses, film_stiffness
 from .model import ValidatedModel
 
@@ -74,7 +74,7 @@ class CVDataset:
     electrode: np.ndarray
 
     def __post_init__(self):
-        n = _columns(self, V=np.float64, C=np.float64, electrode=object)
+        n = _columns(self, V=_FLOAT64, C=_FLOAT64, electrode=np.dtype(object))
         if n < 3:
             raise InsufficientData(f"need >= 3 rows, got {n}")
         V, C, names = self.V, self.C, self.electrode
@@ -148,7 +148,7 @@ class DeflectionSeries:
     y_p: np.ndarray
 
     def __post_init__(self):
-        _columns(self, t=np.float64, y_p=np.float64)
+        _columns(self, t=_FLOAT64, y_p=_FLOAT64)
 
     def __len__(self) -> int:
         return len(self.t)

@@ -10,7 +10,10 @@ in farads (NoiseModel), with a fixed seed making every stream reproducible.
 A stream of readings is held as columns: measure_capacitance returns a
 MeasurementStream of the sample times and readings as two read-only
 float64 arrays, which builds a MeasurementSample only when the stream is
-iterated.
+iterated. It forms both in place, dt times 1, 2, ..., n and C_true added to
+the noise draws, which NoiseModel.draw scales in place: the bits of the
+same expressions out of place. A spacer calibration stays on Python floats:
+calibration_table's rows and calibration_fit's sums over their columns.
 """
 from __future__ import annotations
 
@@ -58,27 +61,35 @@ class NoiseModel:
             if not self.sigma_C * peak < math.inf:
                 raise InvalidParameter("sigma_C", f"noise of std {self.sigma_C!r} overflows the "
                                                   f"float range: {n} draws reach {peak!r} std")
-        return self.sigma_C * z
+        z *= self.sigma_C  # in place, with the bits of sigma_C * z
+        return z
+
+
+_FLOAT64 = np.dtype(np.float64)  # the dtype of a float column, as _columns takes it
 
 
 def _read_only(col: np.ndarray) -> np.ndarray:
     """col if read-only, else a read-only view of it (no copy; col keeps its flags)."""
     if col.flags.writeable:
         col = col.view()
-        col.flags.writeable = False
+        col.setflags(write=False)  # cheaper than setting flags.writeable, with the same effect
     return col
 
 
 def _columns(obj, **dtypes) -> int:
-    """Make each named field of the frozen dataclass obj a 1-D array of its dtype,
-    kept if it already is one, and read-only (_read_only), so no later write
-    bypasses this check; all must have one length, which is returned."""
+    """Make each named field of the frozen dataclass obj a 1-D array of its dtype
+    (an np.dtype, such as _FLOAT64), kept if it already is one, and read-only
+    (_read_only), so no later write bypasses this check; all must have one
+    length, which is returned. A field that is already an ndarray of its
+    dtype skips np.asarray."""
     n = None
     for name, dtype in dtypes.items():
-        try:
-            col = np.asarray(getattr(obj, name), dtype=dtype)
-        except (TypeError, ValueError) as exc:
-            raise InvalidParameter(name, f"must be a column of {np.dtype(dtype)}: {exc}") from None
+        col = getattr(obj, name)
+        if type(col) is not np.ndarray or col.dtype is not dtype:
+            try:
+                col = np.asarray(col, dtype=dtype)
+            except (TypeError, ValueError) as exc:
+                raise InvalidParameter(name, f"must be a column of {dtype}: {exc}") from None
         if col.ndim != 1 or n not in (None, col.size):
             raise InvalidParameter(name, f"must be 1-D and as long as the other columns, "
                                          f"got shape {col.shape}")
@@ -107,7 +118,7 @@ class MeasurementStream:
     C_meas: np.ndarray
 
     def __post_init__(self):
-        _columns(self, t=np.float64, C_meas=np.float64)
+        _columns(self, t=_FLOAT64, C_meas=_FLOAT64)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -140,7 +151,12 @@ def measure_capacitance(C_true: float, noise: NoiseModel, n: int) -> Measurement
     if not float(noise.dt) * int(n) < math.inf:  # Python floats: no NumPy overflow warning
         raise InvalidParameter("dt", f"the last sample time n*dt must be finite, "
                                      f"got dt={noise.dt!r} and n={n!r}")
-    return MeasurementStream(noise.dt * np.arange(1, n + 1), C_true + noise.draw(n))
+    # in place, with the bits of dt * np.arange(1, n + 1) and C_true + noise.draw(n)
+    t = np.arange(1.0, n + 1.0)
+    t *= noise.dt
+    C_meas = noise.draw(n)
+    C_meas += C_true
+    return MeasurementStream(t, C_meas)
 
 
 def resolvable_displacement(model: ValidatedModel, at_y_p: float,
@@ -165,12 +181,9 @@ def calibration_table(model: ValidatedModel, spacers,
         if not 0.0 < s < math.inf:
             raise InvalidParameter("spacers",
                                    f"spacer thickness must be finite and > 0, got {s!r}")
-    area = model.geom.w_p * model.geom.l_p
-    rows = []
-    for s, dC in zip(spacers, noise.draw(len(spacers))):
-        C = parallel_plate_capacitance(area, s, model.constants.eps0) + dC
-        rows.append((s, 1.0 / s, float(C)))
-    return rows
+    area, eps0 = model.geom.w_p * model.geom.l_p, model.constants.eps0
+    return [(s, 1.0 / s, parallel_plate_capacitance(area, s, eps0) + dC)
+            for s, dC in zip(spacers, noise.draw(len(spacers)).tolist())]
 
 
 def calibration_fit(model: ValidatedModel, rows) -> CalibrationFit:
@@ -190,17 +203,18 @@ def calibration_fit(model: ValidatedModel, rows) -> CalibrationFit:
         raise InsufficientData(
             f"calibration needs >= 3 distinct spacers, got {len(distinct)}")
     n = len(rows)
+    _, x, C = zip(*rows)
     # fsum and ** raise OverflowError past the float range, and fsum ValueError on rows
     # holding both infinities; a spread that underflows to 0 divides by 0
     try:
-        x_mean = math.fsum(row[1] for row in rows) / n
-        C_mean = math.fsum(row[2] for row in rows) / n
-        dx = [row[1] - x_mean for row in rows]
-        dC = [row[2] - C_mean for row in rows]
+        x_mean = math.fsum(x) / n
+        C_mean = math.fsum(C) / n
+        dx = [x_i - x_mean for x_i in x]
+        dC = [C_i - C_mean for C_i in C]
         ss_x = math.fsum(map(operator.mul, dx, dx))
         slope = math.fsum(map(operator.mul, dx, dC)) / ss_x
         intercept = C_mean - slope * x_mean
-        ss_res = math.fsum((row[2] - (slope * row[1] + intercept)) ** 2 for row in rows)
+        ss_res = math.fsum((C_i - (slope * x_i + intercept)) ** 2 for x_i, C_i in zip(x, C))
         ss_tot = math.fsum(map(operator.mul, dC, dC))
         r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     except (OverflowError, ValueError, ZeroDivisionError):

@@ -16,8 +16,9 @@ defaults) and model_from_dict (a flat dict, as read from a JSON model file)
 build it; model_to_dict is the inverse. A parameter is varied through the
 flat dict or build_model. A model also holds what its first use forms, in
 private fields that ==, hash and repr leave out: each electrode's stable
-branch (_branches), attainable capacitance range (_ranges), and its
-constants as read-only 0-d float64 arrays for array kernels (_arrays).
+branch (_branches), attainable capacitance range (_ranges), its
+constants as read-only 0-d float64 arrays for array kernels (_arrays), and
+each electrode's inversion constants, as such arrays too (_inversions).
 """
 from __future__ import annotations
 
@@ -126,8 +127,9 @@ class ValidatedModel:
     dict: model_from_dict({**model_to_dict(m), key: value}). Its parameters and derived
     constants never change after construction, and it is safe to share across workers. It
     also holds each electrode's StableBranch once one is built (mechanics._branch) and its
-    capacitance range once one is formed (electrostatics.capacitance_range), which ==, hash
-    and repr leave out.
+    capacitance range once one is formed (electrostatics.capacitance_range), its constants as
+    0-d arrays once an array kernel runs (_arrays) and each electrode's inversion constants
+    once it first inverts (_inversions), which ==, hash and repr leave out.
     """
 
     constants: PhysicalConstants
@@ -150,6 +152,7 @@ class ValidatedModel:
     _branches: dict = field(init=False, compare=False, repr=False)  # electrode -> StableBranch
     _ranges: dict = field(init=False, compare=False, repr=False)  # electrode -> (c_min, c_max)
     _arrays: object = field(init=False, compare=False, repr=False)  # electrostatics._ArrayConstants
+    _inversions: dict = field(init=False, compare=False, repr=False)  # electrode -> _Inversion
 
     def __post_init__(self):
         g, substrate, film = self.geom, self.substrate, self.film
@@ -213,7 +216,7 @@ class ValidatedModel:
                                 half_eps0_area=half_eps0_area, tilt=tilt,
                                 center_ratio=g.center_ratio,
                                 y_p_min=y_p_min, y_p_max=y_p_max, _branches={},
-                                _ranges={}, _arrays=None).items():
+                                _ranges={}, _arrays=None, _inversions={}).items():
             object.__setattr__(self, name, value)
 
 

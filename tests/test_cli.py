@@ -222,7 +222,8 @@ def test_negative_seed_exit_2(tmp_path, capsys, argv):
      "--v-max: drive voltages must be finite and >= 0"),
     ("equilibrium --electrode bottom --v 1.4e154", "--v: drive voltages must be finite and >= 0"),
     ("measure --yp 0 --dt 1e308 --n 3", "dt: the last sample time n*dt must be finite"),
-    ("measure --yp 0 --n 1" + "0" * 400, "n: must be at most 1.7976931348623157e+308"),
+    ("measure --yp 0 --n 1" + "0" * 400,
+     "argument --n: expected 1 to 1000000 samples, got 401 digits"),
     ("sweep --electrode top --v-list=1e200,5", "--v-list: drive voltages must be finite and >= 0"),
     ("sweep --electrode top --v-max=-5", "--v-max: drive voltages must be finite and >= 0, "
      "with a finite square (force is even in V), got -5.0"),
@@ -319,6 +320,20 @@ def test_sweep_needs_two_points(tmp_path, capsys, points):
     assert rc == 2
     assert "--points" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_count_flags_take_up_to_max_count():
+    # --points and measure --n admit every count up to cli.MAX_COUNT, the benchmark's 2001,
+    # 51 and 10000 among them, and the parser refuses one more (parsed only, nothing runs)
+    parser = cli.build_parser()
+    for argv, dest in (("curves --points {}", "points"),
+                       ("sweep --electrode top --v-max 5 --points {}", "points"),
+                       ("measure --n {}", "n")):
+        for count in (2, 51, 2001, 10_000, cli.MAX_COUNT):
+            assert getattr(parser.parse_args(argv.format(count).split()), dest) == count
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv.format(cli.MAX_COUNT + 1).split())
+        assert exc.value.code == 2
 
 
 def test_calibrate_noise_free_defaults(tmp_path):
@@ -628,9 +643,13 @@ def test_extract_row_with_overflowing_square_exit_2(tmp_path, capsys):
                                   "calibration line out of the float64 range"),
     ("measure --sigma-c 1e308 --n 1000", "error: --sigma-c: noise of std 1e+308 overflows "
                                          "the float range"),
+    # counts past MAX_COUNT, which would ask for memory in proportion
+    ("sweep --electrode top --v-max 5 --points 9999999999999999999999",
+     "error: argument --points: expected 2 to 1000000 points, got 22 digits"),
+    ("measure --n 1000001", "error: argument --n: expected 1 to 1000000 samples, got 1000001"),
 ], ids=["curves-grid", "calibrate-spacers", "equilibrium-v", "extract-no-film",
         "extract-binary-data", "design-binary-config", "calibrate-sigma-c-overflow",
-        "measure-sigma-c-overflow"])
+        "measure-sigma-c-overflow", "sweep-points-too-many", "measure-n-too-many"])
 def test_refused_input_exit_2(tmp_path, capsys, argv, message):
     # each refusal names what it refuses, exits 2 and creates no output directory;
     # a file of undecodable bytes is refused as input, not raised as a decoding error

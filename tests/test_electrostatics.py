@@ -10,11 +10,12 @@ from paddle_lab import (Electrode, InvalidParameter, MeasurementStream, NoiseMod
                         capacitance_value, deflection_series, force_per_v2_value, load_cv_csv,
                         measure_capacitance, model_from_dict, model_to_dict,
                         parallel_plate_capacitance, pull_in_voltage, simulate_cv,
-                        sweep_voltage, yp_from_capacitance)
+                        solve_equilibrium, sweep_voltage, yp_from_capacitance)
 from paddle_lab import electrostatics
 from paddle_lab.electrostatics import (SERIES_U_THRESHOLD, SLOPE_SERIES_U_THRESHOLD,
                                        capacitance_range, capacitance_slope,
                                        gap_line, inversion_bracket, invertible)
+from paddle_lab.mechanics import drive_voltages
 from paddle_lab.roots import bisect_root
 
 from oracles import electrostatic_force_per_v2_quadrature, paddle_capacitance_quadrature
@@ -583,6 +584,43 @@ def test_model_holds_one_range_per_electrode(monkeypatch):
         assert list(capacitance_range(other, Electrode.TOP)) == cold[Electrode.TOP]
         assert [(m is other, e) for m, e in calls[-2:]] == [(True, Electrode.TOP)] * 2
     assert len(calls) == 8
+
+
+def test_model_forms_its_inversion_constants_once(monkeypatch):
+    # a model forms each electrode's inversion constants (_inversion) on its first
+    # inversion, whether of an array, a lone float or a stream, or on an array's invertible,
+    # named by member or by value; pull-in, solves, sweeps and a simulated C-V set form none,
+    # and ==, hash and repr leave the held constants out
+    model = build_model(sigma0=50e6)
+    formed, make = [], electrostatics._Inversion
+    monkeypatch.setattr(electrostatics, "_Inversion",
+                        lambda *values: formed.append(values[-1]) or make(*values))
+    for electrode in Electrode:
+        V = np.linspace(0.0, 0.9 * pull_in_voltage(model, electrode).V_pull_in, 5)
+        sweep_voltage(model, electrode, V)
+        simulate_cv(model, electrode, V)
+        solve_equilibrium(model, *drive_voltages(electrode, V[2]))
+        assert type(invertible(2.2e-12, model, electrode)) is bool  # a float reads floats
+    assert formed == [] and model._inversions == {}
+    assert model._arrays is not None  # the sweeps formed the model's array constants
+    for electrode in (Electrode.TOP, Electrode.BOTTOM, "top", "bottom"):
+        e = Electrode(electrode)
+        C = np.linspace(*capacitance_range(model, e), 7)[1:-1]
+        assert np.all(invertible(C, model, electrode))
+        yp_from_capacitance(C, model, electrode)
+        yp_from_capacitance(float(C[2]), model, electrode)
+        stream = measure_capacitance(float(C[3]), NoiseModel(sigma_C=0.0), 4)
+        deflection_series(stream, model, electrode)
+    assert formed == [-1.0, 1.0]  # each electrode's gap-line sign, top then bottom
+    assert set(model._inversions) == set(Electrode)
+    fresh = build_model(sigma0=50e6)
+    assert model == fresh and hash(model) == hash(fresh) and repr(model) == repr(fresh)
+    # an equal model, from build_model or from the flat dict, forms its own
+    for other in (fresh, model_from_dict(model_to_dict(model))):
+        assert other == model and other._inversions == {}
+        invertible(np.array([1e-12]), other, Electrode.BOTTOM)
+        assert other._inversions[Electrode.BOTTOM] is not model._inversions[Electrode.BOTTOM]
+    assert formed == [-1.0, 1.0, 1.0, 1.0]
 
 
 @pytest.mark.parametrize("electrode", [Electrode.TOP, Electrode.BOTTOM])

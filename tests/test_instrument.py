@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pickle
 import warnings
 from fractions import Fraction
@@ -75,6 +76,24 @@ def test_stream_columns():
     # float64 columns pass through the stream's check uncopied
     again = MeasurementStream(stream.t, stream.C_meas)
     assert again.t is stream.t and again.C_meas is stream.C_meas
+
+
+def _bits(values) -> list:
+    """The IEEE-754 bits of each float, so that -0.0 and +0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("sigma_C", [0.0, 1e-17, 3e-16, 2.5])
+@pytest.mark.parametrize("n", [1, 2, 7, 200, 4097])
+def test_stream_keeps_the_out_of_place_bits(sigma_C, n):
+    # measure_capacitance forms t and C_meas in place; as uint64 they are dt*np.arange(1, n+1)
+    # and C_true + sigma_C*z, z the seed's standard normals (sigma_C > 1 checks the overflow)
+    z = np.random.default_rng(11).standard_normal(n)
+    for dt in (1e-3, 2.5e-3, 0.1, 3.7):
+        for C_true in (2.2125e-12, 1.0 / 3.0):
+            stream = measure_capacitance(C_true, NoiseModel(sigma_C=sigma_C, dt=dt, seed=11), n)
+            assert _bits(stream.t) == _bits(dt * np.arange(1, n + 1))
+            assert _bits(stream.C_meas) == _bits(C_true + sigma_C * z)
 
 
 def test_stream_row_view():
@@ -276,6 +295,34 @@ def test_calibration_fit_of_table_rows(default_model):
     assert calibration_fit(default_model, rows) == calibrate(default_model, DEFAULT_SPACERS, noise)
     with pytest.raises(InsufficientData):
         calibration_fit(default_model, rows[:1] * 3 + rows[1:2])
+
+
+@pytest.mark.parametrize("sigma_C", [0.0, 1e-17, 1e-15, 1e-13])
+@pytest.mark.parametrize("seed", [0, 4, 21])
+def test_calibration_keeps_the_scalar_expressions_bits(default_model, sigma_C, seed):
+    # calibration_table's rows on Python floats and calibration_fit's fsums over its
+    # columns, as uint64, against the rows on NumPy scalars and the fit's per-row sums
+    # spacers whose plain float sums of 1/spacer and of C differ from their fsums
+    spacers = [1e-6 * k for k in (3, 7, 11, 13, 29, 31, 37, 41, 53, 97, 131, 401)]
+    noise = NoiseModel(sigma_C=sigma_C, seed=seed)
+    area, eps0 = default_model.geom.w_p * default_model.geom.l_p, default_model.constants.eps0
+    expected = [(s, 1.0 / s, float(parallel_plate_capacitance(area, s, eps0) + dC))
+                for s, dC in zip(spacers, noise.draw(len(spacers)))]
+    rows = calibration_table(default_model, spacers, noise)
+    assert all(type(v) is float for row in rows for v in row)
+    assert _bits(rows) == _bits(expected)
+    n = len(rows)
+    x_mean = math.fsum(row[1] for row in rows) / n
+    C_mean = math.fsum(row[2] for row in rows) / n
+    dx = [row[1] - x_mean for row in rows]
+    dC = [row[2] - C_mean for row in rows]
+    slope = math.fsum(a * b for a, b in zip(dx, dC)) / math.fsum(a * a for a in dx)
+    intercept = C_mean - slope * x_mean
+    ss_res = math.fsum((row[2] - (slope * row[1] + intercept)) ** 2 for row in rows)
+    r2 = max(0.0, min(1.0, 1.0 - ss_res / math.fsum(b * b for b in dC)))
+    fit = calibration_fit(default_model, rows)
+    assert _bits([fit.slope, fit.intercept, fit.r2, fit.implied_area]) == \
+        _bits([slope, intercept, r2, slope / eps0])
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),

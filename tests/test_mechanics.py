@@ -1043,8 +1043,8 @@ def test_model_holds_one_branch_per_electrode(monkeypatch):
 @pytest.mark.parametrize("overrides", [dict(sigma0=0.0), dict(sigma0=-0.0), dict(sigma0=-220e6),
                                        dict(sigma0=80e6, d_c=120e-6, d_e=210e-6, l_b=4e-3)])
 def test_array_constants_hold_the_floats_bits(with_sigma0, overrides):
-    # every constant a sweep's arrays read is a read-only 0-d float64 array with
-    # the bits of the float it stands in for, so the arithmetic is unchanged
+    # every constant a sweep's or an inversion's arrays read is a read-only 0-d float64
+    # array with the bits of the float it stands in for, so the arithmetic is unchanged
     def same(held, value):
         assert isinstance(held, np.ndarray) and held.shape == () and held.dtype == np.float64
         assert not held.flags.writeable
@@ -1075,6 +1075,24 @@ def test_array_constants_hold_the_floats_bits(with_sigma0, overrides):
     same(mechanics._MINUS_ZERO, -0.0)
     same(electrostatics._SERIES_U, electrostatics.SERIES_U_THRESHOLD)
     same(electrostatics._SLOPE_SERIES_U, electrostatics.SLOPE_SERIES_U_THRESHOLD)
+    # the inversion's, held per electrode once it first inverts, and its literals
+    lo, hi = electrostatics.inversion_bracket(m)
+    for electrode in Electrode:
+        c_min, c_max = electrostatics.capacitance_range(m, electrode)
+        electrostatics.yp_from_capacitance(np.array([0.5 * (c_min + c_max)]), m, electrode)
+        rest, s, center_ratio, tilt = gap_coefficients(m, electrode)
+        qa = (4.0 * (1.0 + tilt) - (1.0 + 0.5 * tilt) ** 2) / 3.0
+        inv = m._inversions[electrode]
+        for got, value in zip(inv[:-1], (c_min, c_max, lo, hi, tilt, s * center_ratio,
+                                         2.0 + tilt, 4.0 * qa, rest, center_ratio,
+                                         m.eps0_area), strict=True):
+            same(got, value)
+        assert type(inv.s) is float and inv.s == s
+        assert inv.rest is held.lines[electrode][0] and inv.center_ratio is held.center_ratio
+        assert inv.eps0_area is held.eps0_area
+    for name, value in (("_ONE", 1.0), ("_TOLERANCE", 1e-12), ("_THREE", 3.0),
+                        ("_MINUS_TWO", -2.0), ("_ZERO", 0.0)):
+        same(getattr(electrostatics, name), value)
 
 
 def test_model_forms_its_array_constants_once(monkeypatch):

@@ -3,7 +3,7 @@ import argparse
 import os
 import re
 
-from paddle_lab import build_model, model_to_dict
+from paddle_lab import build_model, cli, model_to_dict
 from paddle_lab.cli import build_parser, main
 from paddle_lab.model import MODEL_JSON_KEYS
 
@@ -62,3 +62,21 @@ def test_readme_flag_table_matches_parser():
     for name, parser in commands.choices.items():
         flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
         assert set(re.findall(r"--[a-z0-9-]+", rows[name])) == flags - {"--config", "--out"}, name
+
+
+def test_readme_states_the_reproducibility_contract():
+    # data files are byte-identical only at one NumPy build and dispatch level, with the
+    # bounds measured across levels; no sentence claims more
+    text = " ".join(_readme().split())
+    assert ("Data files are byte-identical for a fixed seed at one NumPy build and dispatch "
+            "level; only the manifest timestamp differs between runs.") in text
+    assert ("23 of the 88 files that `scripts/diff_cli_outputs.py` writes change, C columns "
+            "by 1–2 ulp and fitted values by up to 5e-14 relative.") in text
+    assert "byte-reproducible for a fixed seed" not in text
+
+
+def test_readme_count_bound_matches_parser():
+    # the exit-code text gives the parser's bound on --points and measure --n
+    text = " ".join(_readme().split())
+    assert (f"grid of 2 to {cli.MAX_COUNT} points (`--points`) or count of 1 to "
+            f"{cli.MAX_COUNT} samples (`measure --n`)") in text
